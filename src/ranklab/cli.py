@@ -31,6 +31,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid budget {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be >= 0, got {value}")
+    return value
+
+
 def _parse_q(q: int) -> tuple[int, int]:
     """Split a prime power q into (p, e)."""
     if q < 2:
@@ -79,10 +89,12 @@ def build_parser() -> _Parser:
     common.add_argument("--out", help="write the produced artifact to this file")
     common.add_argument("--seed", type=int, default=None,
                         help="seed for randomized verbs")
-    common.add_argument("--subspace-budget", type=int, default=DEFAULT_SUBSPACE_BUDGET,
+    common.add_argument("--subspace-budget", type=_budget, default=DEFAULT_SUBSPACE_BUDGET,
                         help="max subspace/hyperplane scans (default 2^20)")
-    common.add_argument("--codeword-budget", type=int, default=DEFAULT_CODEWORD_BUDGET,
-                        help="max codeword scans (default 2^24)")
+    common.add_argument("--codeword-budget", type=_budget, default=DEFAULT_CODEWORD_BUDGET,
+                        help="max items of a code's rank scan: its q^K codewords or "
+                             "the subspaces of F_q^{min(m,n)}, whichever is fewer "
+                             "(default 2^24)")
     common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="worker cap (scans execute sequentially; results are "
                              "independent of partitioning)")
@@ -159,7 +171,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--h", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--budget", type=int, default=200,
+    sp.add_argument("--budget", type=_budget, default=200,
                     help="candidate evaluations (reproducible budget)")
     sp.add_argument("--time-budget", type=float, default=None,
                     help="optional wall-clock cap in seconds (not reproducible)")

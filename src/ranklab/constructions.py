@@ -252,6 +252,8 @@ def cug_mrd_weight_distribution(r: int, n: int, it: int, q: int) -> tuple[int, .
 
     if (r * n) % (it + 1):
         raise InvalidParams("(iota+1) must divide rn")
+    if not 0 <= it < n:
+        raise InvalidParams(f"iota must lie in 0..n-1, got {it}")
     A = [0] * (n + 1)
     A[0] = 1
     for s in range(it + 1):

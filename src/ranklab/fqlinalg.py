@@ -254,10 +254,25 @@ class RowReducer:
         return False
 
     def add_all(self, rows) -> int:
+        """Add each row in turn; returns how many of them raised the rank.
+
+        The GF(2) path repeats add's loop inline: a call per row would cost
+        about as much as the reduction itself."""
+        if not self.bits:
+            return sum(map(self.add, rows))
+        pr = self.pivrows
         grew = 0
-        for r in rows:
-            if self.add(r):
-                grew += 1
+        for row in rows:
+            if not isinstance(row, int):
+                row = pack_row(row)
+            while row:
+                p = (row & -row).bit_length() - 1
+                other = pr.get(p)
+                if other is None:
+                    pr[p] = row
+                    grew += 1
+                    break
+                row ^= other
         return grew
 
 

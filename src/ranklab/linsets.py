@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .constructions import cug_mrd_weight_distribution
 from .errors import (
     BudgetExceeded,
     InvalidParams,
@@ -30,7 +31,6 @@ from .fqlinalg import (
     iter_span_rows,
     kernel,
     projective_points,
-    qbinom,
     theta,
 )
 from .subspaces import (
@@ -121,18 +121,13 @@ def hyperplane_weight(U: FqSubspace, W) -> int:
 
 def ti_formula(r: int, n: int, h: int, q: int, i: int) -> int:
     """Number of hyperplanes of weight rn/(h+1) - n + i in a maximum
-    h-scattered linear set; exact big-integer evaluation with the division
-    by q^n - 1 asserted to be exact."""
+    h-scattered linear set: t_i = A_{n-i}(C_{U,G}) / (q^n - 1), exact big
+    integers with the division asserted to be exact."""
     if not 0 <= i <= h:
         raise InvalidParams(f"i must lie in 0..h, got {i}")
     if (r * n) % (h + 1) != 0:
         raise InvalidParams("(h+1) must divide rn")
-    s = 0
-    for j in range(h - i + 1):
-        term = (qbinom(n - i, j, q) * q ** (j * (j - 1) // 2)
-                * (q ** (r * n * (h - i - j + 1) // (h + 1)) - 1))
-        s += -term if j % 2 else term
-    num = qbinom(n, i, q) * s
+    num = cug_mrd_weight_distribution(r, n, h, q)[n - i]
     if num % (q**n - 1):
         raise NonIntegral(f"t_{i} is not integral; formula misuse")
     return num // (q**n - 1)

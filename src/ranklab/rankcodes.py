@@ -1,15 +1,22 @@
 """F_q-linear rank-metric codes as spaces of m x n matrices over F_q.
 
 A code stores a canonical basis (the RREF of the flattened basis matrices in
-F_q^{mn}), never the codeword set; enumeration happens on demand under an
-explicit budget.  Codewords over GF(2) are walked as lists of packed bit-rows
-with one basis-matrix XOR per step; other fields use code lists with one
-row-add per step.
+F_q^{mn}), never the codeword set.  Its rank distribution comes from the
+shorter of two exact scans, run on demand under an explicit budget:
+
+- the codeword walk ranks each of the q^K codewords, reached by an odometer
+  with one vector add per step;
+- the subspace count visits each subspace Y of F_q^{min(m,n)}, counts the
+  codewords killed by Y, and recovers the distribution by q-Möbius
+  inversion (the identity behind the rank-metric MacWilliams identities).
+
+Both rank matrices through fqlinalg.RowReducer.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 
@@ -24,7 +31,20 @@ from .errors import (
     ShapeMismatch,
 )
 from .fields import Field
-from .fqlinalg import Mat, SubspaceBasis, kernel, mat_mul, prime_basis_codes, qbinom, rref
+from .fqlinalg import (
+    Mat,
+    RowReducer,
+    SubspaceBasis,
+    enumerate_subspaces,
+    iter_span_packed,
+    iter_span_rows,
+    kernel,
+    mat_mul,
+    mat_vec,
+    pack_row,
+    qbinom,
+    rref,
+)
 
 DEFAULT_CODEWORD_BUDGET = 1 << 24
 FIELD_CHECK_LIMIT = 1 << 16
@@ -42,48 +62,6 @@ def _reshape(vec, m: int, n: int):
     return tuple(tuple(vec[i * n:(i + 1) * n]) for i in range(m))
 
 
-def _rank_bits(rows) -> int:
-    piv: dict[int, int] = {}
-    rk = 0
-    for row in rows:
-        while row:
-            low = row & -row
-            other = piv.get(low)
-            if other is None:
-                piv[low] = row
-                rk += 1
-                break
-            row ^= other
-    return rk
-
-
-def _rank_rows(rows, F: Field) -> int:
-    sub, mul, inv = F.sub, F.mul, F.inv
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    rk = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rk, len(work)):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rk], work[piv] = work[piv], work[rk]
-        lead = inv(work[rk][c])
-        prow = [mul(lead, x) for x in work[rk]]
-        work[rk] = prow
-        for i in range(rk + 1, len(work)):
-            f = work[i][c]
-            if f:
-                work[i] = [sub(x, mul(f, y)) for x, y in zip(work[i], prow)]
-        rk += 1
-        if rk == len(work):
-            break
-    return rk
-
-
 @dataclass(eq=False)
 class RankCode:
     """An F_q-linear rank-metric code with canonical flattened basis."""
@@ -94,7 +72,6 @@ class RankCode:
     flat: SubspaceBasis
 
     def __post_init__(self):
-        self._min_distance: int | None = None
         self._rank_distribution: RankDistribution | None = None
 
     @classmethod
@@ -137,86 +114,33 @@ class RankCode:
     def __hash__(self):
         return hash((self.params, self.flat))
 
-    # -- enumeration ---------------------------------------------------------
-
-    def _check_budget(self, budget: int) -> None:
-        if self.size > budget:
-            raise BudgetExceeded(self.size, budget, "codewords")
-
-    def _scan_ranks(self, budget: int, stop_at: int | None = None):
-        """Yield the rank of every nonzero codeword (odometer walk)."""
-        self._check_budget(budget)
-        K = self.dim
-        if self.field.order == 2:
-            mats = [[_pack_bits(row) for row in M] for M in self.basis_matrices()]
-            cur = [0] * self.m
-            digits = [0] * K
-            for _ in range(2**K - 1):
-                i = 0
-                while digits[i] == 1:
-                    digits[i] = 0
-                    mi = mats[i]
-                    for rr in range(self.m):
-                        cur[rr] ^= mi[rr]
-                    i += 1
-                digits[i] = 1
-                mi = mats[i]
-                for rr in range(self.m):
-                    cur[rr] ^= mi[rr]
-                rk = _rank_bits(cur)
-                yield rk
-                if stop_at is not None and rk <= stop_at:
-                    return
-        else:
-            F = self.field
-            add, mul = F.add, F.mul
-            p = F.p
-            mats = []
-            for M in self.basis_matrices():
-                for b in prime_basis_codes(F):
-                    mats.append([[mul(b, x) if x else 0 for x in row] for row in M])
-            cur = [[0] * self.n for _ in range(self.m)]
-            digits = [0] * len(mats)
-            for _ in range(p ** len(mats) - 1):
-                i = 0
-                while digits[i] == p - 1:
-                    digits[i] = 0
-                    _add_mat(cur, mats[i], add)
-                    i += 1
-                digits[i] += 1
-                _add_mat(cur, mats[i], add)
-                rk = _rank_rows(cur, F)
-                yield rk
-                if stop_at is not None and rk <= stop_at:
-                    return
-
-    def min_distance(self, *, budget: int = DEFAULT_CODEWORD_BUDGET) -> int:
-        """Minimum rank over nonzero codewords (= minimum distance)."""
-        if self.dim == 0:
-            raise EmptyCode("the zero code has no nonzero codewords")
-        if self._min_distance is None:
-            best = min(self.m, self.n)
-            for rk in self._scan_ranks(budget, stop_at=1):
-                if rk < best:
-                    best = rk
-                    if best == 1:
-                        break
-            self._min_distance = best
-        return self._min_distance
+    # -- rank distribution -----------------------------------------------------
 
     def rank_distribution(self, *, budget: int = DEFAULT_CODEWORD_BUDGET
                           ) -> "RankDistribution":
+        """Exact rank histogram from the shorter of two scans.
+
+        The codeword walk ranks all q^K codewords; the subspace count visits
+        every subspace of F_q^{min(m,n)} once.  The scan with fewer items
+        runs, and budget caps that item count.
+        """
         if self._rank_distribution is None:
-            counts = [0] * (min(self.m, self.n) + 1)
-            counts[0] = 1
-            for rk in self._scan_ranks(budget):
-                counts[rk] += 1
-            dist = RankDistribution(tuple(counts), self.m, self.n, self.q, self.dim)
+            q, mp = self.q, min(self.m, self.n)
+            spaces = sum(qbinom(mp, s, q) for s in range(mp + 1))
+            if spaces < self.size:
+                needed, what, scan = spaces, f"subspaces of F_{q}^{mp}", _subspace_counts
+            else:
+                needed, what, scan = self.size, "codewords", _walk_counts
+            if needed > budget:
+                raise BudgetExceeded(needed, budget, what)
+            dist = RankDistribution(tuple(scan(self)), self.m, self.n, q, self.dim)
             dist.validate()
             self._rank_distribution = dist
-            if self.dim > 0 and self._min_distance is None:
-                self._min_distance = dist.min_distance()
         return self._rank_distribution
+
+    def min_distance(self, *, budget: int = DEFAULT_CODEWORD_BUDGET) -> int:
+        """Minimum rank over nonzero codewords (= minimum distance)."""
+        return self.rank_distribution(budget=budget).min_distance()
 
     def is_mrd(self, *, budget: int = DEFAULT_CODEWORD_BUDGET) -> bool:
         """Singleton-like bound met with equality: |C| = q^{n'(m'-d+1)}."""
@@ -224,20 +148,96 @@ class RankCode:
         return self.dim == max(self.m, self.n) * (min(self.m, self.n) - d + 1)
 
 
-def _pack_bits(row) -> int:
-    b = 0
-    for j, x in enumerate(row):
-        if x:
-            b |= 1 << j
-    return b
+def _span_ranks(F: Field, vecs, m: int, n: int):
+    """Yield the rank of every nonzero F-combination of the flattened m x n
+    matrices vecs (odometer walk, one vector add per step)."""
+    rr = RowReducer(F, n)       # emptied and reused for every codeword
+    pivrows, add_all = rr.pivrows, rr.add_all
+    if F.order == 2:
+        mask = (1 << n) - 1
+        shifts = [i * n for i in range(m)]
+        for w in iter_span_packed([pack_row(v) for v in vecs], include_zero=False):
+            pivrows.clear()
+            yield add_all([(w >> s) & mask for s in shifts])
+    else:
+        for v in iter_span_rows(vecs, F, include_zero=False):
+            pivrows.clear()
+            yield add_all([v[i * n:(i + 1) * n] for i in range(m)])
 
 
-def _add_mat(cur, mat, add) -> None:
-    for r, row in enumerate(mat):
-        crow = cur[r]
-        for j, x in enumerate(row):
-            if x:
-                crow[j] = add(crow[j], x)
+def _walk_counts(C: RankCode) -> list[int]:
+    """Rank histogram by ranking each of the q^K codewords."""
+    counts = [0] * (min(C.m, C.n) + 1)
+    counts[0] = 1
+    for rk in _span_ranks(C.field, C.flat.rows, C.m, C.n):
+        counts[rk] += 1
+    return counts
+
+
+def _subspace_counts(C: RankCode) -> list[int]:
+    """Rank histogram from subcode sizes (Delsarte's counting identity).
+
+    Codewords are transposed if needed to have n' = min(m, n) columns.  For
+    a subspace Y of F_q^{n'}, the codewords M with M·Y^T = 0 are those whose
+    row space lies in W = Y^⊥; there are q^{K - rank} of them, where rank is
+    that of the K images G_t·Y^T of the basis matrices.  Summed over all Y of
+    dimension n' - j this is B_j = Σ_i A_i [n'-i, j-i]_q, a unitriangular
+    system that is solved for A.  Each G_t·y is computed once per RREF row y,
+    and G_t·Y^T is the concatenation of the images of Y's rows (packed ints
+    at q = 2, code tuples otherwise).
+    """
+    F, q, K = C.field, C.q, C.dim
+    mats = C.basis_matrices()
+    if C.m < C.n:
+        mats = [tuple(zip(*M)) for M in mats]
+    height, width = max(C.m, C.n), min(C.m, C.n)
+    bits = F.order == 2
+    if bits:
+        # column j of each G_t, packed over its rows
+        cols = [[pack_row(col) for col in zip(*M)] for M in mats]
+
+        def image(y) -> list[int]:
+            out = []
+            for tcols in cols:
+                acc = 0
+                for c, x in zip(tcols, y):
+                    if x:
+                        acc ^= c
+                out.append(acc)
+            return out
+    else:
+        gens = [Mat.from_rows(F, M, width) for M in mats]
+
+        def image(y) -> list[tuple[int, ...]]:
+            return [tuple(mat_vec(G, y)) for G in gens]
+
+    images: dict[tuple[int, ...], list] = {}
+    qpow = [q**e for e in range(K + 1)]
+    B = [0] * (width + 1)
+    B[width] = qpow[K]            # Y = 0: the whole code
+    for d in range(1, width + 1):
+        total = 0
+        # rank_distribution has already checked the total count against its budget
+        for Y in enumerate_subspaces(width, d, F, budget=math.inf):
+            parts = []
+            for y in Y.rows:
+                img = images.get(y)
+                if img is None:
+                    img = images[y] = image(y)
+                parts.append(img)
+            if bits:
+                vecs = parts[0]
+                for k in range(1, d):
+                    shift = k * height
+                    vecs = [v | (x << shift) for v, x in zip(vecs, parts[k])]
+            else:
+                vecs = [sum(ts, ()) for ts in zip(*parts)]
+            total += qpow[K - RowReducer(F, height * d).add_all(vecs)]
+        B[width - d] = total
+    A: list[int] = []
+    for j in range(width + 1):
+        A.append(B[j] - sum(A[i] * qbinom(width - i, j - i, q) for i in range(j)))
+    return A
 
 
 @dataclass(frozen=True)
@@ -255,12 +255,14 @@ class RankDistribution:
             raise InvalidParams("rank distribution does not sum to q^K")
         if self.A[0] != 1:
             raise InvalidParams("A_0 must be 1")
+        if min(self.A) < 0:
+            raise InvalidParams("rank distribution has a negative count")
 
     def min_distance(self) -> int:
         for i in range(1, len(self.A)):
             if self.A[i]:
                 return i
-        raise EmptyCode("zero code")
+        raise EmptyCode("the zero code has no nonzero codewords")
 
 
 def mrd_weight_distribution(m: int, n: int, q: int, d: int) -> RankDistribution:
@@ -292,9 +294,7 @@ def mrd_weight_distribution(m: int, n: int, q: int, d: int) -> RankDistribution:
 def adjoint(C: RankCode) -> RankCode:
     """Transpose of every codeword; an (n,m,q) code with the same distance."""
     mats = [[list(col) for col in zip(*M)] for M in C.basis_matrices()]
-    out = RankCode.from_generators(C.field, C.n, C.m, mats)
-    out._min_distance = C._min_distance
-    return out
+    return RankCode.from_generators(C.field, C.n, C.m, mats)
 
 
 def delsarte_dual_code(C: RankCode) -> RankCode:
@@ -313,9 +313,12 @@ def delsarte_dual_code(C: RankCode) -> RankCode:
 def macwilliams_check(C: RankCode, *, budget: int = DEFAULT_CODEWORD_BUDGET) -> bool:
     """Verify the rank-metric MacWilliams identities for nu = 0..m exactly.
 
-    Both rank distributions are computed by independent brute force; the
-    identity is checked in integer arithmetic after clearing the q^{n nu}
-    denominator.
+    The rank distributions of C and of its Delsarte dual both come from
+    RankCode.rank_distribution (usually the subspace count), so a fault in
+    delsarte_dual_code or in that scan breaks the identity.  It is not an
+    independent oracle for the scan itself: the tests check the scan against
+    a brute-force product enumeration.  The identity is checked in integer
+    arithmetic after clearing the q^{n nu} denominator.
     """
     A = C.rank_distribution(budget=budget).A
     B = delsarte_dual_code(C).rank_distribution(budget=budget).A
@@ -422,19 +425,9 @@ def _field_flag(F: Field, basis, s: int, order: int) -> tuple[bool, bool]:
     if not basis:
         return False, True
     if order <= FIELD_CHECK_LIMIT:
-        from .fqlinalg import iter_span_packed, iter_span_rows
-        if F.order == 2:
-            packed = [_pack_bits(_flatten_mat(M)) for M in basis]
-            words = iter_span_packed(packed, include_zero=False)
-            for w in words:
-                rows = [(w >> (i * s)) & ((1 << s) - 1) for i in range(s)]
-                if _rank_bits(rows) != s:
-                    return False, True
-        else:
-            flat = [_flatten_mat(M) for M in basis]
-            for v in iter_span_rows(flat, F, include_zero=False):
-                if _rank_rows(_reshape(v, s, s), F) != s:
-                    return False, True
+        flat = [_flatten_mat(M) for M in basis]
+        if any(rk != s for rk in _span_ranks(F, flat, s, s)):
+            return False, True
         return True, True
     rng = random.Random(0xC0DE)
     for _ in range(FIELD_CHECK_SAMPLES):
@@ -449,7 +442,7 @@ def _field_flag(F: Field, basis, s: int, order: int) -> tuple[bool, bool]:
                     for j in range(s):
                         if M[i][j]:
                             row[j] = F.add(row[j], F.mul(c, M[i][j]))
-        if _rank_rows(acc, F) != s:
+        if RowReducer(F, s).add_all(acc) != s:
             return False, False
     return True, False
 

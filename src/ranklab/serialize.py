@@ -21,6 +21,23 @@ from .rankcodes import RankCode
 from .subspaces import FqSubspace
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _req(obj: Any, key: str, kind: type, what: str) -> Any:
+    """obj[key], checked to be present and of the given JSON type."""
+    if not isinstance(obj, dict):
+        raise UsageError(f"{what}: expected a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise UsageError(f"{what}: missing key {key!r}")
+    val = obj[key]
+    if not (_is_int(val) if kind is int else isinstance(val, kind)):
+        raise UsageError(f"{what}: key {key!r} must be of type {kind.__name__}, "
+                         f"got {type(val).__name__}")
+    return val
+
+
 def tower_to_json(tower: FieldTower) -> dict[str, Any]:
     base, mid = tower.base, tower.mid
     return {
@@ -34,10 +51,7 @@ def tower_to_json(tower: FieldTower) -> dict[str, Any]:
 
 
 def tower_from_json(obj: dict[str, Any]) -> FieldTower:
-    try:
-        tower = make_tower(int(obj["p"]), int(obj["e"]), int(obj["n"]), int(obj["t"]))
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"malformed tower object: {exc}") from exc
+    tower = make_tower(*(_req(obj, key, int, "tower") for key in ("p", "e", "n", "t")))
     want_mid = [tower.base.prime_vec(c) for c in tower.modulus_mid]
     want_top = [tower.mid.prime_vec(c) for c in tower.modulus_top]
     if obj.get("modulus_mid") != want_mid or obj.get("modulus_top") != want_top:
@@ -50,14 +64,16 @@ def fe_to_json(x: Fe) -> dict[str, Any]:
 
 
 def fe_from_json(tower: FieldTower, obj: dict[str, Any]) -> Fe:
-    level = obj["level"]
+    level = _req(obj, "level", str, "element")
     F = tower.field(level)
-    coeffs = obj["coeffs"]
+    coeffs = _req(obj, "coeffs", list, "element")
     if len(coeffs) != F.dim_over_prime:
         raise UsageError("element coefficient vector has wrong length")
+    if not all(_is_int(c) for c in coeffs):
+        raise UsageError("element: key 'coeffs' must hold integers")
     code = 0
     for c in reversed(coeffs):
-        code = code * tower.p + int(c) % tower.p
+        code = code * tower.p + c % tower.p
     return Fe(tower, level, code)
 
 
@@ -66,10 +82,12 @@ def mat_to_json(tower: FieldTower, level: str, M: Mat) -> dict[str, Any]:
             "entries": [list(r) for r in M.data]}
 
 
-def _checked_entries(order: int, rows) -> list[list[int]]:
+def _checked_entries(order: int, rows, key: str) -> list[list[int]]:
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(_is_int(x) for x in row) for row in rows):
+        raise UsageError(f"key {key!r} must hold lists of integer entries")
     out = []
-    for row in rows:
-        vals = [int(x) for x in row]
+    for vals in rows:
         if any(not 0 <= x < order for x in vals):
             raise UsageError(f"entry out of range for field of order {order}")
         out.append(vals)
@@ -78,7 +96,7 @@ def _checked_entries(order: int, rows) -> list[list[int]]:
 
 def mat_from_json(tower: FieldTower, obj: dict[str, Any]) -> Mat:
     F = tower.field(obj["level"])
-    return Mat.from_rows(F, _checked_entries(F.order, obj["entries"]),
+    return Mat.from_rows(F, _checked_entries(F.order, obj["entries"], "entries"),
                          int(obj["cols"]))
 
 
@@ -97,12 +115,15 @@ def subspace_to_json(U: FqSubspace) -> dict[str, Any]:
 
 
 def subspace_from_json(obj: dict[str, Any]) -> FqSubspace:
-    tower = tower_from_json(obj["tower"])
+    tower = tower_from_json(_req(obj, "tower", dict, "subspace"))
+    r = _req(obj, "r", int, "subspace")
     vectors = []
-    for vec in obj["basis_mid"]:
+    for vec in _req(obj, "basis_mid", list, "subspace"):
+        if not isinstance(vec, list):
+            raise UsageError("subspace: key 'basis_mid' must hold lists of elements")
         vectors.append(tuple(fe_from_json(tower, fe).code for fe in vec))
-    U = FqSubspace.from_mid_vectors(tower, int(obj["r"]), vectors)
-    if "k" in obj and U.k != int(obj["k"]):
+    U = FqSubspace.from_mid_vectors(tower, r, vectors)
+    if "k" in obj and U.k != _req(obj, "k", int, "subspace"):
         raise UsageError("stored k does not match the basis rank")
     return U
 
@@ -119,13 +140,13 @@ def rankcode_to_json(C: RankCode) -> dict[str, Any]:
 
 
 def rankcode_from_json(obj: dict[str, Any]) -> RankCode:
-    p, e = int(obj["p"]), int(obj["e"])
+    p, e, q, m, n = (_req(obj, key, int, "code") for key in ("p", "e", "q", "m", "n"))
     field = make_tower(p, e, 1, 1).base
-    if field.order != int(obj["q"]):
+    if field.order != q:
         raise UsageError("q does not equal p^e")
-    return RankCode.from_generators(field, int(obj["m"]), int(obj["n"]),
-                                    [_checked_entries(field.order, M)
-                                     for M in obj["basis"]])
+    return RankCode.from_generators(field, m, n,
+                                    [_checked_entries(field.order, M, "basis")
+                                     for M in _req(obj, "basis", list, "code")])
 
 
 def hamming_to_json(tower: FieldTower, C: HammingCode,

@@ -212,3 +212,55 @@ def test_code_json_rejects_out_of_range_entries():
 
     with pytest.raises(UsageError):
         serialize.rankcode_from_json(obj)
+
+
+def _gabidulin_code_file(tmp_path):
+    path = tmp_path / "gab.json"
+    serialize.dump_file(str(path), serialize.rankcode_to_json(fixtures.gabidulin_4_2_1()))
+    return str(path)
+
+
+def test_negative_budgets_are_usage_errors(tmp_path, capsys):
+    code = _gabidulin_code_file(tmp_path)
+    for flag in ("--codeword-budget", "--subspace-budget"):
+        assert main(["rank-dist", "--code", code, flag, "-1"]) == 1
+        assert "budget must be >= 0" in capsys.readouterr().err
+    assert main(["search-scattered", "--r", "2", "--n", "4", "--h", "1", "--k", "4",
+                 "--seed", "1", "--budget", "-1"]) == 1
+    assert "budget must be >= 0" in capsys.readouterr().err
+
+
+def test_codeword_budget_caps_the_shorter_rank_scan(tmp_path, capsys):
+    # K = 8 over F_2, 4x4: 2^8 = 256 codewords but only 67 subspaces of F_2^4
+    code = _gabidulin_code_file(tmp_path)
+    rep = run_json(["rank-dist", "--code", code, "--codeword-budget", "100"])
+    assert rep["results"]["A"] == [1, 0, 0, 225, 30]
+    # over the budget on both counts: exit 3, naming the cheaper scan's unit
+    assert main(["rank-dist", "--code", code, "--codeword-budget", "50"]) == 3
+    assert "67 subspaces of F_2^4 exceeds budget 50" in capsys.readouterr().err
+
+
+def test_malformed_code_json_is_a_usage_error(tmp_path, capsys):
+    from ranklab.errors import UsageError
+
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    assert main(["rank-dist", "--code", str(path)]) == 1
+    assert "missing key 'p'" in capsys.readouterr().err
+    obj = serialize.rankcode_to_json(fixtures.gabidulin_4_2_1())
+    obj["m"] = "4"
+    with pytest.raises(UsageError, match="'m'"):
+        serialize.rankcode_from_json(obj)
+
+
+def test_malformed_subspace_json_is_a_usage_error(tmp_path, capsys):
+    from ranklab.errors import UsageError
+
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    assert main(["scattered-check", "--subspace", str(path), "--h", "1"]) == 1
+    assert "missing key 'tower'" in capsys.readouterr().err
+    obj = serialize.subspace_to_json(fixtures.pseudoregulus(2, 4, 1))
+    obj["basis_mid"] = 3
+    with pytest.raises(UsageError, match="'basis_mid'"):
+        serialize.subspace_from_json(obj)

@@ -89,6 +89,8 @@ def test_ti_formula_gates():
         ti_formula(2, 4, 1, 2, 2)  # i > h
     with pytest.raises(InvalidParams):
         ti_formula(3, 5, 1, 2, 0)  # (h+1) = 2 does not divide rn = 15
+    with pytest.raises(InvalidParams):
+        ti_formula(3, 2, 2, 2, 0)  # h = 2 >= n: outside the C_{U,G} regime
 
 
 def test_ti_equals_rank_distribution_cross_identity(pseudoreg):

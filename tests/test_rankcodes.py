@@ -122,8 +122,7 @@ def test_adjoint_is_involution(gab):
 
 
 def test_adjoint_preserves_distance(gab):
-    A = adjoint(gab)
-    A._min_distance = None  # force an independent brute-force pass
+    A = adjoint(gab)  # a fresh code: its distance is scanned anew
     assert A.min_distance() == gab.min_distance()
     assert A.is_mrd()
 
@@ -341,45 +340,81 @@ def test_complete_weight_lemma_on_fixtures():
             assert A[d + ell] > 0, (name, ell)
 
 
-def test_rank_distribution_against_product_enumeration_oracle():
-    # independent oracle: enumerate coefficient tuples with itertools.product
-    # and rebuild each codeword from scratch (no odometer, no Gray walk)
+# (p, e) of each base field, and an m<n, m=n, m>n shape small enough for the
+# full space to be enumerated one codeword at a time
+ORACLE_GRID = {
+    (2, 1): ((2, 3), (3, 3), (3, 2)),
+    (3, 1): ((2, 3), (2, 2), (3, 2)),
+    (2, 2): ((2, 3), (2, 2), (3, 2)),
+    (5, 1): ((1, 2), (2, 2), (2, 1)),
+    (2, 3): ((1, 2), (2, 2), (2, 1)),
+    (3, 2): ((1, 2), (2, 2), (2, 1)),
+}
+
+
+def _oracle_rank_counts(C):
+    # itertools.product over coefficient tuples, each codeword rebuilt and
+    # ranked from scratch (no odometer, no subspace count)
     import itertools
 
-    from ranklab.fields import Field
+    F, m, n = C.field, C.m, C.n
+    mats = C.basis_matrices()
+    counts = [0] * (min(m, n) + 1)
+    for coeffs in itertools.product(range(F.order), repeat=C.dim):
+        M = [[0] * n for _ in range(m)]
+        for c, B in zip(coeffs, mats):
+            if c:
+                for i in range(m):
+                    for j in range(n):
+                        M[i][j] = F.add(M[i][j], F.mul(c, B[i][j]))
+        work = [row[:] for row in M]
+        rank = 0
+        for col in range(n):
+            piv = next((i for i in range(rank, m) if work[i][col]), None)
+            if piv is None:
+                continue
+            work[rank], work[piv] = work[piv], work[rank]
+            inv = F.inv(work[rank][col])
+            work[rank] = [F.mul(inv, x) for x in work[rank]]
+            for i in range(m):
+                if i != rank and work[i][col]:
+                    f = work[i][col]
+                    work[i] = [F.sub(x, F.mul(f, y))
+                               for x, y in zip(work[i], work[rank])]
+            rank += 1
+        counts[rank] += 1
+    return tuple(counts)
 
-    for q, seed in ((2, 5), (3, 6)):
-        F = Field(q)
-        rng = random.Random(seed)
-        gens = [[[rng.randrange(q) for _ in range(3)] for _ in range(3)]
-                for _ in range(4)]
-        C = RankCode.from_generators(F, 3, 3, gens)
-        mats = C.basis_matrices()
-        counts = [0] * 4
-        for coeffs in itertools.product(range(q), repeat=C.dim):
-            M = [[0] * 3 for _ in range(3)]
-            for c, B in zip(coeffs, mats):
-                if c:
-                    for i in range(3):
-                        for j in range(3):
-                            M[i][j] = F.add(M[i][j], F.mul(c, B[i][j]))
-            work = [row[:] for row in M]
-            rank = 0
-            for col in range(3):
-                piv = next((i for i in range(rank, 3) if work[i][col]), None)
-                if piv is None:
-                    continue
-                work[rank], work[piv] = work[piv], work[rank]
-                inv = F.inv(work[rank][col])
-                work[rank] = [F.mul(inv, x) for x in work[rank]]
-                for i in range(3):
-                    if i != rank and work[i][col]:
-                        f = work[i][col]
-                        work[i] = [F.sub(x, F.mul(f, y))
-                                   for x, y in zip(work[i], work[rank])]
-                rank += 1
-            counts[rank] += 1
-        assert tuple(counts) == C.rank_distribution().A
+
+def test_rank_distribution_against_product_enumeration_oracle():
+    from ranklab.fqlinalg import qbinom
+    from ranklab.rankcodes import _subspace_counts, _walk_counts
+
+    rng = random.Random(5)
+    sides = set()
+    for (p, e), shapes in ORACLE_GRID.items():
+        F = make_tower(p, e, 1, 1).base
+        q = F.order
+        for m, n in shapes:
+            for K in (0, m * n // 2, m * n):
+                while True:
+                    gens = [[[rng.randrange(q) for _ in range(n)] for _ in range(m)]
+                            for _ in range(K)]
+                    C = RankCode.from_generators(F, m, n, gens)
+                    if C.dim == K:
+                        break
+                want = _oracle_rank_counts(C)
+                label = (q, m, n, K)
+                spaces = sum(qbinom(min(m, n), s, q) for s in range(min(m, n) + 1))
+                sides.add(spaces < q**K)
+                assert tuple(_walk_counts(C)) == want, label
+                assert tuple(_subspace_counts(C)) == want, label
+                assert C.rank_distribution().A == want, label
+                if K:
+                    assert C.min_distance() == next(i for i in range(1, len(want))
+                                                    if want[i]), label
+                assert macwilliams_check(C), label
+    assert sides == {True, False}  # both scans are chosen somewhere in the grid
 
 
 def test_dual_relations_nonsquare_restriction_code():
