@@ -90,7 +90,10 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=None,
                         help="seed for randomized verbs")
     common.add_argument("--subspace-budget", type=_budget, default=DEFAULT_SUBSPACE_BUDGET,
-                        help="max subspace/hyperplane scans (default 2^20)")
+                        help="max items of a subspace scan: U's q^k vectors (or its "
+                             "dual's) when that walk is the cheaper scan, else the "
+                             "points of PG(r-1,q^n); subspaces for h>=2 checks "
+                             "(default 2^20)")
     common.add_argument("--codeword-budget", type=_budget, default=DEFAULT_CODEWORD_BUDGET,
                         help="max items of a code's rank scan: its q^K codewords or "
                              "the subspaces of F_q^{min(m,n)}, whichever is fewer "
@@ -255,10 +258,8 @@ def _run_dualize_code(args, budgets) -> dict[str, Any]:
 
 def _run_puncture(args, budgets) -> dict[str, Any]:
     C = _load_code(args)
-    obj = serialize.load_file(args.matrix)
-    from .fqlinalg import Mat
-    A = Mat.from_rows(C.field, [[int(x) for x in row] for row in obj["entries"]],
-                      int(obj["cols"]))
+    tower = make_tower(C.field.p, C.field.dim_over_prime, 1, 1)
+    A = serialize.mat_from_json(tower, serialize.load_file(args.matrix))
     P = rankcodes.puncture(C, A)
     res = _code_summary(P, budgets["codeword"])
     res["artifact"] = serialize.rankcode_to_json(P)
@@ -337,7 +338,7 @@ def _run_search(args, budgets) -> dict[str, Any]:
 
 def _run_linset_points(args, budgets) -> dict[str, Any]:
     U = _load_subspace(args)
-    L = linsets.linear_set(U)
+    L = linsets.linear_set(U, budget=budgets["subspace"])
     weights: dict[str, int] = {}
     for w in L.points.values():
         weights[str(w)] = weights.get(str(w), 0) + 1
@@ -360,7 +361,7 @@ def _run_spectrum(args, budgets) -> dict[str, Any]:
 
 def _run_projsys(args, budgets) -> dict[str, Any]:
     U = _load_subspace(args)
-    L = linsets.linear_set(U)
+    L = linsets.linear_set(U, budget=budgets["subspace"])
     C = linsets.projective_system_code(L, budget=budgets["subspace"])
     res: dict[str, Any] = {"N": C.N, "k": C.k, "d": C.d}
     convention = "codeword" if args.codeword_count else "projective"

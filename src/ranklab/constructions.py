@@ -32,7 +32,6 @@ from .fqlinalg import (
     DEFAULT_SUBSPACE_BUDGET,
     Mat,
     RowReducer,
-    enumerate_subspaces,
     kernel,
     mat_inverse,
     mat_mul,
@@ -43,7 +42,7 @@ from .fqlinalg import (
 from .rankcodes import DEFAULT_CODEWORD_BUDGET, RankCode, right_idealiser
 from .subspaces import (
     FqSubspace,
-    _midspace_flat_rows,
+    excess_iter,
     flatten_vec,
     iota,
     is_h_scattered,
@@ -643,9 +642,10 @@ def random_scattered_search(tower: FieldTower, r: int, h: int, k: int, *,
     """Seeded hill-climbing search for a k-dim h-scattered subspace.
 
     The score of a candidate counts the total excess intersection over all
-    h-dimensional F_{q^n}-subspaces (plus a spanning penalty); replacement
-    moves on single basis vectors are accepted when the score does not
-    increase, with deterministic restarts.  Any returned witness is
+    h-dimensional F_{q^n}-subspaces (subspaces.excess_iter; for h = 1 this is
+    the sum of w(P) - 1 over the points of L_U), plus a spanning penalty;
+    replacement moves on single basis vectors are accepted when the score
+    does not increase, with deterministic restarts.  Any returned witness is
     re-verified with is_h_scattered before being reported.  max_evals is the
     reproducible budget; time_budget (seconds) is an optional extra stop.
     """
@@ -670,15 +670,7 @@ def random_scattered_search(tower: FieldTower, r: int, h: int, k: int, *,
 
     def score(U: FqSubspace) -> int:
         s = 0 if U.spans_ambient() else rn
-        base_red = U.flat.reducer()
-        pack = order == 2
-        for H in enumerate_subspaces(r, h, tower.mid, budget=budget):
-            rr2 = base_red.clone()
-            grew = rr2.add_all(_midspace_flat_rows(tower, H.rows, pack))
-            excess = (h * n - grew) - h
-            if excess > 0:
-                s += excess
-        return s
+        return s + sum(excess_iter(U, h, budget=budget))
 
     deadline = None if time_budget is None else time.monotonic() + time_budget
     evals = 0

@@ -35,23 +35,13 @@ from .fqlinalg import (
 )
 from .subspaces import (
     FqSubspace,
+    _point_weights,
     fqn_subspace_flat,
-    hyperplane_weight_iter,
+    hyperplane_weight_counts,
     is_h_scattered,
 )
 
 DEFAULT_VECTOR_BUDGET = 1 << 20
-
-
-def normalize_point(F: Field, v) -> tuple[int, ...]:
-    """Scale so the first nonzero coordinate is 1 (canonical representative)."""
-    for c in v:
-        if c:
-            if c == 1:
-                return tuple(v)
-            s = F.inv(c)
-            return tuple(F.mul(s, x) for x in v)
-    raise InvalidParams("the zero vector spans no point")
 
 
 @dataclass
@@ -71,36 +61,10 @@ class LinearSet:
 
 
 def linear_set(U: FqSubspace, *, budget: int = DEFAULT_VECTOR_BUDGET) -> LinearSet:
-    """Enumerate the q^k vectors of U and bucket them by projective point.
-
-    A point collecting c nonzero vectors has weight w with q^w - 1 = c; the
-    partition identity sum_P (q^{w(P)} - 1) = q^k - 1 is verified on the way.
-    """
-    tower = U.tower
-    q = tower.base.order
-    if q**U.k > budget:
-        raise BudgetExceeded(q**U.k, budget, "subspace vectors")
-    counts: dict[tuple[int, ...], int] = {}
-    if U.k:
-        for v in iter_span_rows([tuple(b) for b in U.basis_mid], tower.mid,
-                                include_zero=False, coeff_field=tower.base):
-            p = normalize_point(tower.mid, v)
-            counts[p] = counts.get(p, 0) + 1
-    points: dict[tuple[int, ...], int] = {}
-    total = 0
-    for p, c in counts.items():
-        w = 0
-        x = c + 1
-        while x > 1:
-            if x % q:
-                raise InvalidParams("point fiber size is not q^w - 1")  # unreachable
-            x //= q
-            w += 1
-        points[p] = w
-        total += c
-    if total != q**U.k - 1:
-        raise InvalidParams("point partition identity failed")  # unreachable
-    return LinearSet(U, points)
+    """The points of L_U with their weights, from a walk of U's q^k vectors
+    bucketed by projective point; budget caps the walk at q^k subspace
+    vectors."""
+    return LinearSet(U, _point_weights(U, budget))
 
 
 def point_weight(U: FqSubspace, P, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> int:
@@ -133,14 +97,9 @@ def ti_formula(r: int, n: int, h: int, q: int, i: int) -> int:
     return num // (q**n - 1)
 
 
-def hyperplane_spectrum(U: FqSubspace, h: int | None = None, *,
-                        budget: int = DEFAULT_SUBSPACE_BUDGET) -> dict[int, int]:
-    """Brute-force hyperplane weight spectrum {i: count} of a maximum
-    h-scattered U, with weight rn/(h+1) - n + i.
-
-    Pure enumeration: the counts are produced independently of ti_formula so
-    the two can be compared as an oracle check.
-    """
+def _max_scattered_h(U: FqSubspace, h: int | None) -> int:
+    """The h with k = rn/(h+1), inferred from k when h is None, checked to
+    lie in 1..r-1."""
     r, n, k = U.r, U.tower.n, U.k
     if h is None:
         if k == 0 or (r * n) % k != 0 or (r * n) // k < 2:
@@ -150,15 +109,28 @@ def hyperplane_spectrum(U: FqSubspace, h: int | None = None, *,
         raise NotMaxScattered(f"k={k} != rn/(h+1) = {r * n}/{h + 1}")
     if not 1 <= h <= r - 1:
         raise NotMaxScattered(f"no admissible h: inferred h={h} outside 1..r-1")
+    return h
+
+
+def hyperplane_spectrum(U: FqSubspace, h: int | None = None, *,
+                        budget: int = DEFAULT_SUBSPACE_BUDGET) -> dict[int, int]:
+    """Hyperplane weight spectrum {i: count} of a maximum h-scattered U, with
+    weight rn/(h+1) - n + i.
+
+    The counts come from subspaces.hyperplane_weight_counts (the walk of the
+    ordinary dual's vectors, or the hyperplane scan, whichever is cheaper),
+    not from ti_formula, so the two can be compared as an oracle check.
+    """
+    h = _max_scattered_h(U, h)
     if not is_h_scattered(U, h, budget=budget):
         raise NotMaxScattered("U is not h-scattered")
-    lo = k - n
+    lo = U.k - U.tower.n
     spectrum: dict[int, int] = {}
-    for _, wt in hyperplane_weight_iter(U, budget=budget):
+    for wt, count in hyperplane_weight_counts(U, budget=budget).items():
         i = wt - lo
         if not 0 <= i <= h:
             raise InvalidParams("hyperplane weight escaped the window")  # unreachable
-        spectrum[i] = spectrum.get(i, 0) + 1
+        spectrum[i] = count
     return dict(sorted(spectrum.items()))
 
 
@@ -262,14 +234,7 @@ def qsystem_code(U: FqSubspace, h: int | None = None, *,
     maximum h-scattered U; a column-deletion (up to column scalars) of the
     projective-system code."""
     r, n, k = U.r, U.tower.n, U.k
-    if h is None:
-        if k == 0 or (r * n) % k != 0 or (r * n) // k < 2:
-            raise NotMaxScattered(f"k={k} is not rn/(h+1) for any h >= 1")
-        h = (r * n) // k - 1
-    if k * (h + 1) != r * n:
-        raise NotMaxScattered(f"k={k} != rn/(h+1)")
-    if not 1 <= h <= r - 1:
-        raise NotMaxScattered(f"no admissible h: inferred h={h} outside 1..r-1")
+    h = _max_scattered_h(U, h)
     if n < h + 3:
         raise InvalidParams("the q-system reading needs n >= h+3")
     if not is_h_scattered(U, h, budget=budget):

@@ -95,9 +95,15 @@ def _checked_entries(order: int, rows, key: str) -> list[list[int]]:
 
 
 def mat_from_json(tower: FieldTower, obj: dict[str, Any]) -> Mat:
-    F = tower.field(obj["level"])
-    return Mat.from_rows(F, _checked_entries(F.order, obj["entries"], "entries"),
-                         int(obj["cols"]))
+    level = _req(obj, "level", str, "matrix")
+    if level not in ("base", "mid", "top"):
+        raise UsageError(f"matrix: unknown level {level!r}")
+    F = tower.field(level)
+    cols = _req(obj, "cols", int, "matrix")
+    entries = _checked_entries(F.order, _req(obj, "entries", list, "matrix"), "entries")
+    if cols < 0 or any(len(row) != cols for row in entries):
+        raise UsageError(f"matrix: every row of 'entries' must hold 'cols' = {cols} entries")
+    return Mat.from_rows(F, entries, cols)
 
 
 def subspace_to_json(U: FqSubspace) -> dict[str, Any]:

@@ -5,8 +5,24 @@ A subspace is carried in two coordinatizations: k basis vectors over the mid
 field, and the canonical RREF basis of the flattened F_q^{rn} picture.  The
 flattening applies the fixed basis (1, g, ..., g^{n-1}) of F_{q^n} over F_q
 coordinate-wise, so coordinate i of a mid vector occupies flat columns
-[i*n, (i+1)*n).  All predicates are pure scans over canonical enumerations
-and refuse (BudgetExceeded) rather than sample when the scan is too large.
+[i*n, (i+1)*n).
+
+Point and hyperplane weights, w(P) = dim_{F_q}(U ∩ <P>_{F_{q^n}}) and
+dim_{F_q}(U ∩ H), come from one of two exact scans, chosen from the input
+alone:
+
+- the vector walk (_point_weights) visits the q^k vectors of U and buckets
+  them by projective point; a point collecting q^w - 1 of them has weight w.
+  Hyperplane weights are read off the walk of the ordinary dual through
+  dim(U ∩ H_w) = w_{U^⊥'}(<w>) + k - n.
+- the point scan eliminates the n flat rows of every point of
+  PG(r-1, q^n) (or the (r-1)n rows of every hyperplane) against U.
+
+The walk runs when its q^k vectors (q^{rn-k} for hyperplanes) are at most
+n·θ_{r-1}(q^n), the row additions of the point scan.  Every scan refuses
+(BudgetExceeded) rather than samples when its item count exceeds the budget:
+subspace vectors for the walk, projective points for the point scan, and
+subspaces for the h >= 2 scatteredness scan over h-dim F_{q^n}-subspaces.
 """
 
 from __future__ import annotations
@@ -22,7 +38,7 @@ from .errors import (
     PreconditionHyperplaneWeight,
     TowerMismatch,
 )
-from .fields import FieldTower
+from .fields import Field, FieldTower
 from .fqlinalg import (
     DEFAULT_SUBSPACE_BUDGET,
     Mat,
@@ -31,11 +47,13 @@ from .fqlinalg import (
     enumerate_subspaces,
     intersect,
     intersection_dim,
+    iter_span_rows,
     kernel,
     mat_inverse,
     mat_mul,
     projective_points,
     rref,
+    theta,
     vec_mat,
 )
 
@@ -138,45 +156,123 @@ def _midspace_flat_rows(tower: FieldTower, mid_rows, pack: bool):
     return out
 
 
-def iota(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> int:
-    """max over projective points P of dim_{F_q}(U ∩ <P>_{F_{q^n}})."""
-    if U.k == 0:
-        return 0
+def normalize_point(F: Field, v) -> tuple[int, ...]:
+    """Scale so the first nonzero coordinate is 1 (canonical representative)."""
+    for c in v:
+        if c:
+            if c == 1:
+                return tuple(v)
+            s = F.inv(c)
+            return tuple(F.mul(s, x) for x in v)
+    raise InvalidParams("the zero vector spans no point")
+
+
+def _walk_is_cheaper(tower: FieldTower, r: int, dim: int) -> bool:
+    """True iff walking the q^dim vectors of a dim-dimensional F_q-subspace of
+    F_{q^n}^r costs no more than the point scan's n·θ_{r-1}(q^n) row
+    additions (n flat rows per point of PG(r-1, q^n))."""
+    return tower.base.order**dim <= tower.n * theta(r - 1, tower.mid.order)
+
+
+def _point_weights(U: FqSubspace, budget: int) -> dict[tuple[int, ...], int]:
+    """{normalized point: weight} over the points of L_U, by walking U's q^k
+    vectors and bucketing them by projective point.
+
+    Every nonzero vector of U lies on exactly one point, and a point of weight
+    w collects q^w - 1 of them.  budget caps the walk at q^k subspace vectors.
+    """
+    tower = U.tower
+    q, mid = tower.base.order, tower.mid
+    if q**U.k > budget:
+        raise BudgetExceeded(q**U.k, budget, "subspace vectors")
+    counts: dict[tuple[int, ...], int] = {}
+    if U.k:
+        for v in iter_span_rows(U.basis_mid, mid, include_zero=False,
+                                coeff_field=tower.base):
+            p = normalize_point(mid, v)
+            counts[p] = counts.get(p, 0) + 1
+    weight_of = {q**w - 1: w for w in range(1, U.k + 1)}
+    points = {}
+    for p, c in counts.items():
+        w = weight_of.get(c)
+        if w is None:
+            raise InvalidParams("point fiber size is not q^w - 1")  # unreachable
+        points[p] = w
+    return points
+
+
+def _point_scan(U: FqSubspace, budget: int):
+    """Yield (point, weight) for every point of PG(r-1, q^n), eliminating the
+    n flat rows of <P>_{F_{q^n}} against U; budget caps it at θ_{r-1}(q^n)
+    projective points."""
     tower = U.tower
     pack = tower.base.order == 2
     base_red = U.flat.reducer()
     n = tower.n
-    cap = min(U.k, n)
-    best = 0
     for v in projective_points(tower.mid, U.r, budget=budget):
-        rr = base_red.clone()
-        grew = rr.add_all(_mid_scaled_rows(tower, v, pack))
-        d = n - grew
-        if d > best:
-            best = d
+        yield v, n - base_red.clone().add_all(_mid_scaled_rows(tower, v, pack))
+
+
+def _point_weight_items(U: FqSubspace, budget: int):
+    """(point, weight) pairs covering every point of positive weight: the
+    vector walk when q^k <= n·θ_{r-1}(q^n), the point scan otherwise (which
+    also yields the points of weight 0)."""
+    if _walk_is_cheaper(U.tower, U.r, U.k):
+        return _point_weights(U, budget).items()
+    return _point_scan(U, budget)
+
+
+def iota(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> int:
+    """max over projective points P of dim_{F_q}(U ∩ <P>_{F_{q^n}}).
+
+    Walks U's q^k vectors when q^k <= n·θ_{r-1}(q^n), else scans the
+    θ_{r-1}(q^n) points; budget caps the chosen scan's item count."""
+    if U.k == 0:
+        return 0
+    cap = min(U.k, U.tower.n)
+    best = 0
+    for _, w in _point_weight_items(U, budget):
+        if w > best:
+            best = w
             if best == cap:
                 break
     return best
 
 
-def is_h_scattered(U: FqSubspace, h: int, *,
-                   budget: int = DEFAULT_SUBSPACE_BUDGET) -> bool:
-    """True iff U spans V over F_{q^n} and meets every h-dim F_{q^n}-subspace
-    in F_q-dimension at most h.  Early-exits on the first violation."""
-    if not 1 <= h <= U.r - 1:
-        raise InvalidParams(f"h must satisfy 1 <= h <= r-1, got h={h}, r={U.r}")
-    if not U.spans_ambient():
-        return False
+def excess_iter(U: FqSubspace, h: int, *, budget: int = DEFAULT_SUBSPACE_BUDGET):
+    """Yield dim_{F_q}(U ∩ W) - h for each h-dim F_{q^n}-subspace W where it
+    is positive.
+
+    For h = 1 these are w(P) - 1 over the points P, read through the cheaper
+    scan of iota (q^k vectors against n·θ_{r-1}(q^n) row additions).  For
+    h >= 2 every W of the qbinom(r, h, q^n) subspaces is eliminated against
+    U.  budget caps the chosen scan's item count.
+    """
+    if h == 1:
+        for _, w in _point_weight_items(U, budget):
+            if w > 1:
+                yield w - 1
+        return
     tower = U.tower
     pack = tower.base.order == 2
     base_red = U.flat.reducer()
     hn = h * tower.n
     for H in enumerate_subspaces(U.r, h, tower.mid, budget=budget):
-        rr = base_red.clone()
-        grew = rr.add_all(_midspace_flat_rows(tower, H.rows, pack))
-        if hn - grew > h:
-            return False
-    return True
+        d = hn - base_red.clone().add_all(_midspace_flat_rows(tower, H.rows, pack))
+        if d > h:
+            yield d - h
+
+
+def is_h_scattered(U: FqSubspace, h: int, *,
+                   budget: int = DEFAULT_SUBSPACE_BUDGET) -> bool:
+    """True iff U spans V over F_{q^n} and meets every h-dim F_{q^n}-subspace
+    in F_q-dimension at most h.  For h = 1: every point of L_U has weight 1.
+    Scans as excess_iter does and exits on the first violation."""
+    if not 1 <= h <= U.r - 1:
+        raise InvalidParams(f"h must satisfy 1 <= h <= r-1, got h={h}, r={U.r}")
+    if not U.spans_ambient():
+        return False
+    return next(excess_iter(U, h, budget=budget), None) is None
 
 
 class DimBound(enum.Enum):
@@ -198,31 +294,76 @@ def check_dimension_bound(U: FqSubspace, h: int) -> DimBound:
     return DimBound.VIOLATION
 
 
-def hyperplane_weight_iter(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET):
-    """Yield (dual point, dim(U ∩ H)) over all F_{q^n}-hyperplanes H.
-
-    Hyperplanes are enumerated through their dual points w, H_w = ker(w·).
-    """
+def _hyperplane_scan(U: FqSubspace, budget: int):
+    """Yield (dual point w, dim(U ∩ H_w)) for every hyperplane H_w = ker(w·),
+    eliminating its (r-1)n flat rows against U; budget caps it at
+    θ_{r-1}(q^n) projective points."""
     tower = U.tower
     pack = tower.base.order == 2
     base_red = U.flat.reducer()
     n, r = tower.n, U.r
     for w in projective_points(tower.mid, r, budget=budget):
         H = kernel(Mat.from_rows(tower.mid, [list(w)], r))
-        rr = base_red.clone()
-        grew = rr.add_all(_midspace_flat_rows(tower, H.rows, pack))
+        grew = base_red.clone().add_all(_midspace_flat_rows(tower, H.rows, pack))
         yield w, (r - 1) * n - grew
+
+
+def _dual_point_weights(U: FqSubspace, budget: int):
+    """Point weights of U^{⊥'} when walking its q^{rn-k} vectors is cheaper
+    than the hyperplane scan (q^{rn-k} <= n·θ_{r-1}(q^n)), else None."""
+    if not _walk_is_cheaper(U.tower, U.r, U.r * U.tower.n - U.k):
+        return None
+    return _point_weights(ordinary_dual(U), budget)
+
+
+def hyperplane_weight_iter(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET):
+    """Yield (dual point w, dim(U ∩ H_w)) over all F_{q^n}-hyperplanes
+    H_w = ker(w·), in projective_points order.
+
+    When q^{rn-k} <= n·θ_{r-1}(q^n) the weights are w_{U^⊥'}(<w>) + k - n,
+    read from the walk of the ordinary dual's vectors; otherwise each
+    hyperplane is eliminated against U.  budget caps the chosen scan's item
+    count (the walk's vectors, or the scan's points), not the θ_{r-1}(q^n)
+    pairs yielded.
+    """
+    dual_w = _dual_point_weights(U, budget)
+    if dual_w is None:
+        yield from _hyperplane_scan(U, budget)
+        return
+    mid, r = U.tower.mid, U.r
+    shift = U.k - U.tower.n
+    for w in projective_points(mid, r, budget=theta(r - 1, mid.order)):
+        yield w, dual_w.get(w, 0) + shift
+
+
+def hyperplane_weight_counts(U: FqSubspace, *,
+                             budget: int = DEFAULT_SUBSPACE_BUDGET) -> dict[int, int]:
+    """{dim(U ∩ H): number of F_{q^n}-hyperplanes H}, by the scan that
+    hyperplane_weight_iter chooses.
+
+    On the walk side the θ_{r-1}(q^n) - |L_{U^⊥'}| hyperplanes whose dual
+    point lies outside L_{U^⊥'} are counted, not visited: all have weight
+    k - n.
+    """
+    dual_w = _dual_point_weights(U, budget)
+    counts: dict[int, int] = {}
+    if dual_w is None:
+        for _, wt in _hyperplane_scan(U, budget):
+            counts[wt] = counts.get(wt, 0) + 1
+        return counts
+    shift = U.k - U.tower.n
+    rest = theta(U.r - 1, U.tower.mid.order) - len(dual_w)
+    if rest:
+        counts[shift] = rest
+    for w in dual_w.values():
+        counts[w + shift] = counts.get(w + shift, 0) + 1
+    return counts
 
 
 def max_hyperplane_weight(U: FqSubspace, *,
                           budget: int = DEFAULT_SUBSPACE_BUDGET) -> int:
-    best = 0
-    for _, wt in hyperplane_weight_iter(U, budget=budget):
-        if wt > best:
-            best = wt
-            if best == U.k:
-                break
-    return best
+    """max over F_{q^n}-hyperplanes H of dim_{F_q}(U ∩ H)."""
+    return max(hyperplane_weight_counts(U, budget=budget))
 
 
 # -- ordinary duality ---------------------------------------------------------

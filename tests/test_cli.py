@@ -264,3 +264,24 @@ def test_malformed_subspace_json_is_a_usage_error(tmp_path, capsys):
     obj["basis_mid"] = 3
     with pytest.raises(UsageError, match="'basis_mid'"):
         serialize.subspace_from_json(obj)
+
+
+def test_linear_set_verbs_honour_the_subspace_budget(tmp_path, capsys):
+    fixtures.materialize(str(tmp_path))
+    path = str(tmp_path / fixtures.CORPUS_VERSION / "pseudoregulus_2_4_1_q2.subspace.json")
+    for verb in ("linset-points", "projsys-code"):
+        assert main([verb, "--subspace", path, "--subspace-budget", "3"]) == 3
+        assert "16 subspace vectors exceeds budget 3" in capsys.readouterr().err
+
+
+def test_malformed_matrix_json_is_a_usage_error(tmp_path, capsys):
+    code = _gabidulin_code_file(tmp_path)
+    good = {"level": "base", "rows": 3, "cols": 4,
+            "entries": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]]}
+    missing_entries = {k: v for k, v in good.items() if k != "entries"}
+    for key, obj in (("entries", missing_entries), ("cols", dict(good, cols="x")),
+                     ("level", dict(good, level=3)), ("cols", dict(good, cols=3))):
+        path = tmp_path / "bad.json"
+        serialize.dump_file(str(path), obj)
+        assert main(["puncture", "--code", code, "--matrix", str(path)]) == 1
+        assert f"'{key}'" in capsys.readouterr().err

@@ -10,14 +10,13 @@ from ranklab.linsets import (
     hyperplane_spectrum,
     hyperplane_weight,
     linear_set,
-    normalize_point,
     point_weight,
     projective_system_code,
     qsystem_code,
     ti_formula,
     weight_enumerator,
 )
-from ranklab.subspaces import FqSubspace, ordinary_dual
+from ranklab.subspaces import FqSubspace, normalize_point, ordinary_dual
 from ranklab.constructions import c_ug, pseudoregulus_subspace
 from ranklab.fixtures import remark_counterexample, subgeometry_3_3
 
