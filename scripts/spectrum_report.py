@@ -14,7 +14,7 @@ import time
 
 from ranklab.constructions import pseudoregulus_subspace
 from ranklab.fields import make_tower
-from ranklab.fqlinalg import theta
+from ranklab.fqlinalg import DEFAULT_SUBSPACE_BUDGET, theta
 from ranklab.linsets import (
     expected_weights,
     hyperplane_spectrum,
@@ -39,7 +39,9 @@ def run_case(spec: str) -> bool:
     ok = spectrum == formula and sum(spectrum.values()) == theta(r - 1, q**n)
     line = f"(r={r}, n={n}, h={h}, q={q})  k={U.k}  spectrum={spectrum}"
     enum_note = ""
-    if (q**n) ** r <= 1 << 20:
+    # the code scans visit N·θ_{r-2}(q^n) point-hyperplane incidences, with
+    # N = θ_{k-1}(q) points on a scattered linear set
+    if theta(U.k - 1, q) * theta(r - 2, q**n) <= DEFAULT_SUBSPACE_BUDGET:
         C = projective_system_code(linear_set(U))
         enum = weight_enumerator(C, "projective")
         ok = ok and enum == expected_weights(r, n, h, q)

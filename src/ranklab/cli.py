@@ -92,7 +92,8 @@ def build_parser() -> _Parser:
     common.add_argument("--subspace-budget", type=_budget, default=DEFAULT_SUBSPACE_BUDGET,
                         help="max items of a subspace scan: U's q^k vectors (or its "
                              "dual's) when that walk is the cheaper scan, else the "
-                             "points of PG(r-1,q^n); subspaces for h>=2 checks "
+                             "points of PG(r-1,q^n); subspaces for h>=2 checks; "
+                             "point-hyperplane incidences for code scans "
                              "(default 2^20)")
     common.add_argument("--codeword-budget", type=_budget, default=DEFAULT_CODEWORD_BUDGET,
                         help="max items of a code's rank scan: its q^K codewords or "
@@ -366,7 +367,7 @@ def _run_projsys(args, budgets) -> dict[str, Any]:
     res: dict[str, Any] = {"N": C.N, "k": C.k, "d": C.d}
     convention = "codeword" if args.codeword_count else "projective"
     if args.enumerator:
-        enum = linsets.weight_enumerator(C, convention)
+        enum = linsets.weight_enumerator(C, convention, budget=budgets["subspace"])
         res["convention"] = convention
         res["enumerator"] = {str(w): c for w, c in enum.items()}
     res["artifact"] = serialize.hamming_to_json(U.tower, C)

@@ -250,16 +250,6 @@ class Field:
     def elements(self):
         return range(self.order)
 
-    def mult_order(self, a: int) -> int:
-        """Order of a in the multiplicative group."""
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative order")
-        n = self.order - 1
-        for f in prime_factors(n):
-            while n % f == 0 and self.pow(a, n // f) == 1:
-                n //= f
-        return n
-
     def _build_tables(self) -> None:
         n = self.order - 1
         if n == 0:
@@ -572,9 +562,6 @@ class FieldTower:
         for c in self.top.vec(a):
             out.extend(self.mid_to_base_vec(c))
         return out
-
-    def to_fe(self, level: str, code: int) -> "Fe":
-        return Fe(self, level, code)
 
     def __eq__(self, other):
         return isinstance(other, FieldTower) and self.params == other.params

@@ -4,14 +4,19 @@ codes obtained by reading a linear set as a projective system.
 
 Projective points are normalized so the first nonzero coordinate is 1, and
 generator-matrix columns are sorted by code tuple; different normalizations
-give diagonally equivalent codes, so one canonical choice is fixed.  Two
-weight-enumerator conventions coexist: "projective" counts hyperplanes (the
-same convention as hyperplane_spectrum) and "codeword" counts codewords, a factor
-q^n - 1 apart.
+give diagonally equivalent codes, so one canonical choice is fixed.
+
+The codeword at coefficient vector w has weight N minus the number of columns
+on the hyperplane w·x = 0, so a code's minimum distance and weight enumerator
+are read off one histogram of hyperplane cuts (_cut_counts) built from the
+columns' point-hyperplane incidences.  Two weight-enumerator conventions
+coexist: "projective" counts hyperplanes (as hyperplane_spectrum does) and
+"codeword" counts codewords, a factor Q - 1 apart.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .constructions import cug_mrd_weight_distribution
@@ -28,7 +33,6 @@ from .fqlinalg import (
     Mat,
     SubspaceBasis,
     intersection_dim,
-    iter_span_rows,
     kernel,
     projective_points,
     theta,
@@ -39,9 +43,8 @@ from .subspaces import (
     fqn_subspace_flat,
     hyperplane_weight_counts,
     is_h_scattered,
+    normalize_point,
 )
-
-DEFAULT_VECTOR_BUDGET = 1 << 20
 
 
 @dataclass
@@ -60,14 +63,14 @@ class LinearSet:
         return len(self.points)
 
 
-def linear_set(U: FqSubspace, *, budget: int = DEFAULT_VECTOR_BUDGET) -> LinearSet:
+def linear_set(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> LinearSet:
     """The points of L_U with their weights, from a walk of U's q^k vectors
     bucketed by projective point; budget caps the walk at q^k subspace
     vectors."""
     return LinearSet(U, _point_weights(U, budget))
 
 
-def point_weight(U: FqSubspace, P, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> int:
+def point_weight(U: FqSubspace, P) -> int:
     """dim_{F_q}(U ∩ <P>_{F_{q^n}})."""
     tower = U.tower
     line = fqn_subspace_flat(
@@ -156,63 +159,73 @@ class HammingCode:
                 raise InvalidParams("projective systems forbid zero columns")
 
 
+def _cut_counts(F: Field, k: int, cols, budget: int) -> dict[int, int]:
+    """{c: number of hyperplanes of PG(k-1, F) holding exactly c of cols}.
+
+    Each column is reduced to its projective point, with a multiplicity since
+    columns may repeat a point.  A point P with pivot i (P_i = 1) lies on the
+    theta_{k-2}(|F|) hyperplanes w·x = 0 with w = f off coordinate i, for f
+    a point of PG(k-2, F), and w_i = -f·P; each is visited from P and gains
+    P's multiplicity.  The theta_{k-1}(|F|) hyperplanes never visited hold
+    no column.  budget caps the visits at point-hyperplane incidences.
+    """
+    mult = Counter(normalize_point(F, col) for col in cols)
+    needed = len(mult) * theta(k - 2, F.order) if k else 0
+    if needed > budget:
+        raise BudgetExceeded(needed, budget, "point-hyperplane incidences")
+    fs = list(projective_points(F, k - 1, budget=budget)) if needed else []
+    add, mul, neg = F.add, F.mul, F.neg
+    cut: dict[tuple[int, ...], int] = {}
+    for P, m in mult.items():
+        i = P.index(1)
+        rest = P[:i] + P[i + 1:]
+        for f in fs:
+            s = 0
+            for x, y in zip(f, rest):
+                if x and y:
+                    s = add(s, mul(x, y))
+            w = normalize_point(F, f[:i] + (neg(s),) + f[i:])
+            cut[w] = cut.get(w, 0) + m
+    hist = Counter(cut.values())
+    hist[0] = theta(k - 1, F.order) - len(cut)
+    return {c: count for c, count in hist.items() if count}
+
+
 def projective_system_code(L: LinearSet, *,
                            budget: int = DEFAULT_SUBSPACE_BUDGET) -> HammingCode:
     """The [N, r] code over F_{q^n} whose columns are the points of L_U.
 
     N = |L_U| and the minimum distance is N - max_H |L ∩ H| over hyperplanes,
-    computed here by scanning hyperplanes through their dual points.
+    the largest cut of _cut_counts; budget caps its N·theta_{r-2}(q^n)
+    point-hyperplane incidences.
     """
     U = L.U
     tower, r = U.tower, U.r
     if not U.spans_ambient():
         raise NotSpanning("the linear set spans no frame; not a projective system")
-    mid = tower.mid
     cols = sorted(L.points)
     N = len(cols)
     gen = tuple(tuple(col[i] for col in cols) for i in range(r))
-    add, mul = mid.add, mid.mul
-    max_cut = 0
-    for w in projective_points(mid, r, budget=budget):
-        cut = 0
-        for col in cols:
-            s = 0
-            for x, y in zip(w, col):
-                if x and y:
-                    s = add(s, mul(x, y))
-            if s == 0:
-                cut += 1
-        if cut > max_cut:
-            max_cut = cut
-    return HammingCode(mid, r, N, gen, d=N - max_cut)
+    return HammingCode(tower.mid, r, N, gen,
+                       d=N - max(_cut_counts(tower.mid, r, cols, budget)))
 
 
 def weight_enumerator(C: HammingCode, convention: str = "projective", *,
-                      budget: int = DEFAULT_VECTOR_BUDGET) -> dict[int, int]:
-    """Weight -> coefficient map by brute force over all q^{nk} codewords.
+                      budget: int = DEFAULT_SUBSPACE_BUDGET) -> dict[int, int]:
+    """Weight -> coefficient map over all Q^k - 1 nonzero coefficient
+    vectors, read off the hyperplane cuts of C's columns: the hyperplane
+    holding c columns gives weight N - c.
 
-    "codeword" counts nonzero codewords; "projective" divides each count by
-    q^n - 1 (the hyperplane-counting convention), asserting
-    exactness.
+    "projective" counts hyperplanes, one per projective class of coefficient
+    vectors; "codeword" counts coefficient vectors, Q - 1 per hyperplane.
+    Exact for every generator, rank-deficient ones included (their weight-0
+    words are counted).  budget caps the point-hyperplane incidences.
     """
     if convention not in ("projective", "codeword"):
         raise InvalidParams(f"unknown convention {convention!r}")
-    F = C.field
-    size = F.order**C.k
-    if size > budget:
-        raise BudgetExceeded(size, budget, "codewords")
-    counts: dict[int, int] = {}
-    for cw in iter_span_rows(list(C.gen), F, include_zero=False):
-        w = sum(1 for x in cw if x)
-        counts[w] = counts.get(w, 0) + 1
-    if convention == "codeword":
-        return dict(sorted(counts.items()))
-    out = {}
-    for w, c in counts.items():
-        if c % (F.order - 1):
-            raise NonIntegral("codeword count is not a multiple of q^n - 1")
-        out[w] = c // (F.order - 1)
-    return dict(sorted(out.items()))
+    scale = C.field.order - 1 if convention == "codeword" else 1
+    cuts = _cut_counts(C.field, C.k, zip(*C.gen), budget)
+    return {C.N - c: count * scale for c, count in sorted(cuts.items(), reverse=True)}
 
 
 def expected_weights(r: int, n: int, h: int, q: int) -> dict[int, int]:
@@ -228,11 +241,11 @@ def expected_weights(r: int, n: int, h: int, q: int) -> dict[int, int]:
 
 
 def qsystem_code(U: FqSubspace, h: int | None = None, *,
-                 budget: int = DEFAULT_SUBSPACE_BUDGET,
-                 vector_budget: int = DEFAULT_VECTOR_BUDGET) -> HammingCode:
+                 budget: int = DEFAULT_SUBSPACE_BUDGET) -> HammingCode:
     """The length-rn/(h+1) code whose generator columns are an F_q-basis of a
     maximum h-scattered U; a column-deletion (up to column scalars) of the
-    projective-system code."""
+    projective-system code.  budget caps the scatteredness check and the
+    point-hyperplane incidences of the minimum distance."""
     r, n, k = U.r, U.tower.n, U.k
     h = _max_scattered_h(U, h)
     if n < h + 3:
@@ -240,7 +253,5 @@ def qsystem_code(U: FqSubspace, h: int | None = None, *,
     if not is_h_scattered(U, h, budget=budget):
         raise NotMaxScattered("U is not h-scattered")
     gen = tuple(tuple(v[i] for v in U.basis_mid) for i in range(r))
-    code = HammingCode(U.tower.mid, r, k, gen)
-    enum = weight_enumerator(code, "codeword", budget=vector_budget)
-    code.d = min(enum)
-    return code
+    return HammingCode(U.tower.mid, r, k, gen,
+                       d=k - max(_cut_counts(U.tower.mid, r, U.basis_mid, budget)))

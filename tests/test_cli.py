@@ -274,6 +274,14 @@ def test_linear_set_verbs_honour_the_subspace_budget(tmp_path, capsys):
         assert "16 subspace vectors exceeds budget 3" in capsys.readouterr().err
 
 
+def test_projsys_enumerator_honours_the_subspace_budget(capsys):
+    # linear_set walks U's 256 vectors, within the budget; the code scans
+    # visit 255·theta_2(16) = 69615 point-hyperplane incidences
+    assert main(["projsys-code", "--pseudoregulus", "4,4,1", "--enumerator",
+                 "--subspace-budget", "1000"]) == 3
+    assert "69615 point-hyperplane incidences" in capsys.readouterr().err
+
+
 def test_malformed_matrix_json_is_a_usage_error(tmp_path, capsys):
     code = _gabidulin_code_file(tmp_path)
     good = {"level": "base", "rows": 3, "cols": 4,
