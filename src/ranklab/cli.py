@@ -4,7 +4,7 @@ Every verb emits a RunReport: human-readable key/value lines by default, a
 canonical JSON document with --json.  Re-running a verb with identical
 parameters and seed reproduces a byte-identical "results" payload (timings
 live outside it).  Exit codes: 0 ok, 1 usage, 2 precondition/gate error,
-3 budget exhaustion.
+3 budget exhaustion, 4 internal invariant broken (a library bug).
 """
 
 from __future__ import annotations
@@ -16,7 +16,14 @@ import time
 from typing import Any
 
 from . import constructions, linsets, rankcodes, serialize, subspaces
-from .errors import BudgetExceeded, GateError, IoError, RankLabError, UsageError
+from .errors import (
+    BudgetExceeded,
+    GateError,
+    InternalInvariantError,
+    IoError,
+    RankLabError,
+    UsageError,
+)
 from .fields import make_tower
 from .fqlinalg import DEFAULT_SUBSPACE_BUDGET, theta
 from .rankcodes import DEFAULT_CODEWORD_BUDGET
@@ -99,9 +106,6 @@ def build_parser() -> _Parser:
                         help="max items of a code's rank scan: its q^K codewords or "
                              "the subspaces of F_q^{min(m,n)}, whichever is fewer "
                              "(default 2^24)")
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker cap (scans execute sequentially; results are "
-                             "independent of partitioning)")
     p = _Parser(prog="rank-lab", description=__doc__)
     sub = p.add_subparsers(dest="verb", required=True)
 
@@ -421,7 +425,6 @@ def run(argv: list[str]) -> tuple[dict[str, Any], bool]:
         "parameters": params,
         "budgets": budgets,
         "seed": args.seed,
-        "threads": args.threads,
     }
     t0 = time.perf_counter()
     report["results"] = _VERBS[args.verb](args, budgets)
@@ -454,6 +457,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except GateError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ from .errors import (
     EtaConditionViolated,
     GcdViolation,
     IdealiserNotMaximal,
+    InternalInvariantError,
     InvalidParams,
     IotaFull,
     KernelMismatch,
@@ -118,7 +119,7 @@ def gabidulin(tower: FieldTower, N: int, k: int, s: int) -> RankCode:
             for i in range(k) for gamma in base_basis_codes(tower, level)]
     code = RankCode.from_generators(tower.base, N, N, gens)
     if code.dim != N * k:
-        raise InvalidParams("Gabidulin generators were dependent")  # unreachable
+        raise InternalInvariantError("Gabidulin generators were dependent")
     return code
 
 
@@ -177,7 +178,7 @@ def find_nonsquare(tower: FieldTower, level: str) -> int:
     for ccode in range(2, F.order):
         if F.pow(ccode, half) != 1:
             return ccode
-    raise InvalidParams("no non-square found")  # unreachable
+    raise InternalInvariantError("no non-square found")
 
 
 # -- the C_{U,G} construction --------------------------------------------------
@@ -236,11 +237,11 @@ def c_ug(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> CUGCode:
         raise IotaFull("U contains a full F_{q^n}-line; C_{U,G} degenerates")
     G = _canonical_projection(U)
     if kernel(G) != U.flat:
-        raise KernelMismatch("canonical projection has wrong kernel")  # unreachable
+        raise InternalInvariantError("canonical projection has wrong kernel")
     gens = _cug_codewords(tower, r, G)
     code = RankCode.from_generators(tower.base, r * n - U.k, n, gens)
     if code.dim != r * n:
-        raise InvalidParams("v -> Γ_v failed to be injective")  # unreachable
+        raise InternalInvariantError("v -> Γ_v failed to be injective")
     return CUGCode(U, G, code, it)
 
 
@@ -303,7 +304,7 @@ def c_ug_g_independence(U: FqSubspace, G1: Mat, G2: Mat) -> Mat:
     for M1, M2 in zip(_cug_codewords(tower, r, G1), _cug_codewords(tower, r, G2)):
         lhs = mat_mul(L, Mat.from_rows(base, M1, tower.n))
         if lhs.data != M2:
-            raise KernelMismatch("L∘C_{U,G1} != C_{U,G2}")  # unreachable
+            raise InternalInvariantError("L∘C_{U,G1} != C_{U,G2}")
     return L
 
 
@@ -396,7 +397,7 @@ def _matrix_min_poly(tower: FieldTower, M: Mat) -> tuple[int, ...]:
     target = [base.neg(x) for x in flat(powers[deg])]
     sol = solve_right(cols, target)
     if sol is None:
-        raise InvalidParams("minimal polynomial solve failed")  # unreachable
+        raise InternalInvariantError("minimal polynomial solve failed")
     return tuple(sol) + (1,)
 
 
@@ -490,7 +491,7 @@ def _extract_from_canonical(Cprime: RankCode, tower: FieldTower, it: int, *,
         u_flat = vec_mat(list(v), coeff_mat)
         xi = solve_right(Phi, u_flat)
         if xi is None:
-            raise ParamMismatch("U does not lie in the coordinate image")  # unreachable
+            raise InternalInvariantError("U does not lie in the coordinate image")
         u_vectors.append(unflatten_vec(tower, xi))
     U = FqSubspace.from_mid_vectors(tower, r, u_vectors)
     g_rows = [[0] * (r * n) for _ in range(Cprime.m)]
@@ -501,10 +502,10 @@ def _extract_from_canonical(Cprime: RankCode, tower: FieldTower, it: int, *,
                 g_rows[rho][i * n + j] = col.data[rho][0]
     G = Mat.from_rows(base, g_rows, r * n)
     if kernel(G) != U.flat:
-        raise KernelMismatch("f -> f(1) does not have kernel U")  # unreachable
+        raise InternalInvariantError("f -> f(1) does not have kernel U")
     recon = RankCode.from_generators(base, Cprime.m, n, _cug_codewords(tower, r, G))
     if recon != Cprime:
-        raise KernelMismatch("reconstructed C_{U,G} differs from C'")  # unreachable
+        raise InternalInvariantError("reconstructed C_{U,G} differs from C'")
     return MrdSubspaceExtraction(
         subspace=U, conjugated_code=Cprime, conjugation=conjugation,
         fn_basis=[tuple(tuple(rw) for rw in f.data) for f in fn_basis],
@@ -557,7 +558,7 @@ def gabidulin_restriction(tower: FieldTower, nt: int, n: int, it: int,
             gens.append(mat_mul(f, mult_matrix(tower, mid_basis[j])).data)
     code = RankCode.from_generators(base, nt, n, gens)
     if code.dim != nt * (it + 1):
-        raise InvalidParams("restricted generators were dependent")  # unreachable
+        raise InternalInvariantError("restricted generators were dependent")
     extraction = _extract_from_canonical_with_basis(code, tower, fji, it)
     U = extraction
     Udual = ordinary_dual(U)

@@ -1,7 +1,10 @@
 """Exception hierarchy shared by all ranklab modules.
 
+Usage errors (malformed command line or file input) map to CLI exit code 1.
 Gate errors (bad preconditions, rejected parameters) derive from GateError and
-map to CLI exit code 2; budget refusals map to exit code 3; usage errors to 1.
+map to exit code 2; budget refusals map to exit code 3.  InternalInvariantError
+is not a GateError: it reports a broken internal invariant, a bug in ranklab
+rather than a rejected input, and maps to exit code 4.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ class BudgetExceeded(RankLabError):
 
 class UsageError(RankLabError):
     """Malformed command line or file input (CLI exit 1)."""
+
+
+class InternalInvariantError(RankLabError):
+    """A result the mathematics rules out: a bug in ranklab (CLI exit 4)."""
 
 
 class NotPrime(GateError):

@@ -7,14 +7,21 @@ base of order B the base-B digits of the code are the base-field coefficient
 codes of the reduced polynomial.  Consequences used throughout:
 
   * addition is digit-wise mod p (XOR when p = 2),
+  * adding 1 changes only the lowest base-p digit,
   * the polynomial-basis generator of an extension has code B,
   * subfield constants embed with unchanged codes.
 
-Multiplication and inversion go through discrete-log tables for fields of
-order <= 2^20; larger fields fall back to polynomial arithmetic.  Moduli are
-chosen deterministically as the lexicographically least monic irreducible
-polynomial over the base field (ordered by packed integer code of the
-non-leading coefficients), so serialized values are portable across runs.
+Fields of order <= 2^20 (LOG_TABLE_LIMIT) keep discrete-log tables for a
+primitive element g.  Multiplication and inversion are table lookups, and
+addition in an odd-characteristic extension uses Zech logarithms,
+g^a + g^b = g^(a + Z(b - a)) with Z(k) = log(1 + g^k) and -1 = g^((|F|-1)/2),
+so it costs a few list lookups whatever the degree.  Prime fields add mod p.
+Only extensions above the table limit fall back to polynomial
+multiplication and to digit-wise addition.
+
+Moduli are chosen deterministically as the lexicographically least monic
+irreducible polynomial over the base field (ordered by packed integer code of
+the non-leading coefficients), so serialized values are portable across runs.
 """
 
 from __future__ import annotations
@@ -22,7 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExceeded, InvalidParams, NotPrime, WrongLevel
+from .errors import (
+    BudgetExceeded,
+    InternalInvariantError,
+    InvalidParams,
+    NotPrime,
+    WrongLevel,
+)
 
 LOG_TABLE_LIMIT = 1 << 20
 DEFAULT_TOWER_BUDGET = 1 << 24
@@ -94,6 +107,7 @@ class Field:
         self.modulus: tuple[int, ...] | None = None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._zech: list[int] | None = None
         self._frob_tables: dict[int, list[int]] = {}
         if p <= LOG_TABLE_LIMIT:
             self._build_tables()
@@ -118,6 +132,7 @@ class Field:
         self.modulus = tuple(modulus)
         self._exp = None
         self._log = None
+        self._zech = None
         self._frob_tables = {}
         if self.order <= LOG_TABLE_LIMIT:
             self._build_tables()
@@ -166,6 +181,52 @@ class Field:
         p = self.p
         if p == 2:
             return a ^ b
+        if self.base is None:
+            return (a + b) % p
+        zech = self._zech
+        if zech is None:
+            return self._add_digits(a, b)
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        z = zech[log[b] - la]
+        return self._exp[la + z] if z >= 0 else 0
+
+    def neg(self, a: int) -> int:
+        p = self.p
+        if p == 2 or not a:
+            return a
+        if self.base is None:
+            return p - a
+        if self._zech is None:
+            return self._neg_digits(a)
+        return self._exp[self._log[a] + self._half]
+
+    def sub(self, a: int, b: int) -> int:
+        p = self.p
+        if p == 2:
+            return a ^ b
+        if self.base is None:
+            return (a - b) % p
+        zech = self._zech
+        if zech is None:
+            return self._add_digits(a, self._neg_digits(b))
+        if not b:
+            return a
+        log = self._log
+        lb = log[b] + self._half            # log(-b)
+        if not a:
+            return self._exp[lb]
+        la = log[a]
+        z = zech[lb - la]
+        return self._exp[la + z] if z >= 0 else 0
+
+    def _add_digits(self, a: int, b: int) -> int:
+        """Digit-wise addition mod p, for extensions without log tables."""
+        p = self.p
         out, shift = 0, 1
         while a or b:
             out += ((a + b) % p) * shift
@@ -174,10 +235,8 @@ class Field:
             shift *= p
         return out
 
-    def neg(self, a: int) -> int:
+    def _neg_digits(self, a: int) -> int:
         p = self.p
-        if p == 2:
-            return a
         out, shift = 0, 1
         while a:
             d = a % p
@@ -186,9 +245,6 @@ class Field:
             a //= p
             shift *= p
         return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Polynomial multiplication with modulus reduction (no tables)."""
@@ -270,6 +326,17 @@ class Field:
             log[v] = i
             v = self._mul_raw(v, prim)
         self._exp, self._log = exp, log
+        p = self.p
+        if p != 2 and self.base is not None:
+            # Z(k) = log(1 + g^k); 1 + g^k = 0 only at g^k = -1, code p - 1.
+            # Doubled so that Z is read at any exponent difference in (-n, 2n).
+            zech = [-1] * n
+            for k in range(n):
+                a = exp[k]
+                if a != p - 1:
+                    zech[k] = log[a + 1 if a % p != p - 1 else a + 1 - p]
+            self._zech = zech + zech
+            self._half = n // 2
 
     def _pow_raw(self, a: int, e: int) -> int:
         r, b = 1, a
@@ -419,7 +486,7 @@ def least_irreducible(F: Field, d: int) -> tuple[int, ...]:
         coeffs.append(1)
         if is_irreducible(F, tuple(coeffs)):
             return tuple(coeffs)
-    raise InvalidParams(f"no irreducible of degree {d}")  # unreachable
+    raise InternalInvariantError(f"no irreducible of degree {d}")
 
 
 def _verify_irreducible(F: Field, f) -> bool:
@@ -461,13 +528,13 @@ class FieldTower:
     construction (frobenius tables are built lazily but idempotently).
     """
 
-    def __init__(self, p: int, e: int, n: int, t: int, *, log_tables: bool = True,
+    def __init__(self, p: int, e: int, n: int, t: int, *,
                  budget: int = DEFAULT_TOWER_BUDGET):
         if e < 1 or n < 1 or t < 1:
             raise InvalidParams("e, n, t must be >= 1")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
-        if log_tables and p ** (e * n * t) > budget:
+        if p ** (e * n * t) > budget:
             raise BudgetExceeded(p ** (e * n * t), budget, "field elements")
         self.p, self.e, self.n, self.t = p, e, n, t
         self.prime = Field(p)
@@ -528,7 +595,7 @@ class FieldTower:
             acc = F.add(acc, x)
             x = self.frob(level, x, 1)
         if acc >= self.q:
-            raise InvalidParams("trace left the base field")  # unreachable
+            raise InternalInvariantError("trace left the base field")
         return acc
 
     def norm_to_base(self, level: str, a: int) -> int:
@@ -540,7 +607,7 @@ class FieldTower:
             acc = F.mul(acc, x)
             x = self.frob(level, x, 1)
         if acc >= self.q:
-            raise InvalidParams("norm left the base field")  # unreachable
+            raise InternalInvariantError("norm left the base field")
         return acc
 
     def mid_to_base_vec(self, a: int) -> list[int]:
@@ -602,10 +669,10 @@ class Fe:
 
 
 @lru_cache(maxsize=None)
-def make_tower(p: int, e: int, n: int, t: int, log_tables: bool = True,
+def make_tower(p: int, e: int, n: int, t: int,
                budget: int = DEFAULT_TOWER_BUDGET) -> FieldTower:
     """Build (and cache) the tower F_{p^e} ⊆ F_{q^n} ⊆ F_{q^{nt}}."""
-    return FieldTower(p, e, n, t, log_tables=log_tables, budget=budget)
+    return FieldTower(p, e, n, t, budget=budget)
 
 
 def trace_to_base(x: Fe) -> Fe:

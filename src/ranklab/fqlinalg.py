@@ -3,14 +3,22 @@ subspace enumeration and Gaussian binomials.
 
 Vectors and matrix rows hold integer element codes (see fields).  The
 canonical representative of a subspace is its RREF basis, which makes
-subspace equality and hashing structural.  Row elimination over GF(2) runs on
-int bitmasks (bit j = column j); other fields use tuple rows.
+subspace equality and hashing structural.
+
+Row elimination over a prime field F_p runs on packed int rows: coordinate j
+takes W bits starting at bit j·W (pack_row, unpack_row).  At p = 2, W = 1,
+rows are bitmasks and adding rows is XOR.  At odd p, W = (2p−2).bit_length()+1
+leaves room for the sum of two entries plus a guard bit, so adding two rows is
+one integer addition and one fold that subtracts p from every slot that
+reached p; scaling is doubling and adding.  Extension fields use tuple rows
+and Field arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property, lru_cache
 
 from .errors import AmbientMismatch, BudgetExceeded, InvalidParams
 from .fields import Field
@@ -110,7 +118,8 @@ def vec_mat(v, A: Mat) -> list[int]:
 
 
 def _rref_rows(F: Field, rows: list[list[int]], ncols: int):
-    """In-place generic RREF; returns (reduced nonzero rows, pivot columns)."""
+    """In-place RREF with Field arithmetic, for extension fields; returns
+    (reduced nonzero rows, pivot columns)."""
     sub, mul, inv = F.sub, F.mul, F.inv
     pivots: list[int] = []
     r = 0
@@ -139,25 +148,144 @@ def _rref_rows(F: Field, rows: list[list[int]], ncols: int):
     return [rows[i] for i in range(r)], pivots
 
 
-def _rref_bits(rows: list[int], ncols: int):
-    """RREF over GF(2) on int bitmasks; returns (rows, pivot columns)."""
-    work = [r for r in rows]
+# -- packed rows over prime fields ---------------------------------------------
+
+
+def slot_width(F: Field) -> int:
+    """Bits per coordinate of a packed row over the prime field F."""
+    return 1 if F.p == 2 else (2 * F.p - 2).bit_length() + 1
+
+
+class _Slots:
+    """Row arithmetic on packed F_p rows of ncols coordinates.
+
+    At odd p an entry is below p, so a slot of x + y is at most 2p − 2, and a
+    slot of x + (p − y) at most 2p − 1; both are below 2^v + p with
+    v = W − 1.  Adding 2^v − p to every slot carries into bit v exactly where
+    the slot reached p, and never out of the slot, so subtracting p times
+    those bits reduces every slot at once (a fold).
+    """
+
+    __slots__ = ("p", "width", "mask", "low", "plow", "carry", "guard")
+
+    def __init__(self, F: Field, ncols: int):
+        self.p = p = F.p
+        self.width = width = slot_width(F)
+        self.mask = (1 << width) - 1
+        self.low = ((1 << (ncols * width)) - 1) // self.mask   # bit 0 of each slot
+        self.plow = p * self.low
+        self.guard = width - 1
+        self.carry = self.low * ((1 << self.guard) - p)
+
+    def add(self, x: int, y: int) -> int:
+        if self.p == 2:
+            return x ^ y
+        s = x + y
+        return s - self.p * (((s + self.carry) >> self.guard) & self.low)
+
+    def scale(self, x: int, c: int) -> int:
+        """c·x for c in F_p, by doubling and adding."""
+        if c == 1:
+            return x
+        p, guard, low, carry = self.p, self.guard, self.low, self.carry
+        acc = x if c & 1 else 0
+        c >>= 1
+        while c:
+            s = x + x
+            x = s - p * (((s + carry) >> guard) & low)
+            if c & 1:
+                s = acc + x
+                acc = s - p * (((s + carry) >> guard) & low)
+            c >>= 1
+        return acc
+
+    def submul(self, x: int, c: int, y: int) -> int:
+        """x − c·y for c in F_p: one fold after subtracting c·y or adding
+        (p − c)·y, whichever multiplier is smaller."""
+        p = self.p
+        if p == 2:
+            return x ^ y
+        if c + c <= p:
+            s = x + self.plow - self.scale(y, c)
+        else:
+            s = x + self.scale(y, p - c)
+        return s - p * (((s + self.carry) >> self.guard) & self.low)
+
+
+@lru_cache(maxsize=None)
+def _slots(F: Field, ncols: int) -> _Slots:
+    return _Slots(F, ncols)
+
+
+def pack_row(F: Field, row) -> int:
+    """Packed int of a row of codes over the prime field F."""
+    w = slot_width(F)
+    b = 0
+    for x in reversed(row):
+        b = (b << w) | x
+    return b
+
+
+def packed_combination(F: Field, coeffs, rows, ncols: int) -> int:
+    """Σ c·row over packed rows of ncols coordinates, coefficients in the
+    prime field F."""
+    sl = _slots(F, ncols)
+    acc = 0
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = sl.add(acc, sl.scale(row, c))
+    return acc
+
+
+def pack_digits(F: Field, codes, deg: int) -> int:
+    """Packed row of the deg base-p digits of each code, in order: the
+    coordinates over the prime field F of a vector over F_{p^deg}."""
+    p = F.p
+    bits = 0
+    if p == 2:
+        for i, c in enumerate(codes):
+            bits |= c << (i * deg)
+        return bits
+    w, shift = slot_width(F), 0
+    for c in codes:
+        for _ in range(deg):
+            bits |= (c % p) << shift
+            c //= p
+            shift += w
+    return bits
+
+
+def unpack_row(F: Field, bits: int, ncols: int) -> list[int]:
+    w = slot_width(F)
+    mask = (1 << w) - 1
+    return [(bits >> (j * w)) & mask for j in range(ncols)]
+
+
+def _rref_packed(F: Field, rows: list[int], ncols: int):
+    """RREF of packed rows over the prime field F; returns (rows, pivots)."""
+    sl = _slots(F, ncols)
+    w, mask = sl.width, sl.mask
+    work = list(rows)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        bit = 1 << c
+        shift = c * w
         piv = None
         for i in range(r, len(work)):
-            if work[i] & bit:
+            if (work[i] >> shift) & mask:
                 piv = i
                 break
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
+        lead = (work[r] >> shift) & mask
+        if lead != 1:
+            work[r] = sl.scale(work[r], F.inv(lead))
         prow = work[r]
         for i in range(len(work)):
-            if i != r and (work[i] & bit):
-                work[i] ^= prow
+            f = (work[i] >> shift) & mask
+            if f and i != r:
+                work[i] = sl.submul(work[i], f, prow)
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -165,44 +293,38 @@ def _rref_bits(rows: list[int], ncols: int):
     return work[:r], pivots
 
 
-def pack_row(row) -> int:
-    b = 0
-    for j, x in enumerate(row):
-        if x:
-            b |= 1 << j
-    return b
-
-
-def unpack_row(bits: int, ncols: int) -> list[int]:
-    return [(bits >> j) & 1 for j in range(ncols)]
+def _rref(F: Field, rows: list[list[int]], ncols: int):
+    """RREF of code rows (packed over a prime field); returns (rows, pivots)."""
+    if F.base is None:
+        red, piv = _rref_packed(F, [pack_row(F, r) for r in rows], ncols)
+        return [unpack_row(F, b, ncols) for b in red], piv
+    return _rref_rows(F, rows, ncols)
 
 
 def rref(M: Mat) -> tuple[Mat, int]:
     """Reduced row echelon form; preserves the row space."""
-    F = M.field
-    if F.order == 2:
-        red, piv = _rref_bits([pack_row(r) for r in M.data], M.cols)
-        rows = [unpack_row(b, M.cols) for b in red]
-    else:
-        rows, piv = _rref_rows(F, [r[:] for r in M.data], M.cols)
+    rows, _ = _rref(M.field, [r[:] for r in M.data], M.cols)
     rank = len(rows)
     rows += [[0] * M.cols for _ in range(M.rows - rank)]
-    return Mat(F, M.rows, M.cols, rows), rank
+    return Mat(M.field, M.rows, M.cols, rows), rank
 
 
 class RowReducer:
     """Incremental row-echelon elimination for rank queries.
 
-    GF(2) rows are int bitmasks; other fields use tuples of codes.  Stored
-    rows have pairwise distinct leading columns, which is enough for rank.
+    Over a prime field rows are packed ints (XOR at p = 2, one fold per row
+    operation at odd p); extension fields use tuples of codes.  Stored rows
+    have pairwise distinct leading columns and leading entry 1, which is
+    enough for rank.
     """
 
-    __slots__ = ("field", "ncols", "bits", "pivrows")
+    __slots__ = ("field", "ncols", "bits", "slots", "pivrows")
 
     def __init__(self, F: Field, ncols: int):
         self.field = F
         self.ncols = ncols
         self.bits = F.order == 2
+        self.slots = _slots(F, ncols) if F.base is None else None
         self.pivrows: dict = {}
 
     @property
@@ -211,26 +333,57 @@ class RowReducer:
 
     def clone(self) -> "RowReducer":
         c = RowReducer.__new__(RowReducer)
-        c.field, c.ncols, c.bits = self.field, self.ncols, self.bits
+        c.field, c.ncols, c.bits, c.slots = self.field, self.ncols, self.bits, self.slots
         c.pivrows = dict(self.pivrows)
         return c
 
     def add(self, row) -> bool:
         """Reduce row against the stored rows; returns True if rank grew.
 
-        GF(2) rows may be passed packed (int) or as a code sequence."""
+        Prime-field rows may be passed packed (int) or as a code sequence."""
+        if self.slots is None:
+            return self._add_codes(row)
+        return self._add_packed((row,)) == 1
+
+    def add_all(self, rows) -> int:
+        """Add each row in turn; returns how many of them raised the rank."""
+        if self.slots is None:
+            return sum(map(self._add_codes, rows))
+        return self._add_packed(rows)
+
+    def _add_packed(self, rows) -> int:
+        F, pr = self.field, self.pivrows
+        grew = 0
         if self.bits:
+            for row in rows:
+                if not isinstance(row, int):
+                    row = pack_row(F, row)
+                while row:
+                    j = (row & -row).bit_length() - 1
+                    other = pr.get(j)
+                    if other is None:
+                        pr[j] = row
+                        grew += 1
+                        break
+                    row ^= other
+            return grew
+        sl = self.slots
+        w, mask, scale, submul = sl.width, sl.mask, sl.scale, sl.submul
+        for row in rows:
             if not isinstance(row, int):
-                row = pack_row(row)
-            pr = self.pivrows
+                row = pack_row(F, row)
             while row:
-                p = (row & -row).bit_length() - 1
-                other = pr.get(p)
+                j = ((row & -row).bit_length() - 1) // w
+                c = (row >> (j * w)) & mask
+                other = pr.get(j)
                 if other is None:
-                    pr[p] = row
-                    return True
-                row ^= other
-            return False
+                    pr[j] = row if c == 1 else scale(row, F.inv(c))
+                    grew += 1
+                    break
+                row = submul(row, c, other)
+        return grew
+
+    def _add_codes(self, row) -> bool:
         F = self.field
         sub, mul, inv = F.sub, F.mul, F.inv
         row = list(row)
@@ -252,28 +405,6 @@ class RowReducer:
             row = [sub(x, mul(f, y)) for x, y in zip(row, other)]
             j += 1
         return False
-
-    def add_all(self, rows) -> int:
-        """Add each row in turn; returns how many of them raised the rank.
-
-        The GF(2) path repeats add's loop inline: a call per row would cost
-        about as much as the reduction itself."""
-        if not self.bits:
-            return sum(map(self.add, rows))
-        pr = self.pivrows
-        grew = 0
-        for row in rows:
-            if not isinstance(row, int):
-                row = pack_row(row)
-            while row:
-                p = (row & -row).bit_length() - 1
-                other = pr.get(p)
-                if other is None:
-                    pr[p] = row
-                    grew += 1
-                    break
-                row ^= other
-        return grew
 
 
 # -- subspaces ---------------------------------------------------------------
@@ -298,13 +429,8 @@ class SubspaceBasis:
         for v in vecs:
             if len(v) != ambient:
                 raise AmbientMismatch("vector length != ambient dimension")
-        if F.order == 2:
-            red, piv = _rref_bits([pack_row(v) for v in vecs], ambient)
-            rows = tuple(tuple(unpack_row(b, ambient)) for b in red)
-        else:
-            rred, piv = _rref_rows(F, vecs, ambient)
-            rows = tuple(tuple(r) for r in rred)
-        return cls(F, ambient, rows, tuple(piv))
+        red, piv = _rref(F, vecs, ambient)
+        return cls(F, ambient, tuple(tuple(r) for r in red), tuple(piv))
 
     @classmethod
     def zero(cls, F: Field, ambient: int) -> "SubspaceBasis":
@@ -314,27 +440,46 @@ class SubspaceBasis:
         return Mat.from_rows(self.field, [list(r) for r in self.rows], self.ambient)
 
     def packed_rows(self) -> list[int]:
-        return [pack_row(r) for r in self.rows]
+        """The basis rows packed (prime fields only; see pack_row)."""
+        return list(self._packed)
+
+    @cached_property
+    def _packed(self) -> tuple[int, ...]:
+        return tuple(pack_row(self.field, r) for r in self.rows)
 
     def reducer(self) -> RowReducer:
+        """A RowReducer holding this basis (packed over a prime field)."""
         rr = RowReducer(self.field, self.ambient)
-        if rr.bits:
-            for r, p in zip(self.rows, self.pivots):
-                rr.pivrows[p] = pack_row(r)
-        else:
-            for r, p in zip(self.rows, self.pivots):
-                rr.pivrows[p] = r
+        rows = self.rows if rr.slots is None else self._packed
+        rr.pivrows.update(zip(self.pivots, rows))
         return rr
 
+    def reduce(self, vec) -> list[int]:
+        """Canonical representative of vec modulo this subspace: vec less the
+        combination of basis rows that clears vec's entries in the pivot
+        columns."""
+        F = self.field
+        if F.base is None:
+            sl = _slots(F, self.ambient)
+            w, mask = sl.width, sl.mask
+            v = pack_row(F, vec)
+            for row, p in zip(self._packed, self.pivots):
+                c = (v >> (p * w)) & mask
+                if c:
+                    v = sl.submul(v, c, row)
+            return unpack_row(F, v, self.ambient)
+        sub, mul = F.sub, F.mul
+        for row, p in zip(self.rows, self.pivots):
+            f = vec[p]
+            if f:
+                vec = [sub(x, mul(f, y)) for x, y in zip(vec, row)]
+        return list(vec)
+
     def contains(self, vec) -> bool:
-        rr = self.reducer()
-        v = pack_row(vec) if rr.bits else tuple(vec)
-        return not rr.add(v)
+        return not self.reducer().add(vec)
 
     def contains_space(self, other: "SubspaceBasis") -> bool:
-        rr = self.reducer()
-        vs = other.packed_rows() if rr.bits else other.rows
-        return all(not rr.add(v) for v in vs)
+        return not any(map(self.reducer().add, other.rows))
 
     def sum(self, other: "SubspaceBasis") -> "SubspaceBasis":
         self._check(other)
@@ -382,22 +527,14 @@ def intersect(A: SubspaceBasis, B: SubspaceBasis) -> SubspaceBasis:
     m = A.ambient
     F = A.field
     stacked = [list(r) + list(r) for r in A.rows] + [list(r) + [0] * m for r in B.rows]
-    if F.order == 2:
-        red, _ = _rref_bits([pack_row(r) for r in stacked], 2 * m)
-        low = (1 << m) - 1
-        inter = [unpack_row(b >> m, m) for b in red if (b & low) == 0]
-    else:
-        red, _ = _rref_rows(F, stacked, 2 * m)
-        inter = [r[m:] for r in red if not any(r[:m])]
-    return SubspaceBasis.from_vectors(F, m, inter)
+    red, _ = _rref(F, stacked, 2 * m)
+    return SubspaceBasis.from_vectors(F, m, [r[m:] for r in red if not any(r[:m])])
 
 
 def intersection_dim(A: SubspaceBasis, B: SubspaceBasis) -> int:
     """dim(A∩B) = dim A + dim B - dim(A+B), without building a basis."""
     A._check(B)
-    rr = A.reducer()
-    grew = rr.add_all(B.packed_rows() if rr.bits else B.rows)
-    return A.dim + B.dim - (A.dim + grew)
+    return B.dim - A.reducer().add_all(B.rows)
 
 
 def mat_inverse(M: Mat) -> Mat:
@@ -405,7 +542,7 @@ def mat_inverse(M: Mat) -> Mat:
         raise InvalidParams("only square matrices invert")
     F, nn = M.field, M.rows
     aug = [list(M.data[i]) + [1 if j == i else 0 for j in range(nn)] for i in range(nn)]
-    rows, piv = _rref_rows(F, aug, 2 * nn)
+    rows, piv = _rref(F, aug, 2 * nn)
     if len(rows) < nn or piv[:nn] != list(range(nn)):
         raise InvalidParams("matrix is singular")
     return Mat(F, nn, nn, [r[nn:] for r in rows])
@@ -415,7 +552,7 @@ def solve_right(M: Mat, b) -> list[int] | None:
     """One solution v of M v = b, or None if inconsistent."""
     F = M.field
     aug = [list(row) + [bb] for row, bb in zip(M.data, b)]
-    rows, piv = _rref_rows(F, aug, M.cols + 1)
+    rows, piv = _rref(F, aug, M.cols + 1)
     if M.cols in piv:
         return None
     v = [0] * M.cols
@@ -488,22 +625,24 @@ def projective_points(F: Field, r: int, *, budget: int = DEFAULT_SUBSPACE_BUDGET
             yield (0,) * lead + (1,) + rest
 
 
-def iter_span_packed(rows: list[int], include_zero: bool = True):
-    """All GF(2)-combinations of packed rows via an odometer (one XOR/step)."""
+def iter_span_packed(F: Field, rows: list[int], ncols: int, include_zero: bool = True):
+    """All combinations of packed rows of ncols coordinates over the prime
+    field F, by a base-p odometer (one row add per step)."""
+    p = F.p
+    add = _slots(F, ncols).add
     k = len(rows)
     cur = 0
     digits = [0] * k
     if include_zero:
         yield cur
-    total = (1 << k) - 1
-    for _ in range(total):
+    for _ in range(p**k - 1):
         i = 0
-        while digits[i] == 1:
+        while digits[i] == p - 1:
             digits[i] = 0
-            cur ^= rows[i]
+            cur = add(cur, rows[i])
             i += 1
-        digits[i] = 1
-        cur ^= rows[i]
+        digits[i] += 1
+        cur = add(cur, rows[i])
         yield cur
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .constructions import cug_mrd_weight_distribution
 from .errors import (
     BudgetExceeded,
+    InternalInvariantError,
     InvalidParams,
     NonIntegral,
     NotMaxScattered,
@@ -132,7 +133,7 @@ def hyperplane_spectrum(U: FqSubspace, h: int | None = None, *,
     for wt, count in hyperplane_weight_counts(U, budget=budget).items():
         i = wt - lo
         if not 0 <= i <= h:
-            raise InvalidParams("hyperplane weight escaped the window")  # unreachable
+            raise InternalInvariantError("hyperplane weight escaped the window")
         spectrum[i] = count
     return dict(sorted(spectrum.items()))
 

@@ -10,7 +10,8 @@ shorter of two exact scans, run on demand under an explicit budget:
   codewords killed by Y, and recovers the distribution by q-Möbius
   inversion (the identity behind the rank-metric MacWilliams identities).
 
-Both rank matrices through fqlinalg.RowReducer.
+Both rank matrices through fqlinalg.RowReducer, on packed rows over a prime
+field and on tuple rows over an extension field.
 """
 
 from __future__ import annotations
@@ -42,8 +43,10 @@ from .fqlinalg import (
     mat_mul,
     mat_vec,
     pack_row,
+    packed_combination,
     qbinom,
     rref,
+    slot_width,
 )
 
 DEFAULT_CODEWORD_BUDGET = 1 << 24
@@ -153,12 +156,14 @@ def _span_ranks(F: Field, vecs, m: int, n: int):
     matrices vecs (odometer walk, one vector add per step)."""
     rr = RowReducer(F, n)       # emptied and reused for every codeword
     pivrows, add_all = rr.pivrows, rr.add_all
-    if F.order == 2:
-        mask = (1 << n) - 1
-        shifts = [i * n for i in range(m)]
-        for w in iter_span_packed([pack_row(v) for v in vecs], include_zero=False):
+    if F.base is None:
+        w = slot_width(F)
+        mask = (1 << (n * w)) - 1
+        shifts = [i * n * w for i in range(m)]
+        packed = [pack_row(F, v) for v in vecs]
+        for word in iter_span_packed(F, packed, m * n, include_zero=False):
             pivrows.clear()
-            yield add_all([(w >> s) & mask for s in shifts])
+            yield add_all([(word >> s) & mask for s in shifts])
     else:
         for v in iter_span_rows(vecs, F, include_zero=False):
             pivrows.clear()
@@ -183,28 +188,26 @@ def _subspace_counts(C: RankCode) -> list[int]:
     that of the K images G_t·Y^T of the basis matrices.  Summed over all Y of
     dimension n' - j this is B_j = Σ_i A_i [n'-i, j-i]_q, a unitriangular
     system that is solved for A.  Each G_t·y is computed once per RREF row y,
-    and G_t·Y^T is the concatenation of the images of Y's rows (packed ints
-    at q = 2, code tuples otherwise).
+    and G_t·Y^T is the concatenation of the images of Y's rows: packed rows
+    joined by shifts over a prime field, code tuples over an extension field.
     """
     F, q, K = C.field, C.q, C.dim
     mats = C.basis_matrices()
     if C.m < C.n:
         mats = [tuple(zip(*M)) for M in mats]
     height, width = max(C.m, C.n), min(C.m, C.n)
-    bits = F.order == 2
-    if bits:
-        # column j of each G_t, packed over its rows
-        cols = [[pack_row(col) for col in zip(*M)] for M in mats]
+    packed = F.base is None
+    if packed:
+        # column j of every G_t, stacked over t: G_t·y^T is block t of the
+        # packed combination Σ_j y_j·cols[j]
+        cols = [pack_row(F, [M[i][j] for M in mats for i in range(height)])
+                for j in range(width)]
+        shift = height * slot_width(F)
+        mask = (1 << shift) - 1
 
         def image(y) -> list[int]:
-            out = []
-            for tcols in cols:
-                acc = 0
-                for c, x in zip(tcols, y):
-                    if x:
-                        acc ^= c
-                out.append(acc)
-            return out
+            img = packed_combination(F, y, cols, K * height)
+            return [(img >> (t * shift)) & mask for t in range(K)]
     else:
         gens = [Mat.from_rows(F, M, width) for M in mats]
 
@@ -225,11 +228,10 @@ def _subspace_counts(C: RankCode) -> list[int]:
                 if img is None:
                     img = images[y] = image(y)
                 parts.append(img)
-            if bits:
+            if packed:
                 vecs = parts[0]
                 for k in range(1, d):
-                    shift = k * height
-                    vecs = [v | (x << shift) for v, x in zip(vecs, parts[k])]
+                    vecs = [v | (x << k * shift) for v, x in zip(vecs, parts[k])]
             else:
                 vecs = [sum(ts, ()) for ts in zip(*parts)]
             total += qpow[K - RowReducer(F, height * d).add_all(vecs)]
@@ -377,17 +379,6 @@ class Idealiser:
     field_check_exhaustive: bool
 
 
-def _coset_reduce(flat: SubspaceBasis, vec: list[int]) -> list[int]:
-    """Canonical coset representative of vec modulo the row space of flat."""
-    F = flat.field
-    sub, mul = F.sub, F.mul
-    for row, p in zip(flat.rows, flat.pivots):
-        f = vec[p]
-        if f:
-            vec = [sub(x, mul(f, y)) for x, y in zip(vec, row)]
-    return vec
-
-
 def _idealiser(C: RankCode, side: Side) -> Idealiser:
     F = C.field
     s = C.m if side is Side.LEFT else C.n
@@ -406,7 +397,7 @@ def _idealiser(C: RankCode, side: Side) -> Idealiser:
                     prod = [[0] * C.n for _ in range(C.m)]
                     for i in range(C.m):
                         prod[i][b] = M[i][a]
-                col.extend(_coset_reduce(C.flat, _flatten_mat(prod)))
+                col.extend(C.flat.reduce(_flatten_mat(prod)))
             for rix, v in enumerate(col):
                 constraints[rix].append(v)
     ker = kernel(Mat.from_rows(F, constraints, s * s))

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
+    InternalInvariantError,
     InvalidParams,
     NoEmbedding,
     PreconditionHyperplaneWeight,
@@ -51,6 +52,7 @@ from .fqlinalg import (
     kernel,
     mat_inverse,
     mat_mul,
+    pack_digits,
     projective_points,
     rref,
     theta,
@@ -130,7 +132,8 @@ class FqSubspace:
 
 
 def _mid_scaled_rows(tower: FieldTower, v, pack: bool):
-    """Flat rows spanning <v>_{F_{q^n}} as an F_q-space: g^j * v, j < n."""
+    """Flat rows spanning <v>_{F_{q^n}} as an F_q-space: g^j * v, j < n;
+    packed ints (fqlinalg.pack_digits) when pack is set, for prime q."""
     mid = tower.mid
     mul = mid.mul
     n = tower.n
@@ -139,10 +142,7 @@ def _mid_scaled_rows(tower: FieldTower, v, pack: bool):
     w = list(v)
     for _ in range(n):
         if pack:
-            bits = 0
-            for i, c in enumerate(w):
-                bits |= c << (i * n)
-            rows.append(bits)
+            rows.append(pack_digits(tower.base, w, n))
         else:
             rows.append(flatten_vec(tower, w))
         w = [mul(g, c) for c in w]
@@ -196,7 +196,7 @@ def _point_weights(U: FqSubspace, budget: int) -> dict[tuple[int, ...], int]:
     for p, c in counts.items():
         w = weight_of.get(c)
         if w is None:
-            raise InvalidParams("point fiber size is not q^w - 1")  # unreachable
+            raise InternalInvariantError("point fiber size is not q^w - 1")
         points[p] = w
     return points
 
@@ -206,7 +206,7 @@ def _point_scan(U: FqSubspace, budget: int):
     n flat rows of <P>_{F_{q^n}} against U; budget caps it at θ_{r-1}(q^n)
     projective points."""
     tower = U.tower
-    pack = tower.base.order == 2
+    pack = tower.base.base is None
     base_red = U.flat.reducer()
     n = tower.n
     for v in projective_points(tower.mid, U.r, budget=budget):
@@ -254,7 +254,7 @@ def excess_iter(U: FqSubspace, h: int, *, budget: int = DEFAULT_SUBSPACE_BUDGET)
                 yield w - 1
         return
     tower = U.tower
-    pack = tower.base.order == 2
+    pack = tower.base.base is None
     base_red = U.flat.reducer()
     hn = h * tower.n
     for H in enumerate_subspaces(U.r, h, tower.mid, budget=budget):
@@ -299,7 +299,7 @@ def _hyperplane_scan(U: FqSubspace, budget: int):
     eliminating its (r-1)n flat rows against U; budget caps it at
     θ_{r-1}(q^n) projective points."""
     tower = U.tower
-    pack = tower.base.order == 2
+    pack = tower.base.base is None
     base_red = U.flat.reducer()
     n, r = tower.n, U.r
     for w in projective_points(tower.mid, r, budget=budget):
@@ -480,7 +480,7 @@ def _find_n_block(tower: FieldTower, M: Mat) -> Mat:
             T = Mat.from_rows(mid, [list(M.data[i]) + list(N.data[i]) for i in range(k)])
             if rref(T)[1] == k:
                 return N
-        raise NoEmbedding("no F_q-entry completion found")  # unreachable
+        raise InternalInvariantError("no F_q-entry completion found")
     rr = RowReducer(mid, r)
     pivot_rows = [i for i in range(k) if rr.add(tuple(M.data[i]))]
     comp = [i for i in range(k) if i not in set(pivot_rows)]
@@ -515,7 +515,7 @@ def delsarte_dual(U: FqSubspace, *,
     constraints = mat_mul(Mat.from_rows(mid, gamma_rows, k), gram_std)
     gamma_perp = kernel(constraints)
     if gamma_perp.dim != r:
-        raise NoEmbedding("Gamma^perp has wrong dimension")  # unreachable
+        raise InternalInvariantError("Gamma^perp has wrong dimension")
     proj_cols = kernel(Mat.from_rows(mid, [list(v) for v in gamma_perp.rows], k))
     proj = Mat.from_rows(mid, [list(v) for v in proj_cols.rows], k).transpose()
     dual_vectors = []
@@ -523,7 +523,7 @@ def delsarte_dual(U: FqSubspace, *,
         dual_vectors.append(vec_mat(T.data[i], proj))
     dual = FqSubspace.from_mid_vectors(tower, k - r, dual_vectors)
     if dual.k != k:
-        raise NoEmbedding("W meets Gamma^perp nontrivially")  # unreachable
+        raise InternalInvariantError("W meets Gamma^perp nontrivially")
     data = DelsarteDualData(
         tower=tower, r=r, k=k, embed=T, n_block=N, gamma=gamma,
         beta_gram_w=Mat.identity(tower.base, k), gram_std=gram_std,
@@ -572,7 +572,7 @@ def delsarte_double_dual(data: DelsarteDualData) -> FqSubspace:
     for row in inter.rows:
         mid_vec = unflatten_vec(tower, row)
         if any(mid_vec[r:]):
-            raise NoEmbedding("intersection left V")  # unreachable
+            raise InternalInvariantError("intersection left V")
         vectors.append(mid_vec[:r])
     return FqSubspace.from_mid_vectors(tower, r, vectors)
 

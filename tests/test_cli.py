@@ -293,3 +293,26 @@ def test_malformed_matrix_json_is_a_usage_error(tmp_path, capsys):
         serialize.dump_file(str(path), obj)
         assert main(["puncture", "--code", code, "--matrix", str(path)]) == 1
         assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_reports_carry_no_threads_key(tmp_path, schema, capsys):
+    code_file = tmp_path / "gab.json"
+    serialize.dump_file(str(code_file),
+                        serialize.rankcode_to_json(fixtures.gabidulin_4_2_1()))
+    rep = run_json(["mrd-check", "--code", str(code_file)])
+    jsonschema.validate(rep, schema)
+    assert "threads" not in rep and "threads" not in rep["parameters"]
+    # the flag is gone: passing it is a usage error
+    assert main(["mrd-check", "--code", str(code_file), "--threads", "-5", "--json"]) == 1
+    capsys.readouterr()
+
+
+def test_broken_invariant_exits_4_not_2(monkeypatch, capsys):
+    from ranklab import constructions
+    from ranklab.errors import GateError, InternalInvariantError
+
+    assert not issubclass(InternalInvariantError, GateError)
+    # a kernel that disagrees with U trips c_ug's internal consistency check
+    monkeypatch.setattr(constructions, "kernel", lambda M: None)
+    assert main(["cug", "--pseudoregulus", "2,4,1"]) == 4
+    assert "internal error" in capsys.readouterr().err

@@ -172,3 +172,54 @@ def test_make_tower_budget_gate():
 
     with pytest.raises(BudgetExceeded):
         make_tower(2, 1, 30, 1, budget=1 << 20)
+
+
+# -- Zech-logarithm addition against the digit-wise oracle ---------------------
+
+
+def _digit_add(F, a, b):
+    """a + b digit by digit mod p on the prime-field coefficient vectors."""
+    p = F.p
+    return sum(((x + y) % p) * p**i
+               for i, (x, y) in enumerate(zip(F.prime_vec(a), F.prime_vec(b))))
+
+
+def _digit_neg(F, a):
+    p = F.p
+    return sum((-x % p) * p**i for i, x in enumerate(F.prime_vec(a)))
+
+
+def _check_add_sub_neg(F, pairs):
+    for a, b in pairs:
+        assert F.add(a, b) == _digit_add(F, a, b), (F, a, b)
+        assert F.sub(a, b) == _digit_add(F, a, _digit_neg(F, b)), (F, a, b)
+    for a, _ in pairs:
+        assert F.neg(a) == _digit_neg(F, a), (F, a)
+
+
+# (p, e, n): the mid field F_{p^{en}}; n = 1 gives the base field F_{p^e}
+SMALL_ODD_FIELDS = [(3, 1, 1), (5, 1, 1), (7, 1, 1), (3, 2, 1), (5, 1, 2), (3, 1, 3)]
+# (3, 1, 13): F_{3^13} is above LOG_TABLE_LIMIT, where the digit loop runs
+LARGER_ODD_FIELDS = [(3, 1, 4), (5, 1, 4), (3, 2, 4), (3, 1, 13)]
+
+
+@pytest.mark.parametrize("p,e,n", SMALL_ODD_FIELDS)
+def test_add_sub_neg_match_digit_oracle_on_all_pairs(p, e, n):
+    F = make_tower(p, e, n, 1).mid
+    # extensions below the table limit add by Zech logarithms, not digits
+    assert F.base is None or F._zech is not None
+    _check_add_sub_neg(F, [(a, b) for a in F.elements() for b in F.elements()])
+
+
+@pytest.mark.parametrize("p,e,n", LARGER_ODD_FIELDS)
+def test_add_sub_neg_match_digit_oracle_on_seeded_pairs(p, e, n):
+    import random
+
+    from ranklab.fields import LOG_TABLE_LIMIT
+
+    F = make_tower(p, e, n, 1).mid
+    assert (F._zech is None) == (F.order > LOG_TABLE_LIMIT)
+    rng = random.Random(F.order)
+    pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(3000)]
+    pairs += [(0, 0), (1, F.neg(1)), (F.order - 1, 0), (0, F.order - 1)]
+    _check_add_sub_neg(F, pairs)

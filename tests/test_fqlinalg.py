@@ -10,6 +10,7 @@ from ranklab.errors import BudgetExceeded
 from ranklab.fields import Field, make_tower
 from ranklab.fqlinalg import (
     Mat,
+    RowReducer,
     SubspaceBasis,
     enumerate_subspaces,
     intersect,
@@ -19,10 +20,14 @@ from ranklab.fqlinalg import (
     kernel,
     mat_inverse,
     mat_mul,
+    pack_digits,
+    pack_row,
     projective_points,
     qbinom,
     rref,
+    slot_width,
     theta,
+    unpack_row,
 )
 
 F2 = Field(2)
@@ -96,10 +101,10 @@ def test_intersect_matches_exhaustive_membership():
         B = SubspaceBasis.from_vectors(
             F2, 5, [[rng.randrange(2) for _ in range(5)] for _ in range(3)])
         got = intersect(A, B)
-        av = set(iter_span_packed(A.packed_rows()))
-        bv = set(iter_span_packed(B.packed_rows()))
+        av = set(iter_span_packed(F2, A.packed_rows(), 5))
+        bv = set(iter_span_packed(F2, B.packed_rows(), 5))
         inter = av & bv
-        assert {x for x in iter_span_packed(got.packed_rows())} == inter
+        assert set(iter_span_packed(F2, got.packed_rows(), 5)) == inter
         assert intersection_dim(A, B) == got.dim
 
 
@@ -198,3 +203,116 @@ def test_iter_span_rows_f16_coefficients():
     vals = set(iter_span_rows([(1, 3)], F16))
     assert len(vals) == 16
     assert (7, F16.mul(7, 3)) in vals
+
+
+# -- packed prime-field rows against a tuple-row oracle -------------------------
+
+
+def _rref_mod_p(rows, p, ncols):
+    """Oracle: Gauss-Jordan on lists of ints mod p (no Field, no packing)."""
+    work = [[x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        s = pow(work[rank][c], p - 2, p)
+        work[rank] = [x * s % p for x in work[rank]]
+        for i in range(len(work)):
+            f = work[i][c]
+            if i != rank and f:
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return work[:rank]
+
+
+def _oracle_row_sets(p, rng):
+    """Random matrices, some with zero rows, repeated rows and multiples of
+    rows, and some of full rank."""
+    for trial in range(40):
+        ncols = rng.randrange(1, 9)
+        nrows = rng.randrange(1, ncols + 3)
+        rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+        kind = trial % 4
+        if kind == 1:
+            rows[rng.randrange(nrows)] = [0] * ncols
+            rows.append([0] * ncols)
+        elif kind == 2:
+            rows.append(list(rows[0]))
+            rows.append([(p - 1) * x % p for x in rows[-1]])
+        elif kind == 3:
+            k = rng.randrange(1, ncols + 1)
+            lead = sorted(rng.sample(range(ncols), k))
+            rows = [[0] * ncols for _ in range(k)]
+            for i, c in enumerate(lead):
+                rows[i][c] = rng.randrange(1, p)
+                for j in range(c + 1, ncols):
+                    rows[i][j] = rng.randrange(p)
+            rng.shuffle(rows)
+        yield ncols, rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_packed_rows_match_tuple_oracle(p):
+    F = Field(p)
+    rng = random.Random(p)
+    assert slot_width(F) == (1 if p == 2 else (2 * p - 2).bit_length() + 1)
+    for ncols, rows in _oracle_row_sets(p, rng):
+        want = _rref_mod_p(rows, p, ncols)
+        for r in rows:
+            assert unpack_row(F, pack_row(F, r), ncols) == r
+        assert RowReducer(F, ncols).add_all(rows) == len(want)
+        rr = RowReducer(F, ncols)
+        assert sum(rr.add(pack_row(F, r)) for r in rows) == len(want) == rr.rank
+        assert rr.clone().add([0] * ncols) is False
+        R, rank = rref(Mat.from_rows(F, rows, ncols))
+        assert rank == len(want) and R.data[:rank] == want
+        assert all(not any(r) for r in R.data[rank:])
+        B = SubspaceBasis.from_vectors(F, ncols, rows)
+        assert [list(r) for r in B.rows] == want
+        assert all(B.contains(r) for r in rows) and B.contains_space(B)
+        v = [rng.randrange(p) for _ in range(ncols)]
+        assert B.contains(v) == (len(_rref_mod_p(rows + [v], p, ncols)) == len(want))
+        other = SubspaceBasis.from_vectors(F, ncols, [v])
+        assert intersection_dim(B, other) == other.dim - (
+            len(_rref_mod_p(rows + [v], p, ncols)) - len(want))
+        red = list(v)
+        for row in want:
+            f = red[next(j for j, x in enumerate(row) if x)]
+            red = [(x - f * y) % p for x, y in zip(red, row)]
+        assert B.reduce(v) == red
+
+
+def test_reduce_gives_one_representative_per_coset_over_f9():
+    F9 = make_tower(3, 2, 1, 1).base
+    rng = random.Random(9)
+    B = SubspaceBasis.from_vectors(F9, 4, [[rng.randrange(9) for _ in range(4)]
+                                           for _ in range(2)])
+    v = [rng.randrange(9) for _ in range(4)]
+    rep = B.reduce(v)
+    assert all(rep[p] == 0 for p in B.pivots)
+    for c in range(9):
+        shifted = [F9.add(x, F9.mul(c, y)) for x, y in zip(v, B.rows[0])]
+        assert B.reduce(shifted) == rep
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_iter_span_packed_odd_p_matches_product(p):
+    F = Field(p)
+    rows = [[1, 2, 0, p - 1], [0, 1, 1, 2], [p - 1, 0, 2, 1]]
+    want = {tuple(sum(c * r[j] for c, r in zip(cs, rows)) % p for j in range(4))
+            for cs in itertools.product(range(p), repeat=len(rows))}
+    got = [tuple(unpack_row(F, w, 4))
+           for w in iter_span_packed(F, [pack_row(F, r) for r in rows], 4)]
+    assert len(got) == p ** len(rows) and set(got) == want
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 2), (7, 1)])
+def test_pack_digits_packs_the_flattened_coordinates(p, n):
+    tower = make_tower(p, 1, n, 1)
+    rng = random.Random(p * 100 + n)
+    for _ in range(50):
+        v = [rng.randrange(tower.mid.order) for _ in range(3)]
+        flat = [x for c in v for x in tower.mid_to_base_vec(c)]
+        assert pack_digits(tower.base, v, n) == pack_row(tower.base, flat)

@@ -347,6 +347,7 @@ ORACLE_GRID = {
     (3, 1): ((2, 3), (2, 2), (3, 2)),
     (2, 2): ((2, 3), (2, 2), (3, 2)),
     (5, 1): ((1, 2), (2, 2), (2, 1)),
+    (7, 1): ((1, 2), (2, 2), (2, 1)),
     (2, 3): ((1, 2), (2, 2), (2, 1)),
     (3, 2): ((1, 2), (2, 2), (2, 1)),
 }
