@@ -448,24 +448,16 @@ def mrd_to_subspace(C: RankCode, tower: FieldTower, *,
 def _extract_from_canonical(Cprime: RankCode, tower: FieldTower, it: int, *,
                             budget: int, conjugation: Mat) -> MrdSubspaceExtraction:
     """Extraction pipeline once R(C') is the canonical multiplication field."""
-    base, mid, n = tower.base, tower.mid, tower.n
+    base, n = tower.base, tower.n
     K = Cprime.dim
     if K % n != 0:
         raise ParamMismatch("dim(C) is not a multiple of n")
     r = K // n
-    basis_mats = [Mat.from_rows(base, [list(rw) for rw in M], n)
-                  for M in Cprime.basis_matrices()]
-    mult_mats = [mult_matrix(tower, mid.pow(mid.gen if n > 1 else 1, j))
-                 for j in range(n)]
+    basis_mats = _basis_mats(Cprime)
+    mult_mats = _power_mult_mats(tower)
     for M in basis_mats:
         if not Cprime.contains(mat_mul(M, mult_mats[1 % n]).data):
             raise IdealiserNotMaximal("conjugated code is not F_n-closed")
-    # f -> f(1): the first column in canonical coordinates
-    col_matrix = Mat.from_rows(base, [[M.data[rho][0] for M in basis_mats]
-                                      for rho in range(Cprime.m)], K)
-    U_coeffs = kernel(col_matrix)
-    flat_rows = [list(v) for v in Cprime.flat.rows]
-    coeff_mat = Mat.from_rows(base, flat_rows, Cprime.m * n)
     # greedy right F_{q^n}-basis of C'
     rr = RowReducer(base, Cprime.m * n)
     fn_basis: list[Mat] = []
@@ -479,21 +471,7 @@ def _extract_from_canonical(Cprime: RankCode, tower: FieldTower, it: int, *,
                 rr.add(tuple(x for row in mat_mul(M, mult_mats[j]).data for x in row))
     if len(fn_basis) != r or rr.rank != K:
         raise IdealiserNotMaximal("failed to build a right F_{q^n}-basis")
-    phi_cols = []
-    for f in fn_basis:
-        for j in range(n):
-            prod = mat_mul(f, mult_mats[j])
-            phi_cols.append([x for row in prod.data for x in row])
-    Phi = Mat.from_rows(base, [[phi_cols[c][rho] for c in range(K)]
-                               for rho in range(Cprime.m * n)], K)
-    u_vectors = []
-    for v in U_coeffs.rows:
-        u_flat = vec_mat(list(v), coeff_mat)
-        xi = solve_right(Phi, u_flat)
-        if xi is None:
-            raise InternalInvariantError("U does not lie in the coordinate image")
-        u_vectors.append(unflatten_vec(tower, xi))
-    U = FqSubspace.from_mid_vectors(tower, r, u_vectors)
+    U = _vanishing_subspace(Cprime, tower, fn_basis, mult_mats)
     g_rows = [[0] * (r * n) for _ in range(Cprime.m)]
     for i, f in enumerate(fn_basis):
         for j in range(n):
@@ -539,7 +517,7 @@ def gabidulin_restriction(tower: FieldTower, nt: int, n: int, it: int,
     if not 0 < it < n:
         raise InvalidParams("need 0 < iota < n")
     t = tower.t
-    base, mid, top = tower.base, tower.mid, tower.top
+    base, top = tower.base, tower.top
     r = t * (it + 1)
     mid_basis = base_basis_codes(tower, "mid")
     xi = top.gen if t > 1 else 1
@@ -559,8 +537,7 @@ def gabidulin_restriction(tower: FieldTower, nt: int, n: int, it: int,
     code = RankCode.from_generators(base, nt, n, gens)
     if code.dim != nt * (it + 1):
         raise InternalInvariantError("restricted generators were dependent")
-    extraction = _extract_from_canonical_with_basis(code, tower, fji, it)
-    U = extraction
+    U = _vanishing_subspace(code, tower, fji, _power_mult_mats(tower))
     Udual = ordinary_dual(U)
     expected_rows = []
     for i0 in range(t):
@@ -573,36 +550,38 @@ def gabidulin_restriction(tower: FieldTower, nt: int, n: int, it: int,
     return GabidulinRestriction(code, U, Udual, expected, Udual == expected, it)
 
 
-def _extract_from_canonical_with_basis(code: RankCode, tower: FieldTower,
-                                       fn_basis: list[Mat], it: int) -> FqSubspace:
-    """Vanishing-at-1 subspace of a code in coordinates over a given F_n-basis."""
-    base, n = tower.base, tower.n
-    K = code.dim
-    r = len(fn_basis)
-    mid = tower.mid
-    mult_mats = [mult_matrix(tower, mid.pow(mid.gen if n > 1 else 1, j))
-                 for j in range(n)]
-    basis_mats = [Mat.from_rows(base, [list(rw) for rw in M], n)
-                  for M in code.basis_matrices()]
-    col_matrix = Mat.from_rows(base, [[M.data[rho][0] for M in basis_mats]
+def _basis_mats(code: RankCode) -> list[Mat]:
+    return [Mat.from_rows(code.field, [list(rw) for rw in M], code.n)
+            for M in code.basis_matrices()]
+
+
+def _power_mult_mats(tower: FieldTower) -> list[Mat]:
+    """Multiplication by g^j on F_{q^n} over F_q, for j = 0..n-1."""
+    mid, n = tower.mid, tower.n
+    return [mult_matrix(tower, mid.pow(mid.gen if n > 1 else 1, j)) for j in range(n)]
+
+
+def _vanishing_subspace(code: RankCode, tower: FieldTower, fn_basis: list[Mat],
+                        mult_mats: list[Mat]) -> FqSubspace:
+    """The codewords f with f(1) = 0, in coordinates over the right
+    F_{q^n}-basis fn_basis of the code: f(1) is the first column in canonical
+    coordinates, and f = Σ_i fn_basis[i]·Σ_j ξ_ij·mult_mats[j] is solved for
+    the mid-coordinate vector ξ."""
+    base, n, K = tower.base, tower.n, code.dim
+    col_matrix = Mat.from_rows(base, [[M.data[rho][0] for M in _basis_mats(code)]
                                       for rho in range(code.m)], K)
-    U_coeffs = kernel(col_matrix)
     coeff_mat = Mat.from_rows(base, [list(v) for v in code.flat.rows], code.m * n)
-    phi_cols = []
-    for f in fn_basis:
-        for j in range(n):
-            prod = mat_mul(f, mult_mats[j])
-            phi_cols.append([x for row in prod.data for x in row])
+    phi_cols = [[x for row in mat_mul(f, mult).data for x in row]
+                for f in fn_basis for mult in mult_mats]
     Phi = Mat.from_rows(base, [[phi_cols[c][rho] for c in range(K)]
                                for rho in range(code.m * n)], K)
     u_vectors = []
-    for v in U_coeffs.rows:
-        u_flat = vec_mat(list(v), coeff_mat)
-        xi_vec = solve_right(Phi, u_flat)
-        if xi_vec is None:
-            raise ParamMismatch("U does not lie in the coordinate image")
-        u_vectors.append(unflatten_vec(tower, xi_vec))
-    return FqSubspace.from_mid_vectors(tower, r, u_vectors)
+    for v in kernel(col_matrix).rows:
+        xi = solve_right(Phi, vec_mat(list(v), coeff_mat))
+        if xi is None:
+            raise InternalInvariantError("U does not lie in the coordinate image")
+        u_vectors.append(unflatten_vec(tower, xi))
+    return FqSubspace.from_mid_vectors(tower, len(fn_basis), u_vectors)
 
 
 # -- scattered subspace constructions ---------------------------------------------

@@ -17,6 +17,7 @@ and Field arithmetic.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 
@@ -58,9 +59,6 @@ class Mat:
         rows = [list(r) for r in rows]
         nc = cols if cols is not None else (len(rows[0]) if rows else 0)
         return cls(F, len(rows), nc, rows)
-
-    def copy(self) -> "Mat":
-        return Mat(self.field, self.rows, self.cols, [r[:] for r in self.data])
 
     def transpose(self) -> "Mat":
         return Mat(self.field, self.cols, self.rows,
@@ -226,15 +224,10 @@ def pack_row(F: Field, row) -> int:
     return b
 
 
-def packed_combination(F: Field, coeffs, rows, ncols: int) -> int:
-    """Σ c·row over packed rows of ncols coordinates, coefficients in the
-    prime field F."""
-    sl = _slots(F, ncols)
-    acc = 0
-    for c, row in zip(coeffs, rows):
-        if c:
-            acc = sl.add(acc, sl.scale(row, c))
-    return acc
+def packed_add(F: Field, ncols: int):
+    """The sum of two packed rows of at most ncols coordinates over the prime
+    field F (XOR at p = 2)."""
+    return operator.xor if F.p == 2 else _slots(F, ncols).add
 
 
 def pack_digits(F: Field, codes, deg: int) -> int:
@@ -436,9 +429,6 @@ class SubspaceBasis:
     def zero(cls, F: Field, ambient: int) -> "SubspaceBasis":
         return cls(F, ambient, (), ())
 
-    def to_mat(self) -> Mat:
-        return Mat.from_rows(self.field, [list(r) for r in self.rows], self.ambient)
-
     def packed_rows(self) -> list[int]:
         """The basis rows packed (prime fields only; see pack_row)."""
         return list(self._packed)
@@ -625,17 +615,14 @@ def projective_points(F: Field, r: int, *, budget: int = DEFAULT_SUBSPACE_BUDGET
             yield (0,) * lead + (1,) + rest
 
 
-def iter_span_packed(F: Field, rows: list[int], ncols: int, include_zero: bool = True):
-    """All combinations of packed rows of ncols coordinates over the prime
-    field F, by a base-p odometer (one row add per step)."""
-    p = F.p
-    add = _slots(F, ncols).add
-    k = len(rows)
-    cur = 0
-    digits = [0] * k
-    if include_zero:
-        yield cur
-    for _ in range(p**k - 1):
+def odometer(add, start, rows, p: int):
+    """Yield start + Σ c_i·rows[i] for every c in F_p^len(rows), start first,
+    by a base-p odometer: one add per step (a digit wrapping from p − 1 to 0
+    adds its row once more, since p·row = 0)."""
+    cur = start
+    yield cur
+    digits = [0] * len(rows)
+    for _ in range(p ** len(rows) - 1):
         i = 0
         while digits[i] == p - 1:
             digits[i] = 0
@@ -644,6 +631,15 @@ def iter_span_packed(F: Field, rows: list[int], ncols: int, include_zero: bool =
         digits[i] += 1
         cur = add(cur, rows[i])
         yield cur
+
+
+def iter_span_packed(F: Field, rows: list[int], ncols: int, include_zero: bool = True):
+    """All combinations of packed rows of ncols coordinates over the prime
+    field F, by a base-p odometer (one row add per step)."""
+    walk = odometer(packed_add(F, ncols), 0, rows, F.p)
+    if not include_zero:
+        next(walk)
+    return walk
 
 
 def prime_basis_codes(F: Field) -> list[int]:

@@ -6,18 +6,23 @@ shorter of two exact scans, run on demand under an explicit budget:
 
 - the codeword walk ranks each of the q^K codewords, reached by an odometer
   with one vector add per step;
-- the subspace count visits each subspace Y of F_q^{min(m,n)}, counts the
-  codewords killed by Y, and recovers the distribution by q-Möbius
+- the subspace count sizes the subcode C_Y of codewords killed by each
+  subspace Y of F_q^{min(m,n)} and recovers the distribution by q-Möbius
   inversion (the identity behind the rank-metric MacWilliams identities).
+  It walks the subspaces as a tree in which each Y extends its parent by one
+  row and inherits the parent's subcode, so a step eliminates dim C_{Y'}
+  images of one column block; a node with an empty subcode adds its whole
+  subtree in closed form.
 
-Both rank matrices through fqlinalg.RowReducer, on packed rows over a prime
+Both eliminate through fqlinalg.RowReducer, on packed rows over a prime
 field and on tuple rows over an extension field.
 """
 
 from __future__ import annotations
 
 import enum
-import math
+import itertools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -36,14 +41,14 @@ from .fqlinalg import (
     Mat,
     RowReducer,
     SubspaceBasis,
-    enumerate_subspaces,
     iter_span_packed,
     iter_span_rows,
     kernel,
     mat_mul,
-    mat_vec,
+    odometer,
     pack_row,
-    packed_combination,
+    packed_add,
+    prime_basis_codes,
     qbinom,
     rref,
     slot_width,
@@ -123,9 +128,12 @@ class RankCode:
                           ) -> "RankDistribution":
         """Exact rank histogram from the shorter of two scans.
 
-        The codeword walk ranks all q^K codewords; the subspace count visits
-        every subspace of F_q^{min(m,n)} once.  The scan with fewer items
-        runs, and budget caps that item count.
+        The codeword walk ranks all q^K codewords.  The subspace count sizes
+        the subcode of every subspace of F_q^{min(m,n)}, walking them as a
+        tree that carries each parent's subcode to its children and closes
+        the subtree of an empty subcode in one formula; its item count is
+        the number of those subspaces.  The scan with fewer items runs, and
+        budget caps that item count before it starts.
         """
         if self._rank_distribution is None:
             q, mp = self.q, min(self.m, self.n)
@@ -182,60 +190,77 @@ def _walk_counts(C: RankCode) -> list[int]:
 def _subspace_counts(C: RankCode) -> list[int]:
     """Rank histogram from subcode sizes (Delsarte's counting identity).
 
-    Codewords are transposed if needed to have n' = min(m, n) columns.  For
-    a subspace Y of F_q^{n'}, the codewords M with M·Y^T = 0 are those whose
-    row space lies in W = Y^⊥; there are q^{K - rank} of them, where rank is
-    that of the K images G_t·Y^T of the basis matrices.  Summed over all Y of
-    dimension n' - j this is B_j = Σ_i A_i [n'-i, j-i]_q, a unitriangular
-    system that is solved for A.  Each G_t·y is computed once per RREF row y,
-    and G_t·Y^T is the concatenation of the images of Y's rows: packed rows
-    joined by shifts over a prime field, code tuples over an extension field.
+    Codewords are transposed if needed to have n' = min(m, n) columns of
+    height H = max(m, n).  The subcode C_Y = {M ∈ C : M·Y^T = 0} of a
+    subspace Y of F_q^{n'} holds the codewords whose row space lies in Y^⊥,
+    and summing |C_Y| over all Y of dimension n' − j gives
+    B_j = Σ_i A_i [n'−i, j−i]_q, a unitriangular system solved for A.
+
+    The subspaces are walked as a tree of canonical RREFs: Y = ⟨y⟩ ⊕ Y',
+    with y the top row, whose pivot p₁ lies below every pivot of Y'.  Each Y
+    is reached once, from Y', and C_Y ⊆ C_{Y'}.  A node holds a basis of its
+    subcode as s codewords with their columns stacked; column j of all s
+    words, stacked in turn, is one row, so the s images M·y^T of a child are
+    one combination of those rows and an odometer over y's free coordinates
+    reaches each child with one add.  Eliminating the images, each joined to
+    its codeword, leaves the child's subcode in the rows whose image part
+    vanished.  Children with p₁ = 0 have no children and need the rank only.
+    A node with C_Y = 0, of dimension d and smallest pivot p, adds its
+    descendants in closed form: for e = 1..p, q^{e(n'−d−p)}·[p, e]_q
+    subspaces of dimension d + e, each with |C_Y| = 1.  Rows are packed over
+    a prime field and code tuples over an extension field, as in RowReducer.
     """
     F, q, K = C.field, C.q, C.dim
     mats = C.basis_matrices()
     if C.m < C.n:
         mats = [tuple(zip(*M)) for M in mats]
-    height, width = max(C.m, C.n), min(C.m, C.n)
-    packed = F.base is None
-    if packed:
-        # column j of every G_t, stacked over t: G_t·y^T is block t of the
-        # packed combination Σ_j y_j·cols[j]
-        cols = [pack_row(F, [M[i][j] for M in mats for i in range(height)])
-                for j in range(width)]
-        shift = height * slot_width(F)
-        mask = (1 << shift) - 1
-
-        def image(y) -> list[int]:
-            img = packed_combination(F, y, cols, K * height)
-            return [(img >> (t * shift)) & mask for t in range(K)]
+    H, width = max(C.m, C.n), min(C.m, C.n)
+    # each codeword with its columns stacked: entry (i, j) at j·H + i
+    words = [[M[i][j] for j in range(width) for i in range(H)] for M in mats]
+    # tracked rows are an image block followed by its codeword
+    track, ranker = RowReducer(F, H * (width + 1)), RowReducer(F, H)
+    scalars = prime_basis_codes(F)      # [1] over a prime field
+    if track.slots is None:
+        words = [tuple(w) for w in words]
+        split = lambda x, s: [x[t * H:(t + 1) * H] for t in range(s)]
+        concat = lambda parts: tuple(itertools.chain.from_iterable(parts))
+        add = lambda x, y: tuple(map(F.add, x, y))
+        join, unjoin = operator.add, lambda row: row[H:]
     else:
-        gens = [Mat.from_rows(F, M, width) for M in mats]
-
-        def image(y) -> list[tuple[int, ...]]:
-            return [tuple(mat_vec(G, y)) for G in gens]
-
-    images: dict[tuple[int, ...], list] = {}
+        block = H * slot_width(F)
+        mask = (1 << block) - 1
+        words = [pack_row(F, w) for w in words]
+        split = lambda x, s: [(x >> t * block) & mask for t in range(s)]
+        concat = lambda parts: sum(x << t * block for t, x in enumerate(parts))
+        add = packed_add(F, max(K, 1) * H)
+        join = lambda img, w: img | w << block
+        unjoin = lambda row: row >> block
     qpow = [q**e for e in range(K + 1)]
     B = [0] * (width + 1)
-    B[width] = qpow[K]            # Y = 0: the whole code
-    for d in range(1, width + 1):
-        total = 0
-        # rank_distribution has already checked the total count against its budget
-        for Y in enumerate_subspaces(width, d, F, budget=math.inf):
-            parts = []
-            for y in Y.rows:
-                img = images.get(y)
-                if img is None:
-                    img = images[y] = image(y)
-                parts.append(img)
-            if packed:
-                vecs = parts[0]
-                for k in range(1, d):
-                    vecs = [v | (x << k * shift) for v, x in zip(vecs, parts[k])]
-            else:
-                vecs = [sum(ts, ()) for ts in zip(*parts)]
-            total += qpow[K - RowReducer(F, height * d).add_all(vecs)]
-        B[width - d] = total
+
+    def visit(words, pivots: tuple[int, ...], d: int) -> None:
+        s = len(words)
+        B[width - d] += qpow[s]
+        p = pivots[0] if pivots else width
+        if not s:
+            for e in range(1, p + 1):
+                B[width - d - e] += q ** (e * (width - d - p)) * qbinom(p, e, q)
+            return
+        cols = [concat(col) for col in zip(*(split(w, width) for w in words))]
+        for p1 in range(p):
+            free = [cols[j] if b == 1 else tuple(F.mul(b, x) for x in cols[j])
+                    for j in range(p1 + 1, width) if j not in pivots for b in scalars]
+            for img in odometer(add, cols[p1], free, F.p):
+                if p1:
+                    track.pivrows.clear()
+                    track.add_all(map(join, split(img, s), words))
+                    visit([unjoin(row) for j, row in track.pivrows.items() if j >= H],
+                          (p1,) + pivots, d + 1)
+                else:
+                    ranker.pivrows.clear()
+                    B[width - d - 1] += qpow[s - ranker.add_all(split(img, s))]
+
+    visit(words, (), 0)
     A: list[int] = []
     for j in range(width + 1):
         A.append(B[j] - sum(A[i] * qbinom(width - i, j - i, q) for i in range(j)))

@@ -59,27 +59,18 @@ def tower_from_json(obj: dict[str, Any]) -> FieldTower:
     return tower
 
 
-def fe_to_json(x: Fe) -> dict[str, Any]:
-    return {"level": x.level, "coeffs": x.prime_coeffs()}
-
-
 def fe_from_json(tower: FieldTower, obj: dict[str, Any]) -> Fe:
     level = _req(obj, "level", str, "element")
     F = tower.field(level)
     coeffs = _req(obj, "coeffs", list, "element")
     if len(coeffs) != F.dim_over_prime:
         raise UsageError("element coefficient vector has wrong length")
-    if not all(_is_int(c) for c in coeffs):
-        raise UsageError("element: key 'coeffs' must hold integers")
+    if not all(_is_int(c) and 0 <= c < tower.p for c in coeffs):
+        raise UsageError(f"element: key 'coeffs' must hold integers in 0..{tower.p - 1}")
     code = 0
     for c in reversed(coeffs):
-        code = code * tower.p + c % tower.p
+        code = code * tower.p + c
     return Fe(tower, level, code)
-
-
-def mat_to_json(tower: FieldTower, level: str, M: Mat) -> dict[str, Any]:
-    return {"level": level, "rows": M.rows, "cols": M.cols,
-            "entries": [list(r) for r in M.data]}
 
 
 def _checked_entries(order: int, rows, key: str) -> list[list[int]]:
@@ -123,11 +114,17 @@ def subspace_to_json(U: FqSubspace) -> dict[str, Any]:
 def subspace_from_json(obj: dict[str, Any]) -> FqSubspace:
     tower = tower_from_json(_req(obj, "tower", dict, "subspace"))
     r = _req(obj, "r", int, "subspace")
+    if r < 0:
+        raise UsageError(f"subspace: key 'r' must be >= 0, got {r}")
     vectors = []
     for vec in _req(obj, "basis_mid", list, "subspace"):
-        if not isinstance(vec, list):
-            raise UsageError("subspace: key 'basis_mid' must hold lists of elements")
-        vectors.append(tuple(fe_from_json(tower, fe).code for fe in vec))
+        if not isinstance(vec, list) or len(vec) != r:
+            raise UsageError(f"subspace: key 'basis_mid' must hold lists of r = {r} elements")
+        elems = [fe_from_json(tower, fe) for fe in vec]
+        if any(x.field.order > tower.mid.order for x in elems):
+            raise UsageError("subspace: key 'basis_mid' must hold elements of F_{q^n}, "
+                             "not of the top field")
+        vectors.append(tuple(x.code for x in elems))
     U = FqSubspace.from_mid_vectors(tower, r, vectors)
     if "k" in obj and U.k != _req(obj, "k", int, "subspace"):
         raise UsageError("stored k does not match the basis rank")
@@ -147,6 +144,8 @@ def rankcode_to_json(C: RankCode) -> dict[str, Any]:
 
 def rankcode_from_json(obj: dict[str, Any]) -> RankCode:
     p, e, q, m, n = (_req(obj, key, int, "code") for key in ("p", "e", "q", "m", "n"))
+    if m < 1 or n < 1:
+        raise UsageError(f"code: keys 'm' and 'n' must be >= 1, got m = {m}, n = {n}")
     field = make_tower(p, e, 1, 1).base
     if field.order != q:
         raise UsageError("q does not equal p^e")

@@ -451,7 +451,6 @@ class DelsarteDualData:
     embed: Mat
     n_block: Mat
     gamma: SubspaceBasis
-    beta_gram_w: Mat
     gram_std: Mat
     gamma_perp: SubspaceBasis
     proj: Mat
@@ -526,7 +525,7 @@ def delsarte_dual(U: FqSubspace, *,
         raise InternalInvariantError("W meets Gamma^perp nontrivially")
     data = DelsarteDualData(
         tower=tower, r=r, k=k, embed=T, n_block=N, gamma=gamma,
-        beta_gram_w=Mat.identity(tower.base, k), gram_std=gram_std,
+        gram_std=gram_std,
         gamma_perp=gamma_perp, proj=proj, dual=dual)
     _validate_delsarte(data, U)
     return data

@@ -266,6 +266,55 @@ def test_malformed_subspace_json_is_a_usage_error(tmp_path, capsys):
         serialize.subspace_from_json(obj)
 
 
+@pytest.mark.parametrize("key, value", [("m", -1), ("n", 0)])
+def test_nonpositive_code_shape_is_a_usage_error(tmp_path, capsys, key, value):
+    obj = serialize.rankcode_to_json(fixtures.gabidulin_4_2_1())
+    for basis in (obj["basis"], []):
+        path = tmp_path / "bad.json"
+        serialize.dump_file(str(path), dict(obj, basis=basis, **{key: value}))
+        assert main(["rank-dist", "--code", str(path)]) == 1
+        assert "'m' and 'n' must be >= 1" in capsys.readouterr().err
+
+
+def _bad_coefficient(obj):
+    obj["basis_mid"][0][0]["coeffs"] = [3, 0, 0, 0]      # p = 2
+
+
+def _negative_r(obj):
+    obj["r"] = -1
+
+
+def _short_vector(obj):
+    obj["basis_mid"][0] = obj["basis_mid"][0][:1]
+
+
+def _top_level_element(obj):
+    # a t = 2 tower: an element of F_{q^{2n}} is not a coordinate in F_{q^n}
+    fe = obj["basis_mid"][0][1]
+    fe["level"], fe["coeffs"] = "top", fe["coeffs"] + [1] * len(fe["coeffs"])
+
+
+@pytest.mark.parametrize("spoil, t, message", [
+    (_bad_coefficient, 1, "integers in 0..1"),
+    (_negative_r, 1, "'r' must be >= 0"),
+    (_short_vector, 1, "lists of r = 2 elements"),
+    (_top_level_element, 2, "not of the top field"),
+])
+def test_malformed_subspace_entries_are_usage_errors(tmp_path, capsys, spoil, t, message):
+    from ranklab.constructions import pseudoregulus_subspace
+
+    n = 4 if t == 1 else 2
+    obj = serialize.subspace_to_json(pseudoregulus_subspace(make_tower(2, 1, n, t), 2, n, 1))
+    path = tmp_path / "good.json"
+    serialize.dump_file(str(path), obj)
+    assert main(["scattered-check", "--subspace", str(path), "--h", "1"]) == 0
+    spoil(obj)
+    path = tmp_path / "bad.json"
+    serialize.dump_file(str(path), obj)
+    assert main(["scattered-check", "--subspace", str(path), "--h", "1"]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_linear_set_verbs_honour_the_subspace_budget(tmp_path, capsys):
     fixtures.materialize(str(tmp_path))
     path = str(tmp_path / fixtures.CORPUS_VERSION / "pseudoregulus_2_4_1_q2.subspace.json")

@@ -450,3 +450,109 @@ def test_restriction_right_idealiser_order_divides_code_length():
         order //= 2
         ell += 1
     assert ell == 3 and 6 % ell == 0
+
+
+# -- the subspace tree against the per-subspace count ------------------------------
+
+
+def _oracle_subcode_dims(C):
+    # (Y, dim C_Y) for every subspace Y of F_q^{n'}, n' = min(m, n): the
+    # subspace count before its tree walk, which ranks the K stacked images
+    # G_t·Y^T of the basis matrices afresh for each Y
+    import math
+
+    from ranklab.fqlinalg import RowReducer, enumerate_subspaces, mat_vec
+
+    F, K = C.field, C.dim
+    mats = C.basis_matrices()
+    if C.m < C.n:
+        mats = [tuple(zip(*M)) for M in mats]
+    height, width = max(C.m, C.n), min(C.m, C.n)
+    gens = [Mat.from_rows(F, M, width) for M in mats]
+    images = {}
+    for d in range(width + 1):
+        for Y in enumerate_subspaces(width, d, F, budget=math.inf):
+            for y in Y.rows:
+                if y not in images:
+                    images[y] = [tuple(mat_vec(G, y)) for G in gens]
+            vecs = [sum(ts, ()) for ts in zip(*(images[y] for y in Y.rows))]
+            yield Y, K - RowReducer(F, height * d).add_all(vecs)
+
+
+def _oracle_subspace_counts(C):
+    # the histogram by q-Möbius inversion, and the (Y, dim C_Y) it came from
+    from ranklab.fqlinalg import qbinom
+
+    q, width = C.q, min(C.m, C.n)
+    dims = list(_oracle_subcode_dims(C))
+    B = [0] * (width + 1)
+    for Y, s in dims:
+        B[width - Y.dim] += q**s
+    A = []
+    for j in range(width + 1):
+        A.append(B[j] - sum(A[i] * qbinom(width - i, j - i, q) for i in range(j)))
+    return tuple(A), dims
+
+
+# (p, e) of each base field with an m<n, m=n, m>n shape; n' = min(m, n)
+# reaches 6 at q = 2, 5 at q = 3, 4 at q = 4 and 5, and 3 at q = 8 and 9
+TREE_GRID = {
+    (2, 1): ((5, 6), (6, 6), (6, 5)),
+    (3, 1): ((4, 5), (5, 5), (5, 4)),
+    (2, 2): ((3, 4), (4, 4), (4, 3)),
+    (5, 1): ((3, 4), (4, 4), (4, 3)),
+    (2, 3): ((2, 3), (3, 3), (3, 2)),
+    (3, 2): ((2, 3), (3, 3), (3, 2)),
+}
+
+
+def _tree_grid_codes():
+    from ranklab import fixtures
+    from ranklab.constructions import find_nonsquare, twisted_gabidulin
+    from ranklab.subspaces import FqSubspace, ordinary_dual
+
+    rng = random.Random(11)
+    for (p, e), shapes in TREE_GRID.items():
+        F = make_tower(p, e, 1, 1).base
+        for m, n in shapes:
+            for K in (0, 1, m * n // 2, m * n):
+                while True:
+                    gens = [[[rng.randrange(F.order) for _ in range(n)] for _ in range(m)]
+                            for _ in range(K)]
+                    C = RankCode.from_generators(F, m, n, gens)
+                    if C.dim == K:
+                        break
+                yield (F.order, m, n, K), C
+    yield "gabidulin (2,6,3)", gabidulin(make_tower(2, 1, 6, 1), 6, 3, 1)
+    tw = make_tower(3, 1, 5, 1)
+    yield "twisted gabidulin (3,5,2)", twisted_gabidulin(
+        tw, 5, 2, 1, find_nonsquare(tw, "mid"), 0).code
+    w = fixtures.certified_new_witness()
+    W = FqSubspace.from_mid_vectors(w.tower, 3, w.basis_mid)
+    yield "witness C_{U^perp,G}", c_ug(ordinary_dual(W)).code
+
+
+def test_subspace_tree_matches_the_per_subspace_count():
+    from ranklab.rankcodes import _subspace_counts
+
+    closed_form = tracked_deep = 0
+    for label, C in _tree_grid_codes():
+        want, dims = _oracle_subspace_counts(C)
+        assert tuple(_subspace_counts(C)) == want, label
+        # a node whose pivots all lie above column 0 has descendants: with an
+        # empty subcode they are added in closed form, otherwise its subcode
+        # is tracked
+        inner = [(Y, s) for Y, s in dims if Y.dim and Y.pivots[0] >= 1]
+        closed_form += any(s == 0 for Y, s in inner)
+        tracked_deep += any(s > 0 and Y.dim >= 2 for Y, s in inner)
+    assert closed_form and tracked_deep
+
+
+def test_subspace_count_budget_is_the_subspace_count():
+    from ranklab.errors import BudgetExceeded
+
+    # K = 8 over F_2, 4x4: 67 subspaces of F_2^4 against 256 codewords
+    C = gabidulin(make_tower(2, 1, 4, 1), 4, 2, 1)
+    with pytest.raises(BudgetExceeded, match="67 subspaces of F_2\\^4 exceeds budget 66"):
+        C.rank_distribution(budget=66)
+    assert C.rank_distribution(budget=67).A == (1, 0, 0, 225, 30)
