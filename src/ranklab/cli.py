@@ -66,10 +66,11 @@ def _parse_q(q: int) -> tuple[int, int]:
 
 
 def _parse_triple(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"expected r,n,h — got {text!r}")
-    return tuple(int(x) for x in parts)  # type: ignore[return-value]
+    try:
+        r, n, h = map(int, text.split(","))
+    except ValueError:
+        raise UsageError(f"expected r,n,h — got {text!r}") from None
+    return r, n, h
 
 
 def _load_subspace(args) -> subspaces.FqSubspace:

@@ -48,6 +48,7 @@ from .subspaces import (
     iota,
     is_h_scattered,
     ordinary_dual,
+    random_subspace,
     unflatten_vec,
 )
 
@@ -67,7 +68,7 @@ def mult_matrix(tower: FieldTower, alpha: int) -> Mat:
     """Matrix of x -> alpha*x on F_{q^n} w.r.t. the canonical basis (columns)."""
     mid, n = tower.mid, tower.n
     cols = [tower.mid_to_base_vec(mid.mul(alpha, b)) for b in base_basis_codes(tower, "mid")]
-    return Mat.from_rows(tower.base, [[cols[j][i] for j in range(n)] for i in range(n)], n)
+    return Mat.from_rows(tower.base, cols, n).transpose()
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,7 @@ class LinearizedPoly:
         N = self.deg_over_base
         to_vec = (tower.mid_to_base_vec if level == "mid" else tower.top_to_base_vec)
         cols = [to_vec(self.evaluate(b)) for b in base_basis_codes(tower, level)]
-        return Mat.from_rows(tower.base,
-                             [[cols[j][i] for j in range(N)] for i in range(N)], N)
+        return Mat.from_rows(tower.base, cols, N).transpose()
 
 
 def _resolve_level(tower: FieldTower, N: int) -> str:
@@ -225,7 +225,7 @@ def _cug_codewords(tower: FieldTower, r: int, G: Mat) -> list[list[list[int]]]:
             for _ in range(n):
                 cols.append(mat_vec(G, flatten_vec(tower, w)))
                 w = [mid.mul(g, c) for c in w]
-            out.append([[cols[c][rho] for c in range(n)] for rho in range(G.rows)])
+            out.append(Mat.from_rows(G.field, cols, G.rows).transpose().data)
     return out
 
 
@@ -298,8 +298,8 @@ def c_ug_g_independence(U: FqSubspace, G1: Mat, G2: Mat) -> Mat:
         e[j] = 1
         cols1.append(mat_vec(G1, e))
         cols2.append(mat_vec(G2, e))
-    W1 = Mat.from_rows(base, [[c[i] for c in cols1] for i in range(rn - U.k)], rn - U.k)
-    W2 = Mat.from_rows(base, [[c[i] for c in cols2] for i in range(rn - U.k)], rn - U.k)
+    W1 = Mat.from_rows(base, cols1, rn - U.k).transpose()
+    W2 = Mat.from_rows(base, cols2, rn - U.k).transpose()
     L = mat_mul(W2, mat_inverse(W1))
     for M1, M2 in zip(_cug_codewords(tower, r, G1), _cug_codewords(tower, r, G2)):
         lhs = mat_mul(L, Mat.from_rows(base, M1, tower.n))
@@ -433,9 +433,9 @@ def mrd_to_subspace(C: RankCode, tower: FieldTower, *,
     for _ in range(n):
         h_cols.append(acc)
         acc = mat_vec(g1, acc)
-    H = Mat.from_rows(base, [[h_cols[j][i] for j in range(n)] for i in range(n)], n)
+    H = Mat.from_rows(base, h_cols, n).transpose()
     p_cols = [tower.mid_to_base_vec(mid.pow(gamma, j)) for j in range(n)]
-    P = Mat.from_rows(base, [[p_cols[j][i] for j in range(n)] for i in range(n)], n)
+    P = Mat.from_rows(base, p_cols, n).transpose()
     conj = mat_mul(H, mat_inverse(P))
     conj_gens = [mat_mul(Mat.from_rows(base, [list(r) for r in M], n), conj).data
                  for M in C.basis_matrices()]
@@ -528,8 +528,7 @@ def gabidulin_restriction(tower: FieldTower, nt: int, n: int, it: int,
             scal = top.pow(xi, i)
             cols = [tower.top_to_base_vec(top.mul(scal, tower.frob("mid", b, j)))
                     for b in mid_basis]
-            fji.append(Mat.from_rows(
-                base, [[cols[c][rho] for c in range(n)] for rho in range(nt)], n))
+            fji.append(Mat.from_rows(base, cols, nt).transpose())
     gens = []
     for f in fji:
         for j in range(n):
@@ -567,14 +566,13 @@ def _vanishing_subspace(code: RankCode, tower: FieldTower, fn_basis: list[Mat],
     F_{q^n}-basis fn_basis of the code: f(1) is the first column in canonical
     coordinates, and f = Σ_i fn_basis[i]·Σ_j ξ_ij·mult_mats[j] is solved for
     the mid-coordinate vector ξ."""
-    base, n, K = tower.base, tower.n, code.dim
-    col_matrix = Mat.from_rows(base, [[M.data[rho][0] for M in _basis_mats(code)]
-                                      for rho in range(code.m)], K)
+    base, n = tower.base, tower.n
+    col_matrix = Mat.from_rows(base, [[row[0] for row in M] for M in code.basis_matrices()],
+                               code.m).transpose()
     coeff_mat = Mat.from_rows(base, [list(v) for v in code.flat.rows], code.m * n)
     phi_cols = [[x for row in mat_mul(f, mult).data for x in row]
                 for f in fn_basis for mult in mult_mats]
-    Phi = Mat.from_rows(base, [[phi_cols[c][rho] for c in range(K)]
-                               for rho in range(code.m * n)], K)
+    Phi = Mat.from_rows(base, phi_cols, code.m * n).transpose()
     u_vectors = []
     for v in kernel(col_matrix).rows:
         xi = solve_right(Phi, vec_mat(list(v), coeff_mat))
@@ -592,10 +590,10 @@ def pseudoregulus_subspace(tower: FieldTower, r: int, n: int, h: int) -> FqSubsp
     h-scattered subspace of F_{q^n}^r of dimension rn/(h+1)."""
     if tower.n != n:
         raise ParamMismatch("tower mid degree != n")
+    if r < 1 or not 0 < h < n:
+        raise InvalidParams(f"need r >= 1 and 0 < h < n, got r={r}, h={h}, n={n}")
     if r % (h + 1) != 0:
         raise DivisibilityViolation(f"(h+1)={h + 1} must divide r={r}")
-    if not 0 < h < n:
-        raise InvalidParams("need 0 < h < n")
     copies = r // (h + 1)
     vecs = []
     for cidx in range(copies):
@@ -641,30 +639,23 @@ def random_scattered_search(tower: FieldTower, r: int, h: int, k: int, *,
     rn = r * n
     order = tower.base.order
 
-    def random_candidate() -> FqSubspace:
-        while True:
-            vecs = [[rng.randrange(order) for _ in range(rn)] for _ in range(k)]
-            U = FqSubspace.from_flat(tower, r, vecs)
-            if U.k == k:
-                return U
-
     def score(U: FqSubspace) -> int:
         s = 0 if U.spans_ambient() else rn
         return s + sum(excess_iter(U, h, budget=budget))
 
     deadline = None if time_budget is None else time.monotonic() + time_budget
     evals = 0
-    best = random_candidate()
+    best = random_subspace(tower, r, k, rng)
     best_score = score(best)
     evals += 1
     stall = 0
     while evals < max_evals and (deadline is None or time.monotonic() < deadline):
         if best_score == 0:
-            if k == 0 or not is_h_scattered(best, h, budget=budget):
+            if not is_h_scattered(best, h, budget=budget):
                 return SearchResult(False, None, evals, seed)
             return SearchResult(True, best, evals, seed)
         if stall > 5 * k:
-            best = random_candidate()
+            best = random_subspace(tower, r, k, rng)
             best_score = score(best)
             evals += 1
             stall = 0
@@ -684,6 +675,6 @@ def random_scattered_search(tower: FieldTower, r: int, h: int, k: int, *,
             best, best_score = cand, cand_score
         else:
             stall += 1
-    if best_score == 0 and k > 0 and is_h_scattered(best, h, budget=budget):
+    if best_score == 0 and is_h_scattered(best, h, budget=budget):
         return SearchResult(True, best, evals, seed)
     return SearchResult(False, None, evals, seed)

@@ -5,6 +5,12 @@ Vectors and matrix rows hold integer element codes (see fields).  The
 canonical representative of a subspace is its RREF basis, which makes
 subspace equality and hashing structural.
 
+RowReducer is the only elimination.  Rank queries add rows to it; rref,
+kernel, intersect, mat_inverse, solve_right and SubspaceBasis take its
+echelon form and reduce each stored row against the others, in descending
+pivot order (back-substitution); SubspaceBasis.reduce is the same step
+against an RREF basis.
+
 Row elimination over a prime field F_p runs on packed int rows: coordinate j
 takes W bits starting at bit j·W (pack_row, unpack_row).  At p = 2, W = 1,
 rows are bitmasks and adding rows is XOR.  At odd p, W = (2p−2).bit_length()+1
@@ -115,37 +121,6 @@ def vec_mat(v, A: Mat) -> list[int]:
     return out
 
 
-def _rref_rows(F: Field, rows: list[list[int]], ncols: int):
-    """In-place RREF with Field arithmetic, for extension fields; returns
-    (reduced nonzero rows, pivot columns)."""
-    sub, mul, inv = F.sub, F.mul, F.inv
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        if lead != 1:
-            s = inv(lead)
-            rows[r] = [mul(s, x) for x in rows[r]]
-        prow = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [rows[i] for i in range(r)], pivots
-
-
 # -- packed rows over prime fields ---------------------------------------------
 
 
@@ -155,9 +130,10 @@ def slot_width(F: Field) -> int:
 
 
 class _Slots:
-    """Row arithmetic on packed F_p rows of ncols coordinates.
+    """Row arithmetic on packed F_p rows of ncols coordinates at odd p (rows
+    over F_2 add by XOR; see packed_add and RowReducer).
 
-    At odd p an entry is below p, so a slot of x + y is at most 2p − 2, and a
+    An entry is below p, so a slot of x + y is at most 2p − 2, and a
     slot of x + (p − y) at most 2p − 1; both are below 2^v + p with
     v = W − 1.  Adding 2^v − p to every slot carries into bit v exactly where
     the slot reached p, and never out of the slot, so subtracting p times
@@ -176,8 +152,6 @@ class _Slots:
         self.carry = self.low * ((1 << self.guard) - p)
 
     def add(self, x: int, y: int) -> int:
-        if self.p == 2:
-            return x ^ y
         s = x + y
         return s - self.p * (((s + self.carry) >> self.guard) & self.low)
 
@@ -201,8 +175,6 @@ class _Slots:
         """x − c·y for c in F_p: one fold after subtracting c·y or adding
         (p − c)·y, whichever multiplier is smaller."""
         p = self.p
-        if p == 2:
-            return x ^ y
         if c + c <= p:
             s = x + self.plow - self.scale(y, c)
         else:
@@ -254,61 +226,15 @@ def unpack_row(F: Field, bits: int, ncols: int) -> list[int]:
     return [(bits >> (j * w)) & mask for j in range(ncols)]
 
 
-def _rref_packed(F: Field, rows: list[int], ncols: int):
-    """RREF of packed rows over the prime field F; returns (rows, pivots)."""
-    sl = _slots(F, ncols)
-    w, mask = sl.width, sl.mask
-    work = list(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        shift = c * w
-        piv = None
-        for i in range(r, len(work)):
-            if (work[i] >> shift) & mask:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        lead = (work[r] >> shift) & mask
-        if lead != 1:
-            work[r] = sl.scale(work[r], F.inv(lead))
-        prow = work[r]
-        for i in range(len(work)):
-            f = (work[i] >> shift) & mask
-            if f and i != r:
-                work[i] = sl.submul(work[i], f, prow)
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
-
-
-def _rref(F: Field, rows: list[list[int]], ncols: int):
-    """RREF of code rows (packed over a prime field); returns (rows, pivots)."""
-    if F.base is None:
-        red, piv = _rref_packed(F, [pack_row(F, r) for r in rows], ncols)
-        return [unpack_row(F, b, ncols) for b in red], piv
-    return _rref_rows(F, rows, ncols)
-
-
-def rref(M: Mat) -> tuple[Mat, int]:
-    """Reduced row echelon form; preserves the row space."""
-    rows, _ = _rref(M.field, [r[:] for r in M.data], M.cols)
-    rank = len(rows)
-    rows += [[0] * M.cols for _ in range(M.rows - rank)]
-    return Mat(M.field, M.rows, M.cols, rows), rank
-
-
 class RowReducer:
-    """Incremental row-echelon elimination for rank queries.
+    """Incremental row elimination: the one elimination kernel of ranklab.
 
     Over a prime field rows are packed ints (XOR at p = 2, one fold per row
-    operation at odd p); extension fields use tuples of codes.  Stored rows
-    have pairwise distinct leading columns and leading entry 1, which is
-    enough for rank.
+    operation at odd p); extension fields use tuples of codes.  add() keeps
+    the stored rows in echelon form: pairwise distinct leading columns, each
+    leading entry 1, which is enough for rank.  reduce() clears a row's
+    entries in the pivot columns; RREF (_rref) is add_all followed by
+    reducing each stored row against the others in descending pivot order.
     """
 
     __slots__ = ("field", "ncols", "bits", "slots", "pivrows")
@@ -381,23 +307,82 @@ class RowReducer:
         sub, mul, inv = F.sub, F.mul, F.inv
         row = list(row)
         pr = self.pivrows
-        j = 0
-        n = self.ncols
-        while j < n:
-            if row[j] == 0:
-                j += 1
+        for j in range(self.ncols):
+            f = row[j]
+            if not f:
                 continue
             other = pr.get(j)
             if other is None:
-                if row[j] != 1:
-                    s = inv(row[j])
-                    row = [mul(s, x) for x in row]
+                if f != 1:
+                    s = inv(f)
+                    row[j:] = [mul(s, x) for x in row[j:]]
                 pr[j] = tuple(row)
                 return True
-            f = row[j]
-            row = [sub(x, mul(f, y)) for x, y in zip(row, other)]
-            j += 1
+            # row and other are zero left of column j
+            row[j:] = [sub(x, mul(f, y)) for x, y in zip(row[j:], other[j:])]
         return False
+
+    def reduce(self, row):
+        """row less the combination of stored rows that clears its entries in
+        the pivot columns, in the stored form (a code sequence is packed over
+        a prime field).
+
+        One pass over the stored rows, in any order, is exact when every
+        stored row it subtracts is zero in the other pivot columns, as in an
+        RREF basis."""
+        pr = self.pivrows
+        if self.slots is None:
+            sub, mul = self.field.sub, self.field.mul
+            row = list(row)
+            for j, other in pr.items():
+                f = row[j]
+                if f:
+                    row[j:] = [sub(x, mul(f, y)) for x, y in zip(row[j:], other[j:])]
+            return row
+        if not isinstance(row, int):
+            row = pack_row(self.field, row)
+        if self.bits:
+            for j, other in pr.items():
+                if row >> j & 1:
+                    row ^= other
+            return row
+        sl = self.slots
+        w, mask, submul = sl.width, sl.mask, sl.submul
+        for j, other in pr.items():
+            c = (row >> (j * w)) & mask
+            if c:
+                row = submul(row, c, other)
+        return row
+
+    def codes(self, row) -> list[int]:
+        """A row in the stored form as a list of codes."""
+        if self.slots is None:
+            return list(row)
+        return unpack_row(self.field, row, self.ncols)
+
+
+def _rref(F: Field, rows, ncols: int):
+    """RREF of code rows; returns (rows, pivots).
+
+    RowReducer puts the rows in echelon form; then, in descending pivot
+    order, each stored row is reduced against the others.  Row j is zero left
+    of column j, and every row of a larger pivot is already reduced, so one
+    pass clears row j's entries in all other pivot columns."""
+    rr = RowReducer(F, ncols)
+    rr.add_all(rows)
+    pr = rr.pivrows
+    pivots = sorted(pr)
+    for j in reversed(pivots):
+        pr[j] = rr.reduce(pr.pop(j))
+    return [rr.codes(pr[j]) for j in pivots], pivots
+
+
+def rref(M: Mat) -> tuple[Mat, int]:
+    """Reduced row echelon form; preserves the row space."""
+    rows, _ = _rref(M.field, M.data, M.cols)
+    rank = len(rows)
+    rows += [[0] * M.cols for _ in range(M.rows - rank)]
+    return Mat(M.field, M.rows, M.cols, rows), rank
 
 
 # -- subspaces ---------------------------------------------------------------
@@ -431,39 +416,25 @@ class SubspaceBasis:
 
     def packed_rows(self) -> list[int]:
         """The basis rows packed (prime fields only; see pack_row)."""
-        return list(self._packed)
+        return [pack_row(self.field, r) for r in self.rows]
 
     @cached_property
-    def _packed(self) -> tuple[int, ...]:
-        return tuple(pack_row(self.field, r) for r in self.rows)
+    def _reducer(self) -> RowReducer:
+        rr = RowReducer(self.field, self.ambient)
+        rows = self.rows if rr.slots is None else self.packed_rows()
+        rr.pivrows.update(zip(self.pivots, rows))
+        return rr
 
     def reducer(self) -> RowReducer:
         """A RowReducer holding this basis (packed over a prime field)."""
-        rr = RowReducer(self.field, self.ambient)
-        rows = self.rows if rr.slots is None else self._packed
-        rr.pivrows.update(zip(self.pivots, rows))
-        return rr
+        return self._reducer.clone()
 
     def reduce(self, vec) -> list[int]:
         """Canonical representative of vec modulo this subspace: vec less the
         combination of basis rows that clears vec's entries in the pivot
         columns."""
-        F = self.field
-        if F.base is None:
-            sl = _slots(F, self.ambient)
-            w, mask = sl.width, sl.mask
-            v = pack_row(F, vec)
-            for row, p in zip(self._packed, self.pivots):
-                c = (v >> (p * w)) & mask
-                if c:
-                    v = sl.submul(v, c, row)
-            return unpack_row(F, v, self.ambient)
-        sub, mul = F.sub, F.mul
-        for row, p in zip(self.rows, self.pivots):
-            f = vec[p]
-            if f:
-                vec = [sub(x, mul(f, y)) for x, y in zip(vec, row)]
-        return list(vec)
+        rr = self._reducer
+        return rr.codes(rr.reduce(vec))
 
     def contains(self, vec) -> bool:
         return not self.reducer().add(vec)
@@ -490,23 +461,17 @@ class SubspaceBasis:
 
 def kernel(M: Mat) -> SubspaceBasis:
     """Right null space {v : M v = 0} as a canonical basis."""
-    R, rank = rref(M)
-    piv = []
-    col = 0
-    for i in range(rank):
-        while R.data[i][col] == 0:
-            col += 1
-        piv.append(col)
-    pivset = set(piv)
     F = M.field
+    rows, piv = _rref(F, M.data, M.cols)
+    pivset = set(piv)
     basis = []
     for f in range(M.cols):
         if f in pivset:
             continue
         v = [0] * M.cols
         v[f] = 1
-        for i, p in enumerate(piv):
-            v[p] = F.neg(R.data[i][f])
+        for row, p in zip(rows, piv):
+            v[p] = F.neg(row[f])
         basis.append(v)
     return SubspaceBasis.from_vectors(F, M.cols, basis)
 

@@ -121,9 +121,10 @@ def hyperplane_spectrum(U: FqSubspace, h: int | None = None, *,
     """Hyperplane weight spectrum {i: count} of a maximum h-scattered U, with
     weight rn/(h+1) - n + i.
 
-    The counts come from subspaces.hyperplane_weight_counts (the walk of the
-    ordinary dual's vectors, or the hyperplane scan, whichever is cheaper),
-    not from ti_formula, so the two can be compared as an oracle check.
+    The counts come from subspaces.hyperplane_weight_counts (the point
+    weights of the ordinary dual, from the walk of its vectors or the point
+    scan, whichever is cheaper), not from ti_formula, so the two can be
+    compared as an oracle check.
     """
     h = _max_scattered_h(U, h)
     if not is_h_scattered(U, h, budget=budget):

@@ -50,7 +50,6 @@ from .fqlinalg import (
     packed_add,
     prime_basis_codes,
     qbinom,
-    rref,
     slot_width,
 )
 
@@ -492,7 +491,7 @@ def puncture(C: RankCode, A: Mat) -> RankCode:
         raise ShapeMismatch("puncturing is defined for square codes")
     if A.cols != C.n:
         raise ShapeMismatch("A must have n columns")
-    if rref(A)[1] != A.rows:
+    if RowReducer(C.field, A.cols).add_all(A.data) != A.rows:
         raise RankDeficientA("A must have full row rank")
     gens = []
     for M in C.basis_matrices():

@@ -116,6 +116,8 @@ def subspace_from_json(obj: dict[str, Any]) -> FqSubspace:
     r = _req(obj, "r", int, "subspace")
     if r < 0:
         raise UsageError(f"subspace: key 'r' must be >= 0, got {r}")
+    if r == 0:
+        raise UsageError("subspace: key 'r' must be >= 1: F_{q^n}^0 has no points")
     vectors = []
     for vec in _req(obj, "basis_mid", list, "subspace"):
         if not isinstance(vec, list) or len(vec) != r:

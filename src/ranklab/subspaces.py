@@ -7,22 +7,22 @@ flattening applies the fixed basis (1, g, ..., g^{n-1}) of F_{q^n} over F_q
 coordinate-wise, so coordinate i of a mid vector occupies flat columns
 [i*n, (i+1)*n).
 
-Point and hyperplane weights, w(P) = dim_{F_q}(U ∩ <P>_{F_{q^n}}) and
-dim_{F_q}(U ∩ H), come from one of two exact scans, chosen from the input
-alone:
+Point weights w(P) = dim_{F_q}(U ∩ <P>_{F_{q^n}}) come from one of two
+exact scans, chosen from the input alone:
 
 - the vector walk (_point_weights) visits the q^k vectors of U and buckets
   them by projective point; a point collecting q^w - 1 of them has weight w.
-  Hyperplane weights are read off the walk of the ordinary dual through
-  dim(U ∩ H_w) = w_{U^⊥'}(<w>) + k - n.
-- the point scan eliminates the n flat rows of every point of
-  PG(r-1, q^n) (or the (r-1)n rows of every hyperplane) against U.
+- the point scan (_point_scan) eliminates the n flat rows of every point of
+  PG(r-1, q^n) against U.
 
-The walk runs when its q^k vectors (q^{rn-k} for hyperplanes) are at most
-n·θ_{r-1}(q^n), the row additions of the point scan.  Every scan refuses
-(BudgetExceeded) rather than samples when its item count exceeds the budget:
-subspace vectors for the walk, projective points for the point scan, and
-subspaces for the h >= 2 scatteredness scan over h-dim F_{q^n}-subspaces.
+The walk runs when its q^k vectors are at most n·θ_{r-1}(q^n), the row
+additions of the point scan.  Hyperplane weights are point weights of the
+ordinary dual U^⊥', by whichever scan is cheaper for it: the hyperplane
+H_w = ker(w·) is the dual of the point <w>, so dim(U ∩ H_w) =
+w_{U^⊥'}(<w>) + k - n.  Every scan refuses (BudgetExceeded) rather than
+samples when its item count exceeds the budget: subspace vectors for the
+walk, projective points for the point scan, and subspaces for the h >= 2
+scatteredness scan over h-dim F_{q^n}-subspaces.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .fqlinalg import (
     mat_mul,
     pack_digits,
     projective_points,
-    rref,
     theta,
     vec_mat,
 )
@@ -118,10 +117,7 @@ class FqSubspace:
 
     def spans_ambient(self) -> bool:
         """True iff <U>_{F_{q^n}} = V."""
-        if self.k == 0:
-            return self.r == 0
-        _, rank = rref(self.mid_matrix())
-        return rank == self.r
+        return RowReducer(self.tower.mid, self.r).add_all(self.basis_mid) == self.r
 
     def __eq__(self, other):
         return (isinstance(other, FqSubspace) and self.tower == other.tower
@@ -294,69 +290,39 @@ def check_dimension_bound(U: FqSubspace, h: int) -> DimBound:
     return DimBound.VIOLATION
 
 
-def _hyperplane_scan(U: FqSubspace, budget: int):
-    """Yield (dual point w, dim(U ∩ H_w)) for every hyperplane H_w = ker(w·),
-    eliminating its (r-1)n flat rows against U; budget caps it at
-    θ_{r-1}(q^n) projective points."""
-    tower = U.tower
-    pack = tower.base.base is None
-    base_red = U.flat.reducer()
-    n, r = tower.n, U.r
-    for w in projective_points(tower.mid, r, budget=budget):
-        H = kernel(Mat.from_rows(tower.mid, [list(w)], r))
-        grew = base_red.clone().add_all(_midspace_flat_rows(tower, H.rows, pack))
-        yield w, (r - 1) * n - grew
-
-
-def _dual_point_weights(U: FqSubspace, budget: int):
-    """Point weights of U^{⊥'} when walking its q^{rn-k} vectors is cheaper
-    than the hyperplane scan (q^{rn-k} <= n·θ_{r-1}(q^n)), else None."""
-    if not _walk_is_cheaper(U.tower, U.r, U.r * U.tower.n - U.k):
-        return None
-    return _point_weights(ordinary_dual(U), budget)
-
-
 def hyperplane_weight_iter(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET):
     """Yield (dual point w, dim(U ∩ H_w)) over all F_{q^n}-hyperplanes
     H_w = ker(w·), in projective_points order.
 
-    When q^{rn-k} <= n·θ_{r-1}(q^n) the weights are w_{U^⊥'}(<w>) + k - n,
-    read from the walk of the ordinary dual's vectors; otherwise each
-    hyperplane is eliminated against U.  budget caps the chosen scan's item
-    count (the walk's vectors, or the scan's points), not the θ_{r-1}(q^n)
-    pairs yielded.
+    H_w is the ordinary dual of <w>_{F_{q^n}}, so dim(U ∩ H_w) =
+    w_{U^⊥'}(<w>) + k - n: the point weights of U^⊥', from the walk of its
+    q^{rn-k} vectors or the point scan, as _point_weight_items chooses.
+    budget caps the chosen scan's item count (the walk's vectors, or the
+    scan's points), not the θ_{r-1}(q^n) pairs yielded.
     """
-    dual_w = _dual_point_weights(U, budget)
-    if dual_w is None:
-        yield from _hyperplane_scan(U, budget)
-        return
-    mid, r = U.tower.mid, U.r
+    dual_w = dict(_point_weight_items(ordinary_dual(U), budget))
     shift = U.k - U.tower.n
-    for w in projective_points(mid, r, budget=theta(r - 1, mid.order)):
+    mid = U.tower.mid
+    for w in projective_points(mid, U.r, budget=theta(U.r - 1, mid.order)):
         yield w, dual_w.get(w, 0) + shift
 
 
 def hyperplane_weight_counts(U: FqSubspace, *,
                              budget: int = DEFAULT_SUBSPACE_BUDGET) -> dict[int, int]:
-    """{dim(U ∩ H): number of F_{q^n}-hyperplanes H}, by the scan that
-    hyperplane_weight_iter chooses.
+    """{dim(U ∩ H): number of F_{q^n}-hyperplanes H}, from the point weights
+    of U^⊥' as hyperplane_weight_iter reads them.
 
-    On the walk side the θ_{r-1}(q^n) - |L_{U^⊥'}| hyperplanes whose dual
-    point lies outside L_{U^⊥'} are counted, not visited: all have weight
-    k - n.
+    The hyperplanes whose dual point has weight 0 in U^⊥' are counted, not
+    visited, when the walk yields only the points of L_{U^⊥'}: all have
+    weight k - n.
     """
-    dual_w = _dual_point_weights(U, budget)
-    counts: dict[int, int] = {}
-    if dual_w is None:
-        for _, wt in _hyperplane_scan(U, budget):
-            counts[wt] = counts.get(wt, 0) + 1
-        return counts
     shift = U.k - U.tower.n
-    rest = theta(U.r - 1, U.tower.mid.order) - len(dual_w)
-    if rest:
-        counts[shift] = rest
-    for w in dual_w.values():
+    counts: dict[int, int] = {}
+    for _, w in _point_weight_items(ordinary_dual(U), budget):
         counts[w + shift] = counts.get(w + shift, 0) + 1
+    rest = theta(U.r - 1, U.tower.mid.order) - sum(counts.values())
+    if rest:
+        counts[shift] = counts.get(shift, 0) + rest
     return counts
 
 
@@ -476,8 +442,8 @@ def _find_n_block(tower: FieldTower, M: Mat) -> Mat:
                 digits.append(c % base.order)
                 c //= base.order
             N = Mat.from_rows(mid, [digits[i * w:(i + 1) * w] for i in range(k)], w)
-            T = Mat.from_rows(mid, [list(M.data[i]) + list(N.data[i]) for i in range(k)])
-            if rref(T)[1] == k:
+            if RowReducer(mid, k).add_all(
+                    M.data[i] + N.data[i] for i in range(k)) == k:
                 return N
         raise InternalInvariantError("no F_q-entry completion found")
     rr = RowReducer(mid, r)
@@ -532,7 +498,7 @@ def delsarte_dual(U: FqSubspace, *,
 
 
 def _validate_delsarte(data: DelsarteDualData, U: FqSubspace) -> None:
-    if rref(data.embed)[1] != data.k:
+    if RowReducer(data.tower.mid, data.k).add_all(data.embed.data) != data.k:
         raise NoEmbedding("[M|N] is singular")
     if intersection_dim(
             fqn_subspace_flat(data.tower, data.gamma).flat,

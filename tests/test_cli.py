@@ -365,3 +365,24 @@ def test_broken_invariant_exits_4_not_2(monkeypatch, capsys):
     monkeypatch.setattr(constructions, "kernel", lambda M: None)
     assert main(["cug", "--pseudoregulus", "2,4,1"]) == 4
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("triple, message", [
+    ("0,4,1", "need r >= 1 and 0 < h < n"),
+    ("-2,4,1", "need r >= 1 and 0 < h < n"),
+    ("2,4,-1", "need r >= 1 and 0 < h < n"),
+    ("a,4,1", "usage error: expected r,n,h"),
+])
+def test_malformed_pseudoregulus_is_a_clean_error(capsys, triple, message):
+    code = main(["projsys-code", f"--pseudoregulus={triple}"])
+    assert code == (1 if triple.startswith("a") else 2)
+    assert message in capsys.readouterr().err
+
+
+def test_subspace_json_with_r_zero_is_a_usage_error(tmp_path, capsys):
+    obj = serialize.subspace_to_json(fixtures.pseudoregulus(2, 4, 1))
+    path = tmp_path / "r0.json"
+    serialize.dump_file(str(path), dict(obj, r=0, basis_mid=[], k=0))
+    for verb in (["projsys-code"], ["dualize", "--ordinary"], ["linset-points"], ["cug"]):
+        assert main([verb[0], "--subspace", str(path)] + verb[1:]) == 1
+        assert "'r' must be >= 1" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ranklab.errors import BudgetExceeded
+from ranklab.errors import BudgetExceeded, InvalidParams
 from ranklab.fields import Field, make_tower
 from ranklab.fqlinalg import (
     Mat,
@@ -20,12 +20,14 @@ from ranklab.fqlinalg import (
     kernel,
     mat_inverse,
     mat_mul,
+    mat_vec,
     pack_digits,
     pack_row,
     projective_points,
     qbinom,
     rref,
     slot_width,
+    solve_right,
     theta,
     unpack_row,
 )
@@ -282,6 +284,136 @@ def test_packed_rows_match_tuple_oracle(p):
             f = red[next(j for j, x in enumerate(row) if x)]
             red = [(x - f * y) % p for x, y in zip(red, row)]
         assert B.reduce(v) == red
+
+
+# -- extension-field elimination against a Gauss-Jordan oracle ------------------
+
+
+def _rref_rows(F, rows, ncols):
+    """Oracle: in-place Gauss-Jordan with Field arithmetic; returns (reduced
+    nonzero rows, pivot columns)."""
+    sub, mul, inv = F.sub, F.mul, F.inv
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        s = inv(rows[r][c])
+        rows[r] = [mul(s, x) for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+EXTENSION_FIELDS = {4: (2, 2), 8: (2, 3), 9: (3, 2)}
+
+
+def _extension_field(q):
+    return make_tower(*EXTENSION_FIELDS[q], 1, 1).base
+
+
+def _extension_matrices(F, rng):
+    """(nrows, ncols, rows): random, zero, duplicate-row (with a scaled copy)
+    and full-rank square matrices over F."""
+    q = F.order
+    for trial in range(32):
+        ncols = rng.randrange(1, 7)
+        nrows = rng.randrange(1, ncols + 3)
+        rows = [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)]
+        kind = trial % 4
+        if kind == 1:
+            rows = [[0] * ncols for _ in range(nrows)]
+        elif kind == 2:
+            c = rng.randrange(1, q)
+            rows += [list(rows[0]), [F.mul(c, x) for x in rows[-1]]]
+        elif kind == 3:
+            nrows = ncols
+            while True:
+                rows = [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)]
+                if len(_rref_rows(F, rows, ncols)[0]) == ncols:
+                    break
+        yield len(rows), ncols, rows
+
+
+def _oracle_kernel(F, rows, ncols):
+    red, piv = _rref_rows(F, rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in piv):
+        v = [0] * ncols
+        v[f] = 1
+        for row, p in zip(red, piv):
+            v[p] = F.neg(row[f])
+        basis.append(v)
+    return _rref_rows(F, basis, ncols)[0]
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_extension_field_elimination_matches_gauss_jordan(q):
+    F = _extension_field(q)
+    assert F.base is not None
+    rng = random.Random(q)
+    for nrows, ncols, rows in _extension_matrices(F, rng):
+        want, piv = _rref_rows(F, rows, ncols)
+        M = Mat.from_rows(F, rows, ncols)
+        R, rank = rref(M)
+        assert rank == len(want) and R.data == want + [[0] * ncols] * (nrows - rank)
+        B = SubspaceBasis.from_vectors(F, ncols, rows)
+        assert [list(r) for r in B.rows] == want and list(B.pivots) == piv
+        K = kernel(M)
+        assert [list(r) for r in K.rows] == _oracle_kernel(F, rows, ncols)
+        assert all(not any(mat_vec(M, v)) for v in K.rows)
+        v = [rng.randrange(q) for _ in range(ncols)]
+        grows = len(_rref_rows(F, rows + [v], ncols)[0]) > rank
+        assert B.contains(v) is not grows
+        assert all(B.contains(r) for r in rows)
+        rep = B.reduce(v)
+        assert all(rep[p] == 0 for p in piv)
+        diff = [F.sub(x, y) for x, y in zip(v, rep)]
+        assert len(_rref_rows(F, want + [diff], ncols)[0]) == rank
+        b = [rng.randrange(q) for _ in range(nrows)]
+        aug, apiv = _rref_rows(F, [r + [x] for r, x in zip(rows, b)], ncols + 1)
+        sol = solve_right(M, b)
+        if ncols in apiv:
+            assert sol is None
+        else:
+            assert mat_vec(M, sol) == b
+            want_sol = [0] * ncols
+            for row, p in zip(aug, apiv):
+                want_sol[p] = row[-1]
+            assert sol == want_sol
+        if nrows == ncols:
+            if rank == ncols:
+                aug, _ = _rref_rows(F, [r + [int(i == j) for j in range(ncols)]
+                                        for i, r in enumerate(rows)], 2 * ncols)
+                assert mat_inverse(M).data == [r[ncols:] for r in aug]
+            else:
+                with pytest.raises(InvalidParams):
+                    mat_inverse(M)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_extension_field_intersect_matches_gauss_jordan(q):
+    F = _extension_field(q)
+    rng = random.Random(100 + q)
+    mats = list(_extension_matrices(F, rng))
+    for (_, na, a), (_, nb, b) in zip(mats, mats[1:]):
+        m = min(na, nb)
+        a, b = [r[:m] for r in a], [r[:m] for r in b]
+        A = SubspaceBasis.from_vectors(F, m, a)
+        Bs = SubspaceBasis.from_vectors(F, m, b)
+        stacked = [r + r for r in a] + [r + [0] * m for r in b]
+        red, _ = _rref_rows(F, stacked, 2 * m)
+        want = _rref_rows(F, [r[m:] for r in red if not any(r[:m])], m)[0]
+        got = intersect(A, Bs)
+        assert [list(r) for r in got.rows] == want
+        assert intersection_dim(A, Bs) == got.dim
 
 
 def test_reduce_gives_one_representative_per_coset_over_f9():
