@@ -427,7 +427,11 @@ def mrd_to_subspace(C: RankCode, tower: FieldTower, *,
     minpoly = _matrix_min_poly(tower, g1)
     if len(minpoly) != n + 1:
         raise IdealiserNotMaximal("idealiser generator has degenerate minimal polynomial")
-    gamma = next(x for x in mid.elements() if poly_eval(mid, minpoly, x) == 0)
+    for gamma in mid.elements():
+        if poly_eval(mid, minpoly, gamma) == 0:
+            break
+    else:
+        raise InternalInvariantError("idealiser minimal polynomial has no root")
     e0 = [1] + [0] * (n - 1)
     h_cols, acc = [], e0
     for _ in range(n):

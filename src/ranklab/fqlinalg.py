@@ -615,19 +615,15 @@ def prime_basis_codes(F: Field) -> list[int]:
             for c in prime_basis_codes(F.base)]
 
 
-def iter_span_rows(rows, F: Field, include_zero: bool = True,
-                   coeff_field: Field | None = None):
-    """All coeff_field-linear combinations of rows with entries in F.
+def iter_span_rows(rows, F: Field, include_zero: bool = True):
+    """All F-linear combinations of rows with entries in F.
 
-    coeff_field defaults to F and must embed in F with unchanged codes (any
-    lower tower level does).  Rows are expanded by an F_p-basis of the
-    coefficient field, after which a base-p odometer needs one row-add per
-    step; the walk covers |coeff_field|^len(rows) combinations.
+    Rows are expanded by an F_p-basis of F, after which a base-p odometer
+    needs one row-add per step; the walk covers |F|^len(rows) combinations.
     """
-    cf = coeff_field if coeff_field is not None else F
     expanded = []
     for row in rows:
-        for b in prime_basis_codes(cf):
+        for b in prime_basis_codes(F):
             if b == 1:
                 expanded.append(tuple(row))
             else:

@@ -65,9 +65,9 @@ class LinearSet:
 
 
 def linear_set(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> LinearSet:
-    """The points of L_U with their weights, from a walk of U's q^k vectors
-    bucketed by projective point; budget caps the walk at q^k subspace
-    vectors."""
+    """The points of L_U with their weights, from a walk of one vector per
+    F_q-point of U bucketed by projective point (a point of weight w holds
+    θ_{w-1}(q) of them); budget caps the walk at q^k subspace vectors."""
     return LinearSet(U, _point_weights(U, budget))
 
 

@@ -10,12 +10,13 @@ coordinate-wise, so coordinate i of a mid vector occupies flat columns
 Point weights w(P) = dim_{F_q}(U ∩ <P>_{F_{q^n}}) come from one of two
 exact scans, chosen from the input alone:
 
-- the vector walk (_point_weights) visits the q^k vectors of U and buckets
-  them by projective point; a point collecting q^w - 1 of them has weight w.
+- the vector walk (_point_weights) visits one vector on each of the
+  θ_{k-1}(q) F_q-points of U and buckets them by projective point; a point
+  collecting θ_{w-1}(q) = (q^w - 1)/(q - 1) of them has weight w.
 - the point scan (_point_scan) eliminates the n flat rows of every point of
   PG(r-1, q^n) against U.
 
-The walk runs when its q^k vectors are at most n·θ_{r-1}(q^n), the row
+The walk runs when U's q^k vectors are at most n·θ_{r-1}(q^n), the row
 additions of the point scan.  Hyperplane weights are point weights of the
 ordinary dual U^⊥', by whichever scan is cheaper for it: the hyperplane
 H_w = ker(w·) is the dual of the point <w>, so dim(U ∩ H_w) =
@@ -28,6 +29,7 @@ scatteredness scan over h-dim F_{q^n}-subspaces.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -48,11 +50,12 @@ from .fqlinalg import (
     enumerate_subspaces,
     intersect,
     intersection_dim,
-    iter_span_rows,
     kernel,
     mat_inverse,
     mat_mul,
+    odometer,
     pack_digits,
+    prime_basis_codes,
     projective_points,
     theta,
     vec_mat,
@@ -171,30 +174,61 @@ def _walk_is_cheaper(tower: FieldTower, r: int, dim: int) -> bool:
 
 
 def _point_weights(U: FqSubspace, budget: int) -> dict[tuple[int, ...], int]:
-    """{normalized point: weight} over the points of L_U, by walking U's q^k
-    vectors and bucketing them by projective point.
+    """{normalized point: weight} over the points of L_U, by walking one
+    vector per F_q-point of U and bucketing them by projective point.
 
-    Every nonzero vector of U lies on exactly one point, and a point of weight
-    w collects q^w - 1 of them.  budget caps the walk at q^k subspace vectors.
+    The F_q-points are b_i + Σ_{j>i} a_j·b_j over U's basis b (i < k, a_j in
+    F_q); a point of weight w holds θ_{w-1}(q) of them.  An odometer over the
+    F_p-expansion of the a_j adds one row per step: packed ints (coordinate
+    j in bits [j·N, (j+1)·N)) by XOR at p = 2, code tuples by Field.add at
+    odd p.  Keys are normalized by log subtraction, c_j -> exp[log c_j +
+    (Q-1) - log c_lead].  budget caps the walk at q^k subspace vectors.
     """
     tower = U.tower
-    q, mid = tower.base.order, tower.mid
-    if q**U.k > budget:
-        raise BudgetExceeded(q**U.k, budget, "subspace vectors")
-    counts: dict[tuple[int, ...], int] = {}
-    if U.k:
-        for v in iter_span_rows(U.basis_mid, mid, include_zero=False,
-                                coeff_field=tower.base):
-            p = normalize_point(mid, v)
-            counts[p] = counts.get(p, 0) + 1
-    weight_of = {q**w - 1: w for w in range(1, U.k + 1)}
-    points = {}
-    for p, c in counts.items():
-        w = weight_of.get(c)
-        if w is None:
-            raise InternalInvariantError("point fiber size is not q^w - 1")
-        points[p] = w
-    return points
+    q, mid, r, k = tower.base.order, tower.mid, U.r, U.k
+    if q**k > budget:
+        raise BudgetExceeded(q**k, budget, "subspace vectors")
+    p, N, exp, log, top = mid.p, mid.dim_over_prime, mid._exp, mid._log, mid.order - 1
+    shifts, mask = range(0, r * N, N), (1 << N) - 1
+    if p == 2:
+        add = operator.xor
+        pack = lambda v: sum(map(int.__lshift__, v, shifts))
+        unpack = lambda v: tuple(map(mask.__and__, map(v.__rshift__, shifts)))
+    else:
+        add = lambda x, y: tuple(map(mid.add, x, y))
+        pack = unpack = tuple
+    if exp is None:
+        norm = lambda v: pack(normalize_point(mid, unpack(v)))
+    elif p == 2:
+        def norm(v):
+            lead = ((v & -v).bit_length() - 1) // N * N
+            c = (v >> lead) & mask
+            if c == 1:
+                return v
+            s, key = top - log[c], 0
+            for t in range(lead, r * N, N):
+                if x := (v >> t) & mask:
+                    key |= exp[log[x] + s] << t
+            return key
+    else:
+        def norm(v):
+            c = next(filter(None, v))
+            if c == 1:
+                return v
+            s = top - log[c]
+            return tuple(exp[log[x] + s] if x else 0 for x in v)
+    scalars = prime_basis_codes(tower.base)    # scalars[0] == 1: rows[i*e] is b_i
+    e = len(scalars)
+    rows = [pack([mid.mul(a, c) for c in b]) for b in U.basis_mid for a in scalars]
+    counts: dict = {}
+    for i in range(k):
+        for v in odometer(add, rows[i * e], rows[(i + 1) * e:], p):
+            key = norm(v)
+            counts[key] = counts.get(key, 0) + 1
+    weight_of = {theta(w - 1, q): w for w in range(1, k + 1)}
+    if any(c not in weight_of for c in counts.values()):
+        raise InternalInvariantError("point fiber size is not θ_{w-1}(q)")
+    return {unpack(key): weight_of[c] for key, c in counts.items()}
 
 
 def _point_scan(U: FqSubspace, budget: int):
@@ -221,7 +255,7 @@ def _point_weight_items(U: FqSubspace, budget: int):
 def iota(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> int:
     """max over projective points P of dim_{F_q}(U ∩ <P>_{F_{q^n}}).
 
-    Walks U's q^k vectors when q^k <= n·θ_{r-1}(q^n), else scans the
+    Walks U's F_q-points when q^k <= n·θ_{r-1}(q^n), else scans the
     θ_{r-1}(q^n) points; budget caps the chosen scan's item count."""
     if U.k == 0:
         return 0
@@ -296,7 +330,7 @@ def hyperplane_weight_iter(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDG
 
     H_w is the ordinary dual of <w>_{F_{q^n}}, so dim(U ∩ H_w) =
     w_{U^⊥'}(<w>) + k - n: the point weights of U^⊥', from the walk of its
-    q^{rn-k} vectors or the point scan, as _point_weight_items chooses.
+    F_q-points or the point scan, as _point_weight_items chooses.
     budget caps the chosen scan's item count (the walk's vectors, or the
     scan's points), not the θ_{r-1}(q^n) pairs yielded.
     """

@@ -259,6 +259,24 @@ def test_mrd_to_subspace_gates(t2_4):
         mrd_to_subspace(low, t22)
 
 
+def test_mrd_to_subspace_minpoly_without_root_is_internal(tmp_path, monkeypatch, capsys):
+    from ranklab import cli, constructions, serialize
+    from ranklab.errors import InternalInvariantError
+    from ranklab.fields import is_irreducible, least_irreducible
+
+    t22 = make_tower(2, 1, 2, 1)
+    no_root = least_irreducible(t22.mid, 2)   # irreducible of degree 2 over F_4
+    assert is_irreducible(t22.mid, no_root)
+    monkeypatch.setattr(constructions, "_matrix_min_poly", lambda *a: no_root)
+    C = gabidulin(t22, 2, 1, 1)
+    with pytest.raises(InternalInvariantError, match="no root"):
+        mrd_to_subspace(C, t22)
+    code_file = tmp_path / "g.code.json"
+    serialize.dump_file(str(code_file), serialize.rankcode_to_json(C))
+    assert cli.main(["extract-subspace", "--code", str(code_file)]) == 4
+    assert "internal error" in capsys.readouterr().err
+
+
 # -- Gabidulin restriction ----------------------------------------------------------------
 
 
@@ -277,6 +295,19 @@ def test_gabidulin_restriction_6_3_1(t2_32):
 def test_gabidulin_restriction_t1_is_square_gabidulin(t2_3):
     res = gabidulin_restriction(t2_3, 3, 3, 1)
     assert res.code == gabidulin(t2_3, 3, 2, 1)
+
+
+@pytest.mark.parametrize("params", [(3, 1, 2, 2), (3, 1, 3, 2), (2, 2, 2, 2)])
+def test_gabidulin_restriction_on_t2_towers(params):
+    tower = make_tower(*params)
+    n, t = tower.n, tower.t
+    for it in range(1, n):
+        res = gabidulin_restriction(tower, n * t, n, it)
+        assert res.dual_matches, it
+        assert (res.U.r, res.U.k) == (t * (it + 1), n * t * it), it
+        assert iota(res.U) == res.iota == it
+        assert res.code.is_mrd()
+        assert res.code.min_distance() == n - it
 
 
 def test_restriction_udual_is_direct_sum_shape(t2_32):

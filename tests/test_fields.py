@@ -1,5 +1,7 @@
 """Field tower construction, trace/norm/frobenius, minimal polynomials."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -92,6 +94,47 @@ def test_frobenius_fixed_points_exhaustive():
         t = make_tower(p, e, n, 1)
         fixed = [x for x in t.mid.elements() if t.frob("mid", x, 1) == x]
         assert len(fixed) == t.q
+
+
+# t = 2 towers beyond q = 2: F_3 ⊂ F_9 ⊂ F_81, F_3 ⊂ F_27 ⊂ F_729, F_4 ⊂ F_16 ⊂ F_256
+T2_TOWERS = [(3, 1, 2, 2), (3, 1, 3, 2), (2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("params", T2_TOWERS)
+def test_top_frobenius_trace_and_norm_on_t2_towers(params):
+    t = make_tower(*params)
+    top, mid, base, n, q = t.top, t.mid, t.base, t.n, t.q
+    rng = random.Random(7)
+    fr = lambda x, s: t.frob("top", x, s)
+    for _ in range(200):
+        a, b = rng.randrange(top.order), rng.randrange(top.order)
+        assert fr(top.add(a, b), 1) == top.add(fr(a, 1), fr(b, 1))
+        assert fr(top.mul(a, b), 1) == top.mul(fr(a, 1), fr(b, 1))
+        assert fr(a, 1) == top.pow(a, q)
+    # x -> x^q has order nt; its fixed field is F_q, and x^{q^n}'s is F_{q^n}
+    ys = list(top.elements())
+    for s in range(1, 2 * n + 1):
+        ys = [fr(y, 1) for y in ys]
+        assert (ys == list(top.elements())) == (s == 2 * n), s
+    assert [x for x in top.elements() if fr(x, 1) == x] == list(base.elements())
+    assert [x for x in top.elements() if fr(x, n) == x] == list(mid.elements())
+    lam = rng.randrange(1, q)
+    traces, norms = set(), set()
+    for x in top.elements():
+        tr, nm = t.trace_to_base("top", x), t.norm_to_base("top", x)
+        traces.add(tr)
+        norms.add(nm)
+        # transitivity through F_{q^n}: Tr = Tr_mid ∘ Tr_{top/mid}, N likewise
+        assert tr == t.trace_to_base("mid", top.add(x, fr(x, n)))
+        assert nm == t.norm_to_base("mid", top.mul(x, fr(x, n)))
+        assert t.trace_to_base("top", top.mul(lam, x)) == base.mul(lam, tr)
+        y = rng.randrange(top.order)
+        assert t.trace_to_base("top", top.add(x, y)) == base.add(
+            tr, t.trace_to_base("top", y))
+        assert t.norm_to_base("top", top.mul(x, y)) == base.mul(
+            nm, t.norm_to_base("top", y))
+    assert traces == set(base.elements())
+    assert norms == set(base.elements())
 
 
 def test_trace_form_is_nondegenerate():

@@ -1,11 +1,13 @@
 """The linear-set engine against brute-force oracles.
 
 ι, 1-scatteredness, hyperplane weights, the hyperplane spectrum and the h = 1
-search score each run the cheaper of two scans: a walk over the q^k vectors
-of U (or of its ordinary dual) bucketed by projective point, or an
-elimination of every point (or hyperplane) of PG(r-1, q^n).  The oracles here
-intersect U with every line and hyperplane of V one at a time, through
-SubspaceBasis intersections that share no code with either scan.
+search score each run the cheaper of two scans: a walk over the F_q-points of
+U (or of its ordinary dual) bucketed by projective point, or an elimination
+of every point (or hyperplane) of PG(r-1, q^n).  The oracles here intersect U
+with every line and hyperplane of V one at a time, through SubspaceBasis
+intersections that share no code with either scan.  The walk is also held
+against the walk it replaced: every one of the q^k vectors of U, bucketed by
+normalize_point, where a point of weight w collects q^w - 1 of them.
 """
 
 import random
@@ -16,11 +18,13 @@ import pytest
 from ranklab import constructions, subspaces
 from ranklab.constructions import pseudoregulus_subspace, random_scattered_search
 from ranklab.fields import make_tower
-from ranklab.fqlinalg import (Mat, SubspaceBasis, intersection_dim, kernel,
-                              projective_points, rref, vec_mat)
+from ranklab.errors import InternalInvariantError
+from ranklab.fqlinalg import (Mat, SubspaceBasis, intersection_dim, iter_span_rows,
+                              kernel, projective_points, rref, vec_mat)
 from ranklab.linsets import hyperplane_spectrum, linear_set
 from ranklab.subspaces import (
     FqSubspace,
+    _point_weights,
     _walk_is_cheaper,
     excess_iter,
     flatten_vec,
@@ -29,7 +33,9 @@ from ranklab.subspaces import (
     iota,
     is_h_scattered,
     max_hyperplane_weight,
+    normalize_point,
     random_subspace,
+    unflatten_vec,
 )
 
 PRIME_POWER = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
@@ -77,6 +83,16 @@ def oracle_hyperplane_weights(U):
         rows = [row for v in H.rows for row in _line_rows(tower, v)]
         out[w] = intersection_dim(U.flat, SubspaceBasis.from_vectors(tower.base, rn, rows))
     return out
+
+
+def oracle_vector_walk(U):
+    """{point: weight} from all q^k vectors of U: each nonzero vector is
+    normalized to its point, and a point of weight w collects q^w - 1."""
+    tower, q = U.tower, U.tower.q
+    counts = Counter(normalize_point(tower.mid, unflatten_vec(tower, v))
+                     for v in iter_span_rows(U.flat.rows, tower.base, include_zero=False))
+    weight_of = {q**w - 1: w for w in range(1, U.k + 1)}
+    return {pt: weight_of[c] for pt, c in counts.items()}
 
 
 def oracle_excess_iter(U, h, *, budget):
@@ -133,6 +149,44 @@ def _grid_inputs():
 
 
 INPUTS = _grid_inputs()
+# the vector-walk oracle visits q^k vectors
+VECTOR_WALK_LIMIT = 5000
+
+
+def _heavy_subspace(tower, r, k, rng):
+    """A random k-dim U through v, g·v, ..., g^{w-1}·v for a random v, so the
+    point <v> has weight at least w = min(n, k - 1, 3)."""
+    mid = tower.mid
+    g = mid.gen if tower.n > 1 else 1
+    while True:
+        v = [rng.randrange(mid.order) for _ in range(r)]
+        if any(v):
+            break
+    vecs = []
+    for _ in range(min(tower.n, k - 1, 3)):
+        vecs.append(tuple(v))
+        v = [mid.mul(g, c) for c in v]
+    while True:
+        rest = [tuple(rng.randrange(mid.order) for _ in range(r))
+                for _ in range(k - len(vecs))]
+        U = FqSubspace.from_mid_vectors(tower, r, vecs + rest)
+        if U.k == k:
+            return U
+
+
+def _walk_inputs():
+    """(label, U): the grid's inputs the vector-walk oracle affords, and per
+    cell a random U with a heavy point, of the largest affordable k < rn."""
+    rng = random.Random(5)
+    out = [(label, U) for label, U, _ in INPUTS if U.tower.q**U.k <= VECTOR_WALK_LIMIT]
+    for q, r, n in GRID:
+        tower = _tower(q, n)
+        k = max(k for k in range(2, r * n) if q**k <= VECTOR_WALK_LIMIT)
+        out.append((f"heavy_q{q}_r{r}_n{n}_k{k}", _heavy_subspace(tower, r, k, rng)))
+    return out
+
+
+WALK_INPUTS = _walk_inputs()
 
 
 def _sides(U):
@@ -207,3 +261,32 @@ def test_search_follows_the_oracle_scored_trajectory(q, r, n, k, seed, monkeypat
     slow = random_scattered_search(tower, r, 1, k, seed=seed, max_evals=30)
     assert (fast.found, fast.evaluations) == (slow.found, slow.evaluations)
     assert fast.subspace == slow.subspace
+
+
+@pytest.mark.parametrize("label,U", WALK_INPUTS, ids=[x[0] for x in WALK_INPUTS])
+def test_point_walk_matches_the_vector_walk(label, U):
+    assert linear_set(U).points == oracle_vector_walk(U)
+
+
+def test_vector_walk_grid_has_heavy_points_at_every_q():
+    heavy = {U.tower.q for _, U in WALK_INPUTS
+             if max(oracle_vector_walk(U).values(), default=0) >= 2}
+    assert heavy == set(PRIME_POWER)
+
+
+@pytest.mark.parametrize("p,n", [(2, 21), (3, 13)])
+def test_point_walk_without_log_tables(p, n):
+    tower = make_tower(p, 1, n, 1)
+    assert tower.mid._exp is None      # above fields.LOG_TABLE_LIMIT
+    U = _heavy_subspace(tower, 2, 3, random.Random(p))
+    want = oracle_vector_walk(U)
+    assert max(want.values()) == 2
+    assert linear_set(U).points == want
+    assert iota(U) == 2
+
+
+def test_point_walk_checks_its_fiber_sizes(monkeypatch):
+    U = _heavy_subspace(_tower(3, 2), 2, 3, random.Random(1))
+    monkeypatch.setattr(subspaces, "theta", lambda s, Q: Q ** (s + 1) - 1)
+    with pytest.raises(InternalInvariantError, match="fiber size"):
+        _point_weights(U, 1 << 20)
