@@ -24,7 +24,7 @@ from .errors import (
     RankLabError,
     UsageError,
 )
-from .fields import make_tower
+from .fields import DEFAULT_TOWER_BUDGET, make_tower
 from .fqlinalg import DEFAULT_SUBSPACE_BUDGET, theta
 from .rankcodes import DEFAULT_CODEWORD_BUDGET
 from .serialize import dumps
@@ -49,9 +49,12 @@ def _budget(text: str) -> int:
 
 
 def _parse_q(q: int) -> tuple[int, int]:
-    """Split a prime power q into (p, e)."""
+    """Split a prime power q into (p, e).  A q above the tower budget is
+    refused before the trial division, which takes time linear in p."""
     if q < 2:
         raise UsageError(f"q={q} is not a prime power")
+    if q > DEFAULT_TOWER_BUDGET:
+        raise BudgetExceeded(q, DEFAULT_TOWER_BUDGET, "field elements")
     p = 2
     while q % p:
         p += 1

@@ -109,18 +109,9 @@ def _resolve_level(tower: FieldTower, N: int) -> str:
 
 
 def gabidulin(tower: FieldTower, N: int, k: int, s: int) -> RankCode:
-    """Generalized Gabidulin code G_{k,s} on F_{q^N}: MRD (N,N,q;N-k+1)."""
-    level = _resolve_level(tower, N)
-    if not 1 <= k < N:
-        raise KTooLarge(f"need 1 <= k < N, got k={k}, N={N}")
-    if math.gcd(s, N) != 1:
-        raise GcdViolation(f"gcd(s, N) must be 1, got gcd({s},{N})={math.gcd(s, N)}")
-    gens = [LinearizedPoly(tower, level, (0,) * (s * i % N) + (gamma,)).to_matrix()
-            for i in range(k) for gamma in base_basis_codes(tower, level)]
-    code = RankCode.from_generators(tower.base, N, N, gens)
-    if code.dim != N * k:
-        raise InternalInvariantError("Gabidulin generators were dependent")
-    return code
+    """Generalized Gabidulin code G_{k,s} on F_{q^N}: MRD (N,N,q;N-k+1),
+    the twisted code with eta = 0."""
+    return _twisted_code(tower, N, k, s, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -134,11 +125,18 @@ def twisted_gabidulin(tower: FieldTower, N: int, k: int, s: int,
     """Generalized twisted Gabidulin H_{k,s}(eta, c); MRD when the norm
     condition eta^{(q^N-1)/(q-1)} != (-1)^{Nk} holds (eta = 0 degenerates to
     the untwisted Gabidulin code and is allowed)."""
+    return TwistedGabidulin(_twisted_code(tower, N, k, s, eta, c), untwisted=eta == 0)
+
+
+def _twisted_code(tower: FieldTower, N: int, k: int, s: int,
+                  eta: int, c: int) -> RankCode:
+    """The code H_{k,s}(eta, c), spanned by gamma·x + gamma^{q^c}·eta·x^{q^{sk}}
+    and gamma·x^{q^{si}} (0 < i < k) over an F_q-basis gamma of F_{q^N}."""
     level = _resolve_level(tower, N)
     if not 1 <= k < N:
         raise KTooLarge(f"need 1 <= k < N, got k={k}, N={N}")
     if math.gcd(s, N) != 1:
-        raise GcdViolation(f"gcd(s, N) must be 1")
+        raise GcdViolation(f"gcd(s, N) must be 1, got gcd({s},{N})={math.gcd(s, N)}")
     if not 0 <= c < N:
         raise InvalidParams(f"need 0 <= c < N, got c={c}")
     F = tower.field(level)
@@ -165,8 +163,10 @@ def twisted_gabidulin(tower: FieldTower, N: int, k: int, s: int,
                 tower, level, (0,) * (s * i % N) + (gamma,)).to_matrix())
     code = RankCode.from_generators(tower.base, N, N, gens)
     if code.dim != N * k:
-        raise InvalidParams("twisted Gabidulin generators were dependent")
-    return TwistedGabidulin(code, untwisted=eta == 0)
+        # the terms sit at the distinct exponents s·i mod N (gcd(s, N) = 1)
+        # and the x coefficient gamma runs over a basis
+        raise InternalInvariantError("Gabidulin generators were dependent")
+    return code
 
 
 def find_nonsquare(tower: FieldTower, level: str) -> int:
@@ -340,9 +340,6 @@ def sheekey_code(polys: list[LinearizedPoly]) -> SheekeyCode:
 class MrdSubspaceExtraction:
     subspace: FqSubspace
     conjugated_code: RankCode
-    conjugation: Mat
-    fn_basis: list[tuple[tuple[int, ...], ...]]
-    g_map: Mat
     reconstructed: RankCode
     iota: int
 
@@ -445,12 +442,11 @@ def mrd_to_subspace(C: RankCode, tower: FieldTower, *,
                  for M in C.basis_matrices()]
     Cprime = RankCode.from_generators(base, C.m, n, conj_gens)
     d = C.min_distance(budget=budget)
-    return _extract_from_canonical(Cprime, tower, n - d, budget=budget,
-                                   conjugation=conj)
+    return _extract_from_canonical(Cprime, tower, n - d, budget=budget)
 
 
 def _extract_from_canonical(Cprime: RankCode, tower: FieldTower, it: int, *,
-                            budget: int, conjugation: Mat) -> MrdSubspaceExtraction:
+                            budget: int) -> MrdSubspaceExtraction:
     """Extraction pipeline once R(C') is the canonical multiplication field."""
     base, n = tower.base, tower.n
     K = Cprime.dim
@@ -489,9 +485,7 @@ def _extract_from_canonical(Cprime: RankCode, tower: FieldTower, it: int, *,
     if recon != Cprime:
         raise InternalInvariantError("reconstructed C_{U,G} differs from C'")
     return MrdSubspaceExtraction(
-        subspace=U, conjugated_code=Cprime, conjugation=conjugation,
-        fn_basis=[tuple(tuple(rw) for rw in f.data) for f in fn_basis],
-        g_map=G, reconstructed=recon, iota=it)
+        subspace=U, conjugated_code=Cprime, reconstructed=recon, iota=it)
 
 
 # -- the Gabidulin restriction example -------------------------------------------

@@ -1,5 +1,5 @@
 """Exact linear algebra over the tower fields: RREF, kernels, intersections,
-subspace enumeration and Gaussian binomials.
+subspace enumeration, span walks and Gaussian binomials.
 
 Vectors and matrix rows hold integer element codes (see fields).  The
 canonical representative of a subspace is its RREF basis, which makes
@@ -11,13 +11,20 @@ echelon form and reduce each stored row against the others, in descending
 pivot order (back-substitution); SubspaceBasis.reduce is the same step
 against an RREF basis.
 
-Row elimination over a prime field F_p runs on packed int rows: coordinate j
-takes W bits starting at bit j·W (pack_row, unpack_row).  At p = 2, W = 1,
-rows are bitmasks and adding rows is XOR.  At odd p, W = (2p−2).bit_length()+1
-leaves room for the sum of two entries plus a guard bit, so adding two rows is
-one integer addition and one fold that subtracts p from every slot that
-reached p; scaling is doubling and adding.  Extension fields use tuple rows
-and Field arithmetic.
+This module alone knows the form in which RowReducer stores a row.  Over a
+prime field F_p a row is a packed int: coordinate j takes W bits starting at
+bit j·W.  At p = 2, W = 1, rows are bitmasks and adding rows is XOR.  At odd
+p, W = (2p−2).bit_length()+1 leaves room for the sum of two entries plus a
+guard bit, so adding two rows is one integer addition and one fold that
+subtracts p from every slot that reached p; scaling is doubling and adding.
+Over an extension field a row is a tuple of codes with Field arithmetic.
+Other modules build stored rows with store_row and store_digits, add them
+with row_add, cut them into blocks with row_blocks, and walk their spans
+with iter_span.
+
+odometer is the one span enumerator: iter_span runs it over the F_p-expansion
+(prime_expansion) of stored rows, with one row add per step, and
+iter_span_rows is the same walk with tuple output.
 """
 
 from __future__ import annotations
@@ -121,7 +128,7 @@ def vec_mat(v, A: Mat) -> list[int]:
     return out
 
 
-# -- packed rows over prime fields ---------------------------------------------
+# -- stored rows: packed over prime fields, tuples over extension fields ------
 
 
 def slot_width(F: Field) -> int:
@@ -131,7 +138,7 @@ def slot_width(F: Field) -> int:
 
 class _Slots:
     """Row arithmetic on packed F_p rows of ncols coordinates at odd p (rows
-    over F_2 add by XOR; see packed_add and RowReducer).
+    over F_2 add by XOR; see row_add and RowReducer).
 
     An entry is below p, so a slot of x + y is at most 2p − 2, and a
     slot of x + (p − y) at most 2p − 1; both are below 2^v + p with
@@ -187,8 +194,11 @@ def _slots(F: Field, ncols: int) -> _Slots:
     return _Slots(F, ncols)
 
 
-def pack_row(F: Field, row) -> int:
-    """Packed int of a row of codes over the prime field F."""
+def store_row(F: Field, row):
+    """A row of codes over F in RowReducer's stored form: a packed int over
+    a prime field, a tuple over an extension field."""
+    if F.base is not None:
+        return tuple(row)
     w = slot_width(F)
     b = 0
     for x in reversed(row):
@@ -196,17 +206,14 @@ def pack_row(F: Field, row) -> int:
     return b
 
 
-def packed_add(F: Field, ncols: int):
-    """The sum of two packed rows of at most ncols coordinates over the prime
-    field F (XOR at p = 2)."""
-    return operator.xor if F.p == 2 else _slots(F, ncols).add
-
-
-def pack_digits(F: Field, codes, deg: int) -> int:
-    """Packed row of the deg base-p digits of each code, in order: the
-    coordinates over the prime field F of a vector over F_{p^deg}."""
-    p = F.p
-    bits = 0
+def store_digits(F: Field, codes, deg: int):
+    """The deg base-|F| digits of each code, in order, as a stored row: the
+    coordinates over F of a vector over the degree-deg extension of F."""
+    if F.base is not None:
+        q = F.order
+        places = [q**i for i in range(deg)]
+        return tuple(c // b % q for c in codes for b in places)
+    p, bits = F.p, 0
     if p == 2:
         for i, c in enumerate(codes):
             bits |= c << (i * deg)
@@ -218,6 +225,29 @@ def pack_digits(F: Field, codes, deg: int) -> int:
             c //= p
             shift += w
     return bits
+
+
+def row_add(F: Field, ncols: int):
+    """The sum of two stored rows of at most ncols coordinates over F: XOR
+    at p = 2 (coordinate-wise on tuples), the slot fold at odd p, Field.add
+    on each coordinate of a tuple at odd p."""
+    if F.base is None:
+        return operator.xor if F.p == 2 else _slots(F, ncols).add
+    add = operator.xor if F.p == 2 else F.add
+    return lambda x, y: tuple(map(add, x, y))
+
+
+def row_blocks(F: Field, width: int):
+    """(split, join, tail) on stored rows over F cut into blocks of width
+    coordinates: split(x, s) lists the first s blocks of x, join(b, y) is
+    the block b followed by the row y, and tail(x) drops x's first block."""
+    if F.base is not None:
+        return (lambda x, s: [x[t:t + width] for t in range(0, s * width, width)],
+                operator.add, lambda x: x[width:])
+    block = width * slot_width(F)
+    mask = (1 << block) - 1
+    return (lambda x, s: [(x >> t) & mask for t in range(0, s * block, block)],
+            lambda b, y: b | y << block, lambda x: x >> block)
 
 
 def unpack_row(F: Field, bits: int, ncols: int) -> list[int]:
@@ -276,7 +306,7 @@ class RowReducer:
         if self.bits:
             for row in rows:
                 if not isinstance(row, int):
-                    row = pack_row(F, row)
+                    row = store_row(F, row)
                 while row:
                     j = (row & -row).bit_length() - 1
                     other = pr.get(j)
@@ -290,7 +320,7 @@ class RowReducer:
         w, mask, scale, submul = sl.width, sl.mask, sl.scale, sl.submul
         for row in rows:
             if not isinstance(row, int):
-                row = pack_row(F, row)
+                row = store_row(F, row)
             while row:
                 j = ((row & -row).bit_length() - 1) // w
                 c = (row >> (j * w)) & mask
@@ -340,7 +370,7 @@ class RowReducer:
                     row[j:] = [sub(x, mul(f, y)) for x, y in zip(row[j:], other[j:])]
             return row
         if not isinstance(row, int):
-            row = pack_row(self.field, row)
+            row = store_row(self.field, row)
         if self.bits:
             for j, other in pr.items():
                 if row >> j & 1:
@@ -414,19 +444,14 @@ class SubspaceBasis:
     def zero(cls, F: Field, ambient: int) -> "SubspaceBasis":
         return cls(F, ambient, (), ())
 
-    def packed_rows(self) -> list[int]:
-        """The basis rows packed (prime fields only; see pack_row)."""
-        return [pack_row(self.field, r) for r in self.rows]
-
     @cached_property
     def _reducer(self) -> RowReducer:
         rr = RowReducer(self.field, self.ambient)
-        rows = self.rows if rr.slots is None else self.packed_rows()
-        rr.pivrows.update(zip(self.pivots, rows))
+        rr.pivrows.update(zip(self.pivots, (store_row(self.field, r) for r in self.rows)))
         return rr
 
     def reducer(self) -> RowReducer:
-        """A RowReducer holding this basis (packed over a prime field)."""
+        """A RowReducer holding this basis in the stored form."""
         return self._reducer.clone()
 
     def reduce(self, vec) -> list[int]:
@@ -598,15 +623,6 @@ def odometer(add, start, rows, p: int):
         yield cur
 
 
-def iter_span_packed(F: Field, rows: list[int], ncols: int, include_zero: bool = True):
-    """All combinations of packed rows of ncols coordinates over the prime
-    field F, by a base-p odometer (one row add per step)."""
-    walk = odometer(packed_add(F, ncols), 0, rows, F.p)
-    if not include_zero:
-        next(walk)
-    return walk
-
-
 def prime_basis_codes(F: Field) -> list[int]:
     """Element codes of an F_p-basis of F, in code-ascending order."""
     if F.base is None:
@@ -615,39 +631,33 @@ def prime_basis_codes(F: Field) -> list[int]:
             for c in prime_basis_codes(F.base)]
 
 
-def iter_span_rows(rows, F: Field, include_zero: bool = True):
-    """All F-linear combinations of rows with entries in F.
+def prime_expansion(F: Field, rows, coeffs: Field | None = None) -> list:
+    """c·row for each row and each c of the F_p-basis of coeffs (default F),
+    row by row: rows whose F_p-span is the coeffs-span of rows.  Rows are
+    code sequences or stored rows over F; a row times 1 is passed through."""
+    scalars = prime_basis_codes(coeffs or F)
+    mul = F.mul
+    return [row if c == 1 else tuple(mul(c, x) for x in row)
+            for row in rows for c in scalars]
 
-    Rows are expanded by an F_p-basis of F, after which a base-p odometer
-    needs one row-add per step; the walk covers |F|^len(rows) combinations.
-    """
-    expanded = []
-    for row in rows:
-        for b in prime_basis_codes(F):
-            if b == 1:
-                expanded.append(tuple(row))
-            else:
-                expanded.append(tuple(F.mul(b, x) for x in row))
-    k = len(expanded)
+
+def iter_span(F: Field, rows, ncols: int, include_zero: bool = True):
+    """All F-linear combinations of stored rows of ncols coordinates over F:
+    an odometer over their F_p-expansion, one row add per step."""
+    walk = odometer(row_add(F, ncols), store_row(F, [0] * ncols),
+                    prime_expansion(F, rows), F.p)
+    if not include_zero:
+        next(walk)
+    return walk
+
+
+def iter_span_rows(rows, F: Field, include_zero: bool = True):
+    """All F-linear combinations of rows with entries in F, as tuples: the
+    walk of iter_span over the stored rows."""
     ncols = len(rows[0]) if rows else 0
-    add = F.add
-    p = F.p
-    cur = [0] * ncols
-    digits = [0] * k
-    if include_zero:
-        yield tuple(cur)
-    for _ in range(p**k - 1):
-        i = 0
-        while digits[i] == p - 1:
-            digits[i] = 0
-            row = expanded[i]
-            for j in range(ncols):
-                if row[j]:
-                    cur[j] = add(cur[j], row[j])
-            i += 1
-        digits[i] += 1
-        row = expanded[i]
-        for j in range(ncols):
-            if row[j]:
-                cur[j] = add(cur[j], row[j])
-        yield tuple(cur)
+    walk = iter_span(F, [store_row(F, row) for row in rows], ncols, include_zero)
+    if F.base is not None:
+        yield from walk
+        return
+    for v in walk:
+        yield tuple(unpack_row(F, v, ncols))

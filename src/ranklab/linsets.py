@@ -33,15 +33,14 @@ from .fqlinalg import (
     DEFAULT_SUBSPACE_BUDGET,
     Mat,
     SubspaceBasis,
-    intersection_dim,
     kernel,
     projective_points,
     theta,
 )
 from .subspaces import (
     FqSubspace,
+    _meet_dims,
     _point_weights,
-    fqn_subspace_flat,
     hyperplane_weight_counts,
     is_h_scattered,
     normalize_point,
@@ -73,18 +72,12 @@ def linear_set(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> Linea
 
 def point_weight(U: FqSubspace, P) -> int:
     """dim_{F_q}(U ∩ <P>_{F_{q^n}})."""
-    tower = U.tower
-    line = fqn_subspace_flat(
-        tower, SubspaceBasis.from_vectors(tower.mid, U.r, [list(P)]))
-    return intersection_dim(U.flat, line.flat)
+    return next(_meet_dims(U, [SubspaceBasis.from_vectors(U.tower.mid, U.r, [P]).rows]))
 
 
 def hyperplane_weight(U: FqSubspace, W) -> int:
     """dim_{F_q}(U ∩ H) for the hyperplane H with dual point W."""
-    tower = U.tower
-    H = kernel(Mat.from_rows(tower.mid, [list(W)], U.r))
-    flat = fqn_subspace_flat(tower, H)
-    return intersection_dim(U.flat, flat.flat)
+    return next(_meet_dims(U, [kernel(Mat.from_rows(U.tower.mid, [list(W)], U.r)).rows]))
 
 
 def ti_formula(r: int, n: int, h: int, q: int, i: int) -> int:

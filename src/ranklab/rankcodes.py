@@ -14,17 +14,18 @@ shorter of two exact scans, run on demand under an explicit budget:
   images of one column block; a node with an empty subcode adds its whole
   subtree in closed form.
 
-Both eliminate through fqlinalg.RowReducer, on packed rows over a prime
-field and on tuple rows over an extension field.
+Both eliminate through fqlinalg.RowReducer and walk spans with
+fqlinalg.odometer.  Rows stay in the form RowReducer stores them, built,
+added and cut into blocks by fqlinalg's row helpers, so neither scan knows
+whether a row is a packed int or a tuple of codes.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-import operator
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (
     BudgetExceeded,
@@ -41,16 +42,15 @@ from .fqlinalg import (
     Mat,
     RowReducer,
     SubspaceBasis,
-    iter_span_packed,
-    iter_span_rows,
+    iter_span,
     kernel,
     mat_mul,
     odometer,
-    pack_row,
-    packed_add,
-    prime_basis_codes,
+    prime_expansion,
     qbinom,
-    slot_width,
+    row_add,
+    row_blocks,
+    store_row,
 )
 
 DEFAULT_CODEWORD_BUDGET = 1 << 24
@@ -163,18 +163,10 @@ def _span_ranks(F: Field, vecs, m: int, n: int):
     matrices vecs (odometer walk, one vector add per step)."""
     rr = RowReducer(F, n)       # emptied and reused for every codeword
     pivrows, add_all = rr.pivrows, rr.add_all
-    if F.base is None:
-        w = slot_width(F)
-        mask = (1 << (n * w)) - 1
-        shifts = [i * n * w for i in range(m)]
-        packed = [pack_row(F, v) for v in vecs]
-        for word in iter_span_packed(F, packed, m * n, include_zero=False):
-            pivrows.clear()
-            yield add_all([(word >> s) & mask for s in shifts])
-    else:
-        for v in iter_span_rows(vecs, F, include_zero=False):
-            pivrows.clear()
-            yield add_all([v[i * n:(i + 1) * n] for i in range(m)])
+    split = row_blocks(F, n)[0]
+    for word in iter_span(F, [store_row(F, v) for v in vecs], m * n, include_zero=False):
+        pivrows.clear()
+        yield add_all(split(word, m))
 
 
 def _walk_counts(C: RankCode) -> list[int]:
@@ -206,8 +198,8 @@ def _subspace_counts(C: RankCode) -> list[int]:
     vanished.  Children with p₁ = 0 have no children and need the rank only.
     A node with C_Y = 0, of dimension d and smallest pivot p, adds its
     descendants in closed form: for e = 1..p, q^{e(n'−d−p)}·[p, e]_q
-    subspaces of dimension d + e, each with |C_Y| = 1.  Rows are packed over
-    a prime field and code tuples over an extension field, as in RowReducer.
+    subspaces of dimension d + e, each with |C_Y| = 1.  Rows are in
+    RowReducer's stored form, cut and joined with fqlinalg.row_blocks.
     """
     F, q, K = C.field, C.q, C.dim
     mats = C.basis_matrices()
@@ -215,25 +207,12 @@ def _subspace_counts(C: RankCode) -> list[int]:
         mats = [tuple(zip(*M)) for M in mats]
     H, width = max(C.m, C.n), min(C.m, C.n)
     # each codeword with its columns stacked: entry (i, j) at j·H + i
-    words = [[M[i][j] for j in range(width) for i in range(H)] for M in mats]
+    words = [store_row(F, [M[i][j] for j in range(width) for i in range(H)])
+             for M in mats]
     # tracked rows are an image block followed by its codeword
     track, ranker = RowReducer(F, H * (width + 1)), RowReducer(F, H)
-    scalars = prime_basis_codes(F)      # [1] over a prime field
-    if track.slots is None:
-        words = [tuple(w) for w in words]
-        split = lambda x, s: [x[t * H:(t + 1) * H] for t in range(s)]
-        concat = lambda parts: tuple(itertools.chain.from_iterable(parts))
-        add = lambda x, y: tuple(map(F.add, x, y))
-        join, unjoin = operator.add, lambda row: row[H:]
-    else:
-        block = H * slot_width(F)
-        mask = (1 << block) - 1
-        words = [pack_row(F, w) for w in words]
-        split = lambda x, s: [(x >> t * block) & mask for t in range(s)]
-        concat = lambda parts: sum(x << t * block for t, x in enumerate(parts))
-        add = packed_add(F, max(K, 1) * H)
-        join = lambda img, w: img | w << block
-        unjoin = lambda row: row >> block
+    split, join, tail = row_blocks(F, H)
+    add = row_add(F, max(K, 1) * H)
     qpow = [q**e for e in range(K + 1)]
     B = [0] * (width + 1)
 
@@ -245,15 +224,17 @@ def _subspace_counts(C: RankCode) -> list[int]:
             for e in range(1, p + 1):
                 B[width - d - e] += q ** (e * (width - d - p)) * qbinom(p, e, q)
             return
-        cols = [concat(col) for col in zip(*(split(w, width) for w in words))]
+        # column j of every word, joined in word order
+        cols = [reduce(lambda row, b: join(b, row), col[::-1])
+                for col in zip(*(split(w, width) for w in words))]
         for p1 in range(p):
-            free = [cols[j] if b == 1 else tuple(F.mul(b, x) for x in cols[j])
-                    for j in range(p1 + 1, width) if j not in pivots for b in scalars]
+            free = prime_expansion(
+                F, [cols[j] for j in range(p1 + 1, width) if j not in pivots])
             for img in odometer(add, cols[p1], free, F.p):
                 if p1:
                     track.pivrows.clear()
                     track.add_all(map(join, split(img, s), words))
-                    visit([unjoin(row) for j, row in track.pivrows.items() if j >= H],
+                    visit([tail(row) for j, row in track.pivrows.items() if j >= H],
                           (p1,) + pivots, d + 1)
                 else:
                     ranker.pivrows.clear()

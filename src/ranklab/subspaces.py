@@ -7,14 +7,20 @@ flattening applies the fixed basis (1, g, ..., g^{n-1}) of F_{q^n} over F_q
 coordinate-wise, so coordinate i of a mid vector occupies flat columns
 [i*n, (i+1)*n).
 
+Every meet dim_{F_q}(U ∩ <W>_{F_{q^n}}) with given F_{q^n}-subspaces W comes
+from one helper, _meet_dims: it holds one reducer for U and eliminates the
+n·dim W flat rows g^j·w of each W against a clone of it (rows in the form
+fqlinalg stores them).  The point scan, the h >= 2 scatteredness scan, the
+single point and hyperplane weights of linsets, the dual weight identity and
+the Delsarte embedding check all read it.
+
 Point weights w(P) = dim_{F_q}(U ∩ <P>_{F_{q^n}}) come from one of two
 exact scans, chosen from the input alone:
 
 - the vector walk (_point_weights) visits one vector on each of the
   θ_{k-1}(q) F_q-points of U and buckets them by projective point; a point
   collecting θ_{w-1}(q) = (q^w - 1)/(q - 1) of them has weight w.
-- the point scan (_point_scan) eliminates the n flat rows of every point of
-  PG(r-1, q^n) against U.
+- the point scan (_point_scan) meets U with every point of PG(r-1, q^n).
 
 The walk runs when U's q^k vectors are at most n·θ_{r-1}(q^n), the row
 additions of the point scan.  Hyperplane weights are point weights of the
@@ -29,6 +35,7 @@ scatteredness scan over h-dim F_{q^n}-subspaces.
 from __future__ import annotations
 
 import enum
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -49,14 +56,13 @@ from .fqlinalg import (
     SubspaceBasis,
     enumerate_subspaces,
     intersect,
-    intersection_dim,
     kernel,
     mat_inverse,
     mat_mul,
     odometer,
-    pack_digits,
-    prime_basis_codes,
+    prime_expansion,
     projective_points,
+    store_digits,
     theta,
     vec_mat,
 )
@@ -130,29 +136,28 @@ class FqSubspace:
         return hash((self.tower.params, self.r, self.flat))
 
 
-def _mid_scaled_rows(tower: FieldTower, v, pack: bool):
-    """Flat rows spanning <v>_{F_{q^n}} as an F_q-space: g^j * v, j < n;
-    packed ints (fqlinalg.pack_digits) when pack is set, for prime q."""
-    mid = tower.mid
-    mul = mid.mul
-    n = tower.n
-    g = mid.gen if tower.n > 1 else 1
-    rows = []
-    w = list(v)
-    for _ in range(n):
-        if pack:
-            rows.append(pack_digits(tower.base, w, n))
-        else:
-            rows.append(flatten_vec(tower, w))
-        w = [mul(g, c) for c in w]
-    return rows
-
-
-def _midspace_flat_rows(tower: FieldTower, mid_rows, pack: bool):
-    out = []
+def _fqn_span(tower: FieldTower, mid_rows):
+    """Yield g^j·w for each w in mid_rows and j < n: vectors whose F_q-span
+    is <mid_rows>_{F_{q^n}}, F_q-independent when mid_rows are
+    F_{q^n}-independent."""
+    mul, n = tower.mid.mul, tower.n
+    g = tower.mid.gen if n > 1 else 1
     for w in mid_rows:
-        out.extend(_mid_scaled_rows(tower, w, pack))
-    return out
+        for _ in range(n):
+            yield w
+            w = [mul(g, c) for c in w]
+
+
+def _meet_dims(U: FqSubspace, spaces):
+    """Yield dim_{F_q}(U ∩ <W>_{F_{q^n}}) for each W in spaces, a sequence of
+    F_{q^n}-independent mid vectors: the n·dim W flat rows of <W> less the
+    rank they add to one reducer holding U, cloned for each W."""
+    tower = U.tower
+    base, n = tower.base, tower.n
+    red = U.flat.reducer()
+    for W in spaces:
+        rows = [store_digits(base, w, n) for w in _fqn_span(tower, W)]
+        yield len(rows) - red.clone().add_all(rows)
 
 
 def normalize_point(F: Field, v) -> tuple[int, ...]:
@@ -217,9 +222,8 @@ def _point_weights(U: FqSubspace, budget: int) -> dict[tuple[int, ...], int]:
                 return v
             s = top - log[c]
             return tuple(exp[log[x] + s] if x else 0 for x in v)
-    scalars = prime_basis_codes(tower.base)    # scalars[0] == 1: rows[i*e] is b_i
-    e = len(scalars)
-    rows = [pack([mid.mul(a, c) for c in b]) for b in U.basis_mid for a in scalars]
+    e = tower.e    # the F_p-basis of F_q starts with 1: rows[i*e] is b_i
+    rows = [pack(v) for v in prime_expansion(mid, U.basis_mid, tower.base)]
     counts: dict = {}
     for i in range(k):
         for v in odometer(add, rows[i * e], rows[(i + 1) * e:], p):
@@ -232,15 +236,10 @@ def _point_weights(U: FqSubspace, budget: int) -> dict[tuple[int, ...], int]:
 
 
 def _point_scan(U: FqSubspace, budget: int):
-    """Yield (point, weight) for every point of PG(r-1, q^n), eliminating the
-    n flat rows of <P>_{F_{q^n}} against U; budget caps it at θ_{r-1}(q^n)
-    projective points."""
-    tower = U.tower
-    pack = tower.base.base is None
-    base_red = U.flat.reducer()
-    n = tower.n
-    for v in projective_points(tower.mid, U.r, budget=budget):
-        yield v, n - base_red.clone().add_all(_mid_scaled_rows(tower, v, pack))
+    """(point, weight) for every point P of PG(r-1, q^n), meeting U with
+    <P>_{F_{q^n}}; budget caps it at θ_{r-1}(q^n) projective points."""
+    points, lines = itertools.tee(projective_points(U.tower.mid, U.r, budget=budget))
+    return zip(points, _meet_dims(U, zip(lines)))
 
 
 def _point_weight_items(U: FqSubspace, budget: int):
@@ -283,12 +282,8 @@ def excess_iter(U: FqSubspace, h: int, *, budget: int = DEFAULT_SUBSPACE_BUDGET)
             if w > 1:
                 yield w - 1
         return
-    tower = U.tower
-    pack = tower.base.base is None
-    base_red = U.flat.reducer()
-    hn = h * tower.n
-    for H in enumerate_subspaces(U.r, h, tower.mid, budget=budget):
-        d = hn - base_red.clone().add_all(_midspace_flat_rows(tower, H.rows, pack))
+    spaces = enumerate_subspaces(U.r, h, U.tower.mid, budget=budget)
+    for d in _meet_dims(U, (H.rows for H in spaces)):
         if d > h:
             yield d - h
 
@@ -406,10 +401,7 @@ def ordinary_dual(U: FqSubspace) -> FqSubspace:
 
 def fqn_subspace_flat(tower: FieldTower, W: SubspaceBasis) -> FqSubspace:
     """The F_{q^n}-subspace W (basis over mid) viewed as a flat F_q-subspace."""
-    vecs = []
-    for w in W.rows:
-        vecs.extend(_midspace_flat_rows(tower, [w], False))
-    return FqSubspace.from_flat(tower, W.ambient, vecs)
+    return FqSubspace.from_mid_vectors(tower, W.ambient, list(_fqn_span(tower, W.rows)))
 
 
 def dual_weight_identity_check(U: FqSubspace, W: SubspaceBasis) -> bool:
@@ -418,17 +410,9 @@ def dual_weight_identity_check(U: FqSubspace, W: SubspaceBasis) -> bool:
     if W.ambient != r:
         raise DimensionMismatch("W must be an F_{q^n}-subspace of the same ambient")
     s = W.dim
-    if s == 0:
-        Wperp_rows: list = Mat.identity(tower.mid, r).data
-    else:
-        Wperp_rows = [list(v) for v in kernel(
-            Mat.from_rows(tower.mid, [list(w) for w in W.rows], r)).rows]
-    W_flat = fqn_subspace_flat(tower, W)
-    Wperp_flat = fqn_subspace_flat(
-        tower, SubspaceBasis.from_vectors(tower.mid, r, Wperp_rows))
-    Udual = ordinary_dual(U)
-    lhs = (intersection_dim(Udual.flat, Wperp_flat.flat)
-           - intersection_dim(U.flat, W_flat.flat))
+    Wperp = (Mat.identity(tower.mid, r).data if s == 0 else
+             kernel(Mat.from_rows(tower.mid, [list(w) for w in W.rows], r)).rows)
+    lhs = next(_meet_dims(ordinary_dual(U), [Wperp])) - next(_meet_dims(U, [W.rows]))
     return lhs == r * n - U.k - s * n
 
 
@@ -441,19 +425,15 @@ class DelsarteDualData:
 
     W is the F_q-span of the rows of embed (= [M|N]); Gamma is {0}^r x
     F_{q^n}^{k-r}; beta is the extension of the dot product in W-coordinates,
-    whose Gram matrix in standard coordinates is gram_std; proj realizes the
-    quotient by Gamma^perp as x -> x·proj.
+    whose Gram matrix in standard coordinates is gram_std.
     """
 
     tower: FieldTower
     r: int
     k: int
     embed: Mat
-    n_block: Mat
     gamma: SubspaceBasis
     gram_std: Mat
-    gamma_perp: SubspaceBasis
-    proj: Mat
     dual: FqSubspace
 
 
@@ -523,10 +503,8 @@ def delsarte_dual(U: FqSubspace, *,
     dual = FqSubspace.from_mid_vectors(tower, k - r, dual_vectors)
     if dual.k != k:
         raise InternalInvariantError("W meets Gamma^perp nontrivially")
-    data = DelsarteDualData(
-        tower=tower, r=r, k=k, embed=T, n_block=N, gamma=gamma,
-        gram_std=gram_std,
-        gamma_perp=gamma_perp, proj=proj, dual=dual)
+    data = DelsarteDualData(tower=tower, r=r, k=k, embed=T, gamma=gamma,
+                            gram_std=gram_std, dual=dual)
     _validate_delsarte(data, U)
     return data
 
@@ -534,9 +512,8 @@ def delsarte_dual(U: FqSubspace, *,
 def _validate_delsarte(data: DelsarteDualData, U: FqSubspace) -> None:
     if RowReducer(data.tower.mid, data.k).add_all(data.embed.data) != data.k:
         raise NoEmbedding("[M|N] is singular")
-    if intersection_dim(
-            fqn_subspace_flat(data.tower, data.gamma).flat,
-            _w_flat(data).flat) != 0:
+    W = FqSubspace.from_mid_vectors(data.tower, data.k, data.embed.data)
+    if next(_meet_dims(W, [data.gamma.rows])):
         raise NoEmbedding("W meets Gamma")
     if data.gram_std.data != data.gram_std.transpose().data:
         raise NoEmbedding("beta is not symmetric")
@@ -545,27 +522,15 @@ def _validate_delsarte(data: DelsarteDualData, U: FqSubspace) -> None:
         raise NoEmbedding("<W, Gamma> ∩ V != U")
 
 
-def _w_flat(data: DelsarteDualData) -> FqSubspace:
-    tower = data.tower
-    return FqSubspace.from_mid_vectors(tower, data.k, [tuple(r) for r in data.embed.data])
-
-
 def delsarte_double_dual(data: DelsarteDualData) -> FqSubspace:
     """(U^{⊥_D})^{⊥_D} computed with the stored embedding: <W,Γ>_{F_q} ∩ V,
     returned in the original ambient (the unflattening of W+Γ through φ)."""
-    tower, r, k = data.tower, data.r, data.k
-    span_vecs = [list(row) for row in data.embed.data]
-    for g_row in data.gamma.rows:
-        span_vecs.append(list(g_row))
-    big_rows = _midspace_flat_rows(tower, [tuple(v) for v in span_vecs[k:]], False)
-    flat_w = [flatten_vec(tower, v) for v in span_vecs[:k]]
-    S = SubspaceBasis.from_vectors(tower.base, k * tower.n, flat_w + big_rows)
-    v_rows = []
-    for i in range(r):
-        e = [0] * k
-        e[i] = 1
-        v_rows.extend(_mid_scaled_rows(tower, e, False))
-    V_flat = SubspaceBasis.from_vectors(tower.base, k * tower.n, v_rows)
+    tower, r, kn = data.tower, data.r, data.k * data.tower.n
+    span = itertools.chain(data.embed.data, _fqn_span(tower, data.gamma.rows))
+    S = SubspaceBasis.from_vectors(tower.base, kn, [flatten_vec(tower, v) for v in span])
+    # V = F_{q^n}^r x {0} is spanned by the first rn flat unit vectors
+    V_flat = SubspaceBasis.from_vectors(
+        tower.base, kn, Mat.identity(tower.base, kn).data[:r * tower.n])
     inter = intersect(S, V_flat)
     vectors = []
     for row in inter.rows:

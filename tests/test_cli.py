@@ -3,6 +3,7 @@ serialization round trips and the fixture corpus."""
 
 import json
 import os
+import time
 
 import jsonschema
 import pytest
@@ -386,3 +387,12 @@ def test_subspace_json_with_r_zero_is_a_usage_error(tmp_path, capsys):
     for verb in (["projsys-code"], ["dualize", "--ordinary"], ["linset-points"], ["cug"]):
         assert main([verb[0], "--subspace", str(path)] + verb[1:]) == 1
         assert "'r' must be >= 1" in capsys.readouterr().err
+
+
+def test_large_prime_q_is_refused_before_factoring(capsys):
+    # trial division up to q = 2^31 - 1 would take minutes; the tower budget
+    # (2^24 field elements) refuses such a q at once
+    start = time.perf_counter()
+    assert main(["gabidulin", "--q", "2147483647", "--N", "2", "--k", "1"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "field elements exceeds budget" in capsys.readouterr().err

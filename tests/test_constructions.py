@@ -297,7 +297,9 @@ def test_gabidulin_restriction_t1_is_square_gabidulin(t2_3):
     assert res.code == gabidulin(t2_3, 3, 2, 1)
 
 
-@pytest.mark.parametrize("params", [(3, 1, 2, 2), (3, 1, 3, 2), (2, 2, 2, 2)])
+# t = 2 towers, then the t = 3 towers F_2 ⊂ F_4 ⊂ F_64 and F_3 ⊂ F_9 ⊂ F_729 (iota = 1)
+@pytest.mark.parametrize("params", [(3, 1, 2, 2), (3, 1, 3, 2), (2, 2, 2, 2),
+                                    (2, 1, 2, 3), (3, 1, 2, 3)])
 def test_gabidulin_restriction_on_t2_towers(params):
     tower = make_tower(*params)
     n, t = tower.n, tower.t

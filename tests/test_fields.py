@@ -1,5 +1,6 @@
 """Field tower construction, trace/norm/frobenius, minimal polynomials."""
 
+import functools
 import random
 
 import pytest
@@ -96,14 +97,15 @@ def test_frobenius_fixed_points_exhaustive():
         assert len(fixed) == t.q
 
 
-# t = 2 towers beyond q = 2: F_3 ⊂ F_9 ⊂ F_81, F_3 ⊂ F_27 ⊂ F_729, F_4 ⊂ F_16 ⊂ F_256
-T2_TOWERS = [(3, 1, 2, 2), (3, 1, 3, 2), (2, 2, 2, 2)]
+# t = 2 towers beyond q = 2: F_3 ⊂ F_9 ⊂ F_81, F_3 ⊂ F_27 ⊂ F_729, F_4 ⊂ F_16 ⊂ F_256,
+# and t = 3: F_2 ⊂ F_4 ⊂ F_64, F_3 ⊂ F_9 ⊂ F_729
+T2_TOWERS = [(3, 1, 2, 2), (3, 1, 3, 2), (2, 2, 2, 2), (2, 1, 2, 3), (3, 1, 2, 3)]
 
 
 @pytest.mark.parametrize("params", T2_TOWERS)
 def test_top_frobenius_trace_and_norm_on_t2_towers(params):
     t = make_tower(*params)
-    top, mid, base, n, q = t.top, t.mid, t.base, t.n, t.q
+    top, mid, base, n, q, deg = t.top, t.mid, t.base, t.n, t.q, t.n * t.t
     rng = random.Random(7)
     fr = lambda x, s: t.frob("top", x, s)
     for _ in range(200):
@@ -113,9 +115,9 @@ def test_top_frobenius_trace_and_norm_on_t2_towers(params):
         assert fr(a, 1) == top.pow(a, q)
     # x -> x^q has order nt; its fixed field is F_q, and x^{q^n}'s is F_{q^n}
     ys = list(top.elements())
-    for s in range(1, 2 * n + 1):
+    for s in range(1, deg + 1):
         ys = [fr(y, 1) for y in ys]
-        assert (ys == list(top.elements())) == (s == 2 * n), s
+        assert (ys == list(top.elements())) == (s == deg), s
     assert [x for x in top.elements() if fr(x, 1) == x] == list(base.elements())
     assert [x for x in top.elements() if fr(x, n) == x] == list(mid.elements())
     lam = rng.randrange(1, q)
@@ -125,8 +127,9 @@ def test_top_frobenius_trace_and_norm_on_t2_towers(params):
         traces.add(tr)
         norms.add(nm)
         # transitivity through F_{q^n}: Tr = Tr_mid ∘ Tr_{top/mid}, N likewise
-        assert tr == t.trace_to_base("mid", top.add(x, fr(x, n)))
-        assert nm == t.norm_to_base("mid", top.mul(x, fr(x, n)))
+        conj = [fr(x, i) for i in range(0, deg, n)]
+        assert tr == t.trace_to_base("mid", functools.reduce(top.add, conj))
+        assert nm == t.norm_to_base("mid", functools.reduce(top.mul, conj))
         assert t.trace_to_base("top", top.mul(lam, x)) == base.mul(lam, tr)
         y = rng.randrange(top.order)
         assert t.trace_to_base("top", top.add(x, y)) == base.add(

@@ -15,19 +15,19 @@ from ranklab.fqlinalg import (
     enumerate_subspaces,
     intersect,
     intersection_dim,
-    iter_span_packed,
+    iter_span,
     iter_span_rows,
     kernel,
     mat_inverse,
     mat_mul,
     mat_vec,
-    pack_digits,
-    pack_row,
     projective_points,
     qbinom,
     rref,
     slot_width,
     solve_right,
+    store_digits,
+    store_row,
     theta,
     unpack_row,
 )
@@ -103,10 +103,8 @@ def test_intersect_matches_exhaustive_membership():
         B = SubspaceBasis.from_vectors(
             F2, 5, [[rng.randrange(2) for _ in range(5)] for _ in range(3)])
         got = intersect(A, B)
-        av = set(iter_span_packed(F2, A.packed_rows(), 5))
-        bv = set(iter_span_packed(F2, B.packed_rows(), 5))
-        inter = av & bv
-        assert set(iter_span_packed(F2, got.packed_rows(), 5)) == inter
+        span = lambda S: set(iter_span(F2, [store_row(F2, r) for r in S.rows], 5))
+        assert span(got) == span(A) & span(B)
         assert intersection_dim(A, B) == got.dim
 
 
@@ -263,10 +261,10 @@ def test_packed_rows_match_tuple_oracle(p):
     for ncols, rows in _oracle_row_sets(p, rng):
         want = _rref_mod_p(rows, p, ncols)
         for r in rows:
-            assert unpack_row(F, pack_row(F, r), ncols) == r
+            assert unpack_row(F, store_row(F, r), ncols) == r
         assert RowReducer(F, ncols).add_all(rows) == len(want)
         rr = RowReducer(F, ncols)
-        assert sum(rr.add(pack_row(F, r)) for r in rows) == len(want) == rr.rank
+        assert sum(rr.add(store_row(F, r)) for r in rows) == len(want) == rr.rank
         assert rr.clone().add([0] * ncols) is False
         R, rank = rref(Mat.from_rows(F, rows, ncols))
         assert rank == len(want) and R.data[:rank] == want
@@ -436,7 +434,7 @@ def test_iter_span_packed_odd_p_matches_product(p):
     want = {tuple(sum(c * r[j] for c, r in zip(cs, rows)) % p for j in range(4))
             for cs in itertools.product(range(p), repeat=len(rows))}
     got = [tuple(unpack_row(F, w, 4))
-           for w in iter_span_packed(F, [pack_row(F, r) for r in rows], 4)]
+           for w in iter_span(F, [store_row(F, r) for r in rows], 4)]
     assert len(got) == p ** len(rows) and set(got) == want
 
 
@@ -447,4 +445,39 @@ def test_pack_digits_packs_the_flattened_coordinates(p, n):
     for _ in range(50):
         v = [rng.randrange(tower.mid.order) for _ in range(3)]
         flat = [x for c in v for x in tower.mid_to_base_vec(c)]
-        assert pack_digits(tower.base, v, n) == pack_row(tower.base, flat)
+        assert store_digits(tower.base, v, n) == store_row(tower.base, flat)
+
+
+# -- the span walk against itertools.product -------------------------------------
+
+# q -> (p, e)
+PRIME_POWER = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
+
+
+@pytest.mark.parametrize("q", sorted(PRIME_POWER))
+def test_span_walk_matches_product(q):
+    """Both forms of the one walk visit every F-combination exactly once:
+    iter_span_rows (tuples) and iter_span (stored rows, read back through
+    RowReducer.codes), with and without the zero combination."""
+    F = make_tower(*PRIME_POWER[q], 1, 1).base
+    rng = random.Random(q)
+    k, ncols = (3, 4) if q <= 5 else (2, 3)
+    for _ in range(3):
+        rows = [[rng.randrange(q) for _ in range(ncols)] for _ in range(k)]
+        want = []
+        for cs in itertools.product(range(q), repeat=k):
+            v = [0] * ncols
+            for c, row in zip(cs, rows):
+                v = [F.add(x, F.mul(c, y)) for x, y in zip(v, row)]
+            want.append(tuple(v))
+        want.sort()
+        nonzero = list(want)
+        nonzero.remove((0,) * ncols)
+        assert sorted(iter_span_rows(rows, F)) == want
+        assert sorted(iter_span_rows(rows, F, include_zero=False)) == nonzero
+        stored = [store_row(F, r) for r in rows]
+        codes = RowReducer(F, ncols).codes
+        assert sorted(tuple(codes(v)) for v in iter_span(F, stored, ncols)) == want
+        assert sorted(tuple(codes(v)) for v in iter_span(
+            F, stored, ncols, include_zero=False)) == nonzero
+

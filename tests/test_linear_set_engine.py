@@ -290,3 +290,44 @@ def test_point_walk_checks_its_fiber_sizes(monkeypatch):
     monkeypatch.setattr(subspaces, "theta", lambda s, Q: Q ** (s + 1) - 1)
     with pytest.raises(InternalInvariantError, match="fiber size"):
         _point_weights(U, 1 << 20)
+
+
+# -- the F_{q^n}-meet against fqn_subspace_flat ----------------------------------
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (4, 2), (5, 2), (8, 2), (9, 2)])
+def test_meet_dims_match_the_flat_intersection(q, n):
+    """subspaces._meet_dims, and linsets.point_weight / hyperplane_weight on
+    it, against fqn_subspace_flat + intersection_dim at r = 3: points,
+    hyperplanes and 2-dim W, random and through U's own vectors."""
+    from ranklab.linsets import hyperplane_weight, point_weight
+
+    tower, r = _tower(q, n), 3
+    mid = tower.mid
+    rng = random.Random(q * 10 + n)
+
+    def vec():
+        while True:
+            v = tuple(rng.randrange(mid.order) for _ in range(r))
+            if any(v):
+                return v
+
+    for k in (2, r * n // 2):
+        U = _heavy_subspace(tower, r, k, rng)
+        u = list(U.basis_mid)
+        points = u + [vec() for _ in range(8)]
+        duals = [vec() for _ in range(8)]
+        duals += [kernel(Mat.from_rows(mid, [list(a), list(b)], r)).rows[0]
+                  for a, b in zip(u, u[1:])
+                  if rref(Mat.from_rows(mid, [list(a), list(b)], r))[1] == 2]
+        spaces = [[P] for P in points]
+        spaces += [list(kernel(Mat.from_rows(mid, [list(w)], r)).rows) for w in duals]
+        spaces += [[a, vec()] for a in u] + [[vec(), vec()] for _ in range(8)]
+        spaces = [SubspaceBasis.from_vectors(mid, r, W).rows for W in spaces]
+        want = [intersection_dim(U.flat, subspaces.fqn_subspace_flat(
+                    tower, SubspaceBasis.from_vectors(mid, r, W)).flat) for W in spaces]
+        assert list(subspaces._meet_dims(U, spaces)) == want
+        assert [point_weight(U, P) for P in points] == want[:len(points)]
+        assert ([hyperplane_weight(U, w) for w in duals]
+                == want[len(points):len(points) + len(duals)])
+        assert max(want) >= min(n, k - 1, 3)
