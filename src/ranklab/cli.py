@@ -24,7 +24,7 @@ from .errors import (
     RankLabError,
     UsageError,
 )
-from .fields import DEFAULT_TOWER_BUDGET, make_tower
+from .fields import DEFAULT_TOWER_BUDGET, make_tower, prime_factors
 from .fqlinalg import DEFAULT_SUBSPACE_BUDGET, theta
 from .rankcodes import DEFAULT_CODEWORD_BUDGET
 from .serialize import dumps
@@ -50,21 +50,17 @@ def _budget(text: str) -> int:
 
 def _parse_q(q: int) -> tuple[int, int]:
     """Split a prime power q into (p, e).  A q above the tower budget is
-    refused before the trial division, which takes time linear in p."""
+    refused before factoring (trial division up to √q)."""
     if q < 2:
         raise UsageError(f"q={q} is not a prime power")
     if q > DEFAULT_TOWER_BUDGET:
         raise BudgetExceeded(q, DEFAULT_TOWER_BUDGET, "field elements")
-    p = 2
-    while q % p:
-        p += 1
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
+    factors = prime_factors(q)
+    if len(factors) != 1:
         raise UsageError(f"q={q} is not a prime power")
+    p, e = factors[0], 1
+    while p**e < q:
+        e += 1
     return p, e
 
 
@@ -255,8 +251,7 @@ def _run_idealiser(args, budgets) -> dict[str, Any]:
     C = _load_code(args)
     ide = rankcodes.left_idealiser(C) if args.left else rankcodes.right_idealiser(C)
     return {"side": ide.side.value, "dim": ide.dim, "order": ide.order,
-            "is_field": ide.is_field,
-            "field_check_exhaustive": ide.field_check_exhaustive}
+            "is_field": ide.is_field}
 
 
 def _run_dualize_code(args, budgets) -> dict[str, Any]:

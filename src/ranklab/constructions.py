@@ -37,10 +37,14 @@ from .fqlinalg import (
     mat_inverse,
     mat_mul,
     mat_vec,
-    solve_right,
-    vec_mat,
 )
-from .rankcodes import DEFAULT_CODEWORD_BUDGET, RankCode, right_idealiser
+from .rankcodes import (
+    DEFAULT_CODEWORD_BUDGET,
+    RankCode,
+    _algebra_generator,
+    mrd_weight_distribution,
+    right_idealiser,
+)
 from .subspaces import (
     FqSubspace,
     excess_iter,
@@ -49,7 +53,6 @@ from .subspaces import (
     is_h_scattered,
     ordinary_dual,
     random_subspace,
-    unflatten_vec,
 )
 
 
@@ -195,20 +198,15 @@ class CUGCode:
 
 
 def _canonical_projection(U: FqSubspace) -> Mat:
-    """G as the projection along U onto the RREF complement; ker(G) = flat(U)."""
-    tower, rn = U.tower, U.r * U.tower.n
-    base = tower.base
+    """G as the projection along U onto the RREF complement; ker(G) = flat(U).
+
+    Column c of G is the unit vector e_c reduced modulo flat(U), read at the
+    non-pivot columns."""
+    rn = U.r * U.tower.n
     pivset = set(U.flat.pivots)
-    rows = [list(v) for v in U.flat.rows]
-    comp = [j for j in range(rn) if j not in pivset]
-    for j in comp:
-        e = [0] * rn
-        e[j] = 1
-        rows.append(e)
-    Binv = mat_inverse(Mat.from_rows(base, rows, rn))
-    k = U.k
-    g_rows = [[Binv.data[c][k + rho] for c in range(rn)] for rho in range(rn - k)]
-    return Mat.from_rows(base, g_rows, rn)
+    cols = [U.flat.reduce([int(j == c) for j in range(rn)]) for c in range(rn)]
+    return Mat.from_rows(U.tower.base,
+                         [[col[j] for col in cols] for j in range(rn) if j not in pivset], rn)
 
 
 def _cug_codewords(tower: FieldTower, r: int, G: Mat) -> list[list[list[int]]]:
@@ -246,24 +244,13 @@ def c_ug(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> CUGCode:
 
 
 def cug_mrd_weight_distribution(r: int, n: int, it: int, q: int) -> tuple[int, ...]:
-    """Rank distribution of an MRD C_{U,G}: A_{n-s} for s = 0..iota via the
-    alternating sum over q^{rn(iota-s-j+1)/(iota+1)} terms; A_0 = 1."""
-    from .fqlinalg import qbinom
-
+    """Rank distribution (A_0, ..., A_n) of an MRD C_{U,G}: the MRD
+    (rn/(iota+1), n, q; n-iota) distribution, for 0 <= iota < min(r, n)."""
+    if not 0 <= it < min(r, n):
+        raise InvalidParams(f"iota must lie in 0..min(r,n)-1, got {it}")
     if (r * n) % (it + 1):
         raise InvalidParams("(iota+1) must divide rn")
-    if not 0 <= it < n:
-        raise InvalidParams(f"iota must lie in 0..n-1, got {it}")
-    A = [0] * (n + 1)
-    A[0] = 1
-    for s in range(it + 1):
-        total = 0
-        for j in range(it - s + 1):
-            term = (qbinom(n - s, j, q) * q ** (j * (j - 1) // 2)
-                    * (q ** (r * n * (it - s - j + 1) // (it + 1)) - 1))
-            total += -term if j % 2 else term
-        A[n - s] = qbinom(n, s, q) * total
-    return tuple(A)
+    return mrd_weight_distribution(r * n // (it + 1), n, q, n - it).A
 
 
 def c_ug_mrd_predicate(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> bool:
@@ -344,69 +331,15 @@ class MrdSubspaceExtraction:
     iota: int
 
 
-def _span_elements(F, basis_mats, size):
-    """All matrices in the F-span of basis_mats (lists of row lists)."""
-    from .fqlinalg import iter_span_rows
-    flat = [tuple(x for row in M for x in row) for M in basis_mats]
-    for v in iter_span_rows(flat, F, include_zero=False):
-        yield [list(v[i * size:(i + 1) * size]) for i in range(size)]
-
-
-def _primitive_idealiser_element(tower: FieldTower, basis_mats, n: int) -> Mat:
-    """First span element generating the Singer cycle (order q^n - 1)."""
-    base = tower.base
-    group_order = base.order**n - 1
-    from .fields import prime_factors
-    factors = prime_factors(group_order)
-    ident = Mat.identity(base, n)
-    for cand in _span_elements(base, basis_mats, n):
-        M = Mat.from_rows(base, cand, n)
-        if _mat_pow(M, group_order).data != ident.data:
-            continue
-        if all(_mat_pow(M, group_order // f).data != ident.data for f in factors):
-            return M
-    raise IdealiserNotMaximal("no Singer generator found in the idealiser")
-
-
-def _mat_pow(M: Mat, e: int) -> Mat:
-    R = Mat.identity(M.field, M.rows)
-    B = M
-    while e:
-        if e & 1:
-            R = mat_mul(R, B)
-        B = mat_mul(B, B)
-        e >>= 1
-    return R
-
-
-def _matrix_min_poly(tower: FieldTower, M: Mat) -> tuple[int, ...]:
-    """Monic minimal polynomial of M over F_q via its flattened power sequence."""
-    base = tower.base
-    n = M.rows
-    powers = [Mat.identity(base, n)]
-    rr = RowReducer(base, n * n)
-    flat = lambda A: [x for row in A.data for x in row]
-    while rr.add(tuple(flat(powers[-1]))):
-        powers.append(mat_mul(powers[-1], M))
-    deg = len(powers) - 1
-    cols = Mat.from_rows(base, [[flat(powers[i])[c] for i in range(deg)]
-                                for c in range(n * n)], deg)
-    target = [base.neg(x) for x in flat(powers[deg])]
-    sol = solve_right(cols, target)
-    if sol is None:
-        raise InternalInvariantError("minimal polynomial solve failed")
-    return tuple(sol) + (1,)
-
-
 def mrd_to_subspace(C: RankCode, tower: FieldTower, *,
                     budget: int = DEFAULT_CODEWORD_BUDGET) -> MrdSubspaceExtraction:
     """Recover U with C ~ C_{U,G} from an MRD code with maximal right idealiser.
 
     Conjugates C so its right idealiser becomes the canonical multiplication
-    field (Singer-cycle recipe: primitive idealiser element -> its minimal
-    polynomial -> a root in F_{q^n} -> basis-mapping isomorphism), extracts
-    the vanishing-at-1 subspace in coordinates over a right F_{q^n}-basis,
-    and rebuilds the code from (U, f -> f(1)) for the set-equality check.
+    field (a generator of the idealiser field -> its minimal polynomial -> a
+    root in F_{q^n} -> basis-mapping isomorphism), reads U = ker G off the
+    evaluation map G = [f_1 | ... | f_r] of a right F_{q^n}-basis, and rebuilds
+    the code from (U, G) for the set-equality check.
     """
     n = tower.n
     if C.n != n:
@@ -419,16 +352,19 @@ def mrd_to_subspace(C: RankCode, tower: FieldTower, *,
     if R.order != C.q**n:
         raise IdealiserNotMaximal(
             f"right idealiser order {R.order} != q^n = {C.q**n}")
+    if not R.is_field:
+        raise IdealiserNotMaximal("right idealiser is not a field")
     base, mid = tower.base, tower.mid
-    g1 = _primitive_idealiser_element(tower, [list(map(list, M)) for M in R.basis], n)
-    minpoly = _matrix_min_poly(tower, g1)
-    if len(minpoly) != n + 1:
-        raise IdealiserNotMaximal("idealiser generator has degenerate minimal polynomial")
+    found = _algebra_generator(base, R.basis)
+    if found is None:
+        raise InternalInvariantError("the idealiser field has no basis element of degree n")
+    g1, minpoly = found
     for gamma in mid.elements():
         if poly_eval(mid, minpoly, gamma) == 0:
             break
     else:
         raise InternalInvariantError("idealiser minimal polynomial has no root")
+    # F_q[g1] is a field of degree n, so every nonzero vector is cyclic for g1
     e0 = [1] + [0] * (n - 1)
     h_cols, acc = [], e0
     for _ in range(n):
@@ -438,50 +374,52 @@ def mrd_to_subspace(C: RankCode, tower: FieldTower, *,
     p_cols = [tower.mid_to_base_vec(mid.pow(gamma, j)) for j in range(n)]
     P = Mat.from_rows(base, p_cols, n).transpose()
     conj = mat_mul(H, mat_inverse(P))
-    conj_gens = [mat_mul(Mat.from_rows(base, [list(r) for r in M], n), conj).data
-                 for M in C.basis_matrices()]
+    conj_gens = [mat_mul(Mat.from_rows(base, M), conj).data for M in C.basis_matrices()]
     Cprime = RankCode.from_generators(base, C.m, n, conj_gens)
     d = C.min_distance(budget=budget)
-    return _extract_from_canonical(Cprime, tower, n - d, budget=budget)
+    return _extract_from_canonical(Cprime, tower, n - d)
 
 
-def _extract_from_canonical(Cprime: RankCode, tower: FieldTower, it: int, *,
-                            budget: int) -> MrdSubspaceExtraction:
+def _right_basis(Cprime: RankCode, mult_mats: list[Mat]) -> list[Mat]:
+    """A greedy right F_{q^n}-basis f_1..f_r of C', checking first that C' is
+    closed under M -> M·m_g; mult_mats are the m_b of the F_q-basis of F_{q^n}."""
+    basis_mats = _basis_mats(Cprime)
+    for M in basis_mats:
+        if not Cprime.contains(mat_mul(M, mult_mats[1 % len(mult_mats)]).data):
+            raise IdealiserNotMaximal("conjugated code is not F_n-closed")
+    rr = RowReducer(Cprime.field, Cprime.m * Cprime.n)
+    fn_basis: list[Mat] = []
+    for M in basis_mats:
+        if rr.rank == Cprime.dim:
+            break
+        if rr.clone().add([x for row in M.data for x in row]):
+            fn_basis.append(M)
+            for mult in mult_mats:
+                rr.add([x for row in mat_mul(M, mult).data for x in row])
+    if rr.rank != Cprime.dim:
+        raise IdealiserNotMaximal("failed to build a right F_{q^n}-basis")
+    return fn_basis
+
+
+def _evaluation_map(fs: list[Mat]) -> Mat:
+    """G = [f_1 | ... | f_r]: column j of f_i is f_i(g^j), so G·flat(ξ) =
+    Σ_i f_i(ξ_i) and ker G is the subspace U of the codewords vanishing at 1."""
+    return Mat.from_rows(fs[0].field, [[x for f in fs for x in f.data[rho]]
+                                       for rho in range(fs[0].rows)])
+
+
+def _extract_from_canonical(Cprime: RankCode, tower: FieldTower,
+                            it: int) -> MrdSubspaceExtraction:
     """Extraction pipeline once R(C') is the canonical multiplication field."""
-    base, n = tower.base, tower.n
+    n = tower.n
     K = Cprime.dim
     if K % n != 0:
         raise ParamMismatch("dim(C) is not a multiple of n")
     r = K // n
-    basis_mats = _basis_mats(Cprime)
-    mult_mats = _power_mult_mats(tower)
-    for M in basis_mats:
-        if not Cprime.contains(mat_mul(M, mult_mats[1 % n]).data):
-            raise IdealiserNotMaximal("conjugated code is not F_n-closed")
-    # greedy right F_{q^n}-basis of C'
-    rr = RowReducer(base, Cprime.m * n)
-    fn_basis: list[Mat] = []
-    for M in basis_mats:
-        if len(fn_basis) == r:
-            break
-        flatM = tuple(x for row in M.data for x in row)
-        if rr.clone().add(flatM):
-            fn_basis.append(M)
-            for j in range(n):
-                rr.add(tuple(x for row in mat_mul(M, mult_mats[j]).data for x in row))
-    if len(fn_basis) != r or rr.rank != K:
-        raise IdealiserNotMaximal("failed to build a right F_{q^n}-basis")
-    U = _vanishing_subspace(Cprime, tower, fn_basis, mult_mats)
-    g_rows = [[0] * (r * n) for _ in range(Cprime.m)]
-    for i, f in enumerate(fn_basis):
-        for j in range(n):
-            col = mat_mul(f, mult_mats[j])
-            for rho in range(Cprime.m):
-                g_rows[rho][i * n + j] = col.data[rho][0]
-    G = Mat.from_rows(base, g_rows, r * n)
-    if kernel(G) != U.flat:
-        raise InternalInvariantError("f -> f(1) does not have kernel U")
-    recon = RankCode.from_generators(base, Cprime.m, n, _cug_codewords(tower, r, G))
+    mult_mats = [mult_matrix(tower, b) for b in base_basis_codes(tower, "mid")]
+    G = _evaluation_map(_right_basis(Cprime, mult_mats))
+    U = FqSubspace.from_flat(tower, r, kernel(G).rows)
+    recon = RankCode.from_generators(tower.base, Cprime.m, n, _cug_codewords(tower, r, G))
     if recon != Cprime:
         raise InternalInvariantError("reconstructed C_{U,G} differs from C'")
     return MrdSubspaceExtraction(
@@ -534,7 +472,7 @@ def gabidulin_restriction(tower: FieldTower, nt: int, n: int, it: int,
     code = RankCode.from_generators(base, nt, n, gens)
     if code.dim != nt * (it + 1):
         raise InternalInvariantError("restricted generators were dependent")
-    U = _vanishing_subspace(code, tower, fji, _power_mult_mats(tower))
+    U = FqSubspace.from_flat(tower, r, kernel(_evaluation_map(fji)).rows)
     Udual = ordinary_dual(U)
     expected_rows = []
     for i0 in range(t):
@@ -550,34 +488,6 @@ def gabidulin_restriction(tower: FieldTower, nt: int, n: int, it: int,
 def _basis_mats(code: RankCode) -> list[Mat]:
     return [Mat.from_rows(code.field, [list(rw) for rw in M], code.n)
             for M in code.basis_matrices()]
-
-
-def _power_mult_mats(tower: FieldTower) -> list[Mat]:
-    """Multiplication by g^j on F_{q^n} over F_q, for j = 0..n-1."""
-    mid, n = tower.mid, tower.n
-    return [mult_matrix(tower, mid.pow(mid.gen if n > 1 else 1, j)) for j in range(n)]
-
-
-def _vanishing_subspace(code: RankCode, tower: FieldTower, fn_basis: list[Mat],
-                        mult_mats: list[Mat]) -> FqSubspace:
-    """The codewords f with f(1) = 0, in coordinates over the right
-    F_{q^n}-basis fn_basis of the code: f(1) is the first column in canonical
-    coordinates, and f = Σ_i fn_basis[i]·Σ_j ξ_ij·mult_mats[j] is solved for
-    the mid-coordinate vector ξ."""
-    base, n = tower.base, tower.n
-    col_matrix = Mat.from_rows(base, [[row[0] for row in M] for M in code.basis_matrices()],
-                               code.m).transpose()
-    coeff_mat = Mat.from_rows(base, [list(v) for v in code.flat.rows], code.m * n)
-    phi_cols = [[x for row in mat_mul(f, mult).data for x in row]
-                for f in fn_basis for mult in mult_mats]
-    Phi = Mat.from_rows(base, phi_cols, code.m * n).transpose()
-    u_vectors = []
-    for v in kernel(col_matrix).rows:
-        xi = solve_right(Phi, vec_mat(list(v), coeff_mat))
-        if xi is None:
-            raise InternalInvariantError("U does not lie in the coordinate image")
-        u_vectors.append(unflatten_vec(tower, xi))
-    return FqSubspace.from_mid_vectors(tower, len(fn_basis), u_vectors)
 
 
 # -- scattered subspace constructions ---------------------------------------------

@@ -46,14 +46,7 @@ LEVELS = ("base", "mid", "top")
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return prime_factors(p) == [p]
 
 
 def prime_factors(m: int) -> list[int]:

@@ -541,6 +541,21 @@ def solve_right(M: Mat, b) -> list[int] | None:
     return v
 
 
+def min_poly(M: Mat) -> tuple[int, ...]:
+    """Monic minimal polynomial of the square matrix M, constant term first:
+    the first power M^d in the span of I, M, ..., M^{d-1} and its relation."""
+    F = M.field
+    flat = lambda A: [x for row in A.data for x in row]
+    powers = [Mat.identity(F, M.rows)]
+    rr = RowReducer(F, M.rows * M.cols)
+    while rr.add(flat(powers[-1])):
+        powers.append(mat_mul(powers[-1], M))
+    *lower, top = map(flat, powers)
+    coeffs = solve_right(Mat.from_rows(F, zip(*lower), len(lower)),
+                         [F.neg(x) for x in top])
+    return tuple(coeffs) + (1,)
+
+
 # -- counting and enumeration -------------------------------------------------
 
 

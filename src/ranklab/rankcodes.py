@@ -14,16 +14,18 @@ shorter of two exact scans, run on demand under an explicit budget:
   images of one column block; a node with an empty subcode adds its whole
   subtree in closed form.
 
-Both eliminate through fqlinalg.RowReducer and walk spans with
-fqlinalg.odometer.  Rows stay in the form RowReducer stores them, built,
-added and cut into blocks by fqlinalg's row helpers, so neither scan knows
-whether a row is a packed int or a tuple of codes.
+Idealisers solve one linear system; whether one is a field is decided
+exactly, from the minimal polynomial of a basis element (Idealiser).
+
+Both rank-distribution scans eliminate through fqlinalg.RowReducer and walk
+spans with fqlinalg.odometer.  Rows stay in the form RowReducer stores them,
+built, added and cut into blocks by fqlinalg's row helpers, so neither scan
+knows whether a row is a packed int or a tuple of codes.
 """
 
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
 from functools import reduce
 
@@ -37,7 +39,7 @@ from .errors import (
     RankDeficientA,
     ShapeMismatch,
 )
-from .fields import Field
+from .fields import Field, is_irreducible
 from .fqlinalg import (
     Mat,
     RowReducer,
@@ -45,6 +47,7 @@ from .fqlinalg import (
     iter_span,
     kernel,
     mat_mul,
+    min_poly,
     odometer,
     prime_expansion,
     qbinom,
@@ -54,8 +57,6 @@ from .fqlinalg import (
 )
 
 DEFAULT_CODEWORD_BUDGET = 1 << 24
-FIELD_CHECK_LIMIT = 1 << 16
-FIELD_CHECK_SAMPLES = 64
 
 
 def _flatten_mat(rows) -> list[int]:
@@ -370,9 +371,10 @@ class Side(enum.Enum):
 class Idealiser:
     """A one-sided idealiser subalgebra with its order and field flag.
 
-    degree is the matrix size (m for left, n for right); the field check is
-    exhaustive for orders up to 2^16 and seeded-sampled above that, with the
-    mode recorded in field_check_exhaustive.
+    degree is the matrix size (m for left, n for right).  The algebra holds
+    I, so it is a field exactly when some basis element Y has a minimal
+    polynomial f of degree dim (then F_q[Y] ≅ F_q[x]/(f) is the whole
+    algebra) and f is irreducible; see _algebra_generator.
     """
 
     side: Side
@@ -381,7 +383,6 @@ class Idealiser:
     dim: int
     order: int
     is_field: bool
-    field_check_exhaustive: bool
 
 
 def _idealiser(C: RankCode, side: Side) -> Idealiser:
@@ -409,38 +410,30 @@ def _idealiser(C: RankCode, side: Side) -> Idealiser:
     basis = [_reshape(v, s, s) for v in ker.rows]
     dim = len(basis)
     order = F.order**dim
-    is_field, exhaustive = _field_flag(F, basis, s, order)
-    ide = Idealiser(side, s, basis, dim, order, is_field, exhaustive)
+    gen = _algebra_generator(F, basis)
+    is_field = gen is not None and is_irreducible(F, gen[1])
+    ide = Idealiser(side, s, basis, dim, order, is_field)
     _verify_idealiser_closure(C, ide)
     return ide
 
 
-def _field_flag(F: Field, basis, s: int, order: int) -> tuple[bool, bool]:
-    """Every nonzero element invertible: exhaustive up to the check limit,
-    otherwise a seeded sample flagged as non-exhaustive."""
-    if not basis:
-        return False, True
-    if order <= FIELD_CHECK_LIMIT:
-        flat = [_flatten_mat(M) for M in basis]
-        if any(rk != s for rk in _span_ranks(F, flat, s, s)):
-            return False, True
-        return True, True
-    rng = random.Random(0xC0DE)
-    for _ in range(FIELD_CHECK_SAMPLES):
-        coeffs = [rng.randrange(F.order) for _ in basis]
-        if not any(coeffs):
-            coeffs[0] = 1
-        acc = [[0] * s for _ in range(s)]
-        for c, M in zip(coeffs, basis):
-            if c:
-                for i in range(s):
-                    row = acc[i]
-                    for j in range(s):
-                        if M[i][j]:
-                            row[j] = F.add(row[j], F.mul(c, M[i][j]))
-        if RowReducer(F, s).add_all(acc) != s:
-            return False, False
-    return True, False
+def _algebra_generator(F: Field, basis) -> tuple[Mat, tuple[int, ...]] | None:
+    """The first basis matrix whose minimal polynomial has degree d =
+    len(basis), with that polynomial; None if there is none.
+
+    If the span is a field F_{q^d}, there is one.  Its proper subfields lie in
+    S, the sum of its maximal subfields F_{q^{d/p}} (p | d prime).  By the
+    normal basis theorem F_{q^d} is the cyclic F_q[x]/(x^d - 1)-module with x
+    acting as Frobenius, and S is the kernel of lcm_p(x^{d/p} - 1), of degree
+    at most d - φ(d) < d.  So S is proper, some basis element lies outside
+    it, and that element generates F_{q^d}.
+    """
+    for Y in basis:
+        M = Mat.from_rows(F, Y)
+        f = min_poly(M)
+        if len(f) == len(basis) + 1:
+            return M, f
+    return None
 
 
 def _verify_idealiser_closure(C: RankCode, ide: Idealiser) -> None:

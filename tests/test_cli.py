@@ -396,3 +396,16 @@ def test_large_prime_q_is_refused_before_factoring(capsys):
     assert main(["gabidulin", "--q", "2147483647", "--N", "2", "--k", "1"]) == 3
     assert time.perf_counter() - start < 1.0
     assert "field elements exceeds budget" in capsys.readouterr().err
+
+
+def test_parse_q_factors_below_the_square_root():
+    from ranklab.errors import UsageError
+
+    start = time.perf_counter()
+    assert cli._parse_q(16777213) == (16777213, 1)   # the largest prime below 2^24
+    assert time.perf_counter() - start < 0.25
+    assert [cli._parse_q(q) for q in (2, 4, 9, 125, 4096)] == \
+        [(2, 1), (2, 2), (3, 2), (5, 3), (2, 12)]
+    for q in (6, 12, 16777215):
+        with pytest.raises(UsageError):
+            cli._parse_q(q)

@@ -10,29 +10,34 @@ from ranklab.errors import (
     EtaConditionViolated,
     GcdViolation,
     IdealiserNotMaximal,
+    InvalidParams,
     IotaFull,
     KTooLarge,
     NotMRD,
 )
 from ranklab.fields import make_tower
-from ranklab.fqlinalg import Mat, kernel, mat_mul, rref
+from ranklab.fqlinalg import Mat, kernel, mat_mul, qbinom, rref, solve_right, vec_mat
 from ranklab.rankcodes import (
     RankCode,
     adjoint,
     mrd_weight_distribution,
     right_idealiser,
 )
-from ranklab.subspaces import FqSubspace, iota, is_h_scattered, ordinary_dual
+from ranklab.subspaces import FqSubspace, iota, is_h_scattered, ordinary_dual, unflatten_vec
 from ranklab.constructions import (
     LinearizedPoly,
     _canonical_projection,
+    _right_basis,
+    base_basis_codes,
     c_ug,
     c_ug_g_independence,
     c_ug_mrd_predicate,
+    cug_mrd_weight_distribution,
     find_nonsquare,
     gabidulin,
     gabidulin_restriction,
     mrd_to_subspace,
+    mult_matrix,
     pseudoregulus_subspace,
     random_scattered_search,
     sheekey_code,
@@ -267,7 +272,9 @@ def test_mrd_to_subspace_minpoly_without_root_is_internal(tmp_path, monkeypatch,
     t22 = make_tower(2, 1, 2, 1)
     no_root = least_irreducible(t22.mid, 2)   # irreducible of degree 2 over F_4
     assert is_irreducible(t22.mid, no_root)
-    monkeypatch.setattr(constructions, "_matrix_min_poly", lambda *a: no_root)
+    generator = constructions._algebra_generator   # the converse's minimal polynomial
+    monkeypatch.setattr(constructions, "_algebra_generator",
+                        lambda *a: (generator(*a)[0], no_root))
     C = gabidulin(t22, 2, 1, 1)
     with pytest.raises(InternalInvariantError, match="no root"):
         mrd_to_subspace(C, t22)
@@ -275,6 +282,76 @@ def test_mrd_to_subspace_minpoly_without_root_is_internal(tmp_path, monkeypatch,
     serialize.dump_file(str(code_file), serialize.rankcode_to_json(C))
     assert cli.main(["extract-subspace", "--code", str(code_file)]) == 4
     assert "internal error" in capsys.readouterr().err
+
+
+def _solved_vanishing_subspace(code, tower, fn_basis, mult_mats):
+    """U solved one kernel vector at a time, kept as the oracle of ker G: the
+    codewords f with f(1) = 0, written f = Σ_i f_i·Σ_j ξ_ij·m_j and solved
+    for the mid-coordinate vector ξ."""
+    base, n = tower.base, tower.n
+    col_matrix = Mat.from_rows(base, [[row[0] for row in M] for M in code.basis_matrices()],
+                               code.m).transpose()
+    coeff_mat = Mat.from_rows(base, [list(v) for v in code.flat.rows], code.m * n)
+    phi_cols = [[x for row in mat_mul(f, mult).data for x in row]
+                for f in fn_basis for mult in mult_mats]
+    Phi = Mat.from_rows(base, phi_cols, code.m * n).transpose()
+    u_vectors = []
+    for v in kernel(col_matrix).rows:
+        xi = solve_right(Phi, vec_mat(list(v), coeff_mat))
+        assert xi is not None
+        u_vectors.append(unflatten_vec(tower, xi))
+    return FqSubspace.from_mid_vectors(tower, len(fn_basis), u_vectors)
+
+
+def _mid_mult_mats(tower):
+    return [mult_matrix(tower, b) for b in base_basis_codes(tower, "mid")]
+
+
+@pytest.mark.parametrize("p, e, n, kind", [(2, 1, 4, "cug"), (2, 1, 4, "gabidulin"),
+                                           (3, 1, 4, "cug"), (3, 1, 3, "gabidulin"),
+                                           (2, 2, 3, "cug"), (2, 2, 3, "gabidulin")])
+def test_converse_kernel_matches_solved_subspace(p, e, n, kind):
+    tower = make_tower(p, e, n, 1)
+    if kind == "cug":
+        C = c_ug(pseudoregulus_subspace(tower, 2, n, 1)).code
+    else:
+        C = gabidulin(tower, n, 2, 1)
+    ext = mrd_to_subspace(C, tower)
+    mults = _mid_mult_mats(tower)
+    fn_basis = _right_basis(ext.conjugated_code, mults)
+    assert _solved_vanishing_subspace(ext.conjugated_code, tower, fn_basis, mults) \
+        == ext.subspace
+
+
+def test_cug_mrd_weight_distribution_matches_alternating_sum():
+    # the alternating sum the MRD closed form replaced, over every
+    # (q, r, n, iota) with q <= 9, r <= 6, n <= 8 and iota < min(r, n)
+    def alternating(r, n, it, q):
+        A = [1] + [0] * n
+        for s in range(it + 1):
+            A[n - s] = qbinom(n, s, q) * sum(
+                (-1) ** j * qbinom(n - s, j, q) * q ** (j * (j - 1) // 2)
+                * (q ** (r * n * (it - s - j + 1) // (it + 1)) - 1)
+                for j in range(it - s + 1))
+        return tuple(A)
+
+    grid = [(q, r, n, it) for q in (2, 3, 4, 5, 7, 8, 9) for r in range(1, 7)
+            for n in range(1, 9) for it in range(min(r, n)) if r * n % (it + 1) == 0]
+    assert len(grid) == 777
+    for q, r, n, it in grid:
+        assert cug_mrd_weight_distribution(r, n, it, q) == alternating(r, n, it, q)
+
+
+def test_cug_mrd_weight_distribution_rejects_iota_at_least_r():
+    from ranklab.linsets import ti_formula
+
+    # the alternating sum gave (1, 0, 0, 45, -30) and t_0 = -2 here
+    with pytest.raises(InvalidParams):
+        cug_mrd_weight_distribution(1, 4, 1, 2)
+    with pytest.raises(InvalidParams):
+        ti_formula(1, 4, 1, 2, 0)
+    with pytest.raises(InvalidParams):
+        cug_mrd_weight_distribution(2, 4, -1, 2)
 
 
 # -- Gabidulin restriction ----------------------------------------------------------------
@@ -298,8 +375,10 @@ def test_gabidulin_restriction_t1_is_square_gabidulin(t2_3):
 
 
 # t = 2 towers, then the t = 3 towers F_2 ⊂ F_4 ⊂ F_64 and F_3 ⊂ F_9 ⊂ F_729 (iota = 1)
-@pytest.mark.parametrize("params", [(3, 1, 2, 2), (3, 1, 3, 2), (2, 2, 2, 2),
-                                    (2, 1, 2, 3), (3, 1, 2, 3)])
+RESTRICTION_TOWERS = [(3, 1, 2, 2), (3, 1, 3, 2), (2, 2, 2, 2), (2, 1, 2, 3), (3, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("params", RESTRICTION_TOWERS)
 def test_gabidulin_restriction_on_t2_towers(params):
     tower = make_tower(*params)
     n, t = tower.n, tower.t
@@ -310,6 +389,22 @@ def test_gabidulin_restriction_on_t2_towers(params):
         assert iota(res.U) == res.iota == it
         assert res.code.is_mrd()
         assert res.code.min_distance() == n - it
+
+
+@pytest.mark.parametrize("params", RESTRICTION_TOWERS + [(2, 1, 3, 2)])
+def test_restriction_kernel_matches_solved_subspace(params):
+    tower = make_tower(*params)
+    base, top, n, t = tower.base, tower.top, tower.n, tower.t
+    xi = top.gen
+    for it in range(1, n):
+        # the F_{q^n}-basis f_{j,i}: x -> xi^i x^{q^j}, j-major
+        fji = [Mat.from_rows(base, [
+            tower.top_to_base_vec(top.mul(top.pow(xi, i), tower.frob("mid", b, j)))
+            for b in base_basis_codes(tower, "mid")], n * t).transpose()
+            for j in range(it + 1) for i in range(t)]
+        res = gabidulin_restriction(tower, n * t, n, it)
+        assert _solved_vanishing_subspace(res.code, tower, fji, _mid_mult_mats(tower)) \
+            == res.U, it
 
 
 def test_restriction_udual_is_direct_sum_shape(t2_32):
@@ -376,7 +471,7 @@ def test_cug_mrd_display_matches_brute_force(pseudoreg):
 
 def test_mrd_to_subspace_on_scrambled_nonsquare_code(t2_32, t2_3):
     # knock the right idealiser out of canonical position with X·M·Y and
-    # let the Singer-cycle conjugation recover it
+    # let the conjugation by an idealiser generator recover it
     res = gabidulin_restriction(t2_32, 6, 3, 1)
     rng = random.Random(99)
     base = t2_32.base

@@ -269,3 +269,15 @@ def test_add_sub_neg_match_digit_oracle_on_seeded_pairs(p, e, n):
     pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(3000)]
     pairs += [(0, 0), (1, F.neg(1)), (F.order - 1, 0), (0, F.order - 1)]
     _check_add_sub_neg(F, pairs)
+
+
+def test_is_prime_matches_a_sieve():
+    from ranklab.fields import is_prime
+
+    limit = 2000
+    sieve = [False, False] + [True] * (limit - 2)
+    for i in range(2, limit):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    assert [p for p in range(-3, limit) if is_prime(p)] == \
+        [p for p in range(limit) if sieve[p]]

@@ -21,6 +21,7 @@ from ranklab.fqlinalg import (
     mat_inverse,
     mat_mul,
     mat_vec,
+    min_poly,
     projective_points,
     qbinom,
     rref,
@@ -481,3 +482,23 @@ def test_span_walk_matches_product(q):
         assert sorted(tuple(codes(v)) for v in iter_span(
             F, stored, ncols, include_zero=False)) == nonzero
 
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_min_poly_of_mult_matrix_is_the_minimal_polynomial(q):
+    from ranklab.constructions import mult_matrix
+    from ranklab.fields import Fe, minimal_polynomial
+
+    p, e = {2: (2, 1), 3: (3, 1), 4: (2, 2)}[q]
+    for n in range(1, 5):
+        tower = make_tower(p, e, n, 1)
+        for alpha in range(tower.mid.order):
+            assert min_poly(mult_matrix(tower, alpha)) == \
+                minimal_polynomial(Fe(tower, "mid", alpha)), (q, n, alpha)
+
+
+def test_min_poly_of_nilpotent_and_scalar_matrices():
+    F3 = Field(3)
+    assert min_poly(Mat.from_rows(F3, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])) == (0, 0, 0, 1)
+    assert min_poly(Mat.from_rows(F3, [[2, 0], [0, 2]])) == (1, 1)   # x - 2
+    assert min_poly(Mat.from_rows(F3, [[1, 0], [0, 2]])) == (2, 0, 1)  # (x-1)(x-2)

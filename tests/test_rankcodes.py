@@ -15,7 +15,7 @@ from ranklab.errors import (
     ShapeMismatch,
 )
 from ranklab.fields import Field, make_tower
-from ranklab.fqlinalg import Mat, SubspaceBasis
+from ranklab.fqlinalg import Mat, SubspaceBasis, mat_mul
 from ranklab.rankcodes import (
     CertStatus,
     GabidulinExclusion,
@@ -30,6 +30,7 @@ from ranklab.rankcodes import (
     mrd_weight_distribution,
     puncture,
     right_idealiser,
+    _span_ranks,
 )
 from ranklab.constructions import c_ug, gabidulin, pseudoregulus_subspace
 
@@ -192,7 +193,72 @@ def test_gabidulin_idealisers_are_fields_of_order_qN(gab):
     L, R = left_idealiser(gab), right_idealiser(gab)
     assert (L.order, R.order) == (16, 16)
     assert L.is_field and R.is_field
-    assert L.field_check_exhaustive and R.field_check_exhaustive
+
+
+def _exhaustive_is_field(F, ide):
+    """The exhaustive field check, kept as the oracle of is_field: every
+    nonzero element of the idealiser's span is invertible."""
+    flat = [[x for row in M for x in row] for M in ide.basis]
+    s = ide.degree
+    return bool(flat) and all(rk == s for rk in _span_ranks(F, flat, s, s))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_is_field_matches_exhaustive_check(q):
+    # random codes of every dimension (small ones have large non-field
+    # idealisers), the multiplication fields F_{q^2}, F_{q^3} and the split
+    # algebra F_q ⊕ F_q; shapes keep every idealiser order at most 3^9
+    p, e = {2: (2, 1), 3: (3, 1), 4: (2, 2)}[q]
+    F = make_tower(p, e, 1, 1).base
+    rng = random.Random(q)
+    sizes = (2, 3) if q < 4 else (2,)
+    codes = [gabidulin(make_tower(p, e, N, 1), N, 1, 1) for N in sizes]
+    codes.append(RankCode.from_generators(F, 2, 2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]))
+    for _ in range(25):
+        m, n = rng.choice(sizes), rng.choice(sizes)
+        K = rng.randint(1, m * n)
+        codes.append(RankCode.from_generators(F, m, n, [
+            [[rng.randrange(q) for _ in range(n)] for _ in range(m)] for _ in range(K)]))
+    seen = set()
+    for C in codes:
+        for ide in (left_idealiser(C), right_idealiser(C)):
+            assert ide.is_field == _exhaustive_is_field(F, ide), (C.flat.rows, ide.side)
+            seen.add((ide.is_field, ide.dim > 1))
+    assert seen == {(True, True), (True, False), (False, True)}
+
+
+def _block_algebra(degrees):
+    """The algebra F_{2^d1} ⊕ F_{2^d2} ⊕ ... as a code: block-diagonal
+    polynomials in the companion matrices of the least irreducibles."""
+    from ranklab.fields import least_irreducible
+
+    size = sum(degrees)
+    gens, off = [], 0
+    for d in degrees:
+        f = least_irreducible(F2, d)
+        comp = Mat.zero(F2, d, d)
+        for i in range(d):
+            if i + 1 < d:
+                comp.data[i + 1][i] = 1
+            comp.data[i][d - 1] = f[i]          # -c_i = c_i over F_2
+        power = Mat.identity(F2, d)
+        for _ in range(d):
+            M = [[0] * size for _ in range(size)]
+            for i, row in enumerate(power.data):
+                M[off + i][off:off + d] = row
+            gens.append(M)
+            power = mat_mul(power, comp)
+        off += d
+    return RankCode.from_generators(F2, size, size, gens)
+
+
+def test_is_field_is_exact_above_the_old_sampling_limit():
+    # order 2^17: F_{2^9} ⊕ F_{2^8} has only 2^9 + 2^8 - 1 singular nonzero
+    # elements, which 64 random samples of the algebra miss
+    split = left_idealiser(_block_algebra([9, 8]))
+    assert split.order == 2**17 and split.is_field is False
+    field = left_idealiser(_block_algebra([17]))
+    assert field.order == 2**17 and field.is_field is True
 
 
 def test_idealiser_transpose_identities(gab):
