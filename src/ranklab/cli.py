@@ -13,12 +13,12 @@ import argparse
 import os
 import sys
 import time
-from typing import Any
+from functools import cache
+from typing import Any, Callable, NamedTuple
 
 from . import constructions, linsets, rankcodes, serialize, subspaces
 from .errors import (
     BudgetExceeded,
-    GateError,
     InternalInvariantError,
     IoError,
     RankLabError,
@@ -73,133 +73,101 @@ def _parse_triple(text: str) -> tuple[int, int, int]:
 
 
 def _load_subspace(args) -> subspaces.FqSubspace:
-    if getattr(args, "pseudoregulus", None):
+    if args.pseudoregulus:
         r, n, h = _parse_triple(args.pseudoregulus)
         p, e = _parse_q(args.q)
         tower = make_tower(p, e, n, 1)
         return constructions.pseudoregulus_subspace(tower, r, n, h)
-    if getattr(args, "subspace", None):
+    if args.subspace:
         return serialize.subspace_from_json(serialize.load_file(args.subspace))
     raise UsageError("provide --subspace FILE or --pseudoregulus r,n,h")
 
 
-def _load_code(args, attr: str = "code") -> rankcodes.RankCode:
-    path = getattr(args, attr, None)
-    if not path:
-        raise UsageError(f"provide --{attr} FILE")
+def _load_code(path: str) -> rankcodes.RankCode:
     return serialize.rankcode_from_json(serialize.load_file(path))
 
 
+# -- the verb table ---------------------------------------------------------------
+
+
+def _arg(*flags, **kw):
+    """One option, added to whichever parser or group declares it."""
+    return lambda container: container.add_argument(*flags, **kw)
+
+
+def _one_of(*options):
+    """A required mutually exclusive group of options."""
+    def add(container):
+        group = container.add_mutually_exclusive_group(required=True)
+        for option in options:
+            option(group)
+    return add
+
+
+@cache
+def _parent(*options) -> argparse.ArgumentParser:
+    """The parent parser of an option group that several verbs share, built
+    once and only when the tree is."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for option in options:
+        option(parent)
+    return parent
+
+
+_Q = _arg("--q", type=int, default=2)
+_MRD_CHECK = _arg("--mrd-check", action="store_true")
+_GABIDULIN = (_arg("--N", type=int, required=True), _arg("--k", type=int, required=True),
+              _arg("--s", type=int, default=1))
+
+_COMMON = (
+    _arg("--json", action="store_true", help="emit the report as JSON"),
+    _arg("--out", help="write the produced artifact to this file"),
+    _arg("--seed", type=int, default=None, help="seed for randomized verbs"),
+    _arg("--subspace-budget", type=_budget, default=DEFAULT_SUBSPACE_BUDGET,
+         help="max items of a subspace scan: U's q^k vectors (or its "
+              "dual's) when that walk is the cheaper scan, else the "
+              "points of PG(r-1,q^n); subspaces for h>=2 checks; "
+              "point-hyperplane incidences for code scans "
+              "(default 2^20)"),
+    _arg("--codeword-budget", type=_budget, default=DEFAULT_CODEWORD_BUDGET,
+         help="max items of a code's rank scan: its q^K codewords or "
+              "the subspaces of F_q^{min(m,n)}, whichever is fewer "
+              "(default 2^24)"))
+_SUBSPACE_INPUT = (_arg("--subspace"), _arg("--pseudoregulus", metavar="r,n,h"), _Q)
+_CODE_INPUT = (_arg("--code", required=True),)
+
+
+class _Verb(NamedTuple):
+    run: Callable[..., dict[str, Any]]
+    inputs: tuple
+    options: tuple
+    help: str | None
+
+
+VERBS: dict[str, _Verb] = {}
+
+
+def _verb(name: str, *options, inputs=(), help=None):
+    """Register the decorated runner as verb `name`, with its input options
+    (a group shared with other verbs), its own options and its help line: the
+    parser and the dispatch both read this one entry."""
+    def register(run):
+        VERBS[name] = _Verb(run, inputs, options, help)
+        return run
+    return register
+
+
+@cache
 def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit the report as JSON")
-    common.add_argument("--out", help="write the produced artifact to this file")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized verbs")
-    common.add_argument("--subspace-budget", type=_budget, default=DEFAULT_SUBSPACE_BUDGET,
-                        help="max items of a subspace scan: U's q^k vectors (or its "
-                             "dual's) when that walk is the cheaper scan, else the "
-                             "points of PG(r-1,q^n); subspaces for h>=2 checks; "
-                             "point-hyperplane incidences for code scans "
-                             "(default 2^20)")
-    common.add_argument("--codeword-budget", type=_budget, default=DEFAULT_CODEWORD_BUDGET,
-                        help="max items of a code's rank scan: its q^K codewords or "
-                             "the subspaces of F_q^{min(m,n)}, whichever is fewer "
-                             "(default 2^24)")
+    """The rank-lab parser, built from VERBS once per process."""
     p = _Parser(prog="rank-lab", description=__doc__)
     sub = p.add_subparsers(dest="verb", required=True)
-
-    def verb(name, **kw):
-        sp = sub.add_parser(name, parents=[common], **kw)
-        return sp
-
-    sp = verb("scattered-check", help="test an F_q-subspace for h-scatteredness")
-    sp.add_argument("--subspace")
-    sp.add_argument("--pseudoregulus", metavar="r,n,h")
-    sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--h", type=int, required=True)
-
-    sp = verb("dualize", help="ordinary or Delsarte dual of a subspace")
-    sp.add_argument("--subspace")
-    sp.add_argument("--pseudoregulus", metavar="r,n,h")
-    sp.add_argument("--q", type=int, default=2)
-    g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument("--ordinary", action="store_true")
-    g.add_argument("--delsarte", action="store_true")
-
-    for name in ("mrd-check", "rank-dist", "dualize-code"):
-        sp = verb(name)
-        sp.add_argument("--code", required=True)
-
-    sp = verb("idealiser", help="left or right idealiser of a code")
-    sp.add_argument("--code", required=True)
-    g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument("--left", action="store_true")
-    g.add_argument("--right", action="store_true")
-
-    sp = verb("puncture")
-    sp.add_argument("--code", required=True)
-    sp.add_argument("--matrix", required=True, help="JSON Mat file (base level)")
-
-    sp = verb("certify-inequivalent")
-    sp.add_argument("--code", required=True)
-    sp.add_argument("--code2", required=True)
-
-    sp = verb("gabidulin")
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--s", type=int, default=1)
-    sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--mrd-check", action="store_true")
-
-    sp = verb("twisted-gabidulin")
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--s", type=int, default=1)
-    sp.add_argument("--c", type=int, default=0)
-    sp.add_argument("--q", type=int, default=2)
-    g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument("--eta", type=int, help="element code of eta")
-    g.add_argument("--eta-nonsquare", action="store_true",
-                   help="use the smallest non-square (odd q)")
-    sp.add_argument("--mrd-check", action="store_true")
-
-    sp = verb("cug", help="build C_{U,G} from a subspace")
-    sp.add_argument("--subspace")
-    sp.add_argument("--pseudoregulus", metavar="r,n,h")
-    sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--mrd-check", action="store_true")
-
-    sp = verb("extract-subspace", help="recover U from an MRD code (converse)")
-    sp.add_argument("--code", required=True)
-
-    sp = verb("search-scattered")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--h", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--budget", type=_budget, default=200,
-                    help="candidate evaluations (reproducible budget)")
-    sp.add_argument("--time-budget", type=float, default=None,
-                    help="optional wall-clock cap in seconds (not reproducible)")
-
-    for name in ("linset-points", "hyperplane-spectrum", "qsystem-code"):
-        sp = verb(name)
-        sp.add_argument("--subspace")
-        sp.add_argument("--pseudoregulus", metavar="r,n,h")
-        sp.add_argument("--q", type=int, default=2)
-
-    sp = verb("projsys-code")
-    sp.add_argument("--subspace")
-    sp.add_argument("--pseudoregulus", metavar="r,n,h")
-    sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--enumerator", action="store_true")
-    sp.add_argument("--codeword-count", action="store_true",
-                    help="codeword convention instead of the hyperplane count")
-
-    sp = verb("fixtures", help="materialize the canonical fixture corpus")
-    sp.add_argument("--dir", default="fixtures")
+    for name, verb in VERBS.items():
+        # a help= keyword, even None, lists the verb in `rank-lab --help`
+        sp = sub.add_parser(name, parents=[_parent(*g) for g in (_COMMON, verb.inputs) if g],
+                            **({"help": verb.help} if verb.help else {}))
+        for option in verb.options:
+            option(sp)
     return p
 
 
@@ -212,6 +180,8 @@ def _code_summary(C: rankcodes.RankCode, budget: int) -> dict[str, Any]:
             "mrd": C.is_mrd(budget=budget)}
 
 
+@_verb("scattered-check", _arg("--h", type=int, required=True), inputs=_SUBSPACE_INPUT,
+       help="test an F_q-subspace for h-scatteredness")
 def _run_scattered_check(args, budgets) -> dict[str, Any]:
     U = _load_subspace(args)
     sc = subspaces.is_h_scattered(U, args.h, budget=budgets["subspace"])
@@ -224,6 +194,9 @@ def _run_scattered_check(args, budgets) -> dict[str, Any]:
     return res
 
 
+@_verb("dualize", _one_of(_arg("--ordinary", action="store_true"),
+                          _arg("--delsarte", action="store_true")),
+       inputs=_SUBSPACE_INPUT, help="ordinary or Delsarte dual of a subspace")
 def _run_dualize(args, budgets) -> dict[str, Any]:
     U = _load_subspace(args)
     if args.ordinary:
@@ -237,31 +210,39 @@ def _run_dualize(args, budgets) -> dict[str, Any]:
             "artifact": serialize.subspace_to_json(data.dual)}
 
 
+@_verb("mrd-check", inputs=_CODE_INPUT)
 def _run_mrd_check(args, budgets) -> dict[str, Any]:
-    return _code_summary(_load_code(args), budgets["codeword"])
+    return _code_summary(_load_code(args.code), budgets["codeword"])
 
 
+@_verb("rank-dist", inputs=_CODE_INPUT)
 def _run_rank_dist(args, budgets) -> dict[str, Any]:
-    C = _load_code(args)
+    C = _load_code(args.code)
     dist = C.rank_distribution(budget=budgets["codeword"])
     return {"A": list(dist.A), "K": C.dim, "d": C.min_distance(budget=budgets["codeword"])}
 
 
+@_verb("dualize-code", inputs=_CODE_INPUT)
+def _run_dualize_code(args, budgets) -> dict[str, Any]:
+    C = _load_code(args.code)
+    D = rankcodes.delsarte_dual_code(C)
+    return {"K": D.dim, "artifact": serialize.rankcode_to_json(D)}
+
+
+@_verb("idealiser", _one_of(_arg("--left", action="store_true"),
+                            _arg("--right", action="store_true")),
+       inputs=_CODE_INPUT, help="left or right idealiser of a code")
 def _run_idealiser(args, budgets) -> dict[str, Any]:
-    C = _load_code(args)
+    C = _load_code(args.code)
     ide = rankcodes.left_idealiser(C) if args.left else rankcodes.right_idealiser(C)
     return {"side": ide.side.value, "dim": ide.dim, "order": ide.order,
             "is_field": ide.is_field}
 
 
-def _run_dualize_code(args, budgets) -> dict[str, Any]:
-    C = _load_code(args)
-    D = rankcodes.delsarte_dual_code(C)
-    return {"K": D.dim, "artifact": serialize.rankcode_to_json(D)}
-
-
+@_verb("puncture", _arg("--matrix", required=True, help="JSON Mat file (base level)"),
+       inputs=_CODE_INPUT)
 def _run_puncture(args, budgets) -> dict[str, Any]:
-    C = _load_code(args)
+    C = _load_code(args.code)
     tower = make_tower(C.field.p, C.field.dim_over_prime, 1, 1)
     A = serialize.mat_from_json(tower, serialize.load_file(args.matrix))
     P = rankcodes.puncture(C, A)
@@ -270,12 +251,14 @@ def _run_puncture(args, budgets) -> dict[str, Any]:
     return res
 
 
+@_verb("certify-inequivalent", _arg("--code2", required=True), inputs=_CODE_INPUT)
 def _run_certify(args, budgets) -> dict[str, Any]:
-    C1, C2 = _load_code(args), _load_code(args, "code2")
+    C1, C2 = _load_code(args.code), _load_code(args.code2)
     cert = rankcodes.inequivalence_certificate(C1, C2, budget=budgets["codeword"])
     return {"status": cert.status.value, "reason": cert.reason}
 
 
+@_verb("gabidulin", *_GABIDULIN, _Q, _MRD_CHECK)
 def _run_gabidulin(args, budgets) -> dict[str, Any]:
     p, e = _parse_q(args.q)
     tower = make_tower(p, e, args.N, 1)
@@ -287,6 +270,11 @@ def _run_gabidulin(args, budgets) -> dict[str, Any]:
     return res
 
 
+@_verb("twisted-gabidulin", *_GABIDULIN, _arg("--c", type=int, default=0), _Q,
+       _one_of(_arg("--eta", type=int, help="element code of eta"),
+               _arg("--eta-nonsquare", action="store_true",
+                    help="use the smallest non-square (odd q)")),
+       _MRD_CHECK)
 def _run_twisted(args, budgets) -> dict[str, Any]:
     p, e = _parse_q(args.q)
     tower = make_tower(p, e, args.N, 1)
@@ -301,6 +289,7 @@ def _run_twisted(args, budgets) -> dict[str, Any]:
     return res
 
 
+@_verb("cug", _MRD_CHECK, inputs=_SUBSPACE_INPUT, help="build C_{U,G} from a subspace")
 def _run_cug(args, budgets) -> dict[str, Any]:
     U = _load_subspace(args)
     cug = constructions.c_ug(U, budget=budgets["subspace"])
@@ -314,10 +303,10 @@ def _run_cug(args, budgets) -> dict[str, Any]:
     return res
 
 
+@_verb("extract-subspace", inputs=_CODE_INPUT, help="recover U from an MRD code (converse)")
 def _run_extract(args, budgets) -> dict[str, Any]:
-    C = _load_code(args)
-    p, e = _parse_q(C.q)
-    tower = make_tower(p, e, C.n, 1)
+    C = _load_code(args.code)
+    tower = make_tower(C.field.p, C.field.dim_over_prime, C.n, 1)
     ext = constructions.mrd_to_subspace(C, tower, budget=budgets["codeword"])
     return {"k": ext.subspace.k,
             "iota": subspaces.iota(ext.subspace, budget=budgets["subspace"]),
@@ -325,6 +314,12 @@ def _run_extract(args, budgets) -> dict[str, Any]:
             "artifact": serialize.subspace_to_json(ext.subspace)}
 
 
+@_verb("search-scattered",
+       *(_arg(f"--{x}", type=int, required=True) for x in "rnhk"), _Q,
+       _arg("--budget", type=_budget, default=200,
+            help="candidate evaluations (reproducible budget)"),
+       _arg("--time-budget", type=float, default=None,
+            help="optional wall-clock cap in seconds (not reproducible)"))
 def _run_search(args, budgets) -> dict[str, Any]:
     if args.seed is None:
         raise UsageError("search-scattered requires --seed")
@@ -340,6 +335,7 @@ def _run_search(args, budgets) -> dict[str, Any]:
     return out
 
 
+@_verb("linset-points", inputs=_SUBSPACE_INPUT)
 def _run_linset_points(args, budgets) -> dict[str, Any]:
     U = _load_subspace(args)
     L = linsets.linear_set(U, budget=budgets["subspace"])
@@ -350,6 +346,7 @@ def _run_linset_points(args, budgets) -> dict[str, Any]:
             "points": [list(pt) for pt in sorted(L.points)]}
 
 
+@_verb("hyperplane-spectrum", inputs=_SUBSPACE_INPUT)
 def _run_spectrum(args, budgets) -> dict[str, Any]:
     U = _load_subspace(args)
     spec = linsets.hyperplane_spectrum(U, budget=budgets["subspace"])
@@ -363,6 +360,18 @@ def _run_spectrum(args, budgets) -> dict[str, Any]:
             "theta_r_minus_1": theta(r - 1, q**n)}
 
 
+@_verb("qsystem-code", inputs=_SUBSPACE_INPUT)
+def _run_qsystem(args, budgets) -> dict[str, Any]:
+    U = _load_subspace(args)
+    C = linsets.qsystem_code(U, budget=budgets["subspace"])
+    return {"N": C.N, "k": C.k, "d": C.d,
+            "artifact": serialize.hamming_to_json(U.tower, C)}
+
+
+@_verb("projsys-code", _arg("--enumerator", action="store_true"),
+       _arg("--codeword-count", action="store_true",
+            help="codeword convention instead of the hyperplane count"),
+       inputs=_SUBSPACE_INPUT)
 def _run_projsys(args, budgets) -> dict[str, Any]:
     U = _load_subspace(args)
     L = linsets.linear_set(U, budget=budgets["subspace"])
@@ -377,45 +386,17 @@ def _run_projsys(args, budgets) -> dict[str, Any]:
     return res
 
 
-def _run_qsystem(args, budgets) -> dict[str, Any]:
-    U = _load_subspace(args)
-    C = linsets.qsystem_code(U, budget=budgets["subspace"])
-    return {"N": C.N, "k": C.k, "d": C.d,
-            "artifact": serialize.hamming_to_json(U.tower, C)}
-
-
+@_verb("fixtures", _arg("--dir", default="fixtures"),
+       help="materialize the canonical fixture corpus")
 def _run_fixtures(args, budgets) -> dict[str, Any]:
     from .fixtures import materialize
     files = materialize(args.dir)
     return {"dir": args.dir, "files": files}
 
 
-_VERBS = {
-    "scattered-check": _run_scattered_check,
-    "dualize": _run_dualize,
-    "mrd-check": _run_mrd_check,
-    "rank-dist": _run_rank_dist,
-    "idealiser": _run_idealiser,
-    "dualize-code": _run_dualize_code,
-    "puncture": _run_puncture,
-    "certify-inequivalent": _run_certify,
-    "gabidulin": _run_gabidulin,
-    "twisted-gabidulin": _run_twisted,
-    "cug": _run_cug,
-    "extract-subspace": _run_extract,
-    "search-scattered": _run_search,
-    "linset-points": _run_linset_points,
-    "hyperplane-spectrum": _run_spectrum,
-    "projsys-code": _run_projsys,
-    "qsystem-code": _run_qsystem,
-    "fixtures": _run_fixtures,
-}
-
-
 def run(argv: list[str]) -> tuple[dict[str, Any], bool]:
     """Execute one verb; returns (report, json_flag)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     budgets = {"subspace": args.subspace_budget, "codeword": args.codeword_budget}
     params = {k: v for k, v in sorted(vars(args).items())
               if k not in ("json", "out", "verb") and v is not None}
@@ -426,7 +407,7 @@ def run(argv: list[str]) -> tuple[dict[str, Any], bool]:
         "seed": args.seed,
     }
     t0 = time.perf_counter()
-    report["results"] = _VERBS[args.verb](args, budgets)
+    report["results"] = VERBS[args.verb].run(args, budgets)
     report["timings"] = {"total_s": round(time.perf_counter() - t0, 6)}
     report["status"] = "ok"
     if args.out and "artifact" in report["results"]:
@@ -459,9 +440,6 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except GateError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except RankLabError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

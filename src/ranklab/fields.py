@@ -307,7 +307,7 @@ class Field:
         factors = prime_factors(n)
         prim = None
         for c in range(1, self.order):
-            if all(self._pow_raw(c, n // f) != 1 for f in factors):
+            if all(self.pow(c, n // f) != 1 for f in factors):
                 prim = c
                 break
         exp = [1] * (2 * n)
@@ -330,15 +330,6 @@ class Field:
                     zech[k] = log[a + 1 if a % p != p - 1 else a + 1 - p]
             self._zech = zech + zech
             self._half = n // 2
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        r, b = 1, a
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, b)
-            b = self._mul_raw(b, b)
-            e >>= 1
-        return r
 
     def frob_table(self, q: int) -> list[int]:
         """Lookup table for x -> x^q (built lazily, order <= 2^20 only)."""
@@ -649,9 +640,6 @@ class Fe:
     @property
     def field(self) -> Field:
         return self.tower.field(self.level)
-
-    def prime_coeffs(self) -> list[int]:
-        return self.field.prime_vec(self.code)
 
     def __eq__(self, other):
         return (isinstance(other, Fe) and self.tower.params == other.tower.params

@@ -464,9 +464,6 @@ class SubspaceBasis:
     def contains(self, vec) -> bool:
         return not self.reducer().add(vec)
 
-    def contains_space(self, other: "SubspaceBasis") -> bool:
-        return not any(map(self.reducer().add, other.rows))
-
     def sum(self, other: "SubspaceBasis") -> "SubspaceBasis":
         self._check(other)
         return SubspaceBasis.from_vectors(

@@ -156,20 +156,14 @@ def rankcode_from_json(obj: dict[str, Any]) -> RankCode:
                                      for M in _req(obj, "basis", list, "code")])
 
 
-def hamming_to_json(tower: FieldTower, C: HammingCode,
-                    enumerator: dict[int, int] | None = None,
-                    convention: str | None = None) -> dict[str, Any]:
-    obj: dict[str, Any] = {
+def hamming_to_json(tower: FieldTower, C: HammingCode) -> dict[str, Any]:
+    return {
         "field": {"p": tower.p, "e": tower.e, "n": tower.n},
         "k": C.k,
         "N": C.N,
         "d": C.d,
         "generator": [list(r) for r in C.gen],
     }
-    if enumerator is not None:
-        obj["enumerator"] = {str(w): c for w, c in sorted(enumerator.items())}
-        obj["convention"] = convention
-    return obj
 
 
 def dumps(obj: Any) -> str:

@@ -409,3 +409,31 @@ def test_parse_q_factors_below_the_square_root():
     for q in (6, 12, 16777215):
         with pytest.raises(UsageError):
             cli._parse_q(q)
+
+
+def test_parser_tree_is_built_once_across_runs(monkeypatch, capsys):
+    builds = []
+    add_subparsers = cli._Parser.add_subparsers
+
+    def counted(self, **kw):
+        builds.append(self.prog)
+        return add_subparsers(self, **kw)
+
+    monkeypatch.setattr(cli._Parser, "add_subparsers", counted)
+    cli.build_parser.cache_clear()
+    for argv in (["gabidulin", "--N", "3", "--k", "1"], ["cug", "--pseudoregulus", "2,3,1"],
+                 ["gabidulin", "--N", "x"]):
+        main(argv + ["--json"])
+    capsys.readouterr()
+    assert builds == ["rank-lab"]
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_leaks_no_state_between_runs(capsys):
+    gab = ["gabidulin", "--N", "4", "--k", "2"]
+    assert "mrd" in run_json(gab + ["--mrd-check"])["results"]
+    second = run_json(gab)
+    assert "mrd" not in second["results"] and second["parameters"]["mrd_check"] is False
+    assert main(["twisted-gabidulin", "--N", "4", "--k", "2"]) == 1
+    assert main(gab + ["--json"]) == 0
+    capsys.readouterr()

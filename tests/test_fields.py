@@ -210,7 +210,7 @@ def test_field_interning_across_towers():
 
 def test_fe_serialization_coeffs(t3_4):
     x = Fe(t3_4, "mid", 5)  # 5 = 2 + 1*3
-    assert x.prime_coeffs() == [2, 1, 0, 0]
+    assert x.field.prime_vec(x.code) == [2, 1, 0, 0]
 
 
 def test_make_tower_budget_gate():

@@ -79,6 +79,8 @@ EXTRA = [
     ["certify-inequivalent", "--code", CODE_FILES[0], "--code2", CODE_FILES[3]],
     ["puncture", "--code", CODE_FILES[0], "--matrix", "{inputs}/puncture_3x4.matrix.json"],
     ["gabidulin", "--N", "4", "--k", "2", "--q", "3", "--mrd-check"],
+    ["twisted-gabidulin", "--N", "4", "--k", "2", "--q", "3", "--eta-nonsquare",
+     "--mrd-check"],
     ["search-scattered", "--r", "2", "--n", "4", "--h", "1", "--k", "4",
      "--seed", "5", "--budget", "20"],
     # budget exits: the walk side counts subspace vectors, the scan side points
@@ -118,6 +120,17 @@ def test_cli_payloads_match_the_recorded_goldens(tmp_path):
     bad = [" ".join(c["argv"]) for c in want
            if run_case(c["argv"], str(tmp_path)) != c]
     assert not bad, f"{len(bad)} payloads differ: {bad}"
+
+
+def test_every_verb_has_a_golden_case_and_a_readme_entry():
+    with open(os.path.join(HERE, os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    paragraph = readme.split("Verbs: ", 1)[1].split("\n\n", 1)[0]
+    named = {entry.split()[0] for entry in paragraph.split("`")[1::2]}
+    recorded = {argv[0] for argv in cases()}
+    # fixtures writes a corpus directory; test_fixture_corpus_round_trip covers it
+    assert set(cli.VERBS) - recorded == {"fixtures"}
+    assert set(cli.VERBS) <= named
 
 
 def _write_inputs() -> None:

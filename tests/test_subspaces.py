@@ -308,7 +308,7 @@ def test_iota_below_n_iff_no_full_line():
     lines = [full_line(t, 2, v) for v in projective_points(t.mid, 2)]
     for S in enumerate_subspaces(4, 2, t.base):
         U = FqSubspace.from_flat(t, 2, [list(v) for v in S.rows])
-        contains_line = any(U.flat.contains_space(L.flat) for L in lines)
+        contains_line = any(all(map(U.flat.contains, L.flat.rows)) for L in lines)
         assert (iota(U) < 2) == (not contains_line)
 
 
