@@ -19,6 +19,12 @@ so it costs a few list lookups whatever the degree.  Prime fields add mod p.
 Only extensions above the table limit fall back to polynomial
 multiplication and to digit-wise addition.
 
+The tables come from walking 1, c, c^2, ... with v -> c·v taken as an
+F_p-linear map on the packed code (Field._orbit): a step is two lookups in
+tables of p^⌈D/2⌉ entries and one add, not a polynomial product.  The first
+code whose walk returns to 1 after |F| - 1 steps is g, and its walk is exp;
+frob_table reads x -> x^q off the logs.
+
 Moduli are chosen deterministically as the lexicographically least monic
 irreducible polynomial over the base field (ordered by packed integer code of
 the non-leading coefficients), so serialized values are portable across runs.
@@ -26,6 +32,7 @@ the non-leading coefficients), so serialized values are portable across runs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,7 +46,6 @@ from .errors import (
 
 LOG_TABLE_LIMIT = 1 << 20
 DEFAULT_TOWER_BUDGET = 1 << 24
-FROBENIUS_CHECK_LIMIT = 1 << 16
 TRIAL_FACTOR_LIMIT = 1 << 12
 
 LEVELS = ("base", "mid", "top")
@@ -62,6 +68,81 @@ def prime_factors(m: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
+
+
+def slot_width(F: "Field") -> int:
+    """Bits per coordinate of a packed F_p-vector over the prime field F."""
+    return 1 if F.p == 2 else (2 * F.p - 2).bit_length() + 1
+
+
+class Slots:
+    """Arithmetic on packed F_p-vectors of ncols coordinates at odd p:
+    coordinate j sits in bits [j·W, (j+1)·W), W = slot_width (vectors over
+    F_2 add by XOR).  fqlinalg stores prime-field rows in this form, and
+    Field._orbit walks the powers of an element in it.
+
+    An entry is below p, so a slot of x + y is at most 2p − 2, and a
+    slot of x + (p − y) at most 2p − 1; both are below 2^v + p with
+    v = W − 1.  Adding 2^v − p to every slot carries into bit v exactly where
+    the slot reached p, and never out of the slot, so subtracting p times
+    those bits reduces every slot at once (a fold).
+    """
+
+    __slots__ = ("p", "width", "mask", "low", "plow", "carry", "guard")
+
+    def __init__(self, F: "Field", ncols: int):
+        self.p = p = F.p
+        self.width = width = slot_width(F)
+        self.mask = (1 << width) - 1
+        self.low = ((1 << (ncols * width)) - 1) // self.mask   # bit 0 of each slot
+        self.plow = p * self.low
+        self.guard = width - 1
+        self.carry = self.low * ((1 << self.guard) - p)
+
+    def add(self, x: int, y: int) -> int:
+        s = x + y
+        return s - self.p * (((s + self.carry) >> self.guard) & self.low)
+
+    def scale(self, x: int, c: int) -> int:
+        """c·x for c in F_p, by doubling and adding."""
+        if c == 1:
+            return x
+        p, guard, low, carry = self.p, self.guard, self.low, self.carry
+        acc = x if c & 1 else 0
+        c >>= 1
+        while c:
+            s = x + x
+            x = s - p * (((s + carry) >> guard) & low)
+            if c & 1:
+                s = acc + x
+                acc = s - p * (((s + carry) >> guard) & low)
+            c >>= 1
+        return acc
+
+    def submul(self, x: int, c: int, y: int) -> int:
+        """x − c·y for c in F_p: one fold after subtracting c·y or adding
+        (p − c)·y, whichever multiplier is smaller."""
+        p = self.p
+        if c + c <= p:
+            s = x + self.plow - self.scale(y, c)
+        else:
+            s = x + self.scale(y, p - c)
+        return s - p * (((s + self.carry) >> self.guard) & self.low)
+
+
+def _linear_table(units, images, add, p: int) -> dict[int, int]:
+    """{Σ a_j·units[j]: Σ a_j·images[j]} over every a in F_p^len(units): the
+    F_p-linear map units[j] -> images[j], filled by linearity.  Keys are
+    packed vectors that add as integers (each unit a distinct digit place);
+    values add by add."""
+    table = {0: 0}
+    for u, x in zip(units, images):
+        known = list(table.items())
+        k = y = 0
+        for _ in range(p - 1):
+            k, y = k + u, add(y, x)
+            table.update((key + k, add(val, y)) for key, val in known)
+    return table
 
 
 _FIELD_CACHE: dict[tuple, "Field"] = {}
@@ -300,24 +381,27 @@ class Field:
         return range(self.order)
 
     def _build_tables(self) -> None:
+        """exp/log tables of the least primitive element g, and at odd p in
+        an extension the Zech logarithms.
+
+        g is the least code whose powers reach all |F| - 1 units.  Candidates
+        c = 1, 2, ... are walked by _orbit in code order; a code on the orbit
+        of a smaller candidate is skipped unwalked, since its order divides
+        that orbit's length, which is below |F| - 1.  The orbit of g is exp.
+        """
         n = self.order - 1
-        if n == 0:
-            self._exp, self._log = [1, 1], [0, 0]
-            return
-        factors = prime_factors(n)
-        prim = None
-        for c in range(1, self.order):
-            if all(self.pow(c, n // f) != 1 for f in factors):
-                prim = c
-                break
-        exp = [1] * (2 * n)
         log = [0] * self.order
-        v = 1
-        for i in range(n):
-            exp[i] = v
-            exp[i + n] = v
+        for c in range(1, self.order):
+            if log[c] < 0:
+                continue
+            exp = self._orbit(c)
+            if len(exp) == n:
+                break
+            for v in exp:
+                log[v] = -1
+        for i, v in enumerate(exp):
             log[v] = i
-            v = self._mul_raw(v, prim)
+        exp *= 2
         self._exp, self._log = exp, log
         p = self.p
         if p != 2 and self.base is not None:
@@ -331,11 +415,68 @@ class Field:
             self._zech = zech + zech
             self._half = n // 2
 
+    def _orbit(self, c: int) -> list[int]:
+        """[1, c, ..., c^(m-1)] up to the first c^m = 1, stepping v -> c·v.
+
+        In an extension the step is an F_p-linear map on the packed code.
+        The images c·p^j of the D = dim_over_prime digit units (D _mul_raw
+        calls) are spread by linearity into two tables, over the low
+        h = ⌈D/2⌉ digits and over the others, so a step is two lookups and
+        one add of packed F_p-vectors: XOR at p = 2.  At odd p the walk runs
+        on Slots-packed vectors, adding by an integer sum and a fold, and two
+        more tables read each step back into a code.  A prime field steps by
+        v·c mod p.  Only a zero divisor, under a reducible modulus, never
+        returns to 1.
+        """
+        p, n = self.p, self.order - 1
+        orbit, v = [], 1
+        append = orbit.append
+        if self.base is None:    # 0 < c < p is a unit: the walk returns
+            for _ in range(n):
+                append(v)
+                v = v * c % p
+                if v == 1:
+                    return orbit
+        D = self.dim_over_prime
+        h = (D + 1) // 2
+        w = slot_width(Field(p))
+        units = [1 << (j * w) for j in range(D)]
+        places = [p**j for j in range(D)]
+        mask, shift = units[h] - 1, h * w
+        images = [self._mul_raw(c, x) for x in places]
+        if p == 2:
+            add = operator.xor
+        else:
+            slots = Slots(Field(p), D)
+            add, carry, guard, low = slots.add, slots.carry, slots.guard, slots.low
+            images = [sum(x // y % p * u for y, u in zip(places, units)) for x in images]
+        lo = _linear_table(units[:h], images[:h], add, p)
+        hi = _linear_table(units[:D - h], images[h:], add, p)
+        if p == 2:
+            for _ in range(n):
+                append(v)
+                v = lo[v & mask] ^ hi[v >> shift]
+                if v == 1:
+                    return orbit
+        else:
+            code_lo = _linear_table(units[:h], places[:h], operator.add, p)
+            code_hi = _linear_table(units[:D - h], places[h:], operator.add, p)
+            for _ in range(n):
+                a, b = v & mask, v >> shift
+                append(code_lo[a] + code_hi[b])
+                s = lo[a] + hi[b]
+                v = s - p * (((s + carry) >> guard) & low)
+                if v == 1:
+                    return orbit
+        raise InvalidParams(f"modulus {self.modulus} is reducible: {c} is no unit")
+
     def frob_table(self, q: int) -> list[int]:
-        """Lookup table for x -> x^q (built lazily, order <= 2^20 only)."""
+        """Lookup table for x -> x^q, read off the logs: (g^i)^q = g^(iq).
+        Built lazily; fields with log tables (order <= 2^20) only."""
         t = self._frob_tables.get(q)
         if t is None:
-            t = [self.pow(a, q) for a in range(self.order)]
+            exp, log, n = self._exp, self._log, self.order - 1
+            t = [0] + [exp[log[a] * q % n] for a in range(1, self.order)]
             self._frob_tables[q] = t
         return t
 
@@ -535,11 +676,6 @@ class FieldTower:
         for F, mod in ((self.mid, self.modulus_mid), (self.top, self.modulus_top)):
             if F.base is not None and not _verify_irreducible(F.base, mod):
                 raise InvalidParams("modulus failed irreducibility verification")
-        if self.mid.order <= FROBENIUS_CHECK_LIMIT:
-            ft = self.mid.frob_table(self.q)
-            fixed = sum(1 for a in range(self.mid.order) if ft[a] == a)
-            if fixed != self.q:
-                raise InvalidParams("Frobenius fixed-field check failed")
 
     @property
     def params(self) -> tuple[int, int, int, int]:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 
 from .errors import AmbientMismatch, BudgetExceeded, InvalidParams
-from .fields import Field
+from .fields import Field, Slots, slot_width
 
 DEFAULT_SUBSPACE_BUDGET = 1 << 20
 
@@ -131,67 +131,9 @@ def vec_mat(v, A: Mat) -> list[int]:
 # -- stored rows: packed over prime fields, tuples over extension fields ------
 
 
-def slot_width(F: Field) -> int:
-    """Bits per coordinate of a packed row over the prime field F."""
-    return 1 if F.p == 2 else (2 * F.p - 2).bit_length() + 1
-
-
-class _Slots:
-    """Row arithmetic on packed F_p rows of ncols coordinates at odd p (rows
-    over F_2 add by XOR; see row_add and RowReducer).
-
-    An entry is below p, so a slot of x + y is at most 2p − 2, and a
-    slot of x + (p − y) at most 2p − 1; both are below 2^v + p with
-    v = W − 1.  Adding 2^v − p to every slot carries into bit v exactly where
-    the slot reached p, and never out of the slot, so subtracting p times
-    those bits reduces every slot at once (a fold).
-    """
-
-    __slots__ = ("p", "width", "mask", "low", "plow", "carry", "guard")
-
-    def __init__(self, F: Field, ncols: int):
-        self.p = p = F.p
-        self.width = width = slot_width(F)
-        self.mask = (1 << width) - 1
-        self.low = ((1 << (ncols * width)) - 1) // self.mask   # bit 0 of each slot
-        self.plow = p * self.low
-        self.guard = width - 1
-        self.carry = self.low * ((1 << self.guard) - p)
-
-    def add(self, x: int, y: int) -> int:
-        s = x + y
-        return s - self.p * (((s + self.carry) >> self.guard) & self.low)
-
-    def scale(self, x: int, c: int) -> int:
-        """c·x for c in F_p, by doubling and adding."""
-        if c == 1:
-            return x
-        p, guard, low, carry = self.p, self.guard, self.low, self.carry
-        acc = x if c & 1 else 0
-        c >>= 1
-        while c:
-            s = x + x
-            x = s - p * (((s + carry) >> guard) & low)
-            if c & 1:
-                s = acc + x
-                acc = s - p * (((s + carry) >> guard) & low)
-            c >>= 1
-        return acc
-
-    def submul(self, x: int, c: int, y: int) -> int:
-        """x − c·y for c in F_p: one fold after subtracting c·y or adding
-        (p − c)·y, whichever multiplier is smaller."""
-        p = self.p
-        if c + c <= p:
-            s = x + self.plow - self.scale(y, c)
-        else:
-            s = x + self.scale(y, p - c)
-        return s - p * (((s + self.carry) >> self.guard) & self.low)
-
-
 @lru_cache(maxsize=None)
-def _slots(F: Field, ncols: int) -> _Slots:
-    return _Slots(F, ncols)
+def _slots(F: Field, ncols: int) -> Slots:
+    return Slots(F, ncols)
 
 
 def store_row(F: Field, row):

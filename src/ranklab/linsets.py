@@ -66,7 +66,7 @@ class LinearSet:
 def linear_set(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> LinearSet:
     """The points of L_U with their weights, from a walk of one vector per
     F_q-point of U bucketed by projective point (a point of weight w holds
-    θ_{w-1}(q) of them); budget caps the walk at q^k subspace vectors."""
+    θ_{w-1}(q) of them); budget caps the walk at θ_{k-1}(q) F_q-points."""
     return LinearSet(U, _point_weights(U, budget))
 
 

@@ -15,21 +15,22 @@ single point and hyperplane weights of linsets, the dual weight identity and
 the Delsarte embedding check all read it.
 
 Point weights w(P) = dim_{F_q}(U ∩ <P>_{F_{q^n}}) come from one of two
-exact scans, chosen from the input alone:
+exact scans, chosen from the input and the budget:
 
 - the vector walk (_point_weights) visits one vector on each of the
   θ_{k-1}(q) F_q-points of U and buckets them by projective point; a point
   collecting θ_{w-1}(q) = (q^w - 1)/(q - 1) of them has weight w.
 - the point scan (_point_scan) meets U with every point of PG(r-1, q^n).
 
-The walk runs when U's q^k vectors are at most n·θ_{r-1}(q^n), the row
-additions of the point scan.  Hyperplane weights are point weights of the
-ordinary dual U^⊥', by whichever scan is cheaper for it: the hyperplane
+The walk runs when U's θ_{k-1}(q) F_q-points are at most n·θ_{r-1}(q^n),
+the row additions of the point scan; when only one of the two fits the
+budget, that one runs.  Hyperplane weights are point weights of the
+ordinary dual U^⊥', by whichever scan is chosen for it: the hyperplane
 H_w = ker(w·) is the dual of the point <w>, so dim(U ∩ H_w) =
 w_{U^⊥'}(<w>) + k - n.  Every scan refuses (BudgetExceeded) rather than
-samples when its item count exceeds the budget: subspace vectors for the
-walk, projective points for the point scan, and subspaces for the h >= 2
-scatteredness scan over h-dim F_{q^n}-subspaces.
+samples when its item count exceeds the budget: the F_q-points of the
+subspace for the walk, projective points for the point scan, and subspaces
+for the h >= 2 scatteredness scan over h-dim F_{q^n}-subspaces.
 """
 
 from __future__ import annotations
@@ -172,10 +173,11 @@ def normalize_point(F: Field, v) -> tuple[int, ...]:
 
 
 def _walk_is_cheaper(tower: FieldTower, r: int, dim: int) -> bool:
-    """True iff walking the q^dim vectors of a dim-dimensional F_q-subspace of
-    F_{q^n}^r costs no more than the point scan's n·θ_{r-1}(q^n) row
-    additions (n flat rows per point of PG(r-1, q^n))."""
-    return tower.base.order**dim <= tower.n * theta(r - 1, tower.mid.order)
+    """True iff walking the θ_{dim-1}(q) F_q-points of a dim-dimensional
+    F_q-subspace of F_{q^n}^r, one vector each, costs no more than the point
+    scan's n·θ_{r-1}(q^n) row additions (n flat rows per point of
+    PG(r-1, q^n))."""
+    return theta(dim - 1, tower.base.order) <= tower.n * theta(r - 1, tower.mid.order)
 
 
 def _point_weights(U: FqSubspace, budget: int) -> dict[tuple[int, ...], int]:
@@ -187,12 +189,12 @@ def _point_weights(U: FqSubspace, budget: int) -> dict[tuple[int, ...], int]:
     F_p-expansion of the a_j adds one row per step: packed ints (coordinate
     j in bits [j·N, (j+1)·N)) by XOR at p = 2, code tuples by Field.add at
     odd p.  Keys are normalized by log subtraction, c_j -> exp[log c_j +
-    (Q-1) - log c_lead].  budget caps the walk at q^k subspace vectors.
+    (Q-1) - log c_lead].  budget caps the walk at θ_{k-1}(q) F_q-points.
     """
     tower = U.tower
     q, mid, r, k = tower.base.order, tower.mid, U.r, U.k
-    if q**k > budget:
-        raise BudgetExceeded(q**k, budget, "subspace vectors")
+    if theta(k - 1, q) > budget:
+        raise BudgetExceeded(theta(k - 1, q), budget, "subspace F_q-points")
     p, N, exp, log, top = mid.p, mid.dim_over_prime, mid._exp, mid._log, mid.order - 1
     shifts, mask = range(0, r * N, N), (1 << N) - 1
     if p == 2:
@@ -244,9 +246,15 @@ def _point_scan(U: FqSubspace, budget: int):
 
 def _point_weight_items(U: FqSubspace, budget: int):
     """(point, weight) pairs covering every point of positive weight: the
-    vector walk when q^k <= n·θ_{r-1}(q^n), the point scan otherwise (which
-    also yields the points of weight 0)."""
-    if _walk_is_cheaper(U.tower, U.r, U.k):
+    vector walk when θ_{k-1}(q) <= n·θ_{r-1}(q^n), the point scan otherwise
+    (which also yields the points of weight 0).  When only one of the two
+    fits the budget, that one runs."""
+    walk_fits = theta(U.k - 1, U.tower.base.order) <= budget
+    if walk_fits != (theta(U.r - 1, U.tower.mid.order) <= budget):
+        walk = walk_fits
+    else:
+        walk = _walk_is_cheaper(U.tower, U.r, U.k)
+    if walk:
         return _point_weights(U, budget).items()
     return _point_scan(U, budget)
 
@@ -254,8 +262,9 @@ def _point_weight_items(U: FqSubspace, budget: int):
 def iota(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> int:
     """max over projective points P of dim_{F_q}(U ∩ <P>_{F_{q^n}}).
 
-    Walks U's F_q-points when q^k <= n·θ_{r-1}(q^n), else scans the
-    θ_{r-1}(q^n) points; budget caps the chosen scan's item count."""
+    Walks U's F_q-points when θ_{k-1}(q) <= n·θ_{r-1}(q^n), else scans the
+    θ_{r-1}(q^n) points (_point_weight_items); budget caps the chosen scan's
+    item count."""
     if U.k == 0:
         return 0
     cap = min(U.k, U.tower.n)
@@ -273,9 +282,9 @@ def excess_iter(U: FqSubspace, h: int, *, budget: int = DEFAULT_SUBSPACE_BUDGET)
     is positive.
 
     For h = 1 these are w(P) - 1 over the points P, read through the cheaper
-    scan of iota (q^k vectors against n·θ_{r-1}(q^n) row additions).  For
-    h >= 2 every W of the qbinom(r, h, q^n) subspaces is eliminated against
-    U.  budget caps the chosen scan's item count.
+    scan of iota (θ_{k-1}(q) F_q-points against n·θ_{r-1}(q^n) row
+    additions).  For h >= 2 every W of the qbinom(r, h, q^n) subspaces is
+    eliminated against U.  budget caps the chosen scan's item count.
     """
     if h == 1:
         for _, w in _point_weight_items(U, budget):
@@ -326,7 +335,7 @@ def hyperplane_weight_iter(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDG
     H_w is the ordinary dual of <w>_{F_{q^n}}, so dim(U ∩ H_w) =
     w_{U^⊥'}(<w>) + k - n: the point weights of U^⊥', from the walk of its
     F_q-points or the point scan, as _point_weight_items chooses.
-    budget caps the chosen scan's item count (the walk's vectors, or the
+    budget caps the chosen scan's item count (the walk's F_q-points, or the
     scan's points), not the θ_{r-1}(q^n) pairs yielded.
     """
     dual_w = dict(_point_weight_items(ordinary_dual(U), budget))

@@ -321,11 +321,11 @@ def test_linear_set_verbs_honour_the_subspace_budget(tmp_path, capsys):
     path = str(tmp_path / fixtures.CORPUS_VERSION / "pseudoregulus_2_4_1_q2.subspace.json")
     for verb in ("linset-points", "projsys-code"):
         assert main([verb, "--subspace", path, "--subspace-budget", "3"]) == 3
-        assert "16 subspace vectors exceeds budget 3" in capsys.readouterr().err
+        assert "15 subspace F_q-points exceeds budget 3" in capsys.readouterr().err
 
 
 def test_projsys_enumerator_honours_the_subspace_budget(capsys):
-    # linear_set walks U's 256 vectors, within the budget; the code scans
+    # linear_set walks U's θ_7(2) = 255 F_q-points, within the budget; the code scans
     # visit 255·theta_2(16) = 69615 point-hyperplane incidences
     assert main(["projsys-code", "--pseudoregulus", "4,4,1", "--enumerator",
                  "--subspace-budget", "1000"]) == 3

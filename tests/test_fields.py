@@ -18,6 +18,7 @@ from ranklab.fields import (
     norm_to_base,
     poly_eval,
     poly_mod,
+    prime_factors,
     trace_to_base,
 )
 
@@ -281,3 +282,113 @@ def test_is_prime_matches_a_sieve():
             sieve[i * i::i] = [False] * len(sieve[i * i::i])
     assert [p for p in range(-3, limit) if is_prime(p)] == \
         [p for p in range(limit) if sieve[p]]
+
+
+# -- exp/log/Zech/Frobenius tables against the per-entry chain -----------------
+
+
+def _pow_raw(F, a, e):
+    """a^e by square-and-multiply over polynomial products (no tables)."""
+    r = 1
+    while e:
+        if e & 1:
+            r = F._mul_raw(r, a)
+        a = F._mul_raw(a, a)
+        e >>= 1
+    return r
+
+
+def _least_primitive(F):
+    """The least code c with c^((|F|-1)/f) != 1 for every prime f."""
+    n = F.order - 1
+    factors = prime_factors(n)
+    return next(c for c in range(1, F.order)
+                if all(_pow_raw(F, c, n // f) != 1 for f in factors))
+
+
+def _chain_tables(F):
+    """exp, log and Zech tables the slow way: the pow-based primitive
+    search, then one polynomial product per entry, then the Zech pass."""
+    n, p, g = F.order - 1, F.p, _least_primitive(F)
+    exp, log, v = [1] * (2 * n), [0] * F.order, 1
+    for i in range(n):
+        exp[i] = exp[i + n] = v
+        log[v] = i
+        v = F._mul_raw(v, g)
+    zech = None
+    if p != 2 and F.base is not None:
+        zech = [-1] * n
+        for k in range(n):
+            a = exp[k]
+            if a != p - 1:
+                zech[k] = log[a + 1 if a % p != p - 1 else a + 1 - p]
+        zech += zech
+    return exp, log, zech
+
+
+# (p, e, n, t, level): prime fields; F_4 ... F_6561, F_64 built three ways
+# ((2,1,6), (2,2,3), (2,3,2)); the top fields of the t = 2 and t = 3 towers
+TABLE_GRID = (
+    [(p, 1, 1, 1, "base") for p in (2, 3, 5, 7)]
+    + [(2, 2, 1, 1, "base"), (2, 3, 1, 1, "base"), (3, 2, 1, 1, "base")]
+    + [(2, 1, 4, 1, "mid"), (5, 1, 2, 1, "mid"), (3, 1, 3, 1, "mid"),
+       (3, 1, 4, 1, "mid"), (2, 1, 8, 1, "mid"), (5, 1, 4, 1, "mid"),
+       (3, 1, 6, 1, "mid"), (2, 1, 12, 1, "mid"), (3, 1, 8, 1, "mid"),
+       (3, 2, 4, 1, "mid")]
+    + [(2, 1, 6, 1, "mid"), (2, 2, 3, 1, "mid"), (2, 3, 2, 1, "mid")]
+    + [params + ("top",) for params in T2_TOWERS])
+
+
+@pytest.mark.parametrize("p,e,n,t,level", TABLE_GRID)
+def test_tables_match_the_per_entry_chain(p, e, n, t, level):
+    tower = make_tower(p, e, n, t)
+    F = tower.field(level)
+    exp, log, zech = _chain_tables(F)
+    assert F._exp == exp
+    assert F._log == log
+    assert F._zech == zech
+    for q in {tower.q, p}:
+        assert F.frob_table(q) == [_pow_raw(F, a, q) for a in F.elements()]
+
+
+@pytest.mark.parametrize("p,n", [(2, 16), (3, 12)])
+def test_large_tables_are_a_bijection_stepping_by_g(p, n):
+    F = make_tower(p, 1, n, 1).mid
+    N = F.order - 1
+    exp, g = F._exp, F._exp[1]
+    assert g == _least_primitive(F)
+    assert sorted(exp[:N]) == list(range(1, F.order))
+    assert exp[:N] == exp[N:]
+    assert all(F._log[exp[i]] == i for i in range(N))
+    rng = random.Random(F.order)
+    for i in rng.sample(range(N), 500):
+        assert exp[i + 1] == F._mul_raw(exp[i], g)
+
+
+@pytest.mark.parametrize("params", [(2, 1, 12, 1), (3, 1, 8, 1), (2, 1, 17, 1)])
+def test_building_a_tower_takes_few_polynomial_products(params, monkeypatch):
+    # from scratch: an empty field cache, and FieldTower rather than the
+    # cached make_tower.  The per-entry chain took one product per table
+    # entry (4,095 or more for F_4096); the linear walk takes D = 12, 8 or 17
+    # per primitive candidate it walks
+    from ranklab import fields
+
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    calls = []
+    mul_raw = Field._mul_raw
+    monkeypatch.setattr(Field, "_mul_raw",
+                        lambda self, a, b: calls.append(1) or mul_raw(self, a, b))
+    fields.FieldTower(*params)
+    assert len(calls) < 1000
+
+
+def test_reducible_modulus_is_refused_by_the_table_walk():
+    # X^2 + 1 = (X + 1)^2 over F_2 and X^2 - 1 over F_3: the walk of a zero
+    # divisor never returns to 1
+    from ranklab import fields
+    from ranklab.errors import InvalidParams
+
+    for p, modulus in ((2, (1, 0, 1)), (3, (2, 0, 1))):
+        with pytest.raises(InvalidParams, match="reducible"):
+            Field.extension(Field(p), modulus)
+        assert ("ext", ("prime", p), modulus) not in fields._FIELD_CACHE

@@ -3,8 +3,8 @@ its stderr text and its "results" payload (artifact included) exactly.
 
 The cases cover the subspace verbs and the code verbs on the fixture corpus,
 a few pseudoregulus parameter sets at odd and even q, extra inputs under
-tests/golden/inputs that reach the scan sides of the point and hyperplane
-weight choices, and budget exits.  To record them afresh (only when a change
+tests/golden/inputs (a q = 5 subspace, one whose point weights and one whose
+hyperplane weights take the point-scan side), and budget exits.  To record them afresh (only when a change
 to the payloads is intended and explained):
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
@@ -35,11 +35,14 @@ SUBSPACE_FILES = [
     "{corpus}/v1/subgeometry_3_3_2_q2.subspace.json",
     "{corpus}/v1/remark_counterexample_2_4_q2.subspace.json",
     "{corpus}/v1/certified_new_witness_3_6_1_q2.subspace.json",
-    # q = 5, r = 2, n = 4, k = 3: 5^5 > 4·θ_1(625), so the hyperplane weights
-    # of the Delsarte precondition take the point-scan side
+    # q = 5, r = 2, n = 4, k = 3: the dual's θ_4(5) = 781 F_q-points are
+    # below 4·θ_1(625) = 2504, so the Delsarte precondition walks the dual
     "{inputs}/random_2_4_k3_q5.subspace.json",
-    # k = 7 in F_16^2: q^k = 128 > 68, iota takes the point scan
+    # k = 7 in F_16^2: θ_6(2) = 127 > 4·θ_1(16) = 68, iota takes the point scan
     "{inputs}/random_2_4_k7_q2.subspace.json",
+    # k = 3 in F_64^2: the dual's θ_8(2) = 511 F_q-points exceed 6·θ_1(64) =
+    # 390, so the Delsarte precondition scans the points for the dual
+    "{inputs}/random_2_6_k3_q2.subspace.json",
 ]
 SUBSPACE_VERBS = [
     ["scattered-check", "--h", "1"],
@@ -138,10 +141,11 @@ def _write_inputs() -> None:
     from ranklab.subspaces import random_subspace
 
     os.makedirs(INPUTS, exist_ok=True)
-    t2, t5 = make_tower(2, 1, 4, 1), make_tower(5, 1, 4, 1)
+    t2, t5, t64 = make_tower(2, 1, 4, 1), make_tower(5, 1, 4, 1), make_tower(2, 1, 6, 1)
     subs = {
         "random_2_4_k3_q5": random_subspace(t5, 2, 3, random.Random(5)),
         "random_2_4_k7_q2": random_subspace(t2, 2, 7, random.Random(7)),
+        "random_2_6_k3_q2": random_subspace(t64, 2, 3, random.Random(3)),
     }
     for name, U in subs.items():
         serialize.dump_file(os.path.join(INPUTS, f"{name}.subspace.json"),

@@ -18,7 +18,7 @@ import pytest
 from ranklab import constructions, subspaces
 from ranklab.constructions import pseudoregulus_subspace, random_scattered_search
 from ranklab.fields import make_tower
-from ranklab.errors import InternalInvariantError
+from ranklab.errors import BudgetExceeded, InternalInvariantError
 from ranklab.fqlinalg import (Mat, SubspaceBasis, intersection_dim, iter_span_rows,
                               kernel, projective_points, rref, vec_mat)
 from ranklab.linsets import hyperplane_spectrum, linear_set
@@ -44,7 +44,7 @@ PRIME_POWER = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
 GRID = [(2, 2, 3), (2, 2, 4), (2, 3, 3), (3, 2, 2), (3, 2, 3), (3, 3, 2),
         (3, 3, 3), (4, 2, 2), (4, 3, 2), (5, 2, 2), (5, 3, 2), (8, 2, 2),
         (8, 3, 1), (9, 2, 2), (9, 3, 1)]
-# forcing the walk on an input visits q^k and q^{rn-k} vectors
+# forcing the walk on an input visits fewer than q^k and q^{rn-k} F_q-points
 FORCED_WALK_LIMIT = 7000
 
 
@@ -126,8 +126,8 @@ def _seeded_image(U, rng):
 def _grid_inputs():
     """(label, U, h or None): seeded pseudoregulus images, which are maximum
     h-scattered, and seeded random subspaces of dimension 1, rn/2 and rn-1
-    (the last two reach the point scan), plus the zero and the full space on
-    two cells."""
+    (at q = 2 and 3 some of the last reach the point scan), plus the zero and
+    the full space on two cells."""
     rng = random.Random(20260808)
     out = []
     for q, r, n in GRID:
@@ -234,20 +234,41 @@ def test_grid_reaches_both_sides_of_each_choice():
 
 
 def test_budget_names_the_chosen_scans_unit():
-    from ranklab.errors import BudgetExceeded
-
-    tower = _tower(2, 3)  # the point scan costs n·θ_1(8) = 3·9 = 27 row additions
-    assert _walk_is_cheaper(tower, 2, 4)  # 16 vectors
-    with pytest.raises(BudgetExceeded, match="16 subspace vectors"):
-        iota(random_subspace(tower, 2, 4, random.Random(1)), budget=15)
-    U = random_subspace(tower, 2, 5, random.Random(1))  # 32 vectors
-    assert not _walk_is_cheaper(tower, 2, 5)
+    # the point scan visits θ_1(8) = 9 points at n·9 = 27 row additions
+    tower = _tower(2, 3)
+    U4 = random_subspace(tower, 2, 4, random.Random(1))
+    assert _walk_is_cheaper(tower, 2, 4)  # θ_3(2) = 15 F_q-points
+    assert iota(U4, budget=15) == iota(U4)
+    with pytest.raises(BudgetExceeded, match="15 subspace F_q-points exceeds budget 8"):
+        iota(U4, budget=8)
+    # only the scan fits: it runs, although the walk is cheaper
+    assert iota(U4, budget=14) == iota(U4)
+    U = random_subspace(tower, 2, 5, random.Random(1))
+    assert not _walk_is_cheaper(tower, 2, 5)  # θ_4(2) = 31 F_q-points
     with pytest.raises(BudgetExceeded, match="9 projective points"):
         iota(U, budget=8)
-    assert _walk_is_cheaper(tower, 2, 1)  # the dual's 2 vectors
-    assert max_hyperplane_weight(U, budget=2) == 5 - 3 + 1
-    with pytest.raises(BudgetExceeded, match="2 subspace vectors"):
-        max_hyperplane_weight(U, budget=1)
+    assert _walk_is_cheaper(tower, 2, 1)  # the dual's θ_0(2) = 1 F_q-point
+    assert max_hyperplane_weight(U, budget=1) == 5 - 3 + 1
+    with pytest.raises(BudgetExceeded, match="1 subspace F_q-points"):
+        max_hyperplane_weight(U, budget=0)
+
+
+def test_walk_is_chosen_for_k5_in_f625_squared(monkeypatch):
+    # q = 5, n = 4: the walk visits θ_4(5) = 781 F_q-points of U against the
+    # point scan's 4·θ_1(625) = 2504 row additions.  A budget that fits the
+    # walk's 781 F_q-points, or only the scan's θ_1(625) = 626 points, answers
+    tower = _tower(5, 4)
+    assert _walk_is_cheaper(tower, 2, 5)
+    rng = random.Random(625)
+    for _ in range(3):
+        U = random_subspace(tower, 2, 5, rng)
+        want = max(oracle_point_weights(U).values())
+        assert iota(U) == iota(U, budget=1000) == iota(U, budget=700) == want
+        with monkeypatch.context() as m:
+            m.setattr(subspaces, "_walk_is_cheaper", lambda *a: False)
+            assert iota(U) == want
+    with pytest.raises(BudgetExceeded, match="781 subspace F_q-points exceeds budget 625"):
+        iota(U, budget=625)
 
 
 # long trajectories: runs that spend all 30 evaluations, or find a witness late

@@ -189,7 +189,7 @@ def test_budget_caps_point_hyperplane_incidences(pseudoreg):
 
 def test_qsystem_code_runs_under_its_budget(pseudoreg):
     # U's F_q-basis gives 4 columns on theta_0(16) = 1 hyperplane each, and
-    # the scatteredness check walks U's 16 vectors; in F_16^4 the 8 columns
+    # the scatteredness check walks U's 15 F_q-points; in F_16^4 the 8 columns
     # need 8·theta_2(16) incidences
     assert qsystem_code(pseudoreg, budget=16).d == 3
     U = pseudoregulus_subspace(make_tower(2, 1, 4, 1), 4, 4, 1)
