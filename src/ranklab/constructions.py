@@ -143,13 +143,8 @@ def _twisted_code(tower: FieldTower, N: int, k: int, s: int,
     if not 0 <= c < N:
         raise InvalidParams(f"need 0 <= c < N, got c={c}")
     F = tower.field(level)
-    norm = 1
-    x = eta
-    for _ in range(N):
-        norm = F.mul(norm, x)
-        x = tower.frob(level, x, 1)
     sign = 1 if (N * k) % 2 == 0 else tower.base.neg(1)
-    if norm == sign:
+    if tower.norm_to_base(level, eta) == sign:
         raise EtaConditionViolated(
             "eta^((q^N-1)/(q-1)) equals (-1)^(Nk); the twisted code is not MRD")
     gens = []
@@ -279,14 +274,9 @@ def c_ug_g_independence(U: FqSubspace, G1: Mat, G2: Mat) -> Mat:
     base = tower.base
     pivset = set(U.flat.pivots)
     comp = [j for j in range(rn) if j not in pivset]
-    cols1, cols2 = [], []
-    for j in comp:
-        e = [0] * rn
-        e[j] = 1
-        cols1.append(mat_vec(G1, e))
-        cols2.append(mat_vec(G2, e))
-    W1 = Mat.from_rows(base, cols1, rn - U.k).transpose()
-    W2 = Mat.from_rows(base, cols2, rn - U.k).transpose()
+    # G1 and G2 restricted to the complement columns
+    W1, W2 = (Mat.from_rows(base, [[row[j] for j in comp] for row in G.data], len(comp))
+              for G in (G1, G2))
     L = mat_mul(W2, mat_inverse(W1))
     for M1, M2 in zip(_cug_codewords(tower, r, G1), _cug_codewords(tower, r, G2)):
         lhs = mat_mul(L, Mat.from_rows(base, M1, tower.n))
@@ -486,7 +476,7 @@ def gabidulin_restriction(tower: FieldTower, nt: int, n: int, it: int,
 
 
 def _basis_mats(code: RankCode) -> list[Mat]:
-    return [Mat.from_rows(code.field, [list(rw) for rw in M], code.n)
+    return [Mat.from_rows(code.field, M, code.n)
             for M in code.basis_matrices()]
 
 

@@ -675,7 +675,7 @@ class FieldTower:
     def _check_construction(self) -> None:
         for F, mod in ((self.mid, self.modulus_mid), (self.top, self.modulus_top)):
             if F.base is not None and not _verify_irreducible(F.base, mod):
-                raise InvalidParams("modulus failed irreducibility verification")
+                raise InternalInvariantError("modulus failed irreducibility verification")
 
     @property
     def params(self) -> tuple[int, int, int, int]:
@@ -828,5 +828,5 @@ def minimal_polynomial(x: Fe) -> tuple[int, ...]:
         poly = poly_mul(F, poly, (F.neg(c), 1))
     for c in poly:
         if c >= tower.q:
-            raise InvalidParams("minimal polynomial has a coefficient outside F_q")
+            raise InternalInvariantError("minimal polynomial has a coefficient outside F_q")
     return tuple(poly)

@@ -6,10 +6,21 @@ canonical representative of a subspace is its RREF basis, which makes
 subspace equality and hashing structural.
 
 RowReducer is the only elimination.  Rank queries add rows to it; rref,
-kernel, intersect, mat_inverse, solve_right and SubspaceBasis take its
-echelon form and reduce each stored row against the others, in descending
-pivot order (back-substitution); SubspaceBasis.reduce is the same step
-against an RREF basis.
+kernel, mat_inverse, solve_right and SubspaceBasis take its echelon form and
+reduce each stored row against the others, in descending pivot order
+(back-substitution); SubspaceBasis.reduce is the same step against an RREF
+basis.
+
+Every "which combinations vanish" question goes through vanishing_tails
+instead: rows head | tail are eliminated once, and the echelon rows whose
+pivot lies past the head carry a basis of the tails of the combinations with
+zero head, with no back-substitution.  intersect (rows a | a and b | 0), the
+idealiser and the subspace tree of rankcodes, and the Delsarte double dual
+of subspaces read it.  kernel keeps the RREF read-off, one basis vector per
+free column: through vanishing_tails (rows column | unit vector, so every
+row carries a unit block as wide as the matrix) it made delsarte_dual_code
+1.6-1.8x slower on random 4 x 4 codes over F_2, F_3, F_4 and F_9 (CPython
+3.11, one core of a shared 2-CPU host).
 
 This module alone knows the form in which RowReducer stores a row.  Over a
 prime field F_p a row is a packed int: coordinate j takes W bits starting at
@@ -18,9 +29,9 @@ p, W = (2p−2).bit_length()+1 leaves room for the sum of two entries plus a
 guard bit, so adding two rows is one integer addition and one fold that
 subtracts p from every slot that reached p; scaling is doubling and adding.
 Over an extension field a row is a tuple of codes with Field arithmetic.
-Other modules build stored rows with store_row and store_digits, add them
-with row_add, cut them into blocks with row_blocks, and walk their spans
-with iter_span.
+Other modules build stored rows with store_row and store_digits, read them
+back with unpack_row, add them with row_add, cut them into blocks with
+row_blocks, and walk their spans with iter_span.
 
 odometer is the one span enumerator: iter_span runs it over the F_p-expansion
 (prime_expansion) of stored rows, with one row add per step, and
@@ -85,20 +96,7 @@ class Mat:
 def mat_mul(A: Mat, B: Mat) -> Mat:
     if A.cols != B.rows or A.field is not B.field:
         raise InvalidParams("incompatible matrix product")
-    F = A.field
-    add, mul = F.add, F.mul
-    Bt = B.transpose().data
-    out = []
-    for arow in A.data:
-        orow = []
-        for bcol in Bt:
-            s = 0
-            for x, y in zip(arow, bcol):
-                if x and y:
-                    s = add(s, mul(x, y))
-            orow.append(s)
-        out.append(orow)
-    return Mat(F, A.rows, B.cols, out)
+    return Mat(A.field, A.rows, B.cols, [vec_mat(row, B) for row in A.data])
 
 
 def mat_vec(A: Mat, v) -> list[int]:
@@ -192,10 +190,13 @@ def row_blocks(F: Field, width: int):
             lambda b, y: b | y << block, lambda x: x >> block)
 
 
-def unpack_row(F: Field, bits: int, ncols: int) -> list[int]:
+def unpack_row(F: Field, row, ncols: int) -> list[int]:
+    """The codes of a stored row of ncols coordinates: store_row inverted."""
+    if F.base is not None:
+        return list(row)
     w = slot_width(F)
     mask = (1 << w) - 1
-    return [(bits >> (j * w)) & mask for j in range(ncols)]
+    return [(row >> (j * w)) & mask for j in range(ncols)]
 
 
 class RowReducer:
@@ -310,7 +311,7 @@ class RowReducer:
                 f = row[j]
                 if f:
                     row[j:] = [sub(x, mul(f, y)) for x, y in zip(row[j:], other[j:])]
-            return row
+            return tuple(row)
         if not isinstance(row, int):
             row = store_row(self.field, row)
         if self.bits:
@@ -328,8 +329,6 @@ class RowReducer:
 
     def codes(self, row) -> list[int]:
         """A row in the stored form as a list of codes."""
-        if self.slots is None:
-            return list(row)
         return unpack_row(self.field, row, self.ncols)
 
 
@@ -355,6 +354,21 @@ def rref(M: Mat) -> tuple[Mat, int]:
     rank = len(rows)
     rows += [[0] * M.cols for _ in range(M.rows - rank)]
     return Mat(M.field, M.rows, M.cols, rows), rank
+
+
+def vanishing_tails(F: Field, width: int, ncols: int, rows) -> list:
+    """A basis of {Σ c_i·tail_i : Σ c_i·head_i = 0}, in the stored form, for
+    stored rows head | tail of ncols coordinates over F whose head is the
+    first width coordinates.
+
+    RowReducer's pivot is a row's first nonzero coordinate, so its echelon
+    rows with pivot >= width are the combinations whose head vanished.  They
+    are independent, and there are rank(rows) − rank(heads) of them, the
+    dimension of that space; their tails are returned."""
+    rr = RowReducer(F, ncols)
+    rr.add_all(rows)
+    tail = row_blocks(F, width)[2]
+    return [tail(row) for j, row in rr.pivrows.items() if j >= width]
 
 
 # -- subspaces ---------------------------------------------------------------
@@ -441,13 +455,15 @@ def kernel(M: Mat) -> SubspaceBasis:
 
 
 def intersect(A: SubspaceBasis, B: SubspaceBasis) -> SubspaceBasis:
-    """A ∩ B via the Zassenhaus double-block elimination."""
+    """A ∩ B by Zassenhaus: the tails a of the combinations of rows a | a
+    (a in A) and b | 0 (b in B) whose head a + b vanished."""
     A._check(B)
-    m = A.ambient
-    F = A.field
-    stacked = [list(r) + list(r) for r in A.rows] + [list(r) + [0] * m for r in B.rows]
-    red, _ = _rref(F, stacked, 2 * m)
-    return SubspaceBasis.from_vectors(F, m, [r[m:] for r in red if not any(r[:m])])
+    F, m = A.field, A.ambient
+    join, zero = row_blocks(F, m)[1], store_row(F, [0] * m)
+    rows = [join(a, a) for a in (store_row(F, r) for r in A.rows)]
+    rows += [join(store_row(F, b), zero) for b in B.rows]
+    return SubspaceBasis.from_vectors(
+        F, m, [unpack_row(F, t, m) for t in vanishing_tails(F, m, 2 * m, rows)])
 
 
 def intersection_dim(A: SubspaceBasis, B: SubspaceBasis) -> int:

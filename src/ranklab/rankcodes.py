@@ -14,13 +14,17 @@ shorter of two exact scans, run on demand under an explicit budget:
   images of one column block; a node with an empty subcode adds its whole
   subtree in closed form.
 
-Idealisers solve one linear system; whether one is a field is decided
-exactly, from the minimal polynomial of a basis element (Idealiser).
+An idealiser is the set of combinations of the unit matrices E_ab whose
+products with C's basis all reduce to 0 modulo C; whether it is a field is
+decided exactly, from the minimal polynomial of a basis element
+(Idealiser).
 
-Both rank-distribution scans eliminate through fqlinalg.RowReducer and walk
-spans with fqlinalg.odometer.  Rows stay in the form RowReducer stores them,
-built, added and cut into blocks by fqlinalg's row helpers, so neither scan
-knows whether a row is a packed int or a tuple of codes.
+Both rank-distribution scans and the idealiser eliminate through
+fqlinalg.RowReducer; the subspace tree's subcodes and the idealiser are the
+tails of the tracked rows whose head vanished (fqlinalg.vanishing_tails).
+Spans are walked with fqlinalg.odometer.  Rows stay in the form RowReducer
+stores them, built, added and cut into blocks by fqlinalg's row helpers, so
+no scan knows whether a row is a packed int or a tuple of codes.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .errors import (
     BudgetExceeded,
     EmptyCode,
     HypothesisViolated,
+    InternalInvariantError,
     InvalidParams,
     NotMRD,
     ParamMismatch,
@@ -54,6 +59,8 @@ from .fqlinalg import (
     row_add,
     row_blocks,
     store_row,
+    unpack_row,
+    vanishing_tails,
 )
 
 DEFAULT_CODEWORD_BUDGET = 1 << 24
@@ -194,9 +201,10 @@ def _subspace_counts(C: RankCode) -> list[int]:
     subcode as s codewords with their columns stacked; column j of all s
     words, stacked in turn, is one row, so the s images M·y^T of a child are
     one combination of those rows and an odometer over y's free coordinates
-    reaches each child with one add.  Eliminating the images, each joined to
-    its codeword, leaves the child's subcode in the rows whose image part
-    vanished.  Children with p₁ = 0 have no children and need the rank only.
+    reaches each child with one add.  The child's subcode is spanned by the
+    combinations of the rows image | codeword whose image vanished
+    (fqlinalg.vanishing_tails).  Children with p₁ = 0 have no children and
+    need the rank only.
     A node with C_Y = 0, of dimension d and smallest pivot p, adds its
     descendants in closed form: for e = 1..p, q^{e(n'−d−p)}·[p, e]_q
     subspaces of dimension d + e, each with |C_Y| = 1.  Rows are in
@@ -210,9 +218,8 @@ def _subspace_counts(C: RankCode) -> list[int]:
     # each codeword with its columns stacked: entry (i, j) at j·H + i
     words = [store_row(F, [M[i][j] for j in range(width) for i in range(H)])
              for M in mats]
-    # tracked rows are an image block followed by its codeword
-    track, ranker = RowReducer(F, H * (width + 1)), RowReducer(F, H)
-    split, join, tail = row_blocks(F, H)
+    ranker = RowReducer(F, H)
+    split, join = row_blocks(F, H)[:2]
     add = row_add(F, max(K, 1) * H)
     qpow = [q**e for e in range(K + 1)]
     B = [0] * (width + 1)
@@ -233,9 +240,8 @@ def _subspace_counts(C: RankCode) -> list[int]:
                 F, [cols[j] for j in range(p1 + 1, width) if j not in pivots])
             for img in odometer(add, cols[p1], free, F.p):
                 if p1:
-                    track.pivrows.clear()
-                    track.add_all(map(join, split(img, s), words))
-                    visit([tail(row) for j, row in track.pivrows.items() if j >= H],
+                    visit(vanishing_tails(F, H, H * (width + 1),
+                                          map(join, split(img, s), words)),
                           (p1,) + pivots, d + 1)
                 else:
                     ranker.pivrows.clear()
@@ -260,11 +266,11 @@ class RankDistribution:
 
     def validate(self) -> None:
         if sum(self.A) != self.q**self.K:
-            raise InvalidParams("rank distribution does not sum to q^K")
+            raise InternalInvariantError("rank distribution does not sum to q^K")
         if self.A[0] != 1:
-            raise InvalidParams("A_0 must be 1")
+            raise InternalInvariantError("A_0 must be 1")
         if min(self.A) < 0:
-            raise InvalidParams("rank distribution has a negative count")
+            raise InternalInvariantError("rank distribution has a negative count")
 
     def min_distance(self) -> int:
         for i in range(1, len(self.A)):
@@ -295,7 +301,7 @@ def mrd_weight_distribution(m: int, n: int, q: int, d: int) -> RankDistribution:
         A[d + ell] = qbinom(mp, d + ell, q) * s
     dist = RankDistribution(tuple(A), m, n, q, np_ * (mp - d + 1))
     if sum(A) != q ** (np_ * (mp - d + 1)):
-        raise InvalidParams("weight distribution failed the cardinality check")
+        raise InternalInvariantError("weight distribution failed the cardinality check")
     return dist
 
 
@@ -308,14 +314,8 @@ def adjoint(C: RankCode) -> RankCode:
 def delsarte_dual_code(C: RankCode) -> RankCode:
     """Orthogonal complement under <M,N> = Tr(M N^t), i.e. the entrywise
     dot product of flattened matrices; dim = mn - K."""
-    mn = C.m * C.n
-    if C.dim == 0:
-        ident = Mat.identity(C.field, mn)
-        return RankCode.from_generators(
-            C.field, C.m, C.n, [_reshape(row, C.m, C.n) for row in ident.data])
-    ker = kernel(Mat.from_rows(C.field, [list(v) for v in C.flat.rows], mn))
     return RankCode(C.field, C.m, C.n,
-                    SubspaceBasis.from_vectors(C.field, mn, [list(v) for v in ker.rows]))
+                    kernel(Mat.from_rows(C.field, C.flat.rows, C.m * C.n)))
 
 
 def macwilliams_check(C: RankCode, *, budget: int = DEFAULT_CODEWORD_BUDGET) -> bool:
@@ -386,27 +386,35 @@ class Idealiser:
 
 
 def _idealiser(C: RankCode, side: Side) -> Idealiser:
-    F = C.field
-    s = C.m if side is Side.LEFT else C.n
-    basis_mats = C.basis_matrices()
-    constraints: list[list[int]] = [[] for _ in range(len(basis_mats) * C.m * C.n)]
+    """The idealiser {Y : M·Y ∈ C} (right) or {Y : Y·M ∈ C} (left), M over
+    C's basis M_1..M_K, by one tracked elimination.
+
+    Y = Σ y_ab·E_ab lies in it iff Σ y_ab·reduce(M_t·E_ab) = 0 for every t,
+    reduce being the canonical remainder modulo C.  So each E_ab gives the row
+    reduce(M_1·E_ab) | … | reduce(M_K·E_ab) | e_ab, and the tails of the
+    combinations whose head vanished (fqlinalg.vanishing_tails) span the
+    idealiser; its RREF is the basis.  _verify_idealiser_closure then checks
+    every basis product against C independently.
+    """
+    F, m, n = C.field, C.m, C.n
+    s = m if side is Side.LEFT else n
+    mats, remainder = C.basis_matrices(), C.flat.reducer().reduce
+    join = row_blocks(F, m * n)[1]
+    head, ss = len(mats) * m * n, s * s
+    rows = []
     for a in range(s):
         for b in range(s):
-            col: list[int] = []
-            for M in basis_mats:
+            row = store_row(F, [int(i == a * s + b) for i in range(ss)])
+            for M in reversed(mats):
+                prod = [0] * (m * n)
                 if side is Side.LEFT:
-                    # rows of E_ab M: row a = row b of M
-                    prod = [[0] * C.n for _ in range(C.m)]
-                    prod[a] = list(M[b])
+                    prod[a * n:(a + 1) * n] = M[b]  # E_ab·M: row a is M's row b
                 else:
-                    # columns of M E_ab: column b = column a of M
-                    prod = [[0] * C.n for _ in range(C.m)]
-                    for i in range(C.m):
-                        prod[i][b] = M[i][a]
-                col.extend(C.flat.reduce(_flatten_mat(prod)))
-            for rix, v in enumerate(col):
-                constraints[rix].append(v)
-    ker = kernel(Mat.from_rows(F, constraints, s * s))
+                    prod[b::n] = [r[a] for r in M]  # M·E_ab: column b is M's column a
+                row = join(remainder(prod), row)
+            rows.append(row)
+    ker = SubspaceBasis.from_vectors(F, ss, [
+        unpack_row(F, t, ss) for t in vanishing_tails(F, head, head + ss, rows)])
     basis = [_reshape(v, s, s) for v in ker.rows]
     dim = len(basis)
     order = F.order**dim
@@ -438,12 +446,12 @@ def _algebra_generator(F: Field, basis) -> tuple[Mat, tuple[int, ...]] | None:
 
 def _verify_idealiser_closure(C: RankCode, ide: Idealiser) -> None:
     for Y in ide.basis:
-        Ymat = Mat.from_rows(C.field, [list(r) for r in Y], ide.degree)
+        Ymat = Mat.from_rows(C.field, Y, ide.degree)
         for M in C.basis_matrices():
-            Mmat = Mat.from_rows(C.field, [list(r) for r in M], C.n)
+            Mmat = Mat.from_rows(C.field, M, C.n)
             prod = mat_mul(Ymat, Mmat) if ide.side is Side.LEFT else mat_mul(Mmat, Ymat)
             if not C.contains(prod.data):
-                raise InvalidParams("idealiser closure verification failed")
+                raise InternalInvariantError("idealiser closure verification failed")
 
 
 def left_idealiser(C: RankCode) -> Idealiser:
@@ -469,7 +477,7 @@ def puncture(C: RankCode, A: Mat) -> RankCode:
         raise RankDeficientA("A must have full row rank")
     gens = []
     for M in C.basis_matrices():
-        Mmat = Mat.from_rows(C.field, [list(r) for r in M], C.n)
+        Mmat = Mat.from_rows(C.field, M, C.n)
         gens.append(mat_mul(A, Mmat).data)
     return RankCode.from_generators(C.field, A.rows, C.n, gens)
 

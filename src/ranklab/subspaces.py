@@ -56,7 +56,6 @@ from .fqlinalg import (
     RowReducer,
     SubspaceBasis,
     enumerate_subspaces,
-    intersect,
     kernel,
     mat_inverse,
     mat_mul,
@@ -65,6 +64,8 @@ from .fqlinalg import (
     projective_points,
     store_digits,
     theta,
+    unpack_row,
+    vanishing_tails,
     vec_mat,
 )
 
@@ -123,7 +124,7 @@ class FqSubspace:
         return self.flat.contains(flatten_vec(self.tower, v))
 
     def mid_matrix(self) -> Mat:
-        return Mat.from_rows(self.tower.mid, [list(v) for v in self.basis_mid], self.r)
+        return Mat.from_rows(self.tower.mid, self.basis_mid, self.r)
 
     def spans_ambient(self) -> bool:
         """True iff <U>_{F_{q^n}} = V."""
@@ -385,27 +386,11 @@ def _trace_gram(tower: FieldTower) -> list[list[int]]:
 def ordinary_dual(U: FqSubspace) -> FqSubspace:
     """U^{⊥_O} w.r.t. σ'(u,v) = Tr_{q^n/q}(Σ u_i v_i); dim = rn - k."""
     tower, r, n = U.tower, U.r, U.tower.n
-    base = tower.base
-    T = _trace_gram(tower)
-    add, mul = base.add, base.mul
-    rows = []
-    for u in U.flat.rows:
-        row = []
-        for i in range(r):
-            block = u[i * n:(i + 1) * n]
-            for l in range(n):
-                s = 0
-                for j in range(n):
-                    if block[j] and T[j][l]:
-                        s = add(s, mul(block[j], T[j][l]))
-                row.append(s)
-        rows.append(row)
-    if not rows:
-        full = SubspaceBasis.from_vectors(
-            base, r * n, Mat.identity(base, r * n).data)
-        return FqSubspace(tower, r, tuple(unflatten_vec(tower, rw) for rw in full.rows), full)
-    ker = kernel(Mat.from_rows(base, rows, r * n))
-    return FqSubspace.from_flat(tower, r, [list(v) for v in ker.rows])
+    T = Mat.from_rows(tower.base, _trace_gram(tower), n)
+    # σ'(u, ·) on the flat basis: each n-block of u times the Gram matrix
+    rows = [[x for i in range(0, r * n, n) for x in vec_mat(u[i:i + n], T)]
+            for u in U.flat.rows]
+    return FqSubspace.from_flat(tower, r, kernel(Mat.from_rows(tower.base, rows, r * n)).rows)
 
 
 def fqn_subspace_flat(tower: FieldTower, W: SubspaceBasis) -> FqSubspace:
@@ -418,11 +403,9 @@ def dual_weight_identity_check(U: FqSubspace, W: SubspaceBasis) -> bool:
     tower, r, n = U.tower, U.r, U.tower.n
     if W.ambient != r:
         raise DimensionMismatch("W must be an F_{q^n}-subspace of the same ambient")
-    s = W.dim
-    Wperp = (Mat.identity(tower.mid, r).data if s == 0 else
-             kernel(Mat.from_rows(tower.mid, [list(w) for w in W.rows], r)).rows)
+    Wperp = kernel(Mat.from_rows(tower.mid, W.rows, r)).rows
     lhs = next(_meet_dims(ordinary_dual(U), [Wperp])) - next(_meet_dims(U, [W.rows]))
-    return lhs == r * n - U.k - s * n
+    return lhs == r * n - U.k - W.dim * n
 
 
 # -- Delsarte duality ---------------------------------------------------------
@@ -494,18 +477,14 @@ def delsarte_dual(U: FqSubspace, *,
     T = Mat.from_rows(mid, [list(M.data[i]) + list(N.data[i]) for i in range(k)])
     Tinv = mat_inverse(T)
     gram_std = mat_mul(Tinv, Tinv.transpose())
-    gamma_rows = []
-    for c in range(k - r):
-        row = [0] * k
-        row[r + c] = 1
-        gamma_rows.append(row)
+    gamma_rows = Mat.identity(mid, k).data[r:]
     gamma = SubspaceBasis.from_vectors(mid, k, gamma_rows)
     constraints = mat_mul(Mat.from_rows(mid, gamma_rows, k), gram_std)
     gamma_perp = kernel(constraints)
     if gamma_perp.dim != r:
         raise InternalInvariantError("Gamma^perp has wrong dimension")
-    proj_cols = kernel(Mat.from_rows(mid, [list(v) for v in gamma_perp.rows], k))
-    proj = Mat.from_rows(mid, [list(v) for v in proj_cols.rows], k).transpose()
+    proj_cols = kernel(Mat.from_rows(mid, gamma_perp.rows, k))
+    proj = Mat.from_rows(mid, proj_cols.rows, k).transpose()
     dual_vectors = []
     for i in range(k):
         dual_vectors.append(vec_mat(T.data[i], proj))
@@ -533,21 +512,17 @@ def _validate_delsarte(data: DelsarteDualData, U: FqSubspace) -> None:
 
 def delsarte_double_dual(data: DelsarteDualData) -> FqSubspace:
     """(U^{⊥_D})^{⊥_D} computed with the stored embedding: <W,Γ>_{F_q} ∩ V,
-    returned in the original ambient (the unflattening of W+Γ through φ)."""
-    tower, r, kn = data.tower, data.r, data.k * data.tower.n
-    span = itertools.chain(data.embed.data, _fqn_span(tower, data.gamma.rows))
-    S = SubspaceBasis.from_vectors(tower.base, kn, [flatten_vec(tower, v) for v in span])
-    # V = F_{q^n}^r x {0} is spanned by the first rn flat unit vectors
-    V_flat = SubspaceBasis.from_vectors(
-        tower.base, kn, Mat.identity(tower.base, kn).data[:r * tower.n])
-    inter = intersect(S, V_flat)
-    vectors = []
-    for row in inter.rows:
-        mid_vec = unflatten_vec(tower, row)
-        if any(mid_vec[r:]):
-            raise InternalInvariantError("intersection left V")
-        vectors.append(mid_vec[:r])
-    return FqSubspace.from_mid_vectors(tower, r, vectors)
+    returned in the original ambient (the unflattening of W+Γ through φ).
+
+    V = F_{q^n}^r x {0} holds the flat vectors whose coordinates past rn
+    vanish, so each spanning vector is stored with those coordinates first
+    and the meet is read off fqlinalg.vanishing_tails."""
+    tower, r, k, n = data.tower, data.r, data.k, data.tower.n
+    base, rn = tower.base, r * n
+    rows = [store_digits(base, tuple(v[r:]) + tuple(v[:r]), n)
+            for v in itertools.chain(data.embed.data, _fqn_span(tower, data.gamma.rows))]
+    tails = vanishing_tails(base, k * n - rn, k * n, rows)
+    return FqSubspace.from_flat(tower, r, [unpack_row(base, t, rn) for t in tails])
 
 
 # -- characterizations of maximum h-scattered subspaces -----------------------

@@ -31,6 +31,7 @@ from ranklab.fqlinalg import (
     store_row,
     theta,
     unpack_row,
+    vanishing_tails,
 )
 
 F2 = Field(2)
@@ -426,6 +427,54 @@ def test_reduce_gives_one_representative_per_coset_over_f9():
     for c in range(9):
         shifted = [F9.add(x, F9.mul(c, y)) for x, y in zip(v, B.rows[0])]
         assert B.reduce(shifted) == rep
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_reduce_returns_the_stored_form_over_extension_fields(q):
+    F = _extension_field(q)
+    rng = random.Random(40 + q)
+    B = SubspaceBasis.from_vectors(F, 5, [[rng.randrange(q) for _ in range(5)]
+                                          for _ in range(2)])
+    rr = B.reducer()
+    for _ in range(20):
+        v = [rng.randrange(q) for _ in range(5)]
+        # v less v[p]·row for each RREF row and its pivot p
+        want = list(v)
+        for row, p in zip(B.rows, B.pivots):
+            want = [F.sub(x, F.mul(v[p], y)) for x, y in zip(want, row)]
+        assert rr.reduce(v) == store_row(F, want)
+        assert B.reduce(v) == want and isinstance(B.reduce(v), list)
+
+
+def _span_by_product(F, rows, ncols):
+    """Every F-combination of code rows, by product enumeration."""
+    out = set()
+    for cs in itertools.product(range(F.order), repeat=len(rows)):
+        v = [0] * ncols
+        for c, row in zip(cs, rows):
+            v = [F.add(x, F.mul(c, y)) for x, y in zip(v, row)]
+        out.add(tuple(v))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 9])
+def test_vanishing_tails_against_span_enumeration(q):
+    F = Field(q) if q < 4 else _extension_field(q)
+    rng = random.Random(70 + q)
+    most = {2: 7, 3: 5, 9: 3}[q]
+    for trial in range(30):
+        width, tail_w = rng.randrange(4), rng.randrange(1, 4)
+        ncols = width + tail_w
+        rows = [[rng.randrange(q) for _ in range(ncols)]
+                for _ in range(rng.randrange(most + 1))]
+        if trial % 3 == 1 and rows:
+            # a combination whose head cancels against an earlier row
+            rows.append(rows[0][:width] + [rng.randrange(q) for _ in range(tail_w)])
+        want = {v[width:] for v in _span_by_product(F, rows, ncols) if not any(v[:width])}
+        tails = vanishing_tails(F, width, ncols, [store_row(F, r) for r in rows])
+        got = [unpack_row(F, t, tail_w) for t in tails]
+        assert _span_by_product(F, got, tail_w) == want
+        assert len(want) == q ** len(got)     # the tails are independent
 
 
 @pytest.mark.parametrize("p", [3, 5])

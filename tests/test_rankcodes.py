@@ -1,7 +1,9 @@
 """Rank-metric codes: distances, distributions, duals, idealisers,
 puncturing and inequivalence certificates."""
 
+import itertools
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +17,12 @@ from ranklab.errors import (
     ShapeMismatch,
 )
 from ranklab.fields import Field, make_tower
-from ranklab.fqlinalg import Mat, SubspaceBasis, mat_mul
+from ranklab.fqlinalg import Mat, SubspaceBasis, iter_span_rows, mat_mul
 from ranklab.rankcodes import (
     CertStatus,
     GabidulinExclusion,
     RankCode,
+    Side,
     adjoint,
     delsarte_dual_code,
     dual_relations_check,
@@ -129,8 +132,11 @@ def test_adjoint_preserves_distance(gab):
 
 
 def test_dual_of_zero_is_full():
-    Z = RankCode.from_generators(F2, 2, 2, [])
-    assert delsarte_dual_code(Z) == full_space(2, 2)
+    # the kernel of the 0-row matrix is the whole space: no special case
+    for F in (F2, make_tower(3, 2, 1, 1).base):
+        Z = RankCode.from_generators(F, 2, 2, [])
+        assert delsarte_dual_code(Z) == full_space(2, 2, F)
+        assert delsarte_dual_code(full_space(2, 2, F)) == Z
 
 
 def test_dual_of_mrd_distance(gab):
@@ -280,6 +286,107 @@ def test_right_idealiser_field_bound_for_wide_codes():
     C = c_ug(U).code
     R = right_idealiser(C)
     assert R.is_field and R.order <= 2**C.n
+
+
+# (p, e) of each base field and the idealiser size s: every s x s matrix over
+# F_q is enumerated, q^{s^2} of them (512 at q = 2, 6561 at q = 9)
+IDEALISER_GRID = {(2, 1): 3, (3, 1): 2, (2, 2): 2, (5, 1): 2, (2, 3): 2, (3, 2): 2}
+
+
+def _idealiser_grid_codes(p, e, s):
+    """(label, code, sides): Gabidulin and, above q = 2, twisted Gabidulin
+    codes on F_{q^s}; seeded random codes; the zero code and the full space.
+    A code with m != n is checked on its s-sized side only."""
+    from ranklab.constructions import twisted_gabidulin
+    from ranklab.errors import EtaConditionViolated
+
+    tower = make_tower(p, e, s, 1)
+    F, both = tower.base, (Side.LEFT, Side.RIGHT)
+    yield "gabidulin", gabidulin(tower, s, 1, 1), both
+    if p == 2 and e == 1:
+        yield "gabidulin s=2", gabidulin(tower, s, 1, 2), both
+    else:
+        for eta in range(2, tower.mid.order):
+            try:
+                tg = twisted_gabidulin(tower, s, 1, 1, eta, 0)
+            except EtaConditionViolated:
+                continue
+            yield f"twisted eta={eta}", tg.code, both
+            break
+    rng = random.Random(F.order)
+    for m, n, K in ((s, s, 1), (s, s, s), (s, s, s * s - 1), (s + 1, s, 2)):
+        C = RankCode.from_generators(F, m, n, [
+            [[rng.randrange(F.order) for _ in range(n)] for _ in range(m)] for _ in range(K)])
+        yield f"random {m}x{n} K={K}", C, both if m == n else (Side.RIGHT,)
+    yield "zero", RankCode.from_generators(F, s, s, []), both
+    yield "full", full_space(s, s, F), both
+
+
+def _idealiser_by_enumeration(C, side, s):
+    """Every s x s matrix Y (flattened) with Y·M ∈ C (left) or M·Y ∈ C
+    (right) for each basis matrix M, tested against C's codeword set."""
+    F = C.field
+    add, mul = F.add, F.mul
+    words = {tuple(v) for v in iter_span_rows(C.flat.rows, F)} if C.dim else {(0,) * (C.m * C.n)}
+    mats = C.basis_matrices()
+
+    def product(X, Z, rows, inner, cols):
+        return tuple(reduce(add, (mul(X[i][t], Z[t][j]) for t in range(inner)), 0)
+                     for i in range(rows) for j in range(cols))
+
+    out = set()
+    for y in itertools.product(range(F.order), repeat=s * s):
+        Y = [y[i * s:(i + 1) * s] for i in range(s)]
+        if all((product(Y, M, s, s, C.n) if side is Side.LEFT
+                else product(M, Y, C.m, s, s)) in words for M in mats):
+            out.add(y)
+    return out
+
+
+@pytest.mark.parametrize("p, e", list(IDEALISER_GRID))
+def test_idealiser_basis_spans_the_enumerated_idealiser(p, e):
+    s = IDEALISER_GRID[p, e]
+    for label, C, sides in _idealiser_grid_codes(p, e, s):
+        F = C.field
+        for side in sides:
+            ide = (left_idealiser if side is Side.LEFT else right_idealiser)(C)
+            flat = [[x for row in Y for x in row] for Y in ide.basis]
+            span = {tuple(v) for v in iter_span_rows(flat, F)}
+            assert span == _idealiser_by_enumeration(C, side, s), (label, side)
+            assert ide.order == len(span) == F.order**ide.dim
+            assert ide.is_field == _exhaustive_is_field(F, ide), (label, side)
+            assert SubspaceBasis.from_vectors(F, s * s, flat).rows == tuple(map(tuple, flat))
+
+
+def test_broken_rank_histograms_are_internal_errors(monkeypatch, tmp_path, capsys):
+    # a histogram off by one breaks RankDistribution.validate: a ranklab bug
+    # (exit 4), not a rejected input (exit 2)
+    from ranklab import fixtures, rankcodes, serialize
+    from ranklab.cli import main
+    from ranklab.errors import InternalInvariantError
+
+    def off_by_one(scan):
+        return lambda C: [x + (i == 1) for i, x in enumerate(scan(C))]
+
+    monkeypatch.setattr(rankcodes, "_walk_counts", off_by_one(rankcodes._walk_counts))
+    monkeypatch.setattr(rankcodes, "_subspace_counts", off_by_one(rankcodes._subspace_counts))
+    # the subspace count (67 subspaces < 2^8 words) and the walk (2 words < 16 subspaces)
+    for C in (fixtures.gabidulin_4_2_1(),
+              RankCode.from_generators(F2, 3, 3, [Mat.identity(F2, 3).data])):
+        with pytest.raises(InternalInvariantError, match="does not sum to q\\^K"):
+            C.rank_distribution()
+    path = tmp_path / "gab.json"
+    serialize.dump_file(str(path), serialize.rankcode_to_json(fixtures.gabidulin_4_2_1()))
+    assert main(["rank-dist", "--code", str(path)]) == 4
+    assert "does not sum to q^K" in capsys.readouterr().err
+
+
+def test_failed_idealiser_closure_is_an_internal_error(monkeypatch, gab):
+    from ranklab.errors import InternalInvariantError
+
+    monkeypatch.setattr(RankCode, "contains", lambda self, rows: False)
+    with pytest.raises(InternalInvariantError, match="closure"):
+        right_idealiser(gab)
 
 
 # -- puncturing ----------------------------------------------------------------------

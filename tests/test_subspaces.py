@@ -186,6 +186,20 @@ def test_dual_weight_identity_degenerate_and_random(t2_4):
         assert dual_weight_identity_check(U, V_as_W)
 
 
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 2)])
+def test_duals_of_the_zero_subspace(p, e):
+    # the kernel of the 0-row matrix is the whole space: no special case
+    tower = make_tower(p, e, 2, 1)
+    Z = FqSubspace.zero(tower, 2)
+    full = ordinary_dual(Z)
+    assert full.k == 4 and ordinary_dual(full) == Z
+    zero_W = SubspaceBasis.zero(tower.mid, 2)
+    g = tower.mid.gen
+    U = FqSubspace.from_mid_vectors(tower, 2, [(1, g), (g, 1)])
+    for S in (Z, full, U):
+        assert dual_weight_identity_check(S, zero_W)
+
+
 # -- Delsarte duality ------------------------------------------------------------
 
 
@@ -199,6 +213,14 @@ def test_delsarte_dual_of_pseudoregulus(pseudoreg):
 def test_delsarte_double_dual_recovers_input(pseudoreg):
     data = delsarte_dual(pseudoreg)
     assert delsarte_double_dual(data) == pseudoreg
+
+
+@pytest.mark.parametrize("p, e", [(3, 1), (2, 2)])
+def test_delsarte_double_dual_recovers_input_off_q2(p, e):
+    U = pseudoregulus_subspace(make_tower(p, e, 3, 1), 2, 3, 1)
+    data = delsarte_dual(U)
+    assert (data.dual.r, data.dual.k) == (1, 3)
+    assert delsarte_double_dual(data) == U
 
 
 def test_delsarte_gram_is_symmetric_invertible(pseudoreg):
