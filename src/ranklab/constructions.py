@@ -519,7 +519,8 @@ def random_scattered_search(tower: FieldTower, r: int, h: int, k: int, *,
 
     The score of a candidate counts the total excess intersection over all
     h-dimensional F_{q^n}-subspaces (subspaces.excess_iter; for h = 1 this is
-    the sum of w(P) - 1 over the points of L_U), plus a spanning penalty;
+    the sum of w(P) - 1 over the points of L_U, for h = r - 1 it is read off
+    the point weights of the ordinary dual), plus a spanning penalty;
     replacement moves on single basis vectors are accepted when the score
     does not increase, with deterministic restarts.  Any returned witness is
     re-verified with is_h_scattered before being reported.  max_evals is the

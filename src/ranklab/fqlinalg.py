@@ -1,5 +1,5 @@
-"""Exact linear algebra over the tower fields: RREF, kernels, intersections,
-subspace enumeration, span walks and Gaussian binomials.
+"""Exact linear algebra over the tower fields: RREF, kernels, subspace
+enumeration, span walks and Gaussian binomials.
 
 Vectors and matrix rows hold integer element codes (see fields).  The
 canonical representative of a subspace is its RREF basis, which makes
@@ -14,13 +14,13 @@ basis.
 Every "which combinations vanish" question goes through vanishing_tails
 instead: rows head | tail are eliminated once, and the echelon rows whose
 pivot lies past the head carry a basis of the tails of the combinations with
-zero head, with no back-substitution.  intersect (rows a | a and b | 0), the
-idealiser and the subspace tree of rankcodes, and the Delsarte double dual
-of subspaces read it.  kernel keeps the RREF read-off, one basis vector per
-free column: through vanishing_tails (rows column | unit vector, so every
-row carries a unit block as wide as the matrix) it made delsarte_dual_code
-1.6-1.8x slower on random 4 x 4 codes over F_2, F_3, F_4 and F_9 (CPython
-3.11, one core of a shared 2-CPU host).
+zero head, with no back-substitution.  The idealiser and the subspace tree
+of rankcodes and the Delsarte double dual of subspaces read it; so does the
+Zassenhaus meet A ∩ B (rows a | a and b | 0) in the tests.  kernel keeps
+the RREF read-off, one basis vector per free column: through vanishing_tails
+(rows column | unit vector, so every row carries a unit block as wide as the
+matrix) it made delsarte_dual_code 1.6-1.8x slower on random 4 x 4 codes
+over F_2, F_3, F_4 and F_9 (CPython 3.11, one core of a shared 2-CPU host).
 
 This module alone knows the form in which RowReducer stores a row.  Over a
 prime field F_p a row is a packed int: coordinate j takes W bits starting at
@@ -452,24 +452,6 @@ def kernel(M: Mat) -> SubspaceBasis:
             v[p] = F.neg(row[f])
         basis.append(v)
     return SubspaceBasis.from_vectors(F, M.cols, basis)
-
-
-def intersect(A: SubspaceBasis, B: SubspaceBasis) -> SubspaceBasis:
-    """A ∩ B by Zassenhaus: the tails a of the combinations of rows a | a
-    (a in A) and b | 0 (b in B) whose head a + b vanished."""
-    A._check(B)
-    F, m = A.field, A.ambient
-    join, zero = row_blocks(F, m)[1], store_row(F, [0] * m)
-    rows = [join(a, a) for a in (store_row(F, r) for r in A.rows)]
-    rows += [join(store_row(F, b), zero) for b in B.rows]
-    return SubspaceBasis.from_vectors(
-        F, m, [unpack_row(F, t, m) for t in vanishing_tails(F, m, 2 * m, rows)])
-
-
-def intersection_dim(A: SubspaceBasis, B: SubspaceBasis) -> int:
-    """dim(A∩B) = dim A + dim B - dim(A+B), without building a basis."""
-    A._check(B)
-    return B.dim - A.reducer().add_all(B.rows)
 
 
 def mat_inverse(M: Mat) -> Mat:

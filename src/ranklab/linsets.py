@@ -117,14 +117,18 @@ def hyperplane_spectrum(U: FqSubspace, h: int | None = None, *,
     The counts come from subspaces.hyperplane_weight_counts (the point
     weights of the ordinary dual, from the walk of its vectors or the point
     scan, whichever is cheaper), not from ti_formula, so the two can be
-    compared as an oracle check.
+    compared as an oracle check.  At h = r - 1 (k = n) they are also the
+    verdict: no hyperplane may meet U in more than h, or hold all of U.
     """
     h = _max_scattered_h(U, h)
-    if not is_h_scattered(U, h, budget=budget):
+    if h < U.r - 1 and not is_h_scattered(U, h, budget=budget):
+        raise NotMaxScattered("U is not h-scattered")
+    counts = hyperplane_weight_counts(U, budget=budget)
+    if h == U.r - 1 and max(counts) > min(h, U.k - 1):
         raise NotMaxScattered("U is not h-scattered")
     lo = U.k - U.tower.n
     spectrum: dict[int, int] = {}
-    for wt, count in hyperplane_weight_counts(U, budget=budget).items():
+    for wt, count in counts.items():
         i = wt - lo
         if not 0 <= i <= h:
             raise InternalInvariantError("hyperplane weight escaped the window")

@@ -10,9 +10,9 @@ coordinate-wise, so coordinate i of a mid vector occupies flat columns
 Every meet dim_{F_q}(U ∩ <W>_{F_{q^n}}) with given F_{q^n}-subspaces W comes
 from one helper, _meet_dims: it holds one reducer for U and eliminates the
 n·dim W flat rows g^j·w of each W against a clone of it (rows in the form
-fqlinalg stores them).  The point scan, the h >= 2 scatteredness scan, the
-single point and hyperplane weights of linsets, the dual weight identity and
-the Delsarte embedding check all read it.
+fqlinalg stores them).  The point scan, the 2 <= h <= r - 2 scatteredness
+scan, the single point and hyperplane weights of linsets, the dual weight
+identity and the Delsarte embedding check all read it.
 
 Point weights w(P) = dim_{F_q}(U ∩ <P>_{F_{q^n}}) come from one of two
 exact scans, chosen from the input and the budget:
@@ -27,10 +27,11 @@ the row additions of the point scan; when only one of the two fits the
 budget, that one runs.  Hyperplane weights are point weights of the
 ordinary dual U^⊥', by whichever scan is chosen for it: the hyperplane
 H_w = ker(w·) is the dual of the point <w>, so dim(U ∩ H_w) =
-w_{U^⊥'}(<w>) + k - n.  Every scan refuses (BudgetExceeded) rather than
-samples when its item count exceeds the budget: the F_q-points of the
+w_{U^⊥'}(<w>) + k - n.  Scatteredness at h = 1 reads the point weights of
+U, at h = r - 1 those of U^⊥'.  Every scan refuses (BudgetExceeded) rather
+than samples when its item count exceeds the budget: the F_q-points of the
 subspace for the walk, projective points for the point scan, and subspaces
-for the h >= 2 scatteredness scan over h-dim F_{q^n}-subspaces.
+for the scatteredness scan over h-dim F_{q^n}-subspaces at 2 <= h <= r - 2.
 """
 
 from __future__ import annotations
@@ -282,15 +283,23 @@ def excess_iter(U: FqSubspace, h: int, *, budget: int = DEFAULT_SUBSPACE_BUDGET)
     """Yield dim_{F_q}(U ∩ W) - h for each h-dim F_{q^n}-subspace W where it
     is positive.
 
-    For h = 1 these are w(P) - 1 over the points P, read through the cheaper
-    scan of iota (θ_{k-1}(q) F_q-points against n·θ_{r-1}(q^n) row
-    additions).  For h >= 2 every W of the qbinom(r, h, q^n) subspaces is
-    eliminated against U.  budget caps the chosen scan's item count.
+    For h = 1 these are w(P) - 1 over the points P of U; for h = r - 1 they
+    are w_{U^⊥'}(<w>) + k - n - h over the dual points w of the hyperplanes
+    H_w, a dual point of weight 0 giving k - n - h.  Both read point weights
+    through the cheaper scan of iota (θ_{k-1}(q) F_q-points against
+    n·θ_{r-1}(q^n) row additions), of U or of U^⊥'.  For 2 <= h <= r - 2
+    every W of the qbinom(r, h, q^n) subspaces is eliminated against U.
+    budget caps the chosen scan's item count.
     """
-    if h == 1:
-        for _, w in _point_weight_items(U, budget):
-            if w > 1:
-                yield w - 1
+    if h in (1, U.r - 1):
+        V, shift = (U, -1) if h == 1 else (ordinary_dual(U), U.k - U.tower.n - h)
+        seen = 0
+        for _, w in _point_weight_items(V, budget):
+            seen += 1
+            if w + shift > 0:
+                yield w + shift
+        if shift > 0:    # the points the walk skipped have weight 0
+            yield from itertools.repeat(shift, theta(U.r - 1, U.tower.mid.order) - seen)
         return
     spaces = enumerate_subspaces(U.r, h, U.tower.mid, budget=budget)
     for d in _meet_dims(U, (H.rows for H in spaces)):
@@ -302,10 +311,14 @@ def is_h_scattered(U: FqSubspace, h: int, *,
                    budget: int = DEFAULT_SUBSPACE_BUDGET) -> bool:
     """True iff U spans V over F_{q^n} and meets every h-dim F_{q^n}-subspace
     in F_q-dimension at most h.  For h = 1: every point of L_U has weight 1.
-    Scans as excess_iter does and exits on the first violation."""
+
+    Every h-dim W meets U in at least k - (r - h)·n, so a U with
+    k - (r - h)·n > h is refused before any scan; otherwise the scan is
+    excess_iter's, exiting on the first violation (the point scan stops
+    there, the walk runs in full first)."""
     if not 1 <= h <= U.r - 1:
         raise InvalidParams(f"h must satisfy 1 <= h <= r-1, got h={h}, r={U.r}")
-    if not U.spans_ambient():
+    if U.k - (U.r - h) * U.tower.n > h or not U.spans_ambient():
         return False
     return next(excess_iter(U, h, budget=budget), None) is None
 
@@ -391,11 +404,6 @@ def ordinary_dual(U: FqSubspace) -> FqSubspace:
     rows = [[x for i in range(0, r * n, n) for x in vec_mat(u[i:i + n], T)]
             for u in U.flat.rows]
     return FqSubspace.from_flat(tower, r, kernel(Mat.from_rows(tower.base, rows, r * n)).rows)
-
-
-def fqn_subspace_flat(tower: FieldTower, W: SubspaceBasis) -> FqSubspace:
-    """The F_{q^n}-subspace W (basis over mid) viewed as a flat F_q-subspace."""
-    return FqSubspace.from_mid_vectors(tower, W.ambient, list(_fqn_span(tower, W.rows)))
 
 
 def dual_weight_identity_check(U: FqSubspace, W: SubspaceBasis) -> bool:
@@ -544,7 +552,10 @@ def characterize_max_h_scattered(U: FqSubspace, h: int, *,
     """Evaluate the three equivalent predicates for rn/(h+1)-dimensional U.
 
     The three agree for every input when n >= h+3; below that regime the
-    result only reports the booleans (no equality is asserted here).
+    result only reports the booleans (no equality is asserted here).  At
+    h = r - 1 via_definition reads the hyperplane weights that
+    via_hyperplanes reads, from the point weights of U^⊥', so their
+    agreement there is not an independent check.
     """
     r, n = U.r, U.tower.n
     if U.k * (h + 1) != r * n:

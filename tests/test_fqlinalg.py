@@ -13,8 +13,6 @@ from ranklab.fqlinalg import (
     RowReducer,
     SubspaceBasis,
     enumerate_subspaces,
-    intersect,
-    intersection_dim,
     iter_span,
     iter_span_rows,
     kernel,
@@ -24,6 +22,7 @@ from ranklab.fqlinalg import (
     min_poly,
     projective_points,
     qbinom,
+    row_blocks,
     rref,
     slot_width,
     solve_right,
@@ -35,6 +34,18 @@ from ranklab.fqlinalg import (
 )
 
 F2 = Field(2)
+
+
+def meet(A: SubspaceBasis, B: SubspaceBasis) -> SubspaceBasis:
+    """A ∩ B by Zassenhaus through vanishing_tails: the tails a of the
+    combinations of rows a | a (a in A) and b | 0 (b in B) whose head a + b
+    vanished."""
+    F, m = A.field, A.ambient
+    join, zero = row_blocks(F, m)[1], store_row(F, [0] * m)
+    rows = [join(a, a) for a in (store_row(F, r) for r in A.rows)]
+    rows += [join(store_row(F, b), zero) for b in B.rows]
+    return SubspaceBasis.from_vectors(
+        F, m, [unpack_row(F, t, m) for t in vanishing_tails(F, m, 2 * m, rows)])
 
 
 def test_rref_identity_and_zero():
@@ -93,8 +104,8 @@ def test_kernel_rref_exhaustive_small_f2():
 def test_intersect_self_and_complementary():
     A = SubspaceBasis.from_vectors(F2, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
     B = SubspaceBasis.from_vectors(F2, 4, [[0, 0, 1, 0], [0, 0, 0, 1]])
-    assert intersect(A, A) == A
-    assert intersect(A, B).dim == 0
+    assert meet(A, A) == A
+    assert meet(A, B).dim == 0
 
 
 def test_intersect_matches_exhaustive_membership():
@@ -104,10 +115,9 @@ def test_intersect_matches_exhaustive_membership():
             F2, 5, [[rng.randrange(2) for _ in range(5)] for _ in range(3)])
         B = SubspaceBasis.from_vectors(
             F2, 5, [[rng.randrange(2) for _ in range(5)] for _ in range(3)])
-        got = intersect(A, B)
+        got = meet(A, B)
         span = lambda S: set(iter_span(F2, [store_row(F2, r) for r in S.rows], 5))
         assert span(got) == span(A) & span(B)
-        assert intersection_dim(A, B) == got.dim
 
 
 def test_qbinom_values():
@@ -175,7 +185,7 @@ def test_dim_formula_randomized_1000_trials():
         B = SubspaceBasis.from_vectors(
             F2, m, [[rng.randrange(2) for _ in range(m)]
                     for _ in range(rng.randrange(0, m + 1))])
-        assert A.sum(B).dim + intersect(A, B).dim == A.dim + B.dim
+        assert A.sum(B).dim + meet(A, B).dim == A.dim + B.dim
 
 
 @given(st.integers(2, 9), st.data())
@@ -185,7 +195,7 @@ def test_dim_formula_over_f3(m, data):
                     min_size=0, max_size=m)
     A = SubspaceBasis.from_vectors(F3, m, data.draw(rows))
     B = SubspaceBasis.from_vectors(F3, m, data.draw(rows))
-    assert A.sum(B).dim + intersect(A, B).dim == A.dim + B.dim
+    assert A.sum(B).dim + meet(A, B).dim == A.dim + B.dim
 
 
 def test_mat_inverse_round_trip():
@@ -277,7 +287,7 @@ def test_packed_rows_match_tuple_oracle(p):
         v = [rng.randrange(p) for _ in range(ncols)]
         assert B.contains(v) == (len(_rref_mod_p(rows + [v], p, ncols)) == len(want))
         other = SubspaceBasis.from_vectors(F, ncols, [v])
-        assert intersection_dim(B, other) == other.dim - (
+        assert meet(B, other).dim == other.dim - (
             len(_rref_mod_p(rows + [v], p, ncols)) - len(want))
         red = list(v)
         for row in want:
@@ -411,9 +421,7 @@ def test_extension_field_intersect_matches_gauss_jordan(q):
         stacked = [r + r for r in a] + [r + [0] * m for r in b]
         red, _ = _rref_rows(F, stacked, 2 * m)
         want = _rref_rows(F, [r[m:] for r in red if not any(r[:m])], m)[0]
-        got = intersect(A, Bs)
-        assert [list(r) for r in got.rows] == want
-        assert intersection_dim(A, Bs) == got.dim
+        assert [list(r) for r in meet(A, Bs).rows] == want
 
 
 def test_reduce_gives_one_representative_per_coset_over_f9():

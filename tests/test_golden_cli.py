@@ -44,6 +44,10 @@ SUBSPACE_FILES = [
     # 390, so the Delsarte precondition scans the points for the dual
     "{inputs}/random_2_6_k3_q2.subspace.json",
 ]
+# k = 4 in F_16^3 spans V and meets one hyperplane in dimension 3: a near miss
+# of a maximum 2-scattered subspace, whose hyperplanes the r = 3, h = 2 verbs
+# read off the point weights of the ordinary dual
+NEAR_MISS = "{inputs}/random_3_4_k4_q2.subspace.json"
 SUBSPACE_VERBS = [
     ["scattered-check", "--h", "1"],
     ["dualize", "--ordinary"],
@@ -86,11 +90,20 @@ EXTRA = [
      "--mrd-check"],
     ["search-scattered", "--r", "2", "--n", "4", "--h", "1", "--k", "4",
      "--seed", "5", "--budget", "20"],
+    ["search-scattered", "--r", "3", "--n", "4", "--h", "2", "--k", "4",
+     "--seed", "5", "--budget", "60"],
+    ["scattered-check", "--subspace", NEAR_MISS, "--h", "2"],
+    ["hyperplane-spectrum", "--subspace", NEAR_MISS],
+    # k - (r - h)·n = 9 - 6 > h: every 2-dim W meets U in dimension 3 or more
+    ["scattered-check", "--subspace", SUBSPACE_FILES[4], "--h", "2"],
     # budget exits: the walk side counts subspace vectors, the scan side points
     ["hyperplane-spectrum", "--subspace", SUBSPACE_FILES[0], "--subspace-budget", "3"],
     ["scattered-check", "--subspace", SUBSPACE_FILES[6], "--h", "1",
      "--subspace-budget", "3"],
     ["dualize", "--subspace", SUBSPACE_FILES[5], "--delsarte", "--subspace-budget", "3"],
+    # h = r - 1: the hyperplanes are read off the dual's 255 F_q-points (the
+    # walk, cheaper than scanning its θ_2(16) = 273 points); neither fits 3
+    ["scattered-check", "--subspace", NEAR_MISS, "--h", "2", "--subspace-budget", "3"],
     ["rank-dist", "--code", CODE_FILES[4], "--codeword-budget", "3"],
 ]
 
@@ -143,6 +156,7 @@ def _write_inputs() -> None:
     os.makedirs(INPUTS, exist_ok=True)
     t2, t5, t64 = make_tower(2, 1, 4, 1), make_tower(5, 1, 4, 1), make_tower(2, 1, 6, 1)
     subs = {
+        "random_3_4_k4_q2": random_subspace(t2, 3, 4, random.Random(0)),
         "random_2_4_k3_q5": random_subspace(t5, 2, 3, random.Random(5)),
         "random_2_4_k7_q2": random_subspace(t2, 2, 7, random.Random(7)),
         "random_2_6_k3_q2": random_subspace(t64, 2, 3, random.Random(3)),

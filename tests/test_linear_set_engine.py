@@ -1,13 +1,16 @@
 """The linear-set engine against brute-force oracles.
 
-ι, 1-scatteredness, hyperplane weights, the hyperplane spectrum and the h = 1
-search score each run the cheaper of two scans: a walk over the F_q-points of
-U (or of its ordinary dual) bucketed by projective point, or an elimination
-of every point (or hyperplane) of PG(r-1, q^n).  The oracles here intersect U
-with every line and hyperplane of V one at a time, through SubspaceBasis
-intersections that share no code with either scan.  The walk is also held
-against the walk it replaced: every one of the q^k vectors of U, bucketed by
-normalize_point, where a point of weight w collects q^w - 1 of them.
+ι, 1-scatteredness, (r-1)-scatteredness, hyperplane weights, the hyperplane
+spectrum and the h = 1 and h = r - 1 search scores each run the cheaper of
+two scans: a walk over the F_q-points of U (or of its ordinary dual) bucketed
+by projective point, or an elimination of every point (or hyperplane) of
+PG(r-1, q^n).  The oracles here intersect U with every line and hyperplane
+of V one at a time, by the dimension of a SubspaceBasis sum, which shares no
+code with either scan.  The walk is also held against the walk it replaced:
+every one of the q^k vectors of U, bucketed by normalize_point, where a
+point of weight w collects q^w - 1 of them.  At h = r - 1 the scatteredness
+test and the excess list are held against the definition scan they
+replaced, which meets U with every h-dim F_{q^n}-subspace.
 """
 
 import random
@@ -18,9 +21,9 @@ import pytest
 from ranklab import constructions, subspaces
 from ranklab.constructions import pseudoregulus_subspace, random_scattered_search
 from ranklab.fields import make_tower
-from ranklab.errors import BudgetExceeded, InternalInvariantError
-from ranklab.fqlinalg import (Mat, SubspaceBasis, intersection_dim, iter_span_rows,
-                              kernel, projective_points, rref, vec_mat)
+from ranklab.errors import BudgetExceeded, InternalInvariantError, NotMaxScattered
+from ranklab.fqlinalg import (Mat, SubspaceBasis, enumerate_subspaces, iter_span_rows,
+                              kernel, projective_points, rref, theta, vec_mat)
 from ranklab.linsets import hyperplane_spectrum, linear_set
 from ranklab.subspaces import (
     FqSubspace,
@@ -62,13 +65,22 @@ def _line_rows(tower, v):
     return rows
 
 
+def _fqn_flat(tower, W):
+    """<W>_{F_{q^n}} for mid vectors W, as a flat F_q-subspace."""
+    rows = [row for v in W for row in _line_rows(tower, v)]
+    return SubspaceBasis.from_vectors(tower.base, len(rows[0]), rows)
+
+
+def _meet_dim(A, B):
+    """dim(A ∩ B) = dim A + dim B - dim(A + B), with A + B in RREF afresh."""
+    return A.dim + B.dim - A.sum(B).dim
+
+
 def oracle_point_weights(U):
     """{point: dim(U ∩ <P>)} over the points of positive weight."""
-    tower, rn = U.tower, U.r * U.tower.n
     out = {}
-    for v in projective_points(tower.mid, U.r):
-        line = SubspaceBasis.from_vectors(tower.base, rn, _line_rows(tower, v))
-        w = intersection_dim(U.flat, line)
+    for v in projective_points(U.tower.mid, U.r):
+        w = _meet_dim(U.flat, _fqn_flat(U.tower, [v]))
         if w:
             out[v] = w
     return out
@@ -76,12 +88,11 @@ def oracle_point_weights(U):
 
 def oracle_hyperplane_weights(U):
     """{dual point w: dim(U ∩ ker(w·))} over every hyperplane."""
-    tower, r, rn = U.tower, U.r, U.r * U.tower.n
+    mid, r = U.tower.mid, U.r
     out = {}
-    for w in projective_points(tower.mid, r):
-        H = kernel(Mat.from_rows(tower.mid, [list(w)], r))
-        rows = [row for v in H.rows for row in _line_rows(tower, v)]
-        out[w] = intersection_dim(U.flat, SubspaceBasis.from_vectors(tower.base, rn, rows))
+    for w in projective_points(mid, r):
+        H = kernel(Mat.from_rows(mid, [list(w)], r))
+        out[w] = _meet_dim(U.flat, _fqn_flat(U.tower, H.rows))
     return out
 
 
@@ -313,13 +324,13 @@ def test_point_walk_checks_its_fiber_sizes(monkeypatch):
         _point_weights(U, 1 << 20)
 
 
-# -- the F_{q^n}-meet against fqn_subspace_flat ----------------------------------
+# -- the F_{q^n}-meet against the flat intersection -----------------------------
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (4, 2), (5, 2), (8, 2), (9, 2)])
 def test_meet_dims_match_the_flat_intersection(q, n):
     """subspaces._meet_dims, and linsets.point_weight / hyperplane_weight on
-    it, against fqn_subspace_flat + intersection_dim at r = 3: points,
+    it, against the flat intersection with <W>_{F_{q^n}} at r = 3: points,
     hyperplanes and 2-dim W, random and through U's own vectors."""
     from ranklab.linsets import hyperplane_weight, point_weight
 
@@ -345,10 +356,187 @@ def test_meet_dims_match_the_flat_intersection(q, n):
         spaces += [list(kernel(Mat.from_rows(mid, [list(w)], r)).rows) for w in duals]
         spaces += [[a, vec()] for a in u] + [[vec(), vec()] for _ in range(8)]
         spaces = [SubspaceBasis.from_vectors(mid, r, W).rows for W in spaces]
-        want = [intersection_dim(U.flat, subspaces.fqn_subspace_flat(
-                    tower, SubspaceBasis.from_vectors(mid, r, W)).flat) for W in spaces]
+        want = [_meet_dim(U.flat, _fqn_flat(tower, W)) for W in spaces]
         assert list(subspaces._meet_dims(U, spaces)) == want
         assert [point_weight(U, P) for P in points] == want[:len(points)]
         assert ([hyperplane_weight(U, w) for w in duals]
                 == want[len(points):len(points) + len(duals)])
         assert max(want) >= min(n, k - 1, 3)
+
+
+# -- h = r - 1 against the definition scan ---------------------------------------
+
+
+def definition_excess(U, h):
+    """Sorted dim(U ∩ W) - h over the h-dim F_{q^n}-subspaces W where it is
+    positive: every W of enumerate_subspaces(r, h, q^n) met with U."""
+    spaces = (W.rows for W in enumerate_subspaces(U.r, h, U.tower.mid))
+    return sorted(d - h for d in subspaces._meet_dims(U, spaces) if d > h)
+
+
+# (q, r, n) at h = r - 1: every q of the grid at r = 3 and r = 4, with n
+# small enough that the definition scan's θ_{r-1}(q^n) hyperplanes stay
+# cheap; pseudoregulus images need n >= r
+DUAL_GRID = [(2, 3, 4), (3, 3, 3), (4, 3, 2), (5, 3, 2), (8, 3, 2), (9, 3, 2),
+             (2, 4, 4), (3, 4, 2), (4, 4, 2), (5, 4, 1), (8, 4, 1), (9, 4, 1)]
+# cells with more hyperplanes than this get one near miss and no other input
+DUAL_EXTRAS_LIMIT = 1000
+
+
+def _near_misses(U, rng):
+    """Copies of U of the same dimension with one basis vector swapped: the
+    last for a random F_{q^n}-combination of the first r - 1, which puts r
+    F_q-independent vectors of U in one hyperplane (so the copy is not
+    (r-1)-scattered, and does not span when k = r; not at n = 1, where that
+    span is the F_q-span), then a random one for a random vector."""
+    mid, r, k = U.tower.mid, U.r, U.k
+    out = []
+    for inside in (True, False) if U.tower.n > 1 else (False,):
+        while True:
+            vecs = list(U.basis_mid)
+            if inside:
+                v = [0] * r
+                for b in vecs[:r - 1]:
+                    a = rng.randrange(mid.order)
+                    v = [mid.add(x, mid.mul(a, y)) for x, y in zip(v, b)]
+                vecs[-1] = tuple(v)
+            else:
+                vecs[rng.randrange(k)] = tuple(rng.randrange(mid.order) for _ in range(r))
+            V = FqSubspace.from_mid_vectors(U.tower, r, vecs)
+            if V.k == k:
+                out.append(V)
+                break
+    return out
+
+
+def _spanning(tower, r, k, rng):
+    """A random k-dim U that spans V over F_{q^n}."""
+    while not (U := random_subspace(tower, r, k, rng)).spans_ambient():
+        pass
+    return U
+
+
+def _in_hyperplane(tower, r, k, rng):
+    """A random k-dim U inside the hyperplane x_0 = 0, so U does not span."""
+    while True:
+        vecs = [(0,) + tuple(rng.randrange(tower.mid.order) for _ in range(r - 1))
+                for _ in range(k)]
+        U = FqSubspace.from_mid_vectors(tower, r, vecs)
+        if U.k == k:
+            return U
+
+
+def _dual_grid_inputs():
+    """(label, U) per cell: a pseudoregulus image where n >= r, else a
+    spanning k = r subspace, and near misses of it; on the cheaper cells
+    also a non-spanning U, a random U of dimension r + 1, a U with
+    k - n > h, U = 0 and U = V."""
+    rng = random.Random(20261018)
+    out = []
+    for q, r, n in DUAL_GRID:
+        tower, h, rn = _tower(q, n), r - 1, r * n
+        tag = f"q{q}_r{r}_n{n}"
+        if n >= r:
+            U = _seeded_image(pseudoregulus_subspace(tower, r, n, h), rng)
+            out.append((f"pseudoregulus_{tag}", U))
+        else:   # an F_q-form of V: every spanning k = r subspace is (r-1)-scattered
+            U = _spanning(tower, r, r, rng)
+            out.append((f"form_{tag}", U))
+        extras = theta(r - 1, tower.mid.order) <= DUAL_EXTRAS_LIMIT
+        misses = _near_misses(U, rng)
+        out += [(f"near_miss{i}_{tag}", V) for i, V in enumerate(misses[:1 + extras])]
+        if not extras:
+            continue
+        k = min(n + 1, (r - 1) * n)
+        out.append((f"in_hyperplane_{tag}_k{k}", _in_hyperplane(tower, r, k, rng)))
+        if r + 1 < rn:
+            out.append((f"random_{tag}_k{r + 1}", random_subspace(tower, r, r + 1, rng)))
+        if n + h + 1 < rn:
+            out.append((f"above_{tag}_k{n + h + 1}",
+                        random_subspace(tower, r, n + h + 1, rng)))
+        out.append((f"zero_{tag}", FqSubspace.zero(tower, r)))
+        out.append((f"full_{tag}", random_subspace(tower, r, rn, rng)))
+    return out
+
+
+DUAL_INPUTS = _dual_grid_inputs()
+
+
+@pytest.mark.parametrize("label,U", DUAL_INPUTS, ids=[x[0] for x in DUAL_INPUTS])
+def test_hyperplane_route_matches_the_definition_scan(label, U, monkeypatch):
+    h = U.r - 1
+    want = definition_excess(U, h)
+    monkeypatch.setattr(subspaces, "enumerate_subspaces", None)   # the route is the dual's
+    assert sorted(excess_iter(U, h)) == want
+    assert is_h_scattered(U, h) == (U.spans_ambient() and not want)
+
+
+def test_dual_grid_reaches_every_verdict():
+    verdicts = Counter((U.r, is_h_scattered(U, U.r - 1), not U.spans_ambient())
+                       for _, U in DUAL_INPUTS)
+    for r in (3, 4):
+        assert verdicts[r, True, False] and verdicts[r, False, False] and verdicts[r, False, True]
+
+
+def test_hyperplane_budget_of_the_definition_scan_still_suffices():
+    """The definition scan counted θ_{r-1}(q^n) hyperplanes, as many as the
+    point scan of U^⊥' counts points, so that budget still runs one engine;
+    below both engines' counts the chosen one refuses in its own unit."""
+    for label, U in DUAL_INPUTS:
+        h, Q, rn = U.r - 1, U.tower.mid.order, U.r * U.tower.n
+        cap = theta(U.r - 1, Q)
+        if cap > DUAL_EXTRAS_LIMIT:
+            continue
+        want = sorted(excess_iter(U, h))
+        assert sorted(excess_iter(U, h, budget=cap)) == want, label
+        assert is_h_scattered(U, h, budget=cap) == is_h_scattered(U, h), label
+        walk = theta(rn - U.k - 1, U.tower.q)
+        if walk:
+            unit = "subspace F_q-points" if _walk_is_cheaper(U.tower, U.r, rn - U.k) else (
+                "projective points")
+            with pytest.raises(BudgetExceeded, match=unit):
+                list(excess_iter(U, h, budget=min(cap, walk) - 1))
+
+
+def test_middle_h_keeps_the_definition_scan(monkeypatch):
+    # at 2 <= h <= r - 2 the dual side has as many subspaces, so excess_iter
+    # still meets U with every h-dim W; here r = 4, h = 2 over F_4
+    tower = _tower(2, 2)
+    U = _spanning(tower, 4, 6, random.Random(4))
+    want = definition_excess(U, 2)
+    assert want
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_subspaces(*args, **kwargs)
+
+    monkeypatch.setattr(subspaces, "ordinary_dual", None)
+    monkeypatch.setattr(subspaces, "enumerate_subspaces", counted)
+    assert sorted(excess_iter(U, 2)) == want
+    assert not is_h_scattered(U, 2)
+    assert calls == [(4, 2, tower.mid)] * 2
+
+
+def test_scatteredness_exits_before_any_scan_when_k_forces_a_violation(monkeypatch):
+    # every h-dim W meets U in at least k - (r - h)·n; above h no scan runs
+    monkeypatch.setattr(subspaces, "excess_iter", None)
+    forced = [(label, h) for label, U in DUAL_INPUTS for h in range(1, U.r)
+              if U.k - (U.r - h) * U.tower.n > h]
+    assert len(forced) > 10
+    inputs = dict(DUAL_INPUTS)
+    assert not any(is_h_scattered(inputs[label], h) for label, h in forced)
+
+
+def test_spectrum_refuses_near_misses_as_not_maximum():
+    # at h = r - 1 the verdict comes from the hyperplane counts: a near miss
+    # is a usage error (exit 2), not a weight escaping the window
+    inputs = dict(DUAL_INPUTS)
+    for label in ("near_miss0_q2_r3_n4", "near_miss0_q3_r3_n3", "near_miss0_q2_r4_n4"):
+        U = inputs[label]
+        assert U.k == U.tower.n and not is_h_scattered(U, U.r - 1)
+        with pytest.raises(NotMaxScattered, match="not h-scattered"):
+            hyperplane_spectrum(U, U.r - 1)
+    for label in ("pseudoregulus_q2_r3_n4", "pseudoregulus_q3_r3_n3"):
+        U = inputs[label]
+        assert sum(hyperplane_spectrum(U).values()) == theta(U.r - 1, U.tower.mid.order)

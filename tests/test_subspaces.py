@@ -12,7 +12,7 @@ from ranklab.errors import (
     TowerMismatch,
 )
 from ranklab.fields import make_tower
-from ranklab.fqlinalg import SubspaceBasis, kernel, Mat, intersection_dim
+from ranklab.fqlinalg import SubspaceBasis, kernel, Mat
 from ranklab.subspaces import (
     Characterization,
     DimBound,
@@ -23,7 +23,6 @@ from ranklab.subspaces import (
     delsarte_dual,
     direct_sum,
     dual_weight_identity_check,
-    fqn_subspace_flat,
     iota,
     is_h_scattered,
     max_hyperplane_weight,
@@ -34,15 +33,29 @@ from ranklab.constructions import pseudoregulus_subspace
 from ranklab.fixtures import remark_counterexample, subgeometry_3_3
 
 
-def full_line(tower, r, v):
-    """<v>_{F_{q^n}} as an FqSubspace (n-dimensional over F_q)."""
-    rows = []
+def line_vectors(tower, v):
+    """g^j·v for j < n: an F_q-basis of <v>_{F_{q^n}}."""
     g = tower.mid.gen
     w = list(v)
     for _ in range(tower.n):
-        rows.append(tuple(w))
+        yield tuple(w)
         w = [tower.mid.mul(g, c) for c in w]
-    return FqSubspace.from_mid_vectors(tower, r, rows)
+
+
+def full_line(tower, r, v):
+    """<v>_{F_{q^n}} as an FqSubspace (n-dimensional over F_q)."""
+    return FqSubspace.from_mid_vectors(tower, r, list(line_vectors(tower, v)))
+
+
+def fqn_flat(tower, W):
+    """The F_{q^n}-subspace W (a mid basis) as a flat F_q-subspace."""
+    return FqSubspace.from_mid_vectors(
+        tower, W.ambient, [u for v in W.rows for u in line_vectors(tower, v)])
+
+
+def meet_dim(A, B):
+    """dim(A ∩ B) = dim A + dim B - dim(A + B), with A + B in RREF afresh."""
+    return A.dim + B.dim - A.sum(B).dim
 
 
 # -- iota ------------------------------------------------------------------
@@ -70,7 +83,7 @@ def test_iota_brute_force_oracle(t2_4):
     best = 0
     for v in projective_points(t2_4.mid, 2):
         L = full_line(t2_4, 2, v)
-        best = max(best, intersection_dim(U.flat, L.flat))
+        best = max(best, meet_dim(U.flat, L.flat))
     assert best == iota(U) == 1
 
 
@@ -162,10 +175,10 @@ def test_fqn_subspace_dual_is_fqn_kernel(t2_4):
     # W^perp = W^{perp'} for F_{q^n}-subspaces W: the flat dual of the
     # flattened hyperplane equals the flattened mid-kernel line
     W = SubspaceBasis.from_vectors(t2_4.mid, 2, [[1, t2_4.mid.gen]])
-    Wflat = fqn_subspace_flat(t2_4, W)
+    Wflat = fqn_flat(t2_4, W)
     lhs = ordinary_dual(Wflat)
     Wperp = kernel(Mat.from_rows(t2_4.mid, [[1, t2_4.mid.gen]], 2))
-    rhs = fqn_subspace_flat(t2_4, Wperp)
+    rhs = fqn_flat(t2_4, Wperp)
     assert lhs == rhs
 
 
@@ -341,17 +354,17 @@ def test_spanning_subspace_hyperplane_weight_below_k(pseudoreg):
 
 
 def test_is_h_scattered_against_zassenhaus_oracle(t2_4):
-    # oracle: rebuild the predicate from intersect() (a different elimination
-    # path than the incremental reducer used by is_h_scattered)
-    from ranklab.fqlinalg import enumerate_subspaces, intersect, rref, Mat
+    # oracle: rebuild the predicate from the Zassenhaus count dim(A ∩ B) =
+    # dim A + dim B - dim(A + B) (a different elimination path than the
+    # cloned reducer of is_h_scattered)
+    from ranklab.fqlinalg import enumerate_subspaces, rref, Mat
 
     def oracle(U, h):
         spans = rref(U.mid_matrix())[1] == U.r if U.k else U.r == 0
         if not spans:
             return False
         for H in enumerate_subspaces(U.r, h, t2_4.mid):
-            flat = fqn_subspace_flat(t2_4, H)
-            if intersect(U.flat, flat.flat).dim > h:
+            if meet_dim(U.flat, fqn_flat(t2_4, H).flat) > h:
                 return False
         return True
 
