@@ -124,14 +124,15 @@ _COMMON = (
     _arg("--out", help="write the produced artifact to this file"),
     _arg("--seed", type=int, default=None, help="seed for randomized verbs"),
     _arg("--subspace-budget", type=_budget, default=DEFAULT_SUBSPACE_BUDGET,
-         help="max items of a subspace scan: U's q^k vectors (or its "
-              "dual's) when that walk is the cheaper scan, else the "
-              "points of PG(r-1,q^n); subspaces for h>=2 checks; "
+         help="max items of a subspace scan: the θ_{k-1}(q) F_q-points "
+              "of U (or of its dual) when that walk is the cheaper scan, "
+              "else the points of PG(r-1,q^n); subspaces for h>=2 checks; "
               "point-hyperplane incidences for code scans "
               "(default 2^20)"),
     _arg("--codeword-budget", type=_budget, default=DEFAULT_CODEWORD_BUDGET,
          help="max items of a code's rank scan: its q^K codewords or "
-              "the subspaces of F_q^{min(m,n)}, whichever is fewer "
+              "the subspaces of F_q^{min(m,n)}, whichever is fewer; "
+              "the q^n elements the converse scans for a root "
               "(default 2^24)"))
 _SUBSPACE_INPUT = (_arg("--subspace"), _arg("--pseudoregulus", metavar="r,n,h"), _Q)
 _CODE_INPUT = (_arg("--code", required=True),)

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import (
+    BudgetExceeded,
     DivisibilityViolation,
     EtaConditionViolated,
     GcdViolation,
@@ -329,7 +330,8 @@ def mrd_to_subspace(C: RankCode, tower: FieldTower, *,
     field (a generator of the idealiser field -> its minimal polynomial -> a
     root in F_{q^n} -> basis-mapping isomorphism), reads U = ker G off the
     evaluation map G = [f_1 | ... | f_r] of a right F_{q^n}-basis, and rebuilds
-    the code from (U, G) for the set-equality check.
+    the code from (U, G) for the set-equality check.  budget caps the rank
+    scans and the root scan over the q^n elements of F_{q^n}.
     """
     n = tower.n
     if C.n != n:
@@ -349,6 +351,8 @@ def mrd_to_subspace(C: RankCode, tower: FieldTower, *,
     if found is None:
         raise InternalInvariantError("the idealiser field has no basis element of degree n")
     g1, minpoly = found
+    if mid.order > budget:
+        raise BudgetExceeded(mid.order, budget, "F_{q^n} elements")
     for gamma in mid.elements():
         if poly_eval(mid, minpoly, gamma) == 0:
             break

@@ -60,10 +60,6 @@ class PreconditionHyperplaneWeight(GateError):
     pass
 
 
-class NoEmbedding(GateError):
-    pass
-
-
 class IotaFull(GateError):
     pass
 

@@ -15,12 +15,12 @@ Every "which combinations vanish" question goes through vanishing_tails
 instead: rows head | tail are eliminated once, and the echelon rows whose
 pivot lies past the head carry a basis of the tails of the combinations with
 zero head, with no back-substitution.  The idealiser and the subspace tree
-of rankcodes and the Delsarte double dual of subspaces read it; so does the
-Zassenhaus meet A ∩ B (rows a | a and b | 0) in the tests.  kernel keeps
-the RREF read-off, one basis vector per free column: through vanishing_tails
-(rows column | unit vector, so every row carries a unit block as wide as the
-matrix) it made delsarte_dual_code 1.6-1.8x slower on random 4 x 4 codes
-over F_2, F_3, F_4 and F_9 (CPython 3.11, one core of a shared 2-CPU host).
+of rankcodes read it; so does the Zassenhaus meet A ∩ B (rows a | a and
+b | 0) in the tests.  kernel keeps the RREF read-off, one basis vector per
+free column: through vanishing_tails (rows column | unit vector, so every
+row carries a unit block as wide as the matrix) it made delsarte_dual_code
+1.6-1.8x slower on random 4 x 4 codes over F_2, F_3, F_4 and F_9
+(CPython 3.11, one core of a shared 2-CPU host).
 
 This module alone knows the form in which RowReducer stores a row.  Over a
 prime field F_p a row is a packed int: coordinate j takes W bits starting at

@@ -11,8 +11,8 @@ Every meet dim_{F_q}(U ∩ <W>_{F_{q^n}}) with given F_{q^n}-subspaces W comes
 from one helper, _meet_dims: it holds one reducer for U and eliminates the
 n·dim W flat rows g^j·w of each W against a clone of it (rows in the form
 fqlinalg stores them).  The point scan, the 2 <= h <= r - 2 scatteredness
-scan, the single point and hyperplane weights of linsets, the dual weight
-identity and the Delsarte embedding check all read it.
+scan, the single point and hyperplane weights of linsets and the dual
+weight identity all read it.
 
 Point weights w(P) = dim_{F_q}(U ∩ <P>_{F_{q^n}}) come from one of two
 exact scans, chosen from the input and the budget:
@@ -46,7 +46,6 @@ from .errors import (
     DimensionMismatch,
     InternalInvariantError,
     InvalidParams,
-    NoEmbedding,
     PreconditionHyperplaneWeight,
     TowerMismatch,
 )
@@ -59,19 +58,13 @@ from .fqlinalg import (
     enumerate_subspaces,
     kernel,
     mat_inverse,
-    mat_mul,
     odometer,
     prime_expansion,
     projective_points,
     store_digits,
     theta,
-    unpack_row,
-    vanishing_tails,
     vec_mat,
 )
-
-N_SEARCH_LIMIT = 1 << 16
-
 
 def flatten_vec(tower: FieldTower, v) -> list[int]:
     """Flatten a mid-coordinate vector to base-field codes (length r*n)."""
@@ -102,11 +95,12 @@ class FqSubspace:
 
     @classmethod
     def from_mid_vectors(cls, tower: FieldTower, r: int, vectors) -> "FqSubspace":
+        flat_vectors = []
         for v in vectors:
             if len(v) != r:
                 raise DimensionMismatch("vector length != r")
-        flat = SubspaceBasis.from_vectors(
-            tower.base, r * tower.n, [flatten_vec(tower, v) for v in vectors])
+            flat_vectors.append(flatten_vec(tower, v))
+        flat = SubspaceBasis.from_vectors(tower.base, r * tower.n, flat_vectors)
         basis_mid = tuple(unflatten_vec(tower, row) for row in flat.rows)
         return cls(tower, r, basis_mid, flat)
 
@@ -423,47 +417,28 @@ def dual_weight_identity_check(U: FqSubspace, W: SubspaceBasis) -> bool:
 class DelsarteDualData:
     """Embedding data and result of one Delsarte dualization.
 
-    W is the F_q-span of the rows of embed (= [M|N]); Gamma is {0}^r x
-    F_{q^n}^{k-r}; beta is the extension of the dot product in W-coordinates,
-    whose Gram matrix in standard coordinates is gram_std.
+    W is the F_q-span of the rows of embed (= T = [M|N]) in V-hat =
+    F_{q^n}^k, Gamma is {0}^r x F_{q^n}^{k-r}, and beta(x, y) =
+    x·T^{-1}·T^{-T}·y^T is the form under which the rows of T are
+    orthonormal.
     """
 
     tower: FieldTower
     r: int
     k: int
     embed: Mat
-    gamma: SubspaceBasis
-    gram_std: Mat
     dual: FqSubspace
 
 
 def _find_n_block(tower: FieldTower, M: Mat) -> Mat:
-    """Deterministic N with F_q entries making [M|N] invertible over F_{q^n}.
-
-    Scans packed-code order when feasible; otherwise uses the unit-vector
-    completion of the lexicographically first independent row subset of M,
-    which is always invertible by block triangularity.
-    """
-    mid, base = tower.mid, tower.base
+    """N with F_q entries making [M|N] invertible over F_{q^n}: a unit vector
+    in each row of M outside the lexicographically first F_{q^n}-basis of
+    the row space.  With those basis rows moved to the top, [M|N] is block
+    lower triangular with invertible diagonal blocks, when M has rank r."""
     k, r = M.rows, M.cols
-    w = k - r
-    total = base.order ** (k * w)
-    if total <= N_SEARCH_LIMIT:
-        for code in range(total):
-            digits = []
-            c = code
-            for _ in range(k * w):
-                digits.append(c % base.order)
-                c //= base.order
-            N = Mat.from_rows(mid, [digits[i * w:(i + 1) * w] for i in range(k)], w)
-            if RowReducer(mid, k).add_all(
-                    M.data[i] + N.data[i] for i in range(k)) == k:
-                return N
-        raise InternalInvariantError("no F_q-entry completion found")
-    rr = RowReducer(mid, r)
-    pivot_rows = [i for i in range(k) if rr.add(tuple(M.data[i]))]
-    comp = [i for i in range(k) if i not in set(pivot_rows)]
-    N = Mat.zero(mid, k, w)
+    rr = RowReducer(tower.mid, r)
+    comp = [i for i in range(k) if not rr.add(tuple(M.data[i]))]
+    N = Mat.zero(tower.mid, k, k - r)
     for c, i in enumerate(comp):
         N.data[i][c] = 1
     return N
@@ -471,7 +446,13 @@ def _find_n_block(tower: FieldTower, M: Mat) -> Mat:
 
 def delsarte_dual(U: FqSubspace, *,
                   budget: int = DEFAULT_SUBSPACE_BUDGET) -> DelsarteDualData:
-    """Delsarte dual U^{⊥_D} = (W + Γ^⊥)/Γ^⊥ in V-hat/Γ^⊥ ≅ F_{q^n}^{k-r}."""
+    """Delsarte dual U^{⊥_D} = (W + Γ^⊥)/Γ^⊥ in V-hat/Γ^⊥ ≅ F_{q^n}^{k-r}.
+
+    x -> (beta(x, e_j))_{j >= r} maps V-hat onto F_{q^n}^{k-r} with kernel
+    Γ^⊥, and sends the row T_i of the embedding to column i of T^{-1} below
+    row r; those columns are the dual's vectors.  The precondition (every
+    hyperplane meets U in dimension < k - 1) makes U span V, so T is
+    invertible, and keeps W ∩ Γ^⊥ = 0."""
     tower, r, k = U.tower, U.r, U.k
     if k <= r:
         raise InvalidParams("Delsarte duality needs k > r")
@@ -479,58 +460,25 @@ def delsarte_dual(U: FqSubspace, *,
     if maxw >= k - 1:
         raise PreconditionHyperplaneWeight(
             f"a hyperplane meets U in dimension {maxw} >= k-1 = {k - 1}")
-    mid = tower.mid
     M = U.mid_matrix()
     N = _find_n_block(tower, M)
-    T = Mat.from_rows(mid, [list(M.data[i]) + list(N.data[i]) for i in range(k)])
+    T = Mat.from_rows(tower.mid, [M.data[i] + N.data[i] for i in range(k)])
     Tinv = mat_inverse(T)
-    gram_std = mat_mul(Tinv, Tinv.transpose())
-    gamma_rows = Mat.identity(mid, k).data[r:]
-    gamma = SubspaceBasis.from_vectors(mid, k, gamma_rows)
-    constraints = mat_mul(Mat.from_rows(mid, gamma_rows, k), gram_std)
-    gamma_perp = kernel(constraints)
-    if gamma_perp.dim != r:
-        raise InternalInvariantError("Gamma^perp has wrong dimension")
-    proj_cols = kernel(Mat.from_rows(mid, gamma_perp.rows, k))
-    proj = Mat.from_rows(mid, proj_cols.rows, k).transpose()
-    dual_vectors = []
-    for i in range(k):
-        dual_vectors.append(vec_mat(T.data[i], proj))
-    dual = FqSubspace.from_mid_vectors(tower, k - r, dual_vectors)
+    dual = FqSubspace.from_mid_vectors(tower, k - r, zip(*Tinv.data[r:]))
     if dual.k != k:
         raise InternalInvariantError("W meets Gamma^perp nontrivially")
-    data = DelsarteDualData(tower=tower, r=r, k=k, embed=T, gamma=gamma,
-                            gram_std=gram_std, dual=dual)
-    _validate_delsarte(data, U)
-    return data
-
-
-def _validate_delsarte(data: DelsarteDualData, U: FqSubspace) -> None:
-    if RowReducer(data.tower.mid, data.k).add_all(data.embed.data) != data.k:
-        raise NoEmbedding("[M|N] is singular")
-    W = FqSubspace.from_mid_vectors(data.tower, data.k, data.embed.data)
-    if next(_meet_dims(W, [data.gamma.rows])):
-        raise NoEmbedding("W meets Gamma")
-    if data.gram_std.data != data.gram_std.transpose().data:
-        raise NoEmbedding("beta is not symmetric")
-    recovered = delsarte_double_dual(data)
-    if recovered != U:
-        raise NoEmbedding("<W, Gamma> ∩ V != U")
+    return DelsarteDualData(tower=tower, r=r, k=k, embed=T, dual=dual)
 
 
 def delsarte_double_dual(data: DelsarteDualData) -> FqSubspace:
     """(U^{⊥_D})^{⊥_D} computed with the stored embedding: <W,Γ>_{F_q} ∩ V,
-    returned in the original ambient (the unflattening of W+Γ through φ).
+    returned in the original ambient V = F_{q^n}^r x {0}.
 
-    V = F_{q^n}^r x {0} holds the flat vectors whose coordinates past rn
-    vanish, so each spanning vector is stored with those coordinates first
-    and the meet is read off fqlinalg.vanishing_tails."""
-    tower, r, k, n = data.tower, data.r, data.k, data.tower.n
-    base, rn = tower.base, r * n
-    rows = [store_digits(base, tuple(v[r:]) + tuple(v[:r]), n)
-            for v in itertools.chain(data.embed.data, _fqn_span(tower, data.gamma.rows))]
-    tails = vanishing_tails(base, k * n - rn, k * n, rows)
-    return FqSubspace.from_flat(tower, r, [unpack_row(base, t, rn) for t in tails])
+    The tail of each row of embed lies in Γ, so <W,Γ>_{F_q} is Γ plus the
+    F_q-span of the heads (first r coordinates) of those rows, and as
+    Γ ∩ V = 0 its meet with V is the span of the heads."""
+    return FqSubspace.from_mid_vectors(
+        data.tower, data.r, (row[:data.r] for row in data.embed.data))
 
 
 # -- characterizations of maximum h-scattered subspaces -----------------------

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from ranklab.errors import (
+    BudgetExceeded,
     DivisibilityViolation,
     EtaConditionViolated,
     GcdViolation,
@@ -264,6 +265,17 @@ def test_mrd_to_subspace_gates(t2_4):
         mrd_to_subspace(low, t22)
 
 
+def test_mrd_to_subspace_budgets_the_root_scan():
+    # the 8-subspace rank scan fits budget 8; the 25 elements of F_25 do not
+    tower = make_tower(5, 1, 2, 1)
+    C = gabidulin(tower, 2, 1, 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        mrd_to_subspace(C, tower, budget=8)
+    assert (exc.value.needed, exc.value.allowed, exc.value.what) == (25, 8, "F_{q^n} elements")
+    ext = mrd_to_subspace(C, tower, budget=25)
+    assert ext.reconstructed.flat == ext.conjugated_code.flat
+
+
 def test_mrd_to_subspace_minpoly_without_root_is_internal(tmp_path, monkeypatch, capsys):
     from ranklab import cli, constructions, serialize
     from ranklab.errors import InternalInvariantError
@@ -375,7 +387,9 @@ def test_gabidulin_restriction_t1_is_square_gabidulin(t2_3):
 
 
 # t = 2 towers, then the t = 3 towers F_2 ⊂ F_4 ⊂ F_64 and F_3 ⊂ F_9 ⊂ F_729 (iota = 1)
-RESTRICTION_TOWERS = [(3, 1, 2, 2), (3, 1, 3, 2), (2, 2, 2, 2), (2, 1, 2, 3), (3, 1, 2, 3)]
+# and F_2 ⊂ F_8 ⊂ F_512 (iota = 1, 2; r = 9, k = 18 at iota = 2)
+RESTRICTION_TOWERS = [(3, 1, 2, 2), (3, 1, 3, 2), (2, 2, 2, 2), (2, 1, 2, 3), (3, 1, 2, 3),
+                      (2, 1, 3, 3)]
 
 
 @pytest.mark.parametrize("params", RESTRICTION_TOWERS)

@@ -1,5 +1,6 @@
 """Scatteredness predicates, iota, ordinary and Delsarte dualities."""
 
+import itertools
 import random
 
 import pytest
@@ -12,7 +13,8 @@ from ranklab.errors import (
     TowerMismatch,
 )
 from ranklab.fields import make_tower
-from ranklab.fqlinalg import SubspaceBasis, kernel, Mat
+from ranklab import subspaces
+from ranklab.fqlinalg import RowReducer, SubspaceBasis, kernel, Mat, mat_inverse, mat_mul, rref
 from ranklab.subspaces import (
     Characterization,
     DimBound,
@@ -44,7 +46,7 @@ def line_vectors(tower, v):
 
 def full_line(tower, r, v):
     """<v>_{F_{q^n}} as an FqSubspace (n-dimensional over F_q)."""
-    return FqSubspace.from_mid_vectors(tower, r, list(line_vectors(tower, v)))
+    return FqSubspace.from_mid_vectors(tower, r, line_vectors(tower, v))
 
 
 def fqn_flat(tower, W):
@@ -56,6 +58,15 @@ def fqn_flat(tower, W):
 def meet_dim(A, B):
     """dim(A ∩ B) = dim A + dim B - dim(A + B), with A + B in RREF afresh."""
     return A.dim + B.dim - A.sum(B).dim
+
+
+def test_from_mid_vectors_reads_an_iterator_once(t2_4):
+    g = t2_4.mid.gen
+    vs = [(1, 0), (g, 0), (0, 1)]
+    U = FqSubspace.from_mid_vectors(t2_4, 2, vs)
+    assert U.k == 3
+    assert FqSubspace.from_mid_vectors(t2_4, 2, iter(vs)) == U
+    assert FqSubspace.from_mid_vectors(t2_4, 2, (v for v in vs)) == U
 
 
 # -- iota ------------------------------------------------------------------
@@ -236,12 +247,70 @@ def test_delsarte_double_dual_recovers_input_off_q2(p, e):
     assert delsarte_double_dual(data) == U
 
 
-def test_delsarte_gram_is_symmetric_invertible(pseudoreg):
-    from ranklab.fqlinalg import rref
+def scanned_n_block(tower, M):
+    """The first N with F_q entries, counting its k·(k-r) entries as base-q
+    digits with entry 0 least significant, making [M|N] invertible."""
+    k, w = M.rows, M.rows - M.cols
+    for high_first in itertools.product(range(tower.base.order), repeat=k * w):
+        digits = high_first[::-1]
+        N = Mat.from_rows(tower.mid, [digits[i * w:(i + 1) * w] for i in range(k)], w)
+        if RowReducer(tower.mid, k).add_all(M.data[i] + N.data[i] for i in range(k)) == k:
+            return N
+    raise AssertionError("no F_q-entry completion")
 
-    data = delsarte_dual(pseudoreg)
-    assert data.gram_std.data == data.gram_std.transpose().data
-    assert rref(data.gram_std)[1] == data.k
+
+def gram_oracle_dual_matrix(T, r):
+    """The dual's k x (k-r) matrix by the Gram construction: Gram matrix
+    T^{-1}·T^{-T} of beta, Γ^⊥ as the kernel of Γ's rows times it, and the
+    rows of T mapped by a basis of the kernel of Γ^⊥'s rows."""
+    F, k = T.field, T.rows
+    Tinv = mat_inverse(T)
+    gram = mat_mul(Tinv, Tinv.transpose())
+    assert gram.data == gram.transpose().data and rref(gram)[1] == k
+    gamma = Mat.from_rows(F, Mat.identity(F, k).data[r:], k)
+    gamma_perp = kernel(mat_mul(gamma, gram))
+    assert gamma_perp.dim == r
+    proj = Mat.from_rows(F, kernel(Mat.from_rows(F, gamma_perp.rows, k)).rows, k)
+    return mat_mul(T, proj.transpose())
+
+
+def same_column_space(*mats):
+    """True iff the k x w matrices each have rank w and together still rank
+    w: each is the first times an invertible w x w matrix."""
+    F, k, w = mats[0].field, mats[0].rows, mats[0].cols
+    cols = [list(map(tuple, A.transpose().data)) for A in mats]
+    return (all(RowReducer(F, k).add_all(c) == w for c in cols)
+            and RowReducer(F, k).add_all(itertools.chain(*cols)) == w)
+
+
+def delsarte_inputs(tower, rng):
+    """The pseudoregulus of F_{q^3}^2 (k - r = 1), and a random k = 4
+    subspace of it meeting every hyperplane in dimension < 3 (k - r = 2)."""
+    yield pseudoregulus_subspace(tower, 2, 3, 1)
+    while max_hyperplane_weight(U := random_subspace(tower, 2, 4, rng)) >= 3:
+        pass
+    yield U
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
+def test_delsarte_dual_matches_gram_oracle(p, e, monkeypatch):
+    tower = make_tower(p, e, 3, 1)
+    for U in delsarte_inputs(tower, random.Random(p * 10 + e)):
+        r, k, mid = U.r, U.k, tower.mid
+        M = U.mid_matrix()
+        N = scanned_n_block(tower, M)
+        T = Mat.from_rows(mid, [M.data[i] + N.data[i] for i in range(k)])
+        oracle = gram_oracle_dual_matrix(T, r)
+        duals = [delsarte_dual(U)]
+        monkeypatch.setattr(subspaces, "_find_n_block", lambda tower, M: N)
+        duals.append(delsarte_dual(U))
+        monkeypatch.undo()
+        assert duals[1].embed == T
+        new = [Mat.from_rows(mid, zip(*mat_inverse(d.embed).data[r:]), k - r) for d in duals]
+        for d, D in zip(duals, new):
+            assert FqSubspace.from_mid_vectors(tower, k - r, D.data) == d.dual
+            assert delsarte_double_dual(d) == U
+        assert same_column_space(oracle, *new)
 
 
 def test_delsarte_precondition_gate(t2_4):
