@@ -295,8 +295,7 @@ def _run_cug(args, budgets) -> dict[str, Any]:
     U = _load_subspace(args)
     cug = constructions.c_ug(U, budget=budgets["subspace"])
     res: dict[str, Any] = {"k": U.k, "iota": cug.iota,
-                           "mrd_predicate": constructions.c_ug_mrd_predicate(
-                               U, budget=budgets["subspace"])}
+                           "mrd_predicate": constructions._mrd_criterion(U, cug.iota)}
     if args.mrd_check:
         res.update(_code_summary(cug.code, budgets["codeword"]))
         res["is_mrd"] = res["mrd"]

@@ -38,6 +38,7 @@ from .fqlinalg import (
     mat_inverse,
     mat_mul,
     mat_vec,
+    theta,
 )
 from .rankcodes import (
     DEFAULT_CODEWORD_BUDGET,
@@ -48,6 +49,7 @@ from .rankcodes import (
 )
 from .subspaces import (
     FqSubspace,
+    _point_weight_items,
     excess_iter,
     flatten_vec,
     iota,
@@ -185,7 +187,12 @@ def find_nonsquare(tower: FieldTower, level: str) -> int:
 
 @dataclass
 class CUGCode:
-    """The code {G∘τ_v : v in V} built from U with the canonical G."""
+    """The code {G∘τ_v : v in V} built from U with the canonical G.
+
+    It is right F_{q^n}-linear by construction: Γ_{λv} = Γ_v∘m_λ, so its
+    right idealiser contains the multiplication field F_{q^n}.  The order
+    of the full idealiser (rankcodes.right_idealiser) stays the certificate.
+    """
 
     U: FqSubspace
     G: Mat
@@ -224,18 +231,42 @@ def _cug_codewords(tower: FieldTower, r: int, G: Mat) -> list[list[list[int]]]:
 
 
 def c_ug(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> CUGCode:
-    """Build C_{U,G} with the canonical G; parameters (rn-k, n, q; n-iota)."""
+    """Build C_{U,G} with the canonical G; parameters (rn-k, n, q; n-iota).
+
+    The kernel of Γ_v is {λ : λv ∈ U}, so rank Γ_v = n - w(<v>), and one pass
+    over the point weights of L_U (subspaces._point_weight_items; budget caps
+    its item count) gives the whole rank distribution:
+    A_{n-i} = (q^n - 1)·#{points of weight i} for i >= 1, and
+    A_n = (q^n - 1)·(θ_{r-1}(q^n) - |L_U|).  iota is the largest weight, so
+    d = n - iota.  The code carries this distribution, so its
+    rank_distribution, min_distance and is_mrd run no codeword scan; the
+    rankcodes scans are its oracle in the tests.  A point of weight n
+    (a full F_{q^n}-line in U) raises IotaFull as soon as it is seen.
+    """
     tower, r, n = U.tower, U.r, U.tower.n
-    it = iota(U, budget=budget)
-    if it >= n:
-        raise IotaFull("U contains a full F_{q^n}-line; C_{U,G} degenerates")
+    m, Q = r * n - U.k, tower.mid.order
+    points = [0] * n    # points[w]: points of PG(r-1, q^n) of weight w
+    for _, w in _point_weight_items(U, budget):
+        if w == n:
+            raise IotaFull("U contains a full F_{q^n}-line; C_{U,G} degenerates")
+        points[w] += 1
+    points[0] = theta(r - 1, Q) - sum(points[1:])    # the walk skips weight 0
+    # every point meets U in dimension >= k + n - rn = n - m
+    low = max(n - m, 0)
+    if any(points[:low]):
+        raise InternalInvariantError("a point has weight below n - m")
+    it = max((w for w in range(1, n) if points[w]), default=0)
     G = _canonical_projection(U)
     if kernel(G) != U.flat:
         raise InternalInvariantError("canonical projection has wrong kernel")
     gens = _cug_codewords(tower, r, G)
-    code = RankCode.from_generators(tower.base, r * n - U.k, n, gens)
+    code = RankCode.from_generators(tower.base, m, n, gens)
     if code.dim != r * n:
         raise InternalInvariantError("v -> Γ_v failed to be injective")
+    A = [1] + [0] * min(m, n)
+    for w in range(low, n):
+        A[n - w] = (Q - 1) * points[w]
+    code.install_rank_distribution(A)
     return CUGCode(U, G, code, it)
 
 
@@ -259,12 +290,16 @@ def c_ug_mrd_predicate(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) 
     this predicate keeps returning False there, reporting the stated
     criterion rather than the bound.
     """
-    tower, r, n = U.tower, U.r, U.tower.n
     it = iota(U, budget=budget)
-    if it >= n:
+    if it >= U.tower.n:
         raise IotaFull("iota = n")
-    rn = r * n
-    return rn % (it + 1) == 0 and U.k * (it + 1) == it * rn and U.k <= (r - 1) * n
+    return _mrd_criterion(U, it)
+
+
+def _mrd_criterion(U: FqSubspace, it: int) -> bool:
+    """(iota+1) | rn and k·(iota+1) = iota·rn and k <= (r-1)n, for iota = it."""
+    n, rn = U.tower.n, U.r * U.tower.n
+    return rn % (it + 1) == 0 and U.k * (it + 1) == it * rn and U.k <= rn - n
 
 
 def c_ug_g_independence(U: FqSubspace, G1: Mat, G2: Mat) -> Mat:

@@ -1,8 +1,12 @@
 """F_q-linear rank-metric codes as spaces of m x n matrices over F_q.
 
 A code stores a canonical basis (the RREF of the flattened basis matrices in
-F_q^{mn}), never the codeword set.  Its rank distribution comes from the
-shorter of two exact scans, run on demand under an explicit budget:
+F_q^{mn}), never the codeword set.  Its rank distribution has one of three
+sources.  A code C_{U,G} carries the distribution read off the point weights
+of the linear set L_U (constructions.c_ug, installed by
+RankCode.install_rank_distribution); any other code takes it from the
+shorter of two exact scans, run on demand under an explicit budget, which
+are also the oracle of the C_{U,G} path:
 
 - the codeword walk ranks each of the q^K codewords, reached by an odometer
   with one vector add per step;
@@ -17,7 +21,7 @@ shorter of two exact scans, run on demand under an explicit budget:
 An idealiser is the set of combinations of the unit matrices E_ab whose
 products with C's basis all reduce to 0 modulo C; whether it is a field is
 decided exactly, from the minimal polynomial of a basis element
-(Idealiser).
+(Idealiser).  Both idealisers are computed at most once per code instance.
 
 Both rank-distribution scans and the idealiser eliminate through
 fqlinalg.RowReducer; the subspace tree's subcodes and the idealiser are the
@@ -88,6 +92,7 @@ class RankCode:
 
     def __post_init__(self):
         self._rank_distribution: RankDistribution | None = None
+        self._idealisers: dict[Side, Idealiser] = {}
 
     @classmethod
     def from_generators(cls, F: Field, m: int, n: int, mats) -> "RankCode":
@@ -140,7 +145,8 @@ class RankCode:
         tree that carries each parent's subcode to its children and closes
         the subtree of an empty subcode in one formula; its item count is
         the number of those subspaces.  The scan with fewer items runs, and
-        budget caps that item count before it starts.
+        budget caps that item count before it starts.  A distribution
+        installed by install_rank_distribution (C_{U,G}) is returned as is.
         """
         if self._rank_distribution is None:
             q, mp = self.q, min(self.m, self.n)
@@ -151,10 +157,16 @@ class RankCode:
                 needed, what, scan = self.size, "codewords", _walk_counts
             if needed > budget:
                 raise BudgetExceeded(needed, budget, what)
-            dist = RankDistribution(tuple(scan(self)), self.m, self.n, q, self.dim)
-            dist.validate()
-            self._rank_distribution = dist
+            self.install_rank_distribution(scan(self))
         return self._rank_distribution
+
+    def install_rank_distribution(self, A) -> None:
+        """Adopt A = (A_0, ..., A_{min(m,n)}) as the code's rank distribution
+        once it passes RankDistribution.validate; rank_distribution then
+        returns it without a scan or a budget check."""
+        dist = RankDistribution(tuple(A), self.m, self.n, self.q, self.dim)
+        dist.validate()
+        self._rank_distribution = dist
 
     def min_distance(self, *, budget: int = DEFAULT_CODEWORD_BUDGET) -> int:
         """Minimum rank over nonzero codewords (= minimum distance)."""
@@ -265,6 +277,8 @@ class RankDistribution:
     K: int
 
     def validate(self) -> None:
+        if len(self.A) != min(self.m, self.n) + 1:
+            raise InternalInvariantError("rank distribution needs min(m, n) + 1 counts")
         if sum(self.A) != self.q**self.K:
             raise InternalInvariantError("rank distribution does not sum to q^K")
         if self.A[0] != 1:
@@ -367,7 +381,7 @@ class Side(enum.Enum):
     RIGHT = "right"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Idealiser:
     """A one-sided idealiser subalgebra with its order and field flag.
 
@@ -379,7 +393,7 @@ class Idealiser:
 
     side: Side
     degree: int
-    basis: list[tuple[tuple[int, ...], ...]]
+    basis: tuple[tuple[tuple[int, ...], ...], ...]
     dim: int
     order: int
     is_field: bool
@@ -415,7 +429,7 @@ def _idealiser(C: RankCode, side: Side) -> Idealiser:
             rows.append(row)
     ker = SubspaceBasis.from_vectors(F, ss, [
         unpack_row(F, t, ss) for t in vanishing_tails(F, head, head + ss, rows)])
-    basis = [_reshape(v, s, s) for v in ker.rows]
+    basis = tuple(_reshape(v, s, s) for v in ker.rows)
     dim = len(basis)
     order = F.order**dim
     gen = _algebra_generator(F, basis)
@@ -454,14 +468,22 @@ def _verify_idealiser_closure(C: RankCode, ide: Idealiser) -> None:
                 raise InternalInvariantError("idealiser closure verification failed")
 
 
+def _memo_idealiser(C: RankCode, side: Side) -> Idealiser:
+    """C's idealiser on one side: computed and verified on the first call,
+    the same frozen object on every later one."""
+    if side not in C._idealisers:
+        C._idealisers[side] = _idealiser(C, side)
+    return C._idealisers[side]
+
+
 def left_idealiser(C: RankCode) -> Idealiser:
     """L(C) = {Y : YM ∈ C for all M ∈ C}, an F_q-algebra of m x m matrices."""
-    return _idealiser(C, Side.LEFT)
+    return _memo_idealiser(C, Side.LEFT)
 
 
 def right_idealiser(C: RankCode) -> Idealiser:
     """R(C) = {Z : MZ ∈ C for all M ∈ C}, an F_q-algebra of n x n matrices."""
-    return _idealiser(C, Side.RIGHT)
+    return _memo_idealiser(C, Side.RIGHT)
 
 
 # -- puncturing, certificates ---------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from ranklab.fields import make_tower
 from ranklab.constructions import pseudoregulus_subspace
+from ranklab.rankcodes import RankCode
 
 hypothesis.settings.register_profile(
     "ranklab", deadline=None, max_examples=60,
@@ -37,3 +38,11 @@ def t2_32():
 def pseudoreg(t2_4):
     """{(x, x^2) : x in F_16}: maximum scattered in F_16^2."""
     return pseudoregulus_subspace(t2_4, 2, 4, 1)
+
+
+@pytest.fixture(scope="session")
+def scanned():
+    """C rebuilt from its basis alone: its rank distribution then comes from
+    the rankcodes scans, even when C is a C_{U,G} carrying the one read off
+    L_U.  The oracle for every C_{U,G} distribution, distance and MRD flag."""
+    return lambda C: RankCode(C.field, C.m, C.n, C.flat)

@@ -87,7 +87,7 @@ def test_criterion_1_gabidulin_mrd():
         assert dist.A == mrd_weight_distribution(4, 4, 2, 3).A
 
 
-def test_criterion_2_cug_correspondence():
+def test_criterion_2_cug_correspondence(scanned):
     with _report(2, "C_{U,G}(pseudoregulus 2,4,1): MRD (4,4,2;3), |R|=16 field", 5.0):
         U = fixtures.pseudoregulus(2, 4, 1)
         cug = c_ug(U)
@@ -98,6 +98,7 @@ def test_criterion_2_cug_correspondence():
         R = right_idealiser(C)
         assert R.order == 16 and R.is_field
         assert C.rank_distribution().A == (1, 0, 0, 225, 30)
+        assert scanned(C).rank_distribution() == C.rank_distribution()
 
 
 def test_criterion_3_macwilliams_all_fixtures():
@@ -106,7 +107,7 @@ def test_criterion_3_macwilliams_all_fixtures():
             assert macwilliams_check(C), name
 
 
-def test_criterion_4_hyperplane_spectra():
+def test_criterion_4_hyperplane_spectra(scanned):
     with _report(4, "hyperplane spectra == t_i formula; t_i = A_{n-i}/(q^n-1)", 120.0):
         cases = [
             (2, 4, 2, 1, fixtures.pseudoregulus(2, 4, 1)),
@@ -118,7 +119,7 @@ def test_criterion_4_hyperplane_spectra():
             want = {i: ti_formula(r, n, h, q, i) for i in range(h + 1)}
             assert spec == want, (q, n, r, h)
             assert sum(spec.values()) == theta(r - 1, q**n)
-            A = c_ug(ordinary_dual(U)).code.rank_distribution().A
+            A = scanned(c_ug(ordinary_dual(U)).code).rank_distribution().A
             for i in range(h + 1):
                 assert A[n - i] % (q**n - 1) == 0
                 assert want[i] == A[n - i] // (q**n - 1), (q, n, r, h, i)
@@ -211,7 +212,7 @@ def test_criterion_9_twisted_gabidulin():
                 twisted_gabidulin(t2, 4, 2, 1, bad, 0)
 
 
-def test_criterion_10_exclusion_logic():
+def test_criterion_10_exclusion_logic(scanned):
     with _report(10, "section-6 exclusion: gates + mocked CertifiedNew + "
                      "seeded search attempt", 660.0):
         # NotApplicable on a fixture with (h+1) | r (and hypotheses met)
@@ -237,7 +238,7 @@ def test_criterion_10_exclusion_logic():
         assert is_h_scattered(W, 1)
         C = c_ug(ordinary_dual(W)).code
         assert (C.m, C.n, C.q) == (9, 6, 2)
-        assert C.min_distance() == 5
+        assert C.min_distance() == scanned(C).min_distance() == 5
         assert C.is_mrd()
         assert right_idealiser(C).order == 2**6
         assert gabidulin_family_exclusion(C, 3, 6, 1) is \

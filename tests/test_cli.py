@@ -241,6 +241,17 @@ def test_codeword_budget_caps_the_shorter_rank_scan(tmp_path, capsys):
     assert "67 subspaces of F_2^4 exceeds budget 50" in capsys.readouterr().err
 
 
+def test_cug_mrd_check_is_gated_by_the_subspace_budget(capsys):
+    # C_{U,G} reads its rank distribution off L_U, so no codeword scan runs:
+    # a zero codeword budget passes, and the ι walk's budget is the gate
+    rep = run_json(["cug", "--pseudoregulus", "2,4,1", "--mrd-check",
+                    "--codeword-budget", "0"])
+    assert (rep["results"]["d"], rep["results"]["is_mrd"]) == (3, True)
+    assert main(["cug", "--pseudoregulus", "2,4,1", "--mrd-check",
+                 "--subspace-budget", "3"]) == 3
+    assert "15 subspace F_q-points exceeds budget 3" in capsys.readouterr().err
+
+
 def test_malformed_code_json_is_a_usage_error(tmp_path, capsys):
     from ranklab.errors import UsageError
 

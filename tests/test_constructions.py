@@ -119,13 +119,13 @@ def test_twisted_differs_from_plain_gabidulin_q3():
 # -- C_{U,G} ----------------------------------------------------------------------
 
 
-def test_cug_pseudoregulus(pseudoreg):
+def test_cug_pseudoregulus(pseudoreg, scanned):
     cug = c_ug(pseudoreg)
     assert cug.iota == 1
     assert (cug.code.m, cug.code.n, cug.code.q) == (4, 4, 2)
     assert cug.code.dim == 8
-    assert cug.code.min_distance() == 4 - 1
-    assert cug.code.is_mrd()
+    assert cug.code.min_distance() == scanned(cug.code).min_distance() == 4 - 1
+    assert cug.code.is_mrd() and scanned(cug.code).is_mrd()
     R = right_idealiser(cug.code)
     assert R.order == 16 and R.is_field
 
@@ -147,23 +147,24 @@ def test_cug_iota_full_gate(t2_4):
         c_ug(U)
 
 
-def test_cug_zero_subspace(t2_4):
+def test_cug_zero_subspace(t2_4, scanned):
     cug = c_ug(FqSubspace.zero(t2_4, 2))
     assert (cug.code.m, cug.code.n) == (8, 4)
+    assert cug.code.rank_distribution() == scanned(cug.code).rank_distribution()
     assert cug.code.min_distance() == 4
     assert cug.code.is_mrd()
 
 
-def test_cug_mrd_predicate_tracks_brute_force(t2_4, pseudoreg):
+def test_cug_mrd_predicate_tracks_brute_force(t2_4, pseudoreg, scanned):
     assert c_ug_mrd_predicate(pseudoreg)
     # a 3-dim subspace of the pseudoregulus: iota = 1 but k != iota*rn/(iota+1)
     U3 = FqSubspace.from_mid_vectors(t2_4, 2, list(pseudoreg.basis_mid)[:3])
     assert U3.k == 3 and iota(U3) == 1
     assert not c_ug_mrd_predicate(U3)
-    assert not c_ug(U3).code.is_mrd()
+    assert not scanned(c_ug(U3).code).is_mrd()
 
 
-def test_cug_k_above_bound_has_no_full_rank_word(t2_4):
+def test_cug_k_above_bound_has_no_full_rank_word(t2_4, scanned):
     # k > (r-1)n: every codeword has a nontrivial kernel
     rng = random.Random(4)
     from ranklab.subspaces import random_subspace
@@ -173,7 +174,9 @@ def test_cug_k_above_bound_has_no_full_rank_word(t2_4):
         if iota(U) < 4:
             break
     assert not c_ug_mrd_predicate(U)
-    dist = c_ug(U).code.rank_distribution()
+    C = c_ug(U).code
+    dist = scanned(C).rank_distribution()
+    assert dist == C.rank_distribution()
     assert dist.A[-1] == 0 or len(dist.A) - 1 < 4  # no rank-n codeword
 
 
@@ -469,10 +472,11 @@ def test_search_is_seed_deterministic(t2_4):
         assert a.subspace == b.subspace
 
 
-def test_cug_mrd_display_matches_brute_force(pseudoreg):
+def test_cug_mrd_display_matches_brute_force(pseudoreg, scanned):
     from ranklab.constructions import cug_mrd_weight_distribution
 
     C = c_ug(pseudoreg).code
+    assert scanned(C).rank_distribution().A == cug_mrd_weight_distribution(2, 4, 1, 2)
     assert C.rank_distribution().A == cug_mrd_weight_distribution(2, 4, 1, 2)
     # and the (2,4,4,1) direct-sum case
     t = make_tower(2, 1, 4, 1)
@@ -480,6 +484,7 @@ def test_cug_mrd_display_matches_brute_force(pseudoreg):
     from ranklab.subspaces import ordinary_dual
 
     D = c_ug(ordinary_dual(U)).code
+    assert scanned(D).rank_distribution().A == cug_mrd_weight_distribution(4, 4, 1, 2)
     assert D.rank_distribution().A == cug_mrd_weight_distribution(4, 4, 1, 2)
 
 
@@ -519,7 +524,7 @@ def test_delsarte_transfer_at_q3():
     assert delsarte_double_dual(data) == U
 
 
-def test_pipeline_over_non_prime_base_field():
+def test_pipeline_over_non_prime_base_field(scanned):
     # q = 4 = 2^2: scatteredness, duality and C_{U,G} on the generic path
     t = make_tower(2, 2, 2, 1)
     assert (t.q, t.mid.order) == (4, 16)
@@ -528,10 +533,10 @@ def test_pipeline_over_non_prime_base_field():
     assert ordinary_dual(ordinary_dual(U)) == U
     C = c_ug(U).code
     assert (C.m, C.n, C.q) == (2, 2, 4)
-    assert C.is_mrd()
+    assert C.is_mrd() and scanned(C).is_mrd()
 
 
-def test_certified_new_witness_full_pipeline():
+def test_certified_new_witness_full_pipeline(scanned):
     # the frozen search witness: real CertifiedNew evidence for (r,n,h)=(3,6,1)
     from ranklab.fixtures import certified_new_witness
     from ranklab.rankcodes import GabidulinExclusion, gabidulin_family_exclusion
@@ -542,17 +547,18 @@ def test_certified_new_witness_full_pipeline():
     C = c_ug(ordinary_dual(W)).code
     assert (C.m, C.n, C.dim) == (9, 6, 18)
     assert C.min_distance() == 5 and C.is_mrd()
+    assert scanned(C).rank_distribution() == C.rank_distribution()
     R = right_idealiser(C)
     assert R.order == 64 and R.is_field
     assert gabidulin_family_exclusion(C, 3, 6, 1) is GabidulinExclusion.CERTIFIED_NEW
 
 
-def test_mrd_predicate_iff_brute_force_on_fixture_corpus():
+def test_mrd_predicate_iff_brute_force_on_fixture_corpus(scanned):
     from ranklab.fixtures import fixture_subspaces
 
     for name, U in fixture_subspaces().items():
         predicted = c_ug_mrd_predicate(U)
-        actual = c_ug(U).code.is_mrd()
+        actual = scanned(c_ug(U).code).is_mrd()
         assert predicted == actual, name
 
 
@@ -563,16 +569,17 @@ def test_twisted_gabidulin_distribution_matches_closed_form():
     assert C.rank_distribution().A == mrd_weight_distribution(4, 4, 3, 3).A
 
 
-def test_witness_code_distribution_matches_mrd_iff_display():
+def test_witness_code_distribution_matches_mrd_iff_display(scanned):
     from ranklab.fixtures import certified_new_witness
     from ranklab.constructions import cug_mrd_weight_distribution
 
     C = c_ug(certified_new_witness()).code
+    assert scanned(C).rank_distribution().A == cug_mrd_weight_distribution(3, 6, 1, 2)
     assert C.rank_distribution().A == cug_mrd_weight_distribution(3, 6, 1, 2)
     assert C.rank_distribution().A == mrd_weight_distribution(9, 6, 2, 5).A
 
 
-def test_mrd_predicate_agrees_with_brute_force_in_regime():
+def test_mrd_predicate_agrees_with_brute_force_in_regime(scanned):
     # randomized sweep over the guaranteed regime k <= (r-1)n
     rng = random.Random(0xACE)
     towers = [make_tower(2, 1, 2, 1), make_tower(2, 1, 3, 1),
@@ -592,11 +599,11 @@ def test_mrd_predicate_agrees_with_brute_force_in_regime():
         it = iota(U)
         if it >= t.n:
             continue
-        assert c_ug_mrd_predicate(U) == c_ug(U).code.is_mrd(), (t.params, r, k)
+        assert c_ug_mrd_predicate(U) == scanned(c_ug(U).code).is_mrd(), (t.params, r, k)
         checked += 1
 
 
-def test_mrd_predicate_fringe_k_above_bound():
+def test_mrd_predicate_fringe_k_above_bound(scanned):
     # k > (r-1)n: the predicate reports the stated criterion (False), while
     # the wide ((rn-k) x n) code meets the transposed Singleton bound exactly
     # when k = (r-1)n + iota + 1 - r; both outcomes realized in F_16^2
@@ -609,7 +616,7 @@ def test_mrd_predicate_fringe_k_above_bound():
         t, 2, [(1, 0), (g, 0), (t.mid.mul(g, g), 0), (0, 1), (0, g)])
     assert (U_non.k, iota(U_non)) == (5, 3)
     assert not c_ug_mrd_predicate(U_non)
-    assert not c_ug(U_non).code.is_mrd()  # 5 != (r-1)n + iota + 1 - r = 6
+    assert not scanned(c_ug(U_non).code).is_mrd()  # 5 != (r-1)n + iota + 1 - r = 6
     # iota = 2 witnesses satisfy k = 5 = 4 + 2 + 1 - 2: MRD despite the
     # criterion, because m = 3 < n = 4 voids the no-rank-n argument
     rng = random.Random(5)
@@ -619,4 +626,4 @@ def test_mrd_predicate_fringe_k_above_bound():
             break
     assert iota(U_mrd) == 2
     assert not c_ug_mrd_predicate(U_mrd)
-    assert c_ug(U_mrd).code.is_mrd()
+    assert scanned(c_ug(U_mrd).code).is_mrd()

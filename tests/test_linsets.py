@@ -92,10 +92,12 @@ def test_ti_formula_gates():
         ti_formula(3, 2, 2, 2, 0)  # h = 2 >= n: outside the C_{U,G} regime
 
 
-def test_ti_equals_rank_distribution_cross_identity(pseudoreg):
-    # t_i = A_{n-i} / (q^n - 1) with A the distribution of C_{U^perp, G}
+def test_ti_equals_rank_distribution_cross_identity(pseudoreg, scanned):
+    # t_i = A_{n-i} / (q^n - 1) with A the distribution of C_{U^perp, G},
+    # scanned from its codewords: c_ug reads it off the point weights of
+    # U^perp, which are the hyperplane weights t_i counts
     D = ordinary_dual(pseudoreg)
-    A = c_ug(D).code.rank_distribution().A
+    A = scanned(c_ug(D).code).rank_distribution().A
     n, qn = 4, 16
     for i in (0, 1):
         assert ti_formula(2, 4, 1, 2, i) == A[n - i] // (qn - 1)

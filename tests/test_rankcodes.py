@@ -175,8 +175,9 @@ def test_dual_relations_gabidulin(gab):
     assert dual_relations_check(gab)
 
 
-def test_dual_relations_cug_code(pseudoreg):
-    assert dual_relations_check(c_ug(pseudoreg).code)
+def test_dual_relations_cug_code(pseudoreg, scanned):
+    C = c_ug(pseudoreg).code
+    assert dual_relations_check(C) and dual_relations_check(scanned(C))
 
 
 def test_dual_relations_requires_mrd():
@@ -381,12 +382,15 @@ def test_broken_rank_histograms_are_internal_errors(monkeypatch, tmp_path, capsy
     assert "does not sum to q^K" in capsys.readouterr().err
 
 
-def test_failed_idealiser_closure_is_an_internal_error(monkeypatch, gab):
+def test_failed_idealiser_closure_is_an_internal_error(monkeypatch):
+    from ranklab import fixtures
     from ranklab.errors import InternalInvariantError
 
+    # a fresh code: the shared gab fixture may hold a memoised idealiser
+    C = fixtures.gabidulin_4_2_1()
     monkeypatch.setattr(RankCode, "contains", lambda self, rows: False)
     with pytest.raises(InternalInvariantError, match="closure"):
-        right_idealiser(gab)
+        right_idealiser(C)
 
 
 # -- puncturing ----------------------------------------------------------------------
@@ -489,10 +493,11 @@ def test_exclusion_certified_new_on_mocked_invariants():
 # -- distribution invariants across the fixture corpus --------------------------
 
 
-def test_every_fixture_mrd_code_matches_closed_form():
+def test_every_fixture_mrd_code_matches_closed_form(scanned):
     from ranklab import fixtures
 
     for name, C in fixtures.fixture_codes().items():
+        assert scanned(C).rank_distribution() == C.rank_distribution(), name
         if not C.is_mrd():
             continue
         d = C.min_distance()
@@ -597,12 +602,13 @@ def test_dual_relations_nonsquare_restriction_code():
     assert dual_relations_check(restriction_6_3_1().code)
 
 
-def test_macwilliams_on_non_prime_base_field():
-    # q = 4: exercises the prime-basis expansion in the generic scan
+def test_macwilliams_on_non_prime_base_field(scanned):
+    # q = 4: exercises the prime-basis expansion in the generic scan, which
+    # the C_{U,G} code skips unless rebuilt from its basis
     from ranklab.constructions import c_ug, pseudoregulus_subspace
 
     t = make_tower(2, 2, 2, 1)
-    C = c_ug(pseudoregulus_subspace(t, 2, 2, 1)).code
+    C = scanned(c_ug(pseudoregulus_subspace(t, 2, 2, 1)).code)
     assert C.q == 4
     assert macwilliams_check(C)
 
