@@ -145,6 +145,19 @@ def _linear_table(units, images, add, p: int) -> dict[int, int]:
     return table
 
 
+@lru_cache(maxsize=None)
+def digit_tables(p: int, D: int) -> tuple[dict[int, int], dict[int, int]]:
+    """(lo, hi): the code Σ d_j·p^j of a Slots-packed vector of D digits
+    d_j over F_p is lo[v & m] + hi[v >> h·W], with h = ⌈D/2⌉, m the mask of
+    the low h slots and W = slot_width.  Two tables of p^⌈D/2⌉ entries at
+    most, where a table over every packed vector would hold p^D."""
+    h = (D + 1) // 2
+    units = [1 << (j * slot_width(Field(p))) for j in range(D)]
+    places = [p**j for j in range(D)]
+    return (_linear_table(units[:h], places[:h], operator.add, p),
+            _linear_table(units[:D - h], places[h:], operator.add, p))
+
+
 _FIELD_CACHE: dict[tuple, "Field"] = {}
 
 
@@ -459,8 +472,7 @@ class Field:
                 if v == 1:
                     return orbit
         else:
-            code_lo = _linear_table(units[:h], places[:h], operator.add, p)
-            code_hi = _linear_table(units[:D - h], places[h:], operator.add, p)
+            code_lo, code_hi = digit_tables(p, D)
             for _ in range(n):
                 a, b = v & mask, v >> shift
                 append(code_lo[a] + code_hi[b])

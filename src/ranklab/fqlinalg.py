@@ -30,12 +30,15 @@ guard bit, so adding two rows is one integer addition and one fold that
 subtracts p from every slot that reached p; scaling is doubling and adding.
 Over an extension field a row is a tuple of codes with Field arithmetic.
 Other modules build stored rows with store_row and store_digits, read them
-back with unpack_row, add them with row_add, cut them into blocks with
-row_blocks, and walk their spans with iter_span.
+back with unpack_row (digit_column reads the codes that store_digits packed,
+a column of many rows at a time), add them with row_add, cut them into
+blocks with row_blocks, and walk their spans with iter_span.
 
 odometer is the one span enumerator: iter_span runs it over the F_p-expansion
 (prime_expansion) of stored rows, with one row add per step, and
-iter_span_rows is the same walk with tuple output.
+iter_span_rows is the same walk with tuple output.  span_chunks hands out the
+same walk in lists, building the span of the first rows once and adding
+odometer's points of the others to all of it.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 
 from .errors import AmbientMismatch, BudgetExceeded, InvalidParams
-from .fields import Field, Slots, slot_width
+from .fields import Field, Slots, digit_tables, slot_width
 
 DEFAULT_SUBSPACE_BUDGET = 1 << 20
 
@@ -165,6 +168,25 @@ def store_digits(F: Field, codes, deg: int):
             c //= p
             shift += w
     return bits
+
+
+def digit_column(F: Field, deg: int):
+    """store_digits over the prime field F inverted, a column at a time: a
+    function (rows, j) -> an iterator over the codes of coordinate j of each
+    stored row.  A code's block of deg slots is the code itself at p = 2 or
+    deg = 1; at odd p it is read off fields.digit_tables, two lookups."""
+    w = slot_width(F)
+    block = deg * w
+    if F.p == 2 or deg == 1:
+        mask = (1 << block) - 1
+        return lambda rows, j: map(mask.__and__, map((j * block).__rrshift__, rows))
+    lo, hi = digit_tables(F.p, deg)
+    h = (deg + 1) // 2
+    lo_mask, hi_mask = (1 << (h * w)) - 1, (1 << ((deg - h) * w)) - 1
+    return lambda rows, j: map(
+        operator.add,
+        map(lo.__getitem__, map(lo_mask.__and__, map((j * block).__rrshift__, rows))),
+        map(hi.__getitem__, map(hi_mask.__and__, map((j * block + h * w).__rrshift__, rows))))
 
 
 def row_add(F: Field, ncols: int):
@@ -573,6 +595,30 @@ def odometer(add, start, rows, p: int):
         digits[i] += 1
         cur = add(cur, rows[i])
         yield cur
+
+
+def span_chunks(F: Field, start, rows, ncols: int, size: int):
+    """odometer's walk over stored rows of ncols coordinates over F, in
+    lists of at most size items, one row add per item: the first list is
+    start plus the span of the first L rows (p^L <= size), built by
+    doubling, and each further list adds one point of the other rows' span
+    to all of it, with a C-level map."""
+    p, add = F.p, row_add(F, ncols)
+    L = 0
+    while L < len(rows) and p ** (L + 1) <= size:
+        L += 1
+    first = [start]
+    for row in rows[:L]:
+        step = first
+        for _ in range(p - 1):
+            step = list(map(add, step, itertools.repeat(row)))
+            first += step
+    yield first
+    if L < len(rows):
+        offsets = odometer(add, store_row(F, [0] * ncols), rows[L:], p)
+        next(offsets)
+        for d in offsets:
+            yield list(map(add, first, itertools.repeat(d)))
 
 
 def prime_basis_codes(F: Field) -> list[int]:

@@ -408,7 +408,8 @@ def _idealiser(C: RankCode, side: Side) -> Idealiser:
     reduce(M_1·E_ab) | … | reduce(M_K·E_ab) | e_ab, and the tails of the
     combinations whose head vanished (fqlinalg.vanishing_tails) span the
     idealiser; its RREF is the basis.  _verify_idealiser_closure then checks
-    every basis product against C independently.
+    it against C independently, through the algebra's generator when there
+    is one.
     """
     F, m, n = C.field, C.m, C.n
     s = m if side is Side.LEFT else n
@@ -435,7 +436,7 @@ def _idealiser(C: RankCode, side: Side) -> Idealiser:
     gen = _algebra_generator(F, basis)
     is_field = gen is not None and is_irreducible(F, gen[1])
     ide = Idealiser(side, s, basis, dim, order, is_field)
-    _verify_idealiser_closure(C, ide)
+    _verify_idealiser_closure(C, ide, gen)
     return ide
 
 
@@ -458,12 +459,30 @@ def _algebra_generator(F: Field, basis) -> tuple[Mat, tuple[int, ...]] | None:
     return None
 
 
-def _verify_idealiser_closure(C: RankCode, ide: Idealiser) -> None:
-    for Y in ide.basis:
-        Ymat = Mat.from_rows(C.field, Y, ide.degree)
+def _verify_idealiser_closure(C: RankCode, ide: Idealiser, gen) -> None:
+    """Check, apart from the elimination, that span(ide.basis) lies in the
+    idealiser.
+
+    With a generator Y (gen, from _algebra_generator) of degree d = dim it is
+    enough that the RREF of I, Y, ..., Y^{d-1} is the basis and that
+    C·Y ⊆ C (Y·C on the left), K products: then span(basis) = F_q[Y], and C
+    is closed under every polynomial in Y.  Without one, every basis element
+    is multiplied by every basis codeword."""
+    F, s = C.field, ide.degree
+    if gen is None:
+        factors = [Mat.from_rows(F, Y, s) for Y in ide.basis]
+    else:
+        factors, powers = [gen[0]], [Mat.identity(F, s)]
+        while len(powers) < ide.dim:
+            powers.append(mat_mul(powers[-1], gen[0]))
+        span = SubspaceBasis.from_vectors(F, s * s, [sum(P.data, []) for P in powers])
+        if span.rows != tuple(sum(B, ()) for B in ide.basis):
+            raise InternalInvariantError("idealiser closure verification failed: "
+                                         "the powers of the generator span another algebra")
+    for Y in factors:
         for M in C.basis_matrices():
-            Mmat = Mat.from_rows(C.field, M, C.n)
-            prod = mat_mul(Ymat, Mmat) if ide.side is Side.LEFT else mat_mul(Mmat, Ymat)
+            Mmat = Mat.from_rows(F, M, C.n)
+            prod = mat_mul(Y, Mmat) if ide.side is Side.LEFT else mat_mul(Mmat, Y)
             if not C.contains(prod.data):
                 raise InternalInvariantError("idealiser closure verification failed")
 

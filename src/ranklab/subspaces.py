@@ -19,7 +19,10 @@ exact scans, chosen from the input and the budget:
 
 - the vector walk (_point_weights) visits one vector on each of the
   θ_{k-1}(q) F_q-points of U and buckets them by projective point; a point
-  collecting θ_{w-1}(q) = (q^w - 1)/(q - 1) of them has weight w.
+  collecting θ_{w-1}(q) = (q^w - 1)/(q - 1) of them has weight w.  The
+  vectors are packed over F_p at every p, one integer add apiece (XOR at
+  p = 2, the Slots fold at odd p), and are read back into normalized code
+  tuples a batch and a coordinate at a time.
 - the point scan (_point_scan) meets U with every point of PG(r-1, q^n).
 
 The walk runs when U's θ_{k-1}(q) F_q-points are at most n·θ_{r-1}(q^n),
@@ -39,7 +42,9 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     BudgetExceeded,
@@ -55,12 +60,13 @@ from .fqlinalg import (
     Mat,
     RowReducer,
     SubspaceBasis,
+    digit_column,
     enumerate_subspaces,
     kernel,
     mat_inverse,
-    odometer,
     prime_expansion,
     projective_points,
+    span_chunks,
     store_digits,
     theta,
     vec_mat,
@@ -100,15 +106,18 @@ class FqSubspace:
             if len(v) != r:
                 raise DimensionMismatch("vector length != r")
             flat_vectors.append(flatten_vec(tower, v))
-        flat = SubspaceBasis.from_vectors(tower.base, r * tower.n, flat_vectors)
-        basis_mid = tuple(unflatten_vec(tower, row) for row in flat.rows)
-        return cls(tower, r, basis_mid, flat)
+        return cls.of_basis(
+            tower, r, SubspaceBasis.from_vectors(tower.base, r * tower.n, flat_vectors))
 
     @classmethod
     def from_flat(cls, tower: FieldTower, r: int, flat_vectors) -> "FqSubspace":
-        flat = SubspaceBasis.from_vectors(tower.base, r * tower.n, flat_vectors)
-        basis_mid = tuple(unflatten_vec(tower, row) for row in flat.rows)
-        return cls(tower, r, basis_mid, flat)
+        return cls.of_basis(
+            tower, r, SubspaceBasis.from_vectors(tower.base, r * tower.n, flat_vectors))
+
+    @classmethod
+    def of_basis(cls, tower: FieldTower, r: int, flat: SubspaceBasis) -> "FqSubspace":
+        """The subspace with the canonical flat basis flat, taken as it is."""
+        return cls(tower, r, tuple(unflatten_vec(tower, row) for row in flat.rows), flat)
 
     @classmethod
     def zero(cls, tower: FieldTower, r: int) -> "FqSubspace":
@@ -176,61 +185,77 @@ def _walk_is_cheaper(tower: FieldTower, r: int, dim: int) -> bool:
     return theta(dim - 1, tower.base.order) <= tower.n * theta(r - 1, tower.mid.order)
 
 
+# the walk normalizes its vectors in batches of this many at least: it holds
+# one batch at a time, not the θ_{k-1}(q) vectors of U
+_WALK_BATCH = 1 << 12
+
+
+def _walk_batches(U: FqSubspace):
+    """The walk of _point_weights in batches of at least _WALK_BATCH vectors
+    (the last may hold fewer): (vectors, runs), each vector stored over F_p
+    by store_digits, and runs listing (lead, start, stop) for each stretch
+    of vectors whose first nonzero coordinate is lead.
+
+    The vectors b_i + Σ_{j>i} a_j·b_j come from span_chunks over the
+    F_p-expansion of the a_j: one integer add per vector, XOR at p = 2 and
+    the Slots fold at odd p.  U's flat basis is in RREF, so each such vector
+    has its first nonzero flat entry at b_i's pivot, in coordinate lead."""
+    tower = U.tower
+    prime, N, e = tower.prime, tower.mid.dim_over_prime, tower.e
+    # the F_p-basis of F_q starts with 1: rows[i*e] is b_i
+    rows = [store_digits(prime, v, N)
+            for v in prime_expansion(tower.mid, U.basis_mid, tower.base)]
+    vectors, runs = [], []
+    for i, pivot in enumerate(U.flat.pivots):
+        for chunk in span_chunks(prime, rows[i * e], rows[(i + 1) * e:], U.r * N,
+                                 _WALK_BATCH):
+            runs.append((pivot // tower.n, len(vectors), len(vectors) + len(chunk)))
+            vectors += chunk
+            if len(vectors) >= _WALK_BATCH:
+                yield vectors, runs
+                vectors, runs = [], []
+    if vectors:
+        yield vectors, runs
+
+
 def _point_weights(U: FqSubspace, budget: int) -> dict[tuple[int, ...], int]:
     """{normalized point: weight} over the points of L_U, by walking one
     vector per F_q-point of U and bucketing them by projective point.
 
     The F_q-points are b_i + Σ_{j>i} a_j·b_j over U's basis b (i < k, a_j in
-    F_q); a point of weight w holds θ_{w-1}(q) of them.  An odometer over the
-    F_p-expansion of the a_j adds one row per step: packed ints (coordinate
-    j in bits [j·N, (j+1)·N)) by XOR at p = 2, code tuples by Field.add at
-    odd p.  Keys are normalized by log subtraction, c_j -> exp[log c_j +
-    (Q-1) - log c_lead].  budget caps the walk at θ_{k-1}(q) F_q-points.
+    F_q); a point of weight w holds θ_{w-1}(q) of them.  _walk_batches packs
+    the vectors over F_p, N = dim_over_prime slots per coordinate, and each
+    batch is read back a coordinate at a time (fqlinalg.digit_column) and
+    normalized with the log tables, c_j -> exp[log c_j + (Q-1) - log c_lead],
+    in C-level maps; fields without log tables go through normalize_point.
+    budget caps the walk at θ_{k-1}(q) F_q-points.
     """
     tower = U.tower
     q, mid, r, k = tower.base.order, tower.mid, U.r, U.k
     if theta(k - 1, q) > budget:
         raise BudgetExceeded(theta(k - 1, q), budget, "subspace F_q-points")
-    p, N, exp, log, top = mid.p, mid.dim_over_prime, mid._exp, mid._log, mid.order - 1
-    shifts, mask = range(0, r * N, N), (1 << N) - 1
-    if p == 2:
-        add = operator.xor
-        pack = lambda v: sum(map(int.__lshift__, v, shifts))
-        unpack = lambda v: tuple(map(mask.__and__, map(v.__rshift__, shifts)))
-    else:
-        add = lambda x, y: tuple(map(mid.add, x, y))
-        pack = unpack = tuple
-    if exp is None:
-        norm = lambda v: pack(normalize_point(mid, unpack(v)))
-    elif p == 2:
-        def norm(v):
-            lead = ((v & -v).bit_length() - 1) // N * N
-            c = (v >> lead) & mask
-            if c == 1:
-                return v
-            s, key = top - log[c], 0
-            for t in range(lead, r * N, N):
-                if x := (v >> t) & mask:
-                    key |= exp[log[x] + s] << t
-            return key
-    else:
-        def norm(v):
-            c = next(filter(None, v))
-            if c == 1:
-                return v
-            s = top - log[c]
-            return tuple(exp[log[x] + s] if x else 0 for x in v)
-    e = tower.e    # the F_p-basis of F_q starts with 1: rows[i*e] is b_i
-    rows = [pack(v) for v in prime_expansion(mid, U.basis_mid, tower.base)]
-    counts: dict = {}
-    for i in range(k):
-        for v in odometer(add, rows[i * e], rows[(i + 1) * e:], p):
-            key = norm(v)
-            counts[key] = counts.get(key, 0) + 1
+    column = digit_column(tower.prime, mid.dim_over_prime)
+    exp, log, top = mid._exp, mid._log, mid.order - 1
+    counts: Counter = Counter()
+    for vectors, runs in _walk_batches(U):
+        cols = [list(column(vectors, j)) for j in range(r)]
+        if exp is None:
+            counts.update(map(normalize_point, itertools.repeat(mid), zip(*cols)))
+            continue
+        # log of the inverse of each vector's lead code
+        inv = list(map(top.__sub__, map(log.__getitem__, itertools.chain.from_iterable(
+            cols[lead][start:stop] for lead, start, stop in runs))))
+        # c -> exp[log c + inv]·[c != 0] in every coordinate: 0 stays 0, and
+        # the lead code goes to exp[Q - 1] = 1
+        counts.update(zip(*(
+            map(operator.mul,
+                map(exp.__getitem__, map(operator.add, map(log.__getitem__, col), inv)),
+                map(bool, col))
+            for col in cols)))
     weight_of = {theta(w - 1, q): w for w in range(1, k + 1)}
-    if any(c not in weight_of for c in counts.values()):
+    if not weight_of.keys() >= set(counts.values()):
         raise InternalInvariantError("point fiber size is not θ_{w-1}(q)")
-    return {unpack(key): weight_of[c] for key, c in counts.items()}
+    return dict(zip(counts, map(weight_of.__getitem__, counts.values())))
 
 
 def _point_scan(U: FqSubspace, budget: int):
@@ -381,23 +406,24 @@ def max_hyperplane_weight(U: FqSubspace, *,
 # -- ordinary duality ---------------------------------------------------------
 
 
-def _trace_gram(tower: FieldTower) -> list[list[int]]:
-    """n x n Gram matrix T[j][l] = Tr_{q^n/q}(g^{j+l}) of the trace form."""
+@lru_cache(maxsize=None)
+def _trace_gram(tower: FieldTower) -> Mat:
+    """n x n Gram matrix T[j][l] = Tr_{q^n/q}(g^{j+l}) of the trace form, once
+    per tower: a Hankel matrix, read off the 2n - 1 traces Tr(g^i)."""
     mid, n = tower.mid, tower.n
     g = mid.gen if n > 1 else 1
-    pows = [mid.pow(g, i) for i in range(2 * n - 1)]
-    return [[tower.trace_to_base("mid", pows[j + l]) for l in range(n)]
-            for j in range(n)]
+    traces = [tower.trace_to_base("mid", mid.pow(g, i)) for i in range(2 * n - 1)]
+    return Mat.from_rows(tower.base, [traces[j:j + n] for j in range(n)], n)
 
 
 def ordinary_dual(U: FqSubspace) -> FqSubspace:
     """U^{⊥_O} w.r.t. σ'(u,v) = Tr_{q^n/q}(Σ u_i v_i); dim = rn - k."""
     tower, r, n = U.tower, U.r, U.tower.n
-    T = Mat.from_rows(tower.base, _trace_gram(tower), n)
+    T = _trace_gram(tower)
     # σ'(u, ·) on the flat basis: each n-block of u times the Gram matrix
     rows = [[x for i in range(0, r * n, n) for x in vec_mat(u[i:i + n], T)]
             for u in U.flat.rows]
-    return FqSubspace.from_flat(tower, r, kernel(Mat.from_rows(tower.base, rows, r * n)).rows)
+    return FqSubspace.of_basis(tower, r, kernel(Mat.from_rows(tower.base, rows, r * n)))
 
 
 def dual_weight_identity_check(U: FqSubspace, W: SubspaceBasis) -> bool:
@@ -500,20 +526,22 @@ def characterize_max_h_scattered(U: FqSubspace, h: int, *,
     """Evaluate the three equivalent predicates for rn/(h+1)-dimensional U.
 
     The three agree for every input when n >= h+3; below that regime the
-    result only reports the booleans (no equality is asserted here).  At
-    h = r - 1 via_definition reads the hyperplane weights that
-    via_hyperplanes reads, from the point weights of U^⊥', so their
-    agreement there is not an independent check.
+    result only reports the booleans (no equality is asserted here).
+
+    via_hyperplanes and via_dual_points are not independent checks: as
+    max_H dim(U ∩ H) = ι(U^⊥') + k - n, the hyperplane bound
+    max_H dim(U ∩ H) <= k - n + h is ι(U^⊥') <= h, and both are read off one
+    walk (or point scan) of U^⊥'.  At h = r - 1 via_definition reads the
+    same point weights of U^⊥', so its agreement there is not independent
+    either.
     """
     r, n = U.r, U.tower.n
     if U.k * (h + 1) != r * n:
         raise DimensionMismatch(
             f"characterization needs k = rn/(h+1); got k={U.k}, rn/(h+1)={r * n}/{h + 1}")
     via_def = is_h_scattered(U, h, budget=budget)
-    bound = r * n // (h + 1) - n + h
-    via_hyp = max_hyperplane_weight(U, budget=budget) <= bound
     via_dual = iota(ordinary_dual(U), budget=budget) <= h
-    return Characterization(via_def, via_hyp, via_dual)
+    return Characterization(via_def, via_dual, via_dual)
 
 
 def direct_sum(U1: FqSubspace, U2: FqSubspace) -> FqSubspace:

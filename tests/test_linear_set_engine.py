@@ -8,7 +8,9 @@ PG(r-1, q^n).  The oracles here intersect U with every line and hyperplane
 of V one at a time, by the dimension of a SubspaceBasis sum, which shares no
 code with either scan.  The walk is also held against the walk it replaced:
 every one of the q^k vectors of U, bucketed by normalize_point, where a
-point of weight w collects q^w - 1 of them.  At h = r - 1 the scatteredness
+point of weight w collects q^w - 1 of them, and against the walk on code
+tuples added by Field.add (oracle_tuple_walk), which fixes the order in
+which the points come out.  At h = r - 1 the scatteredness
 test and the excess list are held against the definition scan they
 replaced, which meets U with every h-dim F_{q^n}-subspace.
 """
@@ -22,11 +24,14 @@ from ranklab import constructions, subspaces
 from ranklab.constructions import pseudoregulus_subspace, random_scattered_search
 from ranklab.fields import make_tower
 from ranklab.errors import BudgetExceeded, InternalInvariantError, NotMaxScattered
+from ranklab.fields import Field
 from ranklab.fqlinalg import (Mat, SubspaceBasis, enumerate_subspaces, iter_span_rows,
-                              kernel, projective_points, rref, theta, vec_mat)
+                              kernel, odometer, prime_expansion, projective_points, rref,
+                              theta, vec_mat)
 from ranklab.linsets import hyperplane_spectrum, linear_set
 from ranklab.subspaces import (
     FqSubspace,
+    _point_scan,
     _point_weights,
     _walk_is_cheaper,
     excess_iter,
@@ -103,6 +108,23 @@ def oracle_vector_walk(U):
     counts = Counter(normalize_point(tower.mid, unflatten_vec(tower, v))
                      for v in iter_span_rows(U.flat.rows, tower.base, include_zero=False))
     weight_of = {q**w - 1: w for w in range(1, U.k + 1)}
+    return {pt: weight_of[c] for pt, c in counts.items()}
+
+
+def oracle_tuple_walk(U):
+    """{point: weight} from the walk _point_weights replaced, kept as its
+    oracle for content and order: the same odometer over the F_p-expansion
+    of U's basis, on code tuples added by Field.add, each vector normalized
+    by normalize_point and counted in visiting order."""
+    tower, mid = U.tower, U.tower.mid
+    add = lambda x, y: tuple(map(mid.add, x, y))
+    rows = [tuple(v) for v in prime_expansion(mid, U.basis_mid, tower.base)]
+    e = tower.e
+    counts = Counter()
+    for i in range(U.k):
+        counts.update(normalize_point(mid, v)
+                      for v in odometer(add, rows[i * e], rows[(i + 1) * e:], mid.p))
+    weight_of = {theta(w - 1, tower.q): w for w in range(1, U.k + 1)}
     return {pt: weight_of[c] for pt, c in counts.items()}
 
 
@@ -297,7 +319,79 @@ def test_search_follows_the_oracle_scored_trajectory(q, r, n, k, seed, monkeypat
 
 @pytest.mark.parametrize("label,U", WALK_INPUTS, ids=[x[0] for x in WALK_INPUTS])
 def test_point_walk_matches_the_vector_walk(label, U):
-    assert linear_set(U).points == oracle_vector_walk(U)
+    points = linear_set(U).points
+    assert points == oracle_vector_walk(U)
+    assert list(points.items()) == list(oracle_tuple_walk(U).items())
+
+
+def _lead_zero_subspace(tower, r, k, rng):
+    """A random k-dim U whose basis vectors but one have first coordinate 0,
+    so most of the walk's vectors lead with zero coordinates; one of them
+    spans a line <v> with 0 < weight."""
+    mid = tower.mid
+    g = mid.gen if tower.n > 1 else 1
+    while True:
+        v = (0,) + tuple(rng.randrange(mid.order) for _ in range(r - 1))
+        vecs = [v, tuple(mid.mul(g, c) for c in v)][:min(2, tower.n)]
+        vecs += [(0,) + tuple(rng.randrange(mid.order) for _ in range(r - 1))
+                 for _ in range(k - 1 - len(vecs))]
+        vecs.append(tuple(rng.randrange(mid.order) for _ in range(r)))
+        U = FqSubspace.from_mid_vectors(tower, r, vecs)
+        if U.k == k:
+            return U
+
+
+def _odd_p_walk_inputs():
+    """(label, U): the packed walk at odd p, where each coordinate is read
+    back from two digit tables (q = 9, n = 4 is F_6561 with 8 digits per
+    coordinate), at r = 2 and 3, with leading zero coordinates, at k = 1, and
+    past one batch of the walk (q = 3, n = 6, k = 9 and q = 4, n = 4, k = 7
+    visit 9841 and 5461 F_q-points)."""
+    rng = random.Random(6561)
+    out = []
+    for q, r, n, k in [(9, 2, 4, 3), (5, 2, 4, 4), (3, 2, 6, 9), (4, 2, 4, 7), (3, 3, 2, 4),
+                       (5, 3, 2, 3), (9, 3, 2, 3)]:
+        out.append((f"heavy_q{q}_r{r}_n{n}_k{k}", _heavy_subspace(_tower(q, n), r, k, rng)))
+    for q, r, n, k in [(3, 3, 3, 4), (9, 3, 2, 3), (5, 2, 4, 3)]:
+        out.append((f"lead_zero_q{q}_r{r}_n{n}_k{k}",
+                    _lead_zero_subspace(_tower(q, n), r, k, rng)))
+    for q, r, n in [(9, 2, 4), (3, 2, 6), (5, 3, 2)]:
+        out.append((f"k1_q{q}_r{r}_n{n}", random_subspace(_tower(q, n), r, 1, rng)))
+    return out
+
+
+ODD_P_WALK_INPUTS = _odd_p_walk_inputs()
+
+
+@pytest.mark.parametrize("label,U", ODD_P_WALK_INPUTS, ids=[x[0] for x in ODD_P_WALK_INPUTS])
+def test_packed_walk_matches_both_oracles_at_odd_p(label, U):
+    got = _point_weights(U, 1 << 20)
+    assert list(got.items()) == list(oracle_tuple_walk(U).items())
+    assert got == oracle_vector_walk(U)
+    assert got == {pt: w for pt, w in _point_scan(U, 1 << 20) if w}
+
+
+def test_odd_p_walk_grid_has_heavy_points_and_zero_leads():
+    weights = {label: _point_weights(U, 1 << 20) for label, U in ODD_P_WALK_INPUTS}
+    assert all(max(weights[label].values()) >= 2 for label in weights
+               if label.startswith("heavy"))
+    for label, w in weights.items():
+        if label.startswith("lead_zero"):
+            leads = Counter(next(i for i, c in enumerate(pt) if c) for pt in w)
+            assert leads[0] and sum(leads.values()) > leads[0], label
+
+
+@pytest.mark.parametrize("q", [9, 5])
+def test_packed_walk_adds_no_field_elements(q, monkeypatch):
+    # F_9^4 and F_5^4: every walk step is an add of packed F_p-vectors
+    U = _heavy_subspace(_tower(q, 4), 2, 3, random.Random(q))
+    want = oracle_tuple_walk(U)
+
+    def refuse(self, a, b):
+        raise AssertionError("Field.add in the walk")
+
+    monkeypatch.setattr(Field, "add", refuse)
+    assert _point_weights(U, 1 << 20) == want
 
 
 def test_vector_walk_grid_has_heavy_points_at_every_q():
@@ -314,6 +408,7 @@ def test_point_walk_without_log_tables(p, n):
     want = oracle_vector_walk(U)
     assert max(want.values()) == 2
     assert linear_set(U).points == want
+    assert list(linear_set(U).points.items()) == list(oracle_tuple_walk(U).items())
     assert iota(U) == 2
 
 

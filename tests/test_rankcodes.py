@@ -393,6 +393,36 @@ def test_failed_idealiser_closure_is_an_internal_error(monkeypatch):
         right_idealiser(C)
 
 
+def test_corrupted_idealiser_basis_fails_the_generator_check(monkeypatch, tmp_path, capsys):
+    # the check multiplies by the generator Y only, so a basis element other
+    # than Y is caught by I, Y, ..., Y^{d-1} spanning another algebra (exit 4)
+    import dataclasses
+
+    from ranklab import fixtures, rankcodes, serialize
+    from ranklab.cli import main
+    from ranklab.errors import InternalInvariantError
+
+    verify = rankcodes._verify_idealiser_closure
+    seen = []
+
+    def corrupt(C, ide, gen):
+        assert gen is not None and ide.dim == 4
+        i = next(i for i, Y in enumerate(ide.basis) if Mat.from_rows(C.field, Y) != gen[0])
+        unit = tuple(tuple(int(a == b == 0) for b in range(ide.degree))
+                     for a in range(ide.degree))   # rank 1: in no field of matrices
+        seen.append(i)
+        verify(C, dataclasses.replace(ide, basis=ide.basis[:i] + (unit,) + ide.basis[i + 1:]),
+               gen)
+
+    monkeypatch.setattr(rankcodes, "_verify_idealiser_closure", corrupt)
+    with pytest.raises(InternalInvariantError, match="powers of the generator"):
+        right_idealiser(fixtures.gabidulin_4_2_1())
+    path = tmp_path / "gab.json"
+    serialize.dump_file(str(path), serialize.rankcode_to_json(fixtures.gabidulin_4_2_1()))
+    assert main(["idealiser", "--code", str(path), "--right"]) == 4
+    assert "closure" in capsys.readouterr().err and len(seen) == 2
+
+
 # -- puncturing ----------------------------------------------------------------------
 
 

@@ -210,6 +210,54 @@ def test_dual_weight_identity_degenerate_and_random(t2_4):
         assert dual_weight_identity_check(U, V_as_W)
 
 
+PRIME_POWER = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("q", sorted(PRIME_POWER))
+def test_trace_gram_is_the_trace_form(q, n):
+    tower = make_tower(*PRIME_POWER[q], n, 1)
+    mid = tower.mid
+    g = mid.gen if n > 1 else 1
+    want = [[tower.trace_to_base("mid", mid.pow(g, j + l)) for l in range(n)]
+            for j in range(n)]
+    assert subspaces._trace_gram(tower).data == want
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3), (9, 2)])
+def test_trace_gram_is_built_once_per_tower(q, n, monkeypatch):
+    tower = make_tower(*PRIME_POWER[q], n, 1)
+    calls = []
+    trace = type(tower).trace_to_base
+    monkeypatch.setattr(type(tower), "trace_to_base",
+                        lambda self, *a: calls.append(a) or trace(self, *a))
+    subspaces._trace_gram.cache_clear()
+    rng = random.Random(q)
+    for k in (1, n, 2 * n - 1):
+        U = random_subspace(tower, 2, k, rng)
+        assert ordinary_dual(ordinary_dual(U)) == U
+    assert 0 < len(calls) <= 2 * n - 1
+
+
+@pytest.mark.parametrize("q, r, n", [(2, 2, 4), (3, 2, 3), (4, 3, 2), (5, 2, 2), (9, 2, 2)])
+def test_ordinary_dual_is_canonical_and_orthogonal(q, r, n):
+    tower = make_tower(*PRIME_POWER[q], n, 1)
+    mid, rng = tower.mid, random.Random(r * n + q)
+    for k in range(r * n + 1):
+        U = random_subspace(tower, r, k, rng)
+        D = ordinary_dual(U)
+        assert D.k == r * n - k
+        again = SubspaceBasis.from_vectors(tower.base, r * n, D.flat.rows)
+        assert (D.flat.rows, D.flat.pivots) == (again.rows, again.pivots)
+        assert D == FqSubspace.from_mid_vectors(tower, r, D.basis_mid)
+        for u in U.basis_mid:
+            for v in D.basis_mid:
+                dot = 0
+                for x, y in zip(u, v):
+                    dot = mid.add(dot, mid.mul(x, y))
+                assert tower.trace_to_base("mid", dot) == 0
+
+
 @pytest.mark.parametrize("p, e", [(2, 1), (3, 2)])
 def test_duals_of_the_zero_subspace(p, e):
     # the kernel of the 0-row matrix is the whole space: no special case
@@ -372,6 +420,30 @@ def test_characterization_three_way_agreement_random(seed):
     U = random_subspace(t, 2, 4, random.Random(seed))
     ch = characterize_max_h_scattered(U, 1)
     assert ch.all_agree
+
+
+@pytest.mark.parametrize("q, r, n, h", [(2, 2, 4, 1), (3, 2, 4, 1), (2, 3, 4, 2), (4, 2, 2, 1),
+                                        (9, 2, 2, 1)])
+def test_hyperplane_and_dual_point_flags_are_one_predicate(q, r, n, h):
+    # max_H dim(U ∩ H) = ι(U^⊥') + k - n: the two flags read one scan
+    tower = make_tower(*PRIME_POWER[q], n, 1)
+    rng = random.Random(q * 100 + r * 10 + n)
+    k = r * n // (h + 1)
+    for U in [pseudoregulus_subspace(tower, r, n, h)] + [
+            random_subspace(tower, r, k, rng) for _ in range(6)]:
+        ch = characterize_max_h_scattered(U, h)
+        assert ch.via_hyperplanes == (max_hyperplane_weight(U) <= k - n + h)
+        assert ch.via_dual_points == (iota(ordinary_dual(U)) <= h)
+        assert ch.via_hyperplanes == ch.via_dual_points
+
+
+def test_characterization_builds_one_dual_for_both_flags(pseudoreg, monkeypatch):
+    # h = 1: via_definition reads U's own points, the two flags one U^⊥'
+    duals = []
+    dual = subspaces.ordinary_dual
+    monkeypatch.setattr(subspaces, "ordinary_dual", lambda U: duals.append(U) or dual(U))
+    assert characterize_max_h_scattered(pseudoreg, 1).all_agree
+    assert duals == [pseudoreg]
 
 
 # -- direct sums ------------------------------------------------------------------
