@@ -33,7 +33,6 @@ the non-leading coefficients), so serialized values are portable across runs.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -720,8 +719,8 @@ class FieldTower:
 
     def trace_to_base(self, level: str, a: int) -> int:
         """Tr over F_q of an element of the given level (returns a base code)."""
-        d = self.degree_over_base(level)
         F = self.field(level)
+        d = self.degree_over_base(level)
         acc, x = 0, a
         for _ in range(d):
             acc = F.add(acc, x)
@@ -732,8 +731,8 @@ class FieldTower:
 
     def norm_to_base(self, level: str, a: int) -> int:
         """Norm over F_q: product of the q-power conjugates."""
-        d = self.degree_over_base(level)
         F = self.field(level)
+        d = self.degree_over_base(level)
         acc, x = 1, a
         for _ in range(d):
             acc = F.mul(acc, x)
@@ -772,73 +771,8 @@ class FieldTower:
         return f"FieldTower(p={self.p}, e={self.e}, n={self.n}, t={self.t})"
 
 
-@dataclass(frozen=True, eq=False)
-class Fe:
-    """A field element pinned to a tower level; equality is structural."""
-
-    tower: FieldTower
-    level: str
-    code: int
-
-    def __post_init__(self):
-        F = self.tower.field(self.level)
-        if not 0 <= self.code < F.order:
-            raise InvalidParams(f"code {self.code} out of range for {self.level}")
-
-    @property
-    def field(self) -> Field:
-        return self.tower.field(self.level)
-
-    def __eq__(self, other):
-        return (isinstance(other, Fe) and self.tower.params == other.tower.params
-                and self.level == other.level and self.code == other.code)
-
-    def __hash__(self):
-        return hash((self.tower.params, self.level, self.code))
-
-
 @lru_cache(maxsize=None)
 def make_tower(p: int, e: int, n: int, t: int,
                budget: int = DEFAULT_TOWER_BUDGET) -> FieldTower:
     """Build (and cache) the tower F_{p^e} ⊆ F_{q^n} ⊆ F_{q^{nt}}."""
     return FieldTower(p, e, n, t, budget=budget)
-
-
-def trace_to_base(x: Fe) -> Fe:
-    """Tr_{q^n/q}(x) = sum of x^{q^i}, i < n; F_q-linear, lands in the base."""
-    if x.level != "mid":
-        raise WrongLevel("trace_to_base expects a mid-field element")
-    return Fe(x.tower, "base", x.tower.trace_to_base("mid", x.code))
-
-
-def frobenius(x: Fe, s: int) -> Fe:
-    """x^{q^s}; s is reduced mod the extension degree of x's level."""
-    return Fe(x.tower, x.level, x.tower.frob(x.level, x.code, s))
-
-
-def norm_to_base(x: Fe) -> Fe:
-    if x.level != "mid":
-        raise WrongLevel("norm_to_base expects a mid-field element")
-    return Fe(x.tower, "base", x.tower.norm_to_base("mid", x.code))
-
-
-def minimal_polynomial(x: Fe) -> tuple[int, ...]:
-    """Monic minimal polynomial of x over F_q, as base-field codes.
-
-    Computed as the product of (X - conjugate) over the distinct q-power
-    conjugates of x; the coefficients are asserted to land in the base field.
-    """
-    tower, F = x.tower, x.field
-    conj, y = [], x.code
-    while True:
-        conj.append(y)
-        y = tower.frob(x.level, y, 1)
-        if y == x.code:
-            break
-    poly = (1,)
-    for c in conj:
-        poly = poly_mul(F, poly, (F.neg(c), 1))
-    for c in poly:
-        if c >= tower.q:
-            raise InternalInvariantError("minimal polynomial has a coefficient outside F_q")
-    return tuple(poly)

@@ -9,7 +9,10 @@ RowReducer is the only elimination.  Rank queries add rows to it; rref,
 kernel, mat_inverse, solve_right and SubspaceBasis take its echelon form and
 reduce each stored row against the others, in descending pivot order
 (back-substitution); SubspaceBasis.reduce is the same step against an RREF
-basis.
+basis.  kernel alone gives the Delsarte dual of subspaces and its double
+dual (left kernels of U's basis and of the dual's matrix); mat_inverse
+serves only the two changes of basis in constructions (the converse's
+conjugation and c_ug_g_independence).
 
 Every "which combinations vanish" question goes through vanishing_tails
 instead: rows head | tail are eliminated once, and the echelon rows whose

@@ -29,17 +29,9 @@ from .errors import (
     NotSpanning,
 )
 from .fields import Field
-from .fqlinalg import (
-    DEFAULT_SUBSPACE_BUDGET,
-    Mat,
-    SubspaceBasis,
-    kernel,
-    projective_points,
-    theta,
-)
+from .fqlinalg import DEFAULT_SUBSPACE_BUDGET, projective_points, theta
 from .subspaces import (
     FqSubspace,
-    _meet_dims,
     _point_weights,
     hyperplane_weight_counts,
     is_h_scattered,
@@ -68,16 +60,6 @@ def linear_set(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> Linea
     F_q-point of U bucketed by projective point (a point of weight w holds
     θ_{w-1}(q) of them); budget caps the walk at θ_{k-1}(q) F_q-points."""
     return LinearSet(U, _point_weights(U, budget))
-
-
-def point_weight(U: FqSubspace, P) -> int:
-    """dim_{F_q}(U ∩ <P>_{F_{q^n}})."""
-    return next(_meet_dims(U, [SubspaceBasis.from_vectors(U.tower.mid, U.r, [P]).rows]))
-
-
-def hyperplane_weight(U: FqSubspace, W) -> int:
-    """dim_{F_q}(U ∩ H) for the hyperplane H with dual point W."""
-    return next(_meet_dims(U, [kernel(Mat.from_rows(U.tower.mid, [list(W)], U.r)).rows]))
 
 
 def ti_formula(r: int, n: int, h: int, q: int, i: int) -> int:

@@ -1,7 +1,7 @@
 """JSON (de)serialization for towers, field elements, matrices, subspaces and
 codes.
 
-Field elements appear in two forms: the Fe form {level, coeffs} with the
+Field elements appear in two forms: the element form {level, coeffs} with the
 coefficient vector over the prime field, and (inside matrices and code bases)
 plain integer codes, whose base-p digits are exactly those coefficients.
 Towers serialize with their derived moduli; deserialization re-derives the
@@ -14,7 +14,7 @@ import json
 from typing import Any
 
 from .errors import IoError, UsageError
-from .fields import Fe, FieldTower, make_tower
+from .fields import Field, FieldTower, make_tower
 from .fqlinalg import Mat
 from .linsets import HammingCode
 from .rankcodes import RankCode
@@ -59,7 +59,8 @@ def tower_from_json(obj: dict[str, Any]) -> FieldTower:
     return tower
 
 
-def fe_from_json(tower: FieldTower, obj: dict[str, Any]) -> Fe:
+def fe_from_json(tower: FieldTower, obj: dict[str, Any]) -> tuple[Field, int]:
+    """The field of an element in the {level, coeffs} form, and its code."""
     level = _req(obj, "level", str, "element")
     F = tower.field(level)
     coeffs = _req(obj, "coeffs", list, "element")
@@ -70,7 +71,7 @@ def fe_from_json(tower: FieldTower, obj: dict[str, Any]) -> Fe:
     code = 0
     for c in reversed(coeffs):
         code = code * tower.p + c
-    return Fe(tower, level, code)
+    return F, code
 
 
 def _checked_entries(order: int, rows, key: str) -> list[list[int]]:
@@ -123,10 +124,10 @@ def subspace_from_json(obj: dict[str, Any]) -> FqSubspace:
         if not isinstance(vec, list) or len(vec) != r:
             raise UsageError(f"subspace: key 'basis_mid' must hold lists of r = {r} elements")
         elems = [fe_from_json(tower, fe) for fe in vec]
-        if any(x.field.order > tower.mid.order for x in elems):
+        if any(F.order > tower.mid.order for F, _ in elems):
             raise UsageError("subspace: key 'basis_mid' must hold elements of F_{q^n}, "
                              "not of the top field")
-        vectors.append(tuple(x.code for x in elems))
+        vectors.append(tuple(code for _, code in elems))
     U = FqSubspace.from_mid_vectors(tower, r, vectors)
     if "k" in obj and U.k != _req(obj, "k", int, "subspace"):
         raise UsageError("stored k does not match the basis rank")

@@ -11,8 +11,7 @@ Every meet dim_{F_q}(U ∩ <W>_{F_{q^n}}) with given F_{q^n}-subspaces W comes
 from one helper, _meet_dims: it holds one reducer for U and eliminates the
 n·dim W flat rows g^j·w of each W against a clone of it (rows in the form
 fqlinalg stores them).  The point scan, the 2 <= h <= r - 2 scatteredness
-scan, the single point and hyperplane weights of linsets and the dual
-weight identity all read it.
+scan and the dual weight identity read it.
 
 Point weights w(P) = dim_{F_q}(U ∩ <P>_{F_{q^n}}) come from one of two
 exact scans, chosen from the input and the budget:
@@ -63,7 +62,6 @@ from .fqlinalg import (
     digit_column,
     enumerate_subspaces,
     kernel,
-    mat_inverse,
     prime_expansion,
     projective_points,
     span_chunks,
@@ -439,46 +437,27 @@ def dual_weight_identity_check(U: FqSubspace, W: SubspaceBasis) -> bool:
 # -- Delsarte duality ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class DelsarteDualData:
-    """Embedding data and result of one Delsarte dualization.
+    """One Delsarte dualization: U, the k x (k-r) matrix K whose columns are
+    a basis of {x : x·M = 0} for U's k x r basis M, and the dual, the
+    F_q-span of K's rows."""
 
-    W is the F_q-span of the rows of embed (= T = [M|N]) in V-hat =
-    F_{q^n}^k, Gamma is {0}^r x F_{q^n}^{k-r}, and beta(x, y) =
-    x·T^{-1}·T^{-T}·y^T is the form under which the rows of T are
-    orthonormal.
-    """
-
-    tower: FieldTower
-    r: int
-    k: int
-    embed: Mat
+    U: FqSubspace
+    K: Mat
     dual: FqSubspace
-
-
-def _find_n_block(tower: FieldTower, M: Mat) -> Mat:
-    """N with F_q entries making [M|N] invertible over F_{q^n}: a unit vector
-    in each row of M outside the lexicographically first F_{q^n}-basis of
-    the row space.  With those basis rows moved to the top, [M|N] is block
-    lower triangular with invertible diagonal blocks, when M has rank r."""
-    k, r = M.rows, M.cols
-    rr = RowReducer(tower.mid, r)
-    comp = [i for i in range(k) if not rr.add(tuple(M.data[i]))]
-    N = Mat.zero(tower.mid, k, k - r)
-    for c, i in enumerate(comp):
-        N.data[i][c] = 1
-    return N
 
 
 def delsarte_dual(U: FqSubspace, *,
                   budget: int = DEFAULT_SUBSPACE_BUDGET) -> DelsarteDualData:
-    """Delsarte dual U^{⊥_D} = (W + Γ^⊥)/Γ^⊥ in V-hat/Γ^⊥ ≅ F_{q^n}^{k-r}.
+    """Delsarte dual U^{⊥_D} in F_{q^n}^{k-r}: the F_q-span of the rows of
+    K, whose columns are a basis of the left kernel {x : x·M = 0} of U's
+    k x r basis M, kernel(Mᵀ).
 
-    x -> (beta(x, e_j))_{j >= r} maps V-hat onto F_{q^n}^{k-r} with kernel
-    Γ^⊥, and sends the row T_i of the embedding to column i of T^{-1} below
-    row r; those columns are the dual's vectors.  The precondition (every
-    hyperplane meets U in dimension < k - 1) makes U span V, so T is
-    invertible, and keeps W ∩ Γ^⊥ = 0."""
+    The precondition (every hyperplane meets U in dimension < k - 1) makes
+    U span V, so K has k - r columns, and makes K's k rows F_q-independent:
+    an F_q-relation c on them is c = M·a, so u -> u·a maps U into F_q and
+    the hyperplane ker(a·) meets U in dimension >= k - 1."""
     tower, r, k = U.tower, U.r, U.k
     if k <= r:
         raise InvalidParams("Delsarte duality needs k > r")
@@ -486,25 +465,29 @@ def delsarte_dual(U: FqSubspace, *,
     if maxw >= k - 1:
         raise PreconditionHyperplaneWeight(
             f"a hyperplane meets U in dimension {maxw} >= k-1 = {k - 1}")
-    M = U.mid_matrix()
-    N = _find_n_block(tower, M)
-    T = Mat.from_rows(tower.mid, [M.data[i] + N.data[i] for i in range(k)])
-    Tinv = mat_inverse(T)
-    dual = FqSubspace.from_mid_vectors(tower, k - r, zip(*Tinv.data[r:]))
+    K = Mat.from_rows(tower.mid, kernel(U.mid_matrix().transpose()).rows, k).transpose()
+    dual = FqSubspace.from_mid_vectors(tower, k - r, K.data)
     if dual.k != k:
-        raise InternalInvariantError("W meets Gamma^perp nontrivially")
-    return DelsarteDualData(tower=tower, r=r, k=k, embed=T, dual=dual)
+        raise InternalInvariantError(
+            "an F_q-relation c = M·a on the rows of K makes u -> u·a map U into F_q, "
+            "so ker(a·) meets U in dimension >= k - 1, which the precondition refuses")
+    return DelsarteDualData(U=U, K=K, dual=dual)
 
 
 def delsarte_double_dual(data: DelsarteDualData) -> FqSubspace:
-    """(U^{⊥_D})^{⊥_D} computed with the stored embedding: <W,Γ>_{F_q} ∩ V,
-    returned in the original ambient V = F_{q^n}^r x {0}.
+    """(U^{⊥_D})^{⊥_D} by the same kernel, read in U's frame: with R the
+    canonical basis of {x : x·K = 0} and P its pivot columns, the F_q-span
+    of the rows of Rᵀ·M_P (M_P the rows P of U's basis M).
 
-    The tail of each row of embed lies in Γ, so <W,Γ>_{F_q} is Γ plus the
-    F_q-span of the heads (first r coordinates) of those rows, and as
-    Γ ∩ V = 0 its meet with V is the span of the heads."""
+    When K's columns span {x : x·M = 0}, R's rows span M's columns, so
+    Mᵀ = B·R with B = (Mᵀ)_P = M_Pᵀ, and Rᵀ·M_P = M: the double dual is U.
+    A K with another left kernel, such as another subspace's K, generally
+    gives another subspace."""
+    U = data.U
+    R = kernel(data.K.transpose())
+    M_P = Mat.from_rows(U.tower.mid, [U.basis_mid[p] for p in R.pivots], U.r)
     return FqSubspace.from_mid_vectors(
-        data.tower, data.r, (row[:data.r] for row in data.embed.data))
+        U.tower, U.r, (vec_mat(col, M_P) for col in zip(*R.rows)))
 
 
 # -- characterizations of maximum h-scattered subspaces -----------------------

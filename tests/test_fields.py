@@ -1,4 +1,4 @@
-"""Field tower construction, trace/norm/frobenius, minimal polynomials."""
+"""Field tower construction, trace/norm/frobenius."""
 
 import functools
 import random
@@ -8,19 +8,14 @@ from hypothesis import given, strategies as st
 
 from ranklab.errors import NotPrime, WrongLevel
 from ranklab.fields import (
-    Fe,
     Field,
-    frobenius,
     is_irreducible,
     least_irreducible,
     make_tower,
-    minimal_polynomial,
-    norm_to_base,
     poly_eval,
-    poly_mod,
     prime_factors,
-    trace_to_base,
 )
+from ranklab.serialize import fe_from_json
 
 
 def test_tower_2_1_4_1_modulus_is_lex_least(t2_4):
@@ -44,13 +39,14 @@ def test_trace_f4_omega_is_one():
     t = make_tower(2, 1, 2, 1)
     omega = t.mid.gen  # omega^2 = omega + 1
     assert t.mid.mul(omega, omega) == t.mid.add(omega, 1)
-    assert trace_to_base(Fe(t, "mid", omega)) == Fe(t, "base", 1)
+    assert t.trace_to_base("mid", omega) == 1
 
 
 def test_trace_zero_and_wrong_level(t2_4):
-    assert trace_to_base(Fe(t2_4, "mid", 0)).code == 0
+    assert t2_4.trace_to_base("mid", 0) == 0
+    assert t2_4.trace_to_base("base", 1) == 1
     with pytest.raises(WrongLevel):
-        trace_to_base(Fe(t2_4, "base", 1))
+        t2_4.trace_to_base("bottom", 1)
 
 
 def test_trace_f16_generator(t2_4):
@@ -61,7 +57,7 @@ def test_trace_f16_generator(t2_4):
     for i in range(4):
         acc = mid.add(acc, mid.pow(g, 2**i))
     assert acc == 0
-    assert trace_to_base(Fe(t2_4, "mid", g)).code == acc
+    assert t2_4.trace_to_base("mid", g) == acc
 
 
 @given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 1))
@@ -74,10 +70,10 @@ def test_trace_is_fq_linear(a, b, lam):
 
 
 def test_frobenius_identity_order_and_square(t2_4):
-    g = Fe(t2_4, "mid", t2_4.mid.gen)
-    assert frobenius(g, 0) == g
-    assert frobenius(g, 4) == g
-    assert frobenius(g, 1).code == t2_4.mid.mul(g.code, g.code)
+    g = t2_4.mid.gen
+    assert t2_4.frob("mid", g, 0) == g
+    assert t2_4.frob("mid", g, 4) == g
+    assert t2_4.frob("mid", g, 1) == t2_4.mid.mul(g, g)
 
 
 @given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 7), st.integers(0, 7))
@@ -153,42 +149,12 @@ def test_trace_form_is_nondegenerate():
         assert rref(Mat.from_rows(t.base, gram, n))[1] == n
 
 
-def test_minimal_polynomial_degree_one_cases(t2_4):
-    assert minimal_polynomial(Fe(t2_4, "mid", 1)) == (1, 1)  # X + (-1) over F_2
-    assert minimal_polynomial(Fe(t2_4, "mid", 0)) == (0, 1)  # X
-
-
-def test_minimal_polynomial_of_generator_divides_x16_minus_x(t2_4):
-    mid = t2_4.mid
-    mp = minimal_polynomial(Fe(t2_4, "mid", mid.gen))
-    assert len(mp) == 5 and mp[-1] == 1
-    # oracle: the product of (X - g^(2^i)) has exactly these base coefficients
-    from ranklab.fields import poly_mul
-
-    prod = (1,)
-    for i in range(4):
-        prod = poly_mul(mid, prod, (mid.neg(mid.pow(mid.gen, 2**i)), 1))
-    assert prod == mp
-    # divides X^16 - X: every element with this minimal polynomial is a root
-    assert poly_eval(mid, mp, mid.gen) == 0
-    x16_minus_x = [0] * 17
-    x16_minus_x[16] = 1
-    x16_minus_x[1] = t2_4.base.neg(1)
-    assert poly_mod(t2_4.base, tuple(x16_minus_x), mp) == ()
-
-
-def test_minimal_polynomial_degree_divides_extension(t2_32):
-    for code in (0, 1, 5, 9, 33, 63):
-        mp = minimal_polynomial(Fe(t2_32, "top", code))
-        assert (len(mp) - 1) in (1, 2, 3, 6)
-
-
 def test_norm_is_multiplicative(t3_4):
     mid = t3_4.mid
     for a, b in ((5, 7), (80, 3), (11, 11)):
-        na = norm_to_base(Fe(t3_4, "mid", a)).code
-        nb = norm_to_base(Fe(t3_4, "mid", b)).code
-        nab = norm_to_base(Fe(t3_4, "mid", mid.mul(a, b))).code
+        na = t3_4.norm_to_base("mid", a)
+        nb = t3_4.norm_to_base("mid", b)
+        nab = t3_4.norm_to_base("mid", mid.mul(a, b))
         assert nab == t3_4.base.mul(na, nb)
 
 
@@ -210,8 +176,8 @@ def test_field_interning_across_towers():
 
 
 def test_fe_serialization_coeffs(t3_4):
-    x = Fe(t3_4, "mid", 5)  # 5 = 2 + 1*3
-    assert x.field.prime_vec(x.code) == [2, 1, 0, 0]
+    assert t3_4.mid.prime_vec(5) == [2, 1, 0, 0]  # 5 = 2 + 1*3
+    assert fe_from_json(t3_4, {"level": "mid", "coeffs": [2, 1, 0, 0]}) == (t3_4.mid, 5)
 
 
 def test_make_tower_budget_gate():

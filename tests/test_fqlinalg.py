@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ranklab.errors import BudgetExceeded, InvalidParams
-from ranklab.fields import Field, make_tower
+from ranklab.fields import Field, make_tower, poly_eval, poly_mod, poly_mul
 from ranklab.fqlinalg import (
     Mat,
     RowReducer,
@@ -540,18 +540,62 @@ def test_span_walk_matches_product(q):
             F, stored, ncols, include_zero=False)) == nonzero
 
 
+def minimal_polynomial(tower, level, code) -> tuple[int, ...]:
+    """Monic minimal polynomial over F_q of the element code of the given
+    level, as base-field codes: the product of (X - conjugate) over its
+    distinct q-power conjugates, each coefficient checked to lie in F_q."""
+    F = tower.field(level)
+    conj, y = [], code
+    while True:
+        conj.append(y)
+        y = tower.frob(level, y, 1)
+        if y == code:
+            break
+    poly = (1,)
+    for c in conj:
+        poly = poly_mul(F, poly, (F.neg(c), 1))
+    assert all(c < tower.q for c in poly)
+    return tuple(poly)
+
+
+def test_minimal_polynomial_degree_one_cases(t2_4):
+    assert minimal_polynomial(t2_4, "mid", 1) == (1, 1)  # X + (-1) over F_2
+    assert minimal_polynomial(t2_4, "mid", 0) == (0, 1)  # X
+
+
+def test_minimal_polynomial_of_generator_divides_x16_minus_x(t2_4):
+    mid = t2_4.mid
+    mp = minimal_polynomial(t2_4, "mid", mid.gen)
+    assert len(mp) == 5 and mp[-1] == 1
+    # oracle: the product of (X - g^(2^i)) has exactly these base coefficients
+    prod = (1,)
+    for i in range(4):
+        prod = poly_mul(mid, prod, (mid.neg(mid.pow(mid.gen, 2**i)), 1))
+    assert prod == mp
+    # divides X^16 - X: every element with this minimal polynomial is a root
+    assert poly_eval(mid, mp, mid.gen) == 0
+    x16_minus_x = [0] * 17
+    x16_minus_x[16] = 1
+    x16_minus_x[1] = t2_4.base.neg(1)
+    assert poly_mod(t2_4.base, tuple(x16_minus_x), mp) == ()
+
+
+def test_minimal_polynomial_degree_divides_extension(t2_32):
+    for code in (0, 1, 5, 9, 33, 63):
+        mp = minimal_polynomial(t2_32, "top", code)
+        assert (len(mp) - 1) in (1, 2, 3, 6)
+
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_min_poly_of_mult_matrix_is_the_minimal_polynomial(q):
     from ranklab.constructions import mult_matrix
-    from ranklab.fields import Fe, minimal_polynomial
 
     p, e = {2: (2, 1), 3: (3, 1), 4: (2, 2)}[q]
     for n in range(1, 5):
         tower = make_tower(p, e, n, 1)
         for alpha in range(tower.mid.order):
             assert min_poly(mult_matrix(tower, alpha)) == \
-                minimal_polynomial(Fe(tower, "mid", alpha)), (q, n, alpha)
+                minimal_polynomial(tower, "mid", alpha), (q, n, alpha)
 
 
 def test_min_poly_of_nilpotent_and_scalar_matrices():

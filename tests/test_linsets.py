@@ -4,24 +4,32 @@ import pytest
 
 from ranklab.errors import InvalidParams, NotMaxScattered, NotSpanning
 from ranklab.fields import make_tower
-from ranklab.fqlinalg import theta
+from ranklab.fqlinalg import Mat, SubspaceBasis, kernel, theta
 from ranklab.linsets import (
     expected_weights,
     hyperplane_spectrum,
-    hyperplane_weight,
     linear_set,
-    point_weight,
     projective_system_code,
     qsystem_code,
     ti_formula,
     weight_enumerator,
 )
-from ranklab.subspaces import FqSubspace, normalize_point, ordinary_dual
+from ranklab.subspaces import FqSubspace, _meet_dims, normalize_point, ordinary_dual
 from ranklab.constructions import c_ug, pseudoregulus_subspace
 from ranklab.fixtures import remark_counterexample, subgeometry_3_3
 
 
 # -- points and weights ------------------------------------------------------
+
+
+def point_weight(U, P):
+    """dim_{F_q}(U ∩ <P>_{F_{q^n}})."""
+    return next(_meet_dims(U, [SubspaceBasis.from_vectors(U.tower.mid, U.r, [P]).rows]))
+
+
+def hyperplane_weight(U, w):
+    """dim_{F_q}(U ∩ H_w) for the hyperplane H_w = ker(w·)."""
+    return next(_meet_dims(U, [kernel(Mat.from_rows(U.tower.mid, [list(w)], U.r)).rows]))
 
 
 def test_pseudoregulus_linear_set_points(pseudoreg):

@@ -340,25 +340,42 @@ def delsarte_inputs(tower, rng):
     yield U
 
 
-@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
-def test_delsarte_dual_matches_gram_oracle(p, e, monkeypatch):
+DELSARTE_TOWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("p, e", DELSARTE_TOWERS)
+def test_delsarte_dual_matches_gram_oracle(p, e):
+    """K, the kernel of Mᵀ, against the Gram construction on T = [M|N] for
+    the scanned N and against the rows of T⁻¹ below row r (transposed): the
+    same column space, so the same dual up to GL(k - r, q^n)."""
     tower = make_tower(p, e, 3, 1)
     for U in delsarte_inputs(tower, random.Random(p * 10 + e)):
         r, k, mid = U.r, U.k, tower.mid
         M = U.mid_matrix()
         N = scanned_n_block(tower, M)
         T = Mat.from_rows(mid, [M.data[i] + N.data[i] for i in range(k)])
-        oracle = gram_oracle_dual_matrix(T, r)
-        duals = [delsarte_dual(U)]
-        monkeypatch.setattr(subspaces, "_find_n_block", lambda tower, M: N)
-        duals.append(delsarte_dual(U))
-        monkeypatch.undo()
-        assert duals[1].embed == T
-        new = [Mat.from_rows(mid, zip(*mat_inverse(d.embed).data[r:]), k - r) for d in duals]
-        for d, D in zip(duals, new):
-            assert FqSubspace.from_mid_vectors(tower, k - r, D.data) == d.dual
-            assert delsarte_double_dual(d) == U
-        assert same_column_space(oracle, *new)
+        lower = Mat.from_rows(mid, mat_inverse(T).data[r:], k).transpose()
+        data = delsarte_dual(U)
+        assert (data.K.rows, data.K.cols) == (k, k - r)
+        assert not any(map(any, mat_mul(data.K.transpose(), M).data))
+        assert same_column_space(data.K, gram_oracle_dual_matrix(T, r), lower)
+        assert data.dual == FqSubspace.from_mid_vectors(tower, k - r, data.K.data)
+        assert delsarte_double_dual(data) == U
+
+
+@pytest.mark.parametrize("p, e", DELSARTE_TOWERS)
+def test_delsarte_double_dual_of_a_foreign_kernel_is_not_u(p, e):
+    """The double dual reads U's basis through the kernel of Kᵀ, so the K of
+    another subspace of the same (r, k), with another left kernel, gives a
+    subspace other than U."""
+    tower = make_tower(p, e, 3, 1)
+    rng = random.Random(p * 10 + e + 1)
+    U, V = (list(delsarte_inputs(tower, rng))[1] for _ in range(2))
+    data, other = delsarte_dual(U), delsarte_dual(V)
+    assert not same_column_space(data.K, other.K)
+    foreign = subspaces.DelsarteDualData(U=U, K=other.K, dual=other.dual)
+    assert delsarte_double_dual(foreign) != U
+    assert delsarte_double_dual(data) == U
 
 
 def test_delsarte_precondition_gate(t2_4):
