@@ -130,8 +130,10 @@ _COMMON = (
               "point-hyperplane incidences for code scans "
               "(default 2^20)"),
     _arg("--codeword-budget", type=_budget, default=DEFAULT_CODEWORD_BUDGET,
-         help="max items of a code's rank scan: its q^K codewords or "
-              "the subspaces of F_q^{min(m,n)}, whichever is fewer; "
+         help="max items of a code's rank scan: its q^K codewords, "
+              "the subspaces of F_q^{min(m,n)}, or, for a (twisted) "
+              "Gabidulin code built with c = 0, the F_q-points of its "
+              "q-system's dual; the cheapest that fits runs; "
               "the q^n elements the converse scans for a root "
               "(default 2^24)"))
 _SUBSPACE_INPUT = (_arg("--subspace"), _arg("--pseudoregulus", metavar="r,n,h"), _Q)

@@ -45,6 +45,7 @@ from .rankcodes import (
     RankCode,
     _algebra_generator,
     mrd_weight_distribution,
+    ranks_from_weights,
     right_idealiser,
 )
 from .subspaces import (
@@ -137,7 +138,15 @@ def twisted_gabidulin(tower: FieldTower, N: int, k: int, s: int,
 def _twisted_code(tower: FieldTower, N: int, k: int, s: int,
                   eta: int, c: int) -> RankCode:
     """The code H_{k,s}(eta, c), spanned by gamma·x + gamma^{q^c}·eta·x^{q^{sk}}
-    and gamma·x^{q^{si}} (0 < i < k) over an F_q-basis gamma of F_{q^N}."""
+    and gamma·x^{q^{si}} (0 < i < k) over an F_q-basis gamma of F_{q^N}.
+
+    At c = 0 on the mid field it is left F_{q^N}-linear, the F_{q^N}-span of
+    f_0 = x + eta·x^{q^{sk}} and f_i = x^{q^{si}}, and carries its q-system
+    U = {(f_0(α), ..., f_{k-1}(α)) : α ∈ F_{q^N}} ⊂ F_{q^N}^k
+    (RankCode.install_qsystem), so its rank distribution may be read off
+    U's hyperplane weights.  U is N-dimensional: at k >= 2 the coordinate
+    α^{q^s} is injective, and at k = 1 the norm condition is exactly the
+    injectivity of α -> α + eta·α^{q^s}; install_qsystem checks it."""
     level = _resolve_level(tower, N)
     if not 1 <= k < N:
         raise KTooLarge(f"need 1 <= k < N, got k={k}, N={N}")
@@ -146,6 +155,8 @@ def _twisted_code(tower: FieldTower, N: int, k: int, s: int,
     if not 0 <= c < N:
         raise InvalidParams(f"need 0 <= c < N, got c={c}")
     F = tower.field(level)
+    if not 0 <= eta < F.order:
+        raise InvalidParams(f"need 0 <= eta < q^N = {F.order}, got eta={eta}")
     sign = 1 if (N * k) % 2 == 0 else tower.base.neg(1)
     if tower.norm_to_base(level, eta) == sign:
         raise EtaConditionViolated(
@@ -167,6 +178,12 @@ def _twisted_code(tower: FieldTower, N: int, k: int, s: int,
         # the terms sit at the distinct exponents s·i mod N (gcd(s, N) = 1)
         # and the x coefficient gamma runs over a basis
         raise InternalInvariantError("Gabidulin generators were dependent")
+    if c == 0 and level == "mid":
+        # gens[i·N] is f_i (gamma = 1), and column j of its matrix is f_i(b_j)
+        # for the F_q-basis b: stacked over i, u(b_j) = (f_0(b_j), ..., f_{k-1}(b_j))
+        fs = [gens[i * N].data for i in range(k)]
+        code.install_qsystem(FqSubspace.from_flat(
+            tower, k, [[M[a][j] for M in fs for a in range(N)] for j in range(N)]))
     return code
 
 
@@ -251,10 +268,9 @@ def c_ug(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> CUGCode:
             raise IotaFull("U contains a full F_{q^n}-line; C_{U,G} degenerates")
         points[w] += 1
     points[0] = theta(r - 1, Q) - sum(points[1:])    # the walk skips weight 0
-    # every point meets U in dimension >= k + n - rn = n - m
-    low = max(n - m, 0)
-    if any(points[:low]):
-        raise InternalInvariantError("a point has weight below n - m")
+    # every point meets U in dimension >= k + n - rn = n - m, as
+    # ranks_from_weights checks
+    A = ranks_from_weights(dict(enumerate(points)), m, n, Q)
     it = max((w for w in range(1, n) if points[w]), default=0)
     G = _canonical_projection(U)
     if kernel(G) != U.flat:
@@ -263,9 +279,6 @@ def c_ug(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> CUGCode:
     code = RankCode.from_generators(tower.base, m, n, gens)
     if code.dim != r * n:
         raise InternalInvariantError("v -> Γ_v failed to be injective")
-    A = [1] + [0] * min(m, n)
-    for w in range(low, n):
-        A[n - w] = (Q - 1) * points[w]
     code.install_rank_distribution(A)
     return CUGCode(U, G, code, it)
 

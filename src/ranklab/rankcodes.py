@@ -2,11 +2,16 @@
 
 A code stores a canonical basis (the RREF of the flattened basis matrices in
 F_q^{mn}), never the codeword set.  Its rank distribution has one of three
-sources.  A code C_{U,G} carries the distribution read off the point weights
-of the linear set L_U (constructions.c_ug, installed by
-RankCode.install_rank_distribution); any other code takes it from the
-shorter of two exact scans, run on demand under an explicit budget, which
-are also the oracle of the C_{U,G} path:
+sources, all exact.  A code C_{U,G} carries the distribution read off the
+point weights of the linear set L_U (constructions.c_ug, installed by
+RankCode.install_rank_distribution).  A (twisted) Gabidulin code built with
+c = 0 on the mid field carries its q-system U ⊂ F_{q^N}^k
+(RankCode.install_qsystem), and its distribution may be read off U's
+hyperplane weights (subspaces.hyperplane_weight_counts): the codeword of a
+has rank N - dim(U ∩ a^⊥).  ranks_from_weights turns either histogram into
+A_{n-w} = (q^n - 1)·count[w].  Any code may take one of two scans, run on
+demand under an explicit budget, which are also the oracle of both
+geometric paths:
 
 - the codeword walk ranks each of the q^K codewords, reached by an odometer
   with one vector add per step;
@@ -17,6 +22,9 @@ are also the oracle of the C_{U,G} path:
   row and inherits the parent's subcode, so a step eliminates dim C_{Y'}
   images of one column block; a node with an empty subcode adds its whole
   subtree in closed form.
+
+A code with a q-system takes whichever of the three engines is priced
+lowest (RankCode.rank_distribution); any other code the shorter scan.
 
 An idealiser is the set of combinations of the unit matrices E_ab whose
 products with C's basis all reduce to 0 modulo C; whether it is a field is
@@ -66,6 +74,7 @@ from .fqlinalg import (
     unpack_row,
     vanishing_tails,
 )
+from .subspaces import FqSubspace, hyperplane_scan_items, hyperplane_weight_counts
 
 DEFAULT_CODEWORD_BUDGET = 1 << 24
 
@@ -93,6 +102,7 @@ class RankCode:
     def __post_init__(self):
         self._rank_distribution: RankDistribution | None = None
         self._idealisers: dict[Side, Idealiser] = {}
+        self.qsystem: FqSubspace | None = None
 
     @classmethod
     def from_generators(cls, F: Field, m: int, n: int, mats) -> "RankCode":
@@ -138,23 +148,43 @@ class RankCode:
 
     def rank_distribution(self, *, budget: int = DEFAULT_CODEWORD_BUDGET
                           ) -> "RankDistribution":
-        """Exact rank histogram from the shorter of two scans.
+        """Exact rank histogram from the cheapest of up to three engines.
 
         The codeword walk ranks all q^K codewords.  The subspace count sizes
         the subcode of every subspace of F_q^{min(m,n)}, walking them as a
         tree that carries each parent's subcode to its children and closes
         the subtree of an empty subcode in one formula; its item count is
-        the number of those subspaces.  The scan with fewer items runs, and
-        budget caps that item count before it starts.  A distribution
-        installed by install_rank_distribution (C_{U,G}) is returned as is.
+        the number of those subspaces.  A code with a q-system U
+        (install_qsystem) may instead read U's hyperplane weights, whose
+        items are the ones subspaces.hyperplane_scan_items names: the
+        θ_{(k-1)n-1}(q) F_q-points of U^⊥' or the θ_{k-1}(q^n) hyperplanes.
+
+        Prices are about row additions: K per codeword and per subspace,
+        2 per q-system item, so the q-system runs iff its items are at most
+        K·#subspaces/2 (on Gabidulin codes up to q = 9 and N = 7 this picks
+        the faster of it and the tree in 66 of 69 cells, README Performance
+        notes).  The cheapest engine among those whose items fit budget
+        runs; when none fits, the cheapest raises BudgetExceeded naming its
+        unit.  So a budget that fits a code's shorter scan always suffices.
+        A distribution installed by install_rank_distribution (C_{U,G}) is
+        returned as is.
         """
         if self._rank_distribution is None:
-            q, mp = self.q, min(self.m, self.n)
+            q, K, mp = self.q, self.dim, min(self.m, self.n)
             spaces = sum(qbinom(mp, s, q) for s in range(mp + 1))
-            if spaces < self.size:
-                needed, what, scan = spaces, f"subspaces of F_{q}^{mp}", _subspace_counts
-            else:
-                needed, what, scan = self.size, "codewords", _walk_counts
+            # (price, items, unit, scan), in the order ties are broken
+            engines = []
+            if self.qsystem is not None:
+                U = self.qsystem
+                items, walk = hyperplane_scan_items(U, budget)
+                unit = ("F_q-points of the q-system's dual" if walk
+                        else f"hyperplanes of F_{U.tower.mid.order}^{U.r}")
+                engines.append((2 * items, items, unit,
+                                lambda C: _qsystem_counts(C, budget)))
+            engines += [(K * self.size, self.size, "codewords", _walk_counts),
+                        (K * spaces, spaces, f"subspaces of F_{q}^{mp}", _subspace_counts)]
+            _, needed, what, scan = min([e for e in engines if e[1] <= budget] or engines,
+                                        key=lambda e: e[0])
             if needed > budget:
                 raise BudgetExceeded(needed, budget, what)
             self.install_rank_distribution(scan(self))
@@ -167,6 +197,20 @@ class RankCode:
         dist = RankDistribution(tuple(A), self.m, self.n, self.q, self.dim)
         dist.validate()
         self._rank_distribution = dist
+
+    def install_qsystem(self, U: FqSubspace) -> None:
+        """Adopt U ⊂ F_{q^n}^k as the code's q-system: the code is
+        {α -> Σ a_i·u_i(α) : a ∈ F_{q^n}^k} for an F_q-isomorphism
+        α -> u(α) of F_{q^n} onto U, so the codeword of a has rank
+        n - dim(U ∩ a^⊥) and rank_distribution may read the distribution
+        off U's hyperplane weights.  U must be n-dimensional (α -> u(α)
+        injective) in F_{q^n}^{K/n}, for a square code."""
+        if (U.k, U.tower.n, self.m, U.r * self.n) != (self.n, self.n, self.n, self.dim):
+            raise InternalInvariantError(
+                f"a q-system of an ({self.m},{self.n}) code of dimension {self.dim} must be "
+                f"{self.n}-dimensional in F_(q^{self.n})^{self.dim // self.n}; "
+                f"got dimension {U.k} in F_(q^{U.tower.n})^{U.r}")
+        self.qsystem = U
 
     def min_distance(self, *, budget: int = DEFAULT_CODEWORD_BUDGET) -> int:
         """Minimum rank over nonzero codewords (= minimum distance)."""
@@ -187,6 +231,31 @@ def _span_ranks(F: Field, vecs, m: int, n: int):
     for word in iter_span(F, [store_row(F, v) for v in vecs], m * n, include_zero=False):
         pivrows.clear()
         yield add_all(split(word, m))
+
+
+def ranks_from_weights(counts, m: int, n: int, Q: int) -> list[int]:
+    """The rank distribution of an m x n code whose nonzero codewords come
+    in classes of Q - 1, counts[w] of them of rank n - w:
+    A_0 = 1 and A_{n-w} = (Q - 1)·counts[w] ({w: count}).  Read off the
+    points of L_U for C_{U,G} (Q = q^n) and off the hyperplanes of a
+    q-system (_qsystem_counts)."""
+    A = [1] + [0] * min(m, n)
+    for w, count in counts.items():
+        if count:
+            if not n - len(A) < w <= n:
+                raise InternalInvariantError(f"a weight below n - m or above n: {w}")
+            A[n - w] += (Q - 1) * count
+    return A
+
+
+def _qsystem_counts(C: RankCode, budget: int) -> list[int]:
+    """Rank histogram of a code with a q-system U (RankCode.install_qsystem)
+    from U's hyperplane weights: the codeword of a nonzero a ∈ F_{q^n}^k
+    shares the hyperplane a^⊥ with its q^n - 1 nonzero multiples, and has
+    rank n - dim(U ∩ a^⊥)."""
+    U = C.qsystem
+    return ranks_from_weights(hyperplane_weight_counts(U, budget=budget),
+                              C.m, C.n, U.tower.mid.order)
 
 
 def _walk_counts(C: RankCode) -> list[int]:

@@ -263,17 +263,23 @@ def _point_scan(U: FqSubspace, budget: int):
     return zip(points, _meet_dims(U, zip(lines)))
 
 
+def _walks(tower: FieldTower, r: int, dim: int, budget: int) -> bool:
+    """True iff _point_weight_items walks a dim-dimensional F_q-subspace of
+    F_{q^n}^r under budget: when only one of the walk's θ_{dim-1}(q)
+    F_q-points and the scan's θ_{r-1}(q^n) points fits the budget, that
+    side; otherwise the cheaper (_walk_is_cheaper)."""
+    walk_fits = theta(dim - 1, tower.base.order) <= budget
+    if walk_fits != (theta(r - 1, tower.mid.order) <= budget):
+        return walk_fits
+    return _walk_is_cheaper(tower, r, dim)
+
+
 def _point_weight_items(U: FqSubspace, budget: int):
     """(point, weight) pairs covering every point of positive weight: the
     vector walk when θ_{k-1}(q) <= n·θ_{r-1}(q^n), the point scan otherwise
     (which also yields the points of weight 0).  When only one of the two
     fits the budget, that one runs."""
-    walk_fits = theta(U.k - 1, U.tower.base.order) <= budget
-    if walk_fits != (theta(U.r - 1, U.tower.mid.order) <= budget):
-        walk = walk_fits
-    else:
-        walk = _walk_is_cheaper(U.tower, U.r, U.k)
-    if walk:
+    if _walks(U.tower, U.r, U.k, budget):
         return _point_weights(U, budget).items()
     return _point_scan(U, budget)
 
@@ -393,6 +399,17 @@ def hyperplane_weight_counts(U: FqSubspace, *,
     if rest:
         counts[shift] = counts.get(shift, 0) + rest
     return counts
+
+
+def hyperplane_scan_items(U: FqSubspace, budget: int) -> tuple[int, bool]:
+    """(items, walk) of the scan behind hyperplane_weight_counts(U,
+    budget=budget), from U's parameters alone: the θ_{rn-k-1}(q) F_q-points
+    of U^⊥' when that scan walks them (walk True), else the θ_{r-1}(q^n)
+    points of PG(r-1, q^n), the dual points of the hyperplanes."""
+    tower, dim = U.tower, U.r * U.tower.n - U.k
+    if _walks(tower, U.r, dim, budget):
+        return theta(dim - 1, tower.base.order), True
+    return theta(U.r - 1, tower.mid.order), False
 
 
 def max_hyperplane_weight(U: FqSubspace, *,

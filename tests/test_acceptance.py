@@ -76,15 +76,17 @@ def _report(num: int, desc: str, limit_s: float):
     return _Ctx()
 
 
-def test_criterion_1_gabidulin_mrd():
+def test_criterion_1_gabidulin_mrd(scanned):
     with _report(1, "Gabidulin(4,2,1)/q=2: d=3, MRD, (A3,A4)=(225,30)", 1.0):
-        C = gabidulin(make_tower(2, 1, 4, 1), 4, 2, 1)
-        assert C.size == 2**8
-        assert C.min_distance() == 3
-        assert C.is_mrd()
-        dist = C.rank_distribution()
-        assert (dist.A[3], dist.A[4]) == (225, 30)
-        assert dist.A == mrd_weight_distribution(4, 4, 2, 3).A
+        G = gabidulin(make_tower(2, 1, 4, 1), 4, 2, 1)
+        # from the q-system's hyperplane weights, and from the scans
+        for C in (G, scanned(G)):
+            assert C.size == 2**8
+            assert C.min_distance() == 3
+            assert C.is_mrd()
+            dist = C.rank_distribution()
+            assert (dist.A[3], dist.A[4]) == (225, 30)
+            assert dist.A == mrd_weight_distribution(4, 4, 2, 3).A
 
 
 def test_criterion_2_cug_correspondence(scanned):
@@ -197,15 +199,16 @@ def test_criterion_8_converse_round_trip():
                    for M in ext.conjugated_code.basis_matrices())
 
 
-def test_criterion_9_twisted_gabidulin():
+def test_criterion_9_twisted_gabidulin(scanned):
     with _report(9, "twisted Gabidulin q=3: d=3 over 3^8 words, MRD; "
                     "every eta in F_16* rejected at q=2", 120.0):
         t3 = make_tower(3, 1, 4, 1)
         eta = find_nonsquare(t3, "mid")
         tg = twisted_gabidulin(t3, 4, 2, 1, eta, 0)
-        assert tg.code.size == 3**8
-        assert tg.code.min_distance() == 3
-        assert tg.code.is_mrd()
+        for C in (tg.code, scanned(tg.code)):
+            assert C.size == 3**8
+            assert C.min_distance() == 3
+            assert C.is_mrd()
         t2 = make_tower(2, 1, 4, 1)
         for bad in range(1, 16):
             with pytest.raises(EtaConditionViolated):

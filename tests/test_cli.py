@@ -158,6 +158,15 @@ def test_twisted_verb_eta_gate():
     assert rep["results"]["mrd"] is True and rep["results"]["d"] == 3
 
 
+@pytest.mark.parametrize("eta", ["-1", "81", "99999"])
+def test_twisted_verb_rejects_eta_outside_the_field(eta, capsys):
+    # an element code of F_81 lies in 0..80: a gate error, not a traceback
+    # (99999) or a silent wrap to another element (-1)
+    assert main(["twisted-gabidulin", "--N", "4", "--k", "2", "--q", "3",
+                 "--eta", eta, "--mrd-check"]) == 2
+    assert f"InvalidParams: need 0 <= eta < q^N = 81, got eta={eta}" in capsys.readouterr().err
+
+
 def test_linset_points_verb():
     rep = run_json(["linset-points", "--pseudoregulus", "2,4,1"])
     assert rep["results"]["size"] == 15

@@ -49,17 +49,18 @@ from ranklab.constructions import (
 # -- Gabidulin ----------------------------------------------------------------
 
 
-def test_gabidulin_4_2_1_parameters(t2_4):
+def test_gabidulin_4_2_1_parameters(t2_4, scanned):
     C = gabidulin(t2_4, 4, 2, 1)
     assert (C.m, C.n, C.q, C.dim) == (4, 4, 2, 8)
-    assert C.min_distance() == 3
-    assert C.is_mrd()
+    assert C.min_distance() == scanned(C).min_distance() == 3
+    assert C.is_mrd() and scanned(C).is_mrd()
 
 
-def test_gabidulin_k1_is_multiplication_field(t2_4):
+def test_gabidulin_k1_is_multiplication_field(t2_4, scanned):
     C = gabidulin(t2_4, 4, 1, 1)
     assert C.dim == 4
-    assert C.min_distance() == 4  # nonzero multiplications are invertible
+    # nonzero multiplications are invertible
+    assert C.min_distance() == scanned(C).min_distance() == 4
 
 
 def test_gabidulin_gates(t2_4):
@@ -69,10 +70,11 @@ def test_gabidulin_gates(t2_4):
         gabidulin(t2_4, 4, 4, 1)
 
 
-def test_gabidulin_rank_distribution_equals_closed_form(t2_4):
+def test_gabidulin_rank_distribution_equals_closed_form(t2_4, scanned):
     for k in (1, 2, 3):
         C = gabidulin(t2_4, 4, k, 1)
         assert C.rank_distribution().A == mrd_weight_distribution(4, 4, 2, 4 - k + 1).A
+        assert scanned(C).rank_distribution() == C.rank_distribution()
 
 
 def test_linearized_poly_matrix_rank_matches_kernel(t2_4):
@@ -87,14 +89,14 @@ def test_linearized_poly_matrix_rank_matches_kernel(t2_4):
 # -- twisted Gabidulin ----------------------------------------------------------
 
 
-def test_twisted_gabidulin_q3_is_mrd():
+def test_twisted_gabidulin_q3_is_mrd(scanned):
     t = make_tower(3, 1, 4, 1)
     eta = find_nonsquare(t, "mid")
     tg = twisted_gabidulin(t, 4, 2, 1, eta, 0)
     assert not tg.untwisted
     assert tg.code.dim == 8
-    assert tg.code.min_distance() == 3
-    assert tg.code.is_mrd()
+    assert tg.code.min_distance() == scanned(tg.code).min_distance() == 3
+    assert tg.code.is_mrd() and scanned(tg.code).is_mrd()
 
 
 def test_twisted_gabidulin_eta_condition_rejects_all_of_f16(t2_4):
@@ -102,6 +104,14 @@ def test_twisted_gabidulin_eta_condition_rejects_all_of_f16(t2_4):
     for eta in range(1, 16):
         with pytest.raises(EtaConditionViolated):
             twisted_gabidulin(t2_4, 4, 2, 1, eta, 0)
+
+
+def test_twisted_gabidulin_eta_out_of_range_is_invalid(t3_4):
+    # eta is an element code of F_{q^N}: 0 <= eta < q^N = 81, like 0 <= c < N
+    for eta in (-1, 81, 99999):
+        with pytest.raises(InvalidParams, match=f"need 0 <= eta < q\\^N = 81, got eta={eta}"):
+            twisted_gabidulin(t3_4, 4, 2, 1, eta, 0)
+    assert twisted_gabidulin(t3_4, 4, 2, 1, 80, 0).code.dim == 8
 
 
 def test_twisted_gabidulin_eta_zero_untwisted(t2_4):
@@ -562,11 +572,12 @@ def test_mrd_predicate_iff_brute_force_on_fixture_corpus(scanned):
         assert predicted == actual, name
 
 
-def test_twisted_gabidulin_distribution_matches_closed_form():
+def test_twisted_gabidulin_distribution_matches_closed_form(scanned):
     t = make_tower(3, 1, 4, 1)
     eta = find_nonsquare(t, "mid")
     C = twisted_gabidulin(t, 4, 2, 1, eta, 0).code
     assert C.rank_distribution().A == mrd_weight_distribution(4, 4, 3, 3).A
+    assert scanned(C).rank_distribution() == C.rank_distribution()
 
 
 def test_witness_code_distribution_matches_mrd_iff_display(scanned):

@@ -4,7 +4,8 @@ its stderr text and its "results" payload (artifact included) exactly.
 The cases cover the subspace verbs and the code verbs on the fixture corpus,
 a few pseudoregulus parameter sets at odd and even q, extra inputs under
 tests/golden/inputs (a q = 5 subspace, one whose point weights and one whose
-hyperplane weights take the point-scan side), and budget exits.  To record them afresh (only when a change
+hyperplane weights take the point-scan side), Gabidulin codes read off their
+q-systems, and budget exits.  To record them afresh (only when a change
 to the payloads is intended and explained):
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
@@ -105,6 +106,13 @@ EXTRA = [
     # walk, cheaper than scanning its θ_2(16) = 273 points); neither fits 3
     ["scattered-check", "--subspace", NEAR_MISS, "--h", "2", "--subspace-budget", "3"],
     ["rank-dist", "--code", CODE_FILES[4], "--codeword-budget", "3"],
+    # read off the hyperplane weights of the code's q-system U ⊂ F_64^3: the
+    # walk over the θ_11(2) = 4095 F_q-points of U^⊥'
+    ["gabidulin", "--N", "6", "--k", "3", "--q", "2", "--mrd-check"],
+    # 4095 F_q-points, 2825 subspaces of F_2^6 and 2^18 codewords all exceed
+    # 2824: the exit names the cheapest engine's unit
+    ["gabidulin", "--N", "6", "--k", "3", "--q", "2", "--mrd-check",
+     "--codeword-budget", "2824"],
 ]
 
 

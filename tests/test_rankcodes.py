@@ -79,9 +79,11 @@ def test_min_distance_empty_code_gate():
         C.min_distance()
 
 
-def test_gabidulin_min_distance_and_mrd(gab):
-    assert gab.min_distance() == 3 == 4 - 2 + 1
-    assert gab.is_mrd()
+def test_gabidulin_min_distance_and_mrd(gab, scanned):
+    # gab reads its distribution off its q-system; the rebuilt code scans
+    for C in (gab, scanned(gab)):
+        assert C.min_distance() == 3 == 4 - 2 + 1
+        assert C.is_mrd()
 
 
 def test_random_low_dim_subcode_is_not_mrd():
@@ -101,8 +103,9 @@ def test_rank_distribution_full_2x2():
     assert full_space(2, 2).rank_distribution().A == (1, 9, 6)
 
 
-def test_rank_distribution_gabidulin_matches_closed_form(gab):
+def test_rank_distribution_gabidulin_matches_closed_form(gab, scanned):
     assert gab.rank_distribution().A == (1, 0, 0, 225, 30)
+    assert scanned(gab).rank_distribution().A == (1, 0, 0, 225, 30)
     assert mrd_weight_distribution(4, 4, 2, 3).A == (1, 0, 0, 225, 30)
 
 
@@ -152,8 +155,8 @@ def test_macwilliams_full_vs_zero():
     assert macwilliams_check(RankCode.from_generators(F2, 2, 2, []))
 
 
-def test_macwilliams_gabidulin(gab):
-    assert macwilliams_check(gab)
+def test_macwilliams_gabidulin(gab, scanned):
+    assert macwilliams_check(gab) and macwilliams_check(scanned(gab))
 
 
 def test_macwilliams_nonsquare_shape():
@@ -171,8 +174,8 @@ def test_macwilliams_random_subcodes(seed, k):
     assert macwilliams_check(C)
 
 
-def test_dual_relations_gabidulin(gab):
-    assert dual_relations_check(gab)
+def test_dual_relations_gabidulin(gab, scanned):
+    assert dual_relations_check(gab) and dual_relations_check(scanned(gab))
 
 
 def test_dual_relations_cug_code(pseudoreg, scanned):
@@ -359,7 +362,7 @@ def test_idealiser_basis_spans_the_enumerated_idealiser(p, e):
             assert SubspaceBasis.from_vectors(F, s * s, flat).rows == tuple(map(tuple, flat))
 
 
-def test_broken_rank_histograms_are_internal_errors(monkeypatch, tmp_path, capsys):
+def test_broken_rank_histograms_are_internal_errors(monkeypatch, tmp_path, capsys, scanned):
     # a histogram off by one breaks RankDistribution.validate: a ranklab bug
     # (exit 4), not a rejected input (exit 2)
     from ranklab import fixtures, rankcodes, serialize
@@ -372,7 +375,7 @@ def test_broken_rank_histograms_are_internal_errors(monkeypatch, tmp_path, capsy
     monkeypatch.setattr(rankcodes, "_walk_counts", off_by_one(rankcodes._walk_counts))
     monkeypatch.setattr(rankcodes, "_subspace_counts", off_by_one(rankcodes._subspace_counts))
     # the subspace count (67 subspaces < 2^8 words) and the walk (2 words < 16 subspaces)
-    for C in (fixtures.gabidulin_4_2_1(),
+    for C in (scanned(fixtures.gabidulin_4_2_1()),
               RankCode.from_generators(F2, 3, 3, [Mat.identity(F2, 3).data])):
         with pytest.raises(InternalInvariantError, match="does not sum to q\\^K"):
             C.rank_distribution()
@@ -757,11 +760,230 @@ def test_subspace_tree_matches_the_per_subspace_count():
     assert closed_form and tracked_deep
 
 
-def test_subspace_count_budget_is_the_subspace_count():
+def test_subspace_count_budget_is_the_subspace_count(scanned):
     from ranklab.errors import BudgetExceeded
 
     # K = 8 over F_2, 4x4: 67 subspaces of F_2^4 against 256 codewords
-    C = gabidulin(make_tower(2, 1, 4, 1), 4, 2, 1)
+    C = scanned(gabidulin(make_tower(2, 1, 4, 1), 4, 2, 1))
     with pytest.raises(BudgetExceeded, match="67 subspaces of F_2\\^4 exceeds budget 66"):
         C.rank_distribution(budget=66)
     assert C.rank_distribution(budget=67).A == (1, 0, 0, 225, 30)
+
+
+# -- the q-system engine: (twisted) Gabidulin codes from hyperplane weights -------
+
+PRIME_POWER = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
+# the walk over U^⊥' visits θ_{(k-1)N-1}(q) F_q-points: a cell is kept when
+# that is at most 2^12, which leaves N <= 6 at q = 2, N <= 5 at q = 3 and
+# 4, N <= 4 at q = 5, N <= 3 at q = 8 and 9, and k > N/2 only at small N
+QSYSTEM_ITEMS = 1 << 12
+QSYSTEM_TOWERS = {2: (2, 3, 4, 5, 6), 3: (2, 3, 4, 5), 4: (2, 3, 4, 5), 5: (2, 3, 4),
+                  8: (2, 3), 9: (2, 3)}
+
+
+def _valid_eta(tower, N, k):
+    """The largest nonzero eta code meeting the norm condition, or None (every
+    eta fails at q = 2)."""
+    from ranklab.constructions import twisted_gabidulin
+    from ranklab.errors import EtaConditionViolated
+
+    for eta in range(tower.mid.order - 1, 0, -1):
+        try:
+            twisted_gabidulin(tower, N, k, 1, eta, 0)
+        except EtaConditionViolated:
+            continue
+        return eta
+    return None
+
+
+def _qsystem_cells():
+    """(q, N, k, s, eta): every k < N within QSYSTEM_ITEMS, s = 1 and the
+    least s > 1 prime to N (if s < N), eta = 0 and a valid twist."""
+    import math
+
+    from ranklab.fqlinalg import theta
+
+    out = []
+    for q, Ns in QSYSTEM_TOWERS.items():
+        for N in Ns:
+            tower = make_tower(*PRIME_POWER[q], N, 1)
+            coprime = [s for s in range(2, N) if math.gcd(s, N) == 1][:1]
+            for k in range(1, N):
+                if theta((k - 1) * N - 1, q) > QSYSTEM_ITEMS:
+                    continue
+                etas = [0] + [e for e in [_valid_eta(tower, N, k)] if e is not None]
+                out += [(q, N, k, s, eta) for s in [1] + coprime for eta in etas]
+    return out
+
+
+QSYSTEM_CELLS = _qsystem_cells()
+
+
+def _engine_spies(monkeypatch):
+    """Record which rank engine runs: "qsystem", "walk" or "tree"."""
+    from ranklab import rankcodes
+
+    ran = []
+    for name, label in (("_qsystem_counts", "qsystem"), ("_walk_counts", "walk"),
+                        ("_subspace_counts", "tree")):
+        real = getattr(rankcodes, name)
+        monkeypatch.setattr(rankcodes, name,
+                            lambda *a, real=real, label=label: ran.append(label) or real(*a))
+    return ran
+
+
+@pytest.mark.parametrize("q,N,k,s,eta", QSYSTEM_CELLS,
+                         ids=[f"q{q}_N{N}_k{k}_s{s}_eta{eta}" for q, N, k, s, eta in QSYSTEM_CELLS])
+def test_qsystem_engine_matches_the_scans(q, N, k, s, eta, monkeypatch, scanned):
+    from ranklab import rankcodes, subspaces
+    from ranklab.constructions import twisted_gabidulin
+    from ranklab.fqlinalg import theta
+
+    tower = make_tower(*PRIME_POWER[q], N, 1)
+    C = twisted_gabidulin(tower, N, k, s, eta, 0).code
+    want = scanned(C).rank_distribution()
+    assert want == mrd_weight_distribution(N, N, q, N - k + 1)
+    assert C.qsystem.k == N and C.qsystem.r == k
+    ran = _engine_spies(monkeypatch)
+    # the q-system engine forced by its price, on each side of
+    # subspaces._point_weight_items for U^⊥' (the point scan where it is small)
+    monkeypatch.setattr(rankcodes, "hyperplane_scan_items", lambda U, budget: (0, True))
+    for walk in (True, False)[:1 + (theta(k - 1, q**N) <= QSYSTEM_ITEMS)]:
+        monkeypatch.setattr(subspaces, "_walk_is_cheaper", lambda *a, walk=walk: walk)
+        assert twisted_gabidulin(tower, N, k, s, eta, 0).code.rank_distribution() == want
+    assert set(ran) == {"qsystem"}
+
+
+def test_qsystem_grid_covers_every_q_twists_and_both_sides():
+    from ranklab.fqlinalg import theta
+
+    assert {q for q, *_ in QSYSTEM_CELLS} == set(PRIME_POWER)
+    # twisted at odd and at even q, and s > 1
+    assert {q for q, N, k, s, eta in QSYSTEM_CELLS if eta} == {3, 4, 5, 8, 9}
+    assert any(s > 1 and eta for q, N, k, s, eta in QSYSTEM_CELLS)
+    # k > N/2, k = 1 (U^⊥' = 0) and the point scan of U^⊥'
+    assert any(2 * k > N >= 4 for q, N, k, s, eta in QSYSTEM_CELLS)
+    assert any(k == 1 for q, N, k, s, eta in QSYSTEM_CELLS)
+    assert any(k >= 2 and theta(k - 1, q**N) <= QSYSTEM_ITEMS
+               for q, N, k, s, eta in QSYSTEM_CELLS)
+    assert len(QSYSTEM_CELLS) >= 100
+
+
+@pytest.mark.parametrize("q,N,k,engine", [(2, 4, 2, "qsystem"), (2, 6, 3, "qsystem"),
+                                          (3, 5, 2, "qsystem"), (2, 4, 1, "qsystem"),
+                                          (2, 5, 4, "tree"), (3, 4, 3, "tree"),
+                                          (4, 4, 3, "tree")])
+def test_pricing_picks_the_engine_from_the_input(q, N, k, engine, monkeypatch):
+    # q-system iff its items <= K·#subspaces/2: it wins at k <= N/2 here,
+    # the tree at k > N/2
+    from ranklab import rankcodes
+    from ranklab.fqlinalg import qbinom
+
+    tower = make_tower(*PRIME_POWER[q], N, 1)
+    want = mrd_weight_distribution(N, N, q, N - k + 1)
+    ran = _engine_spies(monkeypatch)
+    assert gabidulin(tower, N, k, 1).rank_distribution() == want
+    assert ran == [engine]
+    # each side forced through the q-system's price: the q-system, or the
+    # shorter of the two scans
+    spaces = sum(qbinom(N, d, q) for d in range(N + 1))
+    scan = "walk" if q**(N * k) <= spaces else "tree"
+    for items, forced in ((0, "qsystem"), (1 << 62, scan)):
+        ran.clear()
+        monkeypatch.setattr(rankcodes, "hyperplane_scan_items",
+                            lambda U, budget, items=items: (items, True))
+        assert gabidulin(tower, N, k, 1).rank_distribution() == want
+        assert ran == [forced]
+
+
+def test_codes_without_a_qsystem_take_the_scans(monkeypatch):
+    from ranklab import rankcodes, serialize
+    from ranklab.constructions import twisted_gabidulin
+    from ranklab.fqlinalg import Mat
+
+    def no_qsystem(C, budget):
+        raise AssertionError("the q-system engine ran on a code without one")
+
+    t34, t2_22 = make_tower(3, 1, 4, 1), make_tower(2, 1, 2, 2)
+    G = gabidulin(make_tower(2, 1, 4, 1), 4, 2, 1)
+    assert G.qsystem is not None
+    cases = {
+        # c != 0: not left F_{q^N}-linear, so no q-system
+        "c=1": (twisted_gabidulin(t34, 4, 2, 1, _valid_eta(t34, 4, 2), 1).code, (4, 4, 3, 3)),
+        # the top level N = nt of a tower with t = 2
+        "top": (gabidulin(t2_22, 4, 2, 1), (4, 4, 2, 3)),
+        "json": (serialize.rankcode_from_json(serialize.rankcode_to_json(G)), (4, 4, 2, 3)),
+        "dual": (delsarte_dual_code(G), (4, 4, 2, 3)),
+        "adjoint": (adjoint(G), (4, 4, 2, 3)),
+        "puncture": (puncture(G, Mat.from_rows(F2, [[1, 0, 0, 0], [0, 1, 0, 0],
+                                                    [0, 0, 1, 1]])), (3, 4, 2, 2)),
+    }
+    monkeypatch.setattr(rankcodes, "_qsystem_counts", no_qsystem)
+    for label, (C, params) in cases.items():
+        assert C.qsystem is None, label
+        assert C.rank_distribution() == mrd_weight_distribution(*params), label
+
+
+def test_qsystem_budget_exits_at_its_item_count(monkeypatch):
+    from ranklab import rankcodes, subspaces
+    from ranklab.errors import BudgetExceeded
+
+    t16 = make_tower(2, 1, 4, 1)
+    want = mrd_weight_distribution(4, 4, 2, 3)
+    ran = _engine_spies(monkeypatch)
+    # (2,4,2): U^⊥' has θ_3(2) = 15 F_q-points, below 67 subspaces and 256 words
+    with pytest.raises(BudgetExceeded) as exc:
+        gabidulin(t16, 4, 2, 1).rank_distribution(budget=14)
+    assert (exc.value.needed, exc.value.allowed, exc.value.what) == (
+        15, 14, "F_q-points of the q-system's dual")
+    assert gabidulin(t16, 4, 2, 1).rank_distribution(budget=15) == want
+    # the point scan of U^⊥' counts θ_1(16) = 17 hyperplanes; at 15 and 16
+    # only the walk fits, so the walk runs
+    monkeypatch.setattr(subspaces, "_walk_is_cheaper", lambda *a: False)
+    with pytest.raises(BudgetExceeded, match="17 hyperplanes of F_16\\^2 exceeds budget 14"):
+        gabidulin(t16, 4, 2, 1).rank_distribution(budget=14)
+    scans = []
+    point_scan = subspaces._point_scan
+    monkeypatch.setattr(subspaces, "_point_scan",
+                        lambda U, budget: scans.append(budget) or point_scan(U, budget))
+    for budget in (16, 17):
+        assert gabidulin(t16, 4, 2, 1).rank_distribution(budget=budget) == want
+    assert scans == [17] and ran == ["qsystem"] * 3
+    monkeypatch.undo()
+    # (2,6,3): 4095 F_q-points do not fit 4094, the tree's 2825 subspaces do
+    ran = _engine_spies(monkeypatch)
+    C = gabidulin(make_tower(2, 1, 6, 1), 6, 3, 1)
+    assert C.rank_distribution(budget=4094) == mrd_weight_distribution(6, 6, 2, 4)
+    assert ran == ["tree"]
+    with pytest.raises(BudgetExceeded, match="4095 F_q-points of the q-system's dual"):
+        gabidulin(make_tower(2, 1, 6, 1), 6, 3, 1).rank_distribution(budget=2824)
+    assert rankcodes.DEFAULT_CODEWORD_BUDGET >= 4095
+
+
+def test_broken_qsystem_histogram_is_an_internal_error(monkeypatch, capsys):
+    from ranklab import rankcodes
+    from ranklab.cli import main
+    from ranklab.errors import InternalInvariantError
+
+    real = rankcodes._qsystem_counts
+    monkeypatch.setattr(rankcodes, "_qsystem_counts",
+                        lambda C, budget: [x + (i == 1) for i, x in enumerate(real(C, budget))])
+    with pytest.raises(InternalInvariantError, match="does not sum to q\\^K"):
+        gabidulin(make_tower(2, 1, 4, 1), 4, 2, 1).rank_distribution()
+    assert main(["gabidulin", "--N", "4", "--k", "2", "--mrd-check"]) == 4
+    assert "does not sum to q^K" in capsys.readouterr().err
+
+
+def test_a_qsystem_of_the_wrong_dimension_is_an_internal_error():
+    from ranklab.errors import InternalInvariantError
+    from ranklab.subspaces import FqSubspace
+
+    tower = make_tower(2, 1, 4, 1)
+    C = gabidulin(tower, 4, 2, 1)
+    U = C.qsystem
+    assert U.k == 4
+    short = FqSubspace.from_flat(tower, 2, U.flat.rows[1:])
+    with pytest.raises(InternalInvariantError, match="must be 4-dimensional"):
+        gabidulin(tower, 4, 2, 1).install_qsystem(short)
+    with pytest.raises(InternalInvariantError, match="must be 4-dimensional"):
+        gabidulin(tower, 4, 3, 1).install_qsystem(U)    # U lies in F_16^2, not F_16^3
