@@ -6,6 +6,11 @@ randomized search for scattered subspaces.
 Linearized polynomials convert to matrices by evaluation on the fixed
 polynomial basis of their field over F_q, so matrix equality is meaningful
 across modules.  Matrices act on column coordinate vectors.
+
+C_{U,G} and the c = 0 (twisted) Gabidulin codes on the mid field carry the
+subspace S whose point weights are their ranks (RankCode.attach): S = U for
+C_{U,G}, and S = U^⊥' for the q-system U of a Gabidulin code.  Both rank
+distributions then come from the one geometric engine of rankcodes.
 """
 
 from __future__ import annotations
@@ -38,19 +43,16 @@ from .fqlinalg import (
     mat_inverse,
     mat_mul,
     mat_vec,
-    theta,
 )
 from .rankcodes import (
     DEFAULT_CODEWORD_BUDGET,
     RankCode,
     _algebra_generator,
     mrd_weight_distribution,
-    ranks_from_weights,
     right_idealiser,
 )
 from .subspaces import (
     FqSubspace,
-    _point_weight_items,
     excess_iter,
     flatten_vec,
     iota,
@@ -141,17 +143,20 @@ def _twisted_code(tower: FieldTower, N: int, k: int, s: int,
     and gamma·x^{q^{si}} (0 < i < k) over an F_q-basis gamma of F_{q^N}.
 
     At c = 0 on the mid field it is left F_{q^N}-linear, the F_{q^N}-span of
-    f_0 = x + eta·x^{q^{sk}} and f_i = x^{q^{si}}, and carries its q-system
-    U = {(f_0(α), ..., f_{k-1}(α)) : α ∈ F_{q^N}} ⊂ F_{q^N}^k
-    (RankCode.install_qsystem), so its rank distribution may be read off
-    U's hyperplane weights.  U is N-dimensional: at k >= 2 the coordinate
-    α^{q^s} is injective, and at k = 1 the norm condition is exactly the
-    injectivity of α -> α + eta·α^{q^s}; install_qsystem checks it."""
+    f_0 = x + eta·x^{q^{sk}} and f_i = x^{q^{si}}, with the q-system
+    U = {(f_0(α), ..., f_{k-1}(α)) : α ∈ F_{q^N}} ⊂ F_{q^N}^k: the codeword
+    of a ∈ F_{q^N}^k has rank N - dim(U ∩ a^⊥).  U is N-dimensional (at
+    k >= 2 the coordinate α^{q^s} is injective, and at k = 1 the norm
+    condition is exactly the injectivity of α -> α + eta·α^{q^s}), so
+    dim(U ∩ a^⊥) is the weight of <a> in U^⊥' and the code carries
+    S = U^⊥' (RankCode.attach, which checks dim U^⊥' = kN - N)."""
     level = _resolve_level(tower, N)
     if not 1 <= k < N:
         raise KTooLarge(f"need 1 <= k < N, got k={k}, N={N}")
     if math.gcd(s, N) != 1:
         raise GcdViolation(f"gcd(s, N) must be 1, got gcd({s},{N})={math.gcd(s, N)}")
+    if not 1 <= s < N:
+        raise InvalidParams(f"need 1 <= s < N, got s={s}")
     if not 0 <= c < N:
         raise InvalidParams(f"need 0 <= c < N, got c={c}")
     F = tower.field(level)
@@ -182,8 +187,8 @@ def _twisted_code(tower: FieldTower, N: int, k: int, s: int,
         # gens[i·N] is f_i (gamma = 1), and column j of its matrix is f_i(b_j)
         # for the F_q-basis b: stacked over i, u(b_j) = (f_0(b_j), ..., f_{k-1}(b_j))
         fs = [gens[i * N].data for i in range(k)]
-        code.install_qsystem(FqSubspace.from_flat(
-            tower, k, [[M[a][j] for M in fs for a in range(N)] for j in range(N)]))
+        code.attach(ordinary_dual(FqSubspace.from_flat(
+            tower, k, [[M[a][j] for M in fs for a in range(N)] for j in range(N)])))
     return code
 
 
@@ -250,37 +255,24 @@ def _cug_codewords(tower: FieldTower, r: int, G: Mat) -> list[list[list[int]]]:
 def c_ug(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> CUGCode:
     """Build C_{U,G} with the canonical G; parameters (rn-k, n, q; n-iota).
 
-    The kernel of Γ_v is {λ : λv ∈ U}, so rank Γ_v = n - w(<v>), and one pass
-    over the point weights of L_U (subspaces._point_weight_items; budget caps
-    its item count) gives the whole rank distribution:
-    A_{n-i} = (q^n - 1)·#{points of weight i} for i >= 1, and
-    A_n = (q^n - 1)·(θ_{r-1}(q^n) - |L_U|).  iota is the largest weight, so
-    d = n - iota.  The code carries this distribution, so its
-    rank_distribution, min_distance and is_mrd run no codeword scan; the
-    rankcodes scans are its oracle in the tests.  A point of weight n
-    (a full F_{q^n}-line in U) raises IotaFull as soon as it is seen.
+    The kernel of Γ_v is {λ : λv ∈ U}, so rank Γ_v = n - w(<v>): the code
+    carries U (RankCode.attach), and its rank distribution is read off the
+    point weights of L_U, or a rankcodes scan where that is priced lower;
+    the scans are its oracle in the tests.  iota is the largest weight, so
+    iota = n - d, computed under budget.  Γ_v = 0 iff <v>_{F_{q^n}} ⊆ U, so
+    a point of weight n (a full F_{q^n}-line in U) shows as dim C < rn and
+    raises IotaFull.
     """
     tower, r, n = U.tower, U.r, U.tower.n
-    m, Q = r * n - U.k, tower.mid.order
-    points = [0] * n    # points[w]: points of PG(r-1, q^n) of weight w
-    for _, w in _point_weight_items(U, budget):
-        if w == n:
-            raise IotaFull("U contains a full F_{q^n}-line; C_{U,G} degenerates")
-        points[w] += 1
-    points[0] = theta(r - 1, Q) - sum(points[1:])    # the walk skips weight 0
-    # every point meets U in dimension >= k + n - rn = n - m, as
-    # ranks_from_weights checks
-    A = ranks_from_weights(dict(enumerate(points)), m, n, Q)
-    it = max((w for w in range(1, n) if points[w]), default=0)
     G = _canonical_projection(U)
     if kernel(G) != U.flat:
         raise InternalInvariantError("canonical projection has wrong kernel")
     gens = _cug_codewords(tower, r, G)
-    code = RankCode.from_generators(tower.base, m, n, gens)
+    code = RankCode.from_generators(tower.base, r * n - U.k, n, gens)
     if code.dim != r * n:
-        raise InternalInvariantError("v -> Γ_v failed to be injective")
-    code.install_rank_distribution(A)
-    return CUGCode(U, G, code, it)
+        raise IotaFull("U contains a full F_{q^n}-line; C_{U,G} degenerates")
+    code.attach(U)
+    return CUGCode(U, G, code, n - code.min_distance(budget=budget))
 
 
 def cug_mrd_weight_distribution(r: int, n: int, it: int, q: int) -> tuple[int, ...]:

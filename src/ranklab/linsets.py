@@ -32,7 +32,7 @@ from .fields import Field
 from .fqlinalg import DEFAULT_SUBSPACE_BUDGET, projective_points, theta
 from .subspaces import (
     FqSubspace,
-    _point_weights,
+    _point_weight_items,
     hyperplane_weight_counts,
     is_h_scattered,
     normalize_point,
@@ -56,10 +56,11 @@ class LinearSet:
 
 
 def linear_set(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> LinearSet:
-    """The points of L_U with their weights, from a walk of one vector per
-    F_q-point of U bucketed by projective point (a point of weight w holds
-    θ_{w-1}(q) of them); budget caps the walk at θ_{k-1}(q) F_q-points."""
-    return LinearSet(U, _point_weights(U, budget))
+    """The points of L_U with their weights, from the walk of U's
+    F_q-points or the scan of every point of PG(r-1, q^n), whichever
+    subspaces._point_weight_items chooses; budget caps the chosen scan's
+    item count."""
+    return LinearSet(U, {P: w for P, w in _point_weight_items(U, budget) if w})
 
 
 def ti_formula(r: int, n: int, h: int, q: int, i: int) -> int:

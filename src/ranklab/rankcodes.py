@@ -1,17 +1,16 @@
 """F_q-linear rank-metric codes as spaces of m x n matrices over F_q.
 
 A code stores a canonical basis (the RREF of the flattened basis matrices in
-F_q^{mn}), never the codeword set.  Its rank distribution has one of three
-sources, all exact.  A code C_{U,G} carries the distribution read off the
-point weights of the linear set L_U (constructions.c_ug, installed by
-RankCode.install_rank_distribution).  A (twisted) Gabidulin code built with
-c = 0 on the mid field carries its q-system U ⊂ F_{q^N}^k
-(RankCode.install_qsystem), and its distribution may be read off U's
-hyperplane weights (subspaces.hyperplane_weight_counts): the codeword of a
-has rank N - dim(U ∩ a^⊥).  ranks_from_weights turns either histogram into
-A_{n-w} = (q^n - 1)·count[w].  Any code may take one of two scans, run on
-demand under an explicit budget, which are also the oracle of both
-geometric paths:
+F_q^{mn}), never the codeword set.  Its rank distribution has up to three
+sources, all exact.  A code may carry an F_q-subspace S of F_{q^n}^r whose
+point weights are its ranks (RankCode.attach): its K = rn codewords come in
+classes of q^n - 1, one per point <v> of PG(r-1, q^n), of rank
+n - w_S(<v>), so A_{n-w} = (q^n - 1)·#{points of weight w}
+(subspaces.point_weight_counts).  C_{U,G} carries S = U
+(constructions.c_ug); a (twisted) Gabidulin code built with c = 0 on the
+mid field carries S = U^⊥' for its q-system U, of dimension N.  Any code
+may take one of two scans, run on demand under an explicit budget, which
+are also the oracle of the geometric engine:
 
 - the codeword walk ranks each of the q^K codewords, reached by an odometer
   with one vector add per step;
@@ -23,7 +22,7 @@ geometric paths:
   images of one column block; a node with an empty subcode adds its whole
   subtree in closed form.
 
-A code with a q-system takes whichever of the three engines is priced
+A code with a subspace takes whichever of the three engines is priced
 lowest (RankCode.rank_distribution); any other code the shorter scan.
 
 An idealiser is the set of combinations of the unit matrices E_ab whose
@@ -74,7 +73,7 @@ from .fqlinalg import (
     unpack_row,
     vanishing_tails,
 )
-from .subspaces import FqSubspace, hyperplane_scan_items, hyperplane_weight_counts
+from .subspaces import FqSubspace, _plan, point_weight_counts
 
 DEFAULT_CODEWORD_BUDGET = 1 << 24
 
@@ -102,7 +101,7 @@ class RankCode:
     def __post_init__(self):
         self._rank_distribution: RankDistribution | None = None
         self._idealisers: dict[Side, Idealiser] = {}
-        self.qsystem: FqSubspace | None = None
+        self.subspace: FqSubspace | None = None
 
     @classmethod
     def from_generators(cls, F: Field, m: int, n: int, mats) -> "RankCode":
@@ -154,63 +153,55 @@ class RankCode:
         the subcode of every subspace of F_q^{min(m,n)}, walking them as a
         tree that carries each parent's subcode to its children and closes
         the subtree of an empty subcode in one formula; its item count is
-        the number of those subspaces.  A code with a q-system U
-        (install_qsystem) may instead read U's hyperplane weights, whose
-        items are the ones subspaces.hyperplane_scan_items names: the
-        θ_{(k-1)n-1}(q) F_q-points of U^⊥' or the θ_{k-1}(q^n) hyperplanes.
+        the number of those subspaces.  A code with a subspace S (attach)
+        may instead read S's point weights, whose items are the ones
+        subspaces._plan names: the θ_{dim S-1}(q) F_q-points of S or the
+        θ_{r-1}(q^n) points of PG(r-1, q^n).
 
         Prices are about row additions: K per codeword and per subspace,
-        2 per q-system item, so the q-system runs iff its items are at most
-        K·#subspaces/2 (on Gabidulin codes up to q = 9 and N = 7 this picks
-        the faster of it and the tree in 66 of 69 cells, README Performance
-        notes).  The cheapest engine among those whose items fit budget
-        runs; when none fits, the cheapest raises BudgetExceeded naming its
-        unit.  So a budget that fits a code's shorter scan always suffices.
-        A distribution installed by install_rank_distribution (C_{U,G}) is
-        returned as is.
+        2 per point-weight item, so the subspace's engine runs iff its items
+        are at most K·#subspaces/2 (on Gabidulin codes up to q = 9 and N = 7
+        this picks the faster of it and the tree in 66 of 69 cells, README
+        Performance notes).  The cheapest engine among those whose items fit
+        budget runs; when none fits, the cheapest raises BudgetExceeded
+        naming its unit.  So a budget that fits a code's shorter scan always
+        suffices.
         """
         if self._rank_distribution is None:
             q, K, mp = self.q, self.dim, min(self.m, self.n)
             spaces = sum(qbinom(mp, s, q) for s in range(mp + 1))
             # (price, items, unit, scan), in the order ties are broken
             engines = []
-            if self.qsystem is not None:
-                U = self.qsystem
-                items, walk = hyperplane_scan_items(U, budget)
-                unit = ("F_q-points of the q-system's dual" if walk
-                        else f"hyperplanes of F_{U.tower.mid.order}^{U.r}")
-                engines.append((2 * items, items, unit,
-                                lambda C: _qsystem_counts(C, budget)))
+            if self.subspace is not None:
+                S = self.subspace
+                walk, items = _plan(S.tower, S.r, S.k, budget)
+                engines.append((2 * items, items,
+                                "subspace F_q-points" if walk else "projective points",
+                                lambda C: _point_counts(C, budget)))
             engines += [(K * self.size, self.size, "codewords", _walk_counts),
                         (K * spaces, spaces, f"subspaces of F_{q}^{mp}", _subspace_counts)]
             _, needed, what, scan = min([e for e in engines if e[1] <= budget] or engines,
                                         key=lambda e: e[0])
             if needed > budget:
                 raise BudgetExceeded(needed, budget, what)
-            self.install_rank_distribution(scan(self))
+            dist = RankDistribution(tuple(scan(self)), self.m, self.n, q, K)
+            dist.validate()
+            self._rank_distribution = dist
         return self._rank_distribution
 
-    def install_rank_distribution(self, A) -> None:
-        """Adopt A = (A_0, ..., A_{min(m,n)}) as the code's rank distribution
-        once it passes RankDistribution.validate; rank_distribution then
-        returns it without a scan or a budget check."""
-        dist = RankDistribution(tuple(A), self.m, self.n, self.q, self.dim)
-        dist.validate()
-        self._rank_distribution = dist
-
-    def install_qsystem(self, U: FqSubspace) -> None:
-        """Adopt U ⊂ F_{q^n}^k as the code's q-system: the code is
-        {α -> Σ a_i·u_i(α) : a ∈ F_{q^n}^k} for an F_q-isomorphism
-        α -> u(α) of F_{q^n} onto U, so the codeword of a has rank
-        n - dim(U ∩ a^⊥) and rank_distribution may read the distribution
-        off U's hyperplane weights.  U must be n-dimensional (α -> u(α)
-        injective) in F_{q^n}^{K/n}, for a square code."""
-        if (U.k, U.tower.n, self.m, U.r * self.n) != (self.n, self.n, self.n, self.dim):
+    def attach(self, S: FqSubspace) -> None:
+        """Adopt S ⊂ F_{q^n}^r as the subspace whose point weights are the
+        code's ranks: the codeword of v ∈ F_{q^n}^r, and of each of its
+        q^n - 1 nonzero multiples, has rank n - w_S(<v>).  Then K = rn and
+        m = rn - dim S, over the code's base field."""
+        rn = S.r * self.n
+        if (S.tower.n, S.tower.base, rn, rn - S.k) != (self.n, self.field, self.dim, self.m):
             raise InternalInvariantError(
-                f"a q-system of an ({self.m},{self.n}) code of dimension {self.dim} must be "
-                f"{self.n}-dimensional in F_(q^{self.n})^{self.dim // self.n}; "
-                f"got dimension {U.k} in F_(q^{U.tower.n})^{U.r}")
-        self.qsystem = U
+                f"an ({self.m},{self.n}) code of dimension {self.dim} over F_{self.q} reads "
+                f"its ranks off a subspace of dimension {self.dim - self.m} in "
+                f"F_(q^{self.n})^{self.dim // self.n}; got dimension {S.k} in "
+                f"F_({S.tower.base.order}^{S.tower.n})^{S.r}")
+        self.subspace = S
 
     def min_distance(self, *, budget: int = DEFAULT_CODEWORD_BUDGET) -> int:
         """Minimum rank over nonzero codewords (= minimum distance)."""
@@ -233,29 +224,17 @@ def _span_ranks(F: Field, vecs, m: int, n: int):
         yield add_all(split(word, m))
 
 
-def ranks_from_weights(counts, m: int, n: int, Q: int) -> list[int]:
-    """The rank distribution of an m x n code whose nonzero codewords come
-    in classes of Q - 1, counts[w] of them of rank n - w:
-    A_0 = 1 and A_{n-w} = (Q - 1)·counts[w] ({w: count}).  Read off the
-    points of L_U for C_{U,G} (Q = q^n) and off the hyperplanes of a
-    q-system (_qsystem_counts)."""
-    A = [1] + [0] * min(m, n)
-    for w, count in counts.items():
-        if count:
-            if not n - len(A) < w <= n:
-                raise InternalInvariantError(f"a weight below n - m or above n: {w}")
-            A[n - w] += (Q - 1) * count
+def _point_counts(C: RankCode, budget: int) -> list[int]:
+    """Rank histogram of a code with a subspace S (RankCode.attach):
+    A_0 = 1 and A_{n-w} = (q^n - 1)·#{points of weight w}.  Every weight
+    lies in n - m..n, as rank n - w lies in 0..m."""
+    S, n = C.subspace, C.n
+    A = [1] + [0] * min(C.m, n)
+    for w, count in point_weight_counts(S, budget=budget).items():
+        if not n - len(A) < w <= n:
+            raise InternalInvariantError(f"a weight below n - m or above n: {w}")
+        A[n - w] += (S.tower.mid.order - 1) * count
     return A
-
-
-def _qsystem_counts(C: RankCode, budget: int) -> list[int]:
-    """Rank histogram of a code with a q-system U (RankCode.install_qsystem)
-    from U's hyperplane weights: the codeword of a nonzero a ∈ F_{q^n}^k
-    shares the hyperplane a^⊥ with its q^n - 1 nonzero multiples, and has
-    rank n - dim(U ∩ a^⊥)."""
-    U = C.qsystem
-    return ranks_from_weights(hyperplane_weight_counts(U, budget=budget),
-                              C.m, C.n, U.tower.mid.order)
 
 
 def _walk_counts(C: RankCode) -> list[int]:
@@ -633,23 +612,20 @@ class GabidulinExclusion(enum.Enum):
 
 
 def gabidulin_family_exclusion(C: RankCode, r: int, n: int, h: int, *,
-                               budget: int = DEFAULT_CODEWORD_BUDGET,
-                               right_idealiser_order: int | None = None,
-                               min_distance: int | None = None) -> GabidulinExclusion:
+                               budget: int = DEFAULT_CODEWORD_BUDGET) -> GabidulinExclusion:
     """Certify that C is not a punctured generalized (twisted) Gabidulin code.
 
     Certification fires exactly when (h+1) does not divide r and the right
     idealiser has the maximum order q^n: punctured Gabidulin-family codes of
     these parameters have idealiser order q^l with l dividing rn/(h+1), and
-    idealiser orders are equivalence invariants.  The keyword overrides let
-    unit tests inject the invariants without building a full-size code.
+    idealiser orders are equivalence invariants.
     """
     if r * n % (h + 1) != 0:
         raise ParamMismatch("(h+1) must divide rn")
     if (C.m, C.n) != (r * n // (h + 1), n):
         raise ParamMismatch(
             f"expected shape ({r * n // (h + 1)}, {n}), got ({C.m}, {C.n})")
-    d = min_distance if min_distance is not None else C.min_distance(budget=budget)
+    d = C.min_distance(budget=budget)
     if d != n - h:
         raise ParamMismatch(f"expected minimum distance {n - h}, got {d}")
     if n < h + 3 or (n, h) == (4, 1):
@@ -657,8 +633,6 @@ def gabidulin_family_exclusion(C: RankCode, r: int, n: int, h: int, *,
             "inequivalence theorem needs n >= h+3 and (n,h) != (4,1)")
     if r % (h + 1) == 0:
         return GabidulinExclusion.NOT_APPLICABLE
-    order = (right_idealiser_order if right_idealiser_order is not None
-             else right_idealiser(C).order)
-    if order == C.q**n:
+    if right_idealiser(C).order == C.q**n:
         return GabidulinExclusion.CERTIFIED_NEW
     return GabidulinExclusion.NOT_APPLICABLE

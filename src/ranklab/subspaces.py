@@ -26,9 +26,12 @@ exact scans, chosen from the input and the budget:
 
 The walk runs when U's θ_{k-1}(q) F_q-points are at most n·θ_{r-1}(q^n),
 the row additions of the point scan; when only one of the two fits the
-budget, that one runs.  Hyperplane weights are point weights of the
-ordinary dual U^⊥', by whichever scan is chosen for it: the hyperplane
-H_w = ker(w·) is the dual of the point <w>, so dim(U ∩ H_w) =
+budget, that one runs.  _plan makes that choice and names its item count,
+which is also the price rankcodes puts on reading a code's ranks off the
+point weights of its subspace.  point_weight_counts counts the points of
+each weight, those of weight 0 included.  Hyperplane weights are point
+weights of the ordinary dual U^⊥', by whichever scan is chosen for it: the
+hyperplane H_w = ker(w·) is the dual of the point <w>, so dim(U ∩ H_w) =
 w_{U^⊥'}(<w>) + k - n.  Scatteredness at h = 1 reads the point weights of
 U, at h = r - 1 those of U^⊥'.  Every scan refuses (BudgetExceeded) rather
 than samples when its item count exceeds the budget: the F_q-points of the
@@ -263,23 +266,25 @@ def _point_scan(U: FqSubspace, budget: int):
     return zip(points, _meet_dims(U, zip(lines)))
 
 
-def _walks(tower: FieldTower, r: int, dim: int, budget: int) -> bool:
-    """True iff _point_weight_items walks a dim-dimensional F_q-subspace of
-    F_{q^n}^r under budget: when only one of the walk's θ_{dim-1}(q)
-    F_q-points and the scan's θ_{r-1}(q^n) points fits the budget, that
-    side; otherwise the cheaper (_walk_is_cheaper)."""
-    walk_fits = theta(dim - 1, tower.base.order) <= budget
-    if walk_fits != (theta(r - 1, tower.mid.order) <= budget):
-        return walk_fits
-    return _walk_is_cheaper(tower, r, dim)
+def _plan(tower: FieldTower, r: int, dim: int, budget: int) -> tuple[bool, int]:
+    """(walk, items) of _point_weight_items on a dim-dimensional
+    F_q-subspace of F_{q^n}^r under budget: the walk of its θ_{dim-1}(q)
+    F_q-points (walk True) or the scan of the θ_{r-1}(q^n) points of
+    PG(r-1, q^n).  When only one of the two fits the budget, that one;
+    otherwise the cheaper (_walk_is_cheaper)."""
+    walk, scan = theta(dim - 1, tower.base.order), theta(r - 1, tower.mid.order)
+    walks = walk <= budget
+    if walks == (scan <= budget):
+        walks = _walk_is_cheaper(tower, r, dim)
+    return walks, walk if walks else scan
 
 
 def _point_weight_items(U: FqSubspace, budget: int):
     """(point, weight) pairs covering every point of positive weight: the
     vector walk when θ_{k-1}(q) <= n·θ_{r-1}(q^n), the point scan otherwise
     (which also yields the points of weight 0).  When only one of the two
-    fits the budget, that one runs."""
-    if _walks(U.tower, U.r, U.k, budget):
+    fits the budget, that one runs (_plan)."""
+    if _plan(U.tower, U.r, U.k, budget)[0]:
         return _point_weights(U, budget).items()
     return _point_scan(U, budget)
 
@@ -349,20 +354,21 @@ def is_h_scattered(U: FqSubspace, h: int, *,
 class DimBound(enum.Enum):
     SUBGEOMETRY = "subgeometry"
     WITHIN_BOUND = "within-bound"
-    VIOLATION = "violation"
 
 
 def check_dimension_bound(U: FqSubspace, h: int) -> DimBound:
     """Classify an h-scattered U against the k=r / k <= rn/(h+1) dichotomy.
 
-    VIOLATION is unreachable for genuinely h-scattered inputs and signals an
-    internal inconsistency upstream.
+    An h-scattered U has k <= rn/(h+1), so a larger k is a broken invariant
+    upstream (InternalInvariantError), not a class.
     """
     if U.k == U.r:
         return DimBound.SUBGEOMETRY
     if U.k * (h + 1) <= U.r * U.tower.n:
         return DimBound.WITHIN_BOUND
-    return DimBound.VIOLATION
+    raise InternalInvariantError(
+        f"an h-scattered subspace has dimension at most rn/(h+1); got k={U.k}, "
+        f"h={h}, rn={U.r * U.tower.n}")
 
 
 def hyperplane_weight_iter(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET):
@@ -382,34 +388,25 @@ def hyperplane_weight_iter(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDG
         yield w, dual_w.get(w, 0) + shift
 
 
-def hyperplane_weight_counts(U: FqSubspace, *,
-                             budget: int = DEFAULT_SUBSPACE_BUDGET) -> dict[int, int]:
-    """{dim(U ∩ H): number of F_{q^n}-hyperplanes H}, from the point weights
-    of U^⊥' as hyperplane_weight_iter reads them.
-
-    The hyperplanes whose dual point has weight 0 in U^⊥' are counted, not
-    visited, when the walk yields only the points of L_{U^⊥'}: all have
-    weight k - n.
-    """
-    shift = U.k - U.tower.n
-    counts: dict[int, int] = {}
-    for _, w in _point_weight_items(ordinary_dual(U), budget):
-        counts[w + shift] = counts.get(w + shift, 0) + 1
+def point_weight_counts(U: FqSubspace, *,
+                        budget: int = DEFAULT_SUBSPACE_BUDGET) -> dict[int, int]:
+    """{w: number of points of PG(r-1, q^n) of weight w in U}, from
+    _point_weight_items; the points the walk skips are counted, not
+    visited: all have weight 0."""
+    counts = Counter(w for _, w in _point_weight_items(U, budget))
     rest = theta(U.r - 1, U.tower.mid.order) - sum(counts.values())
     if rest:
-        counts[shift] = counts.get(shift, 0) + rest
-    return counts
+        counts[0] += rest
+    return dict(counts)
 
 
-def hyperplane_scan_items(U: FqSubspace, budget: int) -> tuple[int, bool]:
-    """(items, walk) of the scan behind hyperplane_weight_counts(U,
-    budget=budget), from U's parameters alone: the θ_{rn-k-1}(q) F_q-points
-    of U^⊥' when that scan walks them (walk True), else the θ_{r-1}(q^n)
-    points of PG(r-1, q^n), the dual points of the hyperplanes."""
-    tower, dim = U.tower, U.r * U.tower.n - U.k
-    if _walks(tower, U.r, dim, budget):
-        return theta(dim - 1, tower.base.order), True
-    return theta(U.r - 1, tower.mid.order), False
+def hyperplane_weight_counts(U: FqSubspace, *,
+                             budget: int = DEFAULT_SUBSPACE_BUDGET) -> dict[int, int]:
+    """{dim(U ∩ H): number of F_{q^n}-hyperplanes H}: the point weight
+    counts of U^⊥' shifted by k - n, as hyperplane_weight_iter reads them."""
+    shift = U.k - U.tower.n
+    return {w + shift: count
+            for w, count in point_weight_counts(ordinary_dual(U), budget=budget).items()}
 
 
 def max_hyperplane_weight(U: FqSubspace, *,

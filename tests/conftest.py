@@ -43,6 +43,25 @@ def pseudoreg(t2_4):
 @pytest.fixture(scope="session")
 def scanned():
     """C rebuilt from its basis alone: its rank distribution then comes from
-    the rankcodes scans, even when C is a C_{U,G} carrying the one read off
-    L_U.  The oracle for every C_{U,G} distribution, distance and MRD flag."""
+    the rankcodes scans, even when C carries a subspace whose point weights
+    give its ranks (a C_{U,G} or a c = 0 Gabidulin code).  The oracle for
+    every such distribution, distance and MRD flag."""
     return lambda C: RankCode(C.field, C.m, C.n, C.flat)
+
+
+@pytest.fixture
+def force_geometric(monkeypatch):
+    """A call that forces the geometric rank engine from then on: its price
+    is 0 and both rankcodes scans raise, so a code with a subspace
+    (RankCode.attach) must read its ranks off the subspace's point weights."""
+    from ranklab import rankcodes
+
+    def no_scan(C):
+        raise AssertionError("a rankcodes scan ran")
+
+    def force():
+        monkeypatch.setattr(rankcodes, "_plan", lambda tower, r, dim, budget: (True, 0))
+        monkeypatch.setattr(rankcodes, "_walk_counts", no_scan)
+        monkeypatch.setattr(rankcodes, "_subspace_counts", no_scan)
+
+    return force

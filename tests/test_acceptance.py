@@ -10,6 +10,7 @@ import os
 import random
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -52,7 +53,7 @@ from ranklab.constructions import (
     twisted_gabidulin,
     find_nonsquare,
 )
-from ranklab import fixtures
+from ranklab import fixtures, rankcodes
 
 
 def _report(num: int, desc: str, limit_s: float):
@@ -215,7 +216,7 @@ def test_criterion_9_twisted_gabidulin(scanned):
                 twisted_gabidulin(t2, 4, 2, 1, bad, 0)
 
 
-def test_criterion_10_exclusion_logic(scanned):
+def test_criterion_10_exclusion_logic(scanned, monkeypatch):
     with _report(10, "section-6 exclusion: gates + mocked CertifiedNew + "
                      "seeded search attempt", 660.0):
         # NotApplicable on a fixture with (h+1) | r (and hypotheses met)
@@ -231,9 +232,11 @@ def test_criterion_10_exclusion_logic(scanned):
         gens = [[[1 if (i, j) == (a, a) else 0 for j in range(6)]
                  for i in range(9)] for a in range(6)]
         mock = RankCode.from_generators(F2, 9, 6, gens)
-        assert gabidulin_family_exclusion(
-            mock, 3, 6, 1, right_idealiser_order=2**6, min_distance=5) is \
-            GabidulinExclusion.CERTIFIED_NEW
+        with monkeypatch.context() as m:
+            m.setattr(mock, "min_distance", lambda *, budget: 5)
+            m.setattr(rankcodes, "right_idealiser", lambda C: SimpleNamespace(order=2**6))
+            assert gabidulin_family_exclusion(mock, 3, 6, 1) is \
+                GabidulinExclusion.CERTIFIED_NEW
         # bonus evidence: the frozen search witness (found by
         # scripts/search_demo.py at seed 20260808) drives the full pipeline
         # on a real C_{U,G}

@@ -167,6 +167,16 @@ def test_twisted_verb_rejects_eta_outside_the_field(eta, capsys):
     assert f"InvalidParams: need 0 <= eta < q^N = 81, got eta={eta}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("s", ["-1", "5", "-3"])
+def test_gabidulin_verbs_reject_s_outside_one_to_n(s, capsys):
+    # exit 2 with the gate's text, where they built the code of s mod N
+    for verb in (["gabidulin"], ["twisted-gabidulin", "--q", "3", "--eta-nonsquare"]):
+        assert main(verb + ["--N", "4", "--k", "2", "--s", s, "--mrd-check"]) == 2
+        assert f"InvalidParams: need 1 <= s < N, got s={s}" in capsys.readouterr().err
+        assert main(verb + ["--N", "4", "--k", "2", "--s", "0"]) == 2
+        assert "GcdViolation: gcd(s, N) must be 1" in capsys.readouterr().err
+
+
 def test_linset_points_verb():
     rep = run_json(["linset-points", "--pseudoregulus", "2,4,1"])
     assert rep["results"]["size"] == 15

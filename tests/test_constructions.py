@@ -99,6 +99,20 @@ def test_twisted_gabidulin_q3_is_mrd(scanned):
     assert tg.code.is_mrd() and scanned(tg.code).is_mrd()
 
 
+@pytest.mark.parametrize("s", [-1, 5, -3])
+def test_gabidulin_s_outside_one_to_n_is_invalid(s, t2_4, t3_4):
+    # gcd(s, 4) = 1, but s is read mod N: s = -1 and 5 would build the codes
+    # of s = 3 and 1 under another s, so they are refused like eta and c
+    eta = find_nonsquare(t3_4, "mid")
+    for build in (lambda: gabidulin(t2_4, 4, 2, s),
+                  lambda: twisted_gabidulin(t3_4, 4, 2, s, eta, 0)):
+        with pytest.raises(InvalidParams, match=f"need 1 <= s < N, got s={s}"):
+            build()
+    for bad in (0, 2):
+        with pytest.raises(GcdViolation):
+            twisted_gabidulin(t3_4, 4, 2, bad, eta, 0)
+
+
 def test_twisted_gabidulin_eta_condition_rejects_all_of_f16(t2_4):
     # q=2, N=4, k=2: eta^15 = 1 = (-1)^8 for every nonzero eta
     for eta in range(1, 16):

@@ -1,11 +1,12 @@
 """C_{U,G} certified from L_U against the rankcodes scans.
 
-c_ug reads the rank distribution of C_{U,G} off the point weights of L_U
-(rank Γ_v = n - w(<v>)) and installs it on the code.  The oracle is the same
+C_{U,G} carries U (RankCode.attach), and its rank distribution is read off
+the point weights of L_U (rank Γ_v = n - w(<v>)).  The oracle is the same
 code rebuilt from its basis alone, whose distribution comes from the
 codeword walk or the subspace count; it shares no code with the point-weight
-walk or the point scan.  Both sides of subspaces._point_weight_items are
-forced on every input.
+walk or the point scan.  The geometric engine is forced, with both scans
+patched to raise, on both sides of subspaces._point_weight_items on every
+input.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ import random
 
 import pytest
 
-from ranklab import constructions, rankcodes, subspaces
+from ranklab import rankcodes, subspaces
 from ranklab.constructions import base_basis_codes, c_ug, mult_matrix, pseudoregulus_subspace
 from ranklab.errors import InternalInvariantError
 from ranklab.fields import make_tower
@@ -90,13 +91,15 @@ INPUTS = _grid_inputs()
 
 @pytest.mark.parametrize("walk", [True, False], ids=["walk", "point-scan"])
 @pytest.mark.parametrize("label,U", INPUTS, ids=[x[0] for x in INPUTS])
-def test_distribution_from_l_u_matches_the_scans(label, U, walk, monkeypatch, scanned):
+def test_distribution_from_l_u_matches_the_scans(label, U, walk, monkeypatch, scanned,
+                                                 force_geometric):
+    want = scanned(c_ug(U).code).rank_distribution()
+    force_geometric()
     monkeypatch.setattr(subspaces, "_walk_is_cheaper", lambda *a: walk)
     cug = c_ug(U)
     C, n = cug.code, U.tower.n
     dist = C.rank_distribution()
-    want = scanned(C).rank_distribution()
-    assert dist == want, label
+    assert C.subspace is U and dist == want, label
     assert cug.iota == iota(U) and C.min_distance() == n - cug.iota, label
     if label.startswith("k1_"):
         assert dist.A[n] > 0, label
@@ -111,7 +114,7 @@ def test_a_lost_point_in_the_fringe_is_an_internal_error(monkeypatch):
     # walk lost a point
     label, U = next(x for x in INPUTS if x[0].startswith("fringe_q2"))
     items = list(subspaces._point_weight_items(U, 1 << 20))
-    monkeypatch.setattr(constructions, "_point_weight_items", lambda U, budget: items[1:])
+    monkeypatch.setattr(subspaces, "_point_weight_items", lambda U, budget: items[1:])
     with pytest.raises(InternalInvariantError, match="weight below n - m"):
         c_ug(U)
 
@@ -135,16 +138,22 @@ def test_witness_pipeline_runs_no_rank_scan_and_one_idealiser(monkeypatch):
 
     monkeypatch.setattr(rankcodes, "_subspace_counts", no_scan)
     monkeypatch.setattr(rankcodes, "_walk_counts", no_scan)
+    walks = []
+    walk = subspaces._point_weights
+    monkeypatch.setattr(subspaces, "_point_weights",
+                        lambda U, budget: walks.append(U) or walk(U, budget))
     calls = []
     idealiser = rankcodes._idealiser
     monkeypatch.setattr(rankcodes, "_idealiser",
                         lambda C, side: calls.append(side) or idealiser(C, side))
-    C = c_ug(ordinary_dual(certified_new_witness())).code
-    assert C.min_distance() == 5 and C.is_mrd()
+    D = ordinary_dual(certified_new_witness())
+    cug = c_ug(D)
+    C = cug.code
+    assert cug.iota == 1 and C.min_distance() == 5 and C.is_mrd()
     R = right_idealiser(C)
     assert R.order == 2**6 and R.is_field
     assert gabidulin_family_exclusion(C, 3, 6, 1) is GabidulinExclusion.CERTIFIED_NEW
-    assert calls == [Side.RIGHT]
+    assert calls == [Side.RIGHT] and walks == [D]
 
 
 def test_memoised_idealiser_is_frozen(pseudoreg):

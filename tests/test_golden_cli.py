@@ -4,8 +4,9 @@ its stderr text and its "results" payload (artifact included) exactly.
 The cases cover the subspace verbs and the code verbs on the fixture corpus,
 a few pseudoregulus parameter sets at odd and even q, extra inputs under
 tests/golden/inputs (a q = 5 subspace, one whose point weights and one whose
-hyperplane weights take the point-scan side), Gabidulin codes read off their
-q-systems, and budget exits.  To record them afresh (only when a change
+hyperplane weights take the point-scan side), C_{U,G} and Gabidulin codes
+whose ranks are read off the point weights of the subspace they carry (U,
+and U^⊥' for the q-system U), and budget exits.  To record them afresh (only when a change
 to the payloads is intended and explained):
 
     PYTHONPATH=src python tests/test_golden_cli.py --record

@@ -286,6 +286,48 @@ def test_budget_names_the_chosen_scans_unit():
         max_hyperplane_weight(U, budget=0)
 
 
+def test_linear_set_scans_the_points_when_the_walk_is_out_of_budget():
+    # U = V in F_2048^2: θ_21(2) = 4,194,303 F_q-points exceed the default
+    # budget, the θ_1(2048) = 2049 points of the scan fit it
+    tower = make_tower(2, 1, 11, 1)
+    V = FqSubspace.from_flat(tower, 2, [[int(i == j) for j in range(22)] for i in range(22)])
+    assert subspaces._plan(tower, 2, 22, 1 << 20) == (False, 2049)
+    L = linear_set(V)
+    assert L.size == 2049 and set(L.points.values()) == {11}
+    assert iota(V) == 11
+
+
+@pytest.mark.parametrize("q", sorted(PRIME_POWER))
+def test_the_plan_prices_the_items_the_engine_visits(q, monkeypatch):
+    # the item count subspaces._plan gives (and rankcodes prices) is the
+    # F_q-points the walk visits, or the points the scan meets, on each side
+    tower, rng = _tower(q, 2), random.Random(q)
+    batches, scan = subspaces._walk_batches, subspaces._point_scan
+    seen = []
+
+    def walked(U):
+        for vectors, runs in batches(U):
+            seen.append(len(vectors))
+            yield vectors, runs
+
+    def scanned_points(U, budget):
+        for item in scan(U, budget):
+            seen.append(1)
+            yield item
+
+    monkeypatch.setattr(subspaces, "_walk_batches", walked)
+    monkeypatch.setattr(subspaces, "_point_scan", scanned_points)
+    for r, k in ((2, 3), (3, 2), (3, 5)):
+        U = random_subspace(tower, r, k, rng)
+        for side in (True, False):
+            monkeypatch.setattr(subspaces, "_walk_is_cheaper", lambda *a, side=side: side)
+            seen.clear()
+            counts = subspaces.point_weight_counts(U)
+            assert subspaces._plan(tower, r, k, 1 << 20) == (side, sum(seen)), (r, k, side)
+            assert sum(counts.values()) == theta(r - 1, tower.mid.order)
+            assert sum(seen) == (theta(k - 1, q) if side else theta(r - 1, q**2))
+
+
 def test_walk_is_chosen_for_k5_in_f625_squared(monkeypatch):
     # q = 5, n = 4: the walk visits θ_4(5) = 781 F_q-points of U against the
     # point scan's 4·θ_1(625) = 2504 row additions.  A budget that fits the
@@ -318,7 +360,8 @@ def test_search_follows_the_oracle_scored_trajectory(q, r, n, k, seed, monkeypat
 
 
 @pytest.mark.parametrize("label,U", WALK_INPUTS, ids=[x[0] for x in WALK_INPUTS])
-def test_point_walk_matches_the_vector_walk(label, U):
+def test_point_walk_matches_the_vector_walk(label, U, monkeypatch):
+    monkeypatch.setattr(subspaces, "_walk_is_cheaper", lambda *a: True)
     points = linear_set(U).points
     assert points == oracle_vector_walk(U)
     assert list(points.items()) == list(oracle_tuple_walk(U).items())
@@ -401,7 +444,8 @@ def test_vector_walk_grid_has_heavy_points_at_every_q():
 
 
 @pytest.mark.parametrize("p,n", [(2, 21), (3, 13)])
-def test_point_walk_without_log_tables(p, n):
+def test_point_walk_without_log_tables(p, n, monkeypatch):
+    monkeypatch.setattr(subspaces, "_walk_is_cheaper", lambda *a: True)
     tower = make_tower(p, 1, n, 1)
     assert tower.mid._exp is None      # above fields.LOG_TABLE_LIMIT
     U = _heavy_subspace(tower, 2, 3, random.Random(p))

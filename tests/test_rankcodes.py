@@ -510,17 +510,21 @@ def test_exclusion_param_gate(gab):
         gabidulin_family_exclusion(gab, 3, 4, 1)  # shape (6,4) expected
 
 
-def test_exclusion_certified_new_on_mocked_invariants():
+def test_exclusion_certified_new_on_mocked_invariants(monkeypatch):
     # the (9,6,q;5) shape of (r,n,h) = (3,6,1) with injected invariants
+    from types import SimpleNamespace
+
+    from ranklab import rankcodes
+
     gens = [[[1 if (i, j) == (a, a) else 0 for j in range(6)] for i in range(9)]
             for a in range(6)]
     C = RankCode.from_generators(F2, 9, 6, gens)
-    res = gabidulin_family_exclusion(C, 3, 6, 1, right_idealiser_order=2**6,
-                                     min_distance=5)
-    assert res is GabidulinExclusion.CERTIFIED_NEW
-    res2 = gabidulin_family_exclusion(C, 3, 6, 1, right_idealiser_order=2**2,
-                                      min_distance=5)
-    assert res2 is GabidulinExclusion.NOT_APPLICABLE
+    monkeypatch.setattr(C, "min_distance", lambda *, budget: 5)
+    for order, verdict in ((2**6, GabidulinExclusion.CERTIFIED_NEW),
+                           (2**2, GabidulinExclusion.NOT_APPLICABLE)):
+        monkeypatch.setattr(rankcodes, "right_idealiser",
+                            lambda C, order=order: SimpleNamespace(order=order))
+        assert gabidulin_family_exclusion(C, 3, 6, 1) is verdict
 
 
 # -- distribution invariants across the fixture corpus --------------------------
@@ -820,11 +824,12 @@ QSYSTEM_CELLS = _qsystem_cells()
 
 
 def _engine_spies(monkeypatch):
-    """Record which rank engine runs: "qsystem", "walk" or "tree"."""
+    """Record which rank engine runs: "qsystem" (the point weights of the
+    q-system's dual), "walk" or "tree"."""
     from ranklab import rankcodes
 
     ran = []
-    for name, label in (("_qsystem_counts", "qsystem"), ("_walk_counts", "walk"),
+    for name, label in (("_point_counts", "qsystem"), ("_walk_counts", "walk"),
                         ("_subspace_counts", "tree")):
         real = getattr(rankcodes, name)
         monkeypatch.setattr(rankcodes, name,
@@ -834,24 +839,26 @@ def _engine_spies(monkeypatch):
 
 @pytest.mark.parametrize("q,N,k,s,eta", QSYSTEM_CELLS,
                          ids=[f"q{q}_N{N}_k{k}_s{s}_eta{eta}" for q, N, k, s, eta in QSYSTEM_CELLS])
-def test_qsystem_engine_matches_the_scans(q, N, k, s, eta, monkeypatch, scanned):
-    from ranklab import rankcodes, subspaces
+def test_qsystem_engine_matches_the_scans(q, N, k, s, eta, monkeypatch, scanned,
+                                          force_geometric):
+    from ranklab import subspaces
     from ranklab.constructions import twisted_gabidulin
     from ranklab.fqlinalg import theta
+    from ranklab.subspaces import ordinary_dual
 
     tower = make_tower(*PRIME_POWER[q], N, 1)
     C = twisted_gabidulin(tower, N, k, s, eta, 0).code
     want = scanned(C).rank_distribution()
     assert want == mrd_weight_distribution(N, N, q, N - k + 1)
-    assert C.qsystem.k == N and C.qsystem.r == k
-    ran = _engine_spies(monkeypatch)
-    # the q-system engine forced by its price, on each side of
-    # subspaces._point_weight_items for U^⊥' (the point scan where it is small)
-    monkeypatch.setattr(rankcodes, "hyperplane_scan_items", lambda U, budget: (0, True))
+    # the code carries U^⊥' for its N-dimensional q-system U ⊂ F_{q^N}^k
+    S = C.subspace
+    assert (S.k, S.r) == ((k - 1) * N, k) and ordinary_dual(S).k == N
+    # the geometric engine forced, on each side of subspaces._point_weight_items
+    # for U^⊥' (the point scan where it is small)
+    force_geometric()
     for walk in (True, False)[:1 + (theta(k - 1, q**N) <= QSYSTEM_ITEMS)]:
         monkeypatch.setattr(subspaces, "_walk_is_cheaper", lambda *a, walk=walk: walk)
         assert twisted_gabidulin(tower, N, k, s, eta, 0).code.rank_distribution() == want
-    assert set(ran) == {"qsystem"}
 
 
 def test_qsystem_grid_covers_every_q_twists_and_both_sides():
@@ -874,8 +881,8 @@ def test_qsystem_grid_covers_every_q_twists_and_both_sides():
                                           (2, 5, 4, "tree"), (3, 4, 3, "tree"),
                                           (4, 4, 3, "tree")])
 def test_pricing_picks_the_engine_from_the_input(q, N, k, engine, monkeypatch):
-    # q-system iff its items <= K·#subspaces/2: it wins at k <= N/2 here,
-    # the tree at k > N/2
+    # the point weights iff their items <= K·#subspaces/2: they win at
+    # k <= N/2 here, the tree at k > N/2
     from ranklab import rankcodes
     from ranklab.fqlinalg import qbinom
 
@@ -884,14 +891,13 @@ def test_pricing_picks_the_engine_from_the_input(q, N, k, engine, monkeypatch):
     ran = _engine_spies(monkeypatch)
     assert gabidulin(tower, N, k, 1).rank_distribution() == want
     assert ran == [engine]
-    # each side forced through the q-system's price: the q-system, or the
+    # each side forced through the plan's price: the point weights, or the
     # shorter of the two scans
     spaces = sum(qbinom(N, d, q) for d in range(N + 1))
     scan = "walk" if q**(N * k) <= spaces else "tree"
     for items, forced in ((0, "qsystem"), (1 << 62, scan)):
         ran.clear()
-        monkeypatch.setattr(rankcodes, "hyperplane_scan_items",
-                            lambda U, budget, items=items: (items, True))
+        monkeypatch.setattr(rankcodes, "_plan", lambda *a, items=items: (True, items))
         assert gabidulin(tower, N, k, 1).rank_distribution() == want
         assert ran == [forced]
 
@@ -901,12 +907,12 @@ def test_codes_without_a_qsystem_take_the_scans(monkeypatch):
     from ranklab.constructions import twisted_gabidulin
     from ranklab.fqlinalg import Mat
 
-    def no_qsystem(C, budget):
-        raise AssertionError("the q-system engine ran on a code without one")
+    def no_points(C, budget):
+        raise AssertionError("the geometric engine ran on a code without a subspace")
 
     t34, t2_22 = make_tower(3, 1, 4, 1), make_tower(2, 1, 2, 2)
     G = gabidulin(make_tower(2, 1, 4, 1), 4, 2, 1)
-    assert G.qsystem is not None
+    assert G.subspace is not None
     cases = {
         # c != 0: not left F_{q^N}-linear, so no q-system
         "c=1": (twisted_gabidulin(t34, 4, 2, 1, _valid_eta(t34, 4, 2), 1).code, (4, 4, 3, 3)),
@@ -918,9 +924,9 @@ def test_codes_without_a_qsystem_take_the_scans(monkeypatch):
         "puncture": (puncture(G, Mat.from_rows(F2, [[1, 0, 0, 0], [0, 1, 0, 0],
                                                     [0, 0, 1, 1]])), (3, 4, 2, 2)),
     }
-    monkeypatch.setattr(rankcodes, "_qsystem_counts", no_qsystem)
+    monkeypatch.setattr(rankcodes, "_point_counts", no_points)
     for label, (C, params) in cases.items():
-        assert C.qsystem is None, label
+        assert C.subspace is None, label
         assert C.rank_distribution() == mrd_weight_distribution(*params), label
 
 
@@ -935,12 +941,12 @@ def test_qsystem_budget_exits_at_its_item_count(monkeypatch):
     with pytest.raises(BudgetExceeded) as exc:
         gabidulin(t16, 4, 2, 1).rank_distribution(budget=14)
     assert (exc.value.needed, exc.value.allowed, exc.value.what) == (
-        15, 14, "F_q-points of the q-system's dual")
+        15, 14, "subspace F_q-points")
     assert gabidulin(t16, 4, 2, 1).rank_distribution(budget=15) == want
-    # the point scan of U^⊥' counts θ_1(16) = 17 hyperplanes; at 15 and 16
-    # only the walk fits, so the walk runs
+    # the point scan of U^⊥' counts θ_1(16) = 17 points; at 15 and 16 only
+    # the walk fits, so the walk runs
     monkeypatch.setattr(subspaces, "_walk_is_cheaper", lambda *a: False)
-    with pytest.raises(BudgetExceeded, match="17 hyperplanes of F_16\\^2 exceeds budget 14"):
+    with pytest.raises(BudgetExceeded, match="17 projective points exceeds budget 14"):
         gabidulin(t16, 4, 2, 1).rank_distribution(budget=14)
     scans = []
     point_scan = subspaces._point_scan
@@ -955,7 +961,7 @@ def test_qsystem_budget_exits_at_its_item_count(monkeypatch):
     C = gabidulin(make_tower(2, 1, 6, 1), 6, 3, 1)
     assert C.rank_distribution(budget=4094) == mrd_weight_distribution(6, 6, 2, 4)
     assert ran == ["tree"]
-    with pytest.raises(BudgetExceeded, match="4095 F_q-points of the q-system's dual"):
+    with pytest.raises(BudgetExceeded, match="4095 subspace F_q-points exceeds budget 2824"):
         gabidulin(make_tower(2, 1, 6, 1), 6, 3, 1).rank_distribution(budget=2824)
     assert rankcodes.DEFAULT_CODEWORD_BUDGET >= 4095
 
@@ -965,8 +971,8 @@ def test_broken_qsystem_histogram_is_an_internal_error(monkeypatch, capsys):
     from ranklab.cli import main
     from ranklab.errors import InternalInvariantError
 
-    real = rankcodes._qsystem_counts
-    monkeypatch.setattr(rankcodes, "_qsystem_counts",
+    real = rankcodes._point_counts
+    monkeypatch.setattr(rankcodes, "_point_counts",
                         lambda C, budget: [x + (i == 1) for i, x in enumerate(real(C, budget))])
     with pytest.raises(InternalInvariantError, match="does not sum to q\\^K"):
         gabidulin(make_tower(2, 1, 4, 1), 4, 2, 1).rank_distribution()
@@ -975,15 +981,21 @@ def test_broken_qsystem_histogram_is_an_internal_error(monkeypatch, capsys):
 
 
 def test_a_qsystem_of_the_wrong_dimension_is_an_internal_error():
+    # RankCode.attach checks S against (n, m, K, base field): K = rn and
+    # m = rn - dim S, so the dual of a q-system of dimension N - 1, an S in
+    # F_16^2 for a code with K = 12 and an S over F_3 are all refused
     from ranklab.errors import InternalInvariantError
-    from ranklab.subspaces import FqSubspace
+    from ranklab.subspaces import FqSubspace, ordinary_dual
 
     tower = make_tower(2, 1, 4, 1)
-    C = gabidulin(tower, 4, 2, 1)
-    U = C.qsystem
+    S = gabidulin(tower, 4, 2, 1).subspace
+    U = ordinary_dual(S)
     assert U.k == 4
-    short = FqSubspace.from_flat(tower, 2, U.flat.rows[1:])
-    with pytest.raises(InternalInvariantError, match="must be 4-dimensional"):
-        gabidulin(tower, 4, 2, 1).install_qsystem(short)
-    with pytest.raises(InternalInvariantError, match="must be 4-dimensional"):
-        gabidulin(tower, 4, 3, 1).install_qsystem(U)    # U lies in F_16^2, not F_16^3
+    short = ordinary_dual(FqSubspace.from_flat(tower, 2, U.flat.rows[1:]))
+    with pytest.raises(InternalInvariantError, match="dimension 4 in F_\\(q\\^4\\)\\^2; "
+                                                     "got dimension 5 in"):
+        gabidulin(tower, 4, 2, 1).attach(short)
+    with pytest.raises(InternalInvariantError, match="dimension 8 in F_\\(q\\^4\\)\\^3"):
+        gabidulin(tower, 4, 3, 1).attach(S)    # S lies in F_16^2, not F_16^3
+    with pytest.raises(InternalInvariantError, match="over F_2 .* in F_\\(3\\^4\\)\\^2"):
+        gabidulin(tower, 4, 2, 1).attach(gabidulin(make_tower(3, 1, 4, 1), 4, 2, 1).subspace)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ranklab.errors import (
     DimensionMismatch,
+    InternalInvariantError,
     InvalidParams,
     PreconditionHyperplaneWeight,
     TowerMismatch,
@@ -126,12 +127,11 @@ def test_h_gate(t2_4, pseudoreg):
 def test_dimension_bound_classification(t2_4, pseudoreg):
     assert check_dimension_bound(pseudoreg, 1) is DimBound.WITHIN_BOUND
     assert check_dimension_bound(subgeometry_3_3(), 2) is DimBound.SUBGEOMETRY
-    # a 5-dim input exceeds the rn/(h+1) bound, the internal-error branch
-    rng = random.Random(0)
-    U5 = random_subspace(t2_4, 2, 5, rng)
-    assert check_dimension_bound(U5, 1) in (DimBound.VIOLATION, DimBound.WITHIN_BOUND)
-    assert U5.k * 2 > 8  # 5 > rn/(h+1), so WITHIN_BOUND is impossible
-    assert check_dimension_bound(U5, 1) is DimBound.VIOLATION
+    # U = V exceeds the rn/(h+1) bound of an h-scattered U: a broken
+    # invariant upstream, not a class
+    V = random_subspace(t2_4, 2, 8, random.Random(0))
+    with pytest.raises(InternalInvariantError, match="got k=8, h=1, rn=8"):
+        check_dimension_bound(V, 1)
 
 
 # -- hyperplane weights ---------------------------------------------------------
