@@ -1,7 +1,7 @@
 """Concrete code and subspace constructions: (twisted) Gabidulin codes, the
-code-from-subspace map C_{U,G}, Sheekey codes, the MRD-to-subspace converse
-extraction, the Gabidulin restriction example, pseudoregulus subspaces, and a
-randomized search for scattered subspaces.
+code-from-subspace map C_{U,G}, the MRD-to-subspace converse extraction, the
+Gabidulin restriction example, pseudoregulus subspaces, and a randomized
+search for scattered subspaces.
 
 Linearized polynomials convert to matrices by evaluation on the fixed
 polynomial basis of their field over F_q, so matrix equality is meaningful
@@ -32,7 +32,6 @@ from .errors import (
     KTooLarge,
     NotMRD,
     ParamMismatch,
-    TowerMismatch,
 )
 from .fields import FieldTower, poly_eval
 from .fqlinalg import (
@@ -285,24 +284,16 @@ def cug_mrd_weight_distribution(r: int, n: int, it: int, q: int) -> tuple[int, .
     return mrd_weight_distribution(r * n // (it + 1), n, q, n - it).A
 
 
-def c_ug_mrd_predicate(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> bool:
-    """MRD criterion for C_{U,G}: (iota+1) | rn and k = iota·rn/(iota+1) <= (r-1)n.
+def _mrd_criterion(U: FqSubspace, it: int) -> bool:
+    """(iota+1) | rn and k·(iota+1) = iota·rn and k <= (r-1)n, for iota = it:
+    the MRD criterion for C_{U,G}.
 
     The equivalence with the brute-force MRD test is guaranteed for
     k <= (r-1)n, where the code has at least n rows.  In the degenerate
     fringe k > (r-1)n the code is wider than tall and can still meet the
     transposed Singleton bound (exactly when k = (r-1)n + iota + 1 - r);
-    this predicate keeps returning False there, reporting the stated
-    criterion rather than the bound.
+    the criterion is False there all the same.
     """
-    it = iota(U, budget=budget)
-    if it >= U.tower.n:
-        raise IotaFull("iota = n")
-    return _mrd_criterion(U, it)
-
-
-def _mrd_criterion(U: FqSubspace, it: int) -> bool:
-    """(iota+1) | rn and k·(iota+1) = iota·rn and k <= (r-1)n, for iota = it."""
     n, rn = U.tower.n, U.r * U.tower.n
     return rn % (it + 1) == 0 and U.k * (it + 1) == it * rn and U.k <= rn - n
 
@@ -324,31 +315,6 @@ def c_ug_g_independence(U: FqSubspace, G1: Mat, G2: Mat) -> Mat:
         if lhs.data != M2:
             raise InternalInvariantError("L∘C_{U,G1} != C_{U,G2}")
     return L
-
-
-@dataclass(frozen=True)
-class SheekeyCode:
-    code: RankCode
-    degenerate: bool
-
-
-def sheekey_code(polys: list[LinearizedPoly]) -> SheekeyCode:
-    """S_{f_1..f_r}: the span of all F_{q^n}-scalings of the f_i; its left
-    idealiser contains the multiplication field."""
-    if not polys:
-        raise InvalidParams("need at least one q-polynomial")
-    tower, level = polys[0].tower, polys[0].level
-    if any(p.tower != tower or p.level != level for p in polys):
-        raise TowerMismatch("all q-polynomials must live over one field")
-    N = polys[0].deg_over_base
-    F = tower.field(level)
-    gens = []
-    for f in polys:
-        for gamma in base_basis_codes(tower, level):
-            scaled = tuple(F.mul(gamma, a) for a in f.coeffs)
-            gens.append(LinearizedPoly(tower, level, scaled).to_matrix())
-    code = RankCode.from_generators(tower.base, N, N, gens)
-    return SheekeyCode(code, degenerate=code.dim < len(polys) * N)
 
 
 # -- converse: MRD code -> subspace ---------------------------------------------

@@ -182,13 +182,14 @@ def digit_column(F: Field, deg: int):
     block = deg * w
     if F.p == 2 or deg == 1:
         mask = (1 << block) - 1
-        return lambda rows, j: map(mask.__and__, map((j * block).__rrshift__, rows))
+        return lambda rows, j: map(mask.__and__, map((j * block).__rrshift__, rows) if j else rows)
     lo, hi = digit_tables(F.p, deg)
     h = (deg + 1) // 2
     lo_mask, hi_mask = (1 << (h * w)) - 1, (1 << ((deg - h) * w)) - 1
     return lambda rows, j: map(
         operator.add,
-        map(lo.__getitem__, map(lo_mask.__and__, map((j * block).__rrshift__, rows))),
+        map(lo.__getitem__, map(lo_mask.__and__,
+                                map((j * block).__rrshift__, rows) if j else rows)),
         map(hi.__getitem__, map(hi_mask.__and__, map((j * block + h * w).__rrshift__, rows))))
 
 

@@ -41,6 +41,7 @@ no scan knows whether a row is a packed int or a tuple of codes.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from functools import reduce
 
@@ -264,7 +265,7 @@ def _subspace_counts(C: RankCode) -> list[int]:
     reaches each child with one add.  The child's subcode is spanned by the
     combinations of the rows image | codeword whose image vanished
     (fqlinalg.vanishing_tails).  Children with p₁ = 0 have no children and
-    need the rank only.
+    need the rank only, whose elimination stops once it reaches H.
     A node with C_Y = 0, of dimension d and smallest pivot p, adds its
     descendants in closed form: for e = 1..p, q^{e(n'−d−p)}·[p, e]_q
     subspaces of dimension d + e, each with |C_Y| = 1.  Rows are in
@@ -279,6 +280,7 @@ def _subspace_counts(C: RankCode) -> list[int]:
     words = [store_row(F, [M[i][j] for j in range(width) for i in range(H)])
              for M in mats]
     ranker = RowReducer(F, H)
+    not_full = lambda _: len(ranker.pivrows) < H
     split, join = row_blocks(F, H)[:2]
     add = row_add(F, max(K, 1) * H)
     qpow = [q**e for e in range(K + 1)]
@@ -305,7 +307,10 @@ def _subspace_counts(C: RankCode) -> list[int]:
                           (p1,) + pivots, d + 1)
                 else:
                     ranker.pivrows.clear()
-                    B[width - d - 1] += qpow[s - ranker.add_all(split(img, s))]
+                    rows = split(img, s)
+                    if s > H:   # rows past rank H vanish: stop there
+                        rows = itertools.takewhile(not_full, rows)
+                    B[width - d - 1] += qpow[s - ranker.add_all(rows)]
 
     visit(words, (), 0)
     A: list[int] = []

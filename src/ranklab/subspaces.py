@@ -10,33 +10,43 @@ coordinate-wise, so coordinate i of a mid vector occupies flat columns
 Every meet dim_{F_q}(U ∩ <W>_{F_{q^n}}) with given F_{q^n}-subspaces W comes
 from one helper, _meet_dims: it holds one reducer for U and eliminates the
 n·dim W flat rows g^j·w of each W against a clone of it (rows in the form
-fqlinalg stores them).  The point scan, the 2 <= h <= r - 2 scatteredness
-scan and the dual weight identity read it.
+fqlinalg stores them).  The point scan and the 2 <= h <= r - 2
+scatteredness scan read it.
 
 Point weights w(P) = dim_{F_q}(U ∩ <P>_{F_{q^n}}) come from one of two
 exact scans, chosen from the input and the budget:
 
-- the vector walk (_point_weights) visits one vector on each of the
-  θ_{k-1}(q) F_q-points of U and buckets them by projective point; a point
+- the vector walk (_walk_fibers) visits one vector on each of the
+  θ_{k-1}(q) F_q-points of U and counts them by projective point; a point
   collecting θ_{w-1}(q) = (q^w - 1)/(q - 1) of them has weight w.  The
   vectors are packed over F_p at every p, one integer add apiece (XOR at
-  p = 2, the Slots fold at odd p), and are read back into normalized code
-  tuples a batch and a coordinate at a time.
+  p = 2, the Slots fold at odd p).  Their first nonzero coordinate i (the
+  lead) is known from U's RREF basis, so they are counted in one Counter
+  per lead, keyed by the coordinates after i divided by coordinate i, read
+  back a stretch and a coordinate at a time.
 - the point scan (_point_scan) meets U with every point of PG(r-1, q^n).
 
 The walk runs when U's θ_{k-1}(q) F_q-points are at most n·θ_{r-1}(q^n),
 the row additions of the point scan; when only one of the two fits the
 budget, that one runs.  _plan makes that choice and names its item count,
 which is also the price rankcodes puts on reading a code's ranks off the
-point weights of its subspace.  point_weight_counts counts the points of
-each weight, those of weight 0 included.  Hyperplane weights are point
-weights of the ordinary dual U^⊥', by whichever scan is chosen for it: the
-hyperplane H_w = ker(w·) is the dual of the point <w>, so dim(U ∩ H_w) =
-w_{U^⊥'}(<w>) + k - n.  Scatteredness at h = 1 reads the point weights of
-U, at h = r - 1 those of U^⊥'.  Every scan refuses (BudgetExceeded) rather
-than samples when its item count exceeds the budget: the F_q-points of the
-subspace for the walk, projective points for the point scan, and subspaces
-for the scatteredness scan over h-dim F_{q^n}-subspaces at 2 <= h <= r - 2.
+point weights of its subspace.  ι, the h = 1 and h = r - 1 excess and
+point_weight_counts read only the histogram {w: number of points}
+(_weight_counts): from the walk, the fiber sizes of its keys, with the
+points it skips counted as weight 0.  Only linear_set and
+hyperplane_weight_iter need the points themselves (_point_weight_items),
+built from the keys behind their lead.  With a largest allowed weight t,
+as in is_h_scattered at h = 1 and h = r - 1, the walk stops after the
+first stretch of at most _EXIT_STEP vectors whose partial fibers exceed
+θ_{t-1}(q), and the point scan at the first point of weight above t.
+Hyperplane weights are point weights of the ordinary dual U^⊥', by
+whichever scan is chosen for it: the hyperplane H_w = ker(w·) is the dual
+of the point <w>, so dim(U ∩ H_w) = w_{U^⊥'}(<w>) + k - n.  Scatteredness
+at h = 1 reads the point weights of U, at h = r - 1 those of U^⊥'.  Every
+scan refuses (BudgetExceeded) rather than samples when its item count
+exceeds the budget: the F_q-points of the subspace for the walk, projective
+points for the point scan, and subspaces for the scatteredness scan over
+h-dim F_{q^n}-subspaces at 2 <= h <= r - 2.
 """
 
 from __future__ import annotations
@@ -54,7 +64,6 @@ from .errors import (
     InternalInvariantError,
     InvalidParams,
     PreconditionHyperplaneWeight,
-    TowerMismatch,
 )
 from .fields import Field, FieldTower
 from .fqlinalg import (
@@ -192,7 +201,7 @@ _WALK_BATCH = 1 << 12
 
 
 def _walk_batches(U: FqSubspace):
-    """The walk of _point_weights in batches of at least _WALK_BATCH vectors
+    """The walk of _walk_fibers in batches of at least _WALK_BATCH vectors
     (the last may hold fewer): (vectors, runs), each vector stored over F_p
     by store_digits, and runs listing (lead, start, stop) for each stretch
     of vectors whose first nonzero coordinate is lead.
@@ -219,44 +228,120 @@ def _walk_batches(U: FqSubspace):
         yield vectors, runs
 
 
-def _point_weights(U: FqSubspace, budget: int) -> dict[tuple[int, ...], int]:
-    """{normalized point: weight} over the points of L_U, by walking one
-    vector per F_q-point of U and bucketing them by projective point.
+# with an exit weight, _walk_fibers checks the fibers after every stretch of
+# at most this many vectors of one lead
+_EXIT_STEP = 1 << 8
+
+
+def _stretches(runs, step: int):
+    """(lead, start, stop) for the vectors of each lead in runs, in pieces of
+    at most step vectors."""
+    joined = []
+    for lead, start, stop in runs:
+        if joined and joined[-1][0] == lead:
+            start = joined.pop()[1]
+        joined.append((lead, start, stop))
+    return [(lead, i, min(i + step, stop))
+            for lead, start, stop in joined for i in range(start, stop, step)]
+
+
+def _walk_fibers(U: FqSubspace, budget: int, t: int | None = None):
+    """One Counter per lead i < r: {key: number of U's F_q-points on the
+    point (0, ..., 0, 1, key)}, keys in first-visit order, where key is the
+    coordinates after i divided by coordinate i: an int when one is left,
+    a tuple otherwise, () for the one point of lead r - 1.  With t given,
+    None as soon as a partial fiber exceeds θ_{t-1}(q), a point of weight
+    above t, checked after each stretch of at most _EXIT_STEP vectors
+    (_stretches).
 
     The F_q-points are b_i + Σ_{j>i} a_j·b_j over U's basis b (i < k, a_j in
-    F_q); a point of weight w holds θ_{w-1}(q) of them.  _walk_batches packs
-    the vectors over F_p, N = dim_over_prime slots per coordinate, and each
-    batch is read back a coordinate at a time (fqlinalg.digit_column) and
-    normalized with the log tables, c_j -> exp[log c_j + (Q-1) - log c_lead],
-    in C-level maps; fields without log tables go through normalize_point.
-    budget caps the walk at θ_{k-1}(q) F_q-points.
-    """
+    F_q); a point of weight w holds θ_{w-1}(q) of them.  The vectors of a
+    stretch are read back a coordinate at a time (fqlinalg.digit_column), from
+    the lead on, and normalized with the log tables, c_j -> exp[log c_j -
+    log c_lead] (a negative index wraps round the doubled exp), in C-level
+    maps; fields without log tables go through normalize_point.  budget
+    caps the walk at θ_{k-1}(q) F_q-points."""
     tower = U.tower
     q, mid, r, k = tower.base.order, tower.mid, U.r, U.k
     if theta(k - 1, q) > budget:
         raise BudgetExceeded(theta(k - 1, q), budget, "subspace F_q-points")
     column = digit_column(tower.prime, mid.dim_over_prime)
-    exp, log, top = mid._exp, mid._log, mid.order - 1
-    counts: Counter = Counter()
+    exp, log = mid._exp, mid._log
+    limit = None if t is None else theta(t - 1, q)
+    fibers = [Counter() for _ in range(r)]
     for vectors, runs in _walk_batches(U):
-        cols = [list(column(vectors, j)) for j in range(r)]
-        if exp is None:
-            counts.update(map(normalize_point, itertools.repeat(mid), zip(*cols)))
-            continue
-        # log of the inverse of each vector's lead code
-        inv = list(map(top.__sub__, map(log.__getitem__, itertools.chain.from_iterable(
-            cols[lead][start:stop] for lead, start, stop in runs))))
-        # c -> exp[log c + inv]·[c != 0] in every coordinate: 0 stays 0, and
-        # the lead code goes to exp[Q - 1] = 1
-        counts.update(zip(*(
-            map(operator.mul,
-                map(exp.__getitem__, map(operator.add, map(log.__getitem__, col), inv)),
-                map(bool, col))
-            for col in cols)))
-    weight_of = {theta(w - 1, q): w for w in range(1, k + 1)}
-    if not weight_of.keys() >= set(counts.values()):
+        for lead, start, stop in _stretches(runs, len(vectors) if limit is None else _EXIT_STEP):
+            counts = fibers[lead]
+            if lead == r - 1:
+                counts[()] += stop - start
+                keys = [()]
+            else:
+                block = vectors[start:stop]
+                if exp is None:
+                    keys = map(operator.itemgetter(1 if lead == r - 2 else slice(1, None)),
+                               map(normalize_point, itertools.repeat(mid), zip(
+                                   *(column(block, j) for j in range(lead, r)))))
+                else:
+                    lead_log = list(map(log.__getitem__, column(block, lead)))
+                    # c -> exp[log c - log c_lead]·[c != 0]: 0 stays 0
+                    cols = [map(operator.mul,
+                                map(exp.__getitem__,
+                                    map(operator.sub, map(log.__getitem__, col), lead_log)),
+                                map(bool, col))
+                            for col in (list(column(block, j)) for j in range(lead + 1, r))]
+                    keys = cols[0] if len(cols) == 1 else zip(*cols)
+                if limit is not None:
+                    keys = list(keys)
+                counts.update(keys)
+            if limit is not None and max(map(counts.__getitem__, keys)) > limit:
+                return None
+    return fibers
+
+
+def _weight_of(U: FqSubspace, sizes) -> dict[int, int]:
+    """{θ_{w-1}(q): w} over the weights w <= k, the fiber sizes a walk of U
+    may show; InternalInvariantError unless it holds every size in sizes."""
+    q = U.tower.base.order
+    weight_of = {theta(w - 1, q): w for w in range(1, U.k + 1)}
+    if not weight_of.keys() >= sizes:
         raise InternalInvariantError("point fiber size is not θ_{w-1}(q)")
-    return dict(zip(counts, map(weight_of.__getitem__, counts.values())))
+    return weight_of
+
+
+def _point_weights(U: FqSubspace, budget: int) -> dict[tuple[int, ...], int]:
+    """{normalized point: weight} over the points of L_U, in the order the
+    walk first reaches them: each key of _walk_fibers behind its lead."""
+    fibers = _walk_fibers(U, budget)
+    weight_of = _weight_of(U, set(itertools.chain.from_iterable(c.values() for c in fibers)))
+    points: dict[tuple[int, ...], int] = {}
+    for lead, counts in enumerate(fibers):
+        head = (0,) * lead + (1,)
+        keys = zip(counts) if lead == U.r - 2 else counts.keys()
+        points.update(zip(map(head.__add__, keys), map(weight_of.__getitem__, counts.values())))
+    return points
+
+
+def _weight_counts(U: FqSubspace, budget: int, t: int | None = None):
+    """{w: number of points of PG(r-1, q^n) of weight w}, weight 0 included:
+    the fiber sizes of the walk, whose skipped points are counted, not
+    visited (all have weight 0), or the point scan, as _plan chooses.  With
+    t given, None as soon as a point of weight above t is found."""
+    if not _plan(U.tower, U.r, U.k, budget)[0]:
+        counts = Counter()
+        for _, w in _point_scan(U, budget):
+            if t is not None and w > t:
+                return None
+            counts[w] += 1
+        return counts
+    fibers = _walk_fibers(U, budget, t)
+    if fibers is None:
+        return None
+    sizes = Counter(itertools.chain.from_iterable(c.values() for c in fibers))
+    counts = dict(zip(map(_weight_of(U, sizes.keys()).__getitem__, sizes), sizes.values()))
+    rest = theta(U.r - 1, U.tower.mid.order) - sum(sizes.values())
+    if rest:
+        counts[0] = rest
+    return counts
 
 
 def _point_scan(U: FqSubspace, budget: int):
@@ -267,11 +352,11 @@ def _point_scan(U: FqSubspace, budget: int):
 
 
 def _plan(tower: FieldTower, r: int, dim: int, budget: int) -> tuple[bool, int]:
-    """(walk, items) of _point_weight_items on a dim-dimensional
-    F_q-subspace of F_{q^n}^r under budget: the walk of its θ_{dim-1}(q)
-    F_q-points (walk True) or the scan of the θ_{r-1}(q^n) points of
-    PG(r-1, q^n).  When only one of the two fits the budget, that one;
-    otherwise the cheaper (_walk_is_cheaper)."""
+    """(walk, items) of _weight_counts and _point_weight_items on a
+    dim-dimensional F_q-subspace of F_{q^n}^r under budget: the walk of its
+    θ_{dim-1}(q) F_q-points (walk True) or the scan of the θ_{r-1}(q^n)
+    points of PG(r-1, q^n).  When only one of the two fits the budget, that
+    one; otherwise the cheaper (_walk_is_cheaper)."""
     walk, scan = theta(dim - 1, tower.base.order), theta(r - 1, tower.mid.order)
     walks = walk <= budget
     if walks == (scan <= budget):
@@ -292,19 +377,22 @@ def _point_weight_items(U: FqSubspace, budget: int):
 def iota(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> int:
     """max over projective points P of dim_{F_q}(U ∩ <P>_{F_{q^n}}).
 
-    Walks U's F_q-points when θ_{k-1}(q) <= n·θ_{r-1}(q^n), else scans the
-    θ_{r-1}(q^n) points (_point_weight_items); budget caps the chosen scan's
-    item count."""
+    Read off the weight counts of the walk of U's F_q-points when
+    θ_{k-1}(q) <= n·θ_{r-1}(q^n), else of the scan of the θ_{r-1}(q^n)
+    points (_weight_counts), which stop at a point of weight min(k, n);
+    budget caps the chosen scan's item count."""
     if U.k == 0:
         return 0
     cap = min(U.k, U.tower.n)
-    best = 0
-    for _, w in _point_weight_items(U, budget):
-        if w > best:
-            best = w
-            if best == cap:
-                break
-    return best
+    counts = _weight_counts(U, budget, cap - 1)
+    return cap if counts is None else max(counts)
+
+
+def _weight_side(U: FqSubspace, h: int) -> tuple[FqSubspace, int]:
+    """(V, t) for h = 1 or r - 1: dim(U ∩ W) - h over the h-dim W is w - t
+    over the point weights w of V, U itself at h = 1 and U^⊥' at h = r - 1,
+    where dim(U ∩ H_w) = w_{U^⊥'}(<w>) + k - n."""
+    return (U, 1) if h == 1 else (ordinary_dual(U), U.tower.n + h - U.k)
 
 
 def excess_iter(U: FqSubspace, h: int, *, budget: int = DEFAULT_SUBSPACE_BUDGET):
@@ -313,21 +401,16 @@ def excess_iter(U: FqSubspace, h: int, *, budget: int = DEFAULT_SUBSPACE_BUDGET)
 
     For h = 1 these are w(P) - 1 over the points P of U; for h = r - 1 they
     are w_{U^⊥'}(<w>) + k - n - h over the dual points w of the hyperplanes
-    H_w, a dual point of weight 0 giving k - n - h.  Both read point weights
-    through the cheaper scan of iota (θ_{k-1}(q) F_q-points against
-    n·θ_{r-1}(q^n) row additions), of U or of U^⊥'.  For 2 <= h <= r - 2
-    every W of the qbinom(r, h, q^n) subspaces is eliminated against U.
-    budget caps the chosen scan's item count.
+    H_w, a dual point of weight 0 giving k - n - h.  Both are read off the
+    weight counts of U or of U^⊥' (_weight_counts).
+    For 2 <= h <= r - 2 every W of the qbinom(r, h, q^n) subspaces is
+    eliminated against U.  budget caps the chosen scan's item count.
     """
     if h in (1, U.r - 1):
-        V, shift = (U, -1) if h == 1 else (ordinary_dual(U), U.k - U.tower.n - h)
-        seen = 0
-        for _, w in _point_weight_items(V, budget):
-            seen += 1
-            if w + shift > 0:
-                yield w + shift
-        if shift > 0:    # the points the walk skipped have weight 0
-            yield from itertools.repeat(shift, theta(U.r - 1, U.tower.mid.order) - seen)
+        V, t = _weight_side(U, h)
+        for w, count in _weight_counts(V, budget).items():
+            if w > t:
+                yield from itertools.repeat(w - t, count)
         return
     spaces = enumerate_subspaces(U.r, h, U.tower.mid, budget=budget)
     for d in _meet_dims(U, (H.rows for H in spaces)):
@@ -341,13 +424,18 @@ def is_h_scattered(U: FqSubspace, h: int, *,
     in F_q-dimension at most h.  For h = 1: every point of L_U has weight 1.
 
     Every h-dim W meets U in at least k - (r - h)·n, so a U with
-    k - (r - h)·n > h is refused before any scan; otherwise the scan is
-    excess_iter's, exiting on the first violation (the point scan stops
-    there, the walk runs in full first)."""
+    k - (r - h)·n > h is refused before any scan.  Otherwise the scan exits
+    on the first violation: at h = 1 and r - 1 the point scan at the first
+    point of weight above t and the walk after the first stretch whose
+    partial fibers show one (_weight_counts, t of _weight_side), else
+    excess_iter's subspace scan at the first W."""
     if not 1 <= h <= U.r - 1:
         raise InvalidParams(f"h must satisfy 1 <= h <= r-1, got h={h}, r={U.r}")
     if U.k - (U.r - h) * U.tower.n > h or not U.spans_ambient():
         return False
+    if h in (1, U.r - 1):
+        V, t = _weight_side(U, h)
+        return _weight_counts(V, budget, t) is not None
     return next(excess_iter(U, h, budget=budget), None) is None
 
 
@@ -390,14 +478,10 @@ def hyperplane_weight_iter(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDG
 
 def point_weight_counts(U: FqSubspace, *,
                         budget: int = DEFAULT_SUBSPACE_BUDGET) -> dict[int, int]:
-    """{w: number of points of PG(r-1, q^n) of weight w in U}, from
-    _point_weight_items; the points the walk skips are counted, not
-    visited: all have weight 0."""
-    counts = Counter(w for _, w in _point_weight_items(U, budget))
-    rest = theta(U.r - 1, U.tower.mid.order) - sum(counts.values())
-    if rest:
-        counts[0] += rest
-    return dict(counts)
+    """{w: number of points of PG(r-1, q^n) of weight w in U}
+    (_weight_counts); the points the walk skips are counted, not visited:
+    all have weight 0."""
+    return dict(_weight_counts(U, budget))
 
 
 def hyperplane_weight_counts(U: FqSubspace, *,
@@ -436,16 +520,6 @@ def ordinary_dual(U: FqSubspace) -> FqSubspace:
     rows = [[x for i in range(0, r * n, n) for x in vec_mat(u[i:i + n], T)]
             for u in U.flat.rows]
     return FqSubspace.of_basis(tower, r, kernel(Mat.from_rows(tower.base, rows, r * n)))
-
-
-def dual_weight_identity_check(U: FqSubspace, W: SubspaceBasis) -> bool:
-    """Verify dim(U^{⊥'} ∩ W^{⊥'}) - dim(U ∩ W) = rn - dim U - s·n exactly."""
-    tower, r, n = U.tower, U.r, U.tower.n
-    if W.ambient != r:
-        raise DimensionMismatch("W must be an F_{q^n}-subspace of the same ambient")
-    Wperp = kernel(Mat.from_rows(tower.mid, W.rows, r)).rows
-    lhs = next(_meet_dims(ordinary_dual(U), [Wperp])) - next(_meet_dims(U, [W.rows]))
-    return lhs == r * n - U.k - W.dim * n
 
 
 # -- Delsarte duality ---------------------------------------------------------
@@ -539,16 +613,6 @@ def characterize_max_h_scattered(U: FqSubspace, h: int, *,
     via_def = is_h_scattered(U, h, budget=budget)
     via_dual = iota(ordinary_dual(U), budget=budget) <= h
     return Characterization(via_def, via_dual, via_dual)
-
-
-def direct_sum(U1: FqSubspace, U2: FqSubspace) -> FqSubspace:
-    """Block-diagonal sum inside F_{q^n}^{r1+r2}."""
-    if U1.tower != U2.tower:
-        raise TowerMismatch("direct sum needs a common tower")
-    r = U1.r + U2.r
-    vecs = [tuple(v) + (0,) * U2.r for v in U1.basis_mid]
-    vecs += [(0,) * U1.r + tuple(v) for v in U2.basis_mid]
-    return FqSubspace.from_mid_vectors(U1.tower, r, vecs)
 
 
 def random_subspace(tower: FieldTower, r: int, k: int, rng) -> FqSubspace:

@@ -28,11 +28,11 @@ from ranklab.subspaces import FqSubspace, iota, is_h_scattered, ordinary_dual, u
 from ranklab.constructions import (
     LinearizedPoly,
     _canonical_projection,
+    _mrd_criterion,
     _right_basis,
     base_basis_codes,
     c_ug,
     c_ug_g_independence,
-    c_ug_mrd_predicate,
     cug_mrd_weight_distribution,
     find_nonsquare,
     gabidulin,
@@ -41,7 +41,6 @@ from ranklab.constructions import (
     mult_matrix,
     pseudoregulus_subspace,
     random_scattered_search,
-    sheekey_code,
     twisted_gabidulin,
 )
 
@@ -179,6 +178,12 @@ def test_cug_zero_subspace(t2_4, scanned):
     assert cug.code.is_mrd()
 
 
+def c_ug_mrd_predicate(U):
+    """The MRD criterion for C_{U,G} (constructions._mrd_criterion) at
+    iota = c_ug(U).iota; c_ug raises IotaFull when iota = n."""
+    return _mrd_criterion(U, c_ug(U).iota)
+
+
 def test_cug_mrd_predicate_tracks_brute_force(t2_4, pseudoreg, scanned):
     assert c_ug_mrd_predicate(pseudoreg)
     # a 3-dim subspace of the pseudoregulus: iota = 1 but k != iota*rn/(iota+1)
@@ -231,28 +236,40 @@ def test_cug_g_independence_annihilator_construction(pseudoreg, t2_4):
 # -- Sheekey codes ------------------------------------------------------------------
 
 
+def sheekey_code(polys):
+    """S_{f_1..f_r}: the code spanned by all F_{q^n}-scalings γ·f_i of the
+    q-polynomials f_i over one field; its left idealiser contains the
+    multiplication field.  It is degenerate when its dimension is below r·N."""
+    tower, level = polys[0].tower, polys[0].level
+    F = tower.field(level)
+    gens = [LinearizedPoly(tower, level, tuple(F.mul(gamma, a) for a in f.coeffs)).to_matrix()
+            for f in polys for gamma in base_basis_codes(tower, level)]
+    N = polys[0].deg_over_base
+    return RankCode.from_generators(tower.base, N, N, gens)
+
+
 def test_sheekey_x_xq_matches_scatteredness(t2_4):
     f1 = LinearizedPoly(t2_4, "mid", (1,))
     f2 = LinearizedPoly(t2_4, "mid", (0, 1))
     S = sheekey_code([f1, f2])
-    assert not S.degenerate
+    assert S.dim == 2 * 4     # not degenerate
     U = FqSubspace.from_mid_vectors(
         t2_4, 2, [(b, t2_4.frob("mid", b, 1)) for b in (1, 2, 4, 8)])
     assert is_h_scattered(U, 1)
-    assert S.code.min_distance() == 3
-    assert S.code.is_mrd()
+    assert S.min_distance() == 3
+    assert S.is_mrd()
 
 
 def test_sheekey_degenerate_pair(t2_4):
     f1 = LinearizedPoly(t2_4, "mid", (1,))
     S = sheekey_code([f1, f1])
-    assert S.degenerate and S.code.dim == 4
+    assert S.dim == 4 < 2 * 4     # degenerate
 
 
 def test_sheekey_adjoint_feeds_converse(t2_4):
     f1 = LinearizedPoly(t2_4, "mid", (1,))
     f2 = LinearizedPoly(t2_4, "mid", (0, 1))
-    A = adjoint(sheekey_code([f1, f2]).code)
+    A = adjoint(sheekey_code([f1, f2]))
     R = right_idealiser(A)
     assert R.order == 16
     ext = mrd_to_subspace(A, t2_4)

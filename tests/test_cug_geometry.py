@@ -5,7 +5,7 @@ the point weights of L_U (rank Γ_v = n - w(<v>)).  The oracle is the same
 code rebuilt from its basis alone, whose distribution comes from the
 codeword walk or the subspace count; it shares no code with the point-weight
 walk or the point scan.  The geometric engine is forced, with both scans
-patched to raise, on both sides of subspaces._point_weight_items on every
+patched to raise, on both sides of subspaces._weight_counts on every
 input.
 """
 
@@ -113,8 +113,15 @@ def test_a_lost_point_in_the_fringe_is_an_internal_error(monkeypatch):
     # with m < n every point meets U, so a weight-0 remainder means the
     # walk lost a point
     label, U = next(x for x in INPUTS if x[0].startswith("fringe_q2"))
-    items = list(subspaces._point_weight_items(U, 1 << 20))
-    monkeypatch.setattr(subspaces, "_point_weight_items", lambda U, budget: items[1:])
+    walk = subspaces._walk_fibers
+
+    def lose_a_point(U, budget, t=None):
+        fibers = walk(U, budget, t)
+        counts = next(c for c in fibers if c)
+        del counts[next(iter(counts))]
+        return fibers
+
+    monkeypatch.setattr(subspaces, "_walk_fibers", lose_a_point)
     with pytest.raises(InternalInvariantError, match="weight below n - m"):
         c_ug(U)
 
@@ -139,9 +146,9 @@ def test_witness_pipeline_runs_no_rank_scan_and_one_idealiser(monkeypatch):
     monkeypatch.setattr(rankcodes, "_subspace_counts", no_scan)
     monkeypatch.setattr(rankcodes, "_walk_counts", no_scan)
     walks = []
-    walk = subspaces._point_weights
-    monkeypatch.setattr(subspaces, "_point_weights",
-                        lambda U, budget: walks.append(U) or walk(U, budget))
+    walk = subspaces._walk_fibers
+    monkeypatch.setattr(subspaces, "_walk_fibers",
+                        lambda U, budget, t=None: walks.append(U) or walk(U, budget, t))
     calls = []
     idealiser = rankcodes._idealiser
     monkeypatch.setattr(rankcodes, "_idealiser",

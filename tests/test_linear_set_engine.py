@@ -42,6 +42,8 @@ from ranklab.subspaces import (
     is_h_scattered,
     max_hyperplane_weight,
     normalize_point,
+    ordinary_dual,
+    point_weight_counts,
     random_subspace,
     unflatten_vec,
 )
@@ -454,6 +456,12 @@ def test_point_walk_without_log_tables(p, n, monkeypatch):
     assert linear_set(U).points == want
     assert list(linear_set(U).points.items()) == list(oracle_tuple_walk(U).items())
     assert iota(U) == 2
+    # the count path, on U and on an r = 3 subspace with zero leads
+    for V in (U, _lead_zero_subspace(tower, 3, 3, random.Random(n))):
+        want = oracle_vector_walk(V)
+        assert _read_off_the_counts(V, monkeypatch) == (
+            max(want.values()), sorted(w - 1 for w in want.values() if w > 1),
+            _counts_of(want, V))
 
 
 def test_point_walk_checks_its_fiber_sizes(monkeypatch):
@@ -461,6 +469,74 @@ def test_point_walk_checks_its_fiber_sizes(monkeypatch):
     monkeypatch.setattr(subspaces, "theta", lambda s, Q: Q ** (s + 1) - 1)
     with pytest.raises(InternalInvariantError, match="fiber size"):
         _point_weights(U, 1 << 20)
+
+
+# -- the count path against the dict path, the scan and the vector walk ---------
+
+
+def _counts_of(points, U):
+    """{w: number of points of weight w} over PG(r-1, q^n) from {point: w}
+    over the points of positive weight."""
+    counts = Counter(points.values())
+    rest = theta(U.r - 1, U.tower.mid.order) - len(points)
+    if rest:
+        counts[0] = rest
+    return dict(counts)
+
+
+def _read_off_the_counts(U, monkeypatch):
+    """(ι, sorted h = 1 excess, point_weight_counts) on the walk, with the
+    point dict and the point scan patched to raise: the count path."""
+    def refuse(*args):
+        raise AssertionError("the count path built points")
+
+    with monkeypatch.context() as m:
+        m.setattr(subspaces, "_walk_is_cheaper", lambda *a: True)
+        m.setattr(subspaces, "_point_weights", refuse)
+        m.setattr(subspaces, "_point_scan", refuse)
+        return iota(U), sorted(excess_iter(U, 1)), point_weight_counts(U)
+
+
+@pytest.mark.parametrize("label,U", WALK_INPUTS, ids=[x[0] for x in WALK_INPUTS])
+def test_count_path_matches_the_dict_path_the_scan_and_the_vector_walk(label, U, monkeypatch):
+    want = oracle_vector_walk(U)
+    assert _point_weights(U, 1 << 20) == want
+    assert {pt: w for pt, w in _point_scan(U, 1 << 20) if w} == want
+    expected = (max(want.values(), default=0), sorted(w - 1 for w in want.values() if w > 1),
+                _counts_of(want, U))
+    assert _read_off_the_counts(U, monkeypatch) == expected, label
+    with monkeypatch.context() as m:
+        m.setattr(subspaces, "_walk_is_cheaper", lambda *a: False)
+        assert (iota(U), sorted(excess_iter(U, 1)), point_weight_counts(U)) == expected, label
+
+
+def test_scatteredness_walk_stops_at_the_first_heavy_stretch(monkeypatch):
+    # random non-maximum k = 6 subspaces of F_64^3 at h = 2: the walk of the
+    # 4095 F_q-points of U^⊥' stops once a partial fiber shows a point of
+    # weight 3, inside its first run of 2048, and the verdict is the
+    # definition scan's
+    tower, rng = _tower(2, 6), random.Random(64)
+    column, blocks = subspaces.digit_column, []
+
+    def recording(F, deg):
+        read = column(F, deg)
+
+        def read_column(rows, j):
+            if not any(rows is b for b in blocks):
+                blocks.append(rows)
+            return read(rows, j)
+        return read_column
+
+    monkeypatch.setattr(subspaces, "digit_column", recording)
+    for _ in range(4):
+        U = _spanning(tower, 3, 6, rng)
+        assert definition_excess(U, 2)
+        blocks.clear()
+        point_weight_counts(ordinary_dual(U))
+        walked = sum(map(len, blocks))
+        blocks.clear()
+        assert not is_h_scattered(U, 2)
+        assert 0 < sum(map(len, blocks)) < 2048 < walked <= theta(11, 2)
 
 
 # -- the F_{q^n}-meet against the flat intersection -----------------------------

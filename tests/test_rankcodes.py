@@ -633,6 +633,32 @@ def test_rank_distribution_against_product_enumeration_oracle():
     assert sides == {True, False}  # both scans are chosen somewhere in the grid
 
 
+@pytest.mark.parametrize("q,N,k", [(2, 5, 2), (3, 4, 2), (4, 3, 2)])
+def test_leaf_ranks_stop_at_full_rank(q, N, k, monkeypatch):
+    # a leaf of the subspace tree ranks s > H images of H coordinates: once
+    # their rank is H every further row vanishes, and none is eliminated
+    from ranklab import fqlinalg, rankcodes
+
+    p, e = {2: (2, 1), 3: (3, 1), 4: (2, 2)}[q]
+    C = gabidulin(make_tower(p, e, N, 1), N, k, 1)
+    want = tuple(rankcodes._walk_counts(C))
+    H, past, fed = max(C.m, C.n), [], []
+    add_all = fqlinalg.RowReducer.add_all
+
+    def counted(self, rows):
+        grew = 0
+        for row in rows:
+            if self.ncols == H:
+                fed.append(1)
+                past.append(len(self.pivrows) == H)
+            grew += add_all(self, [row])
+        return grew
+
+    monkeypatch.setattr(fqlinalg.RowReducer, "add_all", counted)
+    assert tuple(rankcodes._subspace_counts(C)) == want
+    assert fed and not any(past)
+
+
 def test_dual_relations_nonsquare_restriction_code():
     from ranklab.fixtures import restriction_6_3_1
 

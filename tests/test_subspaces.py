@@ -24,8 +24,6 @@ from ranklab.subspaces import (
     check_dimension_bound,
     delsarte_double_dual,
     delsarte_dual,
-    direct_sum,
-    dual_weight_identity_check,
     iota,
     is_h_scattered,
     max_hyperplane_weight,
@@ -191,6 +189,17 @@ def test_fqn_subspace_dual_is_fqn_kernel(t2_4):
     Wperp = kernel(Mat.from_rows(t2_4.mid, [[1, t2_4.mid.gen]], 2))
     rhs = fqn_flat(t2_4, Wperp)
     assert lhs == rhs
+
+
+def dual_weight_identity_check(U, W):
+    """dim(U^{⊥'} ∩ W^{⊥'}) - dim(U ∩ W) = rn - dim U - s·n, for the s-dim
+    F_{q^n}-subspace W of the same ambient, each meet by subspaces._meet_dims."""
+    tower, r, n = U.tower, U.r, U.tower.n
+    assert W.ambient == r
+    Wperp = kernel(Mat.from_rows(tower.mid, W.rows, r)).rows
+    meet = subspaces._meet_dims
+    lhs = next(meet(ordinary_dual(U), [Wperp])) - next(meet(U, [W.rows]))
+    return lhs == r * n - U.k - W.dim * n
 
 
 def test_dual_weight_identity_degenerate_and_random(t2_4):
@@ -464,6 +473,15 @@ def test_characterization_builds_one_dual_for_both_flags(pseudoreg, monkeypatch)
 
 
 # -- direct sums ------------------------------------------------------------------
+
+
+def direct_sum(U1, U2):
+    """Block-diagonal sum of U1 and U2 inside F_{q^n}^{r1+r2}."""
+    if U1.tower != U2.tower:
+        raise TowerMismatch("direct sum needs a common tower")
+    vecs = [tuple(v) + (0,) * U2.r for v in U1.basis_mid]
+    vecs += [(0,) * U1.r + tuple(v) for v in U2.basis_mid]
+    return FqSubspace.from_mid_vectors(U1.tower, U1.r + U2.r, vecs)
 
 
 def test_direct_sum_dimensions(t2_4, pseudoreg):
