@@ -23,7 +23,7 @@ exact scans, chosen from the input and the budget:
   p = 2, the Slots fold at odd p).  Their first nonzero coordinate i (the
   lead) is known from U's RREF basis, so they are counted in one Counter
   per lead, keyed by the coordinates after i divided by coordinate i, read
-  back a stretch and a coordinate at a time.
+  back a run and a coordinate at a time.
 - the point scan (_point_scan) meets U with every point of PG(r-1, q^n).
 
 The walk runs when U's θ_{k-1}(q) F_q-points are at most n·θ_{r-1}(q^n),
@@ -37,8 +37,7 @@ points it skips counted as weight 0.  Only linear_set and
 hyperplane_weight_iter need the points themselves (_point_weight_items),
 built from the keys behind their lead.  With a largest allowed weight t,
 as in is_h_scattered at h = 1 and h = r - 1, the walk stops after the
-first stretch of at most _EXIT_STEP vectors whose partial fibers exceed
-θ_{t-1}(q), and the point scan at the first point of weight above t.
+first run whose partial fibers exceed θ_{t-1}(q), and the point scan at the first point of weight above t.
 Hyperplane weights are point weights of the ordinary dual U^⊥', by
 whichever scan is chosen for it: the hyperplane H_w = ker(w·) is the dual
 of the point <w>, so dim(U ∩ H_w) = w_{U^⊥'}(<w>) + k - n.  Scatteredness
@@ -203,7 +202,7 @@ _WALK_BATCH = 1 << 12
 def _walk_batches(U: FqSubspace):
     """The walk of _walk_fibers in batches of at least _WALK_BATCH vectors
     (the last may hold fewer): (vectors, runs), each vector stored over F_p
-    by store_digits, and runs listing (lead, start, stop) for each stretch
+    by store_digits, and runs listing (lead, start, stop) for each run
     of vectors whose first nonzero coordinate is lead.
 
     The vectors b_i + Σ_{j>i} a_j·b_j come from span_chunks over the
@@ -228,35 +227,17 @@ def _walk_batches(U: FqSubspace):
         yield vectors, runs
 
 
-# with an exit weight, _walk_fibers checks the fibers after every stretch of
-# at most this many vectors of one lead
-_EXIT_STEP = 1 << 8
-
-
-def _stretches(runs, step: int):
-    """(lead, start, stop) for the vectors of each lead in runs, in pieces of
-    at most step vectors."""
-    joined = []
-    for lead, start, stop in runs:
-        if joined and joined[-1][0] == lead:
-            start = joined.pop()[1]
-        joined.append((lead, start, stop))
-    return [(lead, i, min(i + step, stop))
-            for lead, start, stop in joined for i in range(start, stop, step)]
-
-
 def _walk_fibers(U: FqSubspace, budget: int, t: int | None = None):
     """One Counter per lead i < r: {key: number of U's F_q-points on the
     point (0, ..., 0, 1, key)}, keys in first-visit order, where key is the
     coordinates after i divided by coordinate i: an int when one is left,
     a tuple otherwise, () for the one point of lead r - 1.  With t given,
     None as soon as a partial fiber exceeds θ_{t-1}(q), a point of weight
-    above t, checked after each stretch of at most _EXIT_STEP vectors
-    (_stretches).
+    above t, checked after each run.
 
     The F_q-points are b_i + Σ_{j>i} a_j·b_j over U's basis b (i < k, a_j in
     F_q); a point of weight w holds θ_{w-1}(q) of them.  The vectors of a
-    stretch are read back a coordinate at a time (fqlinalg.digit_column), from
+    run are read back a coordinate at a time (fqlinalg.digit_column), from
     the lead on, and normalized with the log tables, c_j -> exp[log c_j -
     log c_lead] (a negative index wraps round the doubled exp), in C-level
     maps; fields without log tables go through normalize_point.  budget
@@ -270,7 +251,7 @@ def _walk_fibers(U: FqSubspace, budget: int, t: int | None = None):
     limit = None if t is None else theta(t - 1, q)
     fibers = [Counter() for _ in range(r)]
     for vectors, runs in _walk_batches(U):
-        for lead, start, stop in _stretches(runs, len(vectors) if limit is None else _EXIT_STEP):
+        for lead, start, stop in runs:
             counts = fibers[lead]
             if lead == r - 1:
                 counts[()] += stop - start
@@ -426,7 +407,7 @@ def is_h_scattered(U: FqSubspace, h: int, *,
     Every h-dim W meets U in at least k - (r - h)·n, so a U with
     k - (r - h)·n > h is refused before any scan.  Otherwise the scan exits
     on the first violation: at h = 1 and r - 1 the point scan at the first
-    point of weight above t and the walk after the first stretch whose
+    point of weight above t and the walk after the first run whose
     partial fibers show one (_weight_counts, t of _weight_side), else
     excess_iter's subspace scan at the first W."""
     if not 1 <= h <= U.r - 1:

@@ -510,11 +510,10 @@ def test_count_path_matches_the_dict_path_the_scan_and_the_vector_walk(label, U,
         assert (iota(U), sorted(excess_iter(U, 1)), point_weight_counts(U)) == expected, label
 
 
-def test_scatteredness_walk_stops_at_the_first_heavy_stretch(monkeypatch):
+def test_scatteredness_walk_stops_at_the_first_heavy_run(monkeypatch):
     # random non-maximum k = 6 subspaces of F_64^3 at h = 2: the walk of the
-    # 4095 F_q-points of U^⊥' stops once a partial fiber shows a point of
-    # weight 3, inside its first run of 2048, and the verdict is the
-    # definition scan's
+    # 4095 F_q-points of U^⊥' stops after the first run whose partial fibers
+    # show a point of weight 3, and the verdict is the definition scan's
     tower, rng = _tower(2, 6), random.Random(64)
     column, blocks = subspaces.digit_column, []
 
@@ -536,7 +535,7 @@ def test_scatteredness_walk_stops_at_the_first_heavy_stretch(monkeypatch):
         walked = sum(map(len, blocks))
         blocks.clear()
         assert not is_h_scattered(U, 2)
-        assert 0 < sum(map(len, blocks)) < 2048 < walked <= theta(11, 2)
+        assert 0 < sum(map(len, blocks)) < walked <= theta(11, 2)
 
 
 # -- the F_{q^n}-meet against the flat intersection -----------------------------
