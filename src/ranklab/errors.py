@@ -48,10 +48,6 @@ class AmbientMismatch(GateError):
     pass
 
 
-class TowerMismatch(GateError):
-    pass
-
-
 class DimensionMismatch(GateError):
     pass
 

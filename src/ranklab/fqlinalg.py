@@ -37,6 +37,10 @@ back with unpack_row (digit_column reads the codes that store_digits packed,
 a column of many rows at a time), add them with row_add, cut them into
 blocks with row_blocks, and walk their spans with iter_span.
 
+cheapest is the one engine chooser: every choice between exact engines,
+and its budget refusal, goes through it, with the price table in its
+docstring.
+
 odometer is the one span enumerator: iter_span runs it over the F_p-expansion
 (prime_expansion) of stored rows, with one row add per step, and
 iter_span_rows is the same walk with tuple output.  span_chunks hands out the
@@ -581,6 +585,27 @@ def projective_points(F: Field, r: int, *, budget: int = DEFAULT_SUBSPACE_BUDGET
         tail = r - lead - 1
         for rest in itertools.product(range(F.order), repeat=tail):
             yield (0,) * lead + (1,) + rest
+
+
+def cheapest(engines, budget: int):
+    """The value of the lowest-priced entry of engines whose items fit
+    budget, ties going to list order; when none fits, BudgetExceeded for the
+    lowest-priced entry, in its unit.
+
+    engines holds (price, items, unit, value) entries: items is the count
+    budget caps, price the cost in row additions.  The price table:
+
+    - the point walk of a d-dimensional F_q-subspace of F_{q^n}^r: 2 per
+      F_q-point, θ_{d-1}(q) "subspace F_q-points";
+    - the point scan: 2n per point of PG(r-1, q^n), its n flat rows,
+      θ_{r-1}(q^n) "projective points";
+    - the codeword walk of a K-dimensional code: K per codeword;
+    - the subspace tree: K per subspace of F_q^{min(m,n)}."""
+    fits = [e for e in engines if e[1] <= budget]
+    _, items, unit, value = min(fits or engines, key=operator.itemgetter(0))
+    if not fits:
+        raise BudgetExceeded(items, budget, unit)
+    return value
 
 
 def odometer(add, start, rows, p: int):

@@ -56,10 +56,8 @@ class LinearSet:
 
 
 def linear_set(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> LinearSet:
-    """The points of L_U with their weights, from the walk of U's
-    F_q-points or the scan of every point of PG(r-1, q^n), whichever
-    subspaces._point_weight_items chooses; budget caps the chosen scan's
-    item count."""
+    """The points of L_U with their weights (subspaces._point_weight_items,
+    under budget)."""
     return LinearSet(U, {P: w for P, w in _point_weight_items(U, budget) if w})
 
 

@@ -22,8 +22,9 @@ are also the oracle of the geometric engine:
   images of one column block; a node with an empty subcode adds its whole
   subtree in closed form.
 
-A code with a subspace takes whichever of the three engines is priced
-lowest (RankCode.rank_distribution); any other code the shorter scan.
+RankCode.rank_distribution runs the engine fqlinalg.cheapest picks: among
+both sides of the subspace's point weights (subspaces._point_sides) and the
+two scans for a code with a subspace, the shorter scan for any other code.
 
 An idealiser is the set of combinations of the unit matrices E_ab whose
 products with C's basis all reduce to 0 modulo C; whether it is a field is
@@ -46,12 +47,10 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import (
-    BudgetExceeded,
     EmptyCode,
     HypothesisViolated,
     InternalInvariantError,
     InvalidParams,
-    NotMRD,
     ParamMismatch,
     RankDeficientA,
     ShapeMismatch,
@@ -61,6 +60,7 @@ from .fqlinalg import (
     Mat,
     RowReducer,
     SubspaceBasis,
+    cheapest,
     iter_span,
     kernel,
     mat_mul,
@@ -74,7 +74,8 @@ from .fqlinalg import (
     unpack_row,
     vanishing_tails,
 )
-from .subspaces import FqSubspace, _plan, point_weight_counts
+from . import subspaces
+from .subspaces import FqSubspace, _weight_counts
 
 DEFAULT_CODEWORD_BUDGET = 1 << 24
 
@@ -148,43 +149,27 @@ class RankCode:
 
     def rank_distribution(self, *, budget: int = DEFAULT_CODEWORD_BUDGET
                           ) -> "RankDistribution":
-        """Exact rank histogram from the cheapest of up to three engines.
+        """Exact rank histogram from the engine fqlinalg.cheapest picks.
 
         The codeword walk ranks all q^K codewords.  The subspace count sizes
         the subcode of every subspace of F_q^{min(m,n)}, walking them as a
         tree that carries each parent's subcode to its children and closes
-        the subtree of an empty subcode in one formula; its item count is
-        the number of those subspaces.  A code with a subspace S (attach)
-        may instead read S's point weights, whose items are the ones
-        subspaces._plan names: the θ_{dim S-1}(q) F_q-points of S or the
-        θ_{r-1}(q^n) points of PG(r-1, q^n).
-
-        Prices are about row additions: K per codeword and per subspace,
-        2 per point-weight item, so the subspace's engine runs iff its items
-        are at most K·#subspaces/2 (on Gabidulin codes up to q = 9 and N = 7
-        this picks the faster of it and the tree in 66 of 69 cells, README
-        Performance notes).  The cheapest engine among those whose items fit
-        budget runs; when none fits, the cheapest raises BudgetExceeded
-        naming its unit.  So a budget that fits a code's shorter scan always
-        suffices.
+        the subtree of an empty subcode in one formula.  A code with a
+        subspace S (attach) lists both sides of S's point weights before
+        them, and runs the side picked, once.  A budget that fits a code's
+        shorter scan always suffices.
         """
         if self._rank_distribution is None:
             q, K, mp = self.q, self.dim, min(self.m, self.n)
             spaces = sum(qbinom(mp, s, q) for s in range(mp + 1))
+            S = self.subspace
+            sides = [] if S is None else subspaces._point_sides(S.tower, S.r, S.k)
             # (price, items, unit, scan), in the order ties are broken
-            engines = []
-            if self.subspace is not None:
-                S = self.subspace
-                walk, items = _plan(S.tower, S.r, S.k, budget)
-                engines.append((2 * items, items,
-                                "subspace F_q-points" if walk else "projective points",
-                                lambda C: _point_counts(C, budget)))
+            engines = [(price, items, unit, lambda C, walk=walk: _point_counts(C, budget, walk))
+                       for price, items, unit, walk in sides]
             engines += [(K * self.size, self.size, "codewords", _walk_counts),
                         (K * spaces, spaces, f"subspaces of F_{q}^{mp}", _subspace_counts)]
-            _, needed, what, scan = min([e for e in engines if e[1] <= budget] or engines,
-                                        key=lambda e: e[0])
-            if needed > budget:
-                raise BudgetExceeded(needed, budget, what)
+            scan = cheapest(engines, budget)
             dist = RankDistribution(tuple(scan(self)), self.m, self.n, q, K)
             dist.validate()
             self._rank_distribution = dist
@@ -225,13 +210,14 @@ def _span_ranks(F: Field, vecs, m: int, n: int):
         yield add_all(split(word, m))
 
 
-def _point_counts(C: RankCode, budget: int) -> list[int]:
-    """Rank histogram of a code with a subspace S (RankCode.attach):
-    A_0 = 1 and A_{n-w} = (q^n - 1)·#{points of weight w}.  Every weight
-    lies in n - m..n, as rank n - w lies in 0..m."""
+def _point_counts(C: RankCode, budget: int, walk: bool) -> list[int]:
+    """Rank histogram of a code with a subspace S (RankCode.attach), from
+    the side walk names of S's point weights: A_0 = 1 and
+    A_{n-w} = (q^n - 1)·#{points of weight w}.  Every weight lies in
+    n - m..n, as rank n - w lies in 0..m."""
     S, n = C.subspace, C.n
     A = [1] + [0] * min(C.m, n)
-    for w, count in point_weight_counts(S, budget=budget).items():
+    for w, count in _weight_counts(S, budget, walk=walk).items():
         if not n - len(A) < w <= n:
             raise InternalInvariantError(f"a weight below n - m or above n: {w}")
         A[n - w] += (S.tower.mid.order - 1) * count
@@ -405,23 +391,6 @@ def macwilliams_check(C: RankCode, *, budget: int = DEFAULT_CODEWORD_BUDGET) -> 
         rhs = size * sum(B[j] * qbinom(m - j, nu - j, q)
                          for j in range(0, min(nu, len(B) - 1) + 1))
         if lhs * q ** (n * nu) != rhs:
-            return False
-    return True
-
-
-def dual_relations_check(C: RankCode, *, budget: int = DEFAULT_CODEWORD_BUDGET) -> bool:
-    """Verify the MRD dual relations for nu = 0..m'-d (exact integers)."""
-    if not C.is_mrd(budget=budget):
-        raise NotMRD("dual relations hold for MRD codes only")
-    A = C.rank_distribution(budget=budget).A
-    q = C.q
-    mp, np_ = min(C.m, C.n), max(C.m, C.n)
-    d = C.min_distance(budget=budget)
-    for nu in range(mp - d + 1):
-        lhs = qbinom(mp, nu, q) + sum(
-            A[i] * qbinom(mp - i, nu, q) for i in range(d, mp - nu + 1))
-        rhs = q ** (C.dim - np_ * nu) * qbinom(mp, nu, q)
-        if lhs != rhs:
             return False
     return True
 

@@ -10,10 +10,11 @@ deterministic moduli and verifies they match, so files are portable.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any
 
-from .errors import IoError, UsageError
+from .errors import GateError, IoError, UsageError
 from .fields import Field, FieldTower, make_tower
 from .fqlinalg import Mat
 from .linsets import HammingCode
@@ -36,6 +37,22 @@ def _req(obj: Any, key: str, kind: type, what: str) -> Any:
         raise UsageError(f"{what}: key {key!r} must be of type {kind.__name__}, "
                          f"got {type(val).__name__}")
     return val
+
+
+def _reads(what: str):
+    """Decorate a reader of a {what} from file content: a GateError raised
+    while building it means the file is malformed, so it becomes a
+    UsageError naming the {what} (CLI exit 1).  BudgetExceeded and
+    InternalInvariantError are not GateErrors and pass through."""
+    def wrap(read):
+        @functools.wraps(read)
+        def reader(*args):
+            try:
+                return read(*args)
+            except GateError as exc:
+                raise UsageError(f"{what}: {exc}") from exc
+        return reader
+    return wrap
 
 
 def tower_to_json(tower: FieldTower) -> dict[str, Any]:
@@ -86,11 +103,9 @@ def _checked_entries(order: int, rows, key: str) -> list[list[int]]:
     return out
 
 
+@_reads("matrix")
 def mat_from_json(tower: FieldTower, obj: dict[str, Any]) -> Mat:
-    level = _req(obj, "level", str, "matrix")
-    if level not in ("base", "mid", "top"):
-        raise UsageError(f"matrix: unknown level {level!r}")
-    F = tower.field(level)
+    F = tower.field(_req(obj, "level", str, "matrix"))
     cols = _req(obj, "cols", int, "matrix")
     entries = _checked_entries(F.order, _req(obj, "entries", list, "matrix"), "entries")
     if cols < 0 or any(len(row) != cols for row in entries):
@@ -112,6 +127,7 @@ def subspace_to_json(U: FqSubspace) -> dict[str, Any]:
     }
 
 
+@_reads("subspace")
 def subspace_from_json(obj: dict[str, Any]) -> FqSubspace:
     tower = tower_from_json(_req(obj, "tower", dict, "subspace"))
     r = _req(obj, "r", int, "subspace")
@@ -145,6 +161,7 @@ def rankcode_to_json(C: RankCode) -> dict[str, Any]:
     }
 
 
+@_reads("code")
 def rankcode_from_json(obj: dict[str, Any]) -> RankCode:
     p, e, q, m, n = (_req(obj, key, int, "code") for key in ("p", "e", "q", "m", "n"))
     if m < 1 or n < 1:

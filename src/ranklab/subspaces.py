@@ -14,7 +14,9 @@ fqlinalg stores them).  The point scan and the 2 <= h <= r - 2
 scatteredness scan read it.
 
 Point weights w(P) = dim_{F_q}(U ∩ <P>_{F_{q^n}}) come from one of two
-exact scans, chosen from the input and the budget:
+exact scans, listed with their prices by _point_sides and chosen by
+fqlinalg.cheapest under the budget (rankcodes lists the same two next to
+its own scans):
 
 - the vector walk (_walk_fibers) visits one vector on each of the
   θ_{k-1}(q) F_q-points of U and counts them by projective point; a point
@@ -26,26 +28,20 @@ exact scans, chosen from the input and the budget:
   back a run and a coordinate at a time.
 - the point scan (_point_scan) meets U with every point of PG(r-1, q^n).
 
-The walk runs when U's θ_{k-1}(q) F_q-points are at most n·θ_{r-1}(q^n),
-the row additions of the point scan; when only one of the two fits the
-budget, that one runs.  _plan makes that choice and names its item count,
-which is also the price rankcodes puts on reading a code's ranks off the
-point weights of its subspace.  ι, the h = 1 and h = r - 1 excess and
-point_weight_counts read only the histogram {w: number of points}
-(_weight_counts): from the walk, the fiber sizes of its keys, with the
-points it skips counted as weight 0.  Only linear_set and
-hyperplane_weight_iter need the points themselves (_point_weight_items),
-built from the keys behind their lead.  With a largest allowed weight t,
-as in is_h_scattered at h = 1 and h = r - 1, the walk stops after the
-first run whose partial fibers exceed θ_{t-1}(q), and the point scan at the first point of weight above t.
+ι, the h = 1 and h = r - 1 excess and point_weight_counts read only the
+histogram {w: number of points} (_weight_counts): from the walk, the fiber
+sizes of its keys, with the points it skips counted as weight 0.  Only
+linear_set and hyperplane_weight_iter need the points themselves
+(_point_weight_items), built from the keys behind their lead.  With a
+largest allowed weight t, as in is_h_scattered at h = 1 and h = r - 1, the
+walk stops after the first run whose partial fibers exceed θ_{t-1}(q), and
+the point scan at the first point of weight above t.
 Hyperplane weights are point weights of the ordinary dual U^⊥', by
 whichever scan is chosen for it: the hyperplane H_w = ker(w·) is the dual
 of the point <w>, so dim(U ∩ H_w) = w_{U^⊥'}(<w>) + k - n.  Scatteredness
-at h = 1 reads the point weights of U, at h = r - 1 those of U^⊥'.  Every
-scan refuses (BudgetExceeded) rather than samples when its item count
-exceeds the budget: the F_q-points of the subspace for the walk, projective
-points for the point scan, and subspaces for the scatteredness scan over
-h-dim F_{q^n}-subspaces at 2 <= h <= r - 2.
+at h = 1 reads the point weights of U, at h = r - 1 those of U^⊥'.  The
+scatteredness scan over h-dim F_{q^n}-subspaces at 2 <= h <= r - 2 counts
+subspaces against the budget.
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
-    BudgetExceeded,
     DimensionMismatch,
     InternalInvariantError,
     InvalidParams,
@@ -70,6 +65,7 @@ from .fqlinalg import (
     Mat,
     RowReducer,
     SubspaceBasis,
+    cheapest,
     digit_column,
     enumerate_subspaces,
     kernel,
@@ -186,12 +182,14 @@ def normalize_point(F: Field, v) -> tuple[int, ...]:
     raise InvalidParams("the zero vector spans no point")
 
 
-def _walk_is_cheaper(tower: FieldTower, r: int, dim: int) -> bool:
-    """True iff walking the θ_{dim-1}(q) F_q-points of a dim-dimensional
-    F_q-subspace of F_{q^n}^r, one vector each, costs no more than the point
-    scan's n·θ_{r-1}(q^n) row additions (n flat rows per point of
-    PG(r-1, q^n))."""
-    return theta(dim - 1, tower.base.order) <= tower.n * theta(r - 1, tower.mid.order)
+def _point_sides(tower: FieldTower, r: int, dim: int):
+    """The two sides of the point weights of a dim-dimensional F_q-subspace
+    of F_{q^n}^r, as fqlinalg.cheapest entries valued True for the walk of
+    its θ_{dim-1}(q) F_q-points and False for the scan of the θ_{r-1}(q^n)
+    points of PG(r-1, q^n)."""
+    walk, scan = theta(dim - 1, tower.base.order), theta(r - 1, tower.mid.order)
+    return [(2 * walk, walk, "subspace F_q-points", True),
+            (2 * tower.n * scan, scan, "projective points", False)]
 
 
 # the walk normalizes its vectors in batches of this many at least: it holds
@@ -227,7 +225,7 @@ def _walk_batches(U: FqSubspace):
         yield vectors, runs
 
 
-def _walk_fibers(U: FqSubspace, budget: int, t: int | None = None):
+def _walk_fibers(U: FqSubspace, t: int | None = None):
     """One Counter per lead i < r: {key: number of U's F_q-points on the
     point (0, ..., 0, 1, key)}, keys in first-visit order, where key is the
     coordinates after i divided by coordinate i: an int when one is left,
@@ -240,12 +238,9 @@ def _walk_fibers(U: FqSubspace, budget: int, t: int | None = None):
     run are read back a coordinate at a time (fqlinalg.digit_column), from
     the lead on, and normalized with the log tables, c_j -> exp[log c_j -
     log c_lead] (a negative index wraps round the doubled exp), in C-level
-    maps; fields without log tables go through normalize_point.  budget
-    caps the walk at θ_{k-1}(q) F_q-points."""
+    maps; fields without log tables go through normalize_point."""
     tower = U.tower
-    q, mid, r, k = tower.base.order, tower.mid, U.r, U.k
-    if theta(k - 1, q) > budget:
-        raise BudgetExceeded(theta(k - 1, q), budget, "subspace F_q-points")
+    q, mid, r = tower.base.order, tower.mid, U.r
     column = digit_column(tower.prime, mid.dim_over_prime)
     exp, log = mid._exp, mid._log
     limit = None if t is None else theta(t - 1, q)
@@ -289,10 +284,10 @@ def _weight_of(U: FqSubspace, sizes) -> dict[int, int]:
     return weight_of
 
 
-def _point_weights(U: FqSubspace, budget: int) -> dict[tuple[int, ...], int]:
+def _point_weights(U: FqSubspace) -> dict[tuple[int, ...], int]:
     """{normalized point: weight} over the points of L_U, in the order the
     walk first reaches them: each key of _walk_fibers behind its lead."""
-    fibers = _walk_fibers(U, budget)
+    fibers = _walk_fibers(U)
     weight_of = _weight_of(U, set(itertools.chain.from_iterable(c.values() for c in fibers)))
     points: dict[tuple[int, ...], int] = {}
     for lead, counts in enumerate(fibers):
@@ -302,19 +297,23 @@ def _point_weights(U: FqSubspace, budget: int) -> dict[tuple[int, ...], int]:
     return points
 
 
-def _weight_counts(U: FqSubspace, budget: int, t: int | None = None):
+def _weight_counts(U: FqSubspace, budget: int, t: int | None = None,
+                   walk: bool | None = None):
     """{w: number of points of PG(r-1, q^n) of weight w}, weight 0 included:
     the fiber sizes of the walk, whose skipped points are counted, not
-    visited (all have weight 0), or the point scan, as _plan chooses.  With
-    t given, None as soon as a point of weight above t is found."""
-    if not _plan(U.tower, U.r, U.k, budget)[0]:
+    visited (all have weight 0), or the point scan.  walk names the side;
+    None lets cheapest pick it from _point_sides.  With t given, None as
+    soon as a point of weight above t is found."""
+    if walk is None:
+        walk = cheapest(_point_sides(U.tower, U.r, U.k), budget)
+    if not walk:
         counts = Counter()
         for _, w in _point_scan(U, budget):
             if t is not None and w > t:
                 return None
             counts[w] += 1
         return counts
-    fibers = _walk_fibers(U, budget, t)
+    fibers = _walk_fibers(U, t)
     if fibers is None:
         return None
     sizes = Counter(itertools.chain.from_iterable(c.values() for c in fibers))
@@ -332,36 +331,19 @@ def _point_scan(U: FqSubspace, budget: int):
     return zip(points, _meet_dims(U, zip(lines)))
 
 
-def _plan(tower: FieldTower, r: int, dim: int, budget: int) -> tuple[bool, int]:
-    """(walk, items) of _weight_counts and _point_weight_items on a
-    dim-dimensional F_q-subspace of F_{q^n}^r under budget: the walk of its
-    θ_{dim-1}(q) F_q-points (walk True) or the scan of the θ_{r-1}(q^n)
-    points of PG(r-1, q^n).  When only one of the two fits the budget, that
-    one; otherwise the cheaper (_walk_is_cheaper)."""
-    walk, scan = theta(dim - 1, tower.base.order), theta(r - 1, tower.mid.order)
-    walks = walk <= budget
-    if walks == (scan <= budget):
-        walks = _walk_is_cheaper(tower, r, dim)
-    return walks, walk if walks else scan
-
-
 def _point_weight_items(U: FqSubspace, budget: int):
-    """(point, weight) pairs covering every point of positive weight: the
-    vector walk when θ_{k-1}(q) <= n·θ_{r-1}(q^n), the point scan otherwise
-    (which also yields the points of weight 0).  When only one of the two
-    fits the budget, that one runs (_plan)."""
-    if _plan(U.tower, U.r, U.k, budget)[0]:
-        return _point_weights(U, budget).items()
+    """(point, weight) pairs covering every point of positive weight, from
+    the side cheapest picks: the walk, or the point scan, which also yields
+    the points of weight 0."""
+    if cheapest(_point_sides(U.tower, U.r, U.k), budget):
+        return _point_weights(U).items()
     return _point_scan(U, budget)
 
 
 def iota(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> int:
-    """max over projective points P of dim_{F_q}(U ∩ <P>_{F_{q^n}}).
-
-    Read off the weight counts of the walk of U's F_q-points when
-    θ_{k-1}(q) <= n·θ_{r-1}(q^n), else of the scan of the θ_{r-1}(q^n)
-    points (_weight_counts), which stop at a point of weight min(k, n);
-    budget caps the chosen scan's item count."""
+    """max over projective points P of dim_{F_q}(U ∩ <P>_{F_{q^n}}), read
+    off the weight counts (_weight_counts), which stop at a point of weight
+    min(k, n)."""
     if U.k == 0:
         return 0
     cap = min(U.k, U.tower.n)
@@ -445,10 +427,9 @@ def hyperplane_weight_iter(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDG
     H_w = ker(w·), in projective_points order.
 
     H_w is the ordinary dual of <w>_{F_{q^n}}, so dim(U ∩ H_w) =
-    w_{U^⊥'}(<w>) + k - n: the point weights of U^⊥', from the walk of its
-    F_q-points or the point scan, as _point_weight_items chooses.
-    budget caps the chosen scan's item count (the walk's F_q-points, or the
-    scan's points), not the θ_{r-1}(q^n) pairs yielded.
+    w_{U^⊥'}(<w>) + k - n, from the point weights of U^⊥'
+    (_point_weight_items); budget caps their scan, not the θ_{r-1}(q^n)
+    pairs yielded.
     """
     dual_w = dict(_point_weight_items(ordinary_dual(U), budget))
     shift = U.k - U.tower.n

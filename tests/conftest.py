@@ -50,17 +50,38 @@ def scanned():
 
 
 @pytest.fixture
-def force_geometric(monkeypatch):
-    """A call that forces the geometric rank engine from then on: its price
-    is 0 and both rankcodes scans raise, so a code with a subspace
-    (RankCode.attach) must read its ranks off the subspace's point weights."""
+def force_side(monkeypatch):
+    """A call force_side(walk) that fixes the side of every point-weight
+    choice from then on by repricing subspaces._point_sides: the walk (walk
+    True) or the point scan (False) costs 0 and the other side more than any
+    engine; walk None prices both sides above every engine, so a rank
+    distribution takes a rankcodes scan.  Items and units stay, so the
+    budget still decides what fits and what is refused."""
+    from ranklab import subspaces
+
+    sides = subspaces._point_sides
+
+    def force(walk):
+        monkeypatch.setattr(subspaces, "_point_sides", lambda *a: [
+            (0 if side is walk else 1 << 62, items, unit, side)
+            for _, items, unit, side in sides(*a)])
+
+    return force
+
+
+@pytest.fixture
+def force_geometric(monkeypatch, force_side):
+    """A call force_geometric(walk) that forces the geometric rank engine
+    from then on, on the side force_side(walk) fixes: that side costs 0 and
+    both rankcodes scans raise, so a code with a subspace (RankCode.attach)
+    must read its ranks off the subspace's point weights."""
     from ranklab import rankcodes
 
     def no_scan(C):
         raise AssertionError("a rankcodes scan ran")
 
-    def force():
-        monkeypatch.setattr(rankcodes, "_plan", lambda tower, r, dim, budget: (True, 0))
+    def force(walk):
+        force_side(walk)
         monkeypatch.setattr(rankcodes, "_walk_counts", no_scan)
         monkeypatch.setattr(rankcodes, "_subspace_counts", no_scan)
 

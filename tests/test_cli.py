@@ -297,14 +297,21 @@ def test_malformed_subspace_json_is_a_usage_error(tmp_path, capsys):
         serialize.subspace_from_json(obj)
 
 
-@pytest.mark.parametrize("key, value", [("m", -1), ("n", 0)])
-def test_nonpositive_code_shape_is_a_usage_error(tmp_path, capsys, key, value):
+@pytest.mark.parametrize("key, value, message", [
+    ("m", -1, "'m' and 'n' must be >= 1"), ("n", 0, "'m' and 'n' must be >= 1"),
+    # 4 x 4 basis matrices in a 3 x 4 and in a 4 x 5 code, a field of
+    # order 4^1: gate errors of the code's build, read as malformed input
+    ("m", 3, "code: generator has wrong shape"), ("n", 5, "code: generator has wrong shape"),
+    ("p", 4, "code: 4 is not prime")])
+def test_nonpositive_code_shape_is_a_usage_error(tmp_path, capsys, key, value, message):
     obj = serialize.rankcode_to_json(fixtures.gabidulin_4_2_1())
-    for basis in (obj["basis"], []):
+    # an empty basis has no matrix of the wrong shape
+    bases = [obj["basis"]] if "wrong shape" in message else [obj["basis"], []]
+    for basis in bases:
         path = tmp_path / "bad.json"
         serialize.dump_file(str(path), dict(obj, basis=basis, **{key: value}))
         assert main(["rank-dist", "--code", str(path)]) == 1
-        assert "'m' and 'n' must be >= 1" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def _bad_coefficient(obj):
@@ -325,11 +332,28 @@ def _top_level_element(obj):
     fe["level"], fe["coeffs"] = "top", fe["coeffs"] + [1] * len(fe["coeffs"])
 
 
+def _unknown_level(obj):
+    obj["basis_mid"][0][0]["level"] = "foo"
+
+
+def _tower_key(key, value, message):
+    def spoil(obj):
+        obj["tower"][key] = value
+    return pytest.param(spoil, 1, message, id=f"_tower_{key}_{value}")
+
+
 @pytest.mark.parametrize("spoil, t, message", [
     (_bad_coefficient, 1, "integers in 0..1"),
     (_negative_r, 1, "'r' must be >= 0"),
     (_short_vector, 1, "lists of r = 2 elements"),
     (_top_level_element, 2, "not of the top field"),
+    # gate errors of the tower's or the subspace's build (WrongLevel,
+    # NotPrime, InvalidParams), read as malformed input
+    (_unknown_level, 1, "subspace: unknown level 'foo'"),
+    _tower_key("p", 4, "subspace: 4 is not prime"),
+    _tower_key("e", 0, "subspace: e, n, t must be >= 1"),
+    _tower_key("n", 0, "subspace: e, n, t must be >= 1"),
+    _tower_key("t", -1, "subspace: e, n, t must be >= 1"),
 ])
 def test_malformed_subspace_entries_are_usage_errors(tmp_path, capsys, spoil, t, message):
     from ranklab.constructions import pseudoregulus_subspace

@@ -91,11 +91,9 @@ INPUTS = _grid_inputs()
 
 @pytest.mark.parametrize("walk", [True, False], ids=["walk", "point-scan"])
 @pytest.mark.parametrize("label,U", INPUTS, ids=[x[0] for x in INPUTS])
-def test_distribution_from_l_u_matches_the_scans(label, U, walk, monkeypatch, scanned,
-                                                 force_geometric):
+def test_distribution_from_l_u_matches_the_scans(label, U, walk, scanned, force_geometric):
     want = scanned(c_ug(U).code).rank_distribution()
-    force_geometric()
-    monkeypatch.setattr(subspaces, "_walk_is_cheaper", lambda *a: walk)
+    force_geometric(walk)
     cug = c_ug(U)
     C, n = cug.code, U.tower.n
     dist = C.rank_distribution()
@@ -109,14 +107,33 @@ def test_distribution_from_l_u_matches_the_scans(label, U, walk, monkeypatch, sc
         assert cug.iota >= 2, label
 
 
+@pytest.mark.parametrize("walk", [None, True, False], ids=["natural", "walk", "point-scan"])
+def test_rank_distribution_prices_once_and_runs_one_side(walk, monkeypatch, force_side):
+    # c_ug's rank distribution lists the two sides of U's point weights
+    # once (subspaces._point_sides) and runs the side it picks, once: the
+    # point weights do not choose again
+    if walk is not None:
+        force_side(walk)
+    priced, ran = [], []
+    sides, fibers, scan = subspaces._point_sides, subspaces._walk_fibers, subspaces._point_scan
+    monkeypatch.setattr(subspaces, "_point_sides", lambda *a: priced.append(a) or sides(*a))
+    monkeypatch.setattr(subspaces, "_walk_fibers",
+                        lambda U, t=None: ran.append("walk") or fibers(U, t))
+    monkeypatch.setattr(subspaces, "_point_scan",
+                        lambda U, budget: ran.append("scan") or scan(U, budget))
+    U = pseudoregulus_subspace(make_tower(2, 1, 4, 1), 2, 4, 1)
+    assert c_ug(U).iota == 1
+    assert len(priced) == 1 and ran == ["scan" if walk is False else "walk"]
+
+
 def test_a_lost_point_in_the_fringe_is_an_internal_error(monkeypatch):
     # with m < n every point meets U, so a weight-0 remainder means the
     # walk lost a point
     label, U = next(x for x in INPUTS if x[0].startswith("fringe_q2"))
     walk = subspaces._walk_fibers
 
-    def lose_a_point(U, budget, t=None):
-        fibers = walk(U, budget, t)
+    def lose_a_point(U, t=None):
+        fibers = walk(U, t)
         counts = next(c for c in fibers if c)
         del counts[next(iter(counts))]
         return fibers
@@ -148,7 +165,7 @@ def test_witness_pipeline_runs_no_rank_scan_and_one_idealiser(monkeypatch):
     walks = []
     walk = subspaces._walk_fibers
     monkeypatch.setattr(subspaces, "_walk_fibers",
-                        lambda U, budget, t=None: walks.append(U) or walk(U, budget, t))
+                        lambda U, t=None: walks.append(U) or walk(U, t))
     calls = []
     idealiser = rankcodes._idealiser
     monkeypatch.setattr(rankcodes, "_idealiser",

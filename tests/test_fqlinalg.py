@@ -12,6 +12,7 @@ from ranklab.fqlinalg import (
     Mat,
     RowReducer,
     SubspaceBasis,
+    cheapest,
     enumerate_subspaces,
     iter_span,
     iter_span_rows,
@@ -157,6 +158,33 @@ def test_enumerate_subspaces_hits_qbinom(q, make_field):
 def test_enumerate_subspaces_budget_gate():
     with pytest.raises(BudgetExceeded):
         list(enumerate_subspaces(10, 5, Field(2), budget=10))
+
+
+def test_cheapest_takes_the_lowest_price_that_fits():
+    # (price, items, unit, value): a cheaper entry that does not fit loses
+    engines = [(1, 10, "a", "A"), (5, 3, "b", "B"), (7, 2, "c", "C")]
+    assert cheapest(engines, 10) == "A"
+    assert cheapest(engines, 9) == cheapest(engines, 3) == "B"
+    assert cheapest(engines, 2) == "C"
+
+
+def test_cheapest_breaks_ties_in_list_order():
+    assert cheapest([(3, 1, "a", "A"), (3, 2, "b", "B")], 5) == "A"
+    assert cheapest([(3, 2, "b", "B"), (3, 1, "a", "A")], 5) == "B"
+    # a tie among the entries that fit, after a cheaper one that does not
+    assert cheapest([(0, 9, "x", "X"), (2, 2, "b", "B"), (2, 1, "a", "A")], 5) == "B"
+
+
+def test_cheapest_refuses_the_lowest_price_in_its_own_unit():
+    # none fits: the lowest price is refused, not the fewest items, and a
+    # tie on price goes to list order
+    engines = [(9, 3, "codewords", "A"), (2, 7, "projective points", "B"),
+               (2, 4, "subspaces", "C")]
+    with pytest.raises(BudgetExceeded) as exc:
+        cheapest(engines, 2)
+    assert (exc.value.needed, exc.value.allowed, exc.value.what) == (7, 2, "projective points")
+    with pytest.raises(BudgetExceeded, match="4 subspaces exceeds budget 2"):
+        cheapest(engines[2:] + engines[:2], 2)
 
 
 def test_lines_of_pg_1_4():

@@ -25,15 +25,15 @@ from ranklab.constructions import pseudoregulus_subspace, random_scattered_searc
 from ranklab.fields import make_tower
 from ranklab.errors import BudgetExceeded, InternalInvariantError, NotMaxScattered
 from ranklab.fields import Field
-from ranklab.fqlinalg import (Mat, SubspaceBasis, enumerate_subspaces, iter_span_rows,
-                              kernel, odometer, prime_expansion, projective_points, rref,
-                              theta, vec_mat)
+from ranklab.fqlinalg import (Mat, SubspaceBasis, cheapest, enumerate_subspaces,
+                              iter_span_rows, kernel, odometer, prime_expansion,
+                              projective_points, rref, theta, vec_mat)
 from ranklab.linsets import hyperplane_spectrum, linear_set
 from ranklab.subspaces import (
     FqSubspace,
     _point_scan,
+    _point_sides,
     _point_weights,
-    _walk_is_cheaper,
     excess_iter,
     flatten_vec,
     hyperplane_weight_counts,
@@ -233,38 +233,43 @@ def _sides(U):
     return sides
 
 
+def _walks(tower, r, dim):
+    """True iff the walk is priced below the point scan for a dim-dimensional
+    subspace of F_{q^n}^r, the side taken when both fit the budget."""
+    return cheapest(_point_sides(tower, r, dim), 1 << 62)
+
+
 # -- tests ---------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("label,U,h", INPUTS, ids=[x[0] for x in INPUTS])
-def test_engine_matches_the_oracles_on_the_grid(label, U, h, monkeypatch):
+def test_engine_matches_the_oracles_on_the_grid(label, U, h, force_side):
     pts = oracle_point_weights(U)
     hyp = oracle_hyperplane_weights(U)
     rn, k, n = U.r * U.tower.n, U.k, U.tower.n
     spans = k > 0 and max(hyp.values()) < k
     assert linear_set(U).points == pts
+    # the natural side first, as _sides lists it, then each forced side
     for side in _sides(U):
-        with monkeypatch.context() as m:
-            if side is not None:
-                m.setattr(subspaces, "_walk_is_cheaper", lambda *a: side)
-            assert iota(U) == max(pts.values(), default=0), side
-            assert is_h_scattered(U, 1) == (spans and all(w == 1 for w in pts.values())), side
-            assert max_hyperplane_weight(U) == max(hyp.values()), side
-            pairs = list(hyperplane_weight_iter(U))
-            assert len(pairs) == len(hyp) and dict(pairs) == hyp, side
-            assert hyperplane_weight_counts(U) == dict(Counter(hyp.values())), side
-            score = (0 if U.spans_ambient() else rn) + sum(excess_iter(U, 1))
-            assert score == ((0 if spans else rn)
-                             + sum(w - 1 for w in pts.values() if w > 1)), side
-            if h is not None:
-                want = Counter(wt - (k - n) for wt in hyp.values())
-                assert hyperplane_spectrum(U, h) == dict(sorted(want.items())), side
+        if side is not None:
+            force_side(side)
+        assert iota(U) == max(pts.values(), default=0), side
+        assert is_h_scattered(U, 1) == (spans and all(w == 1 for w in pts.values())), side
+        assert max_hyperplane_weight(U) == max(hyp.values()), side
+        pairs = list(hyperplane_weight_iter(U))
+        assert len(pairs) == len(hyp) and dict(pairs) == hyp, side
+        assert hyperplane_weight_counts(U) == dict(Counter(hyp.values())), side
+        score = (0 if U.spans_ambient() else rn) + sum(excess_iter(U, 1))
+        assert score == ((0 if spans else rn)
+                         + sum(w - 1 for w in pts.values() if w > 1)), side
+        if h is not None:
+            want = Counter(wt - (k - n) for wt in hyp.values())
+            assert hyperplane_spectrum(U, h) == dict(sorted(want.items())), side
 
 
 def test_grid_reaches_both_sides_of_each_choice():
-    point_side = {_walk_is_cheaper(U.tower, U.r, U.k) for _, U, _ in INPUTS}
-    dual_side = {_walk_is_cheaper(U.tower, U.r, U.r * U.tower.n - U.k)
-                 for _, U, _ in INPUTS}
+    point_side = {_walks(U.tower, U.r, U.k) for _, U, _ in INPUTS}
+    dual_side = {_walks(U.tower, U.r, U.r * U.tower.n - U.k) for _, U, _ in INPUTS}
     assert point_side == dual_side == {True, False}
 
 
@@ -272,17 +277,17 @@ def test_budget_names_the_chosen_scans_unit():
     # the point scan visits θ_1(8) = 9 points at n·9 = 27 row additions
     tower = _tower(2, 3)
     U4 = random_subspace(tower, 2, 4, random.Random(1))
-    assert _walk_is_cheaper(tower, 2, 4)  # θ_3(2) = 15 F_q-points
+    assert _walks(tower, 2, 4)  # θ_3(2) = 15 F_q-points
     assert iota(U4, budget=15) == iota(U4)
     with pytest.raises(BudgetExceeded, match="15 subspace F_q-points exceeds budget 8"):
         iota(U4, budget=8)
     # only the scan fits: it runs, although the walk is cheaper
     assert iota(U4, budget=14) == iota(U4)
     U = random_subspace(tower, 2, 5, random.Random(1))
-    assert not _walk_is_cheaper(tower, 2, 5)  # θ_4(2) = 31 F_q-points
+    assert not _walks(tower, 2, 5)  # θ_4(2) = 31 F_q-points
     with pytest.raises(BudgetExceeded, match="9 projective points"):
         iota(U, budget=8)
-    assert _walk_is_cheaper(tower, 2, 1)  # the dual's θ_0(2) = 1 F_q-point
+    assert _walks(tower, 2, 1)  # the dual's θ_0(2) = 1 F_q-point
     assert max_hyperplane_weight(U, budget=1) == 5 - 3 + 1
     with pytest.raises(BudgetExceeded, match="1 subspace F_q-points"):
         max_hyperplane_weight(U, budget=0)
@@ -293,16 +298,19 @@ def test_linear_set_scans_the_points_when_the_walk_is_out_of_budget():
     # budget, the θ_1(2048) = 2049 points of the scan fit it
     tower = make_tower(2, 1, 11, 1)
     V = FqSubspace.from_flat(tower, 2, [[int(i == j) for j in range(22)] for i in range(22)])
-    assert subspaces._plan(tower, 2, 22, 1 << 20) == (False, 2049)
+    sides = _point_sides(tower, 2, 22)
+    assert [items for _, items, _, _ in sides] == [4194303, 2049]
+    assert cheapest(sides, 1 << 20) is False
     L = linear_set(V)
     assert L.size == 2049 and set(L.points.values()) == {11}
     assert iota(V) == 11
 
 
 @pytest.mark.parametrize("q", sorted(PRIME_POWER))
-def test_the_plan_prices_the_items_the_engine_visits(q, monkeypatch):
-    # the item count subspaces._plan gives (and rankcodes prices) is the
-    # F_q-points the walk visits, or the points the scan meets, on each side
+def test_the_price_list_counts_the_items_the_engine_visits(q, monkeypatch, force_side):
+    # the item count of each side in subspaces._point_sides (which rankcodes
+    # lists too) is the F_q-points the walk visits, or the points the scan
+    # meets
     tower, rng = _tower(q, 2), random.Random(q)
     batches, scan = subspaces._walk_batches, subspaces._point_scan
     seen = []
@@ -322,30 +330,33 @@ def test_the_plan_prices_the_items_the_engine_visits(q, monkeypatch):
     for r, k in ((2, 3), (3, 2), (3, 5)):
         U = random_subspace(tower, r, k, rng)
         for side in (True, False):
-            monkeypatch.setattr(subspaces, "_walk_is_cheaper", lambda *a, side=side: side)
+            force_side(side)
             seen.clear()
             counts = subspaces.point_weight_counts(U)
-            assert subspaces._plan(tower, r, k, 1 << 20) == (side, sum(seen)), (r, k, side)
+            items = {walk: items for _, items, _, walk in _point_sides(tower, r, k)}
+            assert items[side] == sum(seen), (r, k, side)
             assert sum(counts.values()) == theta(r - 1, tower.mid.order)
             assert sum(seen) == (theta(k - 1, q) if side else theta(r - 1, q**2))
 
 
-def test_walk_is_chosen_for_k5_in_f625_squared(monkeypatch):
+def test_walk_is_chosen_for_k5_in_f625_squared(force_side):
     # q = 5, n = 4: the walk visits θ_4(5) = 781 F_q-points of U against the
     # point scan's 4·θ_1(625) = 2504 row additions.  A budget that fits the
     # walk's 781 F_q-points, or only the scan's θ_1(625) = 626 points, answers
     tower = _tower(5, 4)
-    assert _walk_is_cheaper(tower, 2, 5)
+    assert _walks(tower, 2, 5)
     rng = random.Random(625)
+    cases = []
     for _ in range(3):
         U = random_subspace(tower, 2, 5, rng)
         want = max(oracle_point_weights(U).values())
         assert iota(U) == iota(U, budget=1000) == iota(U, budget=700) == want
-        with monkeypatch.context() as m:
-            m.setattr(subspaces, "_walk_is_cheaper", lambda *a: False)
-            assert iota(U) == want
+        cases.append((U, want))
     with pytest.raises(BudgetExceeded, match="781 subspace F_q-points exceeds budget 625"):
         iota(U, budget=625)
+    force_side(False)
+    for U, want in cases:
+        assert iota(U) == want
 
 
 # long trajectories: runs that spend all 30 evaluations, or find a witness late
@@ -362,8 +373,8 @@ def test_search_follows_the_oracle_scored_trajectory(q, r, n, k, seed, monkeypat
 
 
 @pytest.mark.parametrize("label,U", WALK_INPUTS, ids=[x[0] for x in WALK_INPUTS])
-def test_point_walk_matches_the_vector_walk(label, U, monkeypatch):
-    monkeypatch.setattr(subspaces, "_walk_is_cheaper", lambda *a: True)
+def test_point_walk_matches_the_vector_walk(label, U, force_side):
+    force_side(True)
     points = linear_set(U).points
     assert points == oracle_vector_walk(U)
     assert list(points.items()) == list(oracle_tuple_walk(U).items())
@@ -410,14 +421,14 @@ ODD_P_WALK_INPUTS = _odd_p_walk_inputs()
 
 @pytest.mark.parametrize("label,U", ODD_P_WALK_INPUTS, ids=[x[0] for x in ODD_P_WALK_INPUTS])
 def test_packed_walk_matches_both_oracles_at_odd_p(label, U):
-    got = _point_weights(U, 1 << 20)
+    got = _point_weights(U)
     assert list(got.items()) == list(oracle_tuple_walk(U).items())
     assert got == oracle_vector_walk(U)
     assert got == {pt: w for pt, w in _point_scan(U, 1 << 20) if w}
 
 
 def test_odd_p_walk_grid_has_heavy_points_and_zero_leads():
-    weights = {label: _point_weights(U, 1 << 20) for label, U in ODD_P_WALK_INPUTS}
+    weights = {label: _point_weights(U) for label, U in ODD_P_WALK_INPUTS}
     assert all(max(weights[label].values()) >= 2 for label in weights
                if label.startswith("heavy"))
     for label, w in weights.items():
@@ -436,7 +447,7 @@ def test_packed_walk_adds_no_field_elements(q, monkeypatch):
         raise AssertionError("Field.add in the walk")
 
     monkeypatch.setattr(Field, "add", refuse)
-    assert _point_weights(U, 1 << 20) == want
+    assert _point_weights(U) == want
 
 
 def test_vector_walk_grid_has_heavy_points_at_every_q():
@@ -446,8 +457,8 @@ def test_vector_walk_grid_has_heavy_points_at_every_q():
 
 
 @pytest.mark.parametrize("p,n", [(2, 21), (3, 13)])
-def test_point_walk_without_log_tables(p, n, monkeypatch):
-    monkeypatch.setattr(subspaces, "_walk_is_cheaper", lambda *a: True)
+def test_point_walk_without_log_tables(p, n, monkeypatch, force_side):
+    force_side(True)
     tower = make_tower(p, 1, n, 1)
     assert tower.mid._exp is None      # above fields.LOG_TABLE_LIMIT
     U = _heavy_subspace(tower, 2, 3, random.Random(p))
@@ -459,7 +470,7 @@ def test_point_walk_without_log_tables(p, n, monkeypatch):
     # the count path, on U and on an r = 3 subspace with zero leads
     for V in (U, _lead_zero_subspace(tower, 3, 3, random.Random(n))):
         want = oracle_vector_walk(V)
-        assert _read_off_the_counts(V, monkeypatch) == (
+        assert _read_off_the_counts(V, monkeypatch, force_side) == (
             max(want.values()), sorted(w - 1 for w in want.values() if w > 1),
             _counts_of(want, V))
 
@@ -468,7 +479,7 @@ def test_point_walk_checks_its_fiber_sizes(monkeypatch):
     U = _heavy_subspace(_tower(3, 2), 2, 3, random.Random(1))
     monkeypatch.setattr(subspaces, "theta", lambda s, Q: Q ** (s + 1) - 1)
     with pytest.raises(InternalInvariantError, match="fiber size"):
-        _point_weights(U, 1 << 20)
+        _point_weights(U)
 
 
 # -- the count path against the dict path, the scan and the vector walk ---------
@@ -484,30 +495,31 @@ def _counts_of(points, U):
     return dict(counts)
 
 
-def _read_off_the_counts(U, monkeypatch):
-    """(ι, sorted h = 1 excess, point_weight_counts) on the walk, with the
-    point dict and the point scan patched to raise: the count path."""
+def _read_off_the_counts(U, monkeypatch, force_side):
+    """(ι, sorted h = 1 excess, point_weight_counts) on the walk, forced
+    from then on, with the point dict and the point scan patched to raise:
+    the count path."""
     def refuse(*args):
         raise AssertionError("the count path built points")
 
+    force_side(True)
     with monkeypatch.context() as m:
-        m.setattr(subspaces, "_walk_is_cheaper", lambda *a: True)
         m.setattr(subspaces, "_point_weights", refuse)
         m.setattr(subspaces, "_point_scan", refuse)
         return iota(U), sorted(excess_iter(U, 1)), point_weight_counts(U)
 
 
 @pytest.mark.parametrize("label,U", WALK_INPUTS, ids=[x[0] for x in WALK_INPUTS])
-def test_count_path_matches_the_dict_path_the_scan_and_the_vector_walk(label, U, monkeypatch):
+def test_count_path_matches_the_dict_path_the_scan_and_the_vector_walk(label, U, monkeypatch,
+                                                                        force_side):
     want = oracle_vector_walk(U)
-    assert _point_weights(U, 1 << 20) == want
+    assert _point_weights(U) == want
     assert {pt: w for pt, w in _point_scan(U, 1 << 20) if w} == want
     expected = (max(want.values(), default=0), sorted(w - 1 for w in want.values() if w > 1),
                 _counts_of(want, U))
-    assert _read_off_the_counts(U, monkeypatch) == expected, label
-    with monkeypatch.context() as m:
-        m.setattr(subspaces, "_walk_is_cheaper", lambda *a: False)
-        assert (iota(U), sorted(excess_iter(U, 1)), point_weight_counts(U)) == expected, label
+    assert _read_off_the_counts(U, monkeypatch, force_side) == expected, label
+    force_side(False)
+    assert (iota(U), sorted(excess_iter(U, 1)), point_weight_counts(U)) == expected, label
 
 
 def test_scatteredness_walk_stops_at_the_first_heavy_run(monkeypatch):
@@ -701,7 +713,7 @@ def test_hyperplane_budget_of_the_definition_scan_still_suffices():
         assert is_h_scattered(U, h, budget=cap) == is_h_scattered(U, h), label
         walk = theta(rn - U.k - 1, U.tower.q)
         if walk:
-            unit = "subspace F_q-points" if _walk_is_cheaper(U.tower, U.r, rn - U.k) else (
+            unit = "subspace F_q-points" if _walks(U.tower, U.r, rn - U.k) else (
                 "projective points")
             with pytest.raises(BudgetExceeded, match=unit):
                 list(excess_iter(U, h, budget=min(cap, walk) - 1))

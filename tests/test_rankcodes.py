@@ -17,7 +17,7 @@ from ranklab.errors import (
     ShapeMismatch,
 )
 from ranklab.fields import Field, make_tower
-from ranklab.fqlinalg import Mat, SubspaceBasis, iter_span_rows, mat_mul
+from ranklab.fqlinalg import Mat, SubspaceBasis, iter_span_rows, mat_mul, qbinom
 from ranklab.rankcodes import (
     CertStatus,
     GabidulinExclusion,
@@ -25,7 +25,6 @@ from ranklab.rankcodes import (
     Side,
     adjoint,
     delsarte_dual_code,
-    dual_relations_check,
     gabidulin_family_exclusion,
     inequivalence_certificate,
     left_idealiser,
@@ -172,6 +171,23 @@ def test_macwilliams_random_subcodes(seed, k):
             for _ in range(k)]
     C = RankCode.from_generators(F2, 3, 3, gens)
     assert macwilliams_check(C)
+
+
+def dual_relations_check(C: RankCode) -> bool:
+    """Verify the MRD dual relations for nu = 0..m'-d (exact integers)."""
+    if not C.is_mrd():
+        raise NotMRD("dual relations hold for MRD codes only")
+    A = C.rank_distribution().A
+    q = C.q
+    mp, np_ = min(C.m, C.n), max(C.m, C.n)
+    d = C.min_distance()
+    for nu in range(mp - d + 1):
+        lhs = qbinom(mp, nu, q) + sum(
+            A[i] * qbinom(mp - i, nu, q) for i in range(d, mp - nu + 1))
+        rhs = q ** (C.dim - np_ * nu) * qbinom(mp, nu, q)
+        if lhs != rhs:
+            return False
+    return True
 
 
 def test_dual_relations_gabidulin(gab, scanned):
@@ -851,7 +867,8 @@ QSYSTEM_CELLS = _qsystem_cells()
 
 def _engine_spies(monkeypatch):
     """Record which rank engine runs: "qsystem" (the point weights of the
-    q-system's dual), "walk" or "tree"."""
+    code's subspace: the q-system's dual, or U for C_{U,G}), "walk" or
+    "tree"."""
     from ranklab import rankcodes
 
     ran = []
@@ -865,9 +882,7 @@ def _engine_spies(monkeypatch):
 
 @pytest.mark.parametrize("q,N,k,s,eta", QSYSTEM_CELLS,
                          ids=[f"q{q}_N{N}_k{k}_s{s}_eta{eta}" for q, N, k, s, eta in QSYSTEM_CELLS])
-def test_qsystem_engine_matches_the_scans(q, N, k, s, eta, monkeypatch, scanned,
-                                          force_geometric):
-    from ranklab import subspaces
+def test_qsystem_engine_matches_the_scans(q, N, k, s, eta, scanned, force_geometric):
     from ranklab.constructions import twisted_gabidulin
     from ranklab.fqlinalg import theta
     from ranklab.subspaces import ordinary_dual
@@ -879,11 +894,10 @@ def test_qsystem_engine_matches_the_scans(q, N, k, s, eta, monkeypatch, scanned,
     # the code carries U^⊥' for its N-dimensional q-system U ⊂ F_{q^N}^k
     S = C.subspace
     assert (S.k, S.r) == ((k - 1) * N, k) and ordinary_dual(S).k == N
-    # the geometric engine forced, on each side of subspaces._point_weight_items
-    # for U^⊥' (the point scan where it is small)
-    force_geometric()
+    # the geometric engine forced, on each side of U^⊥'s point weights (the
+    # point scan where it is small)
     for walk in (True, False)[:1 + (theta(k - 1, q**N) <= QSYSTEM_ITEMS)]:
-        monkeypatch.setattr(subspaces, "_walk_is_cheaper", lambda *a, walk=walk: walk)
+        force_geometric(walk)
         assert twisted_gabidulin(tower, N, k, s, eta, 0).code.rank_distribution() == want
 
 
@@ -902,29 +916,48 @@ def test_qsystem_grid_covers_every_q_twists_and_both_sides():
     assert len(QSYSTEM_CELLS) >= 100
 
 
-@pytest.mark.parametrize("q,N,k,engine", [(2, 4, 2, "qsystem"), (2, 6, 3, "qsystem"),
-                                          (3, 5, 2, "qsystem"), (2, 4, 1, "qsystem"),
-                                          (2, 5, 4, "tree"), (3, 4, 3, "tree"),
-                                          (4, 4, 3, "tree")])
-def test_pricing_picks_the_engine_from_the_input(q, N, k, engine, monkeypatch):
-    # the point weights iff their items <= K·#subspaces/2: they win at
-    # k <= N/2 here, the tree at k > N/2
-    from ranklab import rankcodes
+@pytest.mark.parametrize("kind,params,engine", [
+    ("gabidulin", (2, 4, 2), "qsystem"), ("gabidulin", (2, 6, 3), "qsystem"),
+    ("gabidulin", (3, 5, 2), "qsystem"), ("gabidulin", (2, 4, 1), "qsystem"),
+    ("gabidulin", (2, 5, 4), "tree"), ("gabidulin", (3, 4, 3), "tree"),
+    ("gabidulin", (4, 4, 3), "tree"), ("cug", (2, 6, 2, 9), "tree")])
+def test_pricing_picks_the_engine_from_the_input(kind, params, engine, monkeypatch, scanned,
+                                                 force_side):
+    # the lowest price in row additions (fqlinalg.cheapest): the point
+    # weights win at k <= N/2 here, the tree at k > N/2.  A C_{U,G} with
+    # (q, n, r, k) = (2, 6, 2, 9) takes the tree (K = 12 per subspace of
+    # F_2^3, 192) over the point scan (2n per point of PG(1, 64), 780) and
+    # the walk (2 per F_q-point of U, 1022)
     from ranklab.fqlinalg import qbinom
+    from ranklab.subspaces import random_subspace
 
-    tower = make_tower(*PRIME_POWER[q], N, 1)
-    want = mrd_weight_distribution(N, N, q, N - k + 1)
+    if kind == "gabidulin":
+        q, N, k = params
+        tower = make_tower(*PRIME_POWER[q], N, 1)
+        want = mrd_weight_distribution(N, N, q, N - k + 1)
+
+        def build():
+            return gabidulin(tower, N, k, 1)
+    else:
+        q, n, r, k = params
+        U = random_subspace(make_tower(*PRIME_POWER[q], n, 1), r, k, random.Random(1))
+
+        def build():
+            return c_ug(U).code
+        want = scanned(build()).rank_distribution()
     ran = _engine_spies(monkeypatch)
-    assert gabidulin(tower, N, k, 1).rank_distribution() == want
+    C = build()
+    assert C.rank_distribution() == want
     assert ran == [engine]
-    # each side forced through the plan's price: the point weights, or the
+    # each side forced through the price list: the point weights, or the
     # shorter of the two scans
-    spaces = sum(qbinom(N, d, q) for d in range(N + 1))
-    scan = "walk" if q**(N * k) <= spaces else "tree"
-    for items, forced in ((0, "qsystem"), (1 << 62, scan)):
+    mp = min(C.m, C.n)
+    spaces = sum(qbinom(mp, d, q) for d in range(mp + 1))
+    scan = "walk" if C.size <= spaces else "tree"
+    for walk, forced in ((True, "qsystem"), (None, scan)):
         ran.clear()
-        monkeypatch.setattr(rankcodes, "_plan", lambda *a, items=items: (True, items))
-        assert gabidulin(tower, N, k, 1).rank_distribution() == want
+        force_side(walk)
+        assert build().rank_distribution() == want
         assert ran == [forced]
 
 
@@ -933,7 +966,7 @@ def test_codes_without_a_qsystem_take_the_scans(monkeypatch):
     from ranklab.constructions import twisted_gabidulin
     from ranklab.fqlinalg import Mat
 
-    def no_points(C, budget):
+    def no_points(*args):
         raise AssertionError("the geometric engine ran on a code without a subspace")
 
     t34, t2_22 = make_tower(3, 1, 4, 1), make_tower(2, 1, 2, 2)
@@ -956,7 +989,7 @@ def test_codes_without_a_qsystem_take_the_scans(monkeypatch):
         assert C.rank_distribution() == mrd_weight_distribution(*params), label
 
 
-def test_qsystem_budget_exits_at_its_item_count(monkeypatch):
+def test_qsystem_budget_exits_at_its_item_count(monkeypatch, force_side):
     from ranklab import rankcodes, subspaces
     from ranklab.errors import BudgetExceeded
 
@@ -971,7 +1004,7 @@ def test_qsystem_budget_exits_at_its_item_count(monkeypatch):
     assert gabidulin(t16, 4, 2, 1).rank_distribution(budget=15) == want
     # the point scan of U^⊥' counts θ_1(16) = 17 points; at 15 and 16 only
     # the walk fits, so the walk runs
-    monkeypatch.setattr(subspaces, "_walk_is_cheaper", lambda *a: False)
+    force_side(False)
     with pytest.raises(BudgetExceeded, match="17 projective points exceeds budget 14"):
         gabidulin(t16, 4, 2, 1).rank_distribution(budget=14)
     scans = []
@@ -999,7 +1032,7 @@ def test_broken_qsystem_histogram_is_an_internal_error(monkeypatch, capsys):
 
     real = rankcodes._point_counts
     monkeypatch.setattr(rankcodes, "_point_counts",
-                        lambda C, budget: [x + (i == 1) for i, x in enumerate(real(C, budget))])
+                        lambda *a: [x + (i == 1) for i, x in enumerate(real(*a))])
     with pytest.raises(InternalInvariantError, match="does not sum to q\\^K"):
         gabidulin(make_tower(2, 1, 4, 1), 4, 2, 1).rank_distribution()
     assert main(["gabidulin", "--N", "4", "--k", "2", "--mrd-check"]) == 4
