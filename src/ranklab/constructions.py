@@ -74,9 +74,7 @@ def base_basis_codes(tower: FieldTower, level: str) -> list[int]:
 
 def mult_matrix(tower: FieldTower, alpha: int) -> Mat:
     """Matrix of x -> alpha*x on F_{q^n} w.r.t. the canonical basis (columns)."""
-    mid, n = tower.mid, tower.n
-    cols = [tower.mid_to_base_vec(mid.mul(alpha, b)) for b in base_basis_codes(tower, "mid")]
-    return Mat.from_rows(tower.base, cols, n).transpose()
+    return LinearizedPoly(tower, "mid", (alpha,)).to_matrix()
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ class GateError(RankLabError):
 
 
 class BudgetExceeded(RankLabError):
-    """An enumeration would exceed the configured budget (CLI exit 3)."""
+    """An enumeration would exceed the configured budget (CLI exit 3).
+    needed is a count, or a power such as "2^40" too large to evaluate."""
 
-    def __init__(self, needed: int, allowed: int, what: str = "items"):
+    def __init__(self, needed: int | str, allowed: int, what: str = "items"):
         super().__init__(f"enumeration of {needed} {what} exceeds budget {allowed}")
         self.needed = needed
         self.allowed = allowed

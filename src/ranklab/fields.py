@@ -11,23 +11,24 @@ codes of the reduced polynomial.  Consequences used throughout:
   * the polynomial-basis generator of an extension has code B,
   * subfield constants embed with unchanged codes.
 
-Fields of order <= 2^20 (LOG_TABLE_LIMIT) keep discrete-log tables for a
-primitive element g.  Multiplication and inversion are table lookups, and
-addition in an odd-characteristic extension uses Zech logarithms,
-g^a + g^b = g^(a + Z(b - a)) with Z(k) = log(1 + g^k) and -1 = g^((|F|-1)/2),
-so it costs a few list lookups whatever the degree.  Prime fields add mod p.
-Only extensions above the table limit fall back to polynomial
-multiplication and to digit-wise addition.
+Fields of order <= 2^20 (LOG_TABLE_LIMIT) keep exp/log tables of the least
+primitive element g: multiplication and inversion are lookups, and addition
+in an odd-characteristic extension uses Zech logarithms, g^a + g^b =
+g^(a + Z(b - a)) with Z(k) = log(1 + g^k) and -1 = g^((|F|-1)/2).  Prime
+fields add mod p; larger extensions add digit-wise.  Field._orbit walks
+1, c, c^2, ... with v -> c·v as an F_p-linear map on the packed code; the
+first walk of length |F| - 1 is exp, and frob_table reads x -> x^q off it.
+Moduli are the least monic irreducibles over the base, ordered by the packed
+code of their non-leading coefficients, so serialized values are portable.
 
-The tables come from walking 1, c, c^2, ... with v -> c·v taken as an
-F_p-linear map on the packed code (Field._orbit): a step is two lookups in
-tables of p^⌈D/2⌉ entries and one add, not a polynomial product.  The first
-code whose walk returns to 1 after |F| - 1 steps is g, and its walk is exp;
-frob_table reads x -> x^q off the logs.
-
-Moduli are chosen deterministically as the lexicographically least monic
-irreducible polynomial over the base field (ordered by packed integer code of
-the non-leading coefficients), so serialized values are portable across runs.
+Each formula has one owner: _digits reads a code's digits (vec, prime_vec,
+_monic_polys); poly_mul, poly_mod and poly_pow_mod multiply, reduce and
+power polynomials (Field._mul_raw, the table-free Field.pow, the
+irreducibility tests); _monic_polys lists candidate moduli in code order
+(least_irreducible, _verify_irreducible); _split_tables splits an F_p-linear
+map into two tables over ⌈D/2⌉ digits (digit_tables, Field._orbit);
+Field._interned builds and caches every field; FieldTower._fold_conjugates
+folds the conjugates for trace_to_base and norm_to_base.
 """
 
 from __future__ import annotations
@@ -144,17 +145,32 @@ def _linear_table(units, images, add, p: int) -> dict[int, int]:
     return table
 
 
+def _split_tables(p: int, images, add) -> tuple[dict[int, int], dict[int, int]]:
+    """(lo, hi): the F_p-linear map sending digit unit j of a packed vector
+    of D = len(images) digits to images[j] is v -> add(lo[v & m], hi[v >> h·W]),
+    with h = ⌈D/2⌉, m the mask of the low h slots and W = slot_width.  Two
+    tables of p^⌈D/2⌉ entries at most, where one table would hold p^D."""
+    D, w = len(images), slot_width(Field(p))
+    h = (D + 1) // 2
+    units = [1 << (j * w) for j in range(D)]
+    return (_linear_table(units[:h], images[:h], add, p),
+            _linear_table(units[:D - h], images[h:], add, p))
+
+
 @lru_cache(maxsize=None)
 def digit_tables(p: int, D: int) -> tuple[dict[int, int], dict[int, int]]:
     """(lo, hi): the code Σ d_j·p^j of a Slots-packed vector of D digits
-    d_j over F_p is lo[v & m] + hi[v >> h·W], with h = ⌈D/2⌉, m the mask of
-    the low h slots and W = slot_width.  Two tables of p^⌈D/2⌉ entries at
-    most, where a table over every packed vector would hold p^D."""
-    h = (D + 1) // 2
-    units = [1 << (j * slot_width(Field(p))) for j in range(D)]
-    places = [p**j for j in range(D)]
-    return (_linear_table(units[:h], places[:h], operator.add, p),
-            _linear_table(units[:D - h], places[h:], operator.add, p))
+    d_j over F_p is lo[v & m] + hi[v >> h·W] (_split_tables)."""
+    return _split_tables(p, [p**j for j in range(D)], operator.add)
+
+
+def _digits(a: int, b: int, d: int) -> list[int]:
+    """The d lowest base-b digits of a, least significant first."""
+    out = []
+    for _ in range(d):
+        out.append(a % b)
+        a //= b
+    return out
 
 
 _FIELD_CACHE: dict[tuple, "Field"] = {}
@@ -173,56 +189,35 @@ class Field:
     def __new__(cls, p: int):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
-        key = ("prime", p)
-        inst = _FIELD_CACHE.get(key)
-        if inst is None:
-            inst = super().__new__(cls)
-            inst._ready = False
-            _FIELD_CACHE[key] = inst
-        return inst
-
-    def __init__(self, p: int):
-        if self._ready:
-            return
-        self.key: tuple = ("prime", p)
-        self.p = p
-        self.base: Field | None = None
-        self.deg = 1
-        self.order = p
-        self.dim_over_prime = 1
-        self.modulus: tuple[int, ...] | None = None
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self._zech: list[int] | None = None
-        self._frob_tables: dict[int, list[int]] = {}
-        if p <= LOG_TABLE_LIMIT:
-            self._build_tables()
-        self._ready = True
+        return cls._interned(("prime", p), p, None, None)
 
     @classmethod
     def extension(cls, base: "Field", modulus: tuple[int, ...]) -> "Field":
-        key = ("ext", base.key, tuple(modulus))
-        cached = _FIELD_CACHE.get(key)
-        if cached is not None:
-            return cached
-        self = object.__new__(cls)
-        deg = len(modulus) - 1
-        if deg < 2 or modulus[-1] != 1:
+        modulus = tuple(modulus)
+        if len(modulus) < 3 or modulus[-1] != 1:
             raise InvalidParams("modulus must be monic of degree >= 2")
-        self.key = key
-        self.p = base.p
-        self.base = base
-        self.deg = deg
-        self.order = base.order**deg
-        self.dim_over_prime = base.dim_over_prime * deg
-        self.modulus = tuple(modulus)
-        self._exp = None
-        self._log = None
-        self._zech = None
-        self._frob_tables = {}
-        if self.order <= LOG_TABLE_LIMIT:
+        return cls._interned(("ext", base.key, modulus), base.p, base, modulus)
+
+    @classmethod
+    def _interned(cls, key: tuple, p: int, base: "Field | None",
+                  modulus: tuple[int, ...] | None) -> "Field":
+        """The field under key, built on first use.  It is cached only once
+        its tables are built, so a modulus the table walk refuses is not."""
+        self = _FIELD_CACHE.get(key)
+        if self is not None:
+            return self
+        if base is None:
+            deg, order, dim = 1, p, 1
+        else:
+            deg = len(modulus) - 1
+            order, dim = base.order**deg, base.dim_over_prime * deg
+        self = object.__new__(cls)
+        self.key, self.p, self.base, self.modulus = key, p, base, modulus
+        self.deg, self.order, self.dim_over_prime = deg, order, dim
+        self._exp = self._log = self._zech = None
+        self._frob_tables: dict[int, list[int]] = {}
+        if order <= LOG_TABLE_LIMIT:
             self._build_tables()
-        self._ready = True
         _FIELD_CACHE[key] = self
         return self
 
@@ -232,11 +227,7 @@ class Field:
         """Base-field coefficient codes of a (length deg)."""
         if self.base is None:
             return [a]
-        b, out = self.base.order, []
-        for _ in range(self.deg):
-            out.append(a % b)
-            a //= b
-        return out
+        return _digits(a, self.base.order, self.deg)
 
     def from_vec(self, coeffs) -> int:
         if self.base is None:
@@ -248,11 +239,7 @@ class Field:
 
     def prime_vec(self, a: int) -> list[int]:
         """Coefficient vector over the prime field (length dim_over_prime)."""
-        p, out = self.p, []
-        for _ in range(self.dim_over_prime):
-            out.append(a % p)
-            a //= p
-        return out
+        return _digits(a, self.p, self.dim_over_prime)
 
     @property
     def gen(self) -> int:
@@ -336,28 +323,9 @@ class Field:
         """Polynomial multiplication with modulus reduction (no tables)."""
         if self.base is None:
             return (a * b) % self.p
-        base = self.base
-        av, bv = self.vec(a), self.vec(b)
-        prod = [0] * (2 * self.deg - 1)
-        for i, ai in enumerate(av):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(bv):
-                if bj:
-                    prod[i + j] = base.add(prod[i + j], base.mul(ai, bj))
-        # reduce: x^deg = -(modulus minus leading term)
-        mod = self.modulus
-        for k in range(len(prod) - 1, self.deg - 1, -1):
-            c = prod[k]
-            if c == 0:
-                continue
-            prod[k] = 0
-            for j in range(self.deg):
-                if mod[j]:
-                    prod[k - self.deg + j] = base.sub(
-                        prod[k - self.deg + j], base.mul(c, mod[j])
-                    )
-        return self.from_vec(prod[: self.deg])
+        base, B, d = self.base, self.base.order, self.deg
+        return self.from_vec(poly_mod(base, poly_mul(base, _digits(a, B, d), _digits(b, B, d)),
+                                      self.modulus))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -381,13 +349,9 @@ class Field:
         if self._exp is not None:
             return self._exp[(self._log[a] * e) % (self.order - 1)]
         e %= self.order - 1
-        r, b = 1, a
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, b)
-            b = self._mul_raw(b, b)
-            e >>= 1
-        return r
+        if self.base is None:
+            return pow(a, e, self.p)
+        return self.from_vec(poly_pow_mod(self.base, self.vec(a), e, self.modulus))
 
     def elements(self):
         return range(self.order)
@@ -419,11 +383,8 @@ class Field:
         if p != 2 and self.base is not None:
             # Z(k) = log(1 + g^k); 1 + g^k = 0 only at g^k = -1, code p - 1.
             # Doubled so that Z is read at any exponent difference in (-n, 2n).
-            zech = [-1] * n
-            for k in range(n):
-                a = exp[k]
-                if a != p - 1:
-                    zech[k] = log[a + 1 if a % p != p - 1 else a + 1 - p]
+            zech = [-1 if a == p - 1 else log[a + 1 if a % p != p - 1 else a + 1 - p]
+                    for a in exp[:n]]
             self._zech = zech + zech
             self._half = n // 2
 
@@ -450,27 +411,22 @@ class Field:
                 if v == 1:
                     return orbit
         D = self.dim_over_prime
-        h = (D + 1) // 2
         w = slot_width(Field(p))
-        units = [1 << (j * w) for j in range(D)]
-        places = [p**j for j in range(D)]
-        mask, shift = units[h] - 1, h * w
-        images = [self._mul_raw(c, x) for x in places]
+        shift = (D + 1) // 2 * w
+        mask = (1 << shift) - 1
+        images = [self._mul_raw(p**j, c) for j in range(D)]
         if p == 2:
-            add = operator.xor
-        else:
-            slots = Slots(Field(p), D)
-            add, carry, guard, low = slots.add, slots.carry, slots.guard, slots.low
-            images = [sum(x // y % p * u for y, u in zip(places, units)) for x in images]
-        lo = _linear_table(units[:h], images[:h], add, p)
-        hi = _linear_table(units[:D - h], images[h:], add, p)
-        if p == 2:
+            lo, hi = _split_tables(p, images, operator.xor)
             for _ in range(n):
                 append(v)
                 v = lo[v & mask] ^ hi[v >> shift]
                 if v == 1:
                     return orbit
         else:
+            slots = Slots(Field(p), D)
+            carry, guard, low = slots.carry, slots.guard, slots.low
+            packed = [sum(d << (j * w) for j, d in enumerate(_digits(x, p, D))) for x in images]
+            lo, hi = _split_tables(p, packed, slots.add)
             code_lo, code_hi = digit_tables(p, D)
             for _ in range(n):
                 a, b = v & mask, v >> shift
@@ -510,25 +466,24 @@ def poly_mul(F: Field, a, b):
         return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] = F.add(out[i + j], F.mul(ai, bj))
+        if ai:
+            for k, bj in enumerate(b, i):
+                if bj:
+                    out[k] = F.add(out[k], F.mul(ai, bj))
     return poly_trim(out)
 
 
 def poly_mod(F: Field, a, m):
-    """a mod m with m monic."""
+    """a mod m with m monic, cancelling the top coefficient first."""
     a = list(a)
     dm = len(m) - 1
     while len(a) > dm:
-        c = a[-1]
+        c = a.pop()
         if c:
+            o = len(a) - dm
             for j in range(dm):
                 if m[j]:
-                    a[len(a) - 1 - dm + j] = F.sub(a[len(a) - 1 - dm + j], F.mul(c, m[j]))
-        a.pop()
+                    a[o + j] = F.sub(a[o + j], F.mul(c, m[j]))
     return poly_trim(a)
 
 
@@ -538,8 +493,9 @@ def poly_pow_mod(F: Field, a, e: int, m):
     while e:
         if e & 1:
             r = poly_mod(F, poly_mul(F, r, b), m)
-        b = poly_mod(F, poly_mul(F, b, b), m)
         e >>= 1
+        if e:
+            b = poly_mod(F, poly_mul(F, b, b), m)
     return r
 
 
@@ -610,18 +566,9 @@ def least_irreducible(F: Field, d: int) -> tuple[int, ...]:
     Candidates are ordered by the packed integer code of the non-leading
     coefficient vector, which makes modulus selection reproducible.
     """
-    if d == 1:
-        return (0, 1)
-    B = F.order
-    for code in range(B**d):
-        coeffs = []
-        c = code
-        for _ in range(d):
-            coeffs.append(c % B)
-            c //= B
-        coeffs.append(1)
-        if is_irreducible(F, tuple(coeffs)):
-            return tuple(coeffs)
+    for f in _monic_polys(F, d):
+        if is_irreducible(F, f):
+            return f
     raise InternalInvariantError(f"no irreducible of degree {d}")
 
 
@@ -638,18 +585,17 @@ def _verify_irreducible(F: Field, f) -> bool:
             return False
     half = d // 2
     if F.order**half <= TRIAL_FACTOR_LIMIT:
-        for deg in range(2, half + 1):
-            for code in range(F.order**deg):
-                coeffs = []
-                c = code
-                for _ in range(deg):
-                    coeffs.append(c % F.order)
-                    c //= F.order
-                coeffs.append(1)
-                if not poly_mod(F, f, tuple(coeffs)):
-                    return False
-        return True
+        return all(poly_mod(F, f, g) for deg in range(2, half + 1)
+                   for g in _monic_polys(F, deg))
     return is_irreducible(F, f)
+
+
+def _monic_polys(F: Field, d: int):
+    """The monic polynomials of degree d over F, in the order of the packed
+    code of their non-leading coefficients."""
+    B = F.order
+    for code in range(B**d):
+        yield (*_digits(code, B, d), 1)
 
 
 # -- the tower ---------------------------------------------------------------
@@ -668,10 +614,17 @@ class FieldTower:
                  budget: int = DEFAULT_TOWER_BUDGET):
         if e < 1 or n < 1 or t < 1:
             raise InvalidParams("e, n, t must be >= 1")
+        if p < 2:
+            raise NotPrime(f"{p} is not prime")
+        # refuse by size before is_prime's √p trial division, and never
+        # evaluate p^d once d exceeds budget's bit length (then p^d > budget)
+        d = e * n * t
+        if d > budget.bit_length():
+            raise BudgetExceeded(f"{p}^{d}", budget, "field elements")
+        if p**d > budget:
+            raise BudgetExceeded(p**d, budget, "field elements")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
-        if p ** (e * n * t) > budget:
-            raise BudgetExceeded(p ** (e * n * t), budget, "field elements")
         self.p, self.e, self.n, self.t = p, e, n, t
         self.prime = Field(p)
         self.base = self.prime if e == 1 else Field.extension(
@@ -719,26 +672,21 @@ class FieldTower:
 
     def trace_to_base(self, level: str, a: int) -> int:
         """Tr over F_q of an element of the given level (returns a base code)."""
-        F = self.field(level)
-        d = self.degree_over_base(level)
-        acc, x = 0, a
-        for _ in range(d):
-            acc = F.add(acc, x)
-            x = self.frob(level, x, 1)
-        if acc >= self.q:
-            raise InternalInvariantError("trace left the base field")
-        return acc
+        return self._fold_conjugates(level, a, self.field(level).add, "trace")
 
     def norm_to_base(self, level: str, a: int) -> int:
         """Norm over F_q: product of the q-power conjugates."""
-        F = self.field(level)
-        d = self.degree_over_base(level)
-        acc, x = 1, a
-        for _ in range(d):
-            acc = F.mul(acc, x)
+        return self._fold_conjugates(level, a, self.field(level).mul, "norm")
+
+    def _fold_conjugates(self, level: str, a: int, op, name: str) -> int:
+        """a op a^q op ... op a^(q^(d-1)) over the d = [level : F_q]
+        conjugates of a, which lies in F_q."""
+        acc = x = a
+        for _ in range(1, self.degree_over_base(level)):
             x = self.frob(level, x, 1)
+            acc = op(acc, x)
         if acc >= self.q:
-            raise InternalInvariantError("norm left the base field")
+            raise InternalInvariantError(f"{name} left the base field")
         return acc
 
     def mid_to_base_vec(self, a: int) -> list[int]:

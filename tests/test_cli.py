@@ -452,6 +452,34 @@ def test_large_prime_q_is_refused_before_factoring(capsys):
     assert "field elements exceeds budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, spoil, verb, needed", [
+    # trial division would take ~1.5·10^9 steps to prove p = 2^61 - 1 prime
+    ("subspace", {"p": 2**61 - 1}, ["scattered-check", "--h", "1"], f"{(2**61 - 1)**4} "),
+    ("code", {"p": 2**61 - 1, "q": 2**61 - 1}, ["mrd-check"], f"{2**61 - 1} "),
+    # 2^(e·n·t) with e = 10^11 would hold 5·10^10 bytes: never evaluated
+    ("subspace", {"e": 10**11}, ["scattered-check", "--h", "1"], "2^400000000000 "),
+], ids=["subspace-p", "code-p", "subspace-e"])
+def test_oversized_tower_is_refused_before_factoring_p(tmp_path, capsys, monkeypatch,
+                                                       kind, spoil, verb, needed):
+    from ranklab import fields
+
+    def no_factoring(m):
+        raise AssertionError(f"trial division of {m}")
+
+    if kind == "code":
+        obj = dict(serialize.rankcode_to_json(fixtures.gabidulin_4_2_1()), **spoil)
+    else:
+        obj = serialize.subspace_to_json(fixtures.pseudoregulus(2, 4, 1))
+        obj["tower"].update(spoil)
+    path = tmp_path / f"{kind}.json"
+    serialize.dump_file(str(path), obj)
+    monkeypatch.setattr(fields, "prime_factors", no_factoring)
+    start = time.perf_counter()
+    assert main([verb[0], f"--{kind}", str(path)] + verb[1:]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert f"enumeration of {needed}" in capsys.readouterr().err
+
+
 def test_parse_q_factors_below_the_square_root():
     from ranklab.errors import UsageError
 

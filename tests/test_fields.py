@@ -358,3 +358,35 @@ def test_reducible_modulus_is_refused_by_the_table_walk():
         with pytest.raises(InvalidParams, match="reducible"):
             Field.extension(Field(p), modulus)
         assert ("ext", ("prime", p), modulus) not in fields._FIELD_CACHE
+
+
+# -- arithmetic above LOG_TABLE_LIMIT, where no table is built ------------------
+
+
+@pytest.mark.parametrize("p,n", [(1048583, 1), (2, 21), (3, 13)])
+def test_arithmetic_without_log_tables(p, n):
+    # p = 1,048,583 is the first prime above 2^20: mul, inv and pow take the
+    # table-free branches of a prime field, checked against integers mod p;
+    # F_{2^21} and F_{3^13} multiply by polynomial products, checked against
+    # _pow_raw's square-and-multiply and the group order
+    F = make_tower(p, 1, n, 1).mid
+    assert F._exp is None and F._zech is None
+    N = F.order - 1
+    rng = random.Random(F.order)
+    for i in range(200):
+        a, b, c = (rng.randrange(1, F.order) for _ in range(3))
+        assert F.sub(a, b) == F.add(a, F.neg(b)) and F.add(F.neg(a), a) == 0
+        if F.base is None:
+            e = rng.randrange(2 * N)
+            assert (F.mul(a, b), F.sub(a, b), F.neg(a)) == (a * b % p, (a - b) % p, p - a)
+            assert F.inv(a) == pow(a, -1, p)
+            for x in (0, e, N, N + e):
+                assert F.pow(a, x) == pow(a, x, p)
+            continue
+        assert F.mul(a, b) == F.mul(b, a)
+        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+        if i < 12:
+            e = rng.randrange(N)
+            assert F.pow(a, 0) == 1 and F.pow(a, N) == 1
+            assert F.pow(a, e) == F.pow(a, N + e) == _pow_raw(F, a, e)
+            assert F.mul(a, F.inv(a)) == 1
