@@ -7,16 +7,25 @@ Linearized polynomials convert to matrices by evaluation on the fixed
 polynomial basis of their field over F_q, so matrix equality is meaningful
 across modules.  Matrices act on column coordinate vectors.
 
-C_{U,G} and the c = 0 (twisted) Gabidulin codes on the mid field carry the
-subspace S whose point weights are their ranks (RankCode.attach): S = U for
-C_{U,G}, and S = U^⊥' for the q-system U of a Gabidulin code.  Both rank
-distributions then come from the one geometric engine of rankcodes.
+Every code of an evaluation map G : F_{q^n}^r -> F_q^m is C_{ker G, G} =
+{G∘τ_v : v ∈ F_{q^n}^r}, built by the one Γ_v builder _cug_codewords: c_ug
+with the canonical G, the converse's rebuilt code with the G of a right
+F_{q^n}-basis, and the Gabidulin restriction with the G of its f_{j,i}.  The
+builder reads each block of n codewords as the n windows of one product
+with 2n - 1 columns.
+
+C_{U,G} (U for the restriction) and the c = 0 (twisted) Gabidulin codes on
+the mid field carry the subspace S whose point weights are their ranks
+(RankCode.attach): S = U for C_{U,G}, and S = U^⊥' for the q-system U of a
+Gabidulin code.  Both rank distributions then come from the one geometric
+engine of rankcodes.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass
 
 from .errors import (
@@ -38,6 +47,7 @@ from .fqlinalg import (
     DEFAULT_SUBSPACE_BUDGET,
     Mat,
     RowReducer,
+    basis_codes,
     kernel,
     mat_inverse,
     mat_mul,
@@ -46,30 +56,17 @@ from .fqlinalg import (
 from .rankcodes import (
     DEFAULT_CODEWORD_BUDGET,
     RankCode,
-    _algebra_generator,
     mrd_weight_distribution,
     right_idealiser,
 )
 from .subspaces import (
     FqSubspace,
     excess_iter,
-    flatten_vec,
     iota,
     is_h_scattered,
     ordinary_dual,
     random_subspace,
 )
-
-
-def base_basis_codes(tower: FieldTower, level: str) -> list[int]:
-    """Element codes of the F_q-basis of a level, in flat-coordinate order."""
-    q = tower.base.order
-    if level == "base":
-        return [1]
-    if level == "mid":
-        return [q**j for j in range(tower.n)]
-    qn = q**tower.n
-    return [q**j * qn**i for i in range(tower.t) for j in range(tower.n)]
 
 
 def mult_matrix(tower: FieldTower, alpha: int) -> Mat:
@@ -102,7 +99,7 @@ class LinearizedPoly:
         tower, level = self.tower, self.level
         N = self.deg_over_base
         to_vec = (tower.mid_to_base_vec if level == "mid" else tower.top_to_base_vec)
-        cols = [to_vec(self.evaluate(b)) for b in base_basis_codes(tower, level)]
+        cols = [to_vec(self.evaluate(b)) for b in basis_codes(tower.field(level), tower.base)]
         return Mat.from_rows(tower.base, cols, N).transpose()
 
 
@@ -163,18 +160,16 @@ def _twisted_code(tower: FieldTower, N: int, k: int, s: int,
     if tower.norm_to_base(level, eta) == sign:
         raise EtaConditionViolated(
             "eta^((q^N-1)/(q-1)) equals (-1)^(Nk); the twisted code is not MRD")
+    gammas = basis_codes(F, tower.base)
     gens = []
-    for gamma in base_basis_codes(tower, level):
+    for gamma in gammas:
         # a_0-slice: x -> gamma x + gamma^{q^c} eta x^{q^{sk}}
         coeffs = [0] * (s * k % N + 1)
         coeffs[0] = gamma
-        top_term = F.mul(tower.frob(level, gamma, c), eta)
-        coeffs[s * k % N] = F.add(coeffs[s * k % N], top_term)
+        coeffs[s * k % N] = F.add(coeffs[s * k % N], F.mul(tower.frob(level, gamma, c), eta))
         gens.append(LinearizedPoly(tower, level, tuple(coeffs)).to_matrix())
-    for i in range(1, k):
-        for gamma in base_basis_codes(tower, level):
-            gens.append(LinearizedPoly(
-                tower, level, (0,) * (s * i % N) + (gamma,)).to_matrix())
+    gens += [LinearizedPoly(tower, level, (0,) * (s * i % N) + (gamma,)).to_matrix()
+             for i in range(1, k) for gamma in gammas]
     code = RankCode.from_generators(tower.base, N, N, gens)
     if code.dim != N * k:
         # the terms sit at the distinct exponents s·i mod N (gcd(s, N) = 1)
@@ -232,20 +227,23 @@ def _canonical_projection(U: FqSubspace) -> Mat:
 
 
 def _cug_codewords(tower: FieldTower, r: int, G: Mat) -> list[list[list[int]]]:
-    """Matrices of Γ_v = G∘τ_v for v running over the flat basis of V."""
+    """Matrices of Γ_v = G∘τ_v for v = g^j·e_i over the flat basis of V, the
+    one builder of the codes of an evaluation map G: C_{U,G}, the converse's
+    rebuilt code and the Gabidulin restriction.
+
+    Column l of Γ_{g^j·e_i} is G·flat(g^{j+l}·e_i) = G_i·vec(g^{j+l}), G_i
+    the i-th block of n columns of G.  So block i's n codewords are the n
+    windows of n consecutive columns in G_i·[vec(g^0) | ... | vec(g^{2n-2})]:
+    r products with an m x (2n - 1) matrix, not rn·n with the m x rn G."""
     mid, n = tower.mid, tower.n
     g = mid.gen if n > 1 else 1
+    powers = Mat.from_rows(G.field, [tower.mid_to_base_vec(mid.pow(g, s))
+                                     for s in range(2 * n - 1)], n).transpose()
     out = []
     for i in range(r):
-        for j in range(n):
-            v = [0] * r
-            v[i] = mid.pow(g, j)
-            cols = []
-            w = list(v)
-            for _ in range(n):
-                cols.append(mat_vec(G, flatten_vec(tower, w)))
-                w = [mid.mul(g, c) for c in w]
-            out.append(Mat.from_rows(G.field, cols, G.rows).transpose().data)
+        block = Mat.from_rows(G.field, [row[i * n:(i + 1) * n] for row in G.data], n)
+        W = mat_mul(block, powers).data
+        out += [[row[j:j + n] for row in W] for j in range(n)]
     return out
 
 
@@ -264,8 +262,7 @@ def c_ug(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> CUGCode:
     G = _canonical_projection(U)
     if kernel(G) != U.flat:
         raise InternalInvariantError("canonical projection has wrong kernel")
-    gens = _cug_codewords(tower, r, G)
-    code = RankCode.from_generators(tower.base, r * n - U.k, n, gens)
+    code = RankCode.from_generators(tower.base, r * n - U.k, n, _cug_codewords(tower, r, G))
     if code.dim != r * n:
         raise IotaFull("U contains a full F_{q^n}-line; C_{U,G} degenerates")
     code.attach(U)
@@ -300,10 +297,9 @@ def c_ug_g_independence(U: FqSubspace, G1: Mat, G2: Mat) -> Mat:
     """Invertible L with L∘C_{U,G1} = C_{U,G2}, built on a complement basis."""
     if kernel(G1) != U.flat or kernel(G2) != U.flat:
         raise KernelMismatch("both maps must have kernel flat(U)")
-    tower, r, rn = U.tower, U.r, U.r * U.tower.n
-    base = tower.base
+    tower, r, base = U.tower, U.r, U.tower.base
     pivset = set(U.flat.pivots)
-    comp = [j for j in range(rn) if j not in pivset]
+    comp = [j for j in range(r * tower.n) if j not in pivset]
     # G1 and G2 restricted to the complement columns
     W1, W2 = (Mat.from_rows(base, [[row[j] for j in comp] for row in G.data], len(comp))
               for G in (G1, G2))
@@ -331,8 +327,8 @@ def mrd_to_subspace(C: RankCode, tower: FieldTower, *,
     """Recover U with C ~ C_{U,G} from an MRD code with maximal right idealiser.
 
     Conjugates C so its right idealiser becomes the canonical multiplication
-    field (a generator of the idealiser field -> its minimal polynomial -> a
-    root in F_{q^n} -> basis-mapping isomorphism), reads U = ker G off the
+    field (the idealiser's generator -> its minimal polynomial -> a root in
+    F_{q^n} -> basis-mapping isomorphism), reads U = ker G off the
     evaluation map G = [f_1 | ... | f_r] of a right F_{q^n}-basis, and rebuilds
     the code from (U, G) for the set-equality check.  budget caps the rank
     scans and the root scan over the q^n elements of F_{q^n}.
@@ -351,10 +347,8 @@ def mrd_to_subspace(C: RankCode, tower: FieldTower, *,
     if not R.is_field:
         raise IdealiserNotMaximal("right idealiser is not a field")
     base, mid = tower.base, tower.mid
-    found = _algebra_generator(base, R.basis)
-    if found is None:
-        raise InternalInvariantError("the idealiser field has no basis element of degree n")
-    g1, minpoly = found
+    Y, minpoly = R.generator     # a field has one (rankcodes.Idealiser)
+    g1 = Mat.from_rows(base, Y, n)
     if mid.order > budget:
         raise BudgetExceeded(mid.order, budget, "F_{q^n} elements")
     for gamma in mid.elements():
@@ -363,25 +357,31 @@ def mrd_to_subspace(C: RankCode, tower: FieldTower, *,
     else:
         raise InternalInvariantError("idealiser minimal polynomial has no root")
     # F_q[g1] is a field of degree n, so every nonzero vector is cyclic for g1
-    e0 = [1] + [0] * (n - 1)
-    h_cols, acc = [], e0
+    h_cols, acc = [], [1] + [0] * (n - 1)
     for _ in range(n):
         h_cols.append(acc)
         acc = mat_vec(g1, acc)
     H = Mat.from_rows(base, h_cols, n).transpose()
-    p_cols = [tower.mid_to_base_vec(mid.pow(gamma, j)) for j in range(n)]
-    P = Mat.from_rows(base, p_cols, n).transpose()
+    P = Mat.from_rows(base, [tower.mid_to_base_vec(mid.pow(gamma, j)) for j in range(n)],
+                      n).transpose()
     conj = mat_mul(H, mat_inverse(P))
     conj_gens = [mat_mul(Mat.from_rows(base, M), conj).data for M in C.basis_matrices()]
     Cprime = RankCode.from_generators(base, C.m, n, conj_gens)
-    d = C.min_distance(budget=budget)
-    return _extract_from_canonical(Cprime, tower, n - d)
+    r = Cprime.dim // n      # C' is a vector space over its idealiser F_{q^n}
+    mult_mats = [mult_matrix(tower, b) for b in basis_codes(mid, base)]
+    G = _evaluation_map(_right_basis(Cprime, mult_mats))
+    U = FqSubspace.from_flat(tower, r, kernel(G).rows)
+    recon = RankCode.from_generators(base, C.m, n, _cug_codewords(tower, r, G))
+    if recon != Cprime:
+        raise InternalInvariantError("reconstructed C_{U,G} differs from C'")
+    return MrdSubspaceExtraction(subspace=U, conjugated_code=Cprime, reconstructed=recon,
+                                 iota=n - C.min_distance(budget=budget))
 
 
 def _right_basis(Cprime: RankCode, mult_mats: list[Mat]) -> list[Mat]:
     """A greedy right F_{q^n}-basis f_1..f_r of C', checking first that C' is
     closed under M -> M·m_g; mult_mats are the m_b of the F_q-basis of F_{q^n}."""
-    basis_mats = _basis_mats(Cprime)
+    basis_mats = [Mat.from_rows(Cprime.field, M, Cprime.n) for M in Cprime.basis_matrices()]
     for M in basis_mats:
         if not Cprime.contains(mat_mul(M, mult_mats[1 % len(mult_mats)]).data):
             raise IdealiserNotMaximal("conjugated code is not F_n-closed")
@@ -406,24 +406,6 @@ def _evaluation_map(fs: list[Mat]) -> Mat:
                                        for rho in range(fs[0].rows)])
 
 
-def _extract_from_canonical(Cprime: RankCode, tower: FieldTower,
-                            it: int) -> MrdSubspaceExtraction:
-    """Extraction pipeline once R(C') is the canonical multiplication field."""
-    n = tower.n
-    K = Cprime.dim
-    if K % n != 0:
-        raise ParamMismatch("dim(C) is not a multiple of n")
-    r = K // n
-    mult_mats = [mult_matrix(tower, b) for b in base_basis_codes(tower, "mid")]
-    G = _evaluation_map(_right_basis(Cprime, mult_mats))
-    U = FqSubspace.from_flat(tower, r, kernel(G).rows)
-    recon = RankCode.from_generators(tower.base, Cprime.m, n, _cug_codewords(tower, r, G))
-    if recon != Cprime:
-        raise InternalInvariantError("reconstructed C_{U,G} differs from C'")
-    return MrdSubspaceExtraction(
-        subspace=U, conjugated_code=Cprime, reconstructed=recon, iota=it)
-
-
 # -- the Gabidulin restriction example -------------------------------------------
 
 
@@ -437,40 +419,29 @@ class GabidulinRestriction:
     iota: int
 
 
-def gabidulin_restriction(tower: FieldTower, nt: int, n: int, it: int,
-                          *, budget: int = DEFAULT_CODEWORD_BUDGET) -> GabidulinRestriction:
-    """Restrict G_{iota+1,1} on F_{q^{nt}} to the domain F_{q^n}.
-
-    Produces the MRD (nt, n, q; n-iota) punctured code, its vanishing-at-1
-    subspace U in coordinates over the basis f_{j,i}: x -> xi^i x^{q^j}
-    (j-major), and the ordinary dual of U, which must coincide with the
-    direct sum of t copies of {(y, y^{q^{n-1}}, ..., y^{q^{n-iota}})}.
+def gabidulin_restriction(tower: FieldTower, nt: int, n: int, it: int) -> GabidulinRestriction:
+    """Restrict G_{iota+1,1} on F_{q^{nt}} to the domain F_{q^n}: the MRD
+    (nt, n, q; n-iota) punctured code C_{U,G} for the evaluation map G of the
+    F_{q^n}-basis f_{j,i}: x -> xi^i x^{q^j} (j-major) and U = ker G, which
+    the code carries (RankCode.attach, whose dimension check covers the
+    generators).  The ordinary dual of U must coincide with the direct sum
+    of t copies of {(y, y^{q^{n-1}}, ..., y^{q^{n-iota}})}.
     """
     if tower.n != n or tower.n * tower.t != nt:
         raise ParamMismatch("tower degrees do not match (nt, n)")
     if not 0 < it < n:
         raise InvalidParams("need 0 < iota < n")
-    t = tower.t
-    base, top = tower.base, tower.top
+    t, top = tower.t, tower.top
     r = t * (it + 1)
-    mid_basis = base_basis_codes(tower, "mid")
+    mid_basis = basis_codes(tower.mid, tower.base)
     xi = top.gen if t > 1 else 1
-    # F_n-basis f_{j,i}, ordered j-major as in the coordinate display
-    fji: list[Mat] = []
-    for j in range(it + 1):
-        for i in range(t):
-            scal = top.pow(xi, i)
-            cols = [tower.top_to_base_vec(top.mul(scal, tower.frob("mid", b, j)))
-                    for b in mid_basis]
-            fji.append(Mat.from_rows(base, cols, nt).transpose())
-    gens = []
-    for f in fji:
-        for j in range(n):
-            gens.append(mat_mul(f, mult_matrix(tower, mid_basis[j])).data)
-    code = RankCode.from_generators(base, nt, n, gens)
-    if code.dim != nt * (it + 1):
-        raise InternalInvariantError("restricted generators were dependent")
-    U = FqSubspace.from_flat(tower, r, kernel(_evaluation_map(fji)).rows)
+    fji = [Mat.from_rows(tower.base, [
+        tower.top_to_base_vec(top.mul(top.pow(xi, i), tower.frob("mid", b, j)))
+        for b in mid_basis], nt).transpose() for j in range(it + 1) for i in range(t)]
+    G = _evaluation_map(fji)
+    U = FqSubspace.from_flat(tower, r, kernel(G).rows)
+    code = RankCode.from_generators(tower.base, nt, n, _cug_codewords(tower, r, G))
+    code.attach(U)
     Udual = ordinary_dual(U)
     expected_rows = []
     for i0 in range(t):
@@ -481,11 +452,6 @@ def gabidulin_restriction(tower: FieldTower, nt: int, n: int, it: int,
             expected_rows.append(tuple(vec))
     expected = FqSubspace.from_mid_vectors(tower, r, expected_rows)
     return GabidulinRestriction(code, U, Udual, expected, Udual == expected, it)
-
-
-def _basis_mats(code: RankCode) -> list[Mat]:
-    return [Mat.from_rows(code.field, M, code.n)
-            for M in code.basis_matrices()]
 
 
 # -- scattered subspace constructions ---------------------------------------------
@@ -503,7 +469,7 @@ def pseudoregulus_subspace(tower: FieldTower, r: int, n: int, h: int) -> FqSubsp
     copies = r // (h + 1)
     vecs = []
     for cidx in range(copies):
-        for b in base_basis_codes(tower, "mid"):
+        for b in basis_codes(tower.mid, tower.base):
             vec = [0] * r
             for j in range(h + 1):
                 vec[cidx * (h + 1) + j] = tower.frob("mid", b, j)
@@ -534,8 +500,6 @@ def random_scattered_search(tower: FieldTower, r: int, h: int, k: int, *,
     re-verified with is_h_scattered before being reported.  max_evals is the
     reproducible budget; time_budget (seconds) is an optional extra stop.
     """
-    import time
-
     n = tower.n
     if k * (h + 1) > r * n:
         raise InvalidParams("k exceeds the rn/(h+1) bound")
@@ -556,11 +520,8 @@ def random_scattered_search(tower: FieldTower, r: int, h: int, k: int, *,
     best_score = score(best)
     evals += 1
     stall = 0
-    while evals < max_evals and (deadline is None or time.monotonic() < deadline):
-        if best_score == 0:
-            if not is_h_scattered(best, h, budget=budget):
-                return SearchResult(False, None, evals, seed)
-            return SearchResult(True, best, evals, seed)
+    while best_score and evals < max_evals and (
+            deadline is None or time.monotonic() < deadline):
         if stall > 5 * k:
             best = random_subspace(tower, r, k, rng)
             best_score = score(best)

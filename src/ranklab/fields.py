@@ -22,13 +22,14 @@ Moduli are the least monic irreducibles over the base, ordered by the packed
 code of their non-leading coefficients, so serialized values are portable.
 
 Each formula has one owner: _digits reads a code's digits (vec, prime_vec,
-_monic_polys); poly_mul, poly_mod and poly_pow_mod multiply, reduce and
-power polynomials (Field._mul_raw, the table-free Field.pow, the
-irreducibility tests); _monic_polys lists candidate moduli in code order
-(least_irreducible, _verify_irreducible); _split_tables splits an F_p-linear
-map into two tables over ⌈D/2⌉ digits (digit_tables, Field._orbit);
-Field._interned builds and caches every field; FieldTower._fold_conjugates
-folds the conjugates for trace_to_base and norm_to_base.
+_monic_polys) and _from_digits packs them (from_vec, from_prime_vec);
+poly_mul, poly_mod and poly_pow_mod multiply, reduce and power polynomials
+(Field._mul_raw, the table-free Field.pow, the irreducibility tests);
+_monic_polys lists candidate moduli in code order (least_irreducible,
+_verify_irreducible); _split_tables splits an F_p-linear map into two tables
+over ⌈D/2⌉ digits (digit_tables, Field._orbit); Field._interned builds and
+caches every field; FieldTower._fold_conjugates folds the conjugates for
+trace_to_base and norm_to_base.
 """
 
 from __future__ import annotations
@@ -173,6 +174,14 @@ def _digits(a: int, b: int, d: int) -> list[int]:
     return out
 
 
+def _from_digits(digits, b: int) -> int:
+    """The code whose base-b digits, least significant first, are digits."""
+    a = 0
+    for c in reversed(digits):
+        a = a * b + c
+    return a
+
+
 _FIELD_CACHE: dict[tuple, "Field"] = {}
 
 
@@ -232,14 +241,15 @@ class Field:
     def from_vec(self, coeffs) -> int:
         if self.base is None:
             return coeffs[0] % self.p
-        b, a = self.base.order, 0
-        for c in reversed(coeffs):
-            a = a * b + c
-        return a
+        return _from_digits(coeffs, self.base.order)
 
     def prime_vec(self, a: int) -> list[int]:
         """Coefficient vector over the prime field (length dim_over_prime)."""
         return _digits(a, self.p, self.dim_over_prime)
+
+    def from_prime_vec(self, coeffs) -> int:
+        """The code of a coefficient vector over the prime field."""
+        return _from_digits(coeffs, self.p)
 
     @property
     def gen(self) -> int:
@@ -637,8 +647,9 @@ class FieldTower:
         self._check_construction()
 
     def _check_construction(self) -> None:
-        for F, mod in ((self.mid, self.modulus_mid), (self.top, self.modulus_top)):
-            if F.base is not None and not _verify_irreducible(F.base, mod):
+        """Verify the modulus of each extension step of degree > 1."""
+        for F, deg in ((self.base, self.e), (self.mid, self.n), (self.top, self.t)):
+            if deg > 1 and not _verify_irreducible(F.base, F.modulus):
                 raise InternalInvariantError("modulus failed irreducibility verification")
 
     @property

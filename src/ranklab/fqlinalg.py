@@ -650,19 +650,20 @@ def span_chunks(F: Field, start, rows, ncols: int, size: int):
             yield list(map(add, first, itertools.repeat(d)))
 
 
-def prime_basis_codes(F: Field) -> list[int]:
-    """Element codes of an F_p-basis of F, in code-ascending order."""
-    if F.base is None:
+def basis_codes(F: Field, sub: Field | None = None) -> list[int]:
+    """Element codes of a basis of F over its subfield sub (default: the
+    prime field), in code-ascending order: c·g^j for j < [F : F.base] and
+    c over the basis of F.base, g the polynomial generator of F."""
+    if F is sub or F.base is None:
         return [1]
-    return [c * F.base.order**j for j in range(F.deg)
-            for c in prime_basis_codes(F.base)]
+    return [c * F.base.order**j for j in range(F.deg) for c in basis_codes(F.base, sub)]
 
 
 def prime_expansion(F: Field, rows, coeffs: Field | None = None) -> list:
     """c·row for each row and each c of the F_p-basis of coeffs (default F),
     row by row: rows whose F_p-span is the coeffs-span of rows.  Rows are
     code sequences or stored rows over F; a row times 1 is passed through."""
-    scalars = prime_basis_codes(coeffs or F)
+    scalars = basis_codes(coeffs or F)
     mul = F.mul
     return [row if c == 1 else tuple(mul(c, x) for x in row)
             for row in rows for c in scalars]

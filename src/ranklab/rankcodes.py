@@ -410,7 +410,9 @@ class Idealiser:
     degree is the matrix size (m for left, n for right).  The algebra holds
     I, so it is a field exactly when some basis element Y has a minimal
     polynomial f of degree dim (then F_q[Y] ≅ F_q[x]/(f) is the whole
-    algebra) and f is irreducible; see _algebra_generator.
+    algebra) and f is irreducible; generator is that pair (Y, f), or None
+    (_algebra_generator), read by the closure check and by the converse
+    (constructions.mrd_to_subspace).
     """
 
     side: Side
@@ -419,6 +421,7 @@ class Idealiser:
     dim: int
     order: int
     is_field: bool
+    generator: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None
 
 
 def _idealiser(C: RankCode, side: Side) -> Idealiser:
@@ -454,17 +457,17 @@ def _idealiser(C: RankCode, side: Side) -> Idealiser:
         unpack_row(F, t, ss) for t in vanishing_tails(F, head, head + ss, rows)])
     basis = tuple(_reshape(v, s, s) for v in ker.rows)
     dim = len(basis)
-    order = F.order**dim
     gen = _algebra_generator(F, basis)
-    is_field = gen is not None and is_irreducible(F, gen[1])
-    ide = Idealiser(side, s, basis, dim, order, is_field)
-    _verify_idealiser_closure(C, ide, gen)
+    ide = Idealiser(side, s, basis, dim, F.order**dim,
+                    gen is not None and is_irreducible(F, gen[1]), gen)
+    _verify_idealiser_closure(C, ide)
     return ide
 
 
-def _algebra_generator(F: Field, basis) -> tuple[Mat, tuple[int, ...]] | None:
-    """The first basis matrix whose minimal polynomial has degree d =
-    len(basis), with that polynomial; None if there is none.
+def _algebra_generator(F: Field, basis):
+    """The first basis matrix (a tuple of rows, as in basis) whose minimal
+    polynomial has degree d = len(basis), with that polynomial; None if
+    there is none.
 
     If the span is a field F_{q^d}, there is one.  Its proper subfields lie in
     S, the sum of its maximal subfields F_{q^{d/p}} (p | d prime).  By the
@@ -474,29 +477,28 @@ def _algebra_generator(F: Field, basis) -> tuple[Mat, tuple[int, ...]] | None:
     it, and that element generates F_{q^d}.
     """
     for Y in basis:
-        M = Mat.from_rows(F, Y)
-        f = min_poly(M)
+        f = min_poly(Mat.from_rows(F, Y))
         if len(f) == len(basis) + 1:
-            return M, f
+            return Y, f
     return None
 
 
-def _verify_idealiser_closure(C: RankCode, ide: Idealiser, gen) -> None:
+def _verify_idealiser_closure(C: RankCode, ide: Idealiser) -> None:
     """Check, apart from the elimination, that span(ide.basis) lies in the
     idealiser.
 
-    With a generator Y (gen, from _algebra_generator) of degree d = dim it is
-    enough that the RREF of I, Y, ..., Y^{d-1} is the basis and that
-    C·Y ⊆ C (Y·C on the left), K products: then span(basis) = F_q[Y], and C
-    is closed under every polynomial in Y.  Without one, every basis element
+    With a generator Y (ide.generator) of degree d = dim it is enough that
+    the RREF of I, Y, ..., Y^{d-1} is the basis and that C·Y ⊆ C (Y·C on the
+    left), K products: then span(basis) = F_q[Y], and C is closed under every
+    polynomial in Y.  Without one, every basis element
     is multiplied by every basis codeword."""
-    F, s = C.field, ide.degree
+    F, s, gen = C.field, ide.degree, ide.generator
     if gen is None:
         factors = [Mat.from_rows(F, Y, s) for Y in ide.basis]
     else:
-        factors, powers = [gen[0]], [Mat.identity(F, s)]
+        factors, powers = [Mat.from_rows(F, gen[0], s)], [Mat.identity(F, s)]
         while len(powers) < ide.dim:
-            powers.append(mat_mul(powers[-1], gen[0]))
+            powers.append(mat_mul(powers[-1], factors[0]))
         span = SubspaceBasis.from_vectors(F, s * s, [sum(P.data, []) for P in powers])
         if span.rows != tuple(sum(B, ()) for B in ide.basis):
             raise InternalInvariantError("idealiser closure verification failed: "

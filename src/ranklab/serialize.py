@@ -85,10 +85,7 @@ def fe_from_json(tower: FieldTower, obj: dict[str, Any]) -> tuple[Field, int]:
         raise UsageError("element coefficient vector has wrong length")
     if not all(_is_int(c) and 0 <= c < tower.p for c in coeffs):
         raise UsageError(f"element: key 'coeffs' must hold integers in 0..{tower.p - 1}")
-    code = 0
-    for c in reversed(coeffs):
-        code = code * tower.p + c
-    return F, code
+    return F, F.from_prime_vec(coeffs)
 
 
 def _checked_entries(order: int, rows, key: str) -> list[list[int]]:

@@ -17,20 +17,38 @@ from ranklab.errors import (
     NotMRD,
 )
 from ranklab.fields import make_tower
-from ranklab.fqlinalg import Mat, kernel, mat_mul, qbinom, rref, solve_right, vec_mat
+from ranklab.fqlinalg import (
+    Mat,
+    basis_codes,
+    kernel,
+    mat_mul,
+    mat_vec,
+    qbinom,
+    rref,
+    solve_right,
+    theta,
+    vec_mat,
+)
 from ranklab.rankcodes import (
     RankCode,
     adjoint,
     mrd_weight_distribution,
     right_idealiser,
 )
-from ranklab.subspaces import FqSubspace, iota, is_h_scattered, ordinary_dual, unflatten_vec
+from ranklab.subspaces import (
+    FqSubspace,
+    flatten_vec,
+    iota,
+    is_h_scattered,
+    ordinary_dual,
+    unflatten_vec,
+)
 from ranklab.constructions import (
     LinearizedPoly,
     _canonical_projection,
+    _cug_codewords,
     _mrd_criterion,
     _right_basis,
-    base_basis_codes,
     c_ug,
     c_ug_g_independence,
     cug_mrd_weight_distribution,
@@ -233,6 +251,75 @@ def test_cug_g_independence_annihilator_construction(pseudoreg, t2_4):
     c_ug_g_independence(pseudoreg, G1, G2)  # raises on any mismatch
 
 
+PRIME_POWER = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
+
+
+def _gamma_products(tower, r, G):
+    """Γ_v = G∘τ_v for v = g^j·e_i, one product G·flat(g^l·v) per column:
+    the oracle of the windows of constructions._cug_codewords."""
+    mid, n = tower.mid, tower.n
+    g = mid.gen if n > 1 else 1
+    out = []
+    for i in range(r):
+        for j in range(n):
+            v = [0] * r
+            v[i] = mid.pow(g, j)
+            cols = []
+            for _ in range(n):
+                cols.append(mat_vec(G, flatten_vec(tower, v)))
+                v = [mid.mul(g, c) for c in v]
+            out.append(Mat.from_rows(G.field, cols, G.rows).transpose().data)
+    return out
+
+
+def test_gamma_windows_match_the_per_vector_products():
+    # every q <= 9 but 7, r <= 3 and n <= 4 (n = 1 included): the canonical G
+    # of a seeded U, and P·G for a seeded invertible P
+    from ranklab.subspaces import random_subspace
+
+    rng = random.Random(24)
+    for q, r, n in [(q, r, n) for q in PRIME_POWER for r in (1, 2, 3) for n in (1, 2, 3, 4)]:
+        tower = make_tower(*PRIME_POWER[q], n, 1)
+        G = _canonical_projection(random_subspace(tower, r, rng.randrange(r * n), rng))
+        while True:
+            P = Mat.from_rows(tower.base, [[rng.randrange(q) for _ in range(G.rows)]
+                                           for _ in range(G.rows)], G.rows)
+            if rref(P)[1] == G.rows:
+                break
+        for M in (G, mat_mul(P, G)):
+            assert _cug_codewords(tower, r, M) == _gamma_products(tower, r, M), (q, r, n)
+
+
+def test_basis_codes_match_both_former_formulas():
+    # the F_p-basis of any field (prime_expansion's scalars) and the F_q-basis
+    # of each tower level (flat coordinates), formerly two formulas
+    def prime_formula(F):
+        if F.base is None:
+            return [1]
+        return [c * F.base.order**j for j in range(F.deg) for c in prime_formula(F.base)]
+
+    def level_formula(tower, level):
+        q = tower.base.order
+        if level == "base":
+            return [1]
+        if level == "mid":
+            return [q**j for j in range(tower.n)]
+        qn = q**tower.n
+        return [q**j * qn**i for i in range(tower.t) for j in range(tower.n)]
+
+    for q in PRIME_POWER:
+        for n in (1, 2, 3, 4):
+            for t in (1, 2):
+                if q ** (n * t) > 1 << 16:
+                    continue
+                tower = make_tower(*PRIME_POWER[q], n, t)
+                for level in ("base", "mid", "top"):
+                    F = tower.field(level)
+                    assert basis_codes(F) == prime_formula(F), (q, n, t, level)
+                    assert basis_codes(F, tower.base) == level_formula(tower, level), \
+                        (q, n, t, level)
+
+
 # -- Sheekey codes ------------------------------------------------------------------
 
 
@@ -243,7 +330,7 @@ def sheekey_code(polys):
     tower, level = polys[0].tower, polys[0].level
     F = tower.field(level)
     gens = [LinearizedPoly(tower, level, tuple(F.mul(gamma, a) for a in f.coeffs)).to_matrix()
-            for f in polys for gamma in base_basis_codes(tower, level)]
+            for f in polys for gamma in basis_codes(tower.field(level), tower.base)]
     N = polys[0].deg_over_base
     return RankCode.from_generators(tower.base, N, N, gens)
 
@@ -321,6 +408,8 @@ def test_mrd_to_subspace_budgets_the_root_scan():
 
 
 def test_mrd_to_subspace_minpoly_without_root_is_internal(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
     from ranklab import cli, constructions, serialize
     from ranklab.errors import InternalInvariantError
     from ranklab.fields import is_irreducible, least_irreducible
@@ -328,9 +417,9 @@ def test_mrd_to_subspace_minpoly_without_root_is_internal(tmp_path, monkeypatch,
     t22 = make_tower(2, 1, 2, 1)
     no_root = least_irreducible(t22.mid, 2)   # irreducible of degree 2 over F_4
     assert is_irreducible(t22.mid, no_root)
-    generator = constructions._algebra_generator   # the converse's minimal polynomial
-    monkeypatch.setattr(constructions, "_algebra_generator",
-                        lambda *a: (generator(*a)[0], no_root))
+    idealiser = constructions.right_idealiser   # the converse reads its generator
+    monkeypatch.setattr(constructions, "right_idealiser", lambda C: dataclasses.replace(
+        idealiser(C), generator=(idealiser(C).generator[0], no_root)))
     C = gabidulin(t22, 2, 1, 1)
     with pytest.raises(InternalInvariantError, match="no root"):
         mrd_to_subspace(C, t22)
@@ -360,7 +449,7 @@ def _solved_vanishing_subspace(code, tower, fn_basis, mult_mats):
 
 
 def _mid_mult_mats(tower):
-    return [mult_matrix(tower, b) for b in base_basis_codes(tower, "mid")]
+    return [mult_matrix(tower, b) for b in basis_codes(tower.mid, tower.base)]
 
 
 @pytest.mark.parametrize("p, e, n, kind", [(2, 1, 4, "cug"), (2, 1, 4, "gabidulin"),
@@ -458,11 +547,45 @@ def test_restriction_kernel_matches_solved_subspace(params):
         # the F_{q^n}-basis f_{j,i}: x -> xi^i x^{q^j}, j-major
         fji = [Mat.from_rows(base, [
             tower.top_to_base_vec(top.mul(top.pow(xi, i), tower.frob("mid", b, j)))
-            for b in base_basis_codes(tower, "mid")], n * t).transpose()
+            for b in basis_codes(tower.mid, tower.base)], n * t).transpose()
             for j in range(it + 1) for i in range(t)]
         res = gabidulin_restriction(tower, n * t, n, it)
         assert _solved_vanishing_subspace(res.code, tower, fji, _mid_mult_mats(tower)) \
             == res.U, it
+
+
+RESTRICTION_CELLS = [(params, it) for params in RESTRICTION_TOWERS for it in range(1, params[2])]
+# the forced side of U's point weights runs where it has at most this many items
+RESTRICTION_ITEMS = 1 << 19
+
+
+@pytest.mark.parametrize("params,it", RESTRICTION_CELLS,
+                         ids=[f"{'_'.join(map(str, params))}_iota{it}"
+                              for params, it in RESTRICTION_CELLS])
+def test_restriction_distribution_matches_the_scans(params, it, scanned, force_geometric):
+    # the restriction is C_{U,G} for the G of its f_{j,i} and carries U, so
+    # is_mrd and min_distance read U's point weights; the oracle is the scan
+    # of the code rebuilt from its basis, which is the span of the f∘m_b
+    tower = make_tower(*params)
+    base, top, n, t = tower.base, tower.top, tower.n, tower.t
+    res = gabidulin_restriction(tower, n * t, n, it)
+    assert res.code.subspace is res.U
+    fji = [Mat.from_rows(base, [
+        tower.top_to_base_vec(top.mul(top.pow(top.gen, i), tower.frob("mid", b, j)))
+        for b in basis_codes(tower.mid, base)], n * t).transpose()
+        for j in range(it + 1) for i in range(t)]
+    assert res.code == RankCode.from_generators(
+        base, n * t, n, [mat_mul(f, m).data for f in fji for m in _mid_mult_mats(tower)])
+    want = scanned(res.code).rank_distribution()
+    assert want == mrd_weight_distribution(n * t, n, tower.q, n - it)
+    U = res.U
+    sides = [(True, theta(U.k - 1, tower.q)), (False, theta(U.r - 1, tower.mid.order))]
+    assert any(items <= RESTRICTION_ITEMS for _, items in sides)
+    for walk, items in sides:
+        if items <= RESTRICTION_ITEMS:
+            force_geometric(walk)
+            again = gabidulin_restriction(tower, n * t, n, it).code
+            assert again.rank_distribution() == want and again.is_mrd(), walk
 
 
 def test_restriction_udual_is_direct_sum_shape(t2_32):

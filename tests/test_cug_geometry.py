@@ -15,11 +15,11 @@ import random
 import pytest
 
 from ranklab import rankcodes, subspaces
-from ranklab.constructions import base_basis_codes, c_ug, mult_matrix, pseudoregulus_subspace
+from ranklab.constructions import c_ug, mult_matrix, pseudoregulus_subspace
 from ranklab.errors import InternalInvariantError
 from ranklab.fields import make_tower
 from ranklab.fixtures import certified_new_witness
-from ranklab.fqlinalg import Mat, SubspaceBasis, rref, vec_mat
+from ranklab.fqlinalg import Mat, SubspaceBasis, basis_codes, rref, vec_mat
 from ranklab.rankcodes import GabidulinExclusion, Side, gabidulin_family_exclusion, right_idealiser
 from ranklab.subspaces import FqSubspace, iota, ordinary_dual, random_subspace
 
@@ -151,7 +151,7 @@ def test_cug_is_right_fqn_linear(label, U):
     R = right_idealiser(c_ug(U).code)
     span = SubspaceBasis.from_vectors(tower.base, tower.n**2,
                                       [[x for row in Y for x in row] for Y in R.basis])
-    for b in base_basis_codes(tower, "mid"):
+    for b in basis_codes(tower.mid, tower.base):
         assert span.contains([x for row in mult_matrix(tower, b).data for x in row]), label
     assert R.order >= tower.mid.order
 

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from ranklab.errors import NotPrime, WrongLevel
 from ranklab.fields import (
     Field,
+    FieldTower,
     is_irreducible,
     least_irreducible,
     make_tower,
@@ -178,6 +179,37 @@ def test_field_interning_across_towers():
 def test_fe_serialization_coeffs(t3_4):
     assert t3_4.mid.prime_vec(5) == [2, 1, 0, 0]  # 5 = 2 + 1*3
     assert fe_from_json(t3_4, {"level": "mid", "coeffs": [2, 1, 0, 0]}) == (t3_4.mid, 5)
+
+
+@pytest.mark.parametrize("params", [(2, 2, 3, 1), (3, 1, 2, 2)])
+def test_prime_vec_round_trips_on_mid_and_top(params):
+    # from_prime_vec and fe_from_json read back every code of both levels
+    tower = make_tower(*params)
+    for level in ("mid", "top"):
+        F = tower.field(level)
+        for a in F.elements():
+            coeffs = F.prime_vec(a)
+            assert F.from_prime_vec(coeffs) == a
+            assert fe_from_json(tower, {"level": level, "coeffs": coeffs}) == (F, a)
+
+
+def test_construction_verifies_each_extension_modulus(monkeypatch):
+    # the modulus of each step of degree > 1 over its own base, the base
+    # field's too, and no degree-1 modulus of a trivial step
+    from ranklab import fields
+
+    calls = []
+    verify = fields._verify_irreducible
+    monkeypatch.setattr(fields, "_verify_irreducible",
+                        lambda F, f: calls.append((F.order, tuple(f))) or verify(F, f))
+    FieldTower(2, 3, 1, 1)
+    assert calls == [(2, (1, 1, 0, 1))]     # F_8 over F_2
+    calls.clear()
+    T = FieldTower(2, 2, 3, 2)
+    assert calls == [(2, (1, 1, 1)), (4, T.modulus_mid), (64, T.modulus_top)]
+    calls.clear()
+    FieldTower(3, 1, 1, 1)
+    assert calls == []
 
 
 def test_make_tower_budget_gate():

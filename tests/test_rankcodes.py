@@ -424,14 +424,14 @@ def test_corrupted_idealiser_basis_fails_the_generator_check(monkeypatch, tmp_pa
     verify = rankcodes._verify_idealiser_closure
     seen = []
 
-    def corrupt(C, ide, gen):
+    def corrupt(C, ide):
+        gen = ide.generator
         assert gen is not None and ide.dim == 4
-        i = next(i for i, Y in enumerate(ide.basis) if Mat.from_rows(C.field, Y) != gen[0])
+        i = next(i for i, Y in enumerate(ide.basis) if Y != gen[0])
         unit = tuple(tuple(int(a == b == 0) for b in range(ide.degree))
                      for a in range(ide.degree))   # rank 1: in no field of matrices
         seen.append(i)
-        verify(C, dataclasses.replace(ide, basis=ide.basis[:i] + (unit,) + ide.basis[i + 1:]),
-               gen)
+        verify(C, dataclasses.replace(ide, basis=ide.basis[:i] + (unit,) + ide.basis[i + 1:]))
 
     monkeypatch.setattr(rankcodes, "_verify_idealiser_closure", corrupt)
     with pytest.raises(InternalInvariantError, match="powers of the generator"):
