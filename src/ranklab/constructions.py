@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BudgetExceeded,
@@ -74,8 +74,7 @@ def mult_matrix(tower: FieldTower, alpha: int) -> Mat:
     return LinearizedPoly(tower, "mid", (alpha,)).to_matrix()
 
 
-@dataclass(frozen=True)
-class LinearizedPoly:
+class LinearizedPoly(NamedTuple):
     """A q-polynomial sum a_i x^{q^i} over the mid or top field."""
 
     tower: FieldTower
@@ -117,8 +116,7 @@ def gabidulin(tower: FieldTower, N: int, k: int, s: int) -> RankCode:
     return _twisted_code(tower, N, k, s, 0, 0)
 
 
-@dataclass(frozen=True)
-class TwistedGabidulin:
+class TwistedGabidulin(NamedTuple):
     code: RankCode
     untwisted: bool
 
@@ -199,8 +197,7 @@ def find_nonsquare(tower: FieldTower, level: str) -> int:
 # -- the C_{U,G} construction --------------------------------------------------
 
 
-@dataclass
-class CUGCode:
+class CUGCode(NamedTuple):
     """The code {G∘τ_v : v in V} built from U with the canonical G.
 
     It is right F_{q^n}-linear by construction: Γ_{λv} = Γ_v∘m_λ, so its
@@ -314,8 +311,7 @@ def c_ug_g_independence(U: FqSubspace, G1: Mat, G2: Mat) -> Mat:
 # -- converse: MRD code -> subspace ---------------------------------------------
 
 
-@dataclass
-class MrdSubspaceExtraction:
+class MrdSubspaceExtraction(NamedTuple):
     subspace: FqSubspace
     conjugated_code: RankCode
     reconstructed: RankCode
@@ -409,8 +405,7 @@ def _evaluation_map(fs: list[Mat]) -> Mat:
 # -- the Gabidulin restriction example -------------------------------------------
 
 
-@dataclass
-class GabidulinRestriction:
+class GabidulinRestriction(NamedTuple):
     code: RankCode
     U: FqSubspace
     Udual: FqSubspace
@@ -477,8 +472,7 @@ def pseudoregulus_subspace(tower: FieldTower, r: int, n: int, h: int) -> FqSubsp
     return FqSubspace.from_mid_vectors(tower, r, vecs)
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     found: bool
     subspace: FqSubspace | None
     evaluations: int
@@ -498,13 +492,17 @@ def random_scattered_search(tower: FieldTower, r: int, h: int, k: int, *,
     replacement moves on single basis vectors are accepted when the score
     does not increase, with deterministic restarts.  Any returned witness is
     re-verified with is_h_scattered before being reported.  max_evals is the
-    reproducible budget; time_budget (seconds) is an optional extra stop.
+    reproducible budget, never exceeded; time_budget (seconds, finite and
+    >= 0) is an optional extra stop.
     """
     n = tower.n
     if k * (h + 1) > r * n:
         raise InvalidParams("k exceeds the rn/(h+1) bound")
-    if k == 0:
-        # the zero subspace never spans, so it is never h-scattered
+    if time_budget is not None and not (math.isfinite(time_budget) and time_budget >= 0):
+        raise InvalidParams(f"time budget must be finite and >= 0, got {time_budget}")
+    if k == 0 or max_evals < 1:
+        # nothing may be scored; the zero subspace never spans, so it is
+        # never h-scattered
         return SearchResult(False, None, 0, seed)
     rng = random.Random(seed)
     rn = r * n

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 
 from . import constructions, serialize
+from .errors import IoError
 from .fields import make_tower
 from .rankcodes import RankCode, delsarte_dual_code
 from .subspaces import FqSubspace
@@ -92,7 +93,10 @@ def fixture_codes() -> dict[str, RankCode]:
 def materialize(root: str) -> list[str]:
     """Write the corpus under root/CORPUS_VERSION; returns relative paths."""
     outdir = os.path.join(root, CORPUS_VERSION)
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {outdir}: {exc}") from exc
     files: list[str] = []
 
     def put(name: str, obj) -> None:

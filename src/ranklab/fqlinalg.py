@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 
 from .errors import AmbientMismatch, BudgetExceeded, InvalidParams
@@ -64,18 +63,13 @@ DEFAULT_SUBSPACE_BUDGET = 1 << 20
 # -- matrices ----------------------------------------------------------------
 
 
-@dataclass
 class Mat:
     """Dense matrix of element codes over one field level."""
 
-    field: Field
-    rows: int
-    cols: int
-    data: list[list[int]]
-
-    def __post_init__(self):
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
+    def __init__(self, field: Field, rows: int, cols: int, data: list[list[int]]):
+        if len(data) != rows or any(len(r) != cols for r in data):
             raise InvalidParams("matrix shape mismatch")
+        self.field, self.rows, self.cols, self.data = field, rows, cols, data
 
     @classmethod
     def zero(cls, F: Field, rows: int, cols: int) -> "Mat":
@@ -404,14 +398,16 @@ def vanishing_tails(F: Field, width: int, ncols: int, rows) -> list:
 # -- subspaces ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class SubspaceBasis:
-    """Canonical (RREF) basis of a subspace of F^ambient; rows span it."""
+    """Canonical (RREF) basis of a subspace of F^ambient; rows span it.
+    Immutable: it is hashed, and _reducer caches the rows."""
 
-    field: Field
-    ambient: int
-    rows: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...] = dc_field(default=())
+    def __init__(self, field: Field, ambient: int, rows: tuple[tuple[int, ...], ...],
+                 pivots: tuple[int, ...]):
+        self.__dict__.update(field=field, ambient=ambient, rows=rows, pivots=pivots)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name}: SubspaceBasis is immutable")
 
     @property
     def dim(self) -> int:

@@ -17,7 +17,7 @@ coexist: "projective" counts hyperplanes (as hyperplane_spectrum does) and
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constructions import cug_mrd_weight_distribution
 from .errors import (
@@ -39,8 +39,7 @@ from .subspaces import (
 )
 
 
-@dataclass
-class LinearSet:
+class LinearSet(NamedTuple):
     """The point set of U with weights: w(P) = dim_{F_q}(U ∩ P-line)."""
 
     U: FqSubspace
@@ -120,23 +119,18 @@ def hyperplane_spectrum(U: FqSubspace, h: int | None = None, *,
 # -- Hamming codes from projective systems -------------------------------------
 
 
-@dataclass
 class HammingCode:
     """A linear [N, k] code over F_{q^n} given by a full-rank generator
     matrix with no zero columns (a projective-system generator)."""
 
-    field: Field
-    k: int
-    N: int
-    gen: tuple[tuple[int, ...], ...]
-    d: int | None = None
-
-    def __post_init__(self):
-        if len(self.gen) != self.k or any(len(r) != self.N for r in self.gen):
+    def __init__(self, field: Field, k: int, N: int, gen: tuple[tuple[int, ...], ...],
+                 d: int | None = None):
+        if len(gen) != k or any(len(r) != N for r in gen):
             raise InvalidParams("generator shape mismatch")
-        for j in range(self.N):
-            if all(row[j] == 0 for row in self.gen):
+        for j in range(N):
+            if all(row[j] == 0 for row in gen):
                 raise InvalidParams("projective systems forbid zero columns")
+        self.field, self.k, self.N, self.gen, self.d = field, k, N, gen, d
 
 
 def _cut_counts(F: Field, k: int, cols, budget: int) -> dict[int, int]:

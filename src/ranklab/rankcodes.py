@@ -43,8 +43,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .errors import (
     EmptyCode,
@@ -91,16 +91,11 @@ def _reshape(vec, m: int, n: int):
     return tuple(tuple(vec[i * n:(i + 1) * n]) for i in range(m))
 
 
-@dataclass(eq=False)
 class RankCode:
     """An F_q-linear rank-metric code with canonical flattened basis."""
 
-    field: Field
-    m: int
-    n: int
-    flat: SubspaceBasis
-
-    def __post_init__(self):
+    def __init__(self, field: Field, m: int, n: int, flat: SubspaceBasis):
+        self.field, self.m, self.n, self.flat = field, m, n, flat
         self._rank_distribution: RankDistribution | None = None
         self._idealisers: dict[Side, Idealiser] = {}
         self.subspace: FqSubspace | None = None
@@ -305,8 +300,7 @@ def _subspace_counts(C: RankCode) -> list[int]:
     return A
 
 
-@dataclass(frozen=True)
-class RankDistribution:
+class RankDistribution(NamedTuple):
     """Exact rank histogram A_i = #{codewords of rank i}, big-integer exact."""
 
     A: tuple[int, ...]
@@ -403,8 +397,7 @@ class Side(enum.Enum):
     RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class Idealiser:
+class Idealiser(NamedTuple):
     """A one-sided idealiser subalgebra with its order and field flag.
 
     degree is the matrix size (m for left, n for right).  The algebra holds
@@ -552,8 +545,7 @@ class CertStatus(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class EquivalenceCertificate:
+class EquivalenceCertificate(NamedTuple):
     status: CertStatus
     reason: str | None = None
 

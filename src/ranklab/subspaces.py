@@ -50,8 +50,8 @@ import enum
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -91,14 +91,12 @@ def unflatten_vec(tower: FieldTower, row) -> tuple[int, ...]:
                  for i in range(len(row) // n))
 
 
-@dataclass(eq=False)
 class FqSubspace:
     """An F_q-subspace of F_{q^n}^r in mid and flattened coordinates."""
 
-    tower: FieldTower
-    r: int
-    basis_mid: tuple[tuple[int, ...], ...]
-    flat: SubspaceBasis
+    def __init__(self, tower: FieldTower, r: int, basis_mid: tuple[tuple[int, ...], ...],
+                 flat: SubspaceBasis):
+        self.tower, self.r, self.basis_mid, self.flat = tower, r, basis_mid, flat
 
     @property
     def k(self) -> int:
@@ -487,8 +485,7 @@ def ordinary_dual(U: FqSubspace) -> FqSubspace:
 # -- Delsarte duality ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DelsarteDualData:
+class DelsarteDualData(NamedTuple):
     """One Delsarte dualization: U, the k x (k-r) matrix K whose columns are
     a basis of {x : x·M = 0} for U's k x r basis M, and the dual, the
     F_q-span of K's rows."""
@@ -543,8 +540,7 @@ def delsarte_double_dual(data: DelsarteDualData) -> FqSubspace:
 # -- characterizations of maximum h-scattered subspaces -----------------------
 
 
-@dataclass(frozen=True)
-class Characterization:
+class Characterization(NamedTuple):
     via_definition: bool
     via_hyperplanes: bool
     via_dual_points: bool

@@ -3,6 +3,8 @@ serialization round trips and the fixture corpus."""
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import jsonschema
@@ -133,6 +135,21 @@ def test_search_verb_determinism(schema):
     assert serialize.dumps(rep1["results"]) == serialize.dumps(rep2["results"])
 
 
+def test_search_zero_budget_evaluates_nothing():
+    rep = run_json(["search-scattered", "--r", "2", "--n", "3", "--h", "1", "--k", "2",
+                    "--seed", "1", "--budget", "0"])
+    assert rep["results"] == {"found": False, "evaluations": 0, "seed": 1}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_search_time_budget_must_be_finite_and_nonnegative(value, capsys):
+    # a NaN would reach the report's parameters as a bare NaN, which is not JSON
+    assert main(["search-scattered", "--r", "2", "--n", "4", "--h", "1", "--k", "4",
+                 "--seed", "1", "--time-budget", value, "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "time budget must be finite and >= 0" in err
+
+
 def test_search_requires_seed():
     assert main(["search-scattered", "--r", "2", "--n", "4", "--h", "1",
                  "--k", "4"]) == 1
@@ -181,6 +198,25 @@ def test_linset_points_verb():
     rep = run_json(["linset-points", "--pseudoregulus", "2,4,1"])
     assert rep["results"]["size"] == 15
     assert rep["results"]["weights"] == {"1": 15}
+
+
+def test_fixtures_dir_that_cannot_be_made_is_an_io_error(tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    assert main(["fixtures", "--dir", str(blocker / "sub")]) == 1
+    assert capsys.readouterr().err.startswith("io error: cannot create ")
+
+
+def test_cold_start_imports_neither_dataclasses_nor_inspect():
+    # a fresh interpreter: the test modules themselves may load dataclasses
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, ranklab.cli, ranklab.fixtures; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_fixture_corpus_round_trip(tmp_path):

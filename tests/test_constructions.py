@@ -1,6 +1,7 @@
 """Gabidulin / twisted Gabidulin codes, C_{U,G}, Sheekey codes, the converse
 extraction, the Gabidulin restriction, pseudoreguli and the randomized search."""
 
+import math
 import random
 
 import pytest
@@ -408,8 +409,6 @@ def test_mrd_to_subspace_budgets_the_root_scan():
 
 
 def test_mrd_to_subspace_minpoly_without_root_is_internal(tmp_path, monkeypatch, capsys):
-    import dataclasses
-
     from ranklab import cli, constructions, serialize
     from ranklab.errors import InternalInvariantError
     from ranklab.fields import is_irreducible, least_irreducible
@@ -418,8 +417,8 @@ def test_mrd_to_subspace_minpoly_without_root_is_internal(tmp_path, monkeypatch,
     no_root = least_irreducible(t22.mid, 2)   # irreducible of degree 2 over F_4
     assert is_irreducible(t22.mid, no_root)
     idealiser = constructions.right_idealiser   # the converse reads its generator
-    monkeypatch.setattr(constructions, "right_idealiser", lambda C: dataclasses.replace(
-        idealiser(C), generator=(idealiser(C).generator[0], no_root)))
+    monkeypatch.setattr(constructions, "right_idealiser", lambda C: idealiser(C)._replace(
+        generator=(idealiser(C).generator[0], no_root)))
     C = gabidulin(t22, 2, 1, 1)
     with pytest.raises(InternalInvariantError, match="no root"):
         mrd_to_subspace(C, t22)
@@ -626,6 +625,26 @@ def test_search_finds_maximum_scattered_quickly(t2_4):
 def test_search_k0_returns_not_found(t2_4):
     res = random_scattered_search(t2_4, 2, 1, 0, seed=3, max_evals=5)
     assert not res.found
+
+
+@pytest.mark.parametrize("max_evals", [-1, 0, 1, 2, 5, 30])
+def test_search_never_exceeds_its_evaluation_budget(t2_3, t2_4, max_evals):
+    # an early exit (found, or the time budget) spends fewer, never more
+    for tower, k in ((t2_3, 2), (t2_4, 4)):
+        for seed in range(8):
+            for time_budget in (None, 0.0):
+                res = random_scattered_search(tower, 2, 1, k, seed=seed, max_evals=max_evals,
+                                              time_budget=time_budget)
+                assert res.evaluations <= max(max_evals, 0)
+                assert res.found == (res.subspace is not None)
+                if max_evals < 1:
+                    assert res == (False, None, 0, seed)
+
+
+@pytest.mark.parametrize("time_budget", [math.nan, math.inf, -math.inf, -1.0, -1e-9])
+def test_search_refuses_a_time_budget_that_is_not_finite_and_nonnegative(t2_4, time_budget):
+    with pytest.raises(InvalidParams, match="time budget"):
+        random_scattered_search(t2_4, 2, 1, 4, seed=1, time_budget=time_budget)
 
 
 def test_search_is_seed_deterministic(t2_4):

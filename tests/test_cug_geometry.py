@@ -9,7 +9,6 @@ patched to raise, on both sides of subspaces._weight_counts on every
 input.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -184,5 +183,5 @@ def test_memoised_idealiser_is_frozen(pseudoreg):
     C = c_ug(pseudoreg).code
     R = right_idealiser(C)
     assert right_idealiser(C) is R and isinstance(R.basis, tuple)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         R.order = 1

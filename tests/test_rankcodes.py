@@ -415,8 +415,6 @@ def test_failed_idealiser_closure_is_an_internal_error(monkeypatch):
 def test_corrupted_idealiser_basis_fails_the_generator_check(monkeypatch, tmp_path, capsys):
     # the check multiplies by the generator Y only, so a basis element other
     # than Y is caught by I, Y, ..., Y^{d-1} spanning another algebra (exit 4)
-    import dataclasses
-
     from ranklab import fixtures, rankcodes, serialize
     from ranklab.cli import main
     from ranklab.errors import InternalInvariantError
@@ -431,7 +429,7 @@ def test_corrupted_idealiser_basis_fails_the_generator_check(monkeypatch, tmp_pa
         unit = tuple(tuple(int(a == b == 0) for b in range(ide.degree))
                      for a in range(ide.degree))   # rank 1: in no field of matrices
         seen.append(i)
-        verify(C, dataclasses.replace(ide, basis=ide.basis[:i] + (unit,) + ide.basis[i + 1:]))
+        verify(C, ide._replace(basis=ide.basis[:i] + (unit,) + ide.basis[i + 1:]))
 
     monkeypatch.setattr(rankcodes, "_verify_idealiser_closure", corrupt)
     with pytest.raises(InternalInvariantError, match="powers of the generator"):
