@@ -56,6 +56,7 @@ from .fqlinalg import (
 from .rankcodes import (
     DEFAULT_CODEWORD_BUDGET,
     RankCode,
+    _product,
     mrd_weight_distribution,
     right_idealiser,
 )
@@ -375,24 +376,21 @@ def mrd_to_subspace(C: RankCode, tower: FieldTower, *,
 
 
 def _right_basis(Cprime: RankCode, mult_mats: list[Mat]) -> list[Mat]:
-    """A greedy right F_{q^n}-basis f_1..f_r of C', checking first that C' is
-    closed under M -> M·m_g; mult_mats are the m_b of the F_q-basis of F_{q^n}."""
-    basis_mats = [Mat.from_rows(Cprime.field, M, Cprime.n) for M in Cprime.basis_matrices()]
-    for M in basis_mats:
-        if not Cprime.contains(mat_mul(M, mult_mats[1 % len(mult_mats)]).data):
-            raise IdealiserNotMaximal("conjugated code is not F_n-closed")
-    rr = RowReducer(Cprime.field, Cprime.m * Cprime.n)
-    fn_basis: list[Mat] = []
-    for M in basis_mats:
-        if rr.rank == Cprime.dim:
-            break
-        if rr.clone().add([x for row in M.data for x in row]):
+    """A greedy right F_{q^n}-basis f_1..f_r of C', checking first that C'
+    is closed under M -> M·m_g; mult_mats are the m_b of the F_q-basis of
+    F_{q^n}."""
+    F, words = Cprime.field, Cprime.basis_matrices()
+    mults = [b.data for b in mult_mats]
+    if not all(Cprime.contains(_product(F, M, mults[1 % len(mults)])) for M in words):
+        raise IdealiserNotMaximal("conjugated code is not F_n-closed")
+    rr, fn_basis = RowReducer(F, Cprime.m * Cprime.n), []
+    for M in words:
+        if rr.add([x for row in M for x in row]):
             fn_basis.append(M)
-            for mult in mult_mats:
-                rr.add([x for row in mat_mul(M, mult).data for x in row])
+            rr.add_all([x for row in _product(F, M, b) for x in row] for b in mults)
     if rr.rank != Cprime.dim:
         raise IdealiserNotMaximal("failed to build a right F_{q^n}-basis")
-    return fn_basis
+    return [Mat.from_rows(F, M) for M in fn_basis]
 
 
 def _evaluation_map(fs: list[Mat]) -> Mat:
@@ -512,15 +510,13 @@ def random_scattered_search(tower: FieldTower, r: int, h: int, k: int, *,
         s = 0 if U.spans_ambient() else rn
         return s + sum(excess_iter(U, h, budget=budget))
 
+    # the deadline is read before every evaluation, the first included
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    evals = 0
-    best = random_subspace(tower, r, k, rng)
-    best_score = score(best)
-    evals += 1
-    stall = 0
-    while best_score and evals < max_evals and (
+    evals = stall = 0
+    best_score = None
+    while best_score != 0 and evals < max_evals and (
             deadline is None or time.monotonic() < deadline):
-        if stall > 5 * k:
+        if best_score is None or stall > 5 * k:
             best = random_subspace(tower, r, k, rng)
             best_score = score(best)
             evals += 1

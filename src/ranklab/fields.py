@@ -513,8 +513,6 @@ def poly_gcd(F: Field, a, b):
     a, b = poly_trim(list(a)), poly_trim(list(b))
     while b:
         a, b = b, poly_mod(F, a, _monic(F, b))
-        if b:
-            b = poly_trim(list(b))
     if a:
         a = _monic(F, a)
     return a
@@ -550,7 +548,7 @@ def is_irreducible(F: Field, f) -> bool:
     for k in range(1, d + 1):
         h = poly_pow_mod(F, h, Q, f)
         pows[k] = h
-    if poly_trim(list(_poly_sub(F, pows[d], x))):
+    if _poly_sub(F, pows[d], x):
         return False
     for r in prime_factors(d):
         # gcd(x^(Q^(d/r)) - x, f) must be trivial for every maximal proper exponent
@@ -715,10 +713,7 @@ class FieldTower:
         """Coordinates over base of a top element, mid-block major."""
         if self.t == 1:
             return self.mid_to_base_vec(a)
-        out = []
-        for c in self.top.vec(a):
-            out.extend(self.mid_to_base_vec(c))
-        return out
+        return [x for c in self.top.vec(a) for x in self.mid_to_base_vec(c)]
 
     def __eq__(self, other):
         return isinstance(other, FieldTower) and self.params == other.params

@@ -34,8 +34,9 @@ subtracts p from every slot that reached p; scaling is doubling and adding.
 Over an extension field a row is a tuple of codes with Field arithmetic.
 Other modules build stored rows with store_row and store_digits, read them
 back with unpack_row (digit_column reads the codes that store_digits packed,
-a column of many rows at a time), add them with row_add, cut them into
-blocks with row_blocks, and walk their spans with iter_span.
+a column of many rows at a time), add them with row_add, combine them with
+row_combination, cut them into blocks with row_blocks, and walk their spans
+with iter_span.
 
 cheapest is the one engine chooser: every choice between exact engines,
 and its budget refusal, goes through it, with the price table in its
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .errors import AmbientMismatch, BudgetExceeded, InvalidParams
 from .fields import Field, Slots, digit_tables, slot_width
@@ -77,10 +78,7 @@ class Mat:
 
     @classmethod
     def identity(cls, F: Field, nn: int) -> "Mat":
-        m = cls.zero(F, nn, nn)
-        for i in range(nn):
-            m.data[i][i] = 1
-        return m
+        return cls(F, nn, nn, [[int(i == j) for j in range(nn)] for i in range(nn)])
 
     @classmethod
     def from_rows(cls, F: Field, rows, cols: int | None = None) -> "Mat":
@@ -105,16 +103,7 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
 
 def mat_vec(A: Mat, v) -> list[int]:
     """A @ v for a column vector v of codes."""
-    F = A.field
-    add, mul = F.add, F.mul
-    out = []
-    for row in A.data:
-        s = 0
-        for x, y in zip(row, v):
-            if x and y:
-                s = add(s, mul(x, y))
-        out.append(s)
-    return out
+    return vec_mat(v, A.transpose())
 
 
 def vec_mat(v, A: Mat) -> list[int]:
@@ -201,6 +190,21 @@ def row_add(F: Field, ncols: int):
     return lambda x, y: tuple(map(add, x, y))
 
 
+def row_combination(F: Field, ncols: int):
+    """Σ c_i·rows[i] over stored rows of ncols coordinates over F, as a
+    function of (codes c_i, rows): XOR of the rows with c_i = 1 over F_2,
+    else the rows with c_i ≠ 0 scaled (Slots.scale at odd p, Field.mul on
+    tuples) and summed by row_add."""
+    if F.order == 2:
+        return lambda coeffs, rows: reduce(operator.xor, itertools.compress(rows, coeffs), 0)
+    mul = F.mul
+    scale = _slots(F, ncols).scale if F.base is None else (
+        lambda row, c: tuple(map(mul, itertools.repeat(c), row)))
+    add, zero = row_add(F, ncols), store_row(F, [0] * ncols)
+    return lambda coeffs, rows: reduce(
+        add, map(scale, itertools.compress(rows, coeffs), filter(None, coeffs)), zero)
+
+
 def row_blocks(F: Field, width: int):
     """(split, join, tail) on stored rows over F cut into blocks of width
     coordinates: split(x, s) lists the first s blocks of x, join(b, y) is
@@ -257,9 +261,7 @@ class RowReducer:
         """Reduce row against the stored rows; returns True if rank grew.
 
         Prime-field rows may be passed packed (int) or as a code sequence."""
-        if self.slots is None:
-            return self._add_codes(row)
-        return self._add_packed((row,)) == 1
+        return self.add_all((row,)) == 1
 
     def add_all(self, rows) -> int:
         """Add each row in turn; returns how many of them raised the rank."""
@@ -351,10 +353,6 @@ class RowReducer:
                 row = submul(row, c, other)
         return row
 
-    def codes(self, row) -> list[int]:
-        """A row in the stored form as a list of codes."""
-        return unpack_row(self.field, row, self.ncols)
-
 
 def _rref(F: Field, rows, ncols: int):
     """RREF of code rows; returns (rows, pivots).
@@ -369,7 +367,7 @@ def _rref(F: Field, rows, ncols: int):
     pivots = sorted(pr)
     for j in reversed(pivots):
         pr[j] = rr.reduce(pr.pop(j))
-    return [rr.codes(pr[j]) for j in pivots], pivots
+    return [unpack_row(F, pr[j], ncols) for j in pivots], pivots
 
 
 def rref(M: Mat) -> tuple[Mat, int]:
@@ -440,11 +438,12 @@ class SubspaceBasis:
         """Canonical representative of vec modulo this subspace: vec less the
         combination of basis rows that clears vec's entries in the pivot
         columns."""
-        rr = self._reducer
-        return rr.codes(rr.reduce(vec))
+        return unpack_row(self.field, self._reducer.reduce(vec), self.ambient)
 
     def contains(self, vec) -> bool:
-        return not self.reducer().add(vec)
+        """Whether vec (codes, or a row in the stored form) lies in the
+        subspace: its reduction against the cached RREF rows is zero."""
+        return not any(self.reduce(vec))
 
     def sum(self, other: "SubspaceBasis") -> "SubspaceBasis":
         self._check(other)

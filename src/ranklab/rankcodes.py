@@ -27,7 +27,8 @@ both sides of the subspace's point weights (subspaces._point_sides) and the
 two scans for a code with a subspace, the shorter scan for any other code.
 
 An idealiser is the set of combinations of the unit matrices E_ab whose
-products with C's basis all reduce to 0 modulo C; whether it is a field is
+products with C's basis all reduce to 0 modulo C, each reduced product a
+combination of C's mn reduced unit matrices; whether it is a field is
 decided exactly, from the minimal polynomial of a basis element
 (Idealiser).  Both idealisers are computed at most once per code instance.
 
@@ -69,6 +70,7 @@ from .fqlinalg import (
     prime_expansion,
     qbinom,
     row_add,
+    row_combination,
     row_blocks,
     store_row,
     unpack_row,
@@ -78,13 +80,6 @@ from . import subspaces
 from .subspaces import FqSubspace, _weight_counts
 
 DEFAULT_CODEWORD_BUDGET = 1 << 24
-
-
-def _flatten_mat(rows) -> list[int]:
-    out: list[int] = []
-    for r in rows:
-        out.extend(r)
-    return out
 
 
 def _reshape(vec, m: int, n: int):
@@ -108,7 +103,7 @@ class RankCode:
             rows = M.data if isinstance(M, Mat) else M
             if len(rows) != m or any(len(r) != n for r in rows):
                 raise ShapeMismatch("generator has wrong shape")
-            vecs.append(_flatten_mat(rows))
+            vecs.append([x for r in rows for x in r])
         return cls(F, m, n, SubspaceBasis.from_vectors(F, m * n, vecs))
 
     @property
@@ -131,7 +126,7 @@ class RankCode:
         return [_reshape(v, self.m, self.n) for v in self.flat.rows]
 
     def contains(self, rows) -> bool:
-        return self.flat.contains(_flatten_mat(rows))
+        return self.flat.contains([x for r in rows for x in r])
 
     def __eq__(self, other):
         return (isinstance(other, RankCode) and self.params == other.params
@@ -422,7 +417,10 @@ def _idealiser(C: RankCode, side: Side) -> Idealiser:
     C's basis M_1..M_K, by one tracked elimination.
 
     Y = Σ y_ab·E_ab lies in it iff Σ y_ab·reduce(M_t·E_ab) = 0 for every t,
-    reduce being the canonical remainder modulo C.  So each E_ab gives the row
+    reduce being the canonical remainder modulo C.  reduce is F_q-linear, so
+    from the remainders R_ij of C's mn unit matrices,
+    reduce(M·E_ab) = Σ_i M[i][a]·R_ib and reduce(E_ab·M) = Σ_j M[b][j]·R_aj,
+    one fqlinalg.row_combination each.  Each E_ab gives the row
     reduce(M_1·E_ab) | … | reduce(M_K·E_ab) | e_ab, and the tails of the
     combinations whose head vanished (fqlinalg.vanishing_tails) span the
     idealiser; its RREF is the basis.  _verify_idealiser_closure then checks
@@ -431,21 +429,22 @@ def _idealiser(C: RankCode, side: Side) -> Idealiser:
     """
     F, m, n = C.field, C.m, C.n
     s = m if side is Side.LEFT else n
-    mats, remainder = C.basis_matrices(), C.flat.reducer().reduce
-    join = row_blocks(F, m * n)[1]
-    head, ss = len(mats) * m * n, s * s
+    unit = lambda k, size: store_row(F, [0] * k + [1] + [0] * (size - k - 1))
+    remainder = C.flat.reducer().reduce
+    R = [[remainder(unit(i * n + j, m * n)) for j in range(n)] for i in range(m)]
+    if side is Side.LEFT:   # block (a, b, t): Σ_j M_t[b][j]·R_aj
+        coeffs, units = C.basis_matrices(), R
+    else:                   # block (a, b, t): Σ_i M_t[i][a]·R_ib
+        coeffs, units = [tuple(zip(*M)) for M in C.basis_matrices()], list(zip(*R))
+    combine, join = row_combination(F, m * n), row_blocks(F, m * n)[1]
+    head, ss = len(coeffs) * m * n, s * s
     rows = []
-    for a in range(s):
-        for b in range(s):
-            row = store_row(F, [int(i == a * s + b) for i in range(ss)])
-            for M in reversed(mats):
-                prod = [0] * (m * n)
-                if side is Side.LEFT:
-                    prod[a * n:(a + 1) * n] = M[b]  # E_ab·M: row a is M's row b
-                else:
-                    prod[b::n] = [r[a] for r in M]  # M·E_ab: column b is M's column a
-                row = join(remainder(prod), row)
-            rows.append(row)
+    for a, b in itertools.product(range(s), repeat=2):
+        c, u = (b, a) if side is Side.LEFT else (a, b)
+        row = unit(a * s + b, ss)
+        for M in reversed(coeffs):
+            row = join(combine(M[c], units[u]), row)
+        rows.append(row)
     ker = SubspaceBasis.from_vectors(F, ss, [
         unpack_row(F, t, ss) for t in vanishing_tails(F, head, head + ss, rows)])
     basis = tuple(_reshape(v, s, s) for v in ker.rows)
@@ -476,6 +475,14 @@ def _algebra_generator(F: Field, basis):
     return None
 
 
+def _product(F: Field, A, B) -> list[list[int]]:
+    """A·B for matrices given as rows of codes over F: row i is
+    Σ_a A[i][a]·B_a, a fqlinalg.row_combination of B's stored rows."""
+    cols = len(B[0])
+    rows, combine = [store_row(F, b) for b in B], row_combination(F, cols)
+    return [unpack_row(F, combine(a, rows), cols) for a in A]
+
+
 def _verify_idealiser_closure(C: RankCode, ide: Idealiser) -> None:
     """Check, apart from the elimination, that span(ide.basis) lies in the
     idealiser.
@@ -485,22 +492,19 @@ def _verify_idealiser_closure(C: RankCode, ide: Idealiser) -> None:
     left), K products: then span(basis) = F_q[Y], and C is closed under every
     polynomial in Y.  Without one, every basis element
     is multiplied by every basis codeword."""
-    F, s, gen = C.field, ide.degree, ide.generator
-    if gen is None:
-        factors = [Mat.from_rows(F, Y, s) for Y in ide.basis]
-    else:
-        factors, powers = [Mat.from_rows(F, gen[0], s)], [Mat.identity(F, s)]
+    F, s, gen, mats = C.field, ide.degree, ide.generator, C.basis_matrices()
+    factors = ide.basis if gen is None else [gen[0]]
+    if gen is not None:
+        powers = [Mat.identity(F, s).data]
         while len(powers) < ide.dim:
-            powers.append(mat_mul(powers[-1], factors[0]))
-        span = SubspaceBasis.from_vectors(F, s * s, [sum(P.data, []) for P in powers])
-        if span.rows != tuple(sum(B, ()) for B in ide.basis):
+            powers.append(_product(F, powers[-1], gen[0]))
+        span = SubspaceBasis.from_vectors(F, s * s, [sum(P, []) for P in powers]).rows
+        if span != tuple(sum(B, ()) for B in ide.basis):
             raise InternalInvariantError("idealiser closure verification failed: "
                                          "the powers of the generator span another algebra")
     for Y in factors:
-        for M in C.basis_matrices():
-            Mmat = Mat.from_rows(F, M, C.n)
-            prod = mat_mul(Y, Mmat) if ide.side is Side.LEFT else mat_mul(Mmat, Y)
-            if not C.contains(prod.data):
+        for M in mats:
+            if not C.contains(_product(F, Y, M) if ide.side is Side.LEFT else _product(F, M, Y)):
                 raise InternalInvariantError("idealiser closure verification failed")
 
 
@@ -533,11 +537,8 @@ def puncture(C: RankCode, A: Mat) -> RankCode:
         raise ShapeMismatch("A must have n columns")
     if RowReducer(C.field, A.cols).add_all(A.data) != A.rows:
         raise RankDeficientA("A must have full row rank")
-    gens = []
-    for M in C.basis_matrices():
-        Mmat = Mat.from_rows(C.field, M, C.n)
-        gens.append(mat_mul(A, Mmat).data)
-    return RankCode.from_generators(C.field, A.rows, C.n, gens)
+    return RankCode.from_generators(C.field, A.rows, C.n, [
+        mat_mul(A, Mat.from_rows(C.field, M, C.n)).data for M in C.basis_matrices()])
 
 
 class CertStatus(enum.Enum):

@@ -79,10 +79,7 @@ from .fqlinalg import (
 
 def flatten_vec(tower: FieldTower, v) -> list[int]:
     """Flatten a mid-coordinate vector to base-field codes (length r*n)."""
-    out: list[int] = []
-    for c in v:
-        out.extend(tower.mid_to_base_vec(c))
-    return out
+    return [x for c in v for x in tower.mid_to_base_vec(c)]
 
 
 def unflatten_vec(tower: FieldTower, row) -> tuple[int, ...]:

@@ -212,6 +212,21 @@ def test_construction_verifies_each_extension_modulus(monkeypatch):
     assert calls == []
 
 
+def test_modulus_check_falls_back_to_rabin_above_the_trial_limit(monkeypatch):
+    # degree 26 over F_2: trial division would need the 2^13 > 2^12 monic
+    # polynomials of degree 13, so _verify_irreducible runs its second Rabin
+    # test (a tower budget above the default 2^24 reaches it)
+    from ranklab import fields
+
+    T = FieldTower(2, 1, 26, 1, budget=1 << 26)
+    calls = []
+    monkeypatch.setattr(fields, "is_irreducible",
+                        lambda F, f: calls.append(len(f) - 1) or is_irreducible(F, f))
+    assert fields._verify_irreducible(T.base, T.modulus_mid) is True
+    no_root = functools.reduce(lambda f, _: fields.poly_mul(T.base, f, (1, 1, 1)), range(13), (1,))
+    assert fields._verify_irreducible(T.base, no_root) is False   # (x^2 + x + 1)^13
+    assert calls == [26, 26]
+
 def test_make_tower_budget_gate():
     from ranklab.errors import BudgetExceeded
 

@@ -544,7 +544,7 @@ PRIME_POWER = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
 def test_span_walk_matches_product(q):
     """Both forms of the one walk visit every F-combination exactly once:
     iter_span_rows (tuples) and iter_span (stored rows, read back through
-    RowReducer.codes), with and without the zero combination."""
+    unpack_row), with and without the zero combination."""
     F = make_tower(*PRIME_POWER[q], 1, 1).base
     rng = random.Random(q)
     k, ncols = (3, 4) if q <= 5 else (2, 3)
@@ -562,7 +562,7 @@ def test_span_walk_matches_product(q):
         assert sorted(iter_span_rows(rows, F)) == want
         assert sorted(iter_span_rows(rows, F, include_zero=False)) == nonzero
         stored = [store_row(F, r) for r in rows]
-        codes = RowReducer(F, ncols).codes
+        codes = lambda v: unpack_row(F, v, ncols)
         assert sorted(tuple(codes(v)) for v in iter_span(F, stored, ncols)) == want
         assert sorted(tuple(codes(v)) for v in iter_span(
             F, stored, ncols, include_zero=False)) == nonzero

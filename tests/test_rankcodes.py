@@ -378,6 +378,77 @@ def test_idealiser_basis_spans_the_enumerated_idealiser(p, e):
             assert SubspaceBasis.from_vectors(F, s * s, flat).rows == tuple(map(tuple, flat))
 
 
+def _idealiser_by_unit_products(C, side):
+    """The elimination the linear construction of _idealiser replaced, kept
+    as its oracle: one list-built reduce(M_t·E_ab), or reduce(E_ab·M_t), per
+    unit matrix E_ab and basis codeword M_t, in the rows
+    reduce(M_1·E_ab) | … | reduce(M_K·E_ab) | e_ab, whose vanishing tails
+    span the idealiser.  Returns (basis, order, is_field, generator)."""
+    from ranklab.fields import is_irreducible
+    from ranklab.fqlinalg import row_blocks, store_row, unpack_row, vanishing_tails
+    from ranklab.rankcodes import _algebra_generator
+
+    F, m, n = C.field, C.m, C.n
+    s = m if side is Side.LEFT else n
+    mats, remainder = C.basis_matrices(), C.flat.reducer().reduce
+    join = row_blocks(F, m * n)[1]
+    head, ss = len(mats) * m * n, s * s
+    rows = []
+    for a in range(s):
+        for b in range(s):
+            row = store_row(F, [int(i == a * s + b) for i in range(ss)])
+            for M in reversed(mats):
+                prod = [0] * (m * n)
+                if side is Side.LEFT:
+                    prod[a * n:(a + 1) * n] = M[b]  # E_ab·M: row a is M's row b
+                else:
+                    prod[b::n] = [r[a] for r in M]  # M·E_ab: column b is M's column a
+                row = join(remainder(prod), row)
+            rows.append(row)
+    ker = SubspaceBasis.from_vectors(F, ss, [
+        unpack_row(F, t, ss) for t in vanishing_tails(F, head, head + ss, rows)])
+    basis = tuple(tuple(tuple(v[i * s:(i + 1) * s]) for i in range(s)) for v in ker.rows)
+    gen = _algebra_generator(F, basis)
+    return basis, F.order**len(basis), gen is not None and is_irreducible(F, gen[1]), gen
+
+
+def _unit_product_oracle_codes():
+    """(label, code, sides) beyond the reach of enumeration: the witness
+    C_{W^⊥',G}, Gabidulin 6 x 6, the Gabidulin restriction, twisted
+    Gabidulin at q = 3, s = 4 Gabidulin and seeded random codes over
+    q = 4, 5, 8, 9, and the zero and full codes."""
+    from ranklab import fixtures
+    from ranklab.subspaces import ordinary_dual
+
+    both = (Side.LEFT, Side.RIGHT)
+    yield "witness", c_ug(ordinary_dual(fixtures.certified_new_witness())).code, both
+    yield "gabidulin 6x6", gabidulin(make_tower(2, 1, 6, 1), 6, 3, 1), both
+    yield "restriction", fixtures.restriction_6_3_1().code, (Side.LEFT,)
+    yield "twisted q=3", fixtures.twisted_gabidulin_q3().code, both
+    for p, e in ((2, 2), (5, 1), (2, 3), (3, 2)):
+        tower = make_tower(p, e, 4, 1)
+        F = tower.base
+        yield f"gabidulin q={F.order}", gabidulin(tower, 4, 2, 1), both
+        rng = random.Random(F.order)
+        yield f"random q={F.order}", RankCode.from_generators(F, 4, 4, [
+            [[rng.randrange(F.order) for _ in range(4)] for _ in range(4)] for _ in range(5)]), both
+        yield f"zero q={F.order}", RankCode.from_generators(F, 4, 4, []), both
+        yield f"full q={F.order}", full_space(4, 4, F), both
+
+
+def test_idealiser_matches_the_unit_product_construction():
+    seen = set()
+    for label, C, sides in _unit_product_oracle_codes():
+        for side in sides:
+            ide = (left_idealiser if side is Side.LEFT else right_idealiser)(C)
+            got = (ide.basis, ide.order, ide.is_field, ide.generator)
+            assert got == _idealiser_by_unit_products(C, side), (label, side)
+            seen.add((label, side, ide.dim, ide.is_field))
+    assert ("witness", Side.RIGHT, 6, True) in seen
+    assert ("restriction", Side.LEFT, 12, False) in seen
+    assert ("full q=9", Side.LEFT, 16, False) in seen and ("zero q=9", Side.RIGHT, 16, False) in seen
+
+
 def test_broken_rank_histograms_are_internal_errors(monkeypatch, tmp_path, capsys, scanned):
     # a histogram off by one breaks RankDistribution.validate: a ranklab bug
     # (exit 4), not a rejected input (exit 2)
