@@ -7,8 +7,10 @@ all at the same --seed and --seconds.  Each run's last stdout line is its
 JSON result.  For every end-to-end metric it prints the median per side,
 the relative change of the medians, the distance between the quartiles of
 the parent's runs, and the number of pairs in which the change's value was
-lower.  Exit status 1 if a run fails: a nonzero exit, a
-missing result line, or a result that is not correct.
+lower.  Each run's result is checked as soon as it finishes; exit status 1
+at the first run that fails: a nonzero exit, a missing result line, a
+result that is not correct, or one that lacks a metric of the parent's
+first result.
 
 Usage: python scripts/ab_bench.py --parent DIR --change DIR --workload W
            [--pairs N] [--seed S] [--seconds T]
@@ -34,17 +36,26 @@ def parse_result(line: str) -> dict[str, float]:
         result = json.loads(line)
     except ValueError as exc:
         raise RunFailed(f"no JSON result line: {line[:80]!r}") from exc
+    if not isinstance(result, dict):
+        raise RunFailed(f"no JSON result line: {line[:80]!r}")
     if not result.get("correct"):
         raise RunFailed(f"{result.get('failed')} of {result.get('attempted')} tasks failed")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    try:
+        return {name: float(m["value"]) for name, m in result["metrics"].items()}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise RunFailed(f"malformed metrics: {exc!r}") from exc
 
 
-def summarize(pairs) -> list[tuple[str, float, float, float, float, int]]:
+def summarize(runs) -> list[tuple[str, float, float, float, float, int]]:
     """(metric, parent median, change median, relative change, parent
     interquartile distance, pairs in which the change was lower) for each
-    metric of the first parent result, from (parent line, change line)
-    result pairs."""
-    runs = [(parse_result(a), parse_result(b)) for a, b in pairs]
+    metric of the first parent result, from (parent, change) pairs of
+    parse_result dicts."""
+    for pair in runs:
+        for result in pair:
+            missing = [name for name in runs[0][0] if name not in result]
+            if missing:
+                raise RunFailed(f"result lacks metric(s) {', '.join(missing)}")
     rows = []
     for name in runs[0][0]:
         parent = [a[name] for a, _ in runs]
@@ -55,8 +66,8 @@ def summarize(pairs) -> list[tuple[str, float, float, float, float, int]]:
     return rows
 
 
-def run(checkout: str, args) -> str:
-    """The result line of one perfbench run of checkout."""
+def run(checkout: str, args) -> dict[str, float]:
+    """The parsed result of one perfbench run of checkout."""
     cmd = [sys.executable, str(Path(checkout) / "perfbench" / "run.py"),
            "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds)]
@@ -64,7 +75,10 @@ def run(checkout: str, args) -> str:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
         raise RunFailed(f"{checkout}: exit {proc.returncode}\n{proc.stderr.strip()}")
-    return lines[-1]
+    try:
+        return parse_result(lines[-1])
+    except RunFailed as exc:
+        raise RunFailed(f"{checkout}: {exc}") from exc
 
 
 def main(argv: list[str]) -> int:
@@ -72,7 +86,7 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=4)
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--seconds", type=float, default=8.0)
     args = ap.parse_args(argv)
@@ -86,8 +100,8 @@ def main(argv: list[str]) -> int:
             else:
                 change = run(args.change, args)
                 pairs.append((run(args.parent, args), change))
+            rows = summarize(pairs)
             print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
-        rows = summarize(pairs)
     except RunFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

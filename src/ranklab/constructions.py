@@ -51,12 +51,12 @@ from .fqlinalg import (
     kernel,
     mat_inverse,
     mat_mul,
-    mat_vec,
+    vec_mat,
 )
 from .rankcodes import (
     DEFAULT_CODEWORD_BUDGET,
     RankCode,
-    _product,
+    _flatten_mat,
     mrd_weight_distribution,
     right_idealiser,
 )
@@ -354,10 +354,10 @@ def mrd_to_subspace(C: RankCode, tower: FieldTower, *,
     else:
         raise InternalInvariantError("idealiser minimal polynomial has no root")
     # F_q[g1] is a field of degree n, so every nonzero vector is cyclic for g1
-    h_cols, acc = [], [1] + [0] * (n - 1)
+    h_cols, acc, g1t = [], [1] + [0] * (n - 1), g1.transpose()
     for _ in range(n):
         h_cols.append(acc)
-        acc = mat_vec(g1, acc)
+        acc = vec_mat(acc, g1t)     # g1·acc
     H = Mat.from_rows(base, h_cols, n).transpose()
     P = Mat.from_rows(base, [tower.mid_to_base_vec(mid.pow(gamma, j)) for j in range(n)],
                       n).transpose()
@@ -376,21 +376,23 @@ def mrd_to_subspace(C: RankCode, tower: FieldTower, *,
 
 
 def _right_basis(Cprime: RankCode, mult_mats: list[Mat]) -> list[Mat]:
-    """A greedy right F_{q^n}-basis f_1..f_r of C', checking first that C'
-    is closed under M -> M·m_g; mult_mats are the m_b of the F_q-basis of
-    F_{q^n}."""
-    F, words = Cprime.field, Cprime.basis_matrices()
-    mults = [b.data for b in mult_mats]
-    if not all(Cprime.contains(_product(F, M, mults[1 % len(mults)])) for M in words):
-        raise IdealiserNotMaximal("conjugated code is not F_n-closed")
-    rr, fn_basis = RowReducer(F, Cprime.m * Cprime.n), []
-    for M in words:
-        if rr.add([x for row in M for x in row]):
+    """A greedy right F_{q^n}-basis f_1..f_r of C', checking first that C' is
+    closed under M -> M·m_g; mult_mats are the m_b of the F_q-basis of F_{q^n}."""
+    basis_mats = [Mat.from_rows(Cprime.field, M, Cprime.n) for M in Cprime.basis_matrices()]
+    for M in basis_mats:
+        if not Cprime.contains(mat_mul(M, mult_mats[1 % len(mult_mats)]).data):
+            raise IdealiserNotMaximal("conjugated code is not F_n-closed")
+    rr = RowReducer(Cprime.field, Cprime.m * Cprime.n)
+    fn_basis: list[Mat] = []
+    for M in basis_mats:
+        if rr.rank == Cprime.dim:
+            break
+        if rr.add(_flatten_mat(M.data)):    # M·F_{q^n} contains M itself
             fn_basis.append(M)
-            rr.add_all([x for row in _product(F, M, b) for x in row] for b in mults)
+            rr.add_all(_flatten_mat(mat_mul(M, mult).data) for mult in mult_mats)
     if rr.rank != Cprime.dim:
         raise IdealiserNotMaximal("failed to build a right F_{q^n}-basis")
-    return [Mat.from_rows(F, M) for M in fn_basis]
+    return fn_basis
 
 
 def _evaluation_map(fs: list[Mat]) -> Mat:

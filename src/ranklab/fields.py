@@ -713,7 +713,10 @@ class FieldTower:
         """Coordinates over base of a top element, mid-block major."""
         if self.t == 1:
             return self.mid_to_base_vec(a)
-        return [x for c in self.top.vec(a) for x in self.mid_to_base_vec(c)]
+        out = []
+        for c in self.top.vec(a):
+            out.extend(self.mid_to_base_vec(c))
+        return out
 
     def __eq__(self, other):
         return isinstance(other, FieldTower) and self.params == other.params

@@ -104,11 +104,16 @@ def materialize(root: str) -> list[str]:
         files.append(os.path.join(CORPUS_VERSION, name))
 
     put("tower_2_1_4_1.tower.json", serialize.tower_to_json(make_tower(2, 1, 4, 1)))
-    # the file stems of fixture_subspaces(), in its order
-    for stem, U in zip(("pseudoregulus_2_4_1_q2", "pseudoregulus_4_4_1_q2", "subgeometry_3_3_2_q2",
-                        "remark_counterexample_2_4_q2", "certified_new_witness_3_6_1_q2"),
-                       fixture_subspaces().values()):
-        put(f"{stem}.subspace.json", serialize.subspace_to_json(U))
+    put("pseudoregulus_2_4_1_q2.subspace.json",
+        serialize.subspace_to_json(pseudoregulus(2, 4, 1)))
+    put("pseudoregulus_4_4_1_q2.subspace.json",
+        serialize.subspace_to_json(pseudoregulus(4, 4, 1)))
+    put("subgeometry_3_3_2_q2.subspace.json",
+        serialize.subspace_to_json(subgeometry_3_3()))
+    put("remark_counterexample_2_4_q2.subspace.json",
+        serialize.subspace_to_json(remark_counterexample()))
+    put("certified_new_witness_3_6_1_q2.subspace.json",
+        serialize.subspace_to_json(certified_new_witness()))
     for name, code in fixture_codes().items():
         put(f"{name}.code.json", serialize.rankcode_to_json(code))
     return files

@@ -36,7 +36,8 @@ Other modules build stored rows with store_row and store_digits, read them
 back with unpack_row (digit_column reads the codes that store_digits packed,
 a column of many rows at a time), add them with row_add, combine them with
 row_combination, cut them into blocks with row_blocks, and walk their spans
-with iter_span.
+with iter_span.  mat_mul builds each row of A·B as one row_combination of
+B's stored rows.
 
 cheapest is the one engine chooser: every choice between exact engines,
 and its budget refusal, goes through it, with the price table in its
@@ -78,7 +79,10 @@ class Mat:
 
     @classmethod
     def identity(cls, F: Field, nn: int) -> "Mat":
-        return cls(F, nn, nn, [[int(i == j) for j in range(nn)] for i in range(nn)])
+        m = cls.zero(F, nn, nn)
+        for i in range(nn):
+            m.data[i][i] = 1
+        return m
 
     @classmethod
     def from_rows(cls, F: Field, rows, cols: int | None = None) -> "Mat":
@@ -96,14 +100,12 @@ class Mat:
 
 
 def mat_mul(A: Mat, B: Mat) -> Mat:
+    """A·B: row i is Σ_a A[i][a]·B_a, over B's rows in the stored form."""
     if A.cols != B.rows or A.field is not B.field:
         raise InvalidParams("incompatible matrix product")
-    return Mat(A.field, A.rows, B.cols, [vec_mat(row, B) for row in A.data])
-
-
-def mat_vec(A: Mat, v) -> list[int]:
-    """A @ v for a column vector v of codes."""
-    return vec_mat(v, A.transpose())
+    F, cols = A.field, B.cols
+    rows, combine = [store_row(F, b) for b in B.data], row_combination(F, cols)
+    return Mat(F, A.rows, cols, [unpack_row(F, combine(a, rows), cols) for a in A.data])
 
 
 def vec_mat(v, A: Mat) -> list[int]:
@@ -261,7 +263,9 @@ class RowReducer:
         """Reduce row against the stored rows; returns True if rank grew.
 
         Prime-field rows may be passed packed (int) or as a code sequence."""
-        return self.add_all((row,)) == 1
+        if self.slots is None:
+            return self._add_codes(row)
+        return self._add_packed((row,)) == 1
 
     def add_all(self, rows) -> int:
         """Add each row in turn; returns how many of them raised the rank."""
@@ -442,8 +446,12 @@ class SubspaceBasis:
 
     def contains(self, vec) -> bool:
         """Whether vec (codes, or a row in the stored form) lies in the
-        subspace: its reduction against the cached RREF rows is zero."""
-        return not any(self.reduce(vec))
+        subspace: its reduction against the cached RREF rows is zero.  A
+        code sequence must have the ambient length."""
+        if not isinstance(vec, int) and len(vec) != self.ambient:
+            raise AmbientMismatch("vector length != ambient dimension")
+        row = self._reducer.reduce(vec)
+        return not (any(row) if isinstance(row, tuple) else row)
 
     def sum(self, other: "SubspaceBasis") -> "SubspaceBasis":
         self._check(other)

@@ -82,6 +82,13 @@ from .subspaces import FqSubspace, _weight_counts
 DEFAULT_CODEWORD_BUDGET = 1 << 24
 
 
+def _flatten_mat(rows) -> list[int]:
+    out: list[int] = []
+    for r in rows:
+        out.extend(r)
+    return out
+
+
 def _reshape(vec, m: int, n: int):
     return tuple(tuple(vec[i * n:(i + 1) * n]) for i in range(m))
 
@@ -103,7 +110,7 @@ class RankCode:
             rows = M.data if isinstance(M, Mat) else M
             if len(rows) != m or any(len(r) != n for r in rows):
                 raise ShapeMismatch("generator has wrong shape")
-            vecs.append([x for r in rows for x in r])
+            vecs.append(_flatten_mat(rows))
         return cls(F, m, n, SubspaceBasis.from_vectors(F, m * n, vecs))
 
     @property
@@ -126,7 +133,7 @@ class RankCode:
         return [_reshape(v, self.m, self.n) for v in self.flat.rows]
 
     def contains(self, rows) -> bool:
-        return self.flat.contains([x for r in rows for x in r])
+        return self.flat.contains(_flatten_mat(rows))
 
     def __eq__(self, other):
         return (isinstance(other, RankCode) and self.params == other.params
@@ -475,14 +482,6 @@ def _algebra_generator(F: Field, basis):
     return None
 
 
-def _product(F: Field, A, B) -> list[list[int]]:
-    """A·B for matrices given as rows of codes over F: row i is
-    Σ_a A[i][a]·B_a, a fqlinalg.row_combination of B's stored rows."""
-    cols = len(B[0])
-    rows, combine = [store_row(F, b) for b in B], row_combination(F, cols)
-    return [unpack_row(F, combine(a, rows), cols) for a in A]
-
-
 def _verify_idealiser_closure(C: RankCode, ide: Idealiser) -> None:
     """Check, apart from the elimination, that span(ide.basis) lies in the
     idealiser.
@@ -492,19 +491,22 @@ def _verify_idealiser_closure(C: RankCode, ide: Idealiser) -> None:
     left), K products: then span(basis) = F_q[Y], and C is closed under every
     polynomial in Y.  Without one, every basis element
     is multiplied by every basis codeword."""
-    F, s, gen, mats = C.field, ide.degree, ide.generator, C.basis_matrices()
-    factors = ide.basis if gen is None else [gen[0]]
-    if gen is not None:
-        powers = [Mat.identity(F, s).data]
+    F, s, gen = C.field, ide.degree, ide.generator
+    if gen is None:
+        factors = [Mat.from_rows(F, Y, s) for Y in ide.basis]
+    else:
+        factors, powers = [Mat.from_rows(F, gen[0], s)], [Mat.identity(F, s)]
         while len(powers) < ide.dim:
-            powers.append(_product(F, powers[-1], gen[0]))
-        span = SubspaceBasis.from_vectors(F, s * s, [sum(P, []) for P in powers]).rows
-        if span != tuple(sum(B, ()) for B in ide.basis):
+            powers.append(mat_mul(powers[-1], factors[0]))
+        span = SubspaceBasis.from_vectors(F, s * s, [sum(P.data, []) for P in powers])
+        if span.rows != tuple(sum(B, ()) for B in ide.basis):
             raise InternalInvariantError("idealiser closure verification failed: "
                                          "the powers of the generator span another algebra")
+    mats = [Mat.from_rows(F, M, C.n) for M in C.basis_matrices()]
     for Y in factors:
         for M in mats:
-            if not C.contains(_product(F, Y, M) if ide.side is Side.LEFT else _product(F, M, Y)):
+            prod = mat_mul(Y, M) if ide.side is Side.LEFT else mat_mul(M, Y)
+            if not C.contains(prod.data):
                 raise InternalInvariantError("idealiser closure verification failed")
 
 
@@ -537,8 +539,11 @@ def puncture(C: RankCode, A: Mat) -> RankCode:
         raise ShapeMismatch("A must have n columns")
     if RowReducer(C.field, A.cols).add_all(A.data) != A.rows:
         raise RankDeficientA("A must have full row rank")
-    return RankCode.from_generators(C.field, A.rows, C.n, [
-        mat_mul(A, Mat.from_rows(C.field, M, C.n)).data for M in C.basis_matrices()])
+    gens = []
+    for M in C.basis_matrices():
+        Mmat = Mat.from_rows(C.field, M, C.n)
+        gens.append(mat_mul(A, Mmat).data)
+    return RankCode.from_generators(C.field, A.rows, C.n, gens)
 
 
 class CertStatus(enum.Enum):

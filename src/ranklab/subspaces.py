@@ -79,7 +79,10 @@ from .fqlinalg import (
 
 def flatten_vec(tower: FieldTower, v) -> list[int]:
     """Flatten a mid-coordinate vector to base-field codes (length r*n)."""
-    return [x for c in v for x in tower.mid_to_base_vec(c)]
+    out: list[int] = []
+    for c in v:
+        out.extend(tower.mid_to_base_vec(c))
+    return out
 
 
 def unflatten_vec(tower: FieldTower, row) -> tuple[int, ...]:

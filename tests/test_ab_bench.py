@@ -1,4 +1,5 @@
-"""scripts/ab_bench.py: the A/B summary on canned result lines (no
+"""scripts/ab_bench.py: the A/B summary on canned result lines, and its
+driver loop with the benchmark runs replaced by canned results (no
 benchmark is started)."""
 
 import importlib.util
@@ -13,10 +14,16 @@ ab_bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ab_bench)
 
 
-def result_line(run_s, peak_rss_mb, correct=True):
+def result_line(run_s, peak_rss_mb=20.0, correct=True):
+    metrics = {"run_s": {"value": run_s, "unit": "s"}}
+    if peak_rss_mb is not None:
+        metrics["peak_rss_mb"] = {"value": peak_rss_mb, "unit": "MB"}
     return json.dumps({"correct": correct, "attempted": 20, "failed": 0 if correct else 1,
-                       "metrics": {"run_s": {"value": run_s, "unit": "s"},
-                                   "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"}}})
+                       "metrics": metrics})
+
+
+def parsed(pairs):
+    return [(ab_bench.parse_result(a), ab_bench.parse_result(b)) for a, b in pairs]
 
 
 def test_summary_gives_medians_relative_change_and_lower_count():
@@ -24,7 +31,7 @@ def test_summary_gives_medians_relative_change_and_lower_count():
              (result_line(0.044, 20.0), result_line(0.040, 20.5)),
              (result_line(0.045, 20.0), result_line(0.046, 19.5)),
              (result_line(0.047, 20.0), result_line(0.039, 20.0))]
-    rows = {row[0]: row[1:] for row in ab_bench.summarize(pairs)}
+    rows = {row[0]: row[1:] for row in ab_bench.summarize(parsed(pairs))}
     assert list(rows) == ["run_s", "peak_rss_mb"]
     parent, change, rel, iqr, lower = rows["run_s"]
     assert (parent, change, lower) == (pytest.approx(0.0455), pytest.approx(0.0405), 3)
@@ -34,6 +41,42 @@ def test_summary_gives_medians_relative_change_and_lower_count():
     assert rows["peak_rss_mb"] == (20.0, 20.0, 0.0, 0.0, 1)
 
 
-def test_a_failed_run_is_refused():
+def test_a_failed_or_malformed_run_is_refused():
     with pytest.raises(ab_bench.RunFailed, match="1 of 20 tasks failed"):
-        ab_bench.summarize([(result_line(0.04, 20.0), result_line(0.04, 20.0, correct=False))])
+        ab_bench.parse_result(result_line(0.04, correct=False))
+    for line in ("", "[1, 2]", '{"correct": true}', '{"correct": true, "metrics": {"x": 1}}'):
+        with pytest.raises(ab_bench.RunFailed):
+            ab_bench.parse_result(line)
+
+
+def test_a_result_that_lacks_a_parent_metric_is_refused():
+    with pytest.raises(ab_bench.RunFailed, match="lacks metric.*peak_rss_mb"):
+        ab_bench.summarize(parsed([(result_line(0.04), result_line(0.04, None))]))
+
+
+def fake_runs(monkeypatch, fail_at=None):
+    """Replace run() by canned results; the run numbered fail_at fails."""
+    order = []
+
+    def run(checkout, args):
+        order.append(checkout)
+        if len(order) == fail_at:
+            raise ab_bench.RunFailed(f"{checkout}: exit 1")
+        return ab_bench.parse_result(result_line(0.05 if checkout == "P" else 0.04))
+
+    monkeypatch.setattr(ab_bench, "run", run)
+    return order
+
+
+def test_ten_alternating_pairs_by_default(monkeypatch, capsys):
+    order = fake_runs(monkeypatch)
+    assert ab_bench.main(["--parent", "P", "--change", "C", "--workload", "certify"]) == 0
+    assert order == ["P", "C", "C", "P"] * 5
+    assert "10/10" in capsys.readouterr().out
+
+
+def test_the_first_failed_run_stops_the_comparison(monkeypatch, capsys):
+    order = fake_runs(monkeypatch, fail_at=3)
+    assert ab_bench.main(["--parent", "P", "--change", "C", "--workload", "certify"]) == 1
+    assert order == ["P", "C", "C"]
+    assert "exit 1" in capsys.readouterr().err

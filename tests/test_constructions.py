@@ -23,7 +23,6 @@ from ranklab.fqlinalg import (
     basis_codes,
     kernel,
     mat_mul,
-    mat_vec,
     qbinom,
     rref,
     solve_right,
@@ -267,7 +266,7 @@ def _gamma_products(tower, r, G):
             v[i] = mid.pow(g, j)
             cols = []
             for _ in range(n):
-                cols.append(mat_vec(G, flatten_vec(tower, v)))
+                cols.append(vec_mat(flatten_vec(tower, v), G.transpose()))
                 v = [mid.mul(g, c) for c in v]
             out.append(Mat.from_rows(G.field, cols, G.rows).transpose().data)
     return out

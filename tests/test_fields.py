@@ -227,6 +227,7 @@ def test_modulus_check_falls_back_to_rabin_above_the_trial_limit(monkeypatch):
     assert fields._verify_irreducible(T.base, no_root) is False   # (x^2 + x + 1)^13
     assert calls == [26, 26]
 
+
 def test_make_tower_budget_gate():
     from ranklab.errors import BudgetExceeded
 

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ranklab.errors import BudgetExceeded, InvalidParams
+from ranklab.errors import AmbientMismatch, BudgetExceeded, InvalidParams
 from ranklab.fields import Field, make_tower, poly_eval, poly_mod, poly_mul
 from ranklab.fqlinalg import (
     Mat,
@@ -19,7 +19,6 @@ from ranklab.fqlinalg import (
     kernel,
     mat_inverse,
     mat_mul,
-    mat_vec,
     min_poly,
     projective_points,
     qbinom,
@@ -32,6 +31,7 @@ from ranklab.fqlinalg import (
     theta,
     unpack_row,
     vanishing_tails,
+    vec_mat,
 )
 
 F2 = Field(2)
@@ -406,7 +406,7 @@ def test_extension_field_elimination_matches_gauss_jordan(q):
         assert [list(r) for r in B.rows] == want and list(B.pivots) == piv
         K = kernel(M)
         assert [list(r) for r in K.rows] == _oracle_kernel(F, rows, ncols)
-        assert all(not any(mat_vec(M, v)) for v in K.rows)
+        assert all(not any(vec_mat(v, M.transpose())) for v in K.rows)
         v = [rng.randrange(q) for _ in range(ncols)]
         grows = len(_rref_rows(F, rows + [v], ncols)[0]) > rank
         assert B.contains(v) is not grows
@@ -421,7 +421,7 @@ def test_extension_field_elimination_matches_gauss_jordan(q):
         if ncols in apiv:
             assert sol is None
         else:
-            assert mat_vec(M, sol) == b
+            assert vec_mat(sol, M.transpose()) == b
             want_sol = [0] * ncols
             for row, p in zip(aug, apiv):
                 want_sol[p] = row[-1]
@@ -480,6 +480,46 @@ def test_reduce_returns_the_stored_form_over_extension_fields(q):
             want = [F.sub(x, F.mul(v[p], y)) for x, y in zip(want, row)]
         assert rr.reduce(v) == store_row(F, want)
         assert B.reduce(v) == want and isinstance(B.reduce(v), list)
+
+
+FIELD_OF = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+
+
+@pytest.mark.parametrize("q", sorted(FIELD_OF))
+def test_mat_mul_matches_the_entrywise_sum_of_products(q):
+    """mat_mul (row combinations of stored rows) against Σ_a A[i][a]·B[a][j]
+    entry by entry, empty shapes included, and against vec_mat row by row."""
+    F = make_tower(*FIELD_OF[q], 1, 1).base
+    rng = random.Random(60 + q)
+    for rows, inner, cols in [(0, 2, 3), (2, 0, 3), (3, 2, 0), (1, 1, 1), (3, 4, 5), (6, 6, 6)]:
+        A = Mat.from_rows(F, [[rng.randrange(q) for _ in range(inner)] for _ in range(rows)], inner)
+        B = Mat.from_rows(F, [[rng.randrange(q) for _ in range(cols)] for _ in range(inner)], cols)
+        want = [[0] * cols for _ in range(rows)]
+        for i, j, a in itertools.product(range(rows), range(cols), range(inner)):
+            want[i][j] = F.add(want[i][j], F.mul(A.data[i][a], B.data[a][j]))
+        AB = mat_mul(A, B)
+        assert (AB.rows, AB.cols, AB.data) == (rows, cols, want), (q, rows, inner, cols)
+        assert AB.data == [vec_mat(r, B) for r in A.data]
+    with pytest.raises(InvalidParams):
+        mat_mul(Mat.identity(F, 2), Mat.identity(F, 3))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_contains_refuses_a_vector_of_another_length(q):
+    """A code sequence longer or shorter than the ambient is refused, over
+    prime and extension fields alike; over a prime field a packed row with a
+    nonzero slot beyond the ambient is not a member."""
+    F = make_tower(*FIELD_OF[q], 1, 1).base
+    rng = random.Random(70 + q)
+    B = SubspaceBasis.from_vectors(F, 4, [[rng.randrange(q) for _ in range(4)]
+                                          for _ in range(2)])
+    for row in B.rows:
+        assert B.contains(list(row)) and B.contains(store_row(F, row))
+        for bad in (list(row) + [0], list(row) + [1], list(row)[:3]):
+            with pytest.raises(AmbientMismatch):
+                B.contains(bad)
+        if F.base is None:
+            assert not B.contains(store_row(F, list(row) + [1]))
 
 
 def _span_by_product(F, rows, ncols):

@@ -788,20 +788,20 @@ def _oracle_subcode_dims(C):
     # G_t·Y^T of the basis matrices afresh for each Y
     import math
 
-    from ranklab.fqlinalg import RowReducer, enumerate_subspaces, mat_vec
+    from ranklab.fqlinalg import RowReducer, enumerate_subspaces, vec_mat
 
     F, K = C.field, C.dim
     mats = C.basis_matrices()
     if C.m < C.n:
         mats = [tuple(zip(*M)) for M in mats]
     height, width = max(C.m, C.n), min(C.m, C.n)
-    gens = [Mat.from_rows(F, M, width) for M in mats]
+    gens = [Mat.from_rows(F, M, width).transpose() for M in mats]   # G_t^T
     images = {}
     for d in range(width + 1):
         for Y in enumerate_subspaces(width, d, F, budget=math.inf):
             for y in Y.rows:
                 if y not in images:
-                    images[y] = [tuple(mat_vec(G, y)) for G in gens]
+                    images[y] = [tuple(vec_mat(y, Gt)) for Gt in gens]
             vecs = [sum(ts, ()) for ts in zip(*(images[y] for y in Y.rows))]
             yield Y, K - RowReducer(F, height * d).add_all(vecs)
 
