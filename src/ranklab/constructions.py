@@ -48,6 +48,7 @@ from .fqlinalg import (
     Mat,
     RowReducer,
     basis_codes,
+    flatten_rows,
     kernel,
     mat_inverse,
     mat_mul,
@@ -56,7 +57,6 @@ from .fqlinalg import (
 from .rankcodes import (
     DEFAULT_CODEWORD_BUDGET,
     RankCode,
-    _flatten_mat,
     mrd_weight_distribution,
     right_idealiser,
 )
@@ -387,9 +387,9 @@ def _right_basis(Cprime: RankCode, mult_mats: list[Mat]) -> list[Mat]:
     for M in basis_mats:
         if rr.rank == Cprime.dim:
             break
-        if rr.add(_flatten_mat(M.data)):    # M·F_{q^n} contains M itself
+        if rr.add(flatten_rows(M.data)):    # M·F_{q^n} contains M itself
             fn_basis.append(M)
-            rr.add_all(_flatten_mat(mat_mul(M, mult).data) for mult in mult_mats)
+            rr.add_all(flatten_rows(mat_mul(M, mult).data) for mult in mult_mats)
     if rr.rank != Cprime.dim:
         raise IdealiserNotMaximal("failed to build a right F_{q^n}-basis")
     return fn_basis
@@ -496,8 +496,10 @@ def random_scattered_search(tower: FieldTower, r: int, h: int, k: int, *,
     >= 0) is an optional extra stop.
     """
     n = tower.n
-    if k * (h + 1) > r * n:
-        raise InvalidParams("k exceeds the rn/(h+1) bound")
+    if not 1 <= h <= r - 1:
+        raise InvalidParams(f"h must satisfy 1 <= h <= r-1, got h={h}, r={r}")
+    if not 0 <= k * (h + 1) <= r * n:
+        raise InvalidParams(f"k must satisfy 0 <= k <= rn/(h+1), got k={k}")
     if time_budget is not None and not (math.isfinite(time_budget) and time_budget >= 0):
         raise InvalidParams(f"time budget must be finite and >= 0, got {time_budget}")
     if k == 0 or max_evals < 1:

@@ -21,10 +21,13 @@ first walk of length |F| - 1 is exp, and frob_table reads x -> x^q off it.
 Moduli are the least monic irreducibles over the base, ordered by the packed
 code of their non-leading coefficients, so serialized values are portable.
 
-Each formula has one owner: _digits reads a code's digits (vec, prime_vec,
+Each formula has one owner: Field.add holds the Zech formula, and every
+subtraction adds the negation (poly_mod, _poly_sub, fqlinalg's row
+operations); _digits reads a code's digits (vec, prime_vec,
 _monic_polys) and _from_digits packs them (from_vec, from_prime_vec);
 poly_mul, poly_mod and poly_pow_mod multiply, reduce and power polynomials
 (Field._mul_raw, the table-free Field.pow, the irreducibility tests);
+_monic scales a polynomial to be monic (poly_gcd, fqlinalg.min_poly);
 _monic_polys lists candidate moduli in code order (least_irreducible,
 _verify_irreducible); _split_tables splits an F_p-linear map into two tables
 over ⌈D/2⌉ digits (digit_tables, Field._orbit); Field._interned builds and
@@ -288,25 +291,6 @@ class Field:
             return self._neg_digits(a)
         return self._exp[self._log[a] + self._half]
 
-    def sub(self, a: int, b: int) -> int:
-        p = self.p
-        if p == 2:
-            return a ^ b
-        if self.base is None:
-            return (a - b) % p
-        zech = self._zech
-        if zech is None:
-            return self._add_digits(a, self._neg_digits(b))
-        if not b:
-            return a
-        log = self._log
-        lb = log[b] + self._half            # log(-b)
-        if not a:
-            return self._exp[lb]
-        la = log[a]
-        z = zech[lb - la]
-        return self._exp[la + z] if z >= 0 else 0
-
     def _add_digits(self, a: int, b: int) -> int:
         """Digit-wise addition mod p, for extensions without log tables."""
         p = self.p
@@ -488,12 +472,12 @@ def poly_mod(F: Field, a, m):
     a = list(a)
     dm = len(m) - 1
     while len(a) > dm:
-        c = a.pop()
+        c = F.neg(a.pop())
         if c:
             o = len(a) - dm
             for j in range(dm):
                 if m[j]:
-                    a[o + j] = F.sub(a[o + j], F.mul(c, m[j]))
+                    a[o + j] = F.add(a[o + j], F.mul(c, m[j]))
     return poly_trim(a)
 
 
@@ -564,7 +548,7 @@ def _poly_sub(F: Field, a, b):
     for i in range(n):
         ai = a[i] if i < len(a) else 0
         bi = b[i] if i < len(b) else 0
-        out.append(F.sub(ai, bi))
+        out.append(F.add(ai, F.neg(bi)))
     return poly_trim(out)
 
 

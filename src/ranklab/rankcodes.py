@@ -35,9 +35,10 @@ decided exactly, from the minimal polynomial of a basis element
 Both rank-distribution scans and the idealiser eliminate through
 fqlinalg.RowReducer; the subspace tree's subcodes and the idealiser are the
 tails of the tracked rows whose head vanished (fqlinalg.vanishing_tails).
-Spans are walked with fqlinalg.odometer.  Rows stay in the form RowReducer
-stores them, built, added and cut into blocks by fqlinalg's row helpers, so
-no scan knows whether a row is a packed int or a tuple of codes.
+Spans are walked with fqlinalg.odometer and fqlinalg.span_chunks.  Rows stay
+in the form RowReducer stores them, built, added and cut into blocks by
+fqlinalg's row helpers, so no scan knows whether a row is a packed int or a
+tuple of codes.
 """
 
 from __future__ import annotations
@@ -60,9 +61,10 @@ from .fields import Field, is_irreducible
 from .fqlinalg import (
     Mat,
     RowReducer,
+    SPAN_CHUNK,
     SubspaceBasis,
     cheapest,
-    iter_span,
+    flatten_rows,
     kernel,
     mat_mul,
     min_poly,
@@ -72,6 +74,7 @@ from .fqlinalg import (
     row_add,
     row_combination,
     row_blocks,
+    span_chunks,
     store_row,
     unpack_row,
     vanishing_tails,
@@ -80,13 +83,6 @@ from . import subspaces
 from .subspaces import FqSubspace, _weight_counts
 
 DEFAULT_CODEWORD_BUDGET = 1 << 24
-
-
-def _flatten_mat(rows) -> list[int]:
-    out: list[int] = []
-    for r in rows:
-        out.extend(r)
-    return out
 
 
 def _reshape(vec, m: int, n: int):
@@ -110,7 +106,7 @@ class RankCode:
             rows = M.data if isinstance(M, Mat) else M
             if len(rows) != m or any(len(r) != n for r in rows):
                 raise ShapeMismatch("generator has wrong shape")
-            vecs.append(_flatten_mat(rows))
+            vecs.append(flatten_rows(rows))
         return cls(F, m, n, SubspaceBasis.from_vectors(F, m * n, vecs))
 
     @property
@@ -133,7 +129,7 @@ class RankCode:
         return [_reshape(v, self.m, self.n) for v in self.flat.rows]
 
     def contains(self, rows) -> bool:
-        return self.flat.contains(_flatten_mat(rows))
+        return self.flat.contains(flatten_rows(rows))
 
     def __eq__(self, other):
         return (isinstance(other, RankCode) and self.params == other.params
@@ -196,17 +192,6 @@ class RankCode:
         return self.dim == max(self.m, self.n) * (min(self.m, self.n) - d + 1)
 
 
-def _span_ranks(F: Field, vecs, m: int, n: int):
-    """Yield the rank of every nonzero F-combination of the flattened m x n
-    matrices vecs (odometer walk, one vector add per step)."""
-    rr = RowReducer(F, n)       # emptied and reused for every codeword
-    pivrows, add_all = rr.pivrows, rr.add_all
-    split = row_blocks(F, n)[0]
-    for word in iter_span(F, [store_row(F, v) for v in vecs], m * n, include_zero=False):
-        pivrows.clear()
-        yield add_all(split(word, m))
-
-
 def _point_counts(C: RankCode, budget: int, walk: bool) -> list[int]:
     """Rank histogram of a code with a subspace S (RankCode.attach), from
     the side walk names of S's point weights: A_0 = 1 and
@@ -222,11 +207,18 @@ def _point_counts(C: RankCode, budget: int, walk: bool) -> list[int]:
 
 
 def _walk_counts(C: RankCode) -> list[int]:
-    """Rank histogram by ranking each of the q^K codewords."""
-    counts = [0] * (min(C.m, C.n) + 1)
-    counts[0] = 1
-    for rk in _span_ranks(C.field, C.flat.rows, C.m, C.n):
-        counts[rk] += 1
+    """Rank histogram by ranking each of the q^K codewords, the zero word
+    included, as fqlinalg.span_chunks hands them out."""
+    F, m, n = C.field, C.m, C.n
+    counts = [0] * (min(m, n) + 1)
+    rr = RowReducer(F, n)       # emptied and reused for every codeword
+    pivrows, add_all = rr.pivrows, rr.add_all
+    split = row_blocks(F, n)[0]
+    words = prime_expansion(F, [store_row(F, v) for v in C.flat.rows])
+    for chunk in span_chunks(F, store_row(F, [0] * (m * n)), words, m * n, SPAN_CHUNK):
+        for word in chunk:
+            pivrows.clear()
+            counts[add_all(split(word, m))] += 1
     return counts
 
 
@@ -260,8 +252,7 @@ def _subspace_counts(C: RankCode) -> list[int]:
         mats = [tuple(zip(*M)) for M in mats]
     H, width = max(C.m, C.n), min(C.m, C.n)
     # each codeword with its columns stacked: entry (i, j) at j·H + i
-    words = [store_row(F, [M[i][j] for j in range(width) for i in range(H)])
-             for M in mats]
+    words = [store_row(F, flatten_rows(zip(*M))) for M in mats]
     ranker = RowReducer(F, H)
     not_full = lambda _: len(ranker.pivrows) < H
     split, join = row_blocks(F, H)[:2]
@@ -498,8 +489,8 @@ def _verify_idealiser_closure(C: RankCode, ide: Idealiser) -> None:
         factors, powers = [Mat.from_rows(F, gen[0], s)], [Mat.identity(F, s)]
         while len(powers) < ide.dim:
             powers.append(mat_mul(powers[-1], factors[0]))
-        span = SubspaceBasis.from_vectors(F, s * s, [sum(P.data, []) for P in powers])
-        if span.rows != tuple(sum(B, ()) for B in ide.basis):
+        span = SubspaceBasis.from_vectors(F, s * s, [flatten_rows(P.data) for P in powers])
+        if [list(r) for r in span.rows] != [flatten_rows(B) for B in ide.basis]:
             raise InternalInvariantError("idealiser closure verification failed: "
                                          "the powers of the generator span another algebra")
     mats = [Mat.from_rows(F, M, C.n) for M in C.basis_matrices()]

@@ -64,6 +64,7 @@ from .fqlinalg import (
     DEFAULT_SUBSPACE_BUDGET,
     Mat,
     RowReducer,
+    SPAN_CHUNK,
     SubspaceBasis,
     cheapest,
     digit_column,
@@ -190,14 +191,10 @@ def _point_sides(tower: FieldTower, r: int, dim: int):
             (2 * tower.n * scan, scan, "projective points", False)]
 
 
-# the walk normalizes its vectors in batches of this many at least: it holds
-# one batch at a time, not the θ_{k-1}(q) vectors of U
-_WALK_BATCH = 1 << 12
-
-
 def _walk_batches(U: FqSubspace):
-    """The walk of _walk_fibers in batches of at least _WALK_BATCH vectors
-    (the last may hold fewer): (vectors, runs), each vector stored over F_p
+    """The walk of _walk_fibers in batches of at least SPAN_CHUNK vectors
+    (the last may hold fewer), so that it holds one batch at a time, not the
+    θ_{k-1}(q) vectors of U: (vectors, runs), each vector stored over F_p
     by store_digits, and runs listing (lead, start, stop) for each run
     of vectors whose first nonzero coordinate is lead.
 
@@ -213,10 +210,10 @@ def _walk_batches(U: FqSubspace):
     vectors, runs = [], []
     for i, pivot in enumerate(U.flat.pivots):
         for chunk in span_chunks(prime, rows[i * e], rows[(i + 1) * e:], U.r * N,
-                                 _WALK_BATCH):
+                                 SPAN_CHUNK):
             runs.append((pivot // tower.n, len(vectors), len(vectors) + len(chunk)))
             vectors += chunk
-            if len(vectors) >= _WALK_BATCH:
+            if len(vectors) >= SPAN_CHUNK:
                 yield vectors, runs
                 vectors, runs = [], []
     if vectors:
@@ -576,8 +573,8 @@ def characterize_max_h_scattered(U: FqSubspace, h: int, *,
 def random_subspace(tower: FieldTower, r: int, k: int, rng) -> FqSubspace:
     """Uniform-ish random k-dimensional F_q-subspace of F_{q^n}^r."""
     rn = r * tower.n
-    if k > rn:
-        raise DimensionMismatch("k exceeds rn")
+    if not 0 <= k <= rn:
+        raise DimensionMismatch(f"k must satisfy 0 <= k <= rn = {rn}, got k={k}")
     order = tower.base.order
     while True:
         vecs = [[rng.randrange(order) for _ in range(rn)] for _ in range(k)]

@@ -150,6 +150,16 @@ def test_search_time_budget_must_be_finite_and_nonnegative(value, capsys):
     assert out == "" and "time budget must be finite and >= 0" in err
 
 
+@pytest.mark.parametrize("r,h,k,message", [("2", "1", "-1", "0 <= k <= rn/(h+1)"),
+                                           ("2", "3", "1", "1 <= h <= r-1"),
+                                           ("2", "0", "1", "1 <= h <= r-1")])
+def test_search_refuses_k_or_h_out_of_range(r, h, k, message, capsys):
+    # k = -1 once hung; h = 3 once spent the whole budget and exited 0
+    assert main(["search-scattered", "--r", r, "--n", "4", "--h", h, "--k", k,
+                 "--seed", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_search_requires_seed():
     assert main(["search-scattered", "--r", "2", "--n", "4", "--h", "1",
                  "--k", "4"]) == 1

@@ -17,7 +17,7 @@ from ranklab.errors import (
     KTooLarge,
     NotMRD,
 )
-from ranklab.fields import make_tower
+from ranklab.fields import _monic, make_tower
 from ranklab.fqlinalg import (
     Mat,
     basis_codes,
@@ -25,7 +25,6 @@ from ranklab.fqlinalg import (
     mat_mul,
     qbinom,
     rref,
-    solve_right,
     theta,
     vec_mat,
 )
@@ -440,8 +439,13 @@ def _solved_vanishing_subspace(code, tower, fn_basis, mult_mats):
     Phi = Mat.from_rows(base, phi_cols, code.m * n).transpose()
     u_vectors = []
     for v in kernel(col_matrix).rows:
-        xi = solve_right(Phi, vec_mat(list(v), coeff_mat))
-        assert xi is not None
+        # Phi has independent columns, so Phi·ξ = b has one solution: the
+        # kernel of [Phi | b] is the line of (−ξ, 1)
+        b = vec_mat(list(v), coeff_mat)
+        (w,) = kernel(Mat.from_rows(base, [r + [x] for r, x in zip(Phi.data, b)],
+                                    Phi.cols + 1)).rows
+        assert w[-1]
+        xi = [base.neg(x) for x in _monic(base, w)[:-1]]
         u_vectors.append(unflatten_vec(tower, xi))
     return FqSubspace.from_mid_vectors(tower, len(fn_basis), u_vectors)
 
@@ -624,6 +628,21 @@ def test_search_finds_maximum_scattered_quickly(t2_4):
 def test_search_k0_returns_not_found(t2_4):
     res = random_scattered_search(t2_4, 2, 1, 0, seed=3, max_evals=5)
     assert not res.found
+
+
+@pytest.mark.parametrize("r,h,k", [(2, 3, 1), (2, 2, 1), (2, 0, 1), (2, 0, 0), (3, -1, 2)])
+def test_search_refuses_h_outside_1_to_r_minus_1(t2_4, r, h, k):
+    # checked before the k = 0 return and before any evaluation, as
+    # is_h_scattered refuses the same h
+    with pytest.raises(InvalidParams, match="1 <= h <= r-1"):
+        random_scattered_search(t2_4, r, h, k, seed=1, max_evals=200)
+
+
+@pytest.mark.parametrize("k,max_evals", [(-1, 5), (-1, 0), (5, 5), (5, 0)])
+def test_search_refuses_k_outside_0_to_rn_over_h_plus_1(t2_4, k, max_evals):
+    # before any evaluation, so a zero budget does not hide it
+    with pytest.raises(InvalidParams, match="0 <= k <= rn/\\(h\\+1\\)"):
+        random_scattered_search(t2_4, 2, 1, k, seed=1, max_evals=max_evals)
 
 
 @pytest.mark.parametrize("max_evals", [-1, 0, 1, 2, 5, 30])

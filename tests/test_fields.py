@@ -253,7 +253,7 @@ def _digit_neg(F, a):
 def _check_add_sub_neg(F, pairs):
     for a, b in pairs:
         assert F.add(a, b) == _digit_add(F, a, b), (F, a, b)
-        assert F.sub(a, b) == _digit_add(F, a, _digit_neg(F, b)), (F, a, b)
+        assert F.add(a, F.neg(b)) == _digit_add(F, a, _digit_neg(F, b)), (F, a, b)
     for a, _ in pairs:
         assert F.neg(a) == _digit_neg(F, a), (F, a)
 
@@ -423,10 +423,11 @@ def test_arithmetic_without_log_tables(p, n):
     rng = random.Random(F.order)
     for i in range(200):
         a, b, c = (rng.randrange(1, F.order) for _ in range(3))
-        assert F.sub(a, b) == F.add(a, F.neg(b)) and F.add(F.neg(a), a) == 0
+        assert F.add(a, F.neg(b)) == _digit_add(F, a, _digit_neg(F, b))
+        assert F.add(F.neg(a), a) == 0
         if F.base is None:
             e = rng.randrange(2 * N)
-            assert (F.mul(a, b), F.sub(a, b), F.neg(a)) == (a * b % p, (a - b) % p, p - a)
+            assert (F.mul(a, b), F.add(a, F.neg(b)), F.neg(a)) == (a * b % p, (a - b) % p, p - a)
             assert F.inv(a) == pow(a, -1, p)
             for x in (0, e, N, N + e):
                 assert F.pow(a, x) == pow(a, x, p)

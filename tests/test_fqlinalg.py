@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,18 +15,18 @@ from ranklab.fqlinalg import (
     SubspaceBasis,
     cheapest,
     enumerate_subspaces,
-    iter_span,
     iter_span_rows,
     kernel,
     mat_inverse,
     mat_mul,
     min_poly,
+    prime_expansion,
     projective_points,
     qbinom,
     row_blocks,
     rref,
     slot_width,
-    solve_right,
+    span_chunks,
     store_digits,
     store_row,
     theta,
@@ -117,7 +118,7 @@ def test_intersect_matches_exhaustive_membership():
         B = SubspaceBasis.from_vectors(
             F2, 5, [[rng.randrange(2) for _ in range(5)] for _ in range(3)])
         got = meet(A, B)
-        span = lambda S: set(iter_span(F2, [store_row(F2, r) for r in S.rows], 5))
+        span = lambda S: set(iter_span_rows(S.rows or ((0,) * 5,), F2))
         assert span(got) == span(A) & span(B)
 
 
@@ -330,7 +331,7 @@ def test_packed_rows_match_tuple_oracle(p):
 def _rref_rows(F, rows, ncols):
     """Oracle: in-place Gauss-Jordan with Field arithmetic; returns (reduced
     nonzero rows, pivot columns)."""
-    sub, mul, inv = F.sub, F.mul, F.inv
+    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -344,7 +345,7 @@ def _rref_rows(F, rows, ncols):
         for i in range(len(rows)):
             f = rows[i][c]
             if i != r and f:
-                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [add(x, neg(mul(f, y))) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return rows[:r], pivots
@@ -413,19 +414,8 @@ def test_extension_field_elimination_matches_gauss_jordan(q):
         assert all(B.contains(r) for r in rows)
         rep = B.reduce(v)
         assert all(rep[p] == 0 for p in piv)
-        diff = [F.sub(x, y) for x, y in zip(v, rep)]
+        diff = [F.add(x, F.neg(y)) for x, y in zip(v, rep)]
         assert len(_rref_rows(F, want + [diff], ncols)[0]) == rank
-        b = [rng.randrange(q) for _ in range(nrows)]
-        aug, apiv = _rref_rows(F, [r + [x] for r, x in zip(rows, b)], ncols + 1)
-        sol = solve_right(M, b)
-        if ncols in apiv:
-            assert sol is None
-        else:
-            assert vec_mat(sol, M.transpose()) == b
-            want_sol = [0] * ncols
-            for row, p in zip(aug, apiv):
-                want_sol[p] = row[-1]
-            assert sol == want_sol
         if nrows == ncols:
             if rank == ncols:
                 aug, _ = _rref_rows(F, [r + [int(i == j) for j in range(ncols)]
@@ -477,7 +467,7 @@ def test_reduce_returns_the_stored_form_over_extension_fields(q):
         # v less v[p]·row for each RREF row and its pivot p
         want = list(v)
         for row, p in zip(B.rows, B.pivots):
-            want = [F.sub(x, F.mul(v[p], y)) for x, y in zip(want, row)]
+            want = [F.add(x, F.neg(F.mul(v[p], y))) for x, y in zip(want, row)]
         assert rr.reduce(v) == store_row(F, want)
         assert B.reduce(v) == want and isinstance(B.reduce(v), list)
 
@@ -559,8 +549,7 @@ def test_iter_span_packed_odd_p_matches_product(p):
     rows = [[1, 2, 0, p - 1], [0, 1, 1, 2], [p - 1, 0, 2, 1]]
     want = {tuple(sum(c * r[j] for c, r in zip(cs, rows)) % p for j in range(4))
             for cs in itertools.product(range(p), repeat=len(rows))}
-    got = [tuple(unpack_row(F, w, 4))
-           for w in iter_span(F, [store_row(F, r) for r in rows], 4)]
+    got = list(iter_span_rows(rows, F))
     assert len(got) == p ** len(rows) and set(got) == want
 
 
@@ -583,8 +572,9 @@ PRIME_POWER = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
 @pytest.mark.parametrize("q", sorted(PRIME_POWER))
 def test_span_walk_matches_product(q):
     """Both forms of the one walk visit every F-combination exactly once:
-    iter_span_rows (tuples) and iter_span (stored rows, read back through
-    unpack_row), with and without the zero combination."""
+    iter_span_rows (tuples) and span_chunks over the F_p-expansion (stored
+    rows, read back through unpack_row), with and without the zero
+    combination."""
     F = make_tower(*PRIME_POWER[q], 1, 1).base
     rng = random.Random(q)
     k, ncols = (3, 4) if q <= 5 else (2, 3)
@@ -601,11 +591,12 @@ def test_span_walk_matches_product(q):
         nonzero.remove((0,) * ncols)
         assert sorted(iter_span_rows(rows, F)) == want
         assert sorted(iter_span_rows(rows, F, include_zero=False)) == nonzero
-        stored = [store_row(F, r) for r in rows]
-        codes = lambda v: unpack_row(F, v, ncols)
-        assert sorted(tuple(codes(v)) for v in iter_span(F, stored, ncols)) == want
-        assert sorted(tuple(codes(v)) for v in iter_span(
-            F, stored, ncols, include_zero=False)) == nonzero
+        stored = prime_expansion(F, [store_row(F, r) for r in rows])
+        for size in (1, q, 1 << 12):
+            chunks = list(span_chunks(F, store_row(F, [0] * ncols), stored, ncols, size))
+            assert all(len(c) <= size for c in chunks)
+            got = [tuple(unpack_row(F, v, ncols)) for c in chunks for v in c]
+            assert sorted(got) == want
 
 
 def minimal_polynomial(tower, level, code) -> tuple[int, ...]:
@@ -671,3 +662,70 @@ def test_min_poly_of_nilpotent_and_scalar_matrices():
     assert min_poly(Mat.from_rows(F3, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])) == (0, 0, 0, 1)
     assert min_poly(Mat.from_rows(F3, [[2, 0], [0, 2]])) == (1, 1)   # x - 2
     assert min_poly(Mat.from_rows(F3, [[1, 0], [0, 2]])) == (2, 0, 1)  # (x-1)(x-2)
+
+
+def _least_annihilator(F, rows):
+    """The least-degree monic f with f(M) = 0, by enumerating the
+    coefficients of each degree in turn: the brute-force oracle of min_poly.
+    Powers of M come from the entrywise sum of products."""
+    s = len(rows)
+    power = [[int(i == j) for j in range(s)] for i in range(s)]
+    powers = []
+    for _ in range(s + 1):
+        powers.append([x for row in power for x in row])
+        power = [[reduce(F.add, map(F.mul, row, col), 0) for col in zip(*rows)]
+                 for row in power]
+    for d in range(s + 1):
+        for coeffs in itertools.product(range(F.order), repeat=d):
+            value = list(powers[d])
+            for c, P in zip(coeffs, powers):
+                value = [F.add(x, F.mul(c, y)) for x, y in zip(value, P)]
+            if not any(value):
+                return coeffs + (1,)
+    raise AssertionError("Cayley-Hamilton: some f of degree <= s annihilates M")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_min_poly_matches_the_least_annihilator(q):
+    """min_poly (the kernel vector of the flattened powers) against the
+    enumerated least annihilator: random matrices of sizes 1-3 and the
+    special shapes zero, scalar, nilpotent, derogatory and 1 x 1."""
+    F = make_tower(*PRIME_POWER[q], 1, 1).base
+    rng = random.Random(80 + q)
+    a, b = rng.randrange(1, q), rng.randrange(q)
+    special = [
+        [[0]], [[a]], [[0, 0], [0, 0]], [[0] * 3 for _ in range(3)],
+        [[a, 0], [0, a]], [[b, 0, 0], [0, b, 0], [0, 0, b]],        # scalar
+        [[0, 1, 0], [0, 0, 1], [0, 0, 0]], [[0, a], [0, 0]],         # nilpotent
+        [[a, 0, 0], [0, a, 0], [0, 0, b]], [[a, 1, 0], [0, a, 0], [0, 0, a]],  # derogatory
+    ]
+    randoms = [[[rng.randrange(q) for _ in range(s)] for _ in range(s)]
+               for s in (1, 2, 3) for _ in range(8)]
+    for rows in special + randoms:
+        f = min_poly(Mat.from_rows(F, rows))
+        assert f == _least_annihilator(F, rows), (q, rows)
+
+
+@pytest.mark.parametrize("q,k,ncols", [(2, 5, 3), (3, 3, 3), (5, 2, 3),
+                                       (4, 7, 2), (9, 4, 2)])
+def test_iter_span_rows_yields_odometer_order(q, k, ncols):
+    """Item i of iter_span_rows is Σ c_j·rows[j] with the codes of c read
+    off i in base q, row 0's digit fastest: itertools.product over the
+    reversed coefficient tuple.  Over F_4 and F_9 the span has more than
+    4,096 items, so span_chunks hands out more than one list of tuple
+    rows."""
+    F = make_tower(*PRIME_POWER[q], 1, 1).base
+    rng = random.Random(90 + q)
+    rows = [tuple(rng.randrange(q) for _ in range(ncols)) for _ in range(k)]
+    want = []
+    for cs in itertools.product(range(q), repeat=k):
+        v = [0] * ncols
+        for c, row in zip(reversed(cs), rows):
+            v = [F.add(x, F.mul(c, y)) for x, y in zip(v, row)]
+        want.append(tuple(v))
+    assert list(iter_span_rows(rows, F)) == want
+    assert list(iter_span_rows(rows, F, include_zero=False)) == want[1:]
+    if F.base is not None:
+        chunks = span_chunks(F, store_row(F, [0] * ncols), prime_expansion(F, rows),
+                             ncols, 1 << 12)
+        assert len(want) > 1 << 12 and len(list(chunks)) > 1

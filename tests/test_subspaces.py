@@ -422,6 +422,13 @@ def test_characterization_non_scattered_example(t2_4):
     assert (ch.via_definition, ch.via_hyperplanes, ch.via_dual_points) == (False,) * 3
 
 
+@pytest.mark.parametrize("k", [-1, -5, 9])
+def test_random_subspace_refuses_k_outside_0_to_rn(t2_4, k):
+    # a negative k once looped for ever, waiting for U.k == k
+    with pytest.raises(DimensionMismatch, match="0 <= k <= rn = 8"):
+        random_subspace(t2_4, 2, k, random.Random(0))
+
+
 def test_characterization_dimension_gate(t2_4):
     U = remark_counterexample()
     with pytest.raises(DimensionMismatch):
