@@ -188,9 +188,11 @@ def _code_summary(C: rankcodes.RankCode, budget: int) -> dict[str, Any]:
 def _run_scattered_check(args, budgets) -> dict[str, Any]:
     U = _load_subspace(args)
     sc = subspaces.is_h_scattered(U, args.h, budget=budgets["subspace"])
+    # a 1-scattered U spans V and has every point weight <= 1: ι = 1
     res: dict[str, Any] = {
         "r": U.r, "n": U.tower.n, "q": U.tower.q, "k": U.k, "h": args.h,
-        "scattered": sc, "iota": subspaces.iota(U, budget=budgets["subspace"]),
+        "scattered": sc,
+        "iota": 1 if sc and args.h == 1 else subspaces.iota(U, budget=budgets["subspace"]),
     }
     if sc:
         res["dimension_class"] = subspaces.check_dimension_bound(U, args.h).value

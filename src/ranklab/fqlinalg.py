@@ -37,9 +37,10 @@ subtracts p from every slot that reached p; scaling is doubling and adding.
 Over an extension field a row is a tuple of codes with Field arithmetic.
 Other modules build stored rows with store_row and store_digits, read them
 back with unpack_row (digit_column reads the codes that store_digits packed,
-a column of many rows at a time), add them with row_add, combine them with
-row_combination, cut them into blocks with row_blocks, and walk their spans
-with span_chunks.  flatten_rows is the one row concatenation of a matrix.
+a column of many rows at a time, and log_column reads them straight to
+their discrete logs, one lookup each), add them with row_add, combine them
+with row_combination, cut them into blocks with row_blocks, and walk their
+spans with span_chunks.  flatten_rows is the one row concatenation of a matrix.
 mat_mul builds each row of A·B as one row_combination of B's stored rows.
 vec_mat keeps its loop over entries: in ordinary_dual, one row_combination
 over the Gram matrix's cached stored rows took 0.93-0.99x its time at q = 2
@@ -193,6 +194,56 @@ def digit_column(F: Field, deg: int):
         map(lo.__getitem__, map(lo_mask.__and__,
                                 map((j * block).__rrshift__, rows) if j else rows)),
         map(hi.__getitem__, map(hi_mask.__and__, map((j * block + h * w).__rrshift__, rows))))
+
+
+class _BlockLogs(dict):
+    """{packed block: log of its code}, each block read by digit_column on
+    first sight."""
+
+    __slots__ = ("code", "log")
+
+    def __missing__(self, block):
+        self[block] = value = self.log[next(self.code((block,), 0))]
+        return value
+
+
+@lru_cache(maxsize=None)
+def _log_table(F: Field):
+    """(table, exp3) of log_column, once per field."""
+    m, deg, prime = F.order - 1, F.dim_over_prime, Field(F.p)
+    log = list(F._log)
+    log[0] = 2 * m - 1
+    if F.p != 2 and deg > 1:
+        table = _BlockLogs()
+        table.code, table.log = digit_column(prime, deg), log
+        log = table
+    return log, F._exp[:m] + [0] * m + F._exp[:m]
+
+
+def log_column(F: Field, ncols: int):
+    """(read, exp3) for the codes of F that store_digits packs over F_p into
+    stored rows of ncols coordinates, or None when F keeps no log tables.
+    With m = |F| − 1, read(rows, j) maps coordinate j of each stored row to
+    the log of its code, and a zero code to the sentinel 2m − 1, by one
+    lookup (_log_table, cached per field): at p = 2 or F = F_p the block is
+    the code and the table a list, at odd p a dict filled on first sight of
+    a block (_BlockLogs), so no table of all blocks is built up front.
+    exp3 is exp, m zeros, exp, so exp3[l − l_lead] is g^l / g^l_lead for
+    the logs of two units (a negative index wraps into the last exp) and 0
+    for the sentinel."""
+    if F._exp is None:
+        return None
+    table, exp3 = _log_table(F)
+    block = F.dim_over_prime * slot_width(Field(F.p))
+    mask, get = (1 << block) - 1, table.__getitem__
+
+    def read(rows, j):
+        if j:
+            rows = map(operator.rshift, rows, itertools.repeat(j * block))
+        if j < ncols - 1:   # the last block is all that a shift leaves
+            rows = map(operator.and_, rows, itertools.repeat(mask))
+        return map(get, rows)
+    return read, exp3
 
 
 def row_add(F: Field, ncols: int):
@@ -601,8 +652,8 @@ def cheapest(engines, budget: int):
     engines holds (price, items, unit, value) entries: items is the count
     budget caps, price the cost in row additions.  The price table:
 
-    - the point walk of a d-dimensional F_q-subspace of F_{q^n}^r: 2 per
-      F_q-point, θ_{d-1}(q) "subspace F_q-points";
+    - the point walk of a d-dimensional F_q-subspace of F_{q^n}^r: 3/2 per
+      F_q-point (rounded down), θ_{d-1}(q) "subspace F_q-points";
     - the point scan: 2n per point of PG(r-1, q^n), its n flat rows,
       θ_{r-1}(q^n) "projective points";
     - the codeword walk of a K-dimensional code: K per codeword;

@@ -25,7 +25,9 @@ its own scans):
   p = 2, the Slots fold at odd p).  Their first nonzero coordinate i (the
   lead) is known from U's RREF basis, so they are counted in one Counter
   per lead, keyed by the coordinates after i divided by coordinate i, read
-  back a run and a coordinate at a time.
+  a run and a coordinate at a time straight to their logs
+  (fqlinalg.log_column), one run per lead unless a largest weight is
+  given.
 - the point scan (_point_scan) meets U with every point of PG(r-1, q^n).
 
 ι, the h = 1 and h = r - 1 excess and point_weight_counts read only the
@@ -70,6 +72,7 @@ from .fqlinalg import (
     digit_column,
     enumerate_subspaces,
     kernel,
+    log_column,
     prime_expansion,
     projective_points,
     span_chunks,
@@ -135,8 +138,14 @@ class FqSubspace:
         return Mat.from_rows(self.tower.mid, self.basis_mid, self.r)
 
     def spans_ambient(self) -> bool:
-        """True iff <U>_{F_{q^n}} = V."""
-        return RowReducer(self.tower.mid, self.r).add_all(self.basis_mid) == self.r
+        """True iff <U>_{F_{q^n}} = V: the mid rows are added until their
+        rank reaches r."""
+        red = RowReducer(self.tower.mid, self.r)
+        for v in self.basis_mid:
+            if red.rank == self.r:
+                break
+            red.add(v)
+        return red.rank == self.r
 
     def __eq__(self, other):
         return (isinstance(other, FqSubspace) and self.tower == other.tower
@@ -187,7 +196,7 @@ def _point_sides(tower: FieldTower, r: int, dim: int):
     its θ_{dim-1}(q) F_q-points and False for the scan of the θ_{r-1}(q^n)
     points of PG(r-1, q^n)."""
     walk, scan = theta(dim - 1, tower.base.order), theta(r - 1, tower.mid.order)
-    return [(2 * walk, walk, "subspace F_q-points", True),
+    return [(3 * walk // 2, walk, "subspace F_q-points", True),
             (2 * tower.n * scan, scan, "projective points", False)]
 
 
@@ -226,21 +235,28 @@ def _walk_fibers(U: FqSubspace, t: int | None = None):
     coordinates after i divided by coordinate i: an int when one is left,
     a tuple otherwise, () for the one point of lead r - 1.  With t given,
     None as soon as a partial fiber exceeds θ_{t-1}(q), a point of weight
-    above t, checked after each run.
+    above t, checked after each run; without t, the runs of one lead in a
+    batch are walked as one.
 
     The F_q-points are b_i + Σ_{j>i} a_j·b_j over U's basis b (i < k, a_j in
     F_q); a point of weight w holds θ_{w-1}(q) of them.  The vectors of a
-    run are read back a coordinate at a time (fqlinalg.digit_column), from
-    the lead on, and normalized with the log tables, c_j -> exp[log c_j -
-    log c_lead] (a negative index wraps round the doubled exp), in C-level
-    maps; fields without log tables go through normalize_point."""
+    run are read a coordinate at a time, from the lead on, straight to
+    logs (fqlinalg.log_column, a zero coordinate to a sentinel), and
+    normalized by exp3[log c_j - log c_lead], in C-level maps; fields
+    without log tables read codes (fqlinalg.digit_column) and go through
+    normalize_point."""
     tower = U.tower
     q, mid, r = tower.base.order, tower.mid, U.r
-    column = digit_column(tower.prime, mid.dim_over_prime)
-    exp, log = mid._exp, mid._log
+    tables = log_column(mid, r)
     limit = None if t is None else theta(t - 1, q)
     fibers = [Counter() for _ in range(r)]
     for vectors, runs in _walk_batches(U):
+        if limit is None:   # a lead's runs are adjacent: one run per lead
+            starts, stops = {}, {}
+            for lead, start, stop in runs:
+                starts.setdefault(lead, start)
+                stops[lead] = stop
+            runs = [(lead, start, stops[lead]) for lead, start in starts.items()]
         for lead, start, stop in runs:
             counts = fibers[lead]
             if lead == r - 1:
@@ -248,18 +264,16 @@ def _walk_fibers(U: FqSubspace, t: int | None = None):
                 keys = [()]
             else:
                 block = vectors[start:stop]
-                if exp is None:
+                if tables is None:
+                    column = digit_column(tower.prime, mid.dim_over_prime)
                     keys = map(operator.itemgetter(1 if lead == r - 2 else slice(1, None)),
                                map(normalize_point, itertools.repeat(mid), zip(
                                    *(column(block, j) for j in range(lead, r)))))
                 else:
-                    lead_log = list(map(log.__getitem__, column(block, lead)))
-                    # c -> exp[log c - log c_lead]·[c != 0]: 0 stays 0
-                    cols = [map(operator.mul,
-                                map(exp.__getitem__,
-                                    map(operator.sub, map(log.__getitem__, col), lead_log)),
-                                map(bool, col))
-                            for col in (list(column(block, j)) for j in range(lead + 1, r))]
+                    read, exp3 = tables
+                    lead_log = list(read(block, lead))
+                    cols = [map(exp3.__getitem__, map(operator.sub, read(block, j), lead_log))
+                            for j in range(lead + 1, r)]
                     keys = cols[0] if len(cols) == 1 else zip(*cols)
                 if limit is not None:
                     keys = list(keys)

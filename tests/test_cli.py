@@ -69,6 +69,31 @@ def test_scattered_check_verb(schema):
     assert rep["results"]["iota"] == 1
 
 
+def test_scattered_check_at_h1_reads_iota_off_a_scattered_verdict(tmp_path, monkeypatch):
+    # a 1-scattered U has ι = 1, so one point-weight scan answers both; a
+    # U with a point of weight 2 takes a second scan for ι
+    from ranklab import subspaces
+
+    scans = []
+    weight_counts = subspaces._weight_counts
+
+    def counted(*args, **kwargs):
+        scans.append(args[0])
+        return weight_counts(*args, **kwargs)
+
+    monkeypatch.setattr(subspaces, "_weight_counts", counted)
+    res = run_json(["scattered-check", "--pseudoregulus", "2,4,1", "--h", "1"])["results"]
+    assert (res["scattered"], res["iota"], len(scans)) == (True, 1, 1)
+    tower = make_tower(2, 1, 4, 1)
+    g = tower.mid.gen
+    U = subspaces.FqSubspace.from_mid_vectors(tower, 2, [(1, 0), (g, 0), (0, 1), (1, g)])
+    path = tmp_path / "heavy.json"
+    serialize.dump_file(str(path), serialize.subspace_to_json(U))
+    scans.clear()
+    res = run_json(["scattered-check", "--subspace", str(path), "--h", "1"])["results"]
+    assert (res["scattered"], res["iota"], len(scans)) == (False, 2, 2)
+
+
 def test_dualize_verbs(tmp_path, schema):
     sub_file = tmp_path / "u.json"
     U = fixtures.pseudoregulus(2, 4, 1)

@@ -9,14 +9,17 @@ from hypothesis import given, strategies as st
 
 from ranklab.errors import AmbientMismatch, BudgetExceeded, InvalidParams
 from ranklab.fields import Field, make_tower, poly_eval, poly_mod, poly_mul
+from ranklab import fqlinalg
 from ranklab.fqlinalg import (
     Mat,
     RowReducer,
     SubspaceBasis,
     cheapest,
+    digit_column,
     enumerate_subspaces,
     iter_span_rows,
     kernel,
+    log_column,
     mat_inverse,
     mat_mul,
     min_poly,
@@ -561,6 +564,49 @@ def test_pack_digits_packs_the_flattened_coordinates(p, n):
         v = [rng.randrange(tower.mid.order) for _ in range(3)]
         flat = [x for c in v for x in tower.mid_to_base_vec(c)]
         assert store_digits(tower.base, v, n) == store_row(tower.base, flat)
+
+
+# -- the point walk's read-back: a stored coordinate straight to its log ----------
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_log_column_reads_every_code_to_its_log(q, n):
+    """read against digit_column and the log table, every code of the mid
+    field in every coordinate of rows of three (the last one unmasked, and
+    a lead in the last coordinate), and exp3[l - l_lead] against Field.mul
+    and Field.inv, negative differences and the zero sentinel included.
+    n = 4 reaches F_4096 and F_6561; at odd p the block dict starts empty
+    and holds the blocks it has seen."""
+    p, e = PRIME_POWER[q]
+    tower = make_tower(p, e, n, 1)
+    F, prime, deg = tower.mid, tower.prime, tower.mid.dim_over_prime
+    m, order = F.order - 1, F.order
+    table, _ = fqlinalg._log_table.__wrapped__(F)
+    if p != 2 and deg > 1:
+        assert table == {}
+    read, exp3 = log_column(F, 3)
+    logs = [2 * m - 1] + F._log[1:]
+    vectors = [(c, (c + 1) % order, order - 1 - c) for c in range(order)]
+    vectors += [(0, 0, c) for c in range(order)]
+    rows = [store_digits(prime, v, deg) for v in vectors]
+    codes = digit_column(prime, deg)
+    for j in range(3):
+        assert list(codes(rows, j)) == [v[j] for v in vectors]
+        assert list(read(rows, j)) == [logs[v[j]] for v in vectors]
+    assert len(exp3) == 3 * m
+    units = F._exp[:m]
+    leads = {1, units[m - 1], units[m // 2], units[(m + 1) // 3]}
+    for a in leads:
+        la, inv = logs[a], F.inv(a)
+        assert [exp3[logs[c] - la] for c in range(order)] == [
+            F.mul(c, inv) for c in range(order)]
+    if p != 2 and deg > 1:
+        fresh = fqlinalg._BlockLogs()
+        fresh.code, fresh.log = codes, logs
+        blocks = [store_digits(prime, [c], deg) for c in (5, 0, 5, 1)]
+        assert [fresh[b] for b in blocks] == [logs[5], logs[0], logs[5], logs[1]]
+        assert len(fresh) == 3
 
 
 # -- the span walk against itertools.product -------------------------------------

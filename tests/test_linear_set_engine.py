@@ -283,10 +283,11 @@ def test_budget_names_the_chosen_scans_unit():
         iota(U4, budget=8)
     # only the scan fits: it runs, although the walk is cheaper
     assert iota(U4, budget=14) == iota(U4)
-    U = random_subspace(tower, 2, 5, random.Random(1))
-    assert not _walks(tower, 2, 5)  # θ_4(2) = 31 F_q-points
+    V = random_subspace(tower, 2, 6, random.Random(1))
+    assert not _walks(tower, 2, 6)  # θ_5(2) = 63 F_q-points
     with pytest.raises(BudgetExceeded, match="9 projective points"):
-        iota(U, budget=8)
+        iota(V, budget=8)
+    U = random_subspace(tower, 2, 5, random.Random(1))
     assert _walks(tower, 2, 1)  # the dual's θ_0(2) = 1 F_q-point
     assert max_hyperplane_weight(U, budget=1) == 5 - 3 + 1
     with pytest.raises(BudgetExceeded, match="1 subspace F_q-points"):
@@ -522,32 +523,57 @@ def test_count_path_matches_the_dict_path_the_scan_and_the_vector_walk(label, U,
     assert (iota(U), sorted(excess_iter(U, 1)), point_weight_counts(U)) == expected, label
 
 
-def test_scatteredness_walk_stops_at_the_first_heavy_run(monkeypatch):
-    # random non-maximum k = 6 subspaces of F_64^3 at h = 2: the walk of the
-    # 4095 F_q-points of U^⊥' stops after the first run whose partial fibers
-    # show a point of weight 3, and the verdict is the definition scan's
-    tower, rng = _tower(2, 6), random.Random(64)
-    column, blocks = subspaces.digit_column, []
+def _record_walked_blocks(monkeypatch):
+    """The lists of vectors whose coordinates the walk reads, each once,
+    recorded through fqlinalg.log_column's read."""
+    tables, blocks = subspaces.log_column, []
 
-    def recording(F, deg):
-        read = column(F, deg)
+    def recording(F, ncols):
+        read, exp3 = tables(F, ncols)
 
         def read_column(rows, j):
             if not any(rows is b for b in blocks):
                 blocks.append(rows)
             return read(rows, j)
-        return read_column
+        return read_column, exp3
 
-    monkeypatch.setattr(subspaces, "digit_column", recording)
+    monkeypatch.setattr(subspaces, "log_column", recording)
+    return blocks
+
+
+def _walked_to_the_verdict(tower, r, k, h, rng, monkeypatch):
+    """(vectors read by is_h_scattered, vectors read counting all point
+    weights of U^⊥') on a random spanning k-dim U with a definition
+    violation at h = r - 1."""
+    blocks = _record_walked_blocks(monkeypatch)
+    U = _spanning(tower, r, k, rng)
+    assert definition_excess(U, h)
+    blocks.clear()
+    point_weight_counts(ordinary_dual(U))
+    walked = sum(map(len, blocks))
+    blocks.clear()
+    assert not is_h_scattered(U, h)
+    return sum(map(len, blocks)), walked
+
+
+def test_scatteredness_walk_stops_at_the_first_heavy_run(monkeypatch):
+    # random non-maximum k = 6 subspaces of F_64^3 at h = 2: the walk of the
+    # 4095 F_q-points of U^⊥' stops after the first run whose partial fibers
+    # show a point of weight 3, and the verdict is the definition scan's
+    tower, rng = _tower(2, 6), random.Random(64)
     for _ in range(4):
-        U = _spanning(tower, 3, 6, rng)
-        assert definition_excess(U, 2)
-        blocks.clear()
-        point_weight_counts(ordinary_dual(U))
-        walked = sum(map(len, blocks))
-        blocks.clear()
-        assert not is_h_scattered(U, 2)
-        assert 0 < sum(map(len, blocks)) < walked <= theta(11, 2)
+        stopped, walked = _walked_to_the_verdict(tower, 3, 6, 2, rng, monkeypatch)
+        assert 0 < stopped < walked <= theta(11, 2)
+
+
+def test_scatteredness_walk_stops_at_the_first_heavy_run_at_odd_p(monkeypatch):
+    # random k = 5 subspaces of F_81^3 at h = 2 (above the maximum 4): the
+    # walk of the 1093 F_q-points of U^⊥' stops after the first run whose
+    # partial fibers show a point of weight 2, read through the block dict
+    tower, rng = _tower(3, 4), random.Random(81)
+    for _ in range(4):
+        stopped, walked = _walked_to_the_verdict(tower, 3, 5, 2, rng, monkeypatch)
+        assert 0 < stopped < walked <= theta(6, 3)
 
 
 # -- the F_{q^n}-meet against the flat intersection -----------------------------

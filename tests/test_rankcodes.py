@@ -1005,7 +1005,7 @@ def test_pricing_picks_the_engine_from_the_input(kind, params, engine, monkeypat
     # weights win at k <= N/2 here, the tree at k > N/2.  A C_{U,G} with
     # (q, n, r, k) = (2, 6, 2, 9) takes the tree (K = 12 per subspace of
     # F_2^3, 192) over the point scan (2n per point of PG(1, 64), 780) and
-    # the walk (2 per F_q-point of U, 1022)
+    # the walk (3/2 per F_q-point of U, 766)
     from ranklab.fqlinalg import qbinom
     from ranklab.subspaces import random_subspace
 

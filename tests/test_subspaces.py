@@ -527,6 +527,25 @@ def test_spanning_subspace_hyperplane_weight_below_k(pseudoreg):
     assert max_hyperplane_weight(pseudoreg) <= pseudoreg.k - 1
 
 
+@pytest.mark.parametrize("p,e,n", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 2, 2)])
+def test_spans_ambient_matches_the_rank_of_all_mid_rows(p, e, n):
+    # spans_ambient stops adding rows at rank r; the oracle ranks them all,
+    # on spanning U, on U inside the hyperplane x_0 = 0, and on k < r
+    t, rng = make_tower(p, e, n, 1), random.Random(p * 100 + e * 10 + n)
+    order = t.mid.order
+    seen = set()
+    for r in (2, 3):
+        for k in range(1, r * n + 1):
+            for inside in (False, True):
+                vecs = [[0 if inside and i == 0 else rng.randrange(order) for i in range(r)]
+                        for _ in range(k)]
+                U = FqSubspace.from_mid_vectors(t, r, vecs)
+                want = rref(U.mid_matrix())[1] == r
+                assert U.spans_ambient() is want, (r, k, inside)
+                seen.add((want, U.k < r))
+    assert seen == {(True, False), (False, False), (False, True)}
+
+
 def test_is_h_scattered_against_zassenhaus_oracle(t2_4):
     # oracle: rebuild the predicate from the Zassenhaus count dim(A ∩ B) =
     # dim A + dim B - dim(A + B) (a different elimination path than the
