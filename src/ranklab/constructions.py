@@ -367,7 +367,7 @@ def mrd_to_subspace(C: RankCode, tower: FieldTower, *,
     r = Cprime.dim // n      # C' is a vector space over its idealiser F_{q^n}
     mult_mats = [mult_matrix(tower, b) for b in basis_codes(mid, base)]
     G = _evaluation_map(_right_basis(Cprime, mult_mats))
-    U = FqSubspace.from_flat(tower, r, kernel(G).rows)
+    U = FqSubspace(tower, r, kernel(G))
     recon = RankCode.from_generators(base, C.m, n, _cug_codewords(tower, r, G))
     if recon != Cprime:
         raise InternalInvariantError("reconstructed C_{U,G} differs from C'")
@@ -434,7 +434,7 @@ def gabidulin_restriction(tower: FieldTower, nt: int, n: int, it: int) -> Gabidu
         tower.top_to_base_vec(top.mul(top.pow(xi, i), tower.frob("mid", b, j)))
         for b in mid_basis], nt).transpose() for j in range(it + 1) for i in range(t)]
     G = _evaluation_map(fji)
-    U = FqSubspace.from_flat(tower, r, kernel(G).rows)
+    U = FqSubspace(tower, r, kernel(G))
     code = RankCode.from_generators(tower.base, nt, n, _cug_codewords(tower, r, G))
     code.attach(U)
     Udual = ordinary_dual(U)

@@ -52,8 +52,6 @@ LOG_TABLE_LIMIT = 1 << 20
 DEFAULT_TOWER_BUDGET = 1 << 24
 TRIAL_FACTOR_LIMIT = 1 << 12
 
-LEVELS = ("base", "mid", "top")
-
 
 def is_prime(p: int) -> bool:
     return prime_factors(p) == [p]

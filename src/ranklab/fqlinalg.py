@@ -726,11 +726,11 @@ def prime_expansion(F: Field, rows, coeffs: Field | None = None) -> list:
             for row in rows for c in scalars]
 
 
-def iter_span_rows(rows, F: Field, include_zero: bool = True):
-    """All F-linear combinations of rows with entries in F, as tuples, in
+def iter_span_rows(rows, F: Field, ncols: int, include_zero: bool = True):
+    """All F-linear combinations of rows of ncols entries in F, as tuples, in
     odometer's order (row 0's digit fastest): span_chunks from zero over
-    the F_p-expansion of the rows, one item at a time."""
-    ncols = len(rows[0]) if rows else 0
+    the F_p-expansion of the rows, one item at a time.  No rows span the
+    zero vector alone."""
     walk = itertools.chain.from_iterable(span_chunks(
         F, store_row(F, [0] * ncols), prime_expansion(F, [store_row(F, row) for row in rows]),
         ncols, SPAN_CHUNK))

@@ -1,11 +1,11 @@
 """F_q-subspaces U of V = F_{q^n}^r: scatteredness, the iota statistic,
 ordinary duality and Delsarte duality.
 
-A subspace is carried in two coordinatizations: k basis vectors over the mid
-field, and the canonical RREF basis of the flattened F_q^{rn} picture.  The
-flattening applies the fixed basis (1, g, ..., g^{n-1}) of F_{q^n} over F_q
-coordinate-wise, so coordinate i of a mid vector occupies flat columns
-[i*n, (i+1)*n).
+A subspace is stored once, as the canonical RREF basis of its flattened
+F_q^{rn} picture.  The flattening applies the fixed basis (1, g, ...,
+g^{n-1}) of F_{q^n} over F_q coordinate-wise, so coordinate i of a mid
+vector occupies flat columns [i*n, (i+1)*n); the mid vectors of the basis
+are read back from the flat rows where they are asked for (basis_mid).
 
 Every meet dim_{F_q}(U ∩ <W>_{F_{q^n}}) with given F_{q^n}-subspaces W comes
 from one helper, _meet_dims: it holds one reducer for U and eliminates the
@@ -52,7 +52,7 @@ import enum
 import itertools
 import operator
 from collections import Counter
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import (
@@ -96,15 +96,21 @@ def unflatten_vec(tower: FieldTower, row) -> tuple[int, ...]:
 
 
 class FqSubspace:
-    """An F_q-subspace of F_{q^n}^r in mid and flattened coordinates."""
+    """An F_q-subspace of F_{q^n}^r, stored as the canonical RREF basis flat
+    of its flattened F_q^{rn} picture; basis_mid reads its rows back as mid
+    vectors on first use."""
 
-    def __init__(self, tower: FieldTower, r: int, basis_mid: tuple[tuple[int, ...], ...],
-                 flat: SubspaceBasis):
-        self.tower, self.r, self.basis_mid, self.flat = tower, r, basis_mid, flat
+    def __init__(self, tower: FieldTower, r: int, flat: SubspaceBasis):
+        self.tower, self.r, self.flat = tower, r, flat
 
     @property
     def k(self) -> int:
         return self.flat.dim
+
+    @cached_property
+    def basis_mid(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of flat as mid vectors, in order."""
+        return tuple(unflatten_vec(self.tower, row) for row in self.flat.rows)
 
     @classmethod
     def from_mid_vectors(cls, tower: FieldTower, r: int, vectors) -> "FqSubspace":
@@ -113,38 +119,27 @@ class FqSubspace:
             if len(v) != r:
                 raise DimensionMismatch("vector length != r")
             flat_vectors.append(flatten_vec(tower, v))
-        return cls.of_basis(
-            tower, r, SubspaceBasis.from_vectors(tower.base, r * tower.n, flat_vectors))
+        return cls(tower, r, SubspaceBasis.from_vectors(tower.base, r * tower.n, flat_vectors))
 
     @classmethod
     def from_flat(cls, tower: FieldTower, r: int, flat_vectors) -> "FqSubspace":
-        return cls.of_basis(
-            tower, r, SubspaceBasis.from_vectors(tower.base, r * tower.n, flat_vectors))
-
-    @classmethod
-    def of_basis(cls, tower: FieldTower, r: int, flat: SubspaceBasis) -> "FqSubspace":
-        """The subspace with the canonical flat basis flat, taken as it is."""
-        return cls(tower, r, tuple(unflatten_vec(tower, row) for row in flat.rows), flat)
+        return cls(tower, r, SubspaceBasis.from_vectors(tower.base, r * tower.n, flat_vectors))
 
     @classmethod
     def zero(cls, tower: FieldTower, r: int) -> "FqSubspace":
-        return cls(tower, r, (), SubspaceBasis.zero(tower.base, r * tower.n))
-
-    def contains(self, v) -> bool:
-        """Membership of a mid-coordinate vector."""
-        return self.flat.contains(flatten_vec(self.tower, v))
+        return cls(tower, r, SubspaceBasis.zero(tower.base, r * tower.n))
 
     def mid_matrix(self) -> Mat:
         return Mat.from_rows(self.tower.mid, self.basis_mid, self.r)
 
     def spans_ambient(self) -> bool:
-        """True iff <U>_{F_{q^n}} = V: the mid rows are added until their
-        rank reaches r."""
+        """True iff <U>_{F_{q^n}} = V: the flat rows are read back as mid
+        vectors and added until their rank reaches r."""
         red = RowReducer(self.tower.mid, self.r)
-        for v in self.basis_mid:
+        for row in self.flat.rows:
             if red.rank == self.r:
                 break
-            red.add(v)
+            red.add(unflatten_vec(self.tower, row))
         return red.rank == self.r
 
     def __eq__(self, other):
@@ -209,13 +204,15 @@ def _walk_batches(U: FqSubspace):
 
     The vectors b_i + Σ_{j>i} a_j·b_j come from span_chunks over the
     F_p-expansion of the a_j: one integer add per vector, XOR at p = 2 and
-    the Slots fold at odd p.  U's flat basis is in RREF, so each such vector
-    has its first nonzero flat entry at b_i's pivot, in coordinate lead."""
+    the Slots fold at odd p.  The rows are U's flat rows and their
+    F_p-multiples, stored with the e base-p digits of each F_q-code in turn:
+    the integers store_digits makes of the mid vectors over their n·e
+    digits.  The flat basis is in RREF, so each such vector has its first
+    nonzero flat entry at b_i's pivot, in coordinate lead."""
     tower = U.tower
     prime, N, e = tower.prime, tower.mid.dim_over_prime, tower.e
     # the F_p-basis of F_q starts with 1: rows[i*e] is b_i
-    rows = [store_digits(prime, v, N)
-            for v in prime_expansion(tower.mid, U.basis_mid, tower.base)]
+    rows = [store_digits(prime, v, e) for v in prime_expansion(tower.base, U.flat.rows)]
     vectors, runs = [], []
     for i, pivot in enumerate(U.flat.pivots):
         for chunk in span_chunks(prime, rows[i * e], rows[(i + 1) * e:], U.r * N,
@@ -248,6 +245,8 @@ def _walk_fibers(U: FqSubspace, t: int | None = None):
     tower = U.tower
     q, mid, r = tower.base.order, tower.mid, U.r
     tables = log_column(mid, r)
+    if tables is None:
+        column = digit_column(tower.prime, mid.dim_over_prime)
     limit = None if t is None else theta(t - 1, q)
     fibers = [Counter() for _ in range(r)]
     for vectors, runs in _walk_batches(U):
@@ -265,7 +264,6 @@ def _walk_fibers(U: FqSubspace, t: int | None = None):
             else:
                 block = vectors[start:stop]
                 if tables is None:
-                    column = digit_column(tower.prime, mid.dim_over_prime)
                     keys = map(operator.itemgetter(1 if lead == r - 2 else slice(1, None)),
                                map(normalize_point, itertools.repeat(mid), zip(
                                    *(column(block, j) for j in range(lead, r)))))
@@ -490,7 +488,7 @@ def ordinary_dual(U: FqSubspace) -> FqSubspace:
     # σ'(u, ·) on the flat basis: each n-block of u times the Gram matrix
     rows = [[x for i in range(0, r * n, n) for x in vec_mat(u[i:i + n], T)]
             for u in U.flat.rows]
-    return FqSubspace.of_basis(tower, r, kernel(Mat.from_rows(tower.base, rows, r * n)))
+    return FqSubspace(tower, r, kernel(Mat.from_rows(tower.base, rows, r * n)))
 
 
 # -- Delsarte duality ---------------------------------------------------------

@@ -87,7 +87,7 @@ def test_kernel_matches_exhaustive_solution_set():
     sols = {v for v in itertools.product((0, 1), repeat=3)
             if (v[0] + v[2]) % 2 == 0}
     assert K.dim == 2 and (1, 0, 1) in sols
-    assert {tuple(v) for v in iter_span_rows([list(r) for r in K.rows], F2)} == sols
+    assert {tuple(v) for v in iter_span_rows(K.rows, F2, 3)} == sols
 
 
 def test_kernel_rref_exhaustive_small_f2():
@@ -101,8 +101,7 @@ def test_kernel_rref_exhaustive_small_f2():
             sols = {v for v in itertools.product((0, 1), repeat=cols)
                     if all(sum(a * b for a, b in zip(row, v)) % 2 == 0
                            for row in data)}
-            span = ({tuple(v) for v in iter_span_rows([list(r) for r in K.rows], F2)}
-                    if K.dim else {(0,) * cols})
+            span = {tuple(v) for v in iter_span_rows(K.rows, F2, cols)}
             assert span == sols
 
 
@@ -121,7 +120,7 @@ def test_intersect_matches_exhaustive_membership():
         B = SubspaceBasis.from_vectors(
             F2, 5, [[rng.randrange(2) for _ in range(5)] for _ in range(3)])
         got = meet(A, B)
-        span = lambda S: set(iter_span_rows(S.rows or ((0,) * 5,), F2))
+        span = lambda S: set(iter_span_rows(S.rows, F2, 5))
         assert span(got) == span(A) & span(B)
 
 
@@ -244,7 +243,7 @@ def test_mat_inverse_round_trip():
 def test_iter_span_rows_f16_coefficients():
     # F_{16}-span of one row has 16 elements, not just integer multiples
     F16 = make_tower(2, 1, 4, 1).mid
-    vals = set(iter_span_rows([(1, 3)], F16))
+    vals = set(iter_span_rows([(1, 3)], F16, 2))
     assert len(vals) == 16
     assert (7, F16.mul(7, 3)) in vals
 
@@ -552,7 +551,7 @@ def test_iter_span_packed_odd_p_matches_product(p):
     rows = [[1, 2, 0, p - 1], [0, 1, 1, 2], [p - 1, 0, 2, 1]]
     want = {tuple(sum(c * r[j] for c, r in zip(cs, rows)) % p for j in range(4))
             for cs in itertools.product(range(p), repeat=len(rows))}
-    got = list(iter_span_rows(rows, F))
+    got = list(iter_span_rows(rows, F, 4))
     assert len(got) == p ** len(rows) and set(got) == want
 
 
@@ -635,8 +634,8 @@ def test_span_walk_matches_product(q):
         want.sort()
         nonzero = list(want)
         nonzero.remove((0,) * ncols)
-        assert sorted(iter_span_rows(rows, F)) == want
-        assert sorted(iter_span_rows(rows, F, include_zero=False)) == nonzero
+        assert sorted(iter_span_rows(rows, F, ncols)) == want
+        assert sorted(iter_span_rows(rows, F, ncols, include_zero=False)) == nonzero
         stored = prime_expansion(F, [store_row(F, r) for r in rows])
         for size in (1, q, 1 << 12):
             chunks = list(span_chunks(F, store_row(F, [0] * ncols), stored, ncols, size))
@@ -769,8 +768,8 @@ def test_iter_span_rows_yields_odometer_order(q, k, ncols):
         for c, row in zip(reversed(cs), rows):
             v = [F.add(x, F.mul(c, y)) for x, y in zip(v, row)]
         want.append(tuple(v))
-    assert list(iter_span_rows(rows, F)) == want
-    assert list(iter_span_rows(rows, F, include_zero=False)) == want[1:]
+    assert list(iter_span_rows(rows, F, ncols)) == want
+    assert list(iter_span_rows(rows, F, ncols, include_zero=False)) == want[1:]
     if F.base is not None:
         chunks = span_chunks(F, store_row(F, [0] * ncols), prime_expansion(F, rows),
                              ncols, 1 << 12)

@@ -108,7 +108,8 @@ def oracle_vector_walk(U):
     normalized to its point, and a point of weight w collects q^w - 1."""
     tower, q = U.tower, U.tower.q
     counts = Counter(normalize_point(tower.mid, unflatten_vec(tower, v))
-                     for v in iter_span_rows(U.flat.rows, tower.base, include_zero=False))
+                     for v in iter_span_rows(U.flat.rows, tower.base, U.flat.ambient,
+                                             include_zero=False))
     weight_of = {q**w - 1: w for w in range(1, U.k + 1)}
     return {pt: weight_of[c] for pt, c in counts.items()}
 

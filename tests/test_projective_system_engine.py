@@ -54,7 +54,7 @@ def oracle_enumerator(C, convention):
     """Weights of all Q^k - 1 nonzero coefficient vectors' codewords."""
     F = C.field
     counts = Counter(sum(1 for x in cw if x)
-                     for cw in iter_span_rows(list(C.gen), F, include_zero=False))
+                     for cw in iter_span_rows(C.gen, F, C.N, include_zero=False))
     if convention == "codeword":
         return dict(sorted(counts.items()))
     assert all(c % (F.order - 1) == 0 for c in counts.values())

@@ -235,7 +235,7 @@ def _exhaustive_is_field(F, ide):
     s = ide.degree
     return bool(flat) and all(
         RowReducer(F, s).add_all(w[i * s:(i + 1) * s] for i in range(s)) == s
-        for w in iter_span_rows(flat, F, include_zero=False))
+        for w in iter_span_rows(flat, F, s * s, include_zero=False))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -356,7 +356,7 @@ def _idealiser_by_enumeration(C, side, s):
     (right) for each basis matrix M, tested against C's codeword set."""
     F = C.field
     add, mul = F.add, F.mul
-    words = {tuple(v) for v in iter_span_rows(C.flat.rows, F)} if C.dim else {(0,) * (C.m * C.n)}
+    words = {tuple(v) for v in iter_span_rows(C.flat.rows, F, C.m * C.n)}
     mats = C.basis_matrices()
 
     def product(X, Z, rows, inner, cols):
@@ -380,7 +380,7 @@ def test_idealiser_basis_spans_the_enumerated_idealiser(p, e):
         for side in sides:
             ide = (left_idealiser if side is Side.LEFT else right_idealiser)(C)
             flat = [[x for row in Y for x in row] for Y in ide.basis]
-            span = {tuple(v) for v in iter_span_rows(flat, F)}
+            span = {tuple(v) for v in iter_span_rows(flat, F, s * s)}
             assert span == _idealiser_by_enumeration(C, side, s), (label, side)
             assert ide.order == len(span) == F.order**ide.dim
             assert ide.is_field == _exhaustive_is_field(F, ide), (label, side)

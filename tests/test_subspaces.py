@@ -266,6 +266,28 @@ def test_ordinary_dual_is_canonical_and_orthogonal(q, r, n):
                 assert tower.trace_to_base("mid", dot) == 0
 
 
+@pytest.mark.parametrize("p, e, n, r, k", [(2, 1, 4, 2, 5), (3, 1, 3, 2, 4), (2, 2, 3, 3, 5)])
+def test_mid_basis_is_read_back_on_demand(p, e, n, r, k, monkeypatch, force_side):
+    """Only the flat basis is stored: building U, its ordinary dual and a
+    walk of its points unflatten no row; the first read of basis_mid
+    unflattens each of the k rows once, in order, and the second none."""
+    tower = make_tower(p, e, n, 1)
+    rows = random_subspace(tower, r, k, random.Random(k)).flat.rows
+    want = tuple(tuple(tower.base_vec_to_mid(row[i * n:(i + 1) * n]) for i in range(r))
+                 for row in rows)
+    calls = []
+    unflatten = subspaces.unflatten_vec
+    monkeypatch.setattr(subspaces, "unflatten_vec",
+                        lambda tower, row: calls.append(row) or unflatten(tower, row))
+    force_side(True)
+    U = FqSubspace.from_flat(tower, r, rows)
+    ordinary_dual(U)
+    subspaces.point_weight_counts(U)
+    assert calls == []
+    assert U.basis_mid == want and calls == list(rows)
+    assert U.basis_mid == want and len(calls) == k
+
+
 @pytest.mark.parametrize("p, e", [(2, 1), (3, 2)])
 def test_duals_of_the_zero_subspace(p, e):
     # the kernel of the 0-row matrix is the whole space: no special case

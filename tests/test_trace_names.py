@@ -1,9 +1,10 @@
 """The names perfbench/tracer.py traces still resolve in ranklab.
 
 The tracer wraps every name of its TRACED tuple at the ranklab import sites
-and gives generator functions one span per item, so a renamed function, or
-an item-counted function that stops being a generator, breaks every traced
-benchmark run.  TRACED is read with ast, without importing perfbench.
+and gives generator functions one span per item, so a renamed function, an
+item-counted function that stops being a generator, or a traced method that
+its class no longer defines itself breaks every traced benchmark run.
+TRACED is read with ast, without importing perfbench.
 """
 
 import ast
@@ -44,6 +45,15 @@ ITEM_COUNTED = sorted(
 @pytest.mark.parametrize("name", TRACED)
 def test_traced_name_resolves(name):
     assert callable(_resolve(name))
+
+
+@pytest.mark.parametrize("name", [n for n in TRACED if n.count(".") == 2])
+def test_traced_method_is_defined_on_its_class(name):
+    """Tracer.install reads a method from its class's own __dict__, so an
+    inherited method, or one moved to module level, breaks every traced run."""
+    owner, attr = name.rsplit(".", 1)
+    raw = vars(_resolve(owner)).get(attr)
+    assert inspect.isfunction(raw) or isinstance(raw, classmethod), name
 
 
 def test_item_counted_names_are_traced_generator_functions():
