@@ -131,9 +131,10 @@ _COMMON = (
               "(default 2^20)"),
     _arg("--codeword-budget", type=_budget, default=DEFAULT_CODEWORD_BUDGET,
          help="max items of a code's rank scan: its q^K codewords, "
-              "the subspaces of F_q^{min(m,n)}, or, for a code carrying a "
-              "subspace S (cug; (twisted) Gabidulin built with c = 0), the "
-              "subspace F_q-points of S or the projective points; the "
+              "the subspaces of F_q^{min(m,n)}, or, for a (twisted) Gabidulin "
+              "code built with c = 0, the F_q-points of the subspace S it "
+              "carries or the projective points (cug's ranks fall under "
+              "--subspace-budget); the "
               "cheapest that fits runs; the q^n elements the converse "
               "scans for a root (default 2^24)"))
 _SUBSPACE_INPUT = (_arg("--subspace"), _arg("--pseudoregulus", metavar="r,n,h"), _Q)

@@ -17,14 +17,16 @@ in an odd-characteristic extension uses Zech logarithms, g^a + g^b =
 g^(a + Z(b - a)) with Z(k) = log(1 + g^k) and -1 = g^((|F|-1)/2).  Prime
 fields add mod p; larger extensions add digit-wise.  Field._orbit walks
 1, c, c^2, ... with v -> c·v as an F_p-linear map on the packed code; the
-first walk of length |F| - 1 is exp, and frob_table reads x -> x^q off it.
+first walk of length |F| - 1 is exp, so a power, x -> x^(q^s) included, is
+one lookup: x^m = exp[log(x)·m mod (|F| - 1)].
 Moduli are the least monic irreducibles over the base, ordered by the packed
 code of their non-leading coefficients, so serialized values are portable.
 
 Each formula has one owner: Field.add holds the Zech formula, and every
 subtraction adds the negation (poly_mod, _poly_sub, fqlinalg's row
-operations); _digits reads a code's digits (vec, prime_vec,
-_monic_polys) and _from_digits packs them (from_vec, from_prime_vec);
+operations); _digits reads a code's digits and _from_digits packs them
+(prime_vec, from_prime_vec, Field's table-free arithmetic, FieldTower's
+coordinates, _monic_polys); Field.pow raises to a power (inv, FieldTower.frob);
 poly_mul, poly_mod and poly_pow_mod multiply, reduce and power polynomials
 (Field._mul_raw, the table-free Field.pow, the irreducibility tests);
 _monic scales a polynomial to be monic (poly_gcd, fqlinalg.min_poly);
@@ -225,24 +227,12 @@ class Field:
         self.key, self.p, self.base, self.modulus = key, p, base, modulus
         self.deg, self.order, self.dim_over_prime = deg, order, dim
         self._exp = self._log = self._zech = None
-        self._frob_tables: dict[int, list[int]] = {}
         if order <= LOG_TABLE_LIMIT:
             self._build_tables()
         _FIELD_CACHE[key] = self
         return self
 
     # -- coefficient packing ------------------------------------------------
-
-    def vec(self, a: int) -> list[int]:
-        """Base-field coefficient codes of a (length deg)."""
-        if self.base is None:
-            return [a]
-        return _digits(a, self.base.order, self.deg)
-
-    def from_vec(self, coeffs) -> int:
-        if self.base is None:
-            return coeffs[0] % self.p
-        return _from_digits(coeffs, self.base.order)
 
     def prime_vec(self, a: int) -> list[int]:
         """Coefficient vector over the prime field (length dim_over_prime)."""
@@ -291,33 +281,20 @@ class Field:
 
     def _add_digits(self, a: int, b: int) -> int:
         """Digit-wise addition mod p, for extensions without log tables."""
-        p = self.p
-        out, shift = 0, 1
-        while a or b:
-            out += ((a + b) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
-        return out
+        p, D = self.p, self.dim_over_prime
+        return _from_digits([(x + y) % p for x, y in zip(_digits(a, p, D), _digits(b, p, D))], p)
 
     def _neg_digits(self, a: int) -> int:
         p = self.p
-        out, shift = 0, 1
-        while a:
-            d = a % p
-            if d:
-                out += (p - d) * shift
-            a //= p
-            shift *= p
-        return out
+        return _from_digits([-x % p for x in _digits(a, p, self.dim_over_prime)], p)
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Polynomial multiplication with modulus reduction (no tables)."""
         if self.base is None:
             return (a * b) % self.p
         base, B, d = self.base, self.base.order, self.deg
-        return self.from_vec(poly_mod(base, poly_mul(base, _digits(a, B, d), _digits(b, B, d)),
-                                      self.modulus))
+        return _from_digits(poly_mod(base, poly_mul(base, _digits(a, B, d), _digits(b, B, d)),
+                                     self.modulus), B)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -343,7 +320,8 @@ class Field:
         e %= self.order - 1
         if self.base is None:
             return pow(a, e, self.p)
-        return self.from_vec(poly_pow_mod(self.base, self.vec(a), e, self.modulus))
+        B = self.base.order
+        return _from_digits(poly_pow_mod(self.base, _digits(a, B, self.deg), e, self.modulus), B)
 
     def elements(self):
         return range(self.order)
@@ -428,16 +406,6 @@ class Field:
                 if v == 1:
                     return orbit
         raise InvalidParams(f"modulus {self.modulus} is reducible: {c} is no unit")
-
-    def frob_table(self, q: int) -> list[int]:
-        """Lookup table for x -> x^q, read off the logs: (g^i)^q = g^(iq).
-        Built lazily; fields with log tables (order <= 2^20) only."""
-        t = self._frob_tables.get(q)
-        if t is None:
-            exp, log, n = self._exp, self._log, self.order - 1
-            t = [0] + [exp[log[a] * q % n] for a in range(1, self.order)]
-            self._frob_tables[q] = t
-        return t
 
     def __repr__(self):
         return f"Field(order={self.order})"
@@ -597,7 +565,8 @@ class FieldTower:
     The flattening basis of mid over base is (1, g, ..., g^{n-1}) with g the
     polynomial-basis generator of the mid field; all other modules rely on
     this being fixed.  Shareable across threads: all state is read-only after
-    construction (frobenius tables are built lazily but idempotently).
+    construction.  A code's base-q digits are its coordinates over F_q, so the
+    coordinate maps are _digits and _from_digits.
     """
 
     def __init__(self, p: int, e: int, n: int, t: int, *,
@@ -649,17 +618,8 @@ class FieldTower:
         return {"base": 1, "mid": self.n, "top": self.n * self.t}[level]
 
     def frob(self, level: str, a: int, s: int) -> int:
-        """a^(q^s) computed in the given level's field."""
-        F = self.field(level)
-        s %= self.degree_over_base(level)
-        if s == 0:
-            return a
-        if F.order <= LOG_TABLE_LIMIT:
-            ft = F.frob_table(self.q)
-            for _ in range(s):
-                a = ft[a]
-            return a
-        return F.pow(a, self.q**s)
+        """a^(q^s) computed in the given level's field by Field.pow."""
+        return self.field(level).pow(a, self.q ** (s % self.degree_over_base(level)))
 
     def trace_to_base(self, level: str, a: int) -> int:
         """Tr over F_q of an element of the given level (returns a base code)."""
@@ -682,23 +642,14 @@ class FieldTower:
 
     def mid_to_base_vec(self, a: int) -> list[int]:
         """Coordinates of a mid element over the basis (1, g, ..., g^{n-1})."""
-        if self.n == 1:
-            return [a]
-        return self.mid.vec(a)
+        return _digits(a, self.q, self.n)
 
     def base_vec_to_mid(self, v) -> int:
-        if self.n == 1:
-            return v[0]
-        return self.mid.from_vec(v)
+        return _from_digits(v, self.q)
 
     def top_to_base_vec(self, a: int) -> list[int]:
         """Coordinates over base of a top element, mid-block major."""
-        if self.t == 1:
-            return self.mid_to_base_vec(a)
-        out = []
-        for c in self.top.vec(a):
-            out.extend(self.mid_to_base_vec(c))
-        return out
+        return _digits(a, self.q, self.n * self.t)
 
     def __eq__(self, other):
         return isinstance(other, FieldTower) and self.params == other.params

@@ -716,17 +716,17 @@ def basis_codes(F: Field, sub: Field | None = None) -> list[int]:
     return [c * F.base.order**j for j in range(F.deg) for c in basis_codes(F.base, sub)]
 
 
-def prime_expansion(F: Field, rows, coeffs: Field | None = None) -> list:
-    """c·row for each row and each c of the F_p-basis of coeffs (default F),
-    row by row: rows whose F_p-span is the coeffs-span of rows.  Rows are
-    code sequences or stored rows over F; a row times 1 is passed through."""
-    scalars = basis_codes(coeffs or F)
+def prime_expansion(F: Field, rows) -> list:
+    """c·row for each row and each c of the F_p-basis of F, row by row: rows
+    whose F_p-span is the F-span of rows.  Rows are code sequences or stored
+    rows over F; a row times 1 is passed through."""
+    scalars = basis_codes(F)
     mul = F.mul
     return [row if c == 1 else tuple(mul(c, x) for x in row)
             for row in rows for c in scalars]
 
 
-def iter_span_rows(rows, F: Field, ncols: int, include_zero: bool = True):
+def iter_span_rows(rows, F: Field, ncols: int):
     """All F-linear combinations of rows of ncols entries in F, as tuples, in
     odometer's order (row 0's digit fastest): span_chunks from zero over
     the F_p-expansion of the rows, one item at a time.  No rows span the
@@ -734,8 +734,6 @@ def iter_span_rows(rows, F: Field, ncols: int, include_zero: bool = True):
     walk = itertools.chain.from_iterable(span_chunks(
         F, store_row(F, [0] * ncols), prime_expansion(F, [store_row(F, row) for row in rows]),
         ncols, SPAN_CHUNK))
-    if not include_zero:
-        next(walk)
     if F.base is not None:
         yield from walk
         return

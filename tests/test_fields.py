@@ -95,6 +95,58 @@ def test_frobenius_fixed_points_exhaustive():
         assert len(fixed) == t.q
 
 
+def test_first_frobenius_builds_no_table(monkeypatch):
+    # x -> x^q is one log lookup: a fresh F_{2^16} (an empty field cache)
+    # allocates no |F|-entry table on its first Frobenius
+    import tracemalloc
+
+    from ranklab import fields
+
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    t = FieldTower(2, 1, 16, 1)
+    a = t.mid.gen
+    tracemalloc.start()
+    try:
+        assert t.frob("mid", a, 1) == t.mid.mul(a, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
+def _powers(F, x, m):
+    """[1, x, ..., x^(m-1)] by products in F (x unused when m = 1)."""
+    out = [1]
+    while len(out) < m:
+        out.append(F.mul(out[-1], x))
+    return out
+
+
+# n = 1 makes mid the base field, t = 1 makes top the mid field
+@pytest.mark.parametrize("params", [(2, 2, 1, 1), (2, 3, 1, 1), (3, 2, 1, 1), (2, 2, 1, 2),
+                                    (2, 3, 1, 2), (3, 2, 1, 2), (2, 2, 2, 1), (3, 1, 2, 2),
+                                    (2, 1, 3, 2)])
+def test_coordinates_rebuild_the_element(params):
+    # coordinates over (1, g, ..., g^{n-1}), and over h^j·g^i mid-block major
+    # for top = mid(h), give back the element as Σ c_k·basis_k in the field
+    t = make_tower(*params)
+    mid, top, n, k = t.mid, t.top, t.n, t.n * t.t
+    mid_basis = _powers(mid, t.q, n)
+    top_basis = [top.mul(y, x) for y in _powers(top, mid.order, t.t) for x in mid_basis]
+
+    def rebuild(F, coords, basis):
+        return functools.reduce(F.add, map(F.mul, coords, basis), 0)
+
+    for a in mid.elements():
+        v = t.mid_to_base_vec(a)
+        assert len(v) == n and all(c < t.q for c in v)
+        assert rebuild(mid, v, mid_basis) == a == t.base_vec_to_mid(v)
+    for a in top.elements():
+        v = t.top_to_base_vec(a)
+        assert len(v) == k and all(c < t.q for c in v)
+        assert rebuild(top, v, top_basis) == a
+
+
 # t = 2 towers beyond q = 2: F_3 ⊂ F_9 ⊂ F_81, F_3 ⊂ F_27 ⊂ F_729, F_4 ⊂ F_16 ⊂ F_256,
 # and t = 3: F_2 ⊂ F_4 ⊂ F_64, F_3 ⊂ F_9 ⊂ F_729
 T2_TOWERS = [(3, 1, 2, 2), (3, 1, 3, 2), (2, 2, 2, 2), (2, 1, 2, 3), (3, 1, 2, 3)]
@@ -260,7 +312,7 @@ def _check_add_sub_neg(F, pairs):
 
 # (p, e, n): the mid field F_{p^{en}}; n = 1 gives the base field F_{p^e}
 SMALL_ODD_FIELDS = [(3, 1, 1), (5, 1, 1), (7, 1, 1), (3, 2, 1), (5, 1, 2), (3, 1, 3)]
-# (3, 1, 13): F_{3^13} is above LOG_TABLE_LIMIT, where the digit loop runs
+# (3, 1, 13): F_{3^13} is above LOG_TABLE_LIMIT, where addition is digit-wise
 LARGER_ODD_FIELDS = [(3, 1, 4), (5, 1, 4), (3, 2, 4), (3, 1, 13)]
 
 
@@ -362,7 +414,7 @@ def test_tables_match_the_per_entry_chain(p, e, n, t, level):
     assert F._log == log
     assert F._zech == zech
     for q in {tower.q, p}:
-        assert F.frob_table(q) == [_pow_raw(F, a, q) for a in F.elements()]
+        assert [F.pow(a, q) for a in F.elements()] == [_pow_raw(F, a, q) for a in F.elements()]
 
 
 @pytest.mark.parametrize("p,n", [(2, 16), (3, 12)])

@@ -15,6 +15,7 @@ test and the excess list are held against the definition scan they
 replaced, which meets U with every h-dim F_{q^n}-subspace.
 """
 
+import itertools
 import random
 from collections import Counter
 
@@ -25,9 +26,9 @@ from ranklab.constructions import pseudoregulus_subspace, random_scattered_searc
 from ranklab.fields import make_tower
 from ranklab.errors import BudgetExceeded, InternalInvariantError, NotMaxScattered
 from ranklab.fields import Field
-from ranklab.fqlinalg import (Mat, SubspaceBasis, cheapest, enumerate_subspaces,
-                              iter_span_rows, kernel, odometer, prime_expansion,
-                              projective_points, rref, theta, vec_mat)
+from ranklab.fqlinalg import (Mat, SubspaceBasis, basis_codes, cheapest, enumerate_subspaces,
+                              iter_span_rows, kernel, odometer, projective_points, rref,
+                              theta, vec_mat)
 from ranklab.linsets import hyperplane_spectrum, linear_set
 from ranklab.subspaces import (
     FqSubspace,
@@ -108,8 +109,8 @@ def oracle_vector_walk(U):
     normalized to its point, and a point of weight w collects q^w - 1."""
     tower, q = U.tower, U.tower.q
     counts = Counter(normalize_point(tower.mid, unflatten_vec(tower, v))
-                     for v in iter_span_rows(U.flat.rows, tower.base, U.flat.ambient,
-                                             include_zero=False))
+                     for v in itertools.islice(
+                         iter_span_rows(U.flat.rows, tower.base, U.flat.ambient), 1, None))
     weight_of = {q**w - 1: w for w in range(1, U.k + 1)}
     return {pt: weight_of[c] for pt, c in counts.items()}
 
@@ -121,7 +122,7 @@ def oracle_tuple_walk(U):
     by normalize_point and counted in visiting order."""
     tower, mid = U.tower, U.tower.mid
     add = lambda x, y: tuple(map(mid.add, x, y))
-    rows = [tuple(v) for v in prime_expansion(mid, U.basis_mid, tower.base)]
+    rows = [tuple(mid.mul(c, x) for x in v) for v in U.basis_mid for c in basis_codes(tower.base)]
     e = tower.e
     counts = Counter()
     for i in range(U.k):

@@ -8,6 +8,7 @@ every column (for d), and the walk over all Q^k codewords (for the
 enumerator).
 """
 
+import itertools
 import random
 from collections import Counter
 
@@ -54,7 +55,7 @@ def oracle_enumerator(C, convention):
     """Weights of all Q^k - 1 nonzero coefficient vectors' codewords."""
     F = C.field
     counts = Counter(sum(1 for x in cw if x)
-                     for cw in iter_span_rows(C.gen, F, C.N, include_zero=False))
+                     for cw in itertools.islice(iter_span_rows(C.gen, F, C.N), 1, None))
     if convention == "codeword":
         return dict(sorted(counts.items()))
     assert all(c % (F.order - 1) == 0 for c in counts.values())

@@ -235,7 +235,7 @@ def _exhaustive_is_field(F, ide):
     s = ide.degree
     return bool(flat) and all(
         RowReducer(F, s).add_all(w[i * s:(i + 1) * s] for i in range(s)) == s
-        for w in iter_span_rows(flat, F, s * s, include_zero=False))
+        for w in itertools.islice(iter_span_rows(flat, F, s * s), 1, None))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

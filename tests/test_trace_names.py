@@ -1,10 +1,14 @@
-"""The names perfbench/tracer.py traces still resolve in ranklab.
+"""The names perfbench/tracer.py traces, and every ranklab name the
+benchmark reads, still resolve in ranklab.
 
 The tracer wraps every name of its TRACED tuple at the ranklab import sites
 and gives generator functions one span per item, so a renamed function, an
 item-counted function that stops being a generator, or a traced method that
-its class no longer defines itself breaks every traced benchmark run.
-TRACED is read with ast, without importing perfbench.
+its class no longer defines itself breaks every traced benchmark run.  The
+workloads also read names of their own (constructions.cug_mrd_weight_distribution,
+rankcodes.GabidulinExclusion.CERTIFIED_NEW, ...), and one of them gone fails
+every run as well.  TRACED and the workloads are read with ast, without
+importing perfbench.
 """
 
 import ast
@@ -27,6 +31,35 @@ def _traced() -> tuple[str, ...]:
     raise AssertionError("perfbench/tracer.py defines no TRACED")
 
 
+def _perfbench_names() -> list[str]:
+    """Every attribute chain perfbench/*.py roots at a ranklab module, as
+    "module.attr...": the longest chain of each Name.attr... expression
+    whose Name an import binds to ranklab or one of its modules."""
+    names = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        roots = {}      # bound name -> its ranklab module path ("" for the package)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "ranklab" and not node.level:
+                roots.update((a.asname or a.name, a.name) for a in node.names)
+            elif isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.split(".")[0] == "ranklab":
+                        roots[a.asname or "ranklab"] = a.name.partition(".")[2] if a.asname else ""
+        inner = set()
+        for node in ast.walk(tree):     # breadth first: a chain's outermost node comes first
+            if not isinstance(node, ast.Attribute) or id(node) in inner:
+                continue
+            attrs = []
+            while isinstance(node, ast.Attribute):
+                attrs.append(node.attr)
+                node = node.value
+                inner.add(id(node))
+            if isinstance(node, ast.Name) and node.id in roots:
+                names.add(".".join(filter(None, [roots[node.id], *reversed(attrs)])))
+    return sorted(names)
+
+
 def _resolve(name: str):
     mod, *attrs = name.split(".")
     obj = importlib.import_module("ranklab." + mod)
@@ -45,6 +78,17 @@ ITEM_COUNTED = sorted(
 @pytest.mark.parametrize("name", TRACED)
 def test_traced_name_resolves(name):
     assert callable(_resolve(name))
+
+
+@pytest.mark.parametrize("name", _perfbench_names())
+def test_perfbench_name_resolves(name):
+    _resolve(name)
+
+
+def test_perfbench_names_are_found():
+    names = _perfbench_names()
+    assert {"constructions.cug_mrd_weight_distribution", "fqlinalg.rref",
+            "rankcodes.GabidulinExclusion.CERTIFIED_NEW"} <= set(names)
 
 
 @pytest.mark.parametrize("name", [n for n in TRACED if n.count(".") == 2])
