@@ -62,7 +62,7 @@ from .rankcodes import (
 )
 from .subspaces import (
     FqSubspace,
-    excess_iter,
+    excess_total,
     iota,
     is_h_scattered,
     ordinary_dual,
@@ -486,14 +486,18 @@ def random_scattered_search(tower: FieldTower, r: int, h: int, k: int, *,
     """Seeded hill-climbing search for a k-dim h-scattered subspace.
 
     The score of a candidate counts the total excess intersection over all
-    h-dimensional F_{q^n}-subspaces (subspaces.excess_iter; for h = 1 this is
-    the sum of w(P) - 1 over the points of L_U, for h = r - 1 it is read off
-    the point weights of the ordinary dual), plus a spanning penalty;
+    h-dimensional F_{q^n}-subspaces (subspaces.excess_total; for h = 1 this
+    is the sum of w(P) - 1 over the points of L_U, for h = r - 1 it is read
+    off the point weights of the ordinary dual), plus a spanning penalty;
     replacement moves on single basis vectors are accepted when the score
-    does not increase, with deterministic restarts.  Any returned witness is
-    re-verified with is_h_scattered before being reported.  max_evals is the
-    reproducible budget, never exceeded; time_budget (seconds, finite and
-    >= 0) is an optional extra stop.
+    does not increase, with deterministic restarts.  A move's excess is
+    capped at the incumbent's score, and spanning is checked only for a
+    move whose excess stays within it: a move whose excess alone exceeds
+    the cap is rejected whatever its penalty, so every accept and reject is
+    the full score's.  Any returned witness is re-verified with
+    is_h_scattered before being reported.  max_evals is the reproducible
+    budget, never exceeded; time_budget (seconds, finite and >= 0) is an
+    optional extra stop.
     """
     n = tower.n
     if not 1 <= h <= r - 1:
@@ -510,9 +514,11 @@ def random_scattered_search(tower: FieldTower, r: int, h: int, k: int, *,
     rn = r * n
     order = tower.base.order
 
-    def score(U: FqSubspace) -> int:
-        s = 0 if U.spans_ambient() else rn
-        return s + sum(excess_iter(U, h, budget=budget))
+    def score(U: FqSubspace, cap: int | None = None) -> int | None:
+        excess = excess_total(U, h, cap=cap, budget=budget)
+        if excess is None:
+            return None
+        return excess + (0 if U.spans_ambient() else rn)
 
     # the deadline is read before every evaluation, the first included
     deadline = None if time_budget is None else time.monotonic() + time_budget
@@ -533,9 +539,9 @@ def random_scattered_search(tower: FieldTower, r: int, h: int, k: int, *,
         if cand.k != k:
             stall += 1
             continue
-        cand_score = score(cand)
+        cand_score = score(cand, best_score)
         evals += 1
-        if cand_score <= best_score:
+        if cand_score is not None and cand_score <= best_score:
             if cand_score < best_score:
                 stall = 0
             best, best_score = cand, cand_score

@@ -67,17 +67,6 @@ def restriction_6_3_1():
     return constructions.gabidulin_restriction(make_tower(2, 1, 3, 2), 6, 3, 1)
 
 
-def fixture_subspaces() -> dict[str, FqSubspace]:
-    """The canonical subspace fixture set (scatteredness varies by design)."""
-    return {
-        "pseudoregulus_2_4_1": pseudoregulus(2, 4, 1),
-        "pseudoregulus_4_4_1": pseudoregulus(4, 4, 1),
-        "subgeometry_3_3": subgeometry_3_3(),
-        "remark_counterexample": remark_counterexample(),
-        "certified_new_witness": certified_new_witness(),
-    }
-
-
 def fixture_codes() -> dict[str, RankCode]:
     """The MacWilliams fixture set of acceptance criterion 3."""
     gab = gabidulin_4_2_1()

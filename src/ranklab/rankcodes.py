@@ -345,12 +345,6 @@ def mrd_weight_distribution(m: int, n: int, q: int, d: int) -> RankDistribution:
     return dist
 
 
-def adjoint(C: RankCode) -> RankCode:
-    """Transpose of every codeword; an (n,m,q) code with the same distance."""
-    mats = [[list(col) for col in zip(*M)] for M in C.basis_matrices()]
-    return RankCode.from_generators(C.field, C.n, C.m, mats)
-
-
 def delsarte_dual_code(C: RankCode) -> RankCode:
     """Orthogonal complement under <M,N> = Tr(M N^t), i.e. the entrywise
     dot product of flattened matrices; dim = mn - K."""

@@ -34,13 +34,18 @@ its own scans):
 histogram {w: number of points} (_weight_counts): from the walk, the fiber
 sizes of its keys, with the points it skips counted as weight 0.  Only
 linear_set and hyperplane_weight_iter need the points themselves
-(_point_weight_items), built from the keys behind their lead.  With a
-largest allowed weight t, as in is_h_scattered at h = 1 and h = r - 1, the
-walk stops after the first run whose partial fibers exceed θ_{t-1}(q), and
-the point scan at the first point of weight above t.
+(_point_weight_items), built from the keys behind their lead.  The excess
+Σ_P (w(P) - t)₊ may be capped (excess_total): the walk stops once its
+partial fibers bound it above the cap, and the point scan once its running
+sum passes it.  is_h_scattered and ι cap it at 0, so the walk stops after
+the first run whose partial fibers exceed θ_{t-1}(q), and the point scan
+at the first point of weight above t; the search caps it at the incumbent's
+score, checked once, after the vectors b_0 + span(b_1, ..., b_{k-1}).
 Hyperplane weights are point weights of the ordinary dual U^⊥', by
 whichever scan is chosen for it: the hyperplane H_w = ker(w·) is the dual
-of the point <w>, so dim(U ∩ H_w) = w_{U^⊥'}(<w>) + k - n.  Scatteredness
+of the point <w>, so dim(U ∩ H_w) = w_{U^⊥'}(<w>) + k - n.  At r = 2 the
+hyperplane H_w is the point <(w_2, -w_1)>, so for k <= n the counts are
+U's own point weights.  Scatteredness
 at h = 1 reads the point weights of U, at h = r - 1 those of U^⊥'.  The
 scatteredness scan over h-dim F_{q^n}-subspaces at 2 <= h <= r - 2 counts
 subspaces against the budget.
@@ -48,6 +53,7 @@ subspaces against the budget.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import operator
@@ -83,16 +89,12 @@ from .fqlinalg import (
 
 def flatten_vec(tower: FieldTower, v) -> list[int]:
     """Flatten a mid-coordinate vector to base-field codes (length r*n)."""
-    out: list[int] = []
-    for c in v:
-        out.extend(tower.mid_to_base_vec(c))
-    return out
+    return [x for c in v for x in tower.mid_to_base_vec(c)]
 
 
 def unflatten_vec(tower: FieldTower, row) -> tuple[int, ...]:
     n = tower.n
-    return tuple(tower.base_vec_to_mid(row[i * n:(i + 1) * n])
-                 for i in range(len(row) // n))
+    return tuple(tower.base_vec_to_mid(row[i:i + n]) for i in range(0, len(row), n))
 
 
 class FqSubspace:
@@ -195,12 +197,14 @@ def _point_sides(tower: FieldTower, r: int, dim: int):
             (2 * tower.n * scan, scan, "projective points", False)]
 
 
-def _walk_batches(U: FqSubspace):
+def _walk_batches(U: FqSubspace, cut):
     """The walk of _walk_fibers in batches of at least SPAN_CHUNK vectors
     (the last may hold fewer), so that it holds one batch at a time, not the
     θ_{k-1}(q) vectors of U: (vectors, runs), each vector stored over F_p
     by store_digits, and runs listing (lead, start, stop) for each run
-    of vectors whose first nonzero coordinate is lead.
+    of vectors whose first nonzero coordinate is lead.  With cut nonzero,
+    the q^{k-1} vectors b_0 + span(b_1, ..., b_{k-1}) also end a batch,
+    and the later vectors are not built until it has been read.
 
     The vectors b_i + Σ_{j>i} a_j·b_j come from span_chunks over the
     F_p-expansion of the a_j: one integer add per vector, XOR at p = 2 and
@@ -222,18 +226,28 @@ def _walk_batches(U: FqSubspace):
             if len(vectors) >= SPAN_CHUNK:
                 yield vectors, runs
                 vectors, runs = [], []
-    if vectors:
-        yield vectors, runs
+        if vectors and (cut and i == 0 or i == U.k - 1):
+            yield vectors, runs
+            vectors, runs = [], []
 
 
-def _walk_fibers(U: FqSubspace, t: int | None = None):
+def _walk_fibers(U: FqSubspace, t=0, cap=None):
     """One Counter per lead i < r: {key: number of U's F_q-points on the
     point (0, ..., 0, 1, key)}, keys in first-visit order, where key is the
     coordinates after i divided by coordinate i: an int when one is left,
-    a tuple otherwise, () for the one point of lead r - 1.  With t given,
-    None as soon as a partial fiber exceeds θ_{t-1}(q), a point of weight
-    above t, checked after each run; without t, the runs of one lead in a
-    batch are walked as one.
+    a tuple otherwise, () for the one point of lead r - 1.
+
+    With cap given, None as soon as the partial fibers show that
+    Σ_P (w(P) - t)₊ exceeds cap: a fiber holding c F_q-points has weight at
+    least the least w with θ_{w-1}(q) >= c.  At cap 0 one fiber above
+    θ_{t-1}(q) shows it, checked on the fibers of each run.  At any other
+    cap the bound over all fibers is checked once, after the q^{k-1}
+    vectors b_0 + span(b_1, ..., b_{k-1}) that end a batch of
+    _walk_batches, unless the count of those vectors less the count of
+    fibers is within cap: a point of weight w not inside
+    span(b_1, ..., b_{k-1}) then holds q^{w-1} > θ_{w-2}(q) of them, which
+    fixes its weight.
+    Unless cap is 0, the runs of one lead in a batch are walked as one.
 
     The F_q-points are b_i + Σ_{j>i} a_j·b_j over U's basis b (i < k, a_j in
     F_q); a point of weight w holds θ_{w-1}(q) of them.  The vectors of a
@@ -247,10 +261,12 @@ def _walk_fibers(U: FqSubspace, t: int | None = None):
     tables = log_column(mid, r)
     if tables is None:
         column = digit_column(tower.prime, mid.dim_over_prime)
-    limit = None if t is None else theta(t - 1, q)
+    limit = theta(max(t, 0) - 1, q)
+    cut = q ** (U.k - 1) if cap else 0
     fibers = [Counter() for _ in range(r)]
-    for vectors, runs in _walk_batches(U):
-        if limit is None:   # a lead's runs are adjacent: one run per lead
+    walked = 0
+    for vectors, runs in _walk_batches(U, cut):
+        if cap != 0:   # a lead's runs are adjacent: one run per lead
             starts, stops = {}, {}
             for lead, start, stop in runs:
                 starts.setdefault(lead, start)
@@ -273,12 +289,25 @@ def _walk_fibers(U: FqSubspace, t: int | None = None):
                     cols = [map(exp3.__getitem__, map(operator.sub, read(block, j), lead_log))
                             for j in range(lead + 1, r)]
                     keys = cols[0] if len(cols) == 1 else zip(*cols)
-                if limit is not None:
+                if cap == 0:
                     keys = list(keys)
                 counts.update(keys)
-            if limit is not None and max(map(counts.__getitem__, keys)) > limit:
+            if cap == 0 and max(map(counts.__getitem__, keys)) > limit:
+                return None
+        walked += len(vectors)
+        # Σ (c - 1) over the fibers is at least their bound when t >= 1: a
+        # fiber of c > θ_{w-2}(q) points has c - 1 >= w - 1
+        if walked == cut and walked - sum(map(len, fibers)) > cap:
+            sizes = _fiber_sizes(fibers)
+            if _excess(zip(map(bisect.bisect_left, itertools.repeat(
+                    [theta(w - 1, q) for w in range(U.k + 1)]), sizes), sizes.values()), t) > cap:
                 return None
     return fibers
+
+
+def _fiber_sizes(fibers):
+    """{c: number of fibers of c F_q-points} over the leads of _walk_fibers."""
+    return Counter(itertools.chain.from_iterable(map(Counter.values, fibers)))
 
 
 def _weight_of(U: FqSubspace, sizes) -> dict[int, int]:
@@ -295,7 +324,7 @@ def _point_weights(U: FqSubspace) -> dict[tuple[int, ...], int]:
     """{normalized point: weight} over the points of L_U, in the order the
     walk first reaches them: each key of _walk_fibers behind its lead."""
     fibers = _walk_fibers(U)
-    weight_of = _weight_of(U, set(itertools.chain.from_iterable(c.values() for c in fibers)))
+    weight_of = _weight_of(U, _fiber_sizes(fibers).keys())
     points: dict[tuple[int, ...], int] = {}
     for lead, counts in enumerate(fibers):
         head = (0,) * lead + (1,)
@@ -304,31 +333,37 @@ def _point_weights(U: FqSubspace) -> dict[tuple[int, ...], int]:
     return points
 
 
-def _weight_counts(U: FqSubspace, budget: int, t: int | None = None,
-                   walk: bool | None = None):
+def _weight_counts(U: FqSubspace, budget: int, t=0, cap=None, walk: bool | None = None):
     """{w: number of points of PG(r-1, q^n) of weight w}, weight 0 included:
     the fiber sizes of the walk, whose skipped points are counted, not
     visited (all have weight 0), or the point scan.  walk names the side;
-    None lets cheapest pick it from _point_sides.  With t given, None as
-    soon as a point of weight above t is found."""
+    None lets cheapest pick it from _point_sides.  With cap given, None as
+    soon as the walk's partial fibers (_walk_fibers) or the scan's running
+    sum show that Σ_P (w(P) - t)₊ exceeds cap, which at cap 0 is exactly
+    when it does."""
     if walk is None:
         walk = cheapest(_point_sides(U.tower, U.r, U.k), budget)
-    if not walk:
-        counts = Counter()
-        for _, w in _point_scan(U, budget):
-            if t is not None and w > t:
-                return None
-            counts[w] += 1
+    if walk:
+        fibers = _walk_fibers(U, t, cap)
+        if fibers is None:
+            return None
+        sizes = _fiber_sizes(fibers)
+        counts = dict(zip(map(_weight_of(U, sizes.keys()).__getitem__, sizes), sizes.values()))
+        rest = theta(U.r - 1, U.tower.mid.order) - sum(sizes.values())
+        if rest:
+            counts[0] = rest
         return counts
-    fibers = _walk_fibers(U, t)
-    if fibers is None:
-        return None
-    sizes = Counter(itertools.chain.from_iterable(c.values() for c in fibers))
-    counts = dict(zip(map(_weight_of(U, sizes.keys()).__getitem__, sizes), sizes.values()))
-    rest = theta(U.r - 1, U.tower.mid.order) - sum(sizes.values())
-    if rest:
-        counts[0] = rest
+    counts = Counter()
+    for _, w in _point_scan(U, budget):
+        counts[w] += 1
+        if cap is not None and w > t and _excess(counts.items(), t) > cap:
+            return None
     return counts
+
+
+def _excess(counts, t):
+    """Σ (w - t)·count over the pairs (w, count) with w > t."""
+    return sum((w - t) * count for w, count in counts if w > t)
 
 
 def _point_scan(U: FqSubspace, budget: int):
@@ -350,12 +385,10 @@ def _point_weight_items(U: FqSubspace, budget: int):
 def iota(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> int:
     """max over projective points P of dim_{F_q}(U ∩ <P>_{F_{q^n}}), read
     off the weight counts (_weight_counts), which stop at a point of weight
-    min(k, n)."""
-    if U.k == 0:
-        return 0
-    cap = min(U.k, U.tower.n)
-    counts = _weight_counts(U, budget, cap - 1)
-    return cap if counts is None else max(counts)
+    top = min(k, n): the excess over top - 1 capped at 0."""
+    top = min(U.k, U.tower.n)
+    counts = _weight_counts(U, budget, top - 1, 0)
+    return top if counts is None else max(counts)
 
 
 def _weight_side(U: FqSubspace, h: int) -> tuple[FqSubspace, int]:
@@ -388,25 +421,41 @@ def excess_iter(U: FqSubspace, h: int, *, budget: int = DEFAULT_SUBSPACE_BUDGET)
             yield d - h
 
 
+def excess_total(U: FqSubspace, h: int, *, cap: int | None = None,
+                 budget: int = DEFAULT_SUBSPACE_BUDGET) -> int | None:
+    """The sum of excess_iter(U, h), or None exactly when it exceeds cap,
+    found as soon as a lower bound on it does: at h = 1 and r - 1 the
+    partial fibers of the walk or the running sum of the point scan
+    (_weight_counts), else the running sum of the subspace scan."""
+    if h in (1, U.r - 1):
+        V, t = _weight_side(U, h)
+        counts = _weight_counts(V, budget, t, cap)
+        if counts is None:
+            return None
+        total = _excess(counts.items(), t)
+    else:
+        total = 0
+        for total in itertools.accumulate(excess_iter(U, h, budget=budget)):
+            if cap is not None and total > cap:
+                break
+    return None if cap is not None and total > cap else total
+
+
 def is_h_scattered(U: FqSubspace, h: int, *,
                    budget: int = DEFAULT_SUBSPACE_BUDGET) -> bool:
     """True iff U spans V over F_{q^n} and meets every h-dim F_{q^n}-subspace
     in F_q-dimension at most h.  For h = 1: every point of L_U has weight 1.
 
     Every h-dim W meets U in at least k - (r - h)·n, so a U with
-    k - (r - h)·n > h is refused before any scan.  Otherwise the scan exits
-    on the first violation: at h = 1 and r - 1 the point scan at the first
-    point of weight above t and the walk after the first run whose
-    partial fibers show one (_weight_counts, t of _weight_side), else
-    excess_iter's subspace scan at the first W."""
+    k - (r - h)·n > h is refused before any scan.  Otherwise the excess is
+    capped at 0 (excess_total), so the scan exits on the first violation:
+    at h = 1 and r - 1 the point scan at the first point of weight above t
+    and the walk after the first run whose partial fibers show one (t of
+    _weight_side), else the subspace scan at the first W."""
     if not 1 <= h <= U.r - 1:
         raise InvalidParams(f"h must satisfy 1 <= h <= r-1, got h={h}, r={U.r}")
-    if U.k - (U.r - h) * U.tower.n > h or not U.spans_ambient():
-        return False
-    if h in (1, U.r - 1):
-        V, t = _weight_side(U, h)
-        return _weight_counts(V, budget, t) is not None
-    return next(excess_iter(U, h, budget=budget), None) is None
+    return (U.k - (U.r - h) * U.tower.n <= h and U.spans_ambient()
+            and excess_total(U, h, cap=0, budget=budget) is not None)
 
 
 class DimBound(enum.Enum):
@@ -456,7 +505,12 @@ def point_weight_counts(U: FqSubspace, *,
 def hyperplane_weight_counts(U: FqSubspace, *,
                              budget: int = DEFAULT_SUBSPACE_BUDGET) -> dict[int, int]:
     """{dim(U ∩ H): number of F_{q^n}-hyperplanes H}: the point weight
-    counts of U^⊥' shifted by k - n, as hyperplane_weight_iter reads them."""
+    counts of U^⊥' shifted by k - n, as hyperplane_weight_iter reads them.
+    At r = 2 and k <= n, U's own point weight counts, which walk its
+    θ_{k-1}(q) F_q-points, not the dual's θ_{2n-k-1}(q): H_w = ker(w·) is
+    the point <(w_2, -w_1)>."""
+    if U.r == 2 and U.k <= U.tower.n:
+        return point_weight_counts(U, budget=budget)
     shift = U.k - U.tower.n
     return {w + shift: count
             for w, count in point_weight_counts(ordinary_dual(U), budget=budget).items()}
@@ -553,10 +607,6 @@ class Characterization(NamedTuple):
     via_definition: bool
     via_hyperplanes: bool
     via_dual_points: bool
-
-    @property
-    def all_agree(self) -> bool:
-        return self.via_definition == self.via_hyperplanes == self.via_dual_points
 
 
 def characterize_max_h_scattered(U: FqSubspace, h: int, *,

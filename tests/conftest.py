@@ -41,6 +41,30 @@ def pseudoreg(t2_4):
 
 
 @pytest.fixture(scope="session")
+def adjoint():
+    """C -> its adjoint, the transpose of every codeword: an (n, m, q) code
+    with the same distance."""
+    def transpose(C):
+        mats = [[list(col) for col in zip(*M)] for M in C.basis_matrices()]
+        return RankCode.from_generators(C.field, C.n, C.m, mats)
+    return transpose
+
+
+@pytest.fixture
+def fixture_subspaces():
+    """The canonical subspace fixture set (scatteredness varies by design)."""
+    from ranklab import fixtures
+
+    return {
+        "pseudoregulus_2_4_1": fixtures.pseudoregulus(2, 4, 1),
+        "pseudoregulus_4_4_1": fixtures.pseudoregulus(4, 4, 1),
+        "subgeometry_3_3": fixtures.subgeometry_3_3(),
+        "remark_counterexample": fixtures.remark_counterexample(),
+        "certified_new_witness": fixtures.certified_new_witness(),
+    }
+
+
+@pytest.fixture(scope="session")
 def scanned():
     """C rebuilt from its basis alone: its rank distribution then comes from
     the rankcodes scans, even when C carries a subspace whose point weights

@@ -147,7 +147,7 @@ def test_criterion_6_characterization_equivalence():
         for _ in range(200):
             U = random_subspace(t, 2, 4, rng)
             ch = characterize_max_h_scattered(U, 1)
-            assert ch.all_agree
+            assert len(set(ch)) == 1
             if ch.via_definition:
                 positives += 1
             else:
@@ -161,8 +161,8 @@ def test_criterion_6_characterization_equivalence():
             t, 2, [(1, 0), (omega, 0), (0, 1), (0, omega)])
         ch_pos = characterize_max_h_scattered(fix_pos, 1)
         ch_neg = characterize_max_h_scattered(fix_neg, 1)
-        assert ch_pos.all_agree and ch_pos.via_definition
-        assert ch_neg.all_agree and not ch_neg.via_definition
+        assert len(set(ch_pos)) == 1 and ch_pos.via_definition
+        assert len(set(ch_neg)) == 1 and not ch_neg.via_definition
         positives += 1
         negatives += 1
         assert positives > 0 and negatives > 0

@@ -30,7 +30,6 @@ from ranklab.fqlinalg import (
 )
 from ranklab.rankcodes import (
     RankCode,
-    adjoint,
     mrd_weight_distribution,
     right_idealiser,
 )
@@ -352,7 +351,7 @@ def test_sheekey_degenerate_pair(t2_4):
     assert S.dim == 4 < 2 * 4     # degenerate
 
 
-def test_sheekey_adjoint_feeds_converse(t2_4):
+def test_sheekey_adjoint_feeds_converse(t2_4, adjoint):
     f1 = LinearizedPoly(t2_4, "mid", (1,))
     f2 = LinearizedPoly(t2_4, "mid", (0, 1))
     A = adjoint(sheekey_code([f1, f2]))
@@ -674,6 +673,19 @@ def test_search_is_seed_deterministic(t2_4):
         assert a.subspace == b.subspace
 
 
+def test_search_refinds_the_frozen_witness_at_its_seed():
+    # scripts/search_demo.py's default climb on F_64^3 (k = 9) at seed
+    # 20260808: the witness fixtures.certified_new_witness froze, after
+    # exactly 5,628 evaluations, with each move's excess capped at the
+    # incumbent's score
+    from ranklab.fixtures import certified_new_witness
+
+    res = random_scattered_search(make_tower(2, 1, 6, 1), 3, 1, 9, seed=20260808,
+                                  max_evals=6000)
+    assert (res.found, res.evaluations) == (True, 5628)
+    assert res.subspace == certified_new_witness()
+
+
 def test_cug_mrd_display_matches_brute_force(pseudoreg, scanned):
     from ranklab.constructions import cug_mrd_weight_distribution
 
@@ -755,10 +767,8 @@ def test_certified_new_witness_full_pipeline(scanned):
     assert gabidulin_family_exclusion(C, 3, 6, 1) is GabidulinExclusion.CERTIFIED_NEW
 
 
-def test_mrd_predicate_iff_brute_force_on_fixture_corpus(scanned):
-    from ranklab.fixtures import fixture_subspaces
-
-    for name, U in fixture_subspaces().items():
+def test_mrd_predicate_iff_brute_force_on_fixture_corpus(scanned, fixture_subspaces):
+    for name, U in fixture_subspaces.items():
         predicted = c_ug_mrd_predicate(U)
         actual = scanned(c_ug(U).code).is_mrd()
         assert predicted == actual, name

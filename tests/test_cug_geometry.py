@@ -117,7 +117,7 @@ def test_rank_distribution_prices_once_and_runs_one_side(walk, monkeypatch, forc
     sides, fibers, scan = subspaces._point_sides, subspaces._walk_fibers, subspaces._point_scan
     monkeypatch.setattr(subspaces, "_point_sides", lambda *a: priced.append(a) or sides(*a))
     monkeypatch.setattr(subspaces, "_walk_fibers",
-                        lambda U, t=None: ran.append("walk") or fibers(U, t))
+                        lambda U, *stop: ran.append("walk") or fibers(U, *stop))
     monkeypatch.setattr(subspaces, "_point_scan",
                         lambda U, budget: ran.append("scan") or scan(U, budget))
     U = pseudoregulus_subspace(make_tower(2, 1, 4, 1), 2, 4, 1)
@@ -131,8 +131,8 @@ def test_a_lost_point_in_the_fringe_is_an_internal_error(monkeypatch):
     label, U = next(x for x in INPUTS if x[0].startswith("fringe_q2"))
     walk = subspaces._walk_fibers
 
-    def lose_a_point(U, t=None):
-        fibers = walk(U, t)
+    def lose_a_point(U, *stop):
+        fibers = walk(U, *stop)
         counts = next(c for c in fibers if c)
         del counts[next(iter(counts))]
         return fibers
@@ -164,7 +164,7 @@ def test_witness_pipeline_runs_no_rank_scan_and_one_idealiser(monkeypatch):
     walks = []
     walk = subspaces._walk_fibers
     monkeypatch.setattr(subspaces, "_walk_fibers",
-                        lambda U, t=None: walks.append(U) or walk(U, t))
+                        lambda U, *stop: walks.append(U) or walk(U, *stop))
     calls = []
     idealiser = rankcodes._idealiser
     monkeypatch.setattr(rankcodes, "_idealiser",

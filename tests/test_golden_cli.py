@@ -3,8 +3,8 @@ its stderr text and its "results" payload (artifact included) exactly.
 
 The cases cover the subspace verbs and the code verbs on the fixture corpus,
 a few pseudoregulus parameter sets at odd and even q, extra inputs under
-tests/golden/inputs (a q = 5 subspace, one whose point weights and one whose
-hyperplane weights take the point-scan side), C_{U,G} and Gabidulin codes
+tests/golden/inputs (a q = 5 subspace, one whose point weights take the
+point-scan side, and one whose dual would take it), C_{U,G} and Gabidulin codes
 whose ranks are read off the point weights of the subspace they carry (U,
 and U^⊥' for the q-system U), and budget exits.  To record them afresh (only when a change
 to the payloads is intended and explained):
@@ -37,13 +37,14 @@ SUBSPACE_FILES = [
     "{corpus}/v1/subgeometry_3_3_2_q2.subspace.json",
     "{corpus}/v1/remark_counterexample_2_4_q2.subspace.json",
     "{corpus}/v1/certified_new_witness_3_6_1_q2.subspace.json",
-    # q = 5, r = 2, n = 4, k = 3: the dual's θ_4(5) = 781 F_q-points are
-    # below 4·θ_1(625) = 2504, so the Delsarte precondition walks the dual
+    # q = 5, r = 2, n = 4, k = 3: at r = 2 and k <= n the hyperplanes are
+    # points, so the Delsarte precondition walks U's θ_2(5) = 31 F_q-points
     "{inputs}/random_2_4_k3_q5.subspace.json",
     # k = 7 in F_16^2: θ_6(2) = 127 > 4·θ_1(16) = 68, iota takes the point scan
     "{inputs}/random_2_4_k7_q2.subspace.json",
-    # k = 3 in F_64^2: the dual's θ_8(2) = 511 F_q-points exceed 6·θ_1(64) =
-    # 390, so the Delsarte precondition scans the points for the dual
+    # k = 3 in F_64^2: the Delsarte precondition walks U's θ_2(2) = 7
+    # F_q-points, where the dual's θ_8(2) = 511 would exceed the point
+    # scan's 6·θ_1(64) = 390
     "{inputs}/random_2_6_k3_q2.subspace.json",
 ]
 # k = 4 in F_16^3 spans V and meets one hyperplane in dimension 3: a near miss

@@ -36,6 +36,7 @@ from ranklab.subspaces import (
     _point_sides,
     _point_weights,
     excess_iter,
+    excess_total,
     flatten_vec,
     hyperplane_weight_counts,
     hyperplane_weight_iter,
@@ -132,12 +133,12 @@ def oracle_tuple_walk(U):
     return {pt: weight_of[c] for pt, c in counts.items()}
 
 
-def oracle_excess_iter(U, h, *, budget):
-    """excess_iter for h = 1, from the oracle point weights."""
-    assert h == 1
-    for w in oracle_point_weights(U).values():
-        if w > 1:
-            yield w - 1
+def oracle_excess_total(U, h, *, cap=None, budget):
+    """The full excess of U at h, whatever cap: dim(U ∩ W) - h summed over
+    every h-dim F_{q^n}-subspace W where it is positive, each W met with U
+    by the dimension of a SubspaceBasis sum."""
+    return sum(max(_meet_dim(U.flat, _fqn_flat(U.tower, W.rows)) - h, 0)
+               for W in enumerate_subspaces(U.r, h, U.tower.mid))
 
 
 # -- inputs --------------------------------------------------------------------
@@ -318,8 +319,8 @@ def test_the_price_list_counts_the_items_the_engine_visits(q, monkeypatch, force
     batches, scan = subspaces._walk_batches, subspaces._point_scan
     seen = []
 
-    def walked(U):
-        for vectors, runs in batches(U):
+    def walked(U, *cut):
+        for vectors, runs in batches(U, *cut):
             seen.append(len(vectors))
             yield vectors, runs
 
@@ -362,15 +363,32 @@ def test_walk_is_chosen_for_k5_in_f625_squared(force_side):
         assert iota(U) == want
 
 
-# long trajectories: runs that spend all 30 evaluations, or find a witness late
-@pytest.mark.parametrize("q,r,n,k,seed", [
-    (2, 2, 4, 4, 0), (2, 2, 4, 4, 1), (2, 2, 4, 4, 2), (3, 2, 4, 4, 1),
-    (2, 2, 5, 5, 0)])
-def test_search_follows_the_oracle_scored_trajectory(q, r, n, k, seed, monkeypatch):
+# long trajectories at r = 2: runs that spend all 30 evaluations, or find a
+# witness late, rejecting moves by the cap; at q = 3, r = 3 (h = 1) and at
+# r = 4, h = 2 (the subspace scan) the longest of the first seeds, which
+# find a witness before a move's excess exceeds the incumbent's score
+@pytest.mark.parametrize("q,r,n,k,h,seed,fires", [
+    (2, 2, 4, 4, 1, 0, True), (2, 2, 4, 4, 1, 1, True), (2, 2, 4, 4, 1, 2, True),
+    (3, 2, 4, 4, 1, 1, True), (2, 2, 5, 5, 1, 0, True), (3, 3, 2, 3, 1, 31, False),
+    (2, 4, 3, 4, 2, 53, False)])
+def test_search_follows_the_oracle_scored_trajectory(q, r, n, k, h, seed, fires, monkeypatch):
+    # the fast side caps each move's excess at the incumbent's score; the
+    # slow side scores every move in full with the oracle, so the two agree
+    # only if every capped verdict is the full score's
     tower = _tower(q, n)
-    fast = random_scattered_search(tower, r, 1, k, seed=seed, max_evals=30)
-    monkeypatch.setattr(constructions, "excess_iter", oracle_excess_iter)
-    slow = random_scattered_search(tower, r, 1, k, seed=seed, max_evals=30)
+    capped = []
+    total = subspaces.excess_total
+
+    def counted(U, h, *, cap=None, budget):
+        excess = total(U, h, cap=cap, budget=budget)
+        capped.append(excess is None)
+        return excess
+
+    monkeypatch.setattr(constructions, "excess_total", counted)
+    fast = random_scattered_search(tower, r, h, k, seed=seed, max_evals=30)
+    assert any(capped) == fires
+    monkeypatch.setattr(constructions, "excess_total", oracle_excess_total)
+    slow = random_scattered_search(tower, r, h, k, seed=seed, max_evals=30)
     assert (fast.found, fast.evaluations) == (slow.found, slow.evaluations)
     assert fast.subspace == slow.subspace
 
@@ -576,6 +594,117 @@ def test_scatteredness_walk_stops_at_the_first_heavy_run_at_odd_p(monkeypatch):
     for _ in range(4):
         stopped, walked = _walked_to_the_verdict(tower, 3, 5, 2, rng, monkeypatch)
         assert 0 < stopped < walked <= theta(6, 3)
+
+
+# -- the capped excess ------------------------------------------------------------
+
+
+def _cap_inputs():
+    """(label, U, h): a heavy subspace of dimension rn/2 + 1 and a random
+    one of dimension ceil(rn/2) on every cell of the grid at every h from 1
+    to r - 1, and on F_4^4, whose 357 2-dim subspaces give the scan at
+    h = 2 = r - 2."""
+    rng = random.Random(31)
+    out = []
+    for q, r, n in GRID + [(2, 4, 2)]:
+        tower = _tower(q, n)
+        for kind, U in (("heavy", _heavy_subspace(tower, r, r * n // 2 + 1, rng)),
+                        ("random", random_subspace(tower, r, (r * n + 1) // 2, rng))):
+            out += [(f"{kind}_q{q}_r{r}_n{n}_h{h}", U, h) for h in range(1, r)]
+    return out
+
+
+CAP_INPUTS = _cap_inputs()
+
+
+@pytest.mark.parametrize("label,U,h", CAP_INPUTS, ids=[x[0] for x in CAP_INPUTS])
+def test_capped_excess_is_the_sum_or_none_above_the_cap(label, U, h, force_side):
+    # every cap from -1 to the sum + 1, on the natural side and each forced
+    # side: the sum itself, or None exactly when the sum exceeds the cap
+    total = sum(excess_iter(U, h))
+    for side in _sides(U):
+        if side is not None:
+            force_side(side)
+        assert excess_total(U, h) == sum(excess_iter(U, h)) == total, (label, side)
+        for cap in range(-1, total + 2):
+            want = None if total > cap else total
+            assert excess_total(U, h, cap=cap) == want, (label, side, cap)
+
+
+def test_capped_excess_grid_has_excess_at_every_h():
+    totals = Counter()
+    for _, U, h in CAP_INPUTS:
+        totals[U.tower.q, h, U.r] += sum(excess_iter(U, h))
+    assert {q for (q, h, r), total in totals.items() if total and h == 1} == set(PRIME_POWER)
+    assert {q for (q, h, r), total in totals.items() if total and h == r - 1} == set(PRIME_POWER)
+    assert totals[2, 2, 4]
+
+
+def _visible_excess(U):
+    """Σ (w(P) - 1) over the points P of weight w >= 2 whose U ∩ <P> is not
+    inside span(b_1, ..., b_{k-1}) of U's basis b: the excess the walk's
+    fibers show after b_0 + span(b_1, ..., b_{k-1}) (oracle point weights)."""
+    rest = SubspaceBasis.from_vectors(U.tower.base, U.flat.ambient, U.flat.rows[1:])
+    return sum(w - 1 for P, w in oracle_point_weights(U).items()
+               if w > 1 and _meet_dim(rest, _fqn_flat(U.tower, [P])) < w)
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 4, 6), (3, 3, 4), (4, 3, 4), (5, 3, 4), (8, 3, 4),
+                                   (9, 3, 4)])
+def test_capped_walk_stops_after_the_first_basis_vector(q, n, k, monkeypatch, force_side):
+    # heavy subspaces of F_{q^n}^2 whose excess shows after the q^{k-1}
+    # vectors b_0 + span(b_1, ..., b_{k-1}): capped below it, the walk
+    # builds and reads no vector past them; capped at it, all θ_{k-1}(q)
+    tower, rng = _tower(q, n), random.Random(q * n)
+    batches, built = subspaces._walk_batches, []
+
+    def counted(U, *cut):
+        for vectors, runs in batches(U, *cut):
+            built.append(len(vectors))
+            yield vectors, runs
+
+    monkeypatch.setattr(subspaces, "_walk_batches", counted)
+    force_side(True)
+    stopped = 0
+    for _ in range(8):
+        U = _heavy_subspace(tower, 2, k, rng)
+        total, seen = sum(excess_iter(U, 1)), _visible_excess(U)
+        assert seen <= total
+        if seen > 1:
+            built.clear()
+            assert excess_total(U, 1, cap=seen - 1) is None
+            assert sum(built) == q ** (k - 1)
+            stopped += 1
+        built.clear()
+        assert excess_total(U, 1, cap=seen) == (None if total > seen else total)
+        assert sum(built) == theta(k - 1, q)
+    assert stopped >= 2
+
+
+# -- r = 2: hyperplanes are points ------------------------------------------------
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2), (8, 2),
+                                 (9, 2)])
+def test_r2_hyperplane_weights_are_the_point_weights(q, n, monkeypatch, force_side):
+    # at r = 2 and k <= n the hyperplane weight counts are U's own point
+    # weight counts, built without U^⊥', against the dual path and the
+    # oracle; the spectrum, the largest weight and the Delsarte
+    # precondition read them
+    tower, rng = _tower(q, n), random.Random(q + n)
+    dual = subspaces.ordinary_dual
+    for k in range(n + 1):
+        for U in (random_subspace(tower, 2, k, rng),
+                  _heavy_subspace(tower, 2, k, rng) if k > 1 else FqSubspace.zero(tower, 2)):
+            want = dict(Counter(oracle_hyperplane_weights(U).values()))
+            via_dual = {w + U.k - n: c for w, c in point_weight_counts(dual(U)).items()}
+            assert via_dual == want, k
+            for side in (True, False):
+                force_side(side)
+                with monkeypatch.context() as m:
+                    m.setattr(subspaces, "ordinary_dual", None)
+                    assert hyperplane_weight_counts(U) == want, (k, side)
+                    assert max_hyperplane_weight(U) == max(want), (k, side)
 
 
 # -- the F_{q^n}-meet against the flat intersection -----------------------------

@@ -193,10 +193,8 @@ def test_weight_enumerator_closed_form_subgeometry_case():
     assert len(proj) == 3  # exactly h+1 weights
 
 
-def test_point_partition_identity_over_fixture_corpus():
-    from ranklab.fixtures import fixture_subspaces
-
-    for name, U in fixture_subspaces().items():
+def test_point_partition_identity_over_fixture_corpus(fixture_subspaces):
+    for name, U in fixture_subspaces.items():
         if 2**U.k > 1 << 12:
             continue
         L = linear_set(U)

@@ -31,7 +31,6 @@ from ranklab.rankcodes import (
     GabidulinExclusion,
     RankCode,
     Side,
-    adjoint,
     delsarte_dual_code,
     gabidulin_family_exclusion,
     inequivalence_certificate,
@@ -130,11 +129,11 @@ def test_rank_distribution_nonsquare_code_oracle():
 # -- adjoint and Delsarte duals --------------------------------------------------
 
 
-def test_adjoint_is_involution(gab):
+def test_adjoint_is_involution(gab, adjoint):
     assert adjoint(adjoint(gab)) == gab
 
 
-def test_adjoint_preserves_distance(gab):
+def test_adjoint_preserves_distance(gab, adjoint):
     A = adjoint(gab)  # a fresh code: its distance is scanned anew
     assert A.min_distance() == gab.min_distance()
     assert A.is_mrd()
@@ -296,7 +295,7 @@ def test_is_field_is_exact_above_the_old_sampling_limit():
     assert field.order == 2**17 and field.is_field is True
 
 
-def test_idealiser_transpose_identities(gab):
+def test_idealiser_transpose_identities(gab, adjoint):
     # L(C^T) = R(C)^T and R(C^T) = L(C)^T, as sets of matrices
     A = adjoint(gab)
     for one, other in ((left_idealiser(A), right_idealiser(gab)),
@@ -527,7 +526,7 @@ def test_puncture_by_identity_is_same_code(gab):
     assert puncture(gab, Mat.identity(F2, 4)) == gab
 
 
-def test_puncture_gabidulin_full_rank_3x4(gab):
+def test_puncture_gabidulin_full_rank_3x4(gab, adjoint):
     A = Mat.from_rows(F2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
     P = puncture(gab, A)
     assert (P.m, P.n) == (3, 4)
@@ -1039,7 +1038,7 @@ def test_pricing_picks_the_engine_from_the_input(kind, params, engine, monkeypat
         assert ran == [forced]
 
 
-def test_codes_without_a_qsystem_take_the_scans(monkeypatch):
+def test_codes_without_a_qsystem_take_the_scans(monkeypatch, adjoint):
     from ranklab import rankcodes, serialize
     from ranklab.constructions import twisted_gabidulin
     from ranklab.fqlinalg import Mat
