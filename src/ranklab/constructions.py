@@ -490,11 +490,14 @@ def random_scattered_search(tower: FieldTower, r: int, h: int, k: int, *,
     is the sum of w(P) - 1 over the points of L_U, for h = r - 1 it is read
     off the point weights of the ordinary dual), plus a spanning penalty;
     replacement moves on single basis vectors are accepted when the score
-    does not increase, with deterministic restarts.  A move's excess is
-    capped at the incumbent's score, and spanning is checked only for a
-    move whose excess stays within it: a move whose excess alone exceeds
-    the cap is rejected whatever its penalty, so every accept and reject is
-    the full score's.  Any returned witness is re-verified with
+    does not increase, with deterministic restarts.  A move replaces one row
+    of the incumbent's canonical basis by a random vector
+    (SubspaceBasis.replace_row, O(k) row operations on the stored rows),
+    and a move whose candidate loses a dimension is not scored.  A move's
+    excess is capped at the incumbent's score, and spanning is checked only
+    for a move whose excess stays within it: a move whose excess alone
+    exceeds the cap is rejected whatever its penalty, so every accept and
+    reject is the full score's.  Any returned witness is re-verified with
     is_h_scattered before being reported.  max_evals is the reproducible
     budget, never exceeded; time_budget (seconds, finite and >= 0) is an
     optional extra stop.
@@ -532,10 +535,9 @@ def random_scattered_search(tower: FieldTower, r: int, h: int, k: int, *,
             evals += 1
             stall = 0
             continue
-        rows = [list(v) for v in best.flat.rows]
         idx = rng.randrange(k)
-        rows[idx] = [rng.randrange(order) for _ in range(rn)]
-        cand = FqSubspace.from_flat(tower, r, rows)
+        cand = FqSubspace(tower, r, best.flat.replace_row(
+            idx, [rng.randrange(order) for _ in range(rn)]))
         if cand.k != k:
             stall += 1
             continue

@@ -9,13 +9,15 @@ RowReducer is the only elimination.  Rank queries add rows to it; rref,
 kernel, mat_inverse and SubspaceBasis take its echelon form and reduce each
 stored row against the others, in descending pivot order
 (back-substitution); SubspaceBasis.reduce is the same step against an RREF
-basis.  A row operation over an extension field adds the negated multiple,
-so Field.add holds the one Zech formula.  kernel alone gives the Delsarte
-dual of subspaces and its double dual (left kernels of U's basis and of the
-dual's matrix) and the minimal polynomial (min_poly: the one relation among
-the flattened powers of M); mat_inverse serves only the two changes of
-basis in constructions (the converse's conjugation and
-c_ug_g_independence).
+basis.  SubspaceBasis keeps the stored rows, so a basis is packed once, and
+replace_row swaps one of its rows for a vector in O(dim) row operations,
+with no elimination from scratch.  A row operation over an extension field
+adds the negated multiple, so Field.add holds the one Zech formula.
+kernel alone gives the Delsarte dual of subspaces and its double dual (left
+kernels of U's basis and of the dual's matrix) and the minimal polynomial
+(min_poly: the one relation among the flattened powers of M); mat_inverse
+serves only the two changes of basis in constructions (the converse's
+conjugation and c_ug_g_independence).
 
 Every "which combinations vanish" question goes through vanishing_tails
 instead: rows head | tail are eliminated once, and the echelon rows whose
@@ -60,6 +62,7 @@ rankcodes and, as tuples one at a time, iter_span_rows.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from functools import cached_property, lru_cache, reduce
@@ -425,7 +428,8 @@ class RowReducer:
 
 
 def _rref(F: Field, rows, ncols: int):
-    """RREF of code rows; returns (rows, pivots).
+    """RREF of rows (codes, or rows in the stored form); returns (stored
+    rows, pivots), both tuples.
 
     RowReducer puts the rows in echelon form; then, in descending pivot
     order, each stored row is reduced against the others.  Row j is zero left
@@ -437,15 +441,16 @@ def _rref(F: Field, rows, ncols: int):
     pivots = sorted(pr)
     for j in reversed(pivots):
         pr[j] = rr.reduce(pr.pop(j))
-    return [unpack_row(F, pr[j], ncols) for j in pivots], pivots
+    return tuple(map(pr.__getitem__, pivots)), tuple(pivots)
 
 
 def rref(M: Mat) -> tuple[Mat, int]:
     """Reduced row echelon form; preserves the row space."""
-    rows, _ = _rref(M.field, M.data, M.cols)
+    F, cols = M.field, M.cols
+    rows = [unpack_row(F, row, cols) for row in _rref(F, M.data, cols)[0]]
     rank = len(rows)
-    rows += [[0] * M.cols for _ in range(M.rows - rank)]
-    return Mat(M.field, M.rows, M.cols, rows), rank
+    rows += [[0] * cols for _ in range(M.rows - rank)]
+    return Mat(F, M.rows, cols, rows), rank
 
 
 def vanishing_tails(F: Field, width: int, ncols: int, rows) -> list:
@@ -467,19 +472,31 @@ def vanishing_tails(F: Field, width: int, ncols: int, rows) -> list:
 
 
 class SubspaceBasis:
-    """Canonical (RREF) basis of a subspace of F^ambient; rows span it.
-    Immutable: it is hashed, and _reducer caches the rows."""
+    """Canonical (RREF) basis of a subspace of F^ambient, held as RowReducer
+    holds it: stored lists the rows in the stored form (packed ints over a
+    prime field, code tuples over an extension field) in ascending order of
+    their pivot columns, pivots.  rows reads them back as code tuples on
+    first use.  Equality, hashing, _reducer, sum and replace_row read the
+    stored rows.  Immutable: it is hashed, and rows and _reducer are cached."""
 
-    def __init__(self, field: Field, ambient: int, rows: tuple[tuple[int, ...], ...],
-                 pivots: tuple[int, ...]):
-        self.__dict__.update(field=field, ambient=ambient, rows=rows, pivots=pivots)
+    def __init__(self, field: Field, ambient: int, stored: tuple, pivots: tuple[int, ...]):
+        self.__dict__.update(field=field, ambient=ambient, stored=stored, pivots=pivots)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name}: SubspaceBasis is immutable")
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.stored)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The basis rows as code tuples (over an extension field, the
+        stored rows themselves)."""
+        F = self.field
+        if F.base is not None:
+            return self.stored
+        return tuple(tuple(unpack_row(F, row, self.ambient)) for row in self.stored)
 
     @classmethod
     def from_vectors(cls, F: Field, ambient: int, vectors) -> "SubspaceBasis":
@@ -487,8 +504,7 @@ class SubspaceBasis:
         for v in vecs:
             if len(v) != ambient:
                 raise AmbientMismatch("vector length != ambient dimension")
-        red, piv = _rref(F, vecs, ambient)
-        return cls(F, ambient, tuple(tuple(r) for r in red), tuple(piv))
+        return cls(F, ambient, *_rref(F, vecs, ambient))
 
     @classmethod
     def zero(cls, F: Field, ambient: int) -> "SubspaceBasis":
@@ -497,7 +513,7 @@ class SubspaceBasis:
     @cached_property
     def _reducer(self) -> RowReducer:
         rr = RowReducer(self.field, self.ambient)
-        rr.pivrows.update(zip(self.pivots, (store_row(self.field, r) for r in self.rows)))
+        rr.pivrows.update(zip(self.pivots, self.stored))
         return rr
 
     def reducer(self) -> RowReducer:
@@ -514,43 +530,71 @@ class SubspaceBasis:
         """Whether vec (codes, or a row in the stored form) lies in the
         subspace: its reduction against the cached RREF rows is zero.  A
         code sequence must have the ambient length."""
-        if not isinstance(vec, int) and len(vec) != self.ambient:
-            raise AmbientMismatch("vector length != ambient dimension")
+        self._check_length(vec)
         row = self._reducer.reduce(vec)
         return not (any(row) if isinstance(row, tuple) else row)
 
+    def replace_row(self, i: int, vec) -> "SubspaceBasis":
+        """The canonical basis of the span of vec (codes, or a row in the
+        stored form) and the rows other than row i, in O(dim) row
+        operations: vec is reduced against the other rows (RREF, so one
+        pass is exact), scaled to a leading 1 by one add, and its pivot
+        column is cleared from each other row by one reduce.  A vec in the
+        span of the other rows gives their (dim - 1)-dimensional basis."""
+        if not 0 <= i < self.dim:
+            raise IndexError(f"no basis row {i} in dimension {self.dim}")
+        self._check_length(vec)
+        F, n = self.field, self.ambient
+        stored = self.stored[:i] + self.stored[i + 1:]
+        pivots = self.pivots[:i] + self.pivots[i + 1:]
+        others = RowReducer(F, n)
+        others.pivrows.update(zip(pivots, stored))
+        new = RowReducer(F, n)
+        if not new.add(others.reduce(vec)):
+            return SubspaceBasis(F, n, stored, pivots)
+        ((j, row),) = new.pivrows.items()
+        at = bisect.bisect(pivots, j)
+        stored = tuple(map(new.reduce, stored))
+        return SubspaceBasis(F, n, stored[:at] + (row,) + stored[at:],
+                             pivots[:at] + (j,) + pivots[at:])
+
     def sum(self, other: "SubspaceBasis") -> "SubspaceBasis":
         self._check(other)
-        return SubspaceBasis.from_vectors(
-            self.field, self.ambient, list(self.rows) + list(other.rows))
+        return SubspaceBasis(self.field, self.ambient,
+                             *_rref(self.field, self.stored + other.stored, self.ambient))
 
     def _check(self, other: "SubspaceBasis"):
         if self.ambient != other.ambient or self.field is not other.field:
             raise AmbientMismatch("subspaces live in different ambients")
 
+    def _check_length(self, vec):
+        if not isinstance(vec, int) and len(vec) != self.ambient:
+            raise AmbientMismatch("vector length != ambient dimension")
+
     def __eq__(self, other):
         return (isinstance(other, SubspaceBasis) and self.field is other.field
-                and self.ambient == other.ambient and self.rows == other.rows)
+                and self.ambient == other.ambient and self.stored == other.stored)
 
     def __hash__(self):
-        return hash((self.field.order, self.ambient, self.rows))
+        return hash((self.field.order, self.ambient, self.stored))
 
 
 def kernel(M: Mat) -> SubspaceBasis:
     """Right null space {v : M v = 0} as a canonical basis."""
-    F = M.field
-    rows, piv = _rref(F, M.data, M.cols)
+    F, cols = M.field, M.cols
+    stored, piv = _rref(F, M.data, cols)
+    rows = [unpack_row(F, row, cols) for row in stored]
     pivset = set(piv)
     basis = []
-    for f in range(M.cols):
+    for f in range(cols):
         if f in pivset:
             continue
-        v = [0] * M.cols
+        v = [0] * cols
         v[f] = 1
         for row, p in zip(rows, piv):
             v[p] = F.neg(row[f])
         basis.append(v)
-    return SubspaceBasis.from_vectors(F, M.cols, basis)
+    return SubspaceBasis.from_vectors(F, cols, basis)
 
 
 def mat_inverse(M: Mat) -> Mat:
@@ -559,9 +603,9 @@ def mat_inverse(M: Mat) -> Mat:
     F, nn = M.field, M.rows
     aug = [list(M.data[i]) + [1 if j == i else 0 for j in range(nn)] for i in range(nn)]
     rows, piv = _rref(F, aug, 2 * nn)
-    if len(rows) < nn or piv[:nn] != list(range(nn)):
+    if len(rows) < nn or piv[:nn] != tuple(range(nn)):
         raise InvalidParams("matrix is singular")
-    return Mat(F, nn, nn, [r[nn:] for r in rows])
+    return Mat(F, nn, nn, [unpack_row(F, row, 2 * nn)[nn:] for row in rows])
 
 
 def min_poly(M: Mat) -> tuple[int, ...]:
@@ -629,8 +673,7 @@ def enumerate_subspaces(ambient: int, d: int, F: Field, *,
                 rows[i][p] = 1
             for (i, j), v in zip(free, assign):
                 rows[i][j] = v
-            yield SubspaceBasis(F, ambient, tuple(tuple(r) for r in rows),
-                                tuple(pivots))
+            yield SubspaceBasis(F, ambient, tuple(store_row(F, r) for r in rows), pivots)
 
 
 def projective_points(F: Field, r: int, *, budget: int = DEFAULT_SUBSPACE_BUDGET):

@@ -214,7 +214,7 @@ def _walk_counts(C: RankCode) -> list[int]:
     rr = RowReducer(F, n)       # emptied and reused for every codeword
     pivrows, add_all = rr.pivrows, rr.add_all
     split = row_blocks(F, n)[0]
-    words = prime_expansion(F, [store_row(F, v) for v in C.flat.rows])
+    words = prime_expansion(F, C.flat.stored)
     for chunk in span_chunks(F, store_row(F, [0] * (m * n)), words, m * n, SPAN_CHUNK):
         for word in chunk:
             pivrows.clear()

@@ -136,13 +136,21 @@ class FqSubspace:
 
     def spans_ambient(self) -> bool:
         """True iff <U>_{F_{q^n}} = V: the flat rows are read back as mid
-        vectors and added until their rank reaches r."""
-        red = RowReducer(self.tower.mid, self.r)
-        for row in self.flat.rows:
-            if red.rank == self.r:
+        vectors and added until their rank reaches r.  At e = 1 the stored
+        flat rows are store_digits of the mid vectors over F_p, so
+        digit_column reads the mid codes straight off them."""
+        tower, r = self.tower, self.r
+        if tower.e == 1:
+            column = digit_column(tower.prime, tower.n)
+            mids = zip(*(column(self.flat.stored, j) for j in range(r)))
+        else:
+            mids = (unflatten_vec(tower, row) for row in self.flat.rows)
+        red = RowReducer(tower.mid, r)
+        for v in mids:
+            if red.rank == r:
                 break
-            red.add(unflatten_vec(self.tower, row))
-        return red.rank == self.r
+            red.add(v)
+        return red.rank == r
 
     def __eq__(self, other):
         return (isinstance(other, FqSubspace) and self.tower == other.tower
@@ -211,12 +219,14 @@ def _walk_batches(U: FqSubspace, cut):
     the Slots fold at odd p.  The rows are U's flat rows and their
     F_p-multiples, stored with the e base-p digits of each F_q-code in turn:
     the integers store_digits makes of the mid vectors over their n·e
-    digits.  The flat basis is in RREF, so each such vector has its first
-    nonzero flat entry at b_i's pivot, in coordinate lead."""
+    digits.  At e = 1 these are the flat basis's own stored rows, which are
+    taken as they are.  The flat basis is in RREF, so each such vector has
+    its first nonzero flat entry at b_i's pivot, in coordinate lead."""
     tower = U.tower
     prime, N, e = tower.prime, tower.mid.dim_over_prime, tower.e
     # the F_p-basis of F_q starts with 1: rows[i*e] is b_i
-    rows = [store_digits(prime, v, e) for v in prime_expansion(tower.base, U.flat.rows)]
+    rows = U.flat.stored if e == 1 else [
+        store_digits(prime, v, e) for v in prime_expansion(tower.base, U.flat.rows)]
     vectors, runs = [], []
     for i, pivot in enumerate(U.flat.pivots):
         for chunk in span_chunks(prime, rows[i * e], rows[(i + 1) * e:], U.r * N,

@@ -20,6 +20,7 @@ from ranklab.errors import (
 from ranklab.fields import _monic, make_tower
 from ranklab.fqlinalg import (
     Mat,
+    SubspaceBasis,
     basis_codes,
     kernel,
     mat_mul,
@@ -684,6 +685,45 @@ def test_search_refinds_the_frozen_witness_at_its_seed():
                                   max_evals=6000)
     assert (res.found, res.evaluations) == (True, 5628)
     assert res.subspace == certified_new_witness()
+
+
+# (p, e, n, r, h, k): q = p^e in {2, 3, 4, 5, 8, 9}, h = 1 and h = r - 1 = 2
+SEARCH_CELLS = [(2, 1, 5, 2, 1, 5), (2, 1, 6, 2, 1, 6), (3, 1, 4, 2, 1, 4), (3, 1, 5, 2, 1, 5),
+                (2, 2, 4, 2, 1, 4), (5, 1, 4, 2, 1, 4), (2, 3, 4, 2, 1, 4), (3, 2, 4, 2, 1, 4),
+                (2, 1, 4, 3, 2, 4), (3, 1, 2, 3, 2, 2), (2, 2, 2, 3, 2, 2), (5, 1, 2, 3, 2, 2),
+                (2, 3, 2, 3, 2, 2), (3, 2, 2, 3, 2, 2)]
+
+
+@pytest.mark.parametrize("p,e,n,r,h,k", SEARCH_CELLS)
+def test_search_moves_match_a_from_scratch_rebuild(monkeypatch, p, e, n, r, h, k):
+    """At four seeds per cell, every candidate basis the search builds with
+    SubspaceBasis.replace_row, and its SearchResult, equal those of an
+    oracle that rebuilds each candidate with FqSubspace.from_flat from the
+    incumbent's rows with row i replaced."""
+    tower = make_tower(p, e, n, 1)
+    replace_row = SubspaceBasis.replace_row
+
+    def rebuild(basis, i, vec):
+        rows = [list(v) for v in basis.rows]
+        rows[i] = vec
+        return FqSubspace.from_flat(tower, r, rows).flat
+
+    def run(method, seed):
+        moves = []
+
+        def recording(basis, i, vec):
+            moves.append(method(basis, i, vec))
+            return moves[-1]
+        monkeypatch.setattr(SubspaceBasis, "replace_row", recording)
+        return random_scattered_search(tower, r, h, k, seed=seed, max_evals=40), moves
+
+    moved = 0
+    for seed in (1, 2, 3, 4):
+        got, moves = run(replace_row, seed)
+        want, oracle_moves = run(rebuild, seed)
+        assert got == want and moves == oracle_moves, (seed, got, want)
+        moved += len(moves)
+    assert moved
 
 
 def test_cug_mrd_display_matches_brute_force(pseudoreg, scanned):

@@ -769,3 +769,56 @@ def test_iter_span_rows_yields_odometer_order(q, k, ncols):
         chunks = span_chunks(F, store_row(F, [0] * ncols), prime_expansion(F, rows),
                              ncols, 1 << 12)
         assert len(want) > 1 << 12 and len(list(chunks)) > 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_replace_row_matches_from_vectors_on_the_replaced_rows(q):
+    """B.replace_row(i, v) against from_vectors on B's rows with row i
+    replaced by v, for every i: random v, the zero vector, a v in the span
+    of the other rows (the dimension drops to k - 1), and a v whose first
+    nonzero column c is each column that is not another row's pivot, so
+    the new pivot falls before, at and after the removed one.  Built both
+    ways, the bases are == and hash alike; v may be codes or a stored row."""
+    F = make_tower(*FIELD_OF[q], 1, 1).base
+    rng = random.Random(80 + q)
+    n = 6
+    seen = set()
+    for k in (1, 1, 2, 2, 3, 3, 4, 5):
+        # columns outside the support are zero in every row: pivots with gaps
+        support = sorted(rng.sample(range(n), rng.randrange(k, n + 1)))
+        while True:
+            rows = [[0] * n for _ in range(k)]
+            for row, j in itertools.product(rows, support):
+                row[j] = rng.randrange(q)
+            B = SubspaceBasis.from_vectors(F, n, rows)
+            if B.dim == k:
+                break
+        for i in range(k):
+            others = B.rows[:i] + B.rows[i + 1:]
+            combo = [0] * n
+            for row in others:
+                c = rng.randrange(q)
+                combo = [F.add(x, F.mul(c, y)) for x, y in zip(combo, row)]
+            vs = [("random", [rng.randrange(q) for _ in range(n)]), ("zero", [0] * n),
+                  ("drop", combo)]
+            for c in sorted(set(range(n)) - set(B.pivots[:i] + B.pivots[i + 1:])):
+                kind = "before" if c < B.pivots[i] else "at" if c == B.pivots[i] else "after"
+                vs.append((kind, [0] * c + [rng.randrange(1, q)]
+                           + [rng.randrange(q) for _ in range(n - c - 1)]))
+            for kind, v in vs:
+                want = SubspaceBasis.from_vectors(F, n, others[:i] + (v,) + others[i:])
+                for vec in (v, store_row(F, v)):
+                    got = B.replace_row(i, vec)
+                    assert got == want and hash(got) == hash(want), (q, k, i, kind)
+                    assert (got.rows, got.pivots, got.dim) == (want.rows, want.pivots,
+                                                                 want.dim)
+                if kind in ("zero", "drop"):
+                    assert want.dim == k - 1
+                seen.add((kind, k == 1))
+    assert {kind for kind, _ in seen} == {"random", "zero", "drop", "before", "at", "after"}
+    assert (("zero", True) in seen and ("at", True) in seen)
+    with pytest.raises(AmbientMismatch):
+        B.replace_row(0, [0] * (n + 1))
+    for i in (-1, B.dim):
+        with pytest.raises(IndexError):
+            B.replace_row(i, [0] * n)

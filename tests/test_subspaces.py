@@ -14,7 +14,17 @@ from ranklab.errors import (
 )
 from ranklab.fields import make_tower
 from ranklab import subspaces
-from ranklab.fqlinalg import RowReducer, SubspaceBasis, kernel, Mat, mat_inverse, mat_mul, rref
+from ranklab.fqlinalg import (
+    Mat,
+    RowReducer,
+    SubspaceBasis,
+    kernel,
+    mat_inverse,
+    mat_mul,
+    rref,
+    store_digits,
+    store_row,
+)
 from ranklab.subspaces import (
     Characterization,
     DimBound,
@@ -549,12 +559,20 @@ def test_spanning_subspace_hyperplane_weight_below_k(pseudoreg):
     assert max_hyperplane_weight(pseudoreg) <= pseudoreg.k - 1
 
 
-@pytest.mark.parametrize("p,e,n", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 2, 2)])
-def test_spans_ambient_matches_the_rank_of_all_mid_rows(p, e, n):
+@pytest.mark.parametrize("p,e,n", [(2, 1, 3), (3, 1, 2), (5, 1, 2), (2, 2, 2), (2, 3, 2),
+                                   (3, 2, 2)])
+def test_spans_ambient_matches_the_rank_of_all_mid_rows(p, e, n, monkeypatch):
     # spans_ambient stops adding rows at rank r; the oracle ranks them all,
-    # on spanning U, on U inside the hyperplane x_0 = 0, and on k < r
+    # on spanning U, on U inside the hyperplane x_0 = 0, and on k < r.  At
+    # e = 1 it reads the mid codes off the stored flat rows (digit_column)
+    # and unflattens nothing; at q = 4, 8, 9 it unflattens the flat rows
     t, rng = make_tower(p, e, n, 1), random.Random(p * 100 + e * 10 + n)
     order = t.mid.order
+    unflattened, unflatten = [], subspaces.unflatten_vec
+
+    def counting(tower, row):
+        unflattened.append(row)
+        return unflatten(tower, row)
     seen = set()
     for r in (2, 3):
         for k in range(1, r * n + 1):
@@ -562,10 +580,29 @@ def test_spans_ambient_matches_the_rank_of_all_mid_rows(p, e, n):
                 vecs = [[0 if inside and i == 0 else rng.randrange(order) for i in range(r)]
                         for _ in range(k)]
                 U = FqSubspace.from_mid_vectors(t, r, vecs)
+                unflattened.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(subspaces, "unflatten_vec", counting)
+                    spans = U.spans_ambient()
+                assert bool(unflattened) is (e > 1), (r, k, inside)
                 want = rref(U.mid_matrix())[1] == r
-                assert U.spans_ambient() is want, (r, k, inside)
+                assert spans is want, (r, k, inside)
                 seen.add((want, U.k < r))
     assert seen == {(True, False), (False, False), (False, True)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_flat_stored_rows_are_their_own_digit_rows_at_e_1(p):
+    """At e = 1 the walk takes U.flat.stored for its rows: store_digits of
+    a flat row over F_p at deg 1 is the stored row (store_row), at every
+    width up to 22."""
+    F, rng = make_tower(p, 1, 1, 1).base, random.Random(p)
+    for width in range(1, 23):
+        for k in (1, width // 2 + 1, width):
+            B = SubspaceBasis.from_vectors(F, width, [[rng.randrange(p) for _ in range(width)]
+                                                      for _ in range(k)])
+            for row, stored in zip(B.rows, B.stored):
+                assert store_digits(F, row, 1) == stored == store_row(F, row), (width, row)
 
 
 def test_is_h_scattered_against_zassenhaus_oracle(t2_4):
