@@ -492,15 +492,15 @@ def random_scattered_search(tower: FieldTower, r: int, h: int, k: int, *,
     replacement moves on single basis vectors are accepted when the score
     does not increase, with deterministic restarts.  A move replaces one row
     of the incumbent's canonical basis by a random vector
-    (SubspaceBasis.replace_row, O(k) row operations on the stored rows),
-    and a move whose candidate loses a dimension is not scored.  A move's
-    excess is capped at the incumbent's score, and spanning is checked only
-    for a move whose excess stays within it: a move whose excess alone
-    exceeds the cap is rejected whatever its penalty, so every accept and
-    reject is the full score's.  Any returned witness is re-verified with
-    is_h_scattered before being reported.  max_evals is the reproducible
-    budget, never exceeded; time_budget (seconds, finite and >= 0) is an
-    optional extra stop.
+    (SubspaceBasis.replace_row, an RREF of the stored rows that stay and
+    the new one), and a move whose candidate loses a dimension is not
+    scored.  A move's excess is capped at the incumbent's score, and
+    spanning is checked only for a move whose excess stays within it: a
+    move whose excess alone exceeds the cap is rejected whatever its
+    penalty, so every accept and reject is the full score's.  Any returned
+    witness is re-verified with is_h_scattered before being reported.
+    max_evals is the reproducible budget, never exceeded; time_budget
+    (seconds, finite and >= 0) is an optional extra stop.
     """
     n = tower.n
     if not 1 <= h <= r - 1:

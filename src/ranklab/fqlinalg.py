@@ -10,14 +10,14 @@ kernel, mat_inverse and SubspaceBasis take its echelon form and reduce each
 stored row against the others, in descending pivot order
 (back-substitution); SubspaceBasis.reduce is the same step against an RREF
 basis.  SubspaceBasis keeps the stored rows, so a basis is packed once, and
-replace_row swaps one of its rows for a vector in O(dim) row operations,
-with no elimination from scratch.  A row operation over an extension field
-adds the negated multiple, so Field.add holds the one Zech formula.
-kernel alone gives the Delsarte dual of subspaces and its double dual (left
-kernels of U's basis and of the dual's matrix) and the minimal polynomial
-(min_poly: the one relation among the flattened powers of M); mat_inverse
-serves only the two changes of basis in constructions (the converse's
-conjugation and c_ug_g_independence).
+replace_row swaps one of its rows for a vector by an RREF of the stored
+rows, with no packing or unpacking.  A row operation over an
+extension field adds the negated multiple, so Field.add holds the one Zech
+formula.  kernel alone gives the Delsarte dual of subspaces and its double
+dual (left kernels of U's basis and of the dual's matrix) and the minimal
+polynomial (min_poly: the one relation among the flattened powers of M);
+mat_inverse serves only the two changes of basis in constructions (the
+converse's conjugation and c_ug_g_independence).
 
 Every "which combinations vanish" question goes through vanishing_tails
 instead: rows head | tail are eliminated once, and the echelon rows whose
@@ -62,7 +62,6 @@ rankcodes and, as tuples one at a time, iter_span_rows.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
 from functools import cached_property, lru_cache, reduce
@@ -536,27 +535,15 @@ class SubspaceBasis:
 
     def replace_row(self, i: int, vec) -> "SubspaceBasis":
         """The canonical basis of the span of vec (codes, or a row in the
-        stored form) and the rows other than row i, in O(dim) row
-        operations: vec is reduced against the other rows (RREF, so one
-        pass is exact), scaled to a leading 1 by one add, and its pivot
-        column is cleared from each other row by one reduce.  A vec in the
-        span of the other rows gives their (dim - 1)-dimensional basis."""
+        stored form) and the rows other than row i: _rref of those stored
+        rows, which enter the reducer at their own pivots, and vec.  A vec
+        in the span of the other rows gives their (dim - 1)-dimensional
+        basis."""
         if not 0 <= i < self.dim:
             raise IndexError(f"no basis row {i} in dimension {self.dim}")
         self._check_length(vec)
         F, n = self.field, self.ambient
-        stored = self.stored[:i] + self.stored[i + 1:]
-        pivots = self.pivots[:i] + self.pivots[i + 1:]
-        others = RowReducer(F, n)
-        others.pivrows.update(zip(pivots, stored))
-        new = RowReducer(F, n)
-        if not new.add(others.reduce(vec)):
-            return SubspaceBasis(F, n, stored, pivots)
-        ((j, row),) = new.pivrows.items()
-        at = bisect.bisect(pivots, j)
-        stored = tuple(map(new.reduce, stored))
-        return SubspaceBasis(F, n, stored[:at] + (row,) + stored[at:],
-                             pivots[:at] + (j,) + pivots[at:])
+        return SubspaceBasis(F, n, *_rref(F, self.stored[:i] + self.stored[i + 1:] + (vec,), n))
 
     def sum(self, other: "SubspaceBasis") -> "SubspaceBasis":
         self._check(other)
