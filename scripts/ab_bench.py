@@ -7,10 +7,18 @@ all at the same --seed and --seconds.  Each run's last stdout line is its
 JSON result.  For every end-to-end metric it prints the median per side,
 the relative change of the medians, the distance between the quartiles of
 the parent's runs, and the number of pairs in which the change's value was
-lower.  Each run's result is checked as soon as it finishes; exit status 1
-at the first run that fails: a nonzero exit, a missing result line, a
-result that is not correct, or one that lacks a metric of the parent's
-first result.
+lower.  It ends each metric's row with a verdict, by the metric's entry in
+BENCHMARK.json (its better direction and bound):
+- gain: the change is better in at least 9 of every 10 pairs, and its
+  median beats the parent's by more than the parent's interquartile
+  distance;
+- worse: the change's median is worse than the parent's by more than the
+  bound, as a fraction of the parent's median;
+- unresolved: neither;
+- "-": the metric has no entry.
+Each run's result is checked as soon as it finishes; exit status 1 at the
+first run that fails: a nonzero exit, a missing result line, a result that
+is not correct, or one that lacks a metric of the parent's first result.
 
 Usage: python scripts/ab_bench.py --parent DIR --change DIR --workload W
            [--pairs N] [--seed S] [--seconds T]
@@ -24,6 +32,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 class RunFailed(Exception):
@@ -46,11 +57,34 @@ def parse_result(line: str) -> dict[str, float]:
         raise RunFailed(f"malformed metrics: {exc!r}") from exc
 
 
-def summarize(runs) -> list[tuple[str, float, float, float, float, int]]:
+def load_specs(path: Path = BENCHMARK) -> dict[str, dict]:
+    """{metric: its end-to-end entry} of a BENCHMARK.json; {} without one."""
+    if not path.exists():
+        return {}
+    return {m["name"]: m for m in json.loads(path.read_text())["end_to_end"]}
+
+
+def verdict(spec: dict | None, before: float, after: float, iqr: float, pairs) -> str:
+    """gain, worse or unresolved (the rules of the module docstring) for one
+    metric with parent and change medians before and after, parent
+    interquartile distance iqr and (parent, change) values pairs, by its
+    BENCHMARK.json entry spec; "-" without one."""
+    if spec is None:
+        return "-"
+    sign = 1 if spec["better"] == "lower" else -1
+    wins = sum(sign * (b - a) < 0 for a, b in pairs)
+    if 10 * wins >= 9 * len(pairs) and sign * (before - after) > iqr:
+        return "gain"
+    if sign * (after - before) > spec["bound"] * abs(before):
+        return "worse"
+    return "unresolved"
+
+
+def summarize(runs, specs=None) -> list[tuple[str, float, float, float, float, int, str]]:
     """(metric, parent median, change median, relative change, parent
-    interquartile distance, pairs in which the change was lower) for each
-    metric of the first parent result, from (parent, change) pairs of
-    parse_result dicts."""
+    interquartile distance, pairs in which the change was lower, verdict)
+    for each metric of the first parent result, from (parent, change) pairs
+    of parse_result dicts, with verdicts by specs (load_specs)."""
     for pair in runs:
         for result in pair:
             missing = [name for name in runs[0][0] if name not in result]
@@ -58,11 +92,13 @@ def summarize(runs) -> list[tuple[str, float, float, float, float, int]]:
                 raise RunFailed(f"result lacks metric(s) {', '.join(missing)}")
     rows = []
     for name in runs[0][0]:
-        parent = [a[name] for a, _ in runs]
-        before, after = statistics.median(parent), statistics.median(b[name] for _, b in runs)
+        parent, change = [a[name] for a, _ in runs], [b[name] for _, b in runs]
+        before, after = statistics.median(parent), statistics.median(change)
         rel = (after - before) / before if before else 0.0
         q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (0, 0, 0)
-        rows.append((name, before, after, rel, q3 - q1, sum(b[name] < a[name] for a, b in runs)))
+        pairs = list(zip(parent, change))
+        rows.append((name, before, after, rel, q3 - q1, sum(b < a for a, b in pairs),
+                     verdict((specs or {}).get(name), before, after, q3 - q1, pairs)))
     return rows
 
 
@@ -92,7 +128,7 @@ def main(argv: list[str]) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
-    pairs = []
+    pairs, specs = [], load_specs()
     try:
         for i in range(args.pairs):
             if i % 2 == 0:
@@ -100,15 +136,16 @@ def main(argv: list[str]) -> int:
             else:
                 change = run(args.change, args)
                 pairs.append((run(args.parent, args), change))
-            rows = summarize(pairs)
+            rows = summarize(pairs, specs)
             print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
     except RunFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"{'metric':14s} {'parent':>12s} {'change':>12s} {'rel':>8s} {'parent IQR':>12s}  lower")
-    for name, parent, change, rel, iqr, lower in rows:
+    print(f"{'metric':14s} {'parent':>12s} {'change':>12s} {'rel':>8s} {'parent IQR':>12s}"
+          f"  lower  verdict")
+    for name, parent, change, rel, iqr, lower, word in rows:
         print(f"{name:14s} {parent:12.6g} {change:12.6g} {rel:+8.1%} {iqr:12.6g}  "
-              f"{lower}/{len(pairs)}")
+              f"{f'{lower}/{len(pairs)}':>5s}  {word}")
     return 0
 
 

@@ -498,7 +498,8 @@ def random_scattered_search(tower: FieldTower, r: int, h: int, k: int, *,
     spanning is checked only for a move whose excess stays within it: a
     move whose excess alone exceeds the cap is rejected whatever its
     penalty, so every accept and reject is the full score's.  Any returned
-    witness is re-verified with is_h_scattered before being reported.
+    witness is re-verified with is_h_scattered before being reported.  A
+    k below r returns not found with no evaluation: no such subspace spans.
     max_evals is the reproducible budget, never exceeded; time_budget
     (seconds, finite and >= 0) is an optional extra stop.
     """
@@ -509,9 +510,9 @@ def random_scattered_search(tower: FieldTower, r: int, h: int, k: int, *,
         raise InvalidParams(f"k must satisfy 0 <= k <= rn/(h+1), got k={k}")
     if time_budget is not None and not (math.isfinite(time_budget) and time_budget >= 0):
         raise InvalidParams(f"time budget must be finite and >= 0, got {time_budget}")
-    if k == 0 or max_evals < 1:
-        # nothing may be scored; the zero subspace never spans, so it is
-        # never h-scattered
+    if k < r or max_evals < 1:
+        # nothing may be scored; a subspace of dimension below r never
+        # spans V(r, q^n), so it is never h-scattered
         return SearchResult(False, None, 0, seed)
     rng = random.Random(seed)
     rn = r * n

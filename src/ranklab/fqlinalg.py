@@ -5,9 +5,9 @@ Vectors and matrix rows hold integer element codes (see fields).  The
 canonical representative of a subspace is its RREF basis, which makes
 subspace equality and hashing structural.
 
-RowReducer is the only elimination.  Rank queries add rows to it; rref,
-kernel, mat_inverse and SubspaceBasis take its echelon form and reduce each
-stored row against the others, in descending pivot order
+RowReducer is the only row-by-row elimination.  Rank queries add rows to
+it; rref, kernel, mat_inverse and SubspaceBasis take its echelon form and
+reduce each stored row against the others, in descending pivot order
 (back-substitution); SubspaceBasis.reduce is the same step against an RREF
 basis.  SubspaceBasis keeps the stored rows, so a basis is packed once, and
 replace_row swaps one of its rows for a vector by an RREF of the stored
@@ -24,11 +24,20 @@ instead: rows head | tail are eliminated once, and the echelon rows whose
 pivot lies past the head carry a basis of the tails of the combinations with
 zero head, with no back-substitution.  The idealiser and the subspace tree
 of rankcodes read it; so does the Zassenhaus meet A ∩ B (rows a | a and
-b | 0) in the tests.  kernel keeps the RREF read-off, one basis vector per
-free column: through vanishing_tails (rows column | unit vector, so every
-row carries a unit block as wide as the matrix) it made delsarte_dual_code
-1.6-1.8x slower on random 4 x 4 codes over F_2, F_3, F_4 and F_9
-(CPython 3.11, one core of a shared 2-CPU host).
+b | 0) in the tests.  Over F_2 the subspace tree asks it of rows packed
+side by side into one int, and head_elimination answers column by column,
+each step on every row at once.  kernel keeps the RREF read-off, one basis
+vector per free column: through vanishing_tails (rows column | unit vector,
+so every row carries a unit block as wide as the matrix) it made
+delsarte_dual_code 1.6-1.8x slower on random 4 x 4 codes over F_2, F_3,
+F_4 and F_9 (CPython 3.11, one core of a shared 2-CPU host).  It reads the
+null vectors off the RREF of the matrix with its columns reversed, which
+reversed back are already the canonical basis, so there is one elimination.
+
+The block helpers work on stored rows laid side by side in one int, block t
+at coordinate t·width: head_elimination (F_2) and block_indicators (F_p),
+whose integer products copy a row into many blocks at once.  Each states
+why no product or sum carries from one block into the next.
 
 This module alone knows the form in which RowReducer stores a row.  Over a
 prime field F_p a row is a packed int: coordinate j takes W bits starting at
@@ -467,6 +476,49 @@ def vanishing_tails(F: Field, width: int, ncols: int, rows) -> list:
     return [tail(row) for j, row in rr.pivrows.items() if j >= width]
 
 
+def head_elimination(heads: int, block: int, nblocks: int):
+    """vanishing_tails over F_2 on the rows of one int: a function x ->
+    (rank, y) for an int x of nblocks blocks of block bits, block t being
+    row t, whose first heads bits are its head.  y holds the rows of x with
+    the first heads columns eliminated: the rank(heads) pivot rows are
+    zero, and the rows never used as pivots, zero in the head, carry a
+    basis of the tails of the combinations with zero head.
+
+    Column j is cleared in every row at once: with m the rows whose bit j
+    is set, moved to bit 0 of their blocks, x ^= m·pivot for the first of
+    them.  m·pivot is a copy of pivot in each block of m, with no carry, as
+    pivot < 2^block; the pivot row is zero below bit j, so no cleared column
+    comes back, and it clears itself."""
+    mask = (1 << block) - 1
+    low = ((1 << (nblocks * block)) - 1) // mask   # bit 0 of each block
+
+    def eliminate(x: int) -> tuple[int, int]:
+        rank = 0
+        for j in range(heads):
+            m = (x >> j) & low
+            if m:
+                x ^= m * ((x >> ((m & -m).bit_length() - 1)) & mask)
+                rank += 1
+        return rank, x
+    return eliminate
+
+
+def block_indicators(F: Field, width: int, codes) -> list[tuple[int, int]]:
+    """[(c, ind_c)] for the nonzero codes c of codes over the prime field
+    F: ind_c is the stored row with a 1 in coordinate t·width for each t
+    with codes[t] = c, and 0 elsewhere.
+
+    For a stored row x of at most width coordinates, Σ_c ind_c·(c·x) is the
+    stored row whose block t of width coordinates is codes[t]·x, by plain
+    integer products and sums: ind_c·y is a copy of y in each marked block,
+    with no carry, as y < 2^{width·W}; and the ind_c mark disjoint blocks."""
+    shift, inds = width * slot_width(F), {}
+    for t, c in enumerate(codes):
+        if c:
+            inds[c] = inds.get(c, 0) | 1 << (t * shift)
+    return list(inds.items())
+
+
 # -- subspaces ---------------------------------------------------------------
 
 
@@ -567,21 +619,27 @@ class SubspaceBasis:
 
 
 def kernel(M: Mat) -> SubspaceBasis:
-    """Right null space {v : M v = 0} as a canonical basis."""
+    """Right null space {v : M v = 0} as a canonical basis, from one RREF:
+    that of M with its columns reversed, M'.
+
+    The null vector of M' read off at a free column f is 1 at f and
+    −row_p[f] at each pivot p, nonzero only at pivots p < f.  Reversed back,
+    it leads with 1 at column M.cols − 1 − f and is zero at every other
+    reversed free column, so these vectors, in descending f, are the RREF of
+    the null space of M."""
     F, cols = M.field, M.cols
-    stored, piv = _rref(F, M.data, cols)
+    stored, piv = _rref(F, [row[::-1] for row in M.data], cols)
     rows = [unpack_row(F, row, cols) for row in stored]
     pivset = set(piv)
+    free = [f for f in reversed(range(cols)) if f not in pivset]
     basis = []
-    for f in range(cols):
-        if f in pivset:
-            continue
+    for f in free:
         v = [0] * cols
         v[f] = 1
         for row, p in zip(rows, piv):
             v[p] = F.neg(row[f])
-        basis.append(v)
-    return SubspaceBasis.from_vectors(F, cols, basis)
+        basis.append(store_row(F, v[::-1]))
+    return SubspaceBasis(F, cols, tuple(basis), tuple(cols - 1 - f for f in free))
 
 
 def mat_inverse(M: Mat) -> Mat:

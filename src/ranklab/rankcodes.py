@@ -35,6 +35,10 @@ decided exactly, from the minimal polynomial of a basis element
 Both rank-distribution scans and the idealiser eliminate through
 fqlinalg.RowReducer; the subspace tree's subcodes and the idealiser are the
 tails of the tracked rows whose head vanished (fqlinalg.vanishing_tails).
+Over F_2 the tree keeps a node's subcode in one int and eliminates a column
+of all its rows at a time (fqlinalg.head_elimination); over F_p the
+idealiser builds its rows by integer products that copy one reduced unit
+matrix into many blocks (fqlinalg.block_indicators).
 Spans are walked with fqlinalg.odometer and fqlinalg.span_chunks.  Rows stay
 in the form RowReducer stores them, built, added and cut into blocks by
 fqlinalg's row helpers, so no scan knows whether a row is a packed int or a
@@ -57,14 +61,16 @@ from .errors import (
     RankDeficientA,
     ShapeMismatch,
 )
-from .fields import Field, is_irreducible
+from .fields import Field, is_irreducible, slot_width
 from .fqlinalg import (
     Mat,
     RowReducer,
     SPAN_CHUNK,
     SubspaceBasis,
+    block_indicators,
     cheapest,
     flatten_rows,
+    head_elimination,
     kernel,
     mat_mul,
     min_poly,
@@ -245,6 +251,14 @@ def _subspace_counts(C: RankCode) -> list[int]:
     descendants in closed form: for e = 1..p, q^{e(n'−d−p)}·[p, e]_q
     subspaces of dimension d + e, each with |C_Y| = 1.  Rows are in
     RowReducer's stored form, cut and joined with fqlinalg.row_blocks.
+
+    Over F_2 a node is one int of blocks image | codeword, H·(n' + 1) bits
+    each, the image zero: its column j is the word's bits shifted onto the
+    image, in every block at once, and a child's images are added to the
+    node in one XOR.  fqlinalg.head_elimination's H column steps then give
+    the child's subcode, or a leaf's rank, directly; eliminated blocks stay
+    as zeros.  Over F_3 that column form timed slower than RowReducer on
+    certify's 4 x 4 codes.
     """
     F, q, K = C.field, C.q, C.dim
     mats = C.basis_matrices()
@@ -253,40 +267,58 @@ def _subspace_counts(C: RankCode) -> list[int]:
     H, width = max(C.m, C.n), min(C.m, C.n)
     # each codeword with its columns stacked: entry (i, j) at j·H + i
     words = [store_row(F, flatten_rows(zip(*M))) for M in mats]
-    ranker = RowReducer(F, H)
-    not_full = lambda _: len(ranker.pivrows) < H
-    split, join = row_blocks(F, H)[:2]
-    add = row_add(F, max(K, 1) * H)
     qpow = [q**e for e in range(K + 1)]
     B = [0] * (width + 1)
+    add = row_add(F, max(K, 1) * H)
+    if q == 2:
+        block = H * (width + 1)
+        eliminate = head_elimination(H, block, K)
+        images = ((1 << block * K) - 1) // ((1 << block) - 1) * ((1 << H) - 1)
+        root = sum(w << (H + t * block) for t, w in enumerate(words))
+        columns = lambda X: [(X >> j * H) & images for j in range(1, width + 1)]
 
-    def visit(words, pivots: tuple[int, ...], d: int) -> None:
-        s = len(words)
+        def child(X, img, s):
+            rank, Y = eliminate(X ^ img)
+            return Y, s - rank
+        leaf_rank = lambda img, s: eliminate(img)[0]
+    else:
+        ranker = RowReducer(F, H)
+        not_full = lambda _: len(ranker.pivrows) < H
+        split, join = row_blocks(F, H)[:2]
+        root = words
+        # column j of every word, joined in word order
+        columns = lambda words: [reduce(lambda row, b: join(b, row), col[::-1])
+                                 for col in zip(*(split(w, width) for w in words))]
+
+        def child(words, img, s):
+            tails = vanishing_tails(F, H, H * (width + 1), map(join, split(img, s), words))
+            return tails, len(tails)
+
+        def leaf_rank(img, s):
+            ranker.pivrows.clear()
+            rows = split(img, s)
+            if s > H:   # rows past rank H vanish: stop there
+                rows = itertools.takewhile(not_full, rows)
+            return ranker.add_all(rows)
+
+    def visit(node, s: int, pivots: tuple[int, ...], d: int) -> None:
         B[width - d] += qpow[s]
         p = pivots[0] if pivots else width
         if not s:
             for e in range(1, p + 1):
                 B[width - d - e] += q ** (e * (width - d - p)) * qbinom(p, e, q)
             return
-        # column j of every word, joined in word order
-        cols = [reduce(lambda row, b: join(b, row), col[::-1])
-                for col in zip(*(split(w, width) for w in words))]
+        cols = columns(node)
         for p1 in range(p):
             free = prime_expansion(
                 F, [cols[j] for j in range(p1 + 1, width) if j not in pivots])
             for img in odometer(add, cols[p1], free, F.p):
                 if p1:
-                    visit(vanishing_tails(F, H, H * (width + 1),
-                                          map(join, split(img, s), words)),
-                          (p1,) + pivots, d + 1)
+                    visit(*child(node, img, s), (p1,) + pivots, d + 1)
                 else:
-                    ranker.pivrows.clear()
-                    rows = split(img, s)
-                    if s > H:   # rows past rank H vanish: stop there
-                        rows = itertools.takewhile(not_full, rows)
-                    B[width - d - 1] += qpow[s - ranker.add_all(rows)]
+                    B[width - d - 1] += qpow[s - leaf_rank(img, s)]
 
-    visit(words, (), 0)
+    visit(root, K, (), 0)
     A: list[int] = []
     for j in range(width + 1):
         A.append(B[j] - sum(A[i] * qbinom(width - i, j - i, q) for i in range(j)))
@@ -418,25 +450,41 @@ def _idealiser(C: RankCode, side: Side) -> Idealiser:
     idealiser; its RREF is the basis.  _verify_idealiser_closure then checks
     it against C independently, through the algebra's generator when there
     is one.
+
+    Over F_p the head is built by R_iu, not by t: with
+    reduce(M_t·E_ab) = Σ_i M_t[c][i]·R_iu, the head is
+    Σ_i Σ_{v≠0} ind_civ·(v·R_iu), ind_civ marking the blocks t with
+    M_t[c][i] = v (fqlinalg.block_indicators), one integer product each.
     """
     F, m, n = C.field, C.m, C.n
-    s = m if side is Side.LEFT else n
-    unit = lambda k, size: store_row(F, [0] * k + [1] + [0] * (size - k - 1))
+    s, mn = (m if side is Side.LEFT else n), m * n
+    if F.base is None:      # a stored unit row is one bit
+        unit = lambda k, size: 1 << k * slot_width(F)
+    else:
+        unit = lambda k, size: store_row(F, [0] * k + [1] + [0] * (size - k - 1))
     remainder = C.flat.reducer().reduce
-    R = [[remainder(unit(i * n + j, m * n)) for j in range(n)] for i in range(m)]
+    R = [[remainder(unit(i * n + j, mn)) for j in range(n)] for i in range(m)]
     if side is Side.LEFT:   # block (a, b, t): Σ_j M_t[b][j]·R_aj
         coeffs, units = C.basis_matrices(), R
     else:                   # block (a, b, t): Σ_i M_t[i][a]·R_ib
         coeffs, units = [tuple(zip(*M)) for M in C.basis_matrices()], list(zip(*R))
-    combine, join = row_combination(F, m * n), row_blocks(F, m * n)[1]
-    head, ss = len(coeffs) * m * n, s * s
-    rows = []
-    for a, b in itertools.product(range(s), repeat=2):
-        c, u = (b, a) if side is Side.LEFT else (a, b)
-        row = unit(a * s + b, ss)
-        for M in reversed(coeffs):
-            row = join(combine(M[c], units[u]), row)
-        rows.append(row)
+    combine, join = row_combination(F, mn), row_blocks(F, mn)[1]
+    head, ss = len(coeffs) * mn, s * s
+    pairs = [((b, a) if side is Side.LEFT else (a, b), a * s + b)
+             for a, b in itertools.product(range(s), repeat=2)]
+    if F.base is None:
+        add = row_add(F, head + ss)
+        scaled = [[[combine((v,), (x,)) for v in range(F.p)] for x in row] for row in units]
+        inds = [[block_indicators(F, mn, [M[c][i] for M in coeffs]) for i in range(len(units[0]))]
+                for c in range(s)]
+        # head Σ_i Σ_v ind_civ·(v·R_iu), then the tail e_ab
+        rows = [reduce(add, [sum(ind * x[v] for v, ind in ci) for ci, x in zip(inds[c], scaled[u])],
+                       unit(head + e, head + ss))
+                for (c, u), e in pairs]
+    else:
+        rows = [reduce(lambda row, M: join(combine(M[c], units[u]), row), reversed(coeffs),
+                       unit(e, ss))
+                for (c, u), e in pairs]
     ker = SubspaceBasis.from_vectors(F, ss, [
         unpack_row(F, t, ss) for t in vanishing_tails(F, head, head + ss, rows)])
     basis = tuple(_reshape(v, s, s) for v in ker.rows)
@@ -475,23 +523,36 @@ def _verify_idealiser_closure(C: RankCode, ide: Idealiser) -> None:
     the RREF of I, Y, ..., Y^{d-1} is the basis and that C·Y ⊆ C (Y·C on the
     left), K products: then span(basis) = F_q[Y], and C is closed under every
     polynomial in Y.  Without one, every basis element
-    is multiplied by every basis codeword."""
-    F, s, gen = C.field, ide.degree, ide.generator
-    if gen is None:
-        factors = [Mat.from_rows(F, Y, s) for Y in ide.basis]
-    else:
-        factors, powers = [Mat.from_rows(F, gen[0], s)], [Mat.identity(F, s)]
+    is multiplied by every basis codeword.
+
+    Products are taken on stored rows (fqlinalg.row_combination): row i of
+    A·B is Σ_a A[i][a]·B_a over B's stored rows, so Y's rows are stored once
+    and C's codewords are cut from C.flat's stored rows.  A power Y^{k+1} is
+    Y·Y^k, on the stored rows of Y^k.  Each product's rows are joined into
+    one word of F_q^{mn} and reduced against C's RREF basis."""
+    F, s, gen, n = C.field, ide.degree, ide.generator, C.n
+    factors = ide.basis
+    if gen is not None:
+        factors, combine = [gen[0]], row_combination(F, s)
+        powers = [[store_row(F, [int(a == b) for b in range(s)]) for a in range(s)]]
         while len(powers) < ide.dim:
-            powers.append(mat_mul(powers[-1], factors[0]))
-        span = SubspaceBasis.from_vectors(F, s * s, [flatten_rows(P.data) for P in powers])
+            powers.append([combine(y, powers[-1]) for y in gen[0]])
+        span = SubspaceBasis.from_vectors(F, s * s, [
+            flatten_rows(unpack_row(F, row, s) for row in P) for P in powers])
         if [list(r) for r in span.rows] != [flatten_rows(B) for B in ide.basis]:
             raise InternalInvariantError("idealiser closure verification failed: "
                                          "the powers of the generator span another algebra")
-    mats = [Mat.from_rows(F, M, C.n) for M in C.basis_matrices()]
+    combine, (split, join) = row_combination(F, n), row_blocks(F, n)[:2]
+    if ide.side is Side.LEFT:   # Y·M: Y's codes over M's stored rows
+        mats = [split(w, C.m) for w in C.flat.stored]
+        product = lambda Y, M: [combine(y, M) for y in Y]
+    else:                       # M·Y: M's codes over Y's stored rows
+        mats = C.basis_matrices()
+        factors = [[store_row(F, y) for y in Y] for Y in factors]
+        product = lambda Y, M: [combine(row, Y) for row in M]
     for Y in factors:
         for M in mats:
-            prod = mat_mul(Y, M) if ide.side is Side.LEFT else mat_mul(M, Y)
-            if not C.contains(prod.data):
+            if not C.flat.contains(reduce(lambda row, b: join(b, row), product(Y, M)[::-1])):
                 raise InternalInvariantError("idealiser closure verification failed")
 
 

@@ -33,12 +33,52 @@ def test_summary_gives_medians_relative_change_and_lower_count():
              (result_line(0.047, 20.0), result_line(0.039, 20.0))]
     rows = {row[0]: row[1:] for row in ab_bench.summarize(parsed(pairs))}
     assert list(rows) == ["run_s", "peak_rss_mb"]
-    parent, change, rel, iqr, lower = rows["run_s"]
+    parent, change, rel, iqr, lower, verdict = rows["run_s"]
     assert (parent, change, lower) == (pytest.approx(0.0455), pytest.approx(0.0405), 3)
     assert rel == pytest.approx(-0.05 / 0.455)
     # the parent's quartiles of 0.044, 0.045, 0.046, 0.047 (exclusive method)
     assert iqr == pytest.approx(0.04675 - 0.04425)
-    assert rows["peak_rss_mb"] == (20.0, 20.0, 0.0, 0.0, 1)
+    # no BENCHMARK.json entries given: no verdict
+    assert verdict == "-" and rows["peak_rss_mb"] == (20.0, 20.0, 0.0, 0.0, 1, "-")
+
+
+SPECS = {"run_s": {"name": "run_s", "better": "lower", "bound": 0.25},
+         "evals": {"name": "evals", "better": "higher", "bound": 0.25}}
+
+
+def verdict(parent, change):
+    """The verdict on run_s, checked against that on a higher-is-better
+    metric whose values are run_s's negated: the same verdict."""
+    pairs = [({"run_s": a, "evals": -a}, {"run_s": b, "evals": -b})
+             for a, b in zip(parent, change)]
+    (*_, lower), (*_, higher) = ab_bench.summarize(pairs, SPECS)
+    assert lower == higher
+    return lower
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]
+# the parent's quartiles (exclusive method) are 0.9875 and 1.0125
+
+
+def test_verdict_gain_needs_nine_of_ten_pairs_and_a_median_past_the_iqr():
+    assert verdict(PARENT, [a - 0.05 for a in PARENT]) == "gain"
+    # 9 of 10 pairs lower is enough, 8 of 10 is not
+    assert verdict(PARENT, [a - 0.05 for a in PARENT[:9]] + [1.05]) == "gain"
+    assert verdict(PARENT, [a - 0.05 for a in PARENT[:8]] + [1.05, 1.05]) == "unresolved"
+    # 10 of 10 pairs lower, but the medians 0.02 apart, within the IQR 0.025
+    assert verdict(PARENT, [a - 0.02 for a in PARENT]) == "unresolved"
+
+
+def test_verdict_worse_is_a_median_past_the_bound():
+    assert verdict(PARENT, [a * 1.3 for a in PARENT]) == "worse"
+    assert verdict(PARENT, [a * 1.2 for a in PARENT]) == "unresolved"
+
+
+def test_the_verdicts_read_the_repository_benchmark_file():
+    specs = ab_bench.load_specs()
+    assert {"run_s", "setup_s", "peak_rss_mb"} <= set(specs)
+    assert all(spec["better"] in ("lower", "higher") and spec["bound"] > 0
+               for spec in specs.values())
 
 
 def test_a_failed_or_malformed_run_is_refused():
@@ -72,7 +112,8 @@ def test_ten_alternating_pairs_by_default(monkeypatch, capsys):
     order = fake_runs(monkeypatch)
     assert ab_bench.main(["--parent", "P", "--change", "C", "--workload", "certify"]) == 0
     assert order == ["P", "C", "C", "P"] * 5
-    assert "10/10" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "10/10" in out and "gain" in out
 
 
 def test_the_first_failed_run_stops_the_comparison(monkeypatch, capsys):

@@ -166,6 +166,14 @@ def test_search_zero_budget_evaluates_nothing():
     assert rep["results"] == {"found": False, "evaluations": 0, "seed": 1}
 
 
+@pytest.mark.parametrize("q", ["4", "5", "8", "9"])
+def test_search_below_dimension_r_evaluates_nothing(q):
+    # k = 2 < r = 3: no candidate can span V(3, q^2)
+    rep = run_json(["search-scattered", "--r", "3", "--n", "2", "--h", "2", "--k", "2",
+                    "--q", q, "--seed", "2", "--budget", "40"])
+    assert rep["results"] == {"found": False, "evaluations": 0, "seed": 2}
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_search_time_budget_must_be_finite_and_nonnegative(value, capsys):
     # a NaN would reach the report's parameters as a bare NaN, which is not JSON

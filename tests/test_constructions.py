@@ -630,6 +630,23 @@ def test_search_k0_returns_not_found(t2_4):
     assert not res.found
 
 
+@pytest.mark.parametrize("q,n,r,h,k", [(4, 2, 3, 2, 2), (5, 2, 3, 2, 2), (8, 2, 3, 2, 2),
+                                       (9, 2, 3, 2, 2)])
+def test_search_below_dimension_r_scores_nothing(monkeypatch, q, n, r, h, k):
+    # a subspace of dimension k < r never spans V(r, q^n), so no candidate
+    # is scored, as at k = 0
+    from ranklab import constructions
+
+    def scored(*args, **kwargs):
+        raise AssertionError("a candidate was scored")
+
+    monkeypatch.setattr(constructions, "excess_total", scored)
+    tower = make_tower(*{4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}[q], n, 1)
+    for seed in (1, 2, 3):
+        res = random_scattered_search(tower, r, h, k, seed=seed, max_evals=40)
+        assert res == (False, None, 0, seed)
+
+
 @pytest.mark.parametrize("r,h,k", [(2, 3, 1), (2, 2, 1), (2, 0, 1), (2, 0, 0), (3, -1, 2)])
 def test_search_refuses_h_outside_1_to_r_minus_1(t2_4, r, h, k):
     # checked before the k = 0 return and before any evaluation, as
@@ -687,11 +704,11 @@ def test_search_refinds_the_frozen_witness_at_its_seed():
     assert res.subspace == certified_new_witness()
 
 
-# (p, e, n, r, h, k): q = p^e in {2, 3, 4, 5, 8, 9}, h = 1 and h = r - 1 = 2
+# (p, e, n, r, h, k): q = p^e in {2, 3, 4, 5, 8, 9} at h = 1, and h = r - 1 = 2
+# at q = 2, 3, 4, each with k >= r (a smaller k is never scored)
 SEARCH_CELLS = [(2, 1, 5, 2, 1, 5), (2, 1, 6, 2, 1, 6), (3, 1, 4, 2, 1, 4), (3, 1, 5, 2, 1, 5),
                 (2, 2, 4, 2, 1, 4), (5, 1, 4, 2, 1, 4), (2, 3, 4, 2, 1, 4), (3, 2, 4, 2, 1, 4),
-                (2, 1, 4, 3, 2, 4), (3, 1, 2, 3, 2, 2), (2, 2, 2, 3, 2, 2), (5, 1, 2, 3, 2, 2),
-                (2, 3, 2, 3, 2, 2), (3, 2, 2, 3, 2, 2)]
+                (2, 1, 4, 3, 2, 4), (3, 1, 4, 3, 2, 4), (2, 2, 4, 3, 2, 4)]
 
 
 @pytest.mark.parametrize("p,e,n,r,h,k", SEARCH_CELLS)

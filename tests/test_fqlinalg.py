@@ -105,6 +105,74 @@ def test_kernel_rref_exhaustive_small_f2():
             assert span == sols
 
 
+PRIME_POWERS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
+
+
+@pytest.mark.parametrize("q", sorted(PRIME_POWERS))
+def test_kernel_is_the_rref_of_the_brute_force_null_space(q):
+    # kernel reads its basis off the RREF of M with its columns reversed:
+    # it must span every solution of M v = 0 and already be canonical, on
+    # 0-row, zero, full-rank and random matrices
+    F = make_tower(*PRIME_POWERS[q], 1, 1).base
+    add, mul = F.add, F.mul
+    rng = random.Random(q)
+    widest = 4 if q <= 5 else 3
+    cases = [[] for _ in range(widest)] + [[[0] * c] * 2 for c in range(1, widest + 1)]
+    cases += [Mat.identity(F, c).data[::-1] for c in range(1, widest + 1)]
+    cases += [[[rng.randrange(q) for _ in range(c)] for _ in range(r)]
+              for _ in range(6) for c in range(1, widest + 1) for r in range(1, c + 2)]
+    full_rank = zero_rank = 0
+    for i, rows in enumerate(cases):
+        ncols = len(rows[0]) if rows else i + 1
+        K = kernel(Mat.from_rows(F, rows, ncols))
+        sols = {v for v in itertools.product(range(q), repeat=ncols)
+                if not any(reduce(add, map(mul, row, v), 0) for row in rows)}
+        assert {tuple(v) for v in iter_span_rows(K.rows, F, ncols)} == sols, rows
+        canonical = SubspaceBasis.from_vectors(F, ncols, K.rows)
+        assert (K.stored, K.pivots) == (canonical.stored, canonical.pivots), rows
+        full_rank += K.dim == 0
+        zero_rank += K.dim == ncols
+    assert full_rank and zero_rank
+
+
+def test_head_elimination_matches_vanishing_tails():
+    # blocks head | tail of one int over F_2: the rank of the heads, and
+    # the blocks left nonzero span the tails of the combinations with zero
+    # head, as vanishing_tails finds them row by row
+    rng = random.Random(5)
+    for heads, width, nblocks in ((3, 4, 5), (4, 2, 3), (5, 3, 8), (2, 6, 1), (4, 4, 0)):
+        block = heads + width
+        eliminate = fqlinalg.head_elimination(heads, block, nblocks)
+        for _ in range(30):
+            rows = [rng.getrandbits(block) for _ in range(nblocks)]
+            if rng.randrange(3) == 0 and nblocks > 1:
+                rows[-1] = rows[0] ^ rows[1]
+            rank, y = eliminate(sum(r << (t * block) for t, r in enumerate(rows)))
+            left = [y >> (t * block) & ((1 << block) - 1) for t in range(nblocks)]
+            assert not any(b & ((1 << heads) - 1) for b in left)
+            heads_rank = RowReducer(F2, heads).add_all(r & ((1 << heads) - 1) for r in rows)
+            assert rank == heads_rank
+            want = vanishing_tails(F2, heads, block, rows)
+            got = [b >> heads for b in left if b]
+            assert SubspaceBasis.from_vectors(F2, width, [unpack_row(F2, t, width) for t in got]) \
+                == SubspaceBasis.from_vectors(F2, width, [unpack_row(F2, t, width) for t in want])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_block_indicators_spread_a_row_by_integer_products(p):
+    # Σ_c ind_c·(c·x) puts codes[t]·x in block t, with no carry between blocks
+    F = Field(p)
+    rng = random.Random(p)
+    for width, nblocks in ((1, 4), (3, 5), (4, 1)):
+        x = [rng.randrange(p) for _ in range(width)]
+        for _ in range(10):
+            codes = [rng.randrange(p) for _ in range(nblocks)]
+            got = sum(ind * store_row(F, [F.mul(c, a) for a in x])
+                      for c, ind in fqlinalg.block_indicators(F, width, codes))
+            assert unpack_row(F, got, width * nblocks) == [
+                F.mul(c, a) for c in codes for a in x]
+
+
 def test_intersect_self_and_complementary():
     A = SubspaceBasis.from_vectors(F2, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
     B = SubspaceBasis.from_vectors(F2, 4, [[0, 0, 1, 0], [0, 0, 0, 1]])

@@ -323,8 +323,9 @@ IDEALISER_GRID = {(2, 1): 3, (3, 1): 2, (2, 2): 2, (5, 1): 2, (2, 3): 2, (3, 2):
 
 def _idealiser_grid_codes(p, e, s):
     """(label, code, sides): Gabidulin and, above q = 2, twisted Gabidulin
-    codes on F_{q^s}; seeded random codes; the zero code and the full space.
-    A code with m != n is checked on its s-sized side only."""
+    codes on F_{q^s}; seeded random codes, square, (s + 1) x s and
+    s x (s + 1); the zero code and the full space.  A code with m != n is
+    checked on its s-sized side only."""
     from ranklab.constructions import twisted_gabidulin
     from ranklab.errors import EtaConditionViolated
 
@@ -342,10 +343,12 @@ def _idealiser_grid_codes(p, e, s):
             yield f"twisted eta={eta}", tg.code, both
             break
     rng = random.Random(F.order)
-    for m, n, K in ((s, s, 1), (s, s, s), (s, s, s * s - 1), (s + 1, s, 2)):
+    for m, n, K in ((s, s, 1), (s, s, s), (s, s, s * s - 1), (s + 1, s, 2), (s, s + 1, 2),
+                    (s + 1, s, s + 1), (s, s + 1, s + 1)):
         C = RankCode.from_generators(F, m, n, [
             [[rng.randrange(F.order) for _ in range(n)] for _ in range(m)] for _ in range(K)])
-        yield f"random {m}x{n} K={K}", C, both if m == n else (Side.RIGHT,)
+        yield (f"random {m}x{n} K={K}", C,
+               both if m == n else (Side.RIGHT,) if n == s else (Side.LEFT,))
     yield "zero", RankCode.from_generators(F, s, s, []), both
     yield "full", full_space(s, s, F), both
 
@@ -480,15 +483,24 @@ def test_broken_rank_histograms_are_internal_errors(monkeypatch, tmp_path, capsy
     assert "does not sum to q^K" in capsys.readouterr().err
 
 
-def test_failed_idealiser_closure_is_an_internal_error(monkeypatch):
+def test_failed_idealiser_closure_is_an_internal_error():
+    # an idealiser checked against a code it does not idealise: the powers
+    # of its generator still span it, so the first product outside the code
+    # raises, through the generator and through every basis element alike
     from ranklab import fixtures
     from ranklab.errors import InternalInvariantError
+    from ranklab.rankcodes import _verify_idealiser_closure
 
-    # a fresh code: the shared gab fixture may hold a memoised idealiser
     C = fixtures.gabidulin_4_2_1()
-    monkeypatch.setattr(RankCode, "contains", lambda self, rows: False)
-    with pytest.raises(InternalInvariantError, match="closure"):
-        right_idealiser(C)
+    other = RankCode.from_generators(F2, 4, 4, [Mat.identity(F2, 4).data,
+                                                [[0, 1, 0, 0]] + [[0] * 4] * 3])
+    for side in (Side.LEFT, Side.RIGHT):
+        ide = (left_idealiser if side is Side.LEFT else right_idealiser)(C)
+        assert ide.generator is not None
+        for checked in (ide, ide._replace(generator=None)):
+            _verify_idealiser_closure(C, checked)
+            with pytest.raises(InternalInvariantError, match="closure verification failed$"):
+                _verify_idealiser_closure(other, checked)
 
 
 def test_corrupted_idealiser_basis_fails_the_generator_check(monkeypatch, tmp_path, capsys):
@@ -729,13 +741,32 @@ def test_rank_distribution_against_product_enumeration_oracle():
 @pytest.mark.parametrize("q,N,k", [(2, 5, 2), (3, 4, 2), (4, 3, 2)])
 def test_leaf_ranks_stop_at_full_rank(q, N, k, monkeypatch):
     # a leaf of the subspace tree ranks s > H images of H coordinates: once
-    # their rank is H every further row vanishes, and none is eliminated
+    # their rank is H every further row vanishes, and none is eliminated.
+    # Over F_2 a leaf is one fqlinalg.head_elimination call, H column steps
+    # on all s blocks at once, so s > H blocks cost H steps, not s.
     from ranklab import fqlinalg, rankcodes
 
     p, e = {2: (2, 1), 3: (3, 1), 4: (2, 2)}[q]
     C = gabidulin(make_tower(p, e, N, 1), N, k, 1)
     want = tuple(rankcodes._walk_counts(C))
     H, past, fed = max(C.m, C.n), [], []
+    if q == 2:
+        built, wide = [], []
+
+        def counted_elimination(heads, block, nblocks):
+            built.append(heads)
+            eliminate = fqlinalg.head_elimination(heads, block, nblocks)
+
+            def counted(x):
+                blocks = sum(1 for t in range(nblocks) if x >> (t * block) & ((1 << block) - 1))
+                wide.append(blocks > heads)
+                return eliminate(x)
+            return counted
+
+        monkeypatch.setattr(rankcodes, "head_elimination", counted_elimination)
+        assert tuple(rankcodes._subspace_counts(C)) == want
+        assert built == [H] and any(wide)
+        return
     add_all = fqlinalg.RowReducer.add_all
 
     def counted(self, rows):
@@ -881,6 +912,24 @@ def test_subspace_tree_matches_the_per_subspace_count():
         closed_form += any(s == 0 for Y, s in inner)
         tracked_deep += any(s > 0 and Y.dim >= 2 for Y, s in inner)
     assert closed_form and tracked_deep
+
+
+@pytest.mark.parametrize("m,n", [(2, 5), (5, 2), (3, 4), (4, 3), (3, 3), (2, 6)])
+def test_f2_subspace_tree_matches_the_codeword_walk(m, n):
+    # the F_2 tree keeps a node's subcode as blocks of one int and ranks by
+    # column steps (fqlinalg.head_elimination): both shapes of transpose,
+    # the zero code, the full space, and s > H words at the root
+    from ranklab.rankcodes import _subspace_counts, _walk_counts
+
+    rng = random.Random(m * 10 + n)
+    H = max(m, n)
+    for K in sorted({0, 1, H + 1, m * n // 2, m * n}):
+        while True:
+            C = RankCode.from_generators(F2, m, n, [
+                [[rng.randrange(2) for _ in range(n)] for _ in range(m)] for _ in range(K)])
+            if C.dim == K:
+                break
+        assert tuple(_subspace_counts(C)) == tuple(_walk_counts(C)), (m, n, K)
 
 
 def test_subspace_count_budget_is_the_subspace_count(scanned):
