@@ -16,11 +16,14 @@ BENCHMARK.json (its better direction and bound):
   bound, as a fraction of the parent's median;
 - unresolved: neither;
 - "-": the metric has no entry.
+With --workload all it compares every workload of BENCHMARK.json in turn,
+prints each one's table, and ends with the metrics judged worse on any of
+them ("worse: none" when there are none).
 Each run's result is checked as soon as it finishes; exit status 1 at the
 first run that fails: a nonzero exit, a missing result line, a result that
 is not correct, or one that lacks a metric of the parent's first result.
 
-Usage: python scripts/ab_bench.py --parent DIR --change DIR --workload W
+Usage: python scripts/ab_bench.py --parent DIR --change DIR --workload W|all
            [--pairs N] [--seed S] [--seconds T]
 """
 
@@ -62,6 +65,11 @@ def load_specs(path: Path = BENCHMARK) -> dict[str, dict]:
     if not path.exists():
         return {}
     return {m["name"]: m for m in json.loads(path.read_text())["end_to_end"]}
+
+
+def load_workloads(path: Path = BENCHMARK) -> list[str]:
+    """The workload names of a BENCHMARK.json, in its order."""
+    return [w["name"] for w in json.loads(path.read_text())["workloads"]]
 
 
 def verdict(spec: dict | None, before: float, after: float, iqr: float, pairs) -> str:
@@ -117,35 +125,47 @@ def run(checkout: str, args) -> dict[str, float]:
         raise RunFailed(f"{checkout}: {exc}") from exc
 
 
+def compare(args, specs) -> list[tuple[str, float, float, float, float, int, str]]:
+    """summarize's rows over args.pairs alternating pairs of runs of
+    args.workload."""
+    pairs = []
+    for i in range(args.pairs):
+        if i % 2 == 0:
+            pairs.append((run(args.parent, args), run(args.change, args)))
+        else:
+            change = run(args.change, args)
+            pairs.append((run(args.parent, args), change))
+        print(f"{args.workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr)
+    return summarize(pairs, specs)
+
+
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, help="a workload name, or all")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--seconds", type=float, default=8.0)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
-    pairs, specs = [], load_specs()
-    try:
-        for i in range(args.pairs):
-            if i % 2 == 0:
-                pairs.append((run(args.parent, args), run(args.change, args)))
-            else:
-                change = run(args.change, args)
-                pairs.append((run(args.parent, args), change))
-            rows = summarize(pairs, specs)
-            print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
-    except RunFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"{'metric':14s} {'parent':>12s} {'change':>12s} {'rel':>8s} {'parent IQR':>12s}"
-          f"  lower  verdict")
-    for name, parent, change, rel, iqr, lower, word in rows:
-        print(f"{name:14s} {parent:12.6g} {change:12.6g} {rel:+8.1%} {iqr:12.6g}  "
-              f"{f'{lower}/{len(pairs)}':>5s}  {word}")
+    specs, worse = load_specs(), []
+    for workload in load_workloads() if args.workload == "all" else [args.workload]:
+        args.workload = workload
+        try:
+            rows = compare(args, specs)
+        except RunFailed as exc:
+            print(f"error: {workload}: {exc}", file=sys.stderr)
+            return 1
+        print(f"workload {workload}\n{'metric':14s} {'parent':>12s} {'change':>12s} "
+              f"{'rel':>8s} {'parent IQR':>12s}  lower  verdict")
+        for name, parent, change, rel, iqr, lower, word in rows:
+            print(f"{name:14s} {parent:12.6g} {change:12.6g} {rel:+8.1%} {iqr:12.6g}  "
+                  f"{f'{lower}/{args.pairs}':>5s}  {word}")
+            if word == "worse":
+                worse.append(f"{workload} {name}")
+    print(f"worse: {', '.join(worse) or 'none'}")
     return 0
 
 

@@ -52,6 +52,7 @@ from .fqlinalg import (
     kernel,
     mat_inverse,
     mat_mul,
+    null_vectors,
     vec_mat,
 )
 from .rankcodes import (
@@ -216,12 +217,11 @@ def _canonical_projection(U: FqSubspace) -> Mat:
     """G as the projection along U onto the RREF complement; ker(G) = flat(U).
 
     Column c of G is the unit vector e_c reduced modulo flat(U), read at the
-    non-pivot columns."""
-    rn = U.r * U.tower.n
-    pivset = set(U.flat.pivots)
-    cols = [U.flat.reduce([int(j == c) for j in range(rn)]) for c in range(rn)]
-    return Mat.from_rows(U.tower.base,
-                         [[col[j] for col in cols] for j in range(rn) if j not in pivset], rn)
+    non-pivot columns: row f of G is the null vector of flat(U) at its free
+    column f (fqlinalg.null_vectors)."""
+    B = U.flat
+    return Mat.from_rows(B.field, [z for _, z in null_vectors(B.field, B.ambient, B.stored,
+                                                               B.pivots)], B.ambient)
 
 
 def _cug_codewords(tower: FieldTower, r: int, G: Mat) -> list[list[list[int]]]:

@@ -13,11 +13,12 @@ basis.  SubspaceBasis keeps the stored rows, so a basis is packed once, and
 replace_row swaps one of its rows for a vector by an RREF of the stored
 rows, with no packing or unpacking.  A row operation over an
 extension field adds the negated multiple, so Field.add holds the one Zech
-formula.  kernel alone gives the Delsarte dual of subspaces and its double
-dual (left kernels of U's basis and of the dual's matrix) and the minimal
-polynomial (min_poly: the one relation among the flattened powers of M);
-mat_inverse serves only the two changes of basis in constructions (the
-converse's conjugation and c_ug_g_independence).
+formula.  null_vectors is the one null-space read-off of an RREF: kernel
+reads it off one RREF (the Delsarte duals, the minimal polynomial min_poly,
+the ordinary dual of a subspace of dimension below half), and so do the
+ordinary dual and C_{U,G}'s projection, off U's own basis.  mat_inverse
+serves the Gram matrix of the trace form and the two changes of basis in
+constructions (the converse's conjugation and c_ug_g_independence).
 
 Every "which combinations vanish" question goes through vanishing_tails
 instead: rows head | tail are eliminated once, and the echelon rows whose
@@ -26,13 +27,10 @@ zero head, with no back-substitution.  The idealiser and the subspace tree
 of rankcodes read it; so does the Zassenhaus meet A ∩ B (rows a | a and
 b | 0) in the tests.  Over F_2 the subspace tree asks it of rows packed
 side by side into one int, and head_elimination answers column by column,
-each step on every row at once.  kernel keeps the RREF read-off, one basis
-vector per free column: through vanishing_tails (rows column | unit vector,
-so every row carries a unit block as wide as the matrix) it made
-delsarte_dual_code 1.6-1.8x slower on random 4 x 4 codes over F_2, F_3,
-F_4 and F_9 (CPython 3.11, one core of a shared 2-CPU host).  It reads the
-null vectors off the RREF of the matrix with its columns reversed, which
-reversed back are already the canonical basis, so there is one elimination.
+each step on every row at once.  kernel keeps the RREF read-off: through
+vanishing_tails (rows column | unit vector) it made delsarte_dual_code
+1.6-1.8x slower on random 4 x 4 codes over F_2, F_3, F_4 and F_9 (CPython
+3.11, one core of a shared 2-CPU host).
 
 The block helpers work on stored rows laid side by side in one int, block t
 at coordinate t·width: head_elimination (F_2) and block_indicators (F_p),
@@ -47,16 +45,14 @@ guard bit, so adding two rows is one integer addition and one fold that
 subtracts p from every slot that reached p; scaling is doubling and adding.
 Over an extension field a row is a tuple of codes with Field arithmetic.
 Other modules build stored rows with store_row and store_digits, read them
-back with unpack_row (digit_column reads the codes that store_digits packed,
-a column of many rows at a time, and log_column reads them straight to
-their discrete logs, one lookup each), add them with row_add, combine them
-with row_combination, cut them into blocks with row_blocks, and walk their
-spans with span_chunks.  flatten_rows is the one row concatenation of a matrix.
-mat_mul builds each row of A·B as one row_combination of B's stored rows.
-vec_mat keeps its loop over entries: in ordinary_dual, one row_combination
-over the Gram matrix's cached stored rows took 0.93-0.99x its time at q = 2
-and 1.08-1.23x at q = 3, 4, 5, 9 (random subspaces of F_{q^n}^3, CPython
-3.11, shared 2-vCPU host, min of 9).
+back with unpack_row (digit_rows reads the codes that store_digits packed, a
+row at a time, digit_column a column of many rows at a time at prime
+fields, and log_column straight to their discrete logs, one lookup each),
+add them with row_add, combine them with row_combination (or, once
+multiples has cached a row's multiples, by sums alone), cut them into
+blocks with row_blocks, and walk their spans with span_chunks.  flatten_rows
+is the one row concatenation of a matrix.  mat_mul builds each row of A·B as
+one row_combination of B's stored rows.
 
 cheapest is the one engine chooser: every choice between exact engines,
 and its budget refusal, goes through it, with the price table in its
@@ -172,7 +168,7 @@ def store_digits(F: Field, codes, deg: int):
     if F.base is not None:
         q = F.order
         places = [q**i for i in range(deg)]
-        return tuple(c // b % q for c in codes for b in places)
+        return tuple([c // b % q for c in codes for b in places])
     p, bits = F.p, 0
     if p == 2:
         for i, c in enumerate(codes):
@@ -207,14 +203,29 @@ def digit_column(F: Field, deg: int):
         map(hi.__getitem__, map(hi_mask.__and__, map((j * block + h * w).__rrshift__, rows))))
 
 
-class _BlockLogs(dict):
-    """{packed block: log of its code}, each block read by digit_column on
-    first sight."""
+def digit_rows(F: Field, deg: int, ncols: int):
+    """store_digits inverted: a function rows -> an iterator over the ncols
+    codes of each stored row, as a tuple: digit_column's columns zipped over
+    a prime field, Σ_i d_i·|F|^i over each block of deg digits otherwise."""
+    if F.base is None:
+        column = digit_column(F, deg)
+        return lambda rows: zip(*(column(rows, j) for j in range(ncols)))
+    places, starts = [F.order**i for i in range(deg)], range(0, ncols * deg, deg)
+    return lambda rows: (tuple(sum(map(operator.mul, row[s:s + deg], places)) for s in starts)
+                         for row in rows)
 
-    __slots__ = ("code", "log")
 
-    def __missing__(self, block):
-        self[block] = value = self.log[next(self.code((block,), 0))]
+class _Lazy(dict):
+    """{key: fn(key)}, each value computed on first sight."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
         return value
 
 
@@ -225,9 +236,8 @@ def _log_table(F: Field):
     log = list(F._log)
     log[0] = 2 * m - 1
     if F.p != 2 and deg > 1:
-        table = _BlockLogs()
-        table.code, table.log = digit_column(prime, deg), log
-        log = table
+        code, logs = digit_column(prime, deg), log
+        log = _Lazy(lambda block: logs[next(code((block,), 0))])
     return log, F._exp[:m] + [0] * m + F._exp[:m]
 
 
@@ -238,7 +248,7 @@ def log_column(F: Field, ncols: int):
     the log of its code, and a zero code to the sentinel 2m − 1, by one
     lookup (_log_table, cached per field): at p = 2 or F = F_p the block is
     the code and the table a list, at odd p a dict filled on first sight of
-    a block (_BlockLogs), so no table of all blocks is built up front.
+    a block (_Lazy), so no table of all blocks is built up front.
     exp3 is exp, m zeros, exp, so exp3[l − l_lead] is g^l / g^l_lead for
     the logs of two units (a negative index wraps into the last exp) and 0
     for the sentinel."""
@@ -280,6 +290,13 @@ def row_combination(F: Field, ncols: int):
     add, zero = row_add(F, ncols), store_row(F, [0] * ncols)
     return lambda coeffs, rows: reduce(
         add, map(scale, itertools.compress(rows, coeffs), filter(None, coeffs)), zero)
+
+
+def multiples(F: Field, ncols: int, rows) -> list[_Lazy]:
+    """{c: c·row} for each stored row of ncols coordinates over F, each built
+    on first use: sums of these multiples then multiply nothing."""
+    scale = row_combination(F, ncols)
+    return [_Lazy(lambda c, row=row: scale((c,), (row,))) for row in rows]
 
 
 def row_blocks(F: Field, width: int):
@@ -618,28 +635,32 @@ class SubspaceBasis:
         return hash((self.field.order, self.ambient, self.stored))
 
 
+def null_vectors(F: Field, ncols: int, stored, pivots) -> list[tuple[int, list[int]]]:
+    """(f, z_f) at each free column f of an RREF basis (stored rows with
+    their pivots), ascending: z_f is e_f less row i's entry at f at each
+    pivot p_i, the null vectors {z : B·zᵀ = 0} read off with no
+    elimination."""
+    rows, neg, pivset, out = [unpack_row(F, row, ncols) for row in stored], F.neg, set(pivots), []
+    for f in (f for f in range(ncols) if f not in pivset):
+        z = [0] * ncols
+        z[f] = 1
+        for row, p in zip(rows, pivots):
+            z[p] = neg(row[f])
+        out.append((f, z))
+    return out
+
+
 def kernel(M: Mat) -> SubspaceBasis:
     """Right null space {v : M v = 0} as a canonical basis, from one RREF:
-    that of M with its columns reversed, M'.
-
-    The null vector of M' read off at a free column f is 1 at f and
-    −row_p[f] at each pivot p, nonzero only at pivots p < f.  Reversed back,
-    it leads with 1 at column M.cols − 1 − f and is zero at every other
-    reversed free column, so these vectors, in descending f, are the RREF of
-    the null space of M."""
+    that of M with its columns reversed, M'.  The null vector of M' at its
+    free column f (null_vectors) is 1 at f and nonzero elsewhere only at
+    pivots p < f, so reversed back, in descending f, these vectors lead
+    with 1 at column M.cols − 1 − f and are 0 at every other such column:
+    the RREF of the null space of M."""
     F, cols = M.field, M.cols
-    stored, piv = _rref(F, [row[::-1] for row in M.data], cols)
-    rows = [unpack_row(F, row, cols) for row in stored]
-    pivset = set(piv)
-    free = [f for f in reversed(range(cols)) if f not in pivset]
-    basis = []
-    for f in free:
-        v = [0] * cols
-        v[f] = 1
-        for row, p in zip(rows, piv):
-            v[p] = F.neg(row[f])
-        basis.append(store_row(F, v[::-1]))
-    return SubspaceBasis(F, cols, tuple(basis), tuple(cols - 1 - f for f in free))
+    free = null_vectors(F, cols, *_rref(F, [row[::-1] for row in M.data], cols))[::-1]
+    return SubspaceBasis(F, cols, tuple(store_row(F, z[::-1]) for _, z in free),
+                         tuple(cols - 1 - f for f, _ in free))
 
 
 def mat_inverse(M: Mat) -> Mat:

@@ -9,13 +9,15 @@ give diagonally equivalent codes, so one canonical choice is fixed.
 The codeword at coefficient vector w has weight N minus the number of columns
 on the hyperplane w·x = 0, so a code's minimum distance and weight enumerator
 are read off one histogram of hyperplane cuts (_cut_counts) built from the
-columns' point-hyperplane incidences.  Two weight-enumerator conventions
-coexist: "projective" counts hyperplanes (as hyperplane_spectrum does) and
-"codeword" counts codewords, a factor Q - 1 apart.
+columns' point-hyperplane incidences, which a projective-system code keeps.
+Two weight-enumerator conventions coexist: "projective" counts hyperplanes
+(as hyperplane_spectrum does) and "codeword" counts codewords, a factor
+Q - 1 apart.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from typing import NamedTuple
 
@@ -121,16 +123,17 @@ def hyperplane_spectrum(U: FqSubspace, h: int | None = None, *,
 
 class HammingCode:
     """A linear [N, k] code over F_{q^n} given by a full-rank generator
-    matrix with no zero columns (a projective-system generator)."""
+    matrix with no zero columns (a projective-system generator); cuts, if
+    given, is _cut_counts of its columns, N distinct points."""
 
     def __init__(self, field: Field, k: int, N: int, gen: tuple[tuple[int, ...], ...],
-                 d: int | None = None):
+                 d: int | None = None, cuts: dict[int, int] | None = None):
         if len(gen) != k or any(len(r) != N for r in gen):
             raise InvalidParams("generator shape mismatch")
         for j in range(N):
             if all(row[j] == 0 for row in gen):
                 raise InvalidParams("projective systems forbid zero columns")
-        self.field, self.k, self.N, self.gen, self.d = field, k, N, gen, d
+        self.field, self.k, self.N, self.gen, self.d, self.cuts = field, k, N, gen, d, cuts
 
 
 def _cut_counts(F: Field, k: int, cols, budget: int) -> dict[int, int]:
@@ -170,8 +173,8 @@ def projective_system_code(L: LinearSet, *,
     """The [N, r] code over F_{q^n} whose columns are the points of L_U.
 
     N = |L_U| and the minimum distance is N - max_H |L ∩ H| over hyperplanes,
-    the largest cut of _cut_counts; budget caps its N·theta_{r-2}(q^n)
-    point-hyperplane incidences.
+    the largest cut of _cut_counts, whose histogram the code keeps; budget
+    caps its N·theta_{r-2}(q^n) point-hyperplane incidences.
     """
     U = L.U
     tower, r = U.tower, U.r
@@ -180,8 +183,8 @@ def projective_system_code(L: LinearSet, *,
     cols = sorted(L.points)
     N = len(cols)
     gen = tuple(tuple(col[i] for col in cols) for i in range(r))
-    return HammingCode(tower.mid, r, N, gen,
-                       d=N - max(_cut_counts(tower.mid, r, cols, budget)))
+    cuts = _cut_counts(tower.mid, r, cols, budget)
+    return HammingCode(tower.mid, r, N, gen, d=N - max(cuts), cuts=cuts)
 
 
 def weight_enumerator(C: HammingCode, convention: str = "projective", *,
@@ -193,12 +196,16 @@ def weight_enumerator(C: HammingCode, convention: str = "projective", *,
     "projective" counts hyperplanes, one per projective class of coefficient
     vectors; "codeword" counts coefficient vectors, Q - 1 per hyperplane.
     Exact for every generator, rank-deficient ones included (their weight-0
-    words are counted).  budget caps the point-hyperplane incidences.
+    words are counted).  budget caps the point-hyperplane incidences, which
+    the cuts C keeps (projective_system_code) sum to: past it, the scan
+    raises BudgetExceeded.
     """
     if convention not in ("projective", "codeword"):
         raise InvalidParams(f"unknown convention {convention!r}")
     scale = C.field.order - 1 if convention == "codeword" else 1
-    cuts = _cut_counts(C.field, C.k, zip(*C.gen), budget)
+    cuts = C.cuts
+    if cuts is None or sum(map(operator.mul, cuts, cuts.values())) > budget:
+        cuts = _cut_counts(C.field, C.k, zip(*C.gen), budget)
     return {C.N - c: count * scale for c, count in sorted(cuts.items(), reverse=True)}
 
 

@@ -4,8 +4,9 @@ ordinary duality and Delsarte duality.
 A subspace is stored once, as the canonical RREF basis of its flattened
 F_q^{rn} picture.  The flattening applies the fixed basis (1, g, ...,
 g^{n-1}) of F_{q^n} over F_q coordinate-wise, so coordinate i of a mid
-vector occupies flat columns [i*n, (i+1)*n); the mid vectors of the basis
-are read back from the flat rows where they are asked for (basis_mid).
+vector occupies flat columns [i*n, (i+1)*n), its n base-q digits.  Every q
+has one codec: fqlinalg.store_digits stores a mid vector (an int at q = p, a
+digit tuple at e > 1), and digit_rows reads stored rows back (basis_mid).
 
 Every meet dim_{F_q}(U ∩ <W>_{F_{q^n}}) with given F_{q^n}-subspaces W comes
 from one helper, _meet_dims: it holds one reducer for U and eliminates the
@@ -58,7 +59,7 @@ import enum
 import itertools
 import operator
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
 
 from .errors import (
@@ -74,28 +75,26 @@ from .fqlinalg import (
     RowReducer,
     SPAN_CHUNK,
     SubspaceBasis,
+    _rref,
     cheapest,
     digit_column,
+    digit_rows,
     enumerate_subspaces,
     kernel,
     log_column,
+    mat_inverse,
+    multiples,
+    null_vectors,
     prime_expansion,
     projective_points,
+    row_add,
     span_chunks,
     store_digits,
+    store_row,
     theta,
+    unpack_row,
     vec_mat,
 )
-
-def flatten_vec(tower: FieldTower, v) -> list[int]:
-    """Flatten a mid-coordinate vector to base-field codes (length r*n)."""
-    return [x for c in v for x in tower.mid_to_base_vec(c)]
-
-
-def unflatten_vec(tower: FieldTower, row) -> tuple[int, ...]:
-    n = tower.n
-    return tuple(tower.base_vec_to_mid(row[i:i + n]) for i in range(0, len(row), n))
-
 
 class FqSubspace:
     """An F_q-subspace of F_{q^n}^r, stored as the canonical RREF basis flat
@@ -109,19 +108,27 @@ class FqSubspace:
     def k(self) -> int:
         return self.flat.dim
 
+    def _mids(self):
+        """The rows of flat as mid vectors, in order, read lazily."""
+        return digit_rows(self.tower.base, self.tower.n, self.r)(self.flat.stored)
+
     @cached_property
     def basis_mid(self) -> tuple[tuple[int, ...], ...]:
-        """The rows of flat as mid vectors, in order."""
-        return tuple(unflatten_vec(self.tower, row) for row in self.flat.rows)
+        return tuple(self._mids())
 
     @classmethod
     def from_mid_vectors(cls, tower: FieldTower, r: int, vectors) -> "FqSubspace":
-        flat_vectors = []
-        for v in vectors:
-            if len(v) != r:
-                raise DimensionMismatch("vector length != r")
-            flat_vectors.append(flatten_vec(tower, v))
-        return cls(tower, r, SubspaceBasis.from_vectors(tower.base, r * tower.n, flat_vectors))
+        """The span of vectors of r mid codes, each stored by store_digits;
+        a code outside 0..q^n - 1 (InvalidParams) would lose digits."""
+        base, n, order = tower.base, tower.n, tower.mid.order
+        vectors = list(vectors)
+        if any(map(r.__ne__, map(len, vectors))):
+            raise DimensionMismatch("vector length != r")
+        codes = list(itertools.chain.from_iterable(vectors))
+        if codes and not 0 <= min(codes) <= max(codes) < order:
+            raise InvalidParams(f"a mid code lies outside 0..{order - 1}")
+        rows = [store_digits(base, v, n) for v in vectors]
+        return cls(tower, r, SubspaceBasis(base, r * n, *_rref(base, rows, r * n)))
 
     @classmethod
     def from_flat(cls, tower: FieldTower, r: int, flat_vectors) -> "FqSubspace":
@@ -136,21 +143,13 @@ class FqSubspace:
 
     def spans_ambient(self) -> bool:
         """True iff <U>_{F_{q^n}} = V: the flat rows are read back as mid
-        vectors and added until their rank reaches r.  At e = 1 the stored
-        flat rows are store_digits of the mid vectors over F_p, so
-        digit_column reads the mid codes straight off them."""
-        tower, r = self.tower, self.r
-        if tower.e == 1:
-            column = digit_column(tower.prime, tower.n)
-            mids = zip(*(column(self.flat.stored, j) for j in range(r)))
-        else:
-            mids = (unflatten_vec(tower, row) for row in self.flat.rows)
-        red = RowReducer(tower.mid, r)
-        for v in mids:
-            if red.rank == r:
+        vectors (_mids) and added until their rank reaches r."""
+        red = RowReducer(self.tower.mid, self.r)
+        for v in self._mids():
+            if red.rank == self.r:
                 break
             red.add(v)
-        return red.rank == r
+        return red.rank == self.r
 
     def __eq__(self, other):
         return (isinstance(other, FqSubspace) and self.tower == other.tower
@@ -535,24 +534,45 @@ def max_hyperplane_weight(U: FqSubspace, *,
 # -- ordinary duality ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _trace_gram(tower: FieldTower) -> Mat:
-    """n x n Gram matrix T[j][l] = Tr_{q^n/q}(g^{j+l}) of the trace form, once
-    per tower: a Hankel matrix, read off the 2n - 1 traces Tr(g^i)."""
+    """n x n Gram matrix T[j][l] = Tr_{q^n/q}(g^{j+l}) of the trace form: a
+    Hankel matrix, read off the 2n - 1 traces Tr(g^i)."""
     mid, n = tower.mid, tower.n
     g = mid.gen if n > 1 else 1
     traces = [tower.trace_to_base("mid", mid.pow(g, i)) for i in range(2 * n - 1)]
     return Mat.from_rows(tower.base, [traces[j:j + n] for j in range(n)], n)
 
 
+@lru_cache(maxsize=None)
+def _gram_rows(tower: FieldTower, r: int) -> tuple[Mat, list]:
+    """T (_trace_gram) and fqlinalg.multiples of the stored rows of
+    D⁻¹ = blockdiag(T⁻¹, ..., T⁻¹) (r blocks), once per (tower, r)."""
+    base, n, rn, T = tower.base, tower.n, r * tower.n, _trace_gram(tower)
+    return T, multiples(base, rn, [store_row(base, [0] * b + row + [0] * (rn - n - b))
+                                   for b in range(0, rn, n) for row in mat_inverse(T).data])
+
+
 def ordinary_dual(U: FqSubspace) -> FqSubspace:
-    """U^{⊥_O} w.r.t. σ'(u,v) = Tr_{q^n/q}(Σ u_i v_i); dim = rn - k."""
+    """U^{⊥_O} w.r.t. σ'(u,v) = Tr_{q^n/q}(Σ u_i v_i); dim = rn - k.
+
+    On the flat picture σ'(u, v) = u·D·vᵀ, D = blockdiag(T, ..., T).  T
+    (_trace_gram) is symmetric and invertible, so u·D·vᵀ = 0 for all u ∈ U
+    ⟺ v·D ∈ U^⊥ ⟺ v ∈ U^⊥·D⁻¹, U^⊥ the standard null space; this is also
+    v ∈ (U·D)^⊥.  One RREF, of the smaller side: for k >= rn/2, U^⊥ is read
+    off U's RREF (fqlinalg.null_vectors), each null vector times D⁻¹ is a
+    sum of cached multiples of D⁻¹'s stored rows (_gram_rows), with no
+    product, and the rn - k rows are reduced; else kernel of the k rows
+    U·D, each n-block times T by vec_mat."""
     tower, r, n = U.tower, U.r, U.tower.n
-    T = _trace_gram(tower)
-    # σ'(u, ·) on the flat basis: each n-block of u times the Gram matrix
-    rows = [[x for i in range(0, r * n, n) for x in vec_mat(u[i:i + n], T)]
-            for u in U.flat.rows]
-    return FqSubspace(tower, r, kernel(Mat.from_rows(tower.base, rows, r * n)))
+    base, rn = tower.base, r * n
+    T, inverse = _gram_rows(tower, r)
+    if 2 * U.k < rn:
+        return FqSubspace(tower, r, kernel(Mat(base, U.k, rn, [
+            [x for b in range(0, rn, n) for x in vec_mat(u[b:b + n], T)] for u in U.flat.rows])))
+    add, zero = row_add(base, rn), store_row(base, [0] * rn)
+    dual = [reduce(add, map(operator.getitem, itertools.compress(inverse, z), filter(None, z)),
+                   zero) for _, z in null_vectors(base, rn, U.flat.stored, U.flat.pivots)]
+    return FqSubspace(tower, r, SubspaceBasis(base, rn, *_rref(base, dual, rn)))
 
 
 # -- Delsarte duality ---------------------------------------------------------

@@ -121,3 +121,35 @@ def test_the_first_failed_run_stops_the_comparison(monkeypatch, capsys):
     assert ab_bench.main(["--parent", "P", "--change", "C", "--workload", "certify"]) == 1
     assert order == ["P", "C", "C"]
     assert "exit 1" in capsys.readouterr().err
+
+
+def test_all_runs_every_workload_in_turn_and_lists_the_worse(monkeypatch, capsys):
+    """--workload all compares each BENCHMARK.json workload in its order,
+    prints a table per workload, and names each metric judged worse."""
+    seen = []
+    change_run_s = {"search": 0.05, "certify": 0.04, "geometry": 0.08}
+
+    def run(checkout, args):
+        seen.append((args.workload, checkout))
+        run_s = 0.05 if checkout == "P" else change_run_s[args.workload]
+        return ab_bench.parse_result(result_line(run_s))
+
+    monkeypatch.setattr(ab_bench, "run", run)
+    assert ab_bench.load_workloads() == ["search", "certify", "geometry"]
+    argv = ["--parent", "P", "--change", "C", "--workload", "all", "--pairs", "2"]
+    assert ab_bench.main(argv) == 0
+    assert seen == [(w, c) for w in ("search", "certify", "geometry") for c in "PCCP"]
+    out = capsys.readouterr().out
+    tables = out.split("workload ")[1:]
+    assert [t.split("\n")[0] for t in tables] == ["search", "certify", "geometry"]
+    verdicts = [t.split("\n")[2].split()[-1] for t in tables]
+    assert verdicts == ["unresolved", "gain", "worse"]
+    assert out.rstrip().endswith("worse: geometry run_s")
+
+
+def test_all_stops_at_the_first_failed_run(monkeypatch, capsys):
+    order = fake_runs(monkeypatch, fail_at=5)
+    argv = ["--parent", "P", "--change", "C", "--workload", "all", "--pairs", "2"]
+    assert ab_bench.main(argv) == 1
+    assert order == ["P", "C", "C", "P", "P"]
+    assert "error: certify: P: exit 1" in capsys.readouterr().err

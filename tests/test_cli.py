@@ -449,6 +449,21 @@ def test_malformed_subspace_entries_are_usage_errors(tmp_path, capsys, spoil, t,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p, e, n", [(2, 1, 4), (2, 2, 2), (3, 1, 3)])
+def test_out_of_range_coefficient_is_a_usage_error(tmp_path, capsys, p, e, n):
+    """Over F_16 and F_27, a coefficient past p - 1 in a subspace file exits
+    1 with a usage error, before any subspace is built."""
+    from ranklab.constructions import pseudoregulus_subspace
+
+    obj = serialize.subspace_to_json(pseudoregulus_subspace(make_tower(p, e, n, 1), 2, n, 1))
+    obj["basis_mid"][-1][1]["coeffs"][-1] = p
+    path = tmp_path / "bad.json"
+    serialize.dump_file(str(path), obj)
+    assert main(["scattered-check", "--subspace", str(path), "--h", "1"]) == 1
+    assert f"usage error: element: key 'coeffs' must hold integers in 0..{p - 1}" \
+        in capsys.readouterr().err
+
+
 def test_linear_set_verbs_honour_the_subspace_budget(tmp_path, capsys):
     fixtures.materialize(str(tmp_path))
     path = str(tmp_path / fixtures.CORPUS_VERSION / "pseudoregulus_2_4_1_q2.subspace.json")

@@ -36,11 +36,9 @@ from ranklab.rankcodes import (
 )
 from ranklab.subspaces import (
     FqSubspace,
-    flatten_vec,
     iota,
     is_h_scattered,
     ordinary_dual,
-    unflatten_vec,
 )
 from ranklab.constructions import (
     LinearizedPoly,
@@ -60,6 +58,8 @@ from ranklab.constructions import (
     random_scattered_search,
     twisted_gabidulin,
 )
+
+from oracles import flatten_vec, unflatten_vec
 
 
 # -- Gabidulin ----------------------------------------------------------------

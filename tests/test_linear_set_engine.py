@@ -37,7 +37,6 @@ from ranklab.subspaces import (
     _point_weights,
     excess_iter,
     excess_total,
-    flatten_vec,
     hyperplane_weight_counts,
     hyperplane_weight_iter,
     iota,
@@ -47,8 +46,9 @@ from ranklab.subspaces import (
     ordinary_dual,
     point_weight_counts,
     random_subspace,
-    unflatten_vec,
 )
+
+from oracles import flatten_vec, unflatten_vec
 
 PRIME_POWER = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
 # (q, r, n): every q of the grid with r = 2 and r = 3; n is kept small enough

@@ -154,6 +154,26 @@ def test_projective_system_codes_of_pseudoregulus_images(q, r, n, h):
     assert_matches_oracles(projective_system_code(linear_set(U)))
 
 
+@pytest.mark.parametrize("q,r,n,h", LINEAR_SETS[:5])
+def test_projective_system_code_scans_its_cuts_once(q, r, n, h, monkeypatch):
+    """The code keeps the histogram its d came from: weight_enumerator reads
+    it, with no second scan, and equals the enumerator of the same
+    generator built afresh, which scans its own."""
+    from ranklab import linsets
+
+    calls = []
+    scan = linsets._cut_counts
+    monkeypatch.setattr(linsets, "_cut_counts", lambda *a: calls.append(a) or scan(*a))
+    U = pseudoregulus_subspace(make_tower(*PRIME_POWER[q], n, 1), r, n, h)
+    C = projective_system_code(linear_set(U))
+    enums = [weight_enumerator(C, convention) for convention in ("projective", "codeword")]
+    assert len(calls) == 1
+    fresh = HammingCode(C.field, C.k, C.N, C.gen)
+    assert fresh.cuts is None
+    assert [weight_enumerator(fresh, c) for c in ("projective", "codeword")] == enums
+    assert len(calls) == 3
+
+
 def test_projective_system_codes_of_fixtures():
     for U in (remark_counterexample(), subgeometry_3_3()):
         assert_matches_oracles(projective_system_code(linear_set(U)))

@@ -24,6 +24,7 @@ from ranklab.fqlinalg import (
     rref,
     store_digits,
     store_row,
+    unpack_row,
 )
 from ranklab.subspaces import (
     Characterization,
@@ -41,6 +42,8 @@ from ranklab.subspaces import (
 )
 from ranklab.constructions import pseudoregulus_subspace
 from ranklab.fixtures import remark_counterexample, subgeometry_3_3
+
+from oracles import flatten_vec, gram_dual, unflatten_vec
 
 
 def line_vectors(tower, v):
@@ -75,6 +78,28 @@ def test_from_mid_vectors_reads_an_iterator_once(t2_4):
     assert U.k == 3
     assert FqSubspace.from_mid_vectors(t2_4, 2, iter(vs)) == U
     assert FqSubspace.from_mid_vectors(t2_4, 2, (v for v in vs)) == U
+
+
+# F_16 over F_2 and F_4, F_27 over F_3: (p, e, n)
+TOWERS_16_27 = [(2, 1, 4), (2, 2, 2), (3, 1, 3)]
+
+
+@pytest.mark.parametrize("p, e, n", TOWERS_16_27)
+def test_from_mid_vectors_refuses_codes_outside_the_mid_field(p, e, n):
+    """A coordinate outside 0..q^n - 1 is refused, not cut to its n low
+    digits (which made [(16, 0), (1, 17)] span (1, 1) over F_16) and not
+    spilled into the next coordinate of a packed row."""
+    tower = make_tower(p, e, n, 1)
+    order = tower.mid.order
+    for vectors in ([(order, 0), (1, order + 1)], [(1, order)], [(0, -1)],
+                    [(1, 0), (order * order + 1, 1)]):
+        with pytest.raises(InvalidParams, match=f"outside 0..{order - 1}"):
+            FqSubspace.from_mid_vectors(tower, 2, vectors)
+    # the extremes of the range are kept, digit for digit
+    vectors = [(order - 1, 0), (1, order - 1), (0, 1)]
+    want = SubspaceBasis.from_vectors(tower.base, 2 * n, [flatten_vec(tower, v)
+                                                           for v in vectors])
+    assert FqSubspace.from_mid_vectors(tower, 2, vectors).flat == want
 
 
 # -- iota ------------------------------------------------------------------
@@ -249,7 +274,7 @@ def test_trace_gram_is_built_once_per_tower(q, n, monkeypatch):
     trace = type(tower).trace_to_base
     monkeypatch.setattr(type(tower), "trace_to_base",
                         lambda self, *a: calls.append(a) or trace(self, *a))
-    subspaces._trace_gram.cache_clear()
+    subspaces._gram_rows.cache_clear()
     rng = random.Random(q)
     for k in (1, n, 2 * n - 1):
         U = random_subspace(tower, 2, k, rng)
@@ -276,19 +301,54 @@ def test_ordinary_dual_is_canonical_and_orthogonal(q, r, n):
                 assert tower.trace_to_base("mid", dot) == 0
 
 
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("q", sorted(PRIME_POWER))
+def test_stored_row_codec_and_dual_match_the_replaced_formulas(q, r):
+    """Over n = 1, 2, 3 and every k in 0..rn: from_mid_vectors equals the
+    RREF of the base-q digit rows (oracles.flatten_vec), basis_mid their
+    read-back (oracles.unflatten_vec), spans_ambient the rank of all mid
+    rows, and ordinary_dual the null space of the Gram products
+    (oracles.gram_dual), in stored rows and pivots."""
+    rng = random.Random(10 * q + r)
+    for n in (1, 2, 3):
+        tower = make_tower(*PRIME_POWER[q], n, 1)
+        base, rn, order = tower.base, r * n, tower.mid.order
+        for k in range(rn + 1):
+            U = random_subspace(tower, r, k, rng)
+            mids = [tuple(rng.randrange(order) for _ in range(r)) for _ in range(k)]
+            for vectors in (U.basis_mid, mids):
+                want = SubspaceBasis.from_vectors(base, rn, [flatten_vec(tower, v)
+                                                             for v in vectors])
+                got = FqSubspace.from_mid_vectors(tower, r, vectors).flat
+                assert (got.stored, got.pivots) == (want.stored, want.pivots), (n, k)
+            assert U.basis_mid == tuple(unflatten_vec(tower, row) for row in U.flat.rows)
+            assert U.spans_ambient() is (RowReducer(tower.mid, r).add_all(U.basis_mid) == r)
+            D, want = ordinary_dual(U).flat, gram_dual(U)
+            assert (D.stored, D.pivots) == (want.stored, want.pivots), (n, k)
+
+
 @pytest.mark.parametrize("p, e, n, r, k", [(2, 1, 4, 2, 5), (3, 1, 3, 2, 4), (2, 2, 3, 3, 5)])
 def test_mid_basis_is_read_back_on_demand(p, e, n, r, k, monkeypatch, force_side):
     """Only the flat basis is stored: building U, its ordinary dual and a
-    walk of its points unflatten no row; the first read of basis_mid
-    unflattens each of the k rows once, in order, and the second none."""
+    walk of its points read no row back (fqlinalg.digit_rows); the first
+    read of basis_mid reads each of the k stored rows once, in order, and
+    the second none.  calls holds each stored row read, as its codes."""
     tower = make_tower(p, e, n, 1)
     rows = random_subspace(tower, r, k, random.Random(k)).flat.rows
     want = tuple(tuple(tower.base_vec_to_mid(row[i * n:(i + 1) * n]) for i in range(r))
                  for row in rows)
     calls = []
-    unflatten = subspaces.unflatten_vec
-    monkeypatch.setattr(subspaces, "unflatten_vec",
-                        lambda tower, row: calls.append(row) or unflatten(tower, row))
+    digit_rows = subspaces.digit_rows
+
+    def counted(F, deg, ncols):
+        read = digit_rows(F, deg, ncols)
+
+        def each(stored):
+            for row in stored:
+                calls.append(tuple(unpack_row(F, row, deg * ncols)))
+                yield from read((row,))
+        return each
+    monkeypatch.setattr(subspaces, "digit_rows", counted)
     force_side(True)
     U = FqSubspace.from_flat(tower, r, rows)
     ordinary_dual(U)
