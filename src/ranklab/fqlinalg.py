@@ -14,11 +14,11 @@ replace_row swaps one of its rows for a vector by an RREF of the stored
 rows, with no packing or unpacking.  A row operation over an
 extension field adds the negated multiple, so Field.add holds the one Zech
 formula.  null_vectors is the one null-space read-off of an RREF: kernel
-reads it off one RREF (the Delsarte duals, the minimal polynomial min_poly,
-the ordinary dual of a subspace of dimension below half), and so do the
-ordinary dual and C_{U,G}'s projection, off U's own basis.  mat_inverse
-serves the Gram matrix of the trace form and the two changes of basis in
-constructions (the converse's conjugation and c_ug_g_independence).
+reads it off one RREF (the Delsarte duals and the minimal polynomial
+min_poly), the ordinary dual and C_{U,G}'s projection off U's own basis.
+mat_inverse serves the inverse Gram matrix of the trace form and the two
+changes of basis in constructions (the converse's conjugation and
+c_ug_g_independence).
 
 Every "which combinations vanish" question goes through vanishing_tails
 instead: rows head | tail are eliminated once, and the echelon rows whose
@@ -164,23 +164,23 @@ def store_row(F: Field, row):
 
 def store_digits(F: Field, codes, deg: int):
     """The deg base-|F| digits of each code, in order, as a stored row: the
-    coordinates over F of a vector over the degree-deg extension of F."""
+    coordinates over F of a vector over the degree-deg extension of F.  A
+    code's digits come from _digit_blocks, but over F_2, where they are the
+    code itself."""
+    blocks = codes if F.order == 2 else map(_digit_blocks(F, deg).__getitem__, codes)
     if F.base is not None:
-        q = F.order
-        places = [q**i for i in range(deg)]
-        return tuple([c // b % q for c in codes for b in places])
-    p, bits = F.p, 0
-    if p == 2:
-        for i, c in enumerate(codes):
-            bits |= c << (i * deg)
-        return bits
-    w, shift = slot_width(F), 0
-    for c in codes:
-        for _ in range(deg):
-            bits |= (c % p) << shift
-            c //= p
-            shift += w
-    return bits
+        return tuple(itertools.chain.from_iterable(blocks))
+    return sum(map(operator.lshift, blocks, itertools.count(0, deg * slot_width(F))))
+
+
+@lru_cache(maxsize=None)
+def _digit_blocks(F: Field, deg: int):
+    """{code: its deg base-|F| digits}, each built on first sight (_Lazy): a
+    tuple over an extension field, packed in deg slots over F_p."""
+    q, w = F.order, slot_width(Field(F.p))
+    if F.base is not None:
+        return _Lazy(lambda c: tuple(c // q**j % q for j in range(deg)))
+    return _Lazy(lambda c: sum(c // q**j % q << j * w for j in range(deg)))
 
 
 def digit_column(F: Field, deg: int):

@@ -92,7 +92,6 @@ from .fqlinalg import (
     store_digits,
     store_row,
     theta,
-    unpack_row,
     vec_mat,
 )
 
@@ -544,12 +543,12 @@ def _trace_gram(tower: FieldTower) -> Mat:
 
 
 @lru_cache(maxsize=None)
-def _gram_rows(tower: FieldTower, r: int) -> tuple[Mat, list]:
-    """T (_trace_gram) and fqlinalg.multiples of the stored rows of
-    D⁻¹ = blockdiag(T⁻¹, ..., T⁻¹) (r blocks), once per (tower, r)."""
-    base, n, rn, T = tower.base, tower.n, r * tower.n, _trace_gram(tower)
-    return T, multiples(base, rn, [store_row(base, [0] * b + row + [0] * (rn - n - b))
-                                   for b in range(0, rn, n) for row in mat_inverse(T).data])
+def _inverse_gram(tower: FieldTower, r: int) -> list:
+    """fqlinalg.multiples of the stored rows of D⁻¹ = blockdiag(T⁻¹, ..., T⁻¹)
+    (r blocks, T = _trace_gram), once per (tower, r)."""
+    base, n, rn, inverse = tower.base, tower.n, r * tower.n, mat_inverse(_trace_gram(tower))
+    return multiples(base, rn, [store_row(base, [0] * b + row + [0] * (rn - n - b))
+                                for b in range(0, rn, n) for row in inverse.data])
 
 
 def ordinary_dual(U: FqSubspace) -> FqSubspace:
@@ -557,21 +556,16 @@ def ordinary_dual(U: FqSubspace) -> FqSubspace:
 
     On the flat picture σ'(u, v) = u·D·vᵀ, D = blockdiag(T, ..., T).  T
     (_trace_gram) is symmetric and invertible, so u·D·vᵀ = 0 for all u ∈ U
-    ⟺ v·D ∈ U^⊥ ⟺ v ∈ U^⊥·D⁻¹, U^⊥ the standard null space; this is also
-    v ∈ (U·D)^⊥.  One RREF, of the smaller side: for k >= rn/2, U^⊥ is read
-    off U's RREF (fqlinalg.null_vectors), each null vector times D⁻¹ is a
-    sum of cached multiples of D⁻¹'s stored rows (_gram_rows), with no
-    product, and the rn - k rows are reduced; else kernel of the k rows
-    U·D, each n-block times T by vec_mat."""
-    tower, r, n = U.tower, U.r, U.tower.n
-    base, rn = tower.base, r * n
-    T, inverse = _gram_rows(tower, r)
-    if 2 * U.k < rn:
-        return FqSubspace(tower, r, kernel(Mat(base, U.k, rn, [
-            [x for b in range(0, rn, n) for x in vec_mat(u[b:b + n], T)] for u in U.flat.rows])))
-    add, zero = row_add(base, rn), store_row(base, [0] * rn)
+    ⟺ v·D ∈ U^⊥ ⟺ v ∈ U^⊥·D⁻¹.  The standard null space U^⊥ is read off
+    U's RREF with no elimination (fqlinalg.null_vectors).  Each null vector
+    times D⁻¹ is a sum of cached multiples of D⁻¹'s stored rows
+    (_inverse_gram), with no product; one RREF of these rn - k rows
+    follows."""
+    tower, r, flat = U.tower, U.r, U.flat
+    base, rn = tower.base, r * tower.n
+    add, zero, inverse = row_add(base, rn), store_row(base, [0] * rn), _inverse_gram(tower, r)
     dual = [reduce(add, map(operator.getitem, itertools.compress(inverse, z), filter(None, z)),
-                   zero) for _, z in null_vectors(base, rn, U.flat.stored, U.flat.pivots)]
+                   zero) for _, z in null_vectors(base, rn, flat.stored, flat.pivots)]
     return FqSubspace(tower, r, SubspaceBasis(base, rn, *_rref(base, dual, rn)))
 
 
