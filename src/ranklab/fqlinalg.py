@@ -165,9 +165,9 @@ def store_row(F: Field, row):
 def store_digits(F: Field, codes, deg: int):
     """The deg base-|F| digits of each code, in order, as a stored row: the
     coordinates over F of a vector over the degree-deg extension of F.  A
-    code's digits come from _digit_blocks, but over F_2, where they are the
-    code itself."""
-    blocks = codes if F.order == 2 else map(_digit_blocks(F, deg).__getitem__, codes)
+    code's digits come from _digit_blocks, but over F_2, where the code is
+    its own digits."""
+    blocks = codes if F.order == 2 else map(_digit_blocks(F, deg), codes)
     if F.base is not None:
         return tuple(itertools.chain.from_iterable(blocks))
     return sum(map(operator.lshift, blocks, itertools.count(0, deg * slot_width(F))))
@@ -175,12 +175,12 @@ def store_digits(F: Field, codes, deg: int):
 
 @lru_cache(maxsize=None)
 def _digit_blocks(F: Field, deg: int):
-    """{code: its deg base-|F| digits}, each built on first sight (_Lazy): a
-    tuple over an extension field, packed in deg slots over F_p."""
+    """code -> its deg base-|F| digits, a tuple over an extension field,
+    packed in deg slots over F_p; the last 2^16 codes read are cached."""
     q, w = F.order, slot_width(Field(F.p))
     if F.base is not None:
-        return _Lazy(lambda c: tuple(c // q**j % q for j in range(deg)))
-    return _Lazy(lambda c: sum(c // q**j % q << j * w for j in range(deg)))
+        return lru_cache(maxsize=1 << 16)(lambda c: tuple(c // q**j % q for j in range(deg)))
+    return lru_cache(maxsize=1 << 16)(lambda c: sum(c // q**j % q << j * w for j in range(deg)))
 
 
 def digit_column(F: Field, deg: int):
@@ -203,6 +203,7 @@ def digit_column(F: Field, deg: int):
         map(hi.__getitem__, map(hi_mask.__and__, map((j * block + h * w).__rrshift__, rows))))
 
 
+@lru_cache(maxsize=None)
 def digit_rows(F: Field, deg: int, ncols: int):
     """store_digits inverted: a function rows -> an iterator over the ncols
     codes of each stored row, as a tuple: digit_column's columns zipped over

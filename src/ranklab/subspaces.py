@@ -113,6 +113,7 @@ class FqSubspace:
 
     @cached_property
     def basis_mid(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of flat as mid vectors, in order."""
         return tuple(self._mids())
 
     @classmethod
