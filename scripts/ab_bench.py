@@ -127,7 +127,7 @@ def run(checkout: str, args) -> dict[str, float]:
 
 def compare(args, specs) -> list[tuple[str, float, float, float, float, int, str]]:
     """summarize's rows over args.pairs alternating pairs of runs of
-    args.workload."""
+    args.workload, each pair checked as soon as it has run."""
     pairs = []
     for i in range(args.pairs):
         if i % 2 == 0:
@@ -135,8 +135,9 @@ def compare(args, specs) -> list[tuple[str, float, float, float, float, int, str
         else:
             change = run(args.change, args)
             pairs.append((run(args.parent, args), change))
+        rows = summarize(pairs, specs)
         print(f"{args.workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr)
-    return summarize(pairs, specs)
+    return rows
 
 
 def main(argv: list[str]) -> int:

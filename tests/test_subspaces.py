@@ -321,8 +321,9 @@ def test_stored_row_codec_and_dual_match_the_replaced_formulas(q, r):
                                                              for v in vectors])
                 got = FqSubspace.from_mid_vectors(tower, r, vectors).flat
                 assert (got.stored, got.pivots) == (want.stored, want.pivots), (n, k)
-            assert U.basis_mid == tuple(unflatten_vec(tower, row) for row in U.flat.rows)
-            assert U.spans_ambient() is (RowReducer(tower.mid, r).add_all(U.basis_mid) == r)
+            mid_rows = tuple(unflatten_vec(tower, row) for row in U.flat.rows)
+            assert U.basis_mid == mid_rows
+            assert U.spans_ambient() is (RowReducer(tower.mid, r).add_all(mid_rows) == r)
             D, want = ordinary_dual(U).flat, gram_dual(U)
             assert (D.stored, D.pivots) == (want.stored, want.pivots), (n, k)
 
