@@ -52,7 +52,6 @@ from .fqlinalg import (
     kernel,
     mat_inverse,
     mat_mul,
-    null_vectors,
     vec_mat,
 )
 from .rankcodes import (
@@ -218,10 +217,8 @@ def _canonical_projection(U: FqSubspace) -> Mat:
 
     Column c of G is the unit vector e_c reduced modulo flat(U), read at the
     non-pivot columns: row f of G is the null vector of flat(U) at its free
-    column f (fqlinalg.null_vectors)."""
-    B = U.flat
-    return Mat.from_rows(B.field, [z for _, z in null_vectors(B.field, B.ambient, B.stored,
-                                                               B.pivots)], B.ambient)
+    column f (SubspaceBasis.null_vectors)."""
+    return Mat.from_rows(U.flat.field, U.flat.null_vectors(), U.flat.ambient)
 
 
 def _cug_codewords(tower: FieldTower, r: int, G: Mat) -> list[list[list[int]]]:

@@ -13,12 +13,9 @@ basis.  SubspaceBasis keeps the stored rows, so a basis is packed once, and
 replace_row swaps one of its rows for a vector by an RREF of the stored
 rows, with no packing or unpacking.  A row operation over an
 extension field adds the negated multiple, so Field.add holds the one Zech
-formula.  null_vectors is the one null-space read-off of an RREF: kernel
-reads it off one RREF (the Delsarte duals and the minimal polynomial
-min_poly), the ordinary dual and C_{U,G}'s projection off U's own basis.
-mat_inverse serves the inverse Gram matrix of the trace form and the two
-changes of basis in constructions (the converse's conjugation and
-c_ug_g_independence).
+formula.  SubspaceBasis.null_vectors reads a null space off an RREF basis:
+kernel off one RREF (the Delsarte and ordinary duals, min_poly), the
+ordinary dual and constructions off U's own.
 
 Every "which combinations vanish" question goes through vanishing_tails
 instead: rows head | tail are eliminated once, and the echelon rows whose
@@ -45,14 +42,12 @@ guard bit, so adding two rows is one integer addition and one fold that
 subtracts p from every slot that reached p; scaling is doubling and adding.
 Over an extension field a row is a tuple of codes with Field arithmetic.
 Other modules build stored rows with store_row and store_digits, read them
-back with unpack_row (digit_rows reads the codes that store_digits packed, a
-row at a time, digit_column a column of many rows at a time at prime
-fields, and log_column straight to their discrete logs, one lookup each),
-add them with row_add, combine them with row_combination (or, once
-multiples has cached a row's multiples, by sums alone), cut them into
-blocks with row_blocks, and walk their spans with span_chunks.  flatten_rows
-is the one row concatenation of a matrix.  mat_mul builds each row of A·B as
-one row_combination of B's stored rows.
+back with unpack_row (digit_rows reads the codes that store_digits packed,
+and log_column reads them a column at a time straight to their discrete
+logs, one lookup each), add them with row_add, combine them with
+row_combination, cut them into blocks with row_blocks, and walk their spans
+with span_chunks.  flatten_rows is the one row concatenation of a matrix.
+mat_mul builds each row of A·B as one row_combination of B's stored rows.
 
 cheapest is the one engine chooser: every choice between exact engines,
 and its budget refusal, goes through it, with the price table in its
@@ -72,7 +67,7 @@ import operator
 from functools import cached_property, lru_cache, reduce
 
 from .errors import AmbientMismatch, BudgetExceeded, InvalidParams
-from .fields import Field, Slots, _monic, digit_tables, slot_width
+from .fields import Field, Slots, _monic, slot_width
 
 DEFAULT_SUBSPACE_BUDGET = 1 << 20
 SPAN_CHUNK = 1 << 12     # list size of the span walks: one list is held at a time
@@ -164,10 +159,10 @@ def store_row(F: Field, row):
 
 def store_digits(F: Field, codes, deg: int):
     """The deg base-|F| digits of each code, in order, as a stored row: the
-    coordinates over F of a vector over the degree-deg extension of F.  A
-    code's digits come from _digit_blocks, but over F_2, where the code is
-    its own digits."""
-    blocks = codes if F.order == 2 else map(_digit_blocks(F, deg), codes)
+    coordinates over F of a vector over the degree-deg extension of F, each
+    code's digits read from _digit_blocks (a code outside 0..|F|^deg - 1 is
+    refused, since it has more digits)."""
+    blocks = map(_digit_blocks(F, deg), codes)
     if F.base is not None:
         return tuple(itertools.chain.from_iterable(blocks))
     return sum(map(operator.lshift, blocks, itertools.count(0, deg * slot_width(F))))
@@ -175,58 +170,43 @@ def store_digits(F: Field, codes, deg: int):
 
 @lru_cache(maxsize=None)
 def _digit_blocks(F: Field, deg: int):
-    """code -> its deg base-|F| digits, a tuple over an extension field,
-    packed in deg slots over F_p; the last 2^16 codes read are cached."""
-    q, w = F.order, slot_width(Field(F.p))
-    if F.base is not None:
-        return lru_cache(maxsize=1 << 16)(lambda c: tuple(c // q**j % q for j in range(deg)))
-    return lru_cache(maxsize=1 << 16)(lambda c: sum(c // q**j % q << j * w for j in range(deg)))
+    """code -> its deg base-|F| digits as a stored row, InvalidParams for a
+    code with more digits; the last 2^16 codes read are cached."""
+    q, top = F.order, F.order**deg
+
+    @lru_cache(maxsize=1 << 16)
+    def block(c):
+        if not 0 <= c < top:
+            raise InvalidParams(f"a code lies outside 0..{top - 1}")
+        return store_row(F, [c // q**j % q for j in range(deg)])
+    return block
 
 
-def digit_column(F: Field, deg: int):
-    """store_digits over the prime field F inverted, a column at a time: a
-    function (rows, j) -> an iterator over the codes of coordinate j of each
-    stored row.  A code's block of deg slots is the code itself at p = 2 or
-    deg = 1; at odd p it is read off fields.digit_tables, two lookups."""
-    w = slot_width(F)
-    block = deg * w
-    if F.p == 2 or deg == 1:
-        mask = (1 << block) - 1
-        return lambda rows, j: map(mask.__and__, map((j * block).__rrshift__, rows) if j else rows)
-    lo, hi = digit_tables(F.p, deg)
-    h = (deg + 1) // 2
-    lo_mask, hi_mask = (1 << (h * w)) - 1, (1 << ((deg - h) * w)) - 1
-    return lambda rows, j: map(
-        operator.add,
-        map(lo.__getitem__, map(lo_mask.__and__,
-                                map((j * block).__rrshift__, rows) if j else rows)),
-        map(hi.__getitem__, map(hi_mask.__and__, map((j * block + h * w).__rrshift__, rows))))
+@lru_cache(maxsize=None)
+def _block_codes(F: Field, deg: int):
+    """_digit_blocks inverted: a stored row of deg base-|F| digits -> its
+    code; the last 2^16 blocks read are cached."""
+    q = F.order
+    return lru_cache(maxsize=1 << 16)(
+        lambda b: sum(d * q**j for j, d in enumerate(unpack_row(F, b, deg))))
 
 
 @lru_cache(maxsize=None)
 def digit_rows(F: Field, deg: int, ncols: int):
-    """store_digits inverted: a function rows -> an iterator over the ncols
-    codes of each stored row, as a tuple: digit_column's columns zipped over
-    a prime field, Σ_i d_i·|F|^i over each block of deg digits otherwise."""
-    if F.base is None:
-        column = digit_column(F, deg)
-        return lambda rows: zip(*(column(rows, j) for j in range(ncols)))
-    places, starts = [F.order**i for i in range(deg)], range(0, ncols * deg, deg)
-    return lambda rows: (tuple(sum(map(operator.mul, row[s:s + deg], places)) for s in starts)
-                         for row in rows)
+    """store_digits inverted: rows -> the ncols codes of each stored row, as
+    tuples, each block of deg digits read by _block_codes."""
+    split, code = row_blocks(F, deg)[0], _block_codes(F, deg)
+    return lambda rows: (tuple(map(code, split(row, ncols))) for row in rows)
 
 
-class _Lazy(dict):
-    """{key: fn(key)}, each value computed on first sight."""
+class _BlockLogs(dict):
+    """{packed block: log of its code}, each block read by _block_codes on
+    first sight."""
 
-    __slots__ = ("fn",)
+    __slots__ = ("code", "log")
 
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        self[key] = value = self.fn(key)
+    def __missing__(self, block):
+        self[block] = value = self.log[self.code(block)]
         return value
 
 
@@ -237,8 +217,9 @@ def _log_table(F: Field):
     log = list(F._log)
     log[0] = 2 * m - 1
     if F.p != 2 and deg > 1:
-        code, logs = digit_column(prime, deg), log
-        log = _Lazy(lambda block: logs[next(code((block,), 0))])
+        table = _BlockLogs()
+        table.code, table.log = _block_codes(prime, deg), log
+        log = table
     return log, F._exp[:m] + [0] * m + F._exp[:m]
 
 
@@ -249,7 +230,7 @@ def log_column(F: Field, ncols: int):
     the log of its code, and a zero code to the sentinel 2m − 1, by one
     lookup (_log_table, cached per field): at p = 2 or F = F_p the block is
     the code and the table a list, at odd p a dict filled on first sight of
-    a block (_Lazy), so no table of all blocks is built up front.
+    a block (_BlockLogs), so no table of all blocks is built up front.
     exp3 is exp, m zeros, exp, so exp3[l − l_lead] is g^l / g^l_lead for
     the logs of two units (a negative index wraps into the last exp) and 0
     for the sentinel."""
@@ -291,13 +272,6 @@ def row_combination(F: Field, ncols: int):
     add, zero = row_add(F, ncols), store_row(F, [0] * ncols)
     return lambda coeffs, rows: reduce(
         add, map(scale, itertools.compress(rows, coeffs), filter(None, coeffs)), zero)
-
-
-def multiples(F: Field, ncols: int, rows) -> list[_Lazy]:
-    """{c: c·row} for each stored row of ncols coordinates over F, each built
-    on first use: sums of these multiples then multiply nothing."""
-    scale = row_combination(F, ncols)
-    return [_Lazy(lambda c, row=row: scale((c,), (row,))) for row in rows]
 
 
 def row_blocks(F: Field, width: int):
@@ -628,6 +602,16 @@ class SubspaceBasis:
         if not isinstance(vec, int) and len(vec) != self.ambient:
             raise AmbientMismatch("vector length != ambient dimension")
 
+    def null_vectors(self):
+        """Yield z_f = e_f − Σ_i rows[i][f]·e_{pivots[i]} at each free column
+        f, ascending: the null vectors {z : B·zᵀ = 0}, with no elimination."""
+        for f in sorted(set(range(self.ambient)).difference(self.pivots)):
+            z = [0] * self.ambient
+            z[f] = 1
+            for row, p in zip(self.rows, self.pivots):
+                z[p] = self.field.neg(row[f])
+            yield z
+
     def __eq__(self, other):
         return (isinstance(other, SubspaceBasis) and self.field is other.field
                 and self.ambient == other.ambient and self.stored == other.stored)
@@ -636,32 +620,17 @@ class SubspaceBasis:
         return hash((self.field.order, self.ambient, self.stored))
 
 
-def null_vectors(F: Field, ncols: int, stored, pivots) -> list[tuple[int, list[int]]]:
-    """(f, z_f) at each free column f of an RREF basis (stored rows with
-    their pivots), ascending: z_f is e_f less row i's entry at f at each
-    pivot p_i, the null vectors {z : B·zᵀ = 0} read off with no
-    elimination."""
-    rows, neg, pivset, out = [unpack_row(F, row, ncols) for row in stored], F.neg, set(pivots), []
-    for f in (f for f in range(ncols) if f not in pivset):
-        z = [0] * ncols
-        z[f] = 1
-        for row, p in zip(rows, pivots):
-            z[p] = neg(row[f])
-        out.append((f, z))
-    return out
-
-
 def kernel(M: Mat) -> SubspaceBasis:
     """Right null space {v : M v = 0} as a canonical basis, from one RREF:
     that of M with its columns reversed, M'.  The null vector of M' at its
-    free column f (null_vectors) is 1 at f and nonzero elsewhere only at
-    pivots p < f, so reversed back, in descending f, these vectors lead
-    with 1 at column M.cols − 1 − f and are 0 at every other such column:
-    the RREF of the null space of M."""
+    free column f (SubspaceBasis.null_vectors) is 1 at f and nonzero
+    elsewhere only at pivots p < f, so reversed back, in descending f, they
+    are the RREF, each leading with its 1."""
     F, cols = M.field, M.cols
-    free = null_vectors(F, cols, *_rref(F, [row[::-1] for row in M.data], cols))[::-1]
-    return SubspaceBasis(F, cols, tuple(store_row(F, z[::-1]) for _, z in free),
-                         tuple(cols - 1 - f for f, _ in free))
+    reversed_basis = SubspaceBasis(F, cols, *_rref(F, [row[::-1] for row in M.data], cols))
+    basis = [z[::-1] for z in reversed(list(reversed_basis.null_vectors()))]
+    return SubspaceBasis(F, cols, tuple(store_row(F, z) for z in basis),
+                         tuple(z.index(1) for z in basis))
 
 
 def mat_inverse(M: Mat) -> Mat:

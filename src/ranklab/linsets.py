@@ -9,15 +9,13 @@ give diagonally equivalent codes, so one canonical choice is fixed.
 The codeword at coefficient vector w has weight N minus the number of columns
 on the hyperplane w·x = 0, so a code's minimum distance and weight enumerator
 are read off one histogram of hyperplane cuts (_cut_counts) built from the
-columns' point-hyperplane incidences, which a projective-system code keeps.
-Two weight-enumerator conventions coexist: "projective" counts hyperplanes
-(as hyperplane_spectrum does) and "codeword" counts codewords, a factor
-Q - 1 apart.
+columns' point-hyperplane incidences.  Two weight-enumerator conventions
+coexist: "projective" counts hyperplanes (as hyperplane_spectrum does) and
+"codeword" counts codewords, a factor Q - 1 apart.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from typing import NamedTuple
 
@@ -123,17 +121,25 @@ def hyperplane_spectrum(U: FqSubspace, h: int | None = None, *,
 
 class HammingCode:
     """A linear [N, k] code over F_{q^n} given by a full-rank generator
-    matrix with no zero columns (a projective-system generator); cuts, if
-    given, is _cut_counts of its columns, N distinct points."""
+    matrix with no zero columns (a projective-system generator)."""
+    _cuts = None    # projective_system_code's _cut_counts, over N distinct points
 
     def __init__(self, field: Field, k: int, N: int, gen: tuple[tuple[int, ...], ...],
-                 d: int | None = None, cuts: dict[int, int] | None = None):
+                 d: int | None = None):
         if len(gen) != k or any(len(r) != N for r in gen):
             raise InvalidParams("generator shape mismatch")
         for j in range(N):
             if all(row[j] == 0 for row in gen):
                 raise InvalidParams("projective systems forbid zero columns")
-        self.field, self.k, self.N, self.gen, self.d, self.cuts = field, k, N, gen, d, cuts
+        self.field, self.k, self.N, self.gen, self.d = field, k, N, gen, d
+
+
+def _incidences(F: Field, k: int, points: int, budget: int) -> int:
+    """points·theta_{k-2}(|F|) point-hyperplane incidences, refused past budget."""
+    needed = points * theta(k - 2, F.order) if k else 0
+    if needed > budget:
+        raise BudgetExceeded(needed, budget, "point-hyperplane incidences")
+    return needed
 
 
 def _cut_counts(F: Field, k: int, cols, budget: int) -> dict[int, int]:
@@ -144,12 +150,10 @@ def _cut_counts(F: Field, k: int, cols, budget: int) -> dict[int, int]:
     theta_{k-2}(|F|) hyperplanes w·x = 0 with w = f off coordinate i, for f
     a point of PG(k-2, F), and w_i = -f·P; each is visited from P and gains
     P's multiplicity.  The theta_{k-1}(|F|) hyperplanes never visited hold
-    no column.  budget caps the visits at point-hyperplane incidences.
+    no column.  budget caps the visits (_incidences).
     """
     mult = Counter(normalize_point(F, col) for col in cols)
-    needed = len(mult) * theta(k - 2, F.order) if k else 0
-    if needed > budget:
-        raise BudgetExceeded(needed, budget, "point-hyperplane incidences")
+    needed = _incidences(F, k, len(mult), budget)
     fs = list(projective_points(F, k - 1, budget=budget)) if needed else []
     add, mul, neg = F.add, F.mul, F.neg
     cut: dict[tuple[int, ...], int] = {}
@@ -173,8 +177,8 @@ def projective_system_code(L: LinearSet, *,
     """The [N, r] code over F_{q^n} whose columns are the points of L_U.
 
     N = |L_U| and the minimum distance is N - max_H |L ∩ H| over hyperplanes,
-    the largest cut of _cut_counts, whose histogram the code keeps; budget
-    caps its N·theta_{r-2}(q^n) point-hyperplane incidences.
+    the largest cut of _cut_counts, which the code keeps; budget caps its
+    N·theta_{r-2}(q^n) point-hyperplane incidences.
     """
     U = L.U
     tower, r = U.tower, U.r
@@ -184,7 +188,9 @@ def projective_system_code(L: LinearSet, *,
     N = len(cols)
     gen = tuple(tuple(col[i] for col in cols) for i in range(r))
     cuts = _cut_counts(tower.mid, r, cols, budget)
-    return HammingCode(tower.mid, r, N, gen, d=N - max(cuts), cuts=cuts)
+    code = HammingCode(tower.mid, r, N, gen, d=N - max(cuts))
+    code._cuts = cuts
+    return code
 
 
 def weight_enumerator(C: HammingCode, convention: str = "projective", *,
@@ -196,16 +202,14 @@ def weight_enumerator(C: HammingCode, convention: str = "projective", *,
     "projective" counts hyperplanes, one per projective class of coefficient
     vectors; "codeword" counts coefficient vectors, Q - 1 per hyperplane.
     Exact for every generator, rank-deficient ones included (their weight-0
-    words are counted).  budget caps the point-hyperplane incidences, which
-    the cuts C keeps (projective_system_code) sum to: past it, the scan
-    raises BudgetExceeded.
+    words are counted).  budget caps the point-hyperplane incidences.
     """
     if convention not in ("projective", "codeword"):
         raise InvalidParams(f"unknown convention {convention!r}")
     scale = C.field.order - 1 if convention == "codeword" else 1
-    cuts = C.cuts
-    if cuts is None or sum(map(operator.mul, cuts, cuts.values())) > budget:
-        cuts = _cut_counts(C.field, C.k, zip(*C.gen), budget)
+    if C._cuts is not None:
+        _incidences(C.field, C.k, C.N, budget)
+    cuts = C._cuts or _cut_counts(C.field, C.k, zip(*C.gen), budget)
     return {C.N - c: count * scale for c, count in sorted(cuts.items(), reverse=True)}
 
 

@@ -4,9 +4,8 @@ ordinary duality and Delsarte duality.
 A subspace is stored once, as the canonical RREF basis of its flattened
 F_q^{rn} picture.  The flattening applies the fixed basis (1, g, ...,
 g^{n-1}) of F_{q^n} over F_q coordinate-wise, so coordinate i of a mid
-vector occupies flat columns [i*n, (i+1)*n), its n base-q digits.  Every q
-has one codec: fqlinalg.store_digits stores a mid vector (an int at q = p, a
-digit tuple at e > 1), and digit_rows reads stored rows back (basis_mid).
+vector occupies flat columns [i*n, (i+1)*n): fqlinalg.store_digits stores
+its base-q digits, and digit_rows reads them back (basis_mid), at every q.
 
 Every meet dim_{F_q}(U ∩ <W>_{F_{q^n}}) with given F_{q^n}-subspaces W comes
 from one helper, _meet_dims: it holds one reducer for U and eliminates the
@@ -59,7 +58,7 @@ import enum
 import itertools
 import operator
 from collections import Counter
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 from .errors import (
@@ -77,20 +76,15 @@ from .fqlinalg import (
     SubspaceBasis,
     _rref,
     cheapest,
-    digit_column,
     digit_rows,
     enumerate_subspaces,
     kernel,
     log_column,
     mat_inverse,
-    multiples,
-    null_vectors,
     prime_expansion,
     projective_points,
-    row_add,
     span_chunks,
     store_digits,
-    store_row,
     theta,
     vec_mat,
 )
@@ -107,28 +101,20 @@ class FqSubspace:
     def k(self) -> int:
         return self.flat.dim
 
-    def _mids(self):
-        """The rows of flat as mid vectors, in order, read lazily."""
-        return digit_rows(self.tower.base, self.tower.n, self.r)(self.flat.stored)
-
     @cached_property
     def basis_mid(self) -> tuple[tuple[int, ...], ...]:
         """The rows of flat as mid vectors, in order."""
-        return tuple(self._mids())
+        return tuple(digit_rows(self.tower.base, self.tower.n, self.r)(self.flat.stored))
 
     @classmethod
     def from_mid_vectors(cls, tower: FieldTower, r: int, vectors) -> "FqSubspace":
-        """The span of vectors of r mid codes, each stored by store_digits;
-        a code outside 0..q^n - 1 (InvalidParams) would lose digits."""
-        base, n, order = tower.base, tower.n, tower.mid.order
-        vectors = list(vectors)
+        """The span of vectors of r mid codes, each stored by store_digits,
+        which refuses a code outside 0..q^n - 1 (InvalidParams)."""
+        base, rn, vectors = tower.base, r * tower.n, list(vectors)
         if any(map(r.__ne__, map(len, vectors))):
             raise DimensionMismatch("vector length != r")
-        codes = list(itertools.chain.from_iterable(vectors))
-        if codes and not 0 <= min(codes) <= max(codes) < order:
-            raise InvalidParams(f"a mid code lies outside 0..{order - 1}")
-        rows = [store_digits(base, v, n) for v in vectors]
-        return cls(tower, r, SubspaceBasis(base, r * n, *_rref(base, rows, r * n)))
+        rows = [store_digits(base, v, tower.n) for v in vectors]
+        return cls(tower, r, SubspaceBasis(base, rn, *_rref(base, rows, rn)))
 
     @classmethod
     def from_flat(cls, tower: FieldTower, r: int, flat_vectors) -> "FqSubspace":
@@ -143,13 +129,10 @@ class FqSubspace:
 
     def spans_ambient(self) -> bool:
         """True iff <U>_{F_{q^n}} = V: the flat rows are read back as mid
-        vectors (_mids) and added until their rank reaches r."""
+        vectors (digit_rows) and added until their rank reaches r."""
         red = RowReducer(self.tower.mid, self.r)
-        for v in self._mids():
-            if red.rank == self.r:
-                break
-            red.add(v)
-        return red.rank == self.r
+        mids = digit_rows(self.tower.base, self.tower.n, self.r)(self.flat.stored)
+        return not self.r or any(red.add(v) and red.rank == self.r for v in mids)
 
     def __eq__(self, other):
         return (isinstance(other, FqSubspace) and self.tower == other.tower
@@ -263,13 +246,13 @@ def _walk_fibers(U: FqSubspace, t=0, cap=None):
     run are read a coordinate at a time, from the lead on, straight to
     logs (fqlinalg.log_column, a zero coordinate to a sentinel), and
     normalized by exp3[log c_j - log c_lead], in C-level maps; fields
-    without log tables read codes (fqlinalg.digit_column) and go through
+    without log tables read codes (fqlinalg.digit_rows) and go through
     normalize_point."""
     tower = U.tower
     q, mid, r = tower.base.order, tower.mid, U.r
     tables = log_column(mid, r)
     if tables is None:
-        column = digit_column(tower.prime, mid.dim_over_prime)
+        codes = digit_rows(tower.prime, mid.dim_over_prime, r)
     limit = theta(max(t, 0) - 1, q)
     cut = q ** (U.k - 1) if cap else 0
     fibers = [Counter() for _ in range(r)]
@@ -290,8 +273,8 @@ def _walk_fibers(U: FqSubspace, t=0, cap=None):
                 block = vectors[start:stop]
                 if tables is None:
                     keys = map(operator.itemgetter(1 if lead == r - 2 else slice(1, None)),
-                               map(normalize_point, itertools.repeat(mid), zip(
-                                   *(column(block, j) for j in range(lead, r)))))
+                               map(normalize_point, itertools.repeat(mid),
+                                   map(operator.itemgetter(slice(lead, None)), codes(block))))
                 else:
                     read, exp3 = tables
                     lead_log = list(read(block, lead))
@@ -534,9 +517,10 @@ def max_hyperplane_weight(U: FqSubspace, *,
 # -- ordinary duality ---------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _trace_gram(tower: FieldTower) -> Mat:
-    """n x n Gram matrix T[j][l] = Tr_{q^n/q}(g^{j+l}) of the trace form: a
-    Hankel matrix, read off the 2n - 1 traces Tr(g^i)."""
+    """n x n Gram matrix T[j][l] = Tr_{q^n/q}(g^{j+l}) of the trace form, once
+    per tower: a Hankel matrix, read off the 2n - 1 traces Tr(g^i)."""
     mid, n = tower.mid, tower.n
     g = mid.gen if n > 1 else 1
     traces = [tower.trace_to_base("mid", mid.pow(g, i)) for i in range(2 * n - 1)]
@@ -544,30 +528,29 @@ def _trace_gram(tower: FieldTower) -> Mat:
 
 
 @lru_cache(maxsize=None)
-def _inverse_gram(tower: FieldTower, r: int) -> list:
-    """fqlinalg.multiples of the stored rows of D⁻¹ = blockdiag(T⁻¹, ..., T⁻¹)
-    (r blocks, T = _trace_gram), once per (tower, r)."""
-    base, n, rn, inverse = tower.base, tower.n, r * tower.n, mat_inverse(_trace_gram(tower))
-    return multiples(base, rn, [store_row(base, [0] * b + row + [0] * (rn - n - b))
-                                for b in range(0, rn, n) for row in inverse.data])
+def _gram_blocks(tower: FieldTower, inverse: bool):
+    """b -> b·T, or b·T⁻¹ if inverse, for n base-field codes b (T =
+    _trace_gram); the last 2^16 blocks read are cached."""
+    T = _trace_gram(tower)
+    return lru_cache(maxsize=1 << 16)(partial(vec_mat, A=mat_inverse(T) if inverse else T))
 
 
 def ordinary_dual(U: FqSubspace) -> FqSubspace:
     """U^{⊥_O} w.r.t. σ'(u,v) = Tr_{q^n/q}(Σ u_i v_i); dim = rn - k.
 
-    On the flat picture σ'(u, v) = u·D·vᵀ, D = blockdiag(T, ..., T).  T
-    (_trace_gram) is symmetric and invertible, so u·D·vᵀ = 0 for all u ∈ U
-    ⟺ v·D ∈ U^⊥ ⟺ v ∈ U^⊥·D⁻¹.  The standard null space U^⊥ is read off
-    U's RREF with no elimination (fqlinalg.null_vectors).  Each null vector
-    times D⁻¹ is a sum of cached multiples of D⁻¹'s stored rows
-    (_inverse_gram), with no product; one RREF of these rn - k rows
-    follows."""
+    On the flat picture σ'(u, v) = u·D·vᵀ, D = blockdiag(T, ..., T), and the
+    dual is one RREF of k or rn - k rows, whichever is fewer, each row times
+    D or D⁻¹ by cached block products (_gram_blocks): the kernel of U·D, or,
+    as T is symmetric and invertible, u·D·vᵀ = 0 for all u ∈ U ⟺ v·D ∈ U^⊥
+    ⟺ v ∈ U^⊥·D⁻¹, with U^⊥ read off U's RREF (SubspaceBasis.null_vectors)."""
     tower, r, flat = U.tower, U.r, U.flat
-    base, rn = tower.base, r * tower.n
-    add, zero, inverse = row_add(base, rn), store_row(base, [0] * rn), _inverse_gram(tower, r)
-    dual = [reduce(add, map(operator.getitem, itertools.compress(inverse, z), filter(None, z)),
-                   zero) for _, z in null_vectors(base, rn, flat.stored, flat.pivots)]
-    return FqSubspace(tower, r, SubspaceBasis(base, rn, *_rref(base, dual, rn)))
+    base, n, rn = tower.base, tower.n, r * tower.n
+    below = 2 * U.k < rn
+    block = _gram_blocks(tower, not below)
+    rows = [[x for i in range(0, rn, n) for x in block(tuple(v[i:i + n]))]
+            for v in (flat.rows if below else flat.null_vectors())]
+    return FqSubspace(tower, r, kernel(Mat.from_rows(base, rows, rn)) if below
+                      else SubspaceBasis(base, rn, *_rref(base, rows, rn)))
 
 
 # -- Delsarte duality ---------------------------------------------------------

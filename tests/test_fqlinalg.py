@@ -15,7 +15,7 @@ from ranklab.fqlinalg import (
     RowReducer,
     SubspaceBasis,
     cheapest,
-    digit_column,
+    digit_rows,
     enumerate_subspaces,
     iter_span_rows,
     kernel,
@@ -639,7 +639,7 @@ def test_pack_digits_packs_the_flattened_coordinates(p, n):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_log_column_reads_every_code_to_its_log(q, n):
-    """read against digit_column and the log table, every code of the mid
+    """read against digit_rows and the log table, every code of the mid
     field in every coordinate of rows of three (the last one unmasked, and
     a lead in the last coordinate), and exp3[l - l_lead] against Field.mul
     and Field.inv, negative differences and the zero sentinel included.
@@ -657,9 +657,8 @@ def test_log_column_reads_every_code_to_its_log(q, n):
     vectors = [(c, (c + 1) % order, order - 1 - c) for c in range(order)]
     vectors += [(0, 0, c) for c in range(order)]
     rows = [store_digits(prime, v, deg) for v in vectors]
-    codes = digit_column(prime, deg)
+    assert list(digit_rows(prime, deg, 3)(rows)) == vectors
     for j in range(3):
-        assert list(codes(rows, j)) == [v[j] for v in vectors]
         assert list(read(rows, j)) == [logs[v[j]] for v in vectors]
     assert len(exp3) == 3 * m
     units = F._exp[:m]
@@ -669,7 +668,8 @@ def test_log_column_reads_every_code_to_its_log(q, n):
         assert [exp3[logs[c] - la] for c in range(order)] == [
             F.mul(c, inv) for c in range(order)]
     if p != 2 and deg > 1:
-        fresh = fqlinalg._Lazy(lambda block: logs[next(codes((block,), 0))])
+        fresh = fqlinalg._BlockLogs()
+        fresh.code, fresh.log = fqlinalg._block_codes(prime, deg), logs
         blocks = [store_digits(prime, [c], deg) for c in (5, 0, 5, 1)]
         assert [fresh[b] for b in blocks] == [logs[5], logs[0], logs[5], logs[1]]
         assert len(fresh) == 3

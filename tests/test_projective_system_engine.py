@@ -169,7 +169,7 @@ def test_projective_system_code_scans_its_cuts_once(q, r, n, h, monkeypatch):
     enums = [weight_enumerator(C, convention) for convention in ("projective", "codeword")]
     assert len(calls) == 1
     fresh = HammingCode(C.field, C.k, C.N, C.gen)
-    assert fresh.cuts is None
+    assert fresh._cuts is None
     assert [weight_enumerator(fresh, c) for c in ("projective", "codeword")] == enums
     assert len(calls) == 3
 

@@ -274,7 +274,8 @@ def test_trace_gram_is_built_once_per_tower(q, n, monkeypatch):
     trace = type(tower).trace_to_base
     monkeypatch.setattr(type(tower), "trace_to_base",
                         lambda self, *a: calls.append(a) or trace(self, *a))
-    subspaces._inverse_gram.cache_clear()
+    subspaces._trace_gram.cache_clear()
+    subspaces._gram_blocks.cache_clear()
     rng = random.Random(q)
     for k in (1, n, 2 * n - 1):
         U = random_subspace(tower, 2, k, rng)
