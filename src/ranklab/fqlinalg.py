@@ -182,25 +182,24 @@ def _digit_blocks(F: Field, deg: int):
     return block
 
 
-@lru_cache(maxsize=None)
-def _block_codes(F: Field, deg: int):
+def _block_code(F: Field, deg: int):
     """_digit_blocks inverted: a stored row of deg base-|F| digits -> its
-    code; the last 2^16 blocks read are cached."""
-    q = F.order
-    return lru_cache(maxsize=1 << 16)(
-        lambda b: sum(d * q**j for j, d in enumerate(unpack_row(F, b, deg))))
+    code."""
+    places = [F.order**j for j in range(deg)]
+    return lambda b: sum(map(operator.mul, unpack_row(F, b, deg), places))
 
 
 @lru_cache(maxsize=None)
 def digit_rows(F: Field, deg: int, ncols: int):
     """store_digits inverted: rows -> the ncols codes of each stored row, as
-    tuples, each block of deg digits read by _block_codes."""
-    split, code = row_blocks(F, deg)[0], _block_codes(F, deg)
+    tuples, each block of deg digits read by _block_code; the last 2^16
+    blocks read are cached."""
+    split, code = row_blocks(F, deg)[0], lru_cache(maxsize=1 << 16)(_block_code(F, deg))
     return lambda rows: (tuple(map(code, split(row, ncols))) for row in rows)
 
 
 class _BlockLogs(dict):
-    """{packed block: log of its code}, each block read by _block_codes on
+    """{packed block: log of its code}, each block read by _block_code on
     first sight."""
 
     __slots__ = ("code", "log")
@@ -218,7 +217,7 @@ def _log_table(F: Field):
     log[0] = 2 * m - 1
     if F.p != 2 and deg > 1:
         table = _BlockLogs()
-        table.code, table.log = _block_codes(prime, deg), log
+        table.code, table.log = _block_code(prime, deg), log
         log = table
     return log, F._exp[:m] + [0] * m + F._exp[:m]
 
