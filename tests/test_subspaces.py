@@ -639,6 +639,8 @@ def test_spans_ambient_matches_the_rank_of_all_mid_rows(p, e, n):
                 assert U.spans_ambient() is want, (r, k, inside)
                 seen.add((want, U.k < r))
     assert seen == {(True, False), (False, False), (False, True)}
+    # the zero subspace spans V only at r = 0, where it has no row to read
+    assert FqSubspace.zero(t, 0).spans_ambient() and not FqSubspace.zero(t, 2).spans_ambient()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
