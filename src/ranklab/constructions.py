@@ -37,7 +37,6 @@ from .errors import (
     InternalInvariantError,
     InvalidParams,
     IotaFull,
-    KernelMismatch,
     KTooLarge,
     NotMRD,
     ParamMismatch,
@@ -52,7 +51,7 @@ from .fqlinalg import (
     kernel,
     mat_inverse,
     mat_mul,
-    vec_mat,
+    unpack_row,
 )
 from .rankcodes import (
     DEFAULT_CODEWORD_BUDGET,
@@ -288,24 +287,6 @@ def _mrd_criterion(U: FqSubspace, it: int) -> bool:
     return rn % (it + 1) == 0 and U.k * (it + 1) == it * rn and U.k <= rn - n
 
 
-def c_ug_g_independence(U: FqSubspace, G1: Mat, G2: Mat) -> Mat:
-    """Invertible L with L∘C_{U,G1} = C_{U,G2}, built on a complement basis."""
-    if kernel(G1) != U.flat or kernel(G2) != U.flat:
-        raise KernelMismatch("both maps must have kernel flat(U)")
-    tower, r, base = U.tower, U.r, U.tower.base
-    pivset = set(U.flat.pivots)
-    comp = [j for j in range(r * tower.n) if j not in pivset]
-    # G1 and G2 restricted to the complement columns
-    W1, W2 = (Mat.from_rows(base, [[row[j] for j in comp] for row in G.data], len(comp))
-              for G in (G1, G2))
-    L = mat_mul(W2, mat_inverse(W1))
-    for M1, M2 in zip(_cug_codewords(tower, r, G1), _cug_codewords(tower, r, G2)):
-        lhs = mat_mul(L, Mat.from_rows(base, M1, tower.n))
-        if lhs.data != M2:
-            raise InternalInvariantError("L∘C_{U,G1} != C_{U,G2}")
-    return L
-
-
 # -- converse: MRD code -> subspace ---------------------------------------------
 
 
@@ -341,8 +322,7 @@ def mrd_to_subspace(C: RankCode, tower: FieldTower, *,
     if not R.is_field:
         raise IdealiserNotMaximal("right idealiser is not a field")
     base, mid = tower.base, tower.mid
-    Y, minpoly = R.generator     # a field has one (rankcodes.Idealiser)
-    g1 = Mat.from_rows(base, Y, n)
+    _, minpoly, powers = R.generator     # a field has one (rankcodes.Idealiser)
     if mid.order > budget:
         raise BudgetExceeded(mid.order, budget, "F_{q^n} elements")
     for gamma in mid.elements():
@@ -350,12 +330,8 @@ def mrd_to_subspace(C: RankCode, tower: FieldTower, *,
             break
     else:
         raise InternalInvariantError("idealiser minimal polynomial has no root")
-    # F_q[g1] is a field of degree n, so every nonzero vector is cyclic for g1
-    h_cols, acc, g1t = [], [1] + [0] * (n - 1), g1.transpose()
-    for _ in range(n):
-        h_cols.append(acc)
-        acc = vec_mat(acc, g1t)     # g1·acc
-    H = Mat.from_rows(base, h_cols, n).transpose()
+    # F_q[Y] is a field of degree n, so e_0 is cyclic for Y: column j is Y^j·e_0
+    H = Mat.from_rows(base, [unpack_row(base, P, n * n)[::n] for P in powers], n).transpose()
     P = Mat.from_rows(base, [tower.mid_to_base_vec(mid.pow(gamma, j)) for j in range(n)],
                       n).transpose()
     conj = mat_mul(H, mat_inverse(P))
@@ -374,11 +350,12 @@ def mrd_to_subspace(C: RankCode, tower: FieldTower, *,
 
 def _right_basis(Cprime: RankCode, mult_mats: list[Mat]) -> list[Mat]:
     """A greedy right F_{q^n}-basis f_1..f_r of C', checking first that C' is
-    closed under M -> M·m_g; mult_mats are the m_b of the F_q-basis of F_{q^n}."""
+    closed under M -> M·m_g; mult_mats are the m_b of the F_q-basis of F_{q^n}.
+    Neither check can fail: as C·Y ⊆ C, C' = C·H·P⁻¹ is closed under every m_b."""
     basis_mats = [Mat.from_rows(Cprime.field, M, Cprime.n) for M in Cprime.basis_matrices()]
     for M in basis_mats:
         if not Cprime.contains(mat_mul(M, mult_mats[1 % len(mult_mats)]).data):
-            raise IdealiserNotMaximal("conjugated code is not F_n-closed")
+            raise InternalInvariantError("conjugated code is not F_n-closed")
     rr = RowReducer(Cprime.field, Cprime.m * Cprime.n)
     fn_basis: list[Mat] = []
     for M in basis_mats:
@@ -388,7 +365,7 @@ def _right_basis(Cprime: RankCode, mult_mats: list[Mat]) -> list[Mat]:
             fn_basis.append(M)
             rr.add_all(flatten_rows(mat_mul(M, mult).data) for mult in mult_mats)
     if rr.rank != Cprime.dim:
-        raise IdealiserNotMaximal("failed to build a right F_{q^n}-basis")
+        raise InternalInvariantError("failed to build a right F_{q^n}-basis")
     return fn_basis
 
 

@@ -61,10 +61,6 @@ class IotaFull(GateError):
     pass
 
 
-class KernelMismatch(GateError):
-    pass
-
-
 class GcdViolation(GateError):
     pass
 

@@ -22,19 +22,21 @@ one lookup: x^m = exp[log(x)·m mod (|F| - 1)].
 Moduli are the least monic irreducibles over the base, ordered by the packed
 code of their non-leading coefficients, so serialized values are portable.
 
-Each formula has one owner: Field.add holds the Zech formula, and every
-subtraction adds the negation (poly_mod, _poly_sub, fqlinalg's row
-operations); _digits reads a code's digits and _from_digits packs them
-(prime_vec, from_prime_vec, Field's table-free arithmetic, FieldTower's
-coordinates, _monic_polys); Field.pow raises to a power (inv, FieldTower.frob);
+Where each shared formula lives: Field.add holds the Zech formula, and every
+subtraction adds the negation (poly_mod, _poly_sub, fqlinalg's row operations);
+_digits reads a code's digits and _from_digits packs them (prime_vec,
+from_prime_vec, Field's table-free arithmetic, FieldTower's coordinates,
+_monic_polys, fqlinalg's store_row and unpack_row); DigitCodec maps a code to
+its block of digits and back (fqlinalg's store_digits, digit_rows and
+log_column, Field._orbit); Field.pow raises to a power (inv, FieldTower.frob);
 poly_mul, poly_mod and poly_pow_mod multiply, reduce and power polynomials
-(Field._mul_raw, the table-free Field.pow, the irreducibility tests);
-_monic scales a polynomial to be monic (poly_gcd, fqlinalg.min_poly);
-_monic_polys lists candidate moduli in code order (least_irreducible,
-_verify_irreducible); _split_tables splits an F_p-linear map into two tables
-over ⌈D/2⌉ digits (digit_tables, Field._orbit); Field._interned builds and
-caches every field; FieldTower._fold_conjugates folds the conjugates for
-trace_to_base and norm_to_base.
+(Field._mul_raw, the table-free Field.pow, the irreducibility tests); _monic
+scales a polynomial to be monic (poly_gcd, fqlinalg.min_poly); _monic_polys
+lists candidate moduli in code order (least_irreducible, _verify_irreducible);
+_split_tables splits an F_p-linear map into two tables over ⌈D/2⌉ digits
+(DigitCodec, Field._orbit); Field._interned builds and caches every field;
+FieldTower._fold_conjugates folds the conjugates for trace_to_base and
+norm_to_base.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .errors import (
 )
 
 LOG_TABLE_LIMIT = 1 << 20
+CODEC_CACHE_LIMIT = 1 << 16
 DEFAULT_TOWER_BUDGET = 1 << 24
 TRIAL_FACTOR_LIMIT = 1 << 12
 
@@ -161,13 +164,6 @@ def _split_tables(p: int, images, add) -> tuple[dict[int, int], dict[int, int]]:
             _linear_table(units[:D - h], images[h:], add, p))
 
 
-@lru_cache(maxsize=None)
-def digit_tables(p: int, D: int) -> tuple[dict[int, int], dict[int, int]]:
-    """(lo, hi): the code Σ d_j·p^j of a Slots-packed vector of D digits
-    d_j over F_p is lo[v & m] + hi[v >> h·W] (_split_tables)."""
-    return _split_tables(p, [p**j for j in range(D)], operator.add)
-
-
 def _digits(a: int, b: int, d: int) -> list[int]:
     """The d lowest base-b digits of a, least significant first."""
     out = []
@@ -183,6 +179,43 @@ def _from_digits(digits, b: int) -> int:
     for c in reversed(digits):
         a = a * b + c
     return a
+
+
+class DigitCodec(dict):
+    """The one bijection between the codes 0..|F|^deg - 1 and their blocks of
+    deg base-|F| digits in fqlinalg's stored form over F: a Slots-packed int
+    over a prime field, a tuple over an extension field.  As a dict, code ->
+    block, filled on first sight, emptied at CODEC_CACHE_LIMIT blocks, and
+    InvalidParams outside 0..|F|^deg - 1.  code(block) reads a block back: a
+    prime block of one digit is its code, others lo[v & mask] + hi[v >> shift]
+    (_split_tables, read inline by Field._orbit)."""
+
+    def __init__(self, F: "Field", deg: int):
+        super().__init__()
+        self.field, self.deg, self.top = F, deg, F.order**deg
+        if F.base is None and deg > 1:
+            self.shift = (deg + 1) // 2 * slot_width(F)
+            self.mask = (1 << self.shift) - 1
+            self.lo, self.hi = _split_tables(F.p, [F.p**j for j in range(deg)], operator.add)
+
+    def __missing__(self, c: int):
+        if not 0 <= c < self.top:
+            raise InvalidParams(f"a code lies outside 0..{self.top - 1}")
+        if len(self) >= CODEC_CACHE_LIMIT:
+            self.clear()
+        F, digits = self.field, _digits(c, self.field.order, self.deg)
+        self[c] = block = tuple(digits) if F.base else _from_digits(digits, 1 << slot_width(F))
+        return block
+
+    def code(self, block) -> int:
+        if self.field.base:
+            return _from_digits(block, self.field.order)
+        if self.deg == 1:
+            return block
+        return self.lo[block & self.mask] + self.hi[block >> self.shift]
+
+
+digit_codec = lru_cache(maxsize=None)(DigitCodec)     # one codec per (F, deg)
 
 
 _FIELD_CACHE: dict[tuple, "Field"] = {}
@@ -366,10 +399,10 @@ class Field:
         calls) are spread by linearity into two tables, over the low
         h = ⌈D/2⌉ digits and over the others, so a step is two lookups and
         one add of packed F_p-vectors: XOR at p = 2.  At odd p the walk runs
-        on Slots-packed vectors, adding by an integer sum and a fold, and two
-        more tables read each step back into a code.  A prime field steps by
-        v·c mod p.  Only a zero divisor, under a reducible modulus, never
-        returns to 1.
+        on Slots-packed vectors, adding by an integer sum and a fold, and the
+        two tables of the digit codec read each step back into a code.  A
+        prime field steps by v·c mod p.  Only a zero divisor, under a
+        reducible modulus, never returns to 1.
         """
         p, n = self.p, self.order - 1
         orbit, v = [], 1
@@ -381,9 +414,8 @@ class Field:
                 if v == 1:
                     return orbit
         D = self.dim_over_prime
-        w = slot_width(Field(p))
-        shift = (D + 1) // 2 * w
-        mask = (1 << shift) - 1
+        codec = digit_codec(Field(p), D)
+        shift, mask = codec.shift, codec.mask
         images = [self._mul_raw(p**j, c) for j in range(D)]
         if p == 2:
             lo, hi = _split_tables(p, images, operator.xor)
@@ -395,9 +427,8 @@ class Field:
         else:
             slots = Slots(Field(p), D)
             carry, guard, low = slots.carry, slots.guard, slots.low
-            packed = [sum(d << (j * w) for j, d in enumerate(_digits(x, p, D))) for x in images]
-            lo, hi = _split_tables(p, packed, slots.add)
-            code_lo, code_hi = digit_tables(p, D)
+            lo, hi = _split_tables(p, list(map(codec.__getitem__, images)), slots.add)
+            code_lo, code_hi = codec.lo, codec.hi
             for _ in range(n):
                 a, b = v & mask, v >> shift
                 append(code_lo[a] + code_hi[b])
@@ -565,8 +596,7 @@ class FieldTower:
     The flattening basis of mid over base is (1, g, ..., g^{n-1}) with g the
     polynomial-basis generator of the mid field; all other modules rely on
     this being fixed.  Shareable across threads: all state is read-only after
-    construction.  A code's base-q digits are its coordinates over F_q, so the
-    coordinate maps are _digits and _from_digits.
+    construction.  A code's base-q digits are its coordinates over F_q (_digits).
     """
 
     def __init__(self, p: int, e: int, n: int, t: int, *,
@@ -643,9 +673,6 @@ class FieldTower:
     def mid_to_base_vec(self, a: int) -> list[int]:
         """Coordinates of a mid element over the basis (1, g, ..., g^{n-1})."""
         return _digits(a, self.q, self.n)
-
-    def base_vec_to_mid(self, v) -> int:
-        return _from_digits(v, self.q)
 
     def top_to_base_vec(self, a: int) -> list[int]:
         """Coordinates over base of a top element, mid-block major."""

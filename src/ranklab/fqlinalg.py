@@ -34,20 +34,20 @@ at coordinate t·width: head_elimination (F_2) and block_indicators (F_p),
 whose integer products copy a row into many blocks at once.  Each states
 why no product or sum carries from one block into the next.
 
-This module alone knows the form in which RowReducer stores a row.  Over a
-prime field F_p a row is a packed int: coordinate j takes W bits starting at
-bit j·W.  At p = 2, W = 1, rows are bitmasks and adding rows is XOR.  At odd
-p, W = (2p−2).bit_length()+1 leaves room for the sum of two entries plus a
-guard bit, so adding two rows is one integer addition and one fold that
-subtracts p from every slot that reached p; scaling is doubling and adding.
-Over an extension field a row is a tuple of codes with Field arithmetic.
-Other modules build stored rows with store_row and store_digits, read them
-back with unpack_row (digit_rows reads the codes that store_digits packed,
-and log_column reads them a column at a time straight to their discrete
-logs, one lookup each), add them with row_add, combine them with
-row_combination, cut them into blocks with row_blocks, and walk their spans
-with span_chunks.  flatten_rows is the one row concatenation of a matrix.
-mat_mul builds each row of A·B as one row_combination of B's stored rows.
+This module and fields.DigitCodec alone know the form in which RowReducer
+stores a row.  Over a prime field F_p a row is a packed int: coordinate j
+takes W bits starting at bit j·W.  At p = 2, W = 1, rows are bitmasks and
+adding rows is XOR.  At odd p, W = (2p−2).bit_length()+1 leaves room for the
+sum of two entries plus a guard bit, so adding two rows is one integer
+addition and one fold that subtracts p from every slot that reached p;
+scaling is doubling and adding.  Over an extension field a row is a tuple of
+codes with Field arithmetic.  Other modules build stored rows with store_row
+and store_digits, read them back with unpack_row (digit_rows and log_column
+read store_digits' blocks back through the codec), add them with row_add,
+combine them with row_combination, cut them into blocks with row_blocks, and
+walk their spans with span_chunks.  flatten_rows is the one row concatenation
+of a matrix.  mat_mul builds each row of A·B as one row_combination of B's
+stored rows, and matrix_powers the powers of one matrix.
 
 cheapest is the one engine chooser: every choice between exact engines,
 and its budget refusal, goes through it, with the price table in its
@@ -67,7 +67,7 @@ import operator
 from functools import cached_property, lru_cache, reduce
 
 from .errors import AmbientMismatch, BudgetExceeded, InvalidParams
-from .fields import Field, Slots, _monic, slot_width
+from .fields import Field, Slots, _digits, _from_digits, _monic, digit_codec, slot_width
 
 DEFAULT_SUBSPACE_BUDGET = 1 << 20
 SPAN_CHUNK = 1 << 12     # list size of the span walks: one list is held at a time
@@ -125,16 +125,8 @@ def flatten_rows(rows) -> list[int]:
 
 
 def vec_mat(v, A: Mat) -> list[int]:
-    """Row vector times matrix."""
-    F = A.field
-    add, mul = F.add, F.mul
-    out = [0] * A.cols
-    for x, row in zip(v, A.data):
-        if x:
-            for j, y in enumerate(row):
-                if y:
-                    out[j] = add(out[j], mul(x, y))
-    return out
+    """Row vector times matrix: the one row of mat_mul."""
+    return mat_mul(Mat.from_rows(A.field, [v], A.rows), A).data[0]
 
 
 # -- stored rows: packed over prime fields, tuples over extension fields ------
@@ -150,57 +142,31 @@ def store_row(F: Field, row):
     a prime field, a tuple over an extension field."""
     if F.base is not None:
         return tuple(row)
-    w = slot_width(F)
-    b = 0
-    for x in reversed(row):
-        b = (b << w) | x
-    return b
+    return _from_digits(row, 1 << slot_width(F))
 
 
 def store_digits(F: Field, codes, deg: int):
     """The deg base-|F| digits of each code, in order, as a stored row: the
     coordinates over F of a vector over the degree-deg extension of F, each
-    code's digits read from _digit_blocks (a code outside 0..|F|^deg - 1 is
-    refused, since it has more digits)."""
-    blocks = map(_digit_blocks(F, deg), codes)
+    code's block read from the digit codec (fields.DigitCodec), which
+    refuses a code outside 0..|F|^deg - 1."""
+    blocks = map(digit_codec(F, deg).__getitem__, codes)
     if F.base is not None:
         return tuple(itertools.chain.from_iterable(blocks))
-    return sum(map(operator.lshift, blocks, itertools.count(0, deg * slot_width(F))))
-
-
-@lru_cache(maxsize=None)
-def _digit_blocks(F: Field, deg: int):
-    """code -> its deg base-|F| digits as a stored row, InvalidParams for a
-    code with more digits; the last 2^16 codes read are cached."""
-    q, top = F.order, F.order**deg
-
-    @lru_cache(maxsize=1 << 16)
-    def block(c):
-        if not 0 <= c < top:
-            raise InvalidParams(f"a code lies outside 0..{top - 1}")
-        return store_row(F, [c // q**j % q for j in range(deg)])
-    return block
-
-
-def _block_code(F: Field, deg: int):
-    """_digit_blocks inverted: a stored row of deg base-|F| digits -> its
-    code."""
-    places = [F.order**j for j in range(deg)]
-    return lambda b: sum(map(operator.mul, unpack_row(F, b, deg), places))
+    return _from_digits(list(blocks), 1 << deg * slot_width(F))
 
 
 @lru_cache(maxsize=None)
 def digit_rows(F: Field, deg: int, ncols: int):
     """store_digits inverted: rows -> the ncols codes of each stored row, as
-    tuples, each block of deg digits read by _block_code; the last 2^16
-    blocks read are cached."""
-    split, code = row_blocks(F, deg)[0], lru_cache(maxsize=1 << 16)(_block_code(F, deg))
+    tuples, each block of deg digits read back by the digit codec."""
+    split, code = row_blocks(F, deg)[0], digit_codec(F, deg).code
     return lambda rows: (tuple(map(code, split(row, ncols))) for row in rows)
 
 
 class _BlockLogs(dict):
-    """{packed block: log of its code}, each block read by _block_code on
-    first sight."""
+    """{packed block: log of its code}, each block read back by the digit
+    codec on first sight."""
 
     __slots__ = ("code", "log")
 
@@ -217,7 +183,7 @@ def _log_table(F: Field):
     log[0] = 2 * m - 1
     if F.p != 2 and deg > 1:
         table = _BlockLogs()
-        table.code, table.log = _block_code(prime, deg), log
+        table.code, table.log = digit_codec(prime, deg).code, log
         log = table
     return log, F._exp[:m] + [0] * m + F._exp[:m]
 
@@ -281,18 +247,15 @@ def row_blocks(F: Field, width: int):
         return (lambda x, s: [x[t:t + width] for t in range(0, s * width, width)],
                 operator.add, lambda x: x[width:])
     block = width * slot_width(F)
-    mask = (1 << block) - 1
-    return (lambda x, s: [(x >> t) & mask for t in range(0, s * block, block)],
-            lambda b, y: b | y << block, lambda x: x >> block)
+    return (lambda x, s: _digits(x, 1 << block, s), lambda b, y: b | y << block,
+            lambda x: x >> block)
 
 
 def unpack_row(F: Field, row, ncols: int) -> list[int]:
     """The codes of a stored row of ncols coordinates: store_row inverted."""
     if F.base is not None:
         return list(row)
-    w = slot_width(F)
-    mask = (1 << w) - 1
-    return [(row >> (j * w)) & mask for j in range(ncols)]
+    return _digits(row, 1 << slot_width(F), ncols)
 
 
 class RowReducer:
@@ -643,19 +606,32 @@ def mat_inverse(M: Mat) -> Mat:
     return Mat(F, nn, nn, [unpack_row(F, row, 2 * nn)[nn:] for row in rows])
 
 
-def min_poly(M: Mat) -> tuple[int, ...]:
+def matrix_powers(M: Mat) -> list:
+    """I, M, ..., M^d of the s x s matrix M, each flattened into one stored
+    row of s^2 coordinates, M^d the first power in the span of the ones
+    before it: d is the degree of M's minimal polynomial.  Row i of M·P is
+    the row_combination of P's stored rows by M's row i."""
+    F, s = M.field, M.rows
+    (split, join), combine = row_blocks(F, s)[:2], row_combination(F, s)
+    rr = RowReducer(F, s * s)
+    powers = [store_row(F, flatten_rows(Mat.identity(F, s).data))]
+    while rr.add(powers[-1]):
+        rows = split(powers[-1], s)
+        powers.append(reduce(lambda y, b: join(b, y), [combine(m, rows) for m in M.data][::-1]))
+    return powers
+
+
+def min_poly(M: Mat, powers=None) -> tuple[int, ...]:
     """Monic minimal polynomial of the square matrix M, constant term first.
 
-    M^d is the first power in the span of I, M, ..., M^{d-1}, so the matrix
-    whose columns are the flattened I, M, ..., M^d has a kernel of dimension
-    one, with its free column at M^d: the relation, scaled to be monic."""
-    F = M.field
-    P = Mat.identity(F, M.rows)
-    powers, rr = [flatten_rows(P.data)], RowReducer(F, M.rows * M.cols)
-    while rr.add(powers[-1]):
-        P = mat_mul(P, M)
-        powers.append(flatten_rows(P.data))
-    (relation,) = kernel(Mat.from_rows(F, zip(*powers), len(powers))).rows
+    M^d is the first of powers = matrix_powers(M) (built unless given) in the
+    span of I, M, ..., M^{d-1}, so the matrix whose columns are the flattened
+    powers has a kernel of dimension one, with its free column at M^d: the
+    relation, scaled to be monic."""
+    F, ss = M.field, M.rows * M.cols
+    powers = matrix_powers(M) if powers is None else powers
+    columns = zip(*(unpack_row(F, P, ss) for P in powers))
+    (relation,) = kernel(Mat.from_rows(F, columns, len(powers))).rows
     return _monic(F, relation)
 
 

@@ -28,8 +28,8 @@ two scans for a code with a subspace, the shorter scan for any other code.
 
 An idealiser is the set of combinations of the unit matrices E_ab whose
 products with C's basis all reduce to 0 modulo C, each reduced product a
-combination of C's mn reduced unit matrices; whether it is a field is
-decided exactly, from the minimal polynomial of a basis element
+combination of C's mn reduced unit matrices; whether it is a field is decided
+exactly, from the minimal polynomial of a basis element and its powers
 (Idealiser).  Both idealisers are computed at most once per code instance.
 
 Both rank-distribution scans and the idealiser eliminate through
@@ -67,12 +67,14 @@ from .fqlinalg import (
     RowReducer,
     SPAN_CHUNK,
     SubspaceBasis,
+    _rref,
     block_indicators,
     cheapest,
     flatten_rows,
     head_elimination,
     kernel,
     mat_mul,
+    matrix_powers,
     min_poly,
     odometer,
     prime_expansion,
@@ -82,7 +84,6 @@ from .fqlinalg import (
     row_blocks,
     span_chunks,
     store_row,
-    unpack_row,
     vanishing_tails,
 )
 from . import subspaces
@@ -422,7 +423,7 @@ class Idealiser(NamedTuple):
     degree is the matrix size (m for left, n for right).  The algebra holds
     I, so it is a field exactly when some basis element Y has a minimal
     polynomial f of degree dim (then F_q[Y] ≅ F_q[x]/(f) is the whole
-    algebra) and f is irreducible; generator is that pair (Y, f), or None
+    algebra) and f is irreducible; generator is (Y, f, powers of Y), or None
     (_algebra_generator), read by the closure check and by the converse
     (constructions.mrd_to_subspace).
     """
@@ -433,7 +434,7 @@ class Idealiser(NamedTuple):
     dim: int
     order: int
     is_field: bool
-    generator: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None
+    generator: tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple] | None
 
 
 def _idealiser(C: RankCode, side: Side) -> Idealiser:
@@ -485,8 +486,7 @@ def _idealiser(C: RankCode, side: Side) -> Idealiser:
         rows = [reduce(lambda row, M: join(combine(M[c], units[u]), row), reversed(coeffs),
                        unit(e, ss))
                 for (c, u), e in pairs]
-    ker = SubspaceBasis.from_vectors(F, ss, [
-        unpack_row(F, t, ss) for t in vanishing_tails(F, head, head + ss, rows)])
+    ker = SubspaceBasis(F, ss, *_rref(F, vanishing_tails(F, head, head + ss, rows), ss))
     basis = tuple(_reshape(v, s, s) for v in ker.rows)
     dim = len(basis)
     gen = _algebra_generator(F, basis)
@@ -497,9 +497,9 @@ def _idealiser(C: RankCode, side: Side) -> Idealiser:
 
 
 def _algebra_generator(F: Field, basis):
-    """The first basis matrix (a tuple of rows, as in basis) whose minimal
-    polynomial has degree d = len(basis), with that polynomial; None if
-    there is none.
+    """(Y, f, powers) for the first basis matrix Y (a tuple of rows, as in
+    basis) whose minimal polynomial f has degree d = len(basis), powers the
+    stored rows of I, Y, ..., Y^{d-1} (fqlinalg.matrix_powers); None if none.
 
     If the span is a field F_{q^d}, there is one.  Its proper subfields lie in
     S, the sum of its maximal subfields F_{q^{d/p}} (p | d prime).  By the
@@ -509,9 +509,10 @@ def _algebra_generator(F: Field, basis):
     it, and that element generates F_{q^d}.
     """
     for Y in basis:
-        f = min_poly(Mat.from_rows(F, Y))
-        if len(f) == len(basis) + 1:
-            return Y, f
+        M = Mat.from_rows(F, Y)
+        powers = matrix_powers(M)
+        if len(powers) == len(basis) + 1:
+            return Y, min_poly(M, powers), tuple(powers[:-1])
     return None
 
 
@@ -527,19 +528,14 @@ def _verify_idealiser_closure(C: RankCode, ide: Idealiser) -> None:
 
     Products are taken on stored rows (fqlinalg.row_combination): row i of
     A·B is Σ_a A[i][a]·B_a over B's stored rows, so Y's rows are stored once
-    and C's codewords are cut from C.flat's stored rows.  A power Y^{k+1} is
-    Y·Y^k, on the stored rows of Y^k.  Each product's rows are joined into
-    one word of F_q^{mn} and reduced against C's RREF basis."""
+    and C's codewords are cut from C.flat's stored rows.  Each product's
+    rows are joined into one word of F_q^{mn} and reduced against C's RREF
+    basis."""
     F, s, gen, n = C.field, ide.degree, ide.generator, C.n
     factors = ide.basis
     if gen is not None:
-        factors, combine = [gen[0]], row_combination(F, s)
-        powers = [[store_row(F, [int(a == b) for b in range(s)]) for a in range(s)]]
-        while len(powers) < ide.dim:
-            powers.append([combine(y, powers[-1]) for y in gen[0]])
-        span = SubspaceBasis.from_vectors(F, s * s, [
-            flatten_rows(unpack_row(F, row, s) for row in P) for P in powers])
-        if [list(r) for r in span.rows] != [flatten_rows(B) for B in ide.basis]:
+        factors = [gen[0]]
+        if _rref(F, gen[2], s * s)[0] != tuple(store_row(F, flatten_rows(B)) for B in ide.basis):
             raise InternalInvariantError("idealiser closure verification failed: "
                                          "the powers of the generator span another algebra")
     combine, (split, join) = row_combination(F, n), row_blocks(F, n)[:2]

@@ -10,8 +10,10 @@ from ranklab.errors import (
     BudgetExceeded,
     DivisibilityViolation,
     EtaConditionViolated,
+    GateError,
     GcdViolation,
     IdealiserNotMaximal,
+    InternalInvariantError,
     InvalidParams,
     IotaFull,
     KTooLarge,
@@ -23,6 +25,7 @@ from ranklab.fqlinalg import (
     SubspaceBasis,
     basis_codes,
     kernel,
+    mat_inverse,
     mat_mul,
     qbinom,
     rref,
@@ -47,7 +50,6 @@ from ranklab.constructions import (
     _mrd_criterion,
     _right_basis,
     c_ug,
-    c_ug_g_independence,
     cug_mrd_weight_distribution,
     find_nonsquare,
     gabidulin,
@@ -224,6 +226,28 @@ def test_cug_k_above_bound_has_no_full_rank_word(t2_4, scanned):
     dist = scanned(C).rank_distribution()
     assert dist == C.rank_distribution()
     assert dist.A[-1] == 0 or len(dist.A) - 1 < 4  # no rank-n codeword
+
+
+class KernelMismatch(GateError):
+    pass
+
+
+def c_ug_g_independence(U: FqSubspace, G1: Mat, G2: Mat) -> Mat:
+    """Invertible L with L∘C_{U,G1} = C_{U,G2}, built on a complement basis."""
+    if kernel(G1) != U.flat or kernel(G2) != U.flat:
+        raise KernelMismatch("both maps must have kernel flat(U)")
+    tower, r, base = U.tower, U.r, U.tower.base
+    pivset = set(U.flat.pivots)
+    comp = [j for j in range(r * tower.n) if j not in pivset]
+    # G1 and G2 restricted to the complement columns
+    W1, W2 = (Mat.from_rows(base, [[row[j] for j in comp] for row in G.data], len(comp))
+              for G in (G1, G2))
+    L = mat_mul(W2, mat_inverse(W1))
+    for M1, M2 in zip(_cug_codewords(tower, r, G1), _cug_codewords(tower, r, G2)):
+        lhs = mat_mul(L, Mat.from_rows(base, M1, tower.n))
+        if lhs.data != M2:
+            raise InternalInvariantError("L∘C_{U,G1} != C_{U,G2}")
+    return L
 
 
 def test_cug_g_independence(pseudoreg, t2_4):
@@ -416,7 +440,7 @@ def test_mrd_to_subspace_minpoly_without_root_is_internal(tmp_path, monkeypatch,
     assert is_irreducible(t22.mid, no_root)
     idealiser = constructions.right_idealiser   # the converse reads its generator
     monkeypatch.setattr(constructions, "right_idealiser", lambda C: idealiser(C)._replace(
-        generator=(idealiser(C).generator[0], no_root)))
+        generator=(idealiser(C).generator[0], no_root, idealiser(C).generator[2])))
     C = gabidulin(t22, 2, 1, 1)
     with pytest.raises(InternalInvariantError, match="no root"):
         mrd_to_subspace(C, t22)
@@ -424,6 +448,41 @@ def test_mrd_to_subspace_minpoly_without_root_is_internal(tmp_path, monkeypatch,
     serialize.dump_file(str(code_file), serialize.rankcode_to_json(C))
     assert cli.main(["extract-subspace", "--code", str(code_file)]) == 4
     assert "internal error" in capsys.readouterr().err
+
+
+class _StuckReducer:
+    """A RowReducer whose add never raises the rank: the greedy right basis
+    falls short."""
+
+    def __init__(self, F, ncols):
+        self.rank = 0
+
+    def add(self, row):
+        return False
+
+
+@pytest.mark.parametrize("fault,match", [
+    ("mult_matrix", "not F_n-closed"),          # m_b replaced by the rank-1 E_00
+    ("RowReducer", "right F_{q\\^n}-basis"),     # the greedy basis falls short
+])
+def test_right_basis_failures_are_internal(fault, match, tmp_path, monkeypatch, capsys):
+    # an accepted C has C·Y ⊆ C, so C' is closed under every m_b and its
+    # greedy basis spans it: either check failing is a ranklab bug (exit 4),
+    # not a rejected input (exit 2)
+    from ranklab import cli, constructions, serialize
+
+    t22 = make_tower(2, 1, 2, 1)
+    unit = Mat.from_rows(t22.base, [[1, 0], [0, 0]])
+    monkeypatch.setattr(constructions, fault, {"mult_matrix": lambda tower, b: unit,
+                                               "RowReducer": _StuckReducer}[fault])
+    C = gabidulin(t22, 2, 1, 1)
+    with pytest.raises(InternalInvariantError, match=match):
+        mrd_to_subspace(C, t22)
+    code_file = tmp_path / "g.code.json"
+    serialize.dump_file(str(code_file), serialize.rankcode_to_json(C))
+    assert cli.main(["extract-subspace", "--code", str(code_file)]) == 4
+    err = capsys.readouterr().err
+    assert "internal error" in err and match.replace("\\", "") in err
 
 
 def _solved_vanishing_subspace(code, tower, fn_basis, mult_mats):

@@ -6,17 +6,21 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ranklab.errors import NotPrime, WrongLevel
+from ranklab.errors import InvalidParams, NotPrime, WrongLevel
 from ranklab.fields import (
     Field,
     FieldTower,
+    digit_codec,
     is_irreducible,
     least_irreducible,
     make_tower,
     poly_eval,
     prime_factors,
+    slot_width,
 )
 from ranklab.serialize import fe_from_json
+
+from oracles import base_vec_to_mid, code_digits, digits_code
 
 
 def test_tower_2_1_4_1_modulus_is_lex_least(t2_4):
@@ -140,7 +144,7 @@ def test_coordinates_rebuild_the_element(params):
     for a in mid.elements():
         v = t.mid_to_base_vec(a)
         assert len(v) == n and all(c < t.q for c in v)
-        assert rebuild(mid, v, mid_basis) == a == t.base_vec_to_mid(v)
+        assert rebuild(mid, v, mid_basis) == a == base_vec_to_mid(t, v)
     for a in top.elements():
         v = t.top_to_base_vec(a)
         assert len(v) == k and all(c < t.q for c in v)
@@ -458,6 +462,83 @@ def test_reducible_modulus_is_refused_by_the_table_walk():
         with pytest.raises(InvalidParams, match="reducible"):
             Field.extension(Field(p), modulus)
         assert ("ext", ("prime", p), modulus) not in fields._FIELD_CACHE
+
+
+# -- the digit codec: one code <-> block bijection per (field, degree) ----------
+
+# q -> (p, e)
+CODEC_Q = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
+
+
+def _codec_pairs(q):
+    """(F, deg) of every codec that a tower make_tower(p, e, n, 1), n <= 4,
+    reads: (base, n) for store_digits and basis_mid, (prime, e) for the
+    walk's rows, and (prime, e·n) for log_column, the walk of a field
+    without log tables and Field._orbit."""
+    p, e = CODEC_Q[q]
+    pairs = set()
+    for n in range(1, 5):
+        tower = make_tower(p, e, n, 1)
+        pairs |= {(tower.base, n), (tower.prime, e), (tower.prime, e * n)}
+    return sorted(pairs, key=lambda pair: (pair[0].order, pair[1]))
+
+
+@pytest.mark.parametrize("q", sorted(CODEC_Q))
+def test_digit_codec_round_trips_every_code(q):
+    """Each code's block is its base-|F| digits c // |F|^j % |F| in the
+    stored form (slots of slot_width bits over a prime field, a tuple over
+    an extension field), and code() reads it back as Σ digit·|F|^j: every
+    code up to 2^12 of them, else 2^12 seeded codes and the last.  A code
+    of -1 or |F|^deg is refused and not kept."""
+    for F, deg in _codec_pairs(q):
+        codec, top = digit_codec(F, deg), F.order**deg
+        codes = range(top) if top <= 1 << 12 else (
+            random.Random(top).sample(range(top), 1 << 12) + [top - 1])
+        for c in codes:
+            digits = code_digits(c, F.order, deg)
+            want = tuple(digits) if F.base else sum(
+                d << j * slot_width(F) for j, d in enumerate(digits))
+            assert codec[c] == want and codec.code(want) == c == digits_code(digits, F.order)
+        for c in (-1, top):
+            with pytest.raises(InvalidParams, match=f"outside 0..{top - 1}"):
+                codec[c]
+            assert c not in codec
+
+
+def test_digit_codec_holds_a_bounded_number_of_blocks(monkeypatch):
+    """F_{3^13} keeps no log tables, and a walk may read up to 2^20·r of
+    its codes: the codec's dict is emptied when full, and its two read-back
+    tables hold 3^7 and 3^6 entries.  A prime field above 2^20 elements,
+    one digit per code, reads a block back with no table."""
+    from ranklab import fields
+
+    monkeypatch.setattr(fields, "CODEC_CACHE_LIMIT", 5)
+    codec, top = fields.DigitCodec(Field(3), 13), 3**13
+    assert (len(codec.lo), len(codec.hi)) == (3**7, 3**6)
+    for c in range(0, top, top // 40):
+        block = codec[c]
+        assert len(codec) <= 5 and codec.code(block) == c
+    p = 1048583
+    codec = fields.DigitCodec(Field(p), 1)
+    assert not hasattr(codec, "lo")
+    assert [codec.code(codec[c]) for c in (0, 1, p - 1)] == [0, 1, p - 1]
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 4), (3, 1, 4), (2, 2, 3), (5, 1, 3),
+                                   (2, 3, 2), (3, 2, 3), (2, 1, 12), (7, 1, 3)])
+def test_freshly_built_field_keeps_its_tables(p, e, n, monkeypatch):
+    """A field built again, its codes read through a digit codec that is
+    emptied at every block, has the exp and log tables of the per-entry
+    chain, as the interned field has."""
+    from ranklab import fields
+
+    F = make_tower(p, e, n, 1).mid
+    monkeypatch.setattr(fields, "CODEC_CACHE_LIMIT", 1)
+    monkeypatch.delitem(fields._FIELD_CACHE, F.key)
+    fresh = Field.extension(F.base, F.modulus)
+    exp, log, _ = _chain_tables(fresh)
+    assert fresh is not F
+    assert fresh._exp == F._exp == exp and fresh._log == F._log == log
 
 
 # -- arithmetic above LOG_TABLE_LIMIT, where no table is built ------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ranklab.errors import AmbientMismatch, BudgetExceeded, InvalidParams
-from ranklab.fields import Field, make_tower, poly_eval, poly_mod, poly_mul
+from ranklab.fields import Field, digit_codec, make_tower, poly_eval, poly_mod, poly_mul
 from ranklab import fqlinalg
 from ranklab.fqlinalg import (
     Mat,
@@ -669,7 +669,7 @@ def test_log_column_reads_every_code_to_its_log(q, n):
             F.mul(c, inv) for c in range(order)]
     if p != 2 and deg > 1:
         fresh = fqlinalg._BlockLogs()
-        fresh.code, fresh.log = fqlinalg._block_code(prime, deg), logs
+        fresh.code, fresh.log = digit_codec(prime, deg).code, logs
         blocks = [store_digits(prime, [c], deg) for c in (5, 0, 5, 1)]
         assert [fresh[b] for b in blocks] == [logs[5], logs[0], logs[5], logs[1]]
         assert len(fresh) == 3

@@ -1,6 +1,6 @@
 """scripts/module_tokens.py on synthetic modules: the line count, comments
-and blank lines left out of the token count, and the "over" and "near"
-flags at 4,096 and 3,968 tokens."""
+and blank lines left out of the token count, the "over" and "near" flags at
+4,096 and 3,968 tokens, and the change between two directories."""
 
 import importlib.util
 from pathlib import Path
@@ -56,3 +56,30 @@ def test_flags_over_past_4096_and_near_within_128_below(capsys, tmp_path, tokens
     assert rows["small.py"] == ["1", "lines", "3", "tokens"]
     assert rows["total"] == [str(lines + 1), "lines", str(tokens + 3), "tokens"]
     assert list(rows) == ["big.py", "small.py", "total"]
+
+
+def test_two_directories_print_each_module_change_then_the_totals(capsys, tmp_path):
+    """OLD_DIR NEW_DIR: a row per module in either directory, sorted, with
+    its lines and tokens in both and the change; a module missing from one
+    side counts 0 there; the new count is flagged; totals come last."""
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    (old / "kept.py").write_text(source_with(4000))
+    (new / "kept.py").write_text(source_with(4100))
+    (old / "gone.py").write_text("x\n")
+    (new / "added.py").write_text(source_with(11))
+    (new / "notes.txt").write_text("x\n" * 10)    # not a .py file: not counted
+    assert module_tokens.main([str(old), str(new)]) == 0
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+    lines = {t: source_with(t).count("\n") for t in (4000, 4100, 11)}
+    assert list(rows) == ["added.py", "gone.py", "kept.py", "total"]
+    assert rows["added.py"] == ["0", "->", str(lines[11]), "lines", f"+{lines[11]}",
+                                "0", "->", "11", "tokens", "+11"]
+    assert rows["gone.py"] == ["1", "->", "0", "lines", "-1", "3", "->", "0", "tokens", "-3"]
+    assert rows["kept.py"] == [str(lines[4000]), "->", str(lines[4100]), "lines",
+                               f"+{lines[4100] - lines[4000]}", "4000", "->", "4100", "tokens",
+                               "+100", "over"]
+    old_lines, new_lines = lines[4000] + 1, lines[4100] + lines[11]
+    assert rows["total"] == [str(old_lines), "->", str(new_lines), "lines",
+                             f"{new_lines - old_lines:+d}", "4003", "->", "4111", "tokens", "+108"]

@@ -42,6 +42,8 @@ from ranklab.rankcodes import (
 )
 from ranklab.constructions import c_ug, gabidulin, pseudoregulus_subspace
 
+from oracles import mat_mul_powers
+
 F2 = Field(2)
 
 
@@ -529,6 +531,113 @@ def test_corrupted_idealiser_basis_fails_the_generator_check(monkeypatch, tmp_pa
     serialize.dump_file(str(path), serialize.rankcode_to_json(fixtures.gabidulin_4_2_1()))
     assert main(["idealiser", "--code", str(path), "--right"]) == 4
     assert "closure" in capsys.readouterr().err and len(seen) == 2
+
+
+# -- the idealiser generator's powers, built once -------------------------------------
+
+# q -> (p, e), and the degree n of the Gabidulin and C_{U,G} codes at that q
+POWER_GRID = {2: (2, 1, 4), 3: (3, 1, 4), 4: (2, 2, 4), 5: (5, 1, 3), 8: (2, 3, 3), 9: (3, 2, 3)}
+
+
+def _power_grid_codes(q):
+    """(label, tower, code, is MRD) over F_q: a Gabidulin code and C_{U,G} of
+    a pseudoregulus (idealisers that are fields of order q^n), the full
+    space and the zero code (idealisers that are no field), and a seeded
+    random code."""
+    p, e, n = POWER_GRID[q]
+    tower = make_tower(p, e, n, 1)
+    F, rng = tower.base, random.Random(q)
+    yield "gabidulin", tower, gabidulin(tower, n, 2, 1), True
+    yield "c_ug", tower, c_ug(pseudoregulus_subspace(tower, 2, n, 1)).code, True
+    yield "full", tower, full_space(n, n, F), False
+    yield "random", tower, RankCode.from_generators(F, n, n, [
+        [[rng.randrange(q) for _ in range(n)] for _ in range(n)] for _ in range(3)]), False
+    yield "zero", tower, RankCode.from_generators(F, n, n, []), False
+
+
+def _stored_powers(M, count):
+    """The oracle's I, M, ..., M^{count-1} (one mat_mul each), flattened
+    into stored rows."""
+    from ranklab.fqlinalg import store_row
+
+    return [store_row(M.field, flatten_rows(P.data)) for P in mat_mul_powers(M, count)]
+
+
+@pytest.mark.parametrize("q", sorted(POWER_GRID))
+def test_generator_powers_match_the_mat_mul_loop(q):
+    """Every power that matrix_powers builds for every basis element of both
+    idealisers, and the generator's kept powers I, Y, ..., Y^{d-1}, equal
+    the mat_mul loop's; the last power built is the first in the span of
+    the ones before it."""
+    from ranklab.fqlinalg import matrix_powers
+
+    fields_seen = set()
+    for label, _, C, _ in _power_grid_codes(q):
+        for ide in (left_idealiser(C), right_idealiser(C)):
+            for B in ide.basis:
+                M = Mat.from_rows(C.field, B)
+                powers = matrix_powers(M)
+                assert powers == _stored_powers(M, len(powers)), (label, B)
+                rr = RowReducer(C.field, ide.degree**2)
+                assert rr.add_all(powers) == len(powers) - 1 and not rr.add(powers[-1])
+            if ide.generator is not None:
+                Y, f, powers = ide.generator
+                assert list(powers) == _stored_powers(Mat.from_rows(C.field, Y), ide.dim), label
+                assert len(f) == ide.dim + 1
+            fields_seen.add((label, ide.is_field))
+    assert fields_seen >= {("gabidulin", True), ("c_ug", True), ("full", False), ("zero", False)}
+
+
+@pytest.mark.parametrize("q", sorted(POWER_GRID))
+def test_converse_krylov_basis_is_column_zero_of_the_powers(q, monkeypatch):
+    """The converse's first product is H·P⁻¹; column j of H is Y^j·e_0,
+    here by n - 1 matrix-vector products with Y."""
+    from ranklab import constructions
+    from ranklab.fqlinalg import vec_mat
+
+    products, product = [], constructions.mat_mul
+    monkeypatch.setattr(constructions, "mat_mul",
+                        lambda A, B: products.append(A) or product(A, B))
+    for label, tower, C, mrd in _power_grid_codes(q):
+        if not mrd:
+            continue
+        products.clear()
+        constructions.mrd_to_subspace(C, tower)
+        Y = Mat.from_rows(C.field, right_idealiser(C).generator[0])
+        v = [1] + [0] * (C.n - 1)
+        for j in range(C.n):
+            assert [row[j] for row in products[0].data] == v, (label, j)
+            v = vec_mat(v, Y.transpose())     # Y·v
+
+
+def test_generator_powers_are_built_once_per_basis_element_tried(monkeypatch):
+    """The power loop runs once for each basis element _algebra_generator
+    tries (the generator is the second for the MRD codes of the grid, and
+    all n^2 are tried for the full space), min_poly reads those powers, and
+    neither the closure check nor the converse builds any."""
+    from ranklab import constructions, fqlinalg, rankcodes
+    from ranklab.rankcodes import _verify_idealiser_closure
+
+    calls, build = [], fqlinalg.matrix_powers
+
+    def counted(M):
+        calls.append(M.data)
+        return build(M)
+    monkeypatch.setattr(fqlinalg, "matrix_powers", counted)
+    monkeypatch.setattr(rankcodes, "matrix_powers", counted)
+    for q in sorted(POWER_GRID):
+        for label, tower, C, mrd in _power_grid_codes(q):
+            calls.clear()
+            ide = right_idealiser(C)
+            tried = len(ide.basis) if ide.generator is None else (
+                ide.basis.index(ide.generator[0]) + 1)
+            assert calls == [[list(row) for row in B] for B in ide.basis[:tried]], (q, label)
+            if mrd or label == "full":   # the full space's idealiser has no generator
+                assert tried == (2 if mrd else C.n**2), (q, label)
+            _verify_idealiser_closure(C, ide)
+            if mrd:
+                constructions.mrd_to_subspace(C, tower)
+            assert len(calls) == tried, (q, label)
 
 
 # -- puncturing ----------------------------------------------------------------------

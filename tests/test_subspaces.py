@@ -43,7 +43,7 @@ from ranklab.subspaces import (
 from ranklab.constructions import pseudoregulus_subspace
 from ranklab.fixtures import remark_counterexample, subgeometry_3_3
 
-from oracles import flatten_vec, gram_dual, unflatten_vec
+from oracles import base_vec_to_mid, flatten_vec, gram_dual, unflatten_vec
 
 
 def line_vectors(tower, v):
@@ -337,7 +337,7 @@ def test_mid_basis_is_read_back_on_demand(p, e, n, r, k, monkeypatch, force_side
     the second none.  calls holds each stored row read, as its codes."""
     tower = make_tower(p, e, n, 1)
     rows = random_subspace(tower, r, k, random.Random(k)).flat.rows
-    want = tuple(tuple(tower.base_vec_to_mid(row[i * n:(i + 1) * n]) for i in range(r))
+    want = tuple(tuple(base_vec_to_mid(tower, row[i * n:(i + 1) * n]) for i in range(r))
                  for row in rows)
     calls = []
     digit_rows = subspaces.digit_rows
