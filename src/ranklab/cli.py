@@ -125,16 +125,14 @@ _COMMON = (
     _arg("--seed", type=int, default=None, help="seed for randomized verbs"),
     _arg("--subspace-budget", type=_budget, default=DEFAULT_SUBSPACE_BUDGET,
          help="max items of a subspace scan: the θ_{k-1}(q) F_q-points "
-              "of U (or of its dual) when that walk is the cheaper scan, "
-              "else the points of PG(r-1,q^n); subspaces for h>=2 checks; "
-              "point-hyperplane incidences for code scans "
+              "of U (or of its dual) that the point walk visits; subspaces "
+              "for h>=2 checks; point-hyperplane incidences for code scans "
               "(default 2^20)"),
     _arg("--codeword-budget", type=_budget, default=DEFAULT_CODEWORD_BUDGET,
          help="max items of a code's rank scan: its q^K codewords, "
               "the subspaces of F_q^{min(m,n)}, or, for a (twisted) Gabidulin "
               "code built with c = 0, the F_q-points of the subspace S it "
-              "carries or the projective points (cug's ranks fall under "
-              "--subspace-budget); the "
+              "carries (cug's ranks fall under --subspace-budget); the "
               "cheapest that fits runs; the q^n elements the converse "
               "scans for a root (default 2^24)"))
 _SUBSPACE_INPUT = (_arg("--subspace"), _arg("--pseudoregulus", metavar="r,n,h"), _Q)

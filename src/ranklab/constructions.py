@@ -47,10 +47,11 @@ from .fqlinalg import (
     Mat,
     RowReducer,
     basis_codes,
-    flatten_rows,
     kernel,
     mat_inverse,
     mat_mul,
+    row_blocks,
+    row_product,
     unpack_row,
 )
 from .rankcodes import (
@@ -67,11 +68,6 @@ from .subspaces import (
     ordinary_dual,
     random_subspace,
 )
-
-
-def mult_matrix(tower: FieldTower, alpha: int) -> Mat:
-    """Matrix of x -> alpha*x on F_{q^n} w.r.t. the canonical basis (columns)."""
-    return LinearizedPoly(tower, "mid", (alpha,)).to_matrix()
 
 
 class LinearizedPoly(NamedTuple):
@@ -335,38 +331,26 @@ def mrd_to_subspace(C: RankCode, tower: FieldTower, *,
     P = Mat.from_rows(base, [tower.mid_to_base_vec(mid.pow(gamma, j)) for j in range(n)],
                       n).transpose()
     conj = mat_mul(H, mat_inverse(P))
-    conj_gens = [mat_mul(Mat.from_rows(base, M), conj).data for M in C.basis_matrices()]
+    conj_gens = [mat_mul(Mat.from_rows(base, M), conj) for M in C.basis_matrices()]
     Cprime = RankCode.from_generators(base, C.m, n, conj_gens)
     r = Cprime.dim // n      # C' is a vector space over its idealiser F_{q^n}
-    mult_mats = [mult_matrix(tower, b) for b in basis_codes(mid, base)]
-    G = _evaluation_map(_right_basis(Cprime, mult_mats))
+    # a greedy right F_q[Y]-basis M_i of C: M_i·conj is one of C' = C·conj
+    # over F_{q^n}, as conj⁻¹·Y·conj = m_γ.  C·Y ⊆ C, so it cannot fall short
+    split, product = row_blocks(base, n)[0], row_product(base, n)
+    rr, fs, ys = RowReducer(base, C.m * n), [], [split(P, n) for P in powers[1:]]
+    for M, word, f in zip(C.basis_matrices(), C.flat.stored, conj_gens):
+        if rr.add(word):    # M·F_q[Y] is spanned by the M·Y^e
+            fs.append(f)
+            rr.add_all(product(M, Y) for Y in ys)
+    if rr.rank != C.dim:
+        raise InternalInvariantError("failed to build a right F_{q^n}-basis")
+    G = _evaluation_map(fs)
     U = FqSubspace(tower, r, kernel(G))
     recon = RankCode.from_generators(base, C.m, n, _cug_codewords(tower, r, G))
     if recon != Cprime:
         raise InternalInvariantError("reconstructed C_{U,G} differs from C'")
     return MrdSubspaceExtraction(subspace=U, conjugated_code=Cprime, reconstructed=recon,
                                  iota=n - C.min_distance(budget=budget))
-
-
-def _right_basis(Cprime: RankCode, mult_mats: list[Mat]) -> list[Mat]:
-    """A greedy right F_{q^n}-basis f_1..f_r of C', checking first that C' is
-    closed under M -> M·m_g; mult_mats are the m_b of the F_q-basis of F_{q^n}.
-    Neither check can fail: as C·Y ⊆ C, C' = C·H·P⁻¹ is closed under every m_b."""
-    basis_mats = [Mat.from_rows(Cprime.field, M, Cprime.n) for M in Cprime.basis_matrices()]
-    for M in basis_mats:
-        if not Cprime.contains(mat_mul(M, mult_mats[1 % len(mult_mats)]).data):
-            raise InternalInvariantError("conjugated code is not F_n-closed")
-    rr = RowReducer(Cprime.field, Cprime.m * Cprime.n)
-    fn_basis: list[Mat] = []
-    for M in basis_mats:
-        if rr.rank == Cprime.dim:
-            break
-        if rr.add(flatten_rows(M.data)):    # M·F_{q^n} contains M itself
-            fn_basis.append(M)
-            rr.add_all(flatten_rows(mat_mul(M, mult).data) for mult in mult_mats)
-    if rr.rank != Cprime.dim:
-        raise InternalInvariantError("failed to build a right F_{q^n}-basis")
-    return fn_basis
 
 
 def _evaluation_map(fs: list[Mat]) -> Mat:

@@ -47,7 +47,8 @@ read store_digits' blocks back through the codec), add them with row_add,
 combine them with row_combination, cut them into blocks with row_blocks, and
 walk their spans with span_chunks.  flatten_rows is the one row concatenation
 of a matrix.  mat_mul builds each row of A·B as one row_combination of B's
-stored rows, and matrix_powers the powers of one matrix.
+stored rows; row_product joins those rows into one stored row, as
+matrix_powers builds the powers of one matrix.
 
 cheapest is the one engine chooser: every choice between exact engines,
 and its budget refusal, goes through it, with the price table in its
@@ -249,6 +250,15 @@ def row_blocks(F: Field, width: int):
     block = width * slot_width(F)
     return (lambda x, s: _digits(x, 1 << block, s), lambda b, y: b | y << block,
             lambda x: x >> block)
+
+
+def row_product(F: Field, width: int):
+    """(A, rows) -> A·B as one stored row, for A a matrix of codes and rows
+    the stored rows of B, width coordinates each: row i of A·B is the
+    row_combination of rows by A's row i, and the rows of A·B are joined in
+    order (row_blocks)."""
+    combine, join = row_combination(F, width), row_blocks(F, width)[1]
+    return lambda A, rows: reduce(lambda y, b: join(b, y), [combine(a, rows) for a in A][::-1])
 
 
 def unpack_row(F: Field, row, ncols: int) -> list[int]:
@@ -609,15 +619,14 @@ def mat_inverse(M: Mat) -> Mat:
 def matrix_powers(M: Mat) -> list:
     """I, M, ..., M^d of the s x s matrix M, each flattened into one stored
     row of s^2 coordinates, M^d the first power in the span of the ones
-    before it: d is the degree of M's minimal polynomial.  Row i of M·P is
-    the row_combination of P's stored rows by M's row i."""
+    before it: d is the degree of M's minimal polynomial.  M·P is one
+    row_product over P's stored rows."""
     F, s = M.field, M.rows
-    (split, join), combine = row_blocks(F, s)[:2], row_combination(F, s)
+    split, product = row_blocks(F, s)[0], row_product(F, s)
     rr = RowReducer(F, s * s)
     powers = [store_row(F, flatten_rows(Mat.identity(F, s).data))]
     while rr.add(powers[-1]):
-        rows = split(powers[-1], s)
-        powers.append(reduce(lambda y, b: join(b, y), [combine(m, rows) for m in M.data][::-1]))
+        powers.append(product(M.data, split(powers[-1], s)))
     return powers
 
 
@@ -708,8 +717,6 @@ def cheapest(engines, budget: int):
 
     - the point walk of a d-dimensional F_q-subspace of F_{q^n}^r: 3/2 per
       F_q-point (rounded down), θ_{d-1}(q) "subspace F_q-points";
-    - the point scan: 2n per point of PG(r-1, q^n), its n flat rows,
-      θ_{r-1}(q^n) "projective points";
     - the codeword walk of a K-dimensional code: K per codeword;
     - the subspace tree: K per subspace of F_q^{min(m,n)}."""
     fits = [e for e in engines if e[1] <= budget]

@@ -32,7 +32,7 @@ from .fields import Field
 from .fqlinalg import DEFAULT_SUBSPACE_BUDGET, projective_points, theta
 from .subspaces import (
     FqSubspace,
-    _point_weight_items,
+    _point_weights,
     hyperplane_weight_counts,
     is_h_scattered,
     normalize_point,
@@ -55,9 +55,9 @@ class LinearSet(NamedTuple):
 
 
 def linear_set(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> LinearSet:
-    """The points of L_U with their weights (subspaces._point_weight_items,
+    """The points of L_U with their weights (subspaces._point_weights,
     under budget)."""
-    return LinearSet(U, {P: w for P, w in _point_weight_items(U, budget) if w})
+    return LinearSet(U, _point_weights(U, budget))
 
 
 def ti_formula(r: int, n: int, h: int, q: int, i: int) -> int:

@@ -23,7 +23,7 @@ are also the oracle of the geometric engine:
   subtree in closed form.
 
 RankCode.rank_distribution runs the engine fqlinalg.cheapest picks: among
-both sides of the subspace's point weights (subspaces._point_sides) and the
+the walk of the subspace's point weights (subspaces._walk_entry) and the
 two scans for a code with a subspace, the shorter scan for any other code.
 
 An idealiser is the set of combinations of the unit matrices E_ab whose
@@ -82,6 +82,7 @@ from .fqlinalg import (
     row_add,
     row_combination,
     row_blocks,
+    row_product,
     span_chunks,
     store_row,
     vanishing_tails,
@@ -155,18 +156,16 @@ class RankCode:
         the subcode of every subspace of F_q^{min(m,n)}, walking them as a
         tree that carries each parent's subcode to its children and closes
         the subtree of an empty subcode in one formula.  A code with a
-        subspace S (attach) lists both sides of S's point weights before
-        them, and runs the side picked, once.  A budget that fits a code's
-        shorter scan always suffices.
+        subspace S (attach) lists the walk of S's point weights before
+        them.  A budget that fits a code's shorter scan always suffices.
         """
         if self._rank_distribution is None:
             q, K, mp = self.q, self.dim, min(self.m, self.n)
             spaces = sum(qbinom(mp, s, q) for s in range(mp + 1))
             S = self.subspace
-            sides = [] if S is None else subspaces._point_sides(S.tower, S.r, S.k)
             # (price, items, unit, scan), in the order ties are broken
-            engines = [(price, items, unit, lambda C, walk=walk: _point_counts(C, budget, walk))
-                       for price, items, unit, walk in sides]
+            engines = [] if S is None else [
+                subspaces._walk_entry(S, lambda C: _point_counts(C, budget))]
             engines += [(K * self.size, self.size, "codewords", _walk_counts),
                         (K * spaces, spaces, f"subspaces of F_{q}^{mp}", _subspace_counts)]
             scan = cheapest(engines, budget)
@@ -199,14 +198,14 @@ class RankCode:
         return self.dim == max(self.m, self.n) * (min(self.m, self.n) - d + 1)
 
 
-def _point_counts(C: RankCode, budget: int, walk: bool) -> list[int]:
+def _point_counts(C: RankCode, budget: int) -> list[int]:
     """Rank histogram of a code with a subspace S (RankCode.attach), from
-    the side walk names of S's point weights: A_0 = 1 and
+    the walk of S's point weights: A_0 = 1 and
     A_{n-w} = (q^n - 1)·#{points of weight w}.  Every weight lies in
     n - m..n, as rank n - w lies in 0..m."""
     S, n = C.subspace, C.n
     A = [1] + [0] * min(C.m, n)
-    for w, count in _weight_counts(S, budget, walk=walk).items():
+    for w, count in _weight_counts(S, budget).items():
         if not n - len(A) < w <= n:
             raise InternalInvariantError(f"a weight below n - m or above n: {w}")
         A[n - w] += (S.tower.mid.order - 1) * count
@@ -526,11 +525,10 @@ def _verify_idealiser_closure(C: RankCode, ide: Idealiser) -> None:
     polynomial in Y.  Without one, every basis element
     is multiplied by every basis codeword.
 
-    Products are taken on stored rows (fqlinalg.row_combination): row i of
-    A·B is Σ_a A[i][a]·B_a over B's stored rows, so Y's rows are stored once
-    and C's codewords are cut from C.flat's stored rows.  Each product's
-    rows are joined into one word of F_q^{mn} and reduced against C's RREF
-    basis."""
+    Products are taken on stored rows (fqlinalg.row_product): row i of A·B
+    is Σ_a A[i][a]·B_a over B's stored rows, so Y's rows are stored once and
+    C's codewords are cut from C.flat's stored rows.  Each product is one
+    word of F_q^{mn}, reduced against C's RREF basis."""
     F, s, gen, n = C.field, ide.degree, ide.generator, C.n
     factors = ide.basis
     if gen is not None:
@@ -538,17 +536,17 @@ def _verify_idealiser_closure(C: RankCode, ide: Idealiser) -> None:
         if _rref(F, gen[2], s * s)[0] != tuple(store_row(F, flatten_rows(B)) for B in ide.basis):
             raise InternalInvariantError("idealiser closure verification failed: "
                                          "the powers of the generator span another algebra")
-    combine, (split, join) = row_combination(F, n), row_blocks(F, n)[:2]
+    split, product = row_blocks(F, n)[0], row_product(F, n)
     if ide.side is Side.LEFT:   # Y·M: Y's codes over M's stored rows
         mats = [split(w, C.m) for w in C.flat.stored]
-        product = lambda Y, M: [combine(y, M) for y in Y]
+        word = product
     else:                       # M·Y: M's codes over Y's stored rows
         mats = C.basis_matrices()
         factors = [[store_row(F, y) for y in Y] for Y in factors]
-        product = lambda Y, M: [combine(row, Y) for row in M]
+        word = lambda Y, M: product(M, Y)
     for Y in factors:
         for M in mats:
-            if not C.flat.contains(reduce(lambda row, b: join(b, row), product(Y, M)[::-1])):
+            if not C.flat.contains(word(Y, M)):
                 raise InternalInvariantError("idealiser closure verification failed")
 
 

@@ -10,40 +10,33 @@ its base-q digits, and digit_rows reads them back (basis_mid), at every q.
 Every meet dim_{F_q}(U ∩ <W>_{F_{q^n}}) with given F_{q^n}-subspaces W comes
 from one helper, _meet_dims: it holds one reducer for U and eliminates the
 n·dim W flat rows g^j·w of each W against a clone of it (rows in the form
-fqlinalg stores them).  The point scan and the 2 <= h <= r - 2
-scatteredness scan read it.
+fqlinalg stores them).  The 2 <= h <= r - 2 scatteredness scan reads it.
 
-Point weights w(P) = dim_{F_q}(U ∩ <P>_{F_{q^n}}) come from one of two
-exact scans, listed with their prices by _point_sides and chosen by
-fqlinalg.cheapest under the budget (rankcodes lists the same two next to
-its own scans):
-
-- the vector walk (_walk_fibers) visits one vector on each of the
-  θ_{k-1}(q) F_q-points of U and counts them by projective point; a point
-  collecting θ_{w-1}(q) = (q^w - 1)/(q - 1) of them has weight w.  The
-  vectors are packed over F_p at every p, one integer add apiece (XOR at
-  p = 2, the Slots fold at odd p).  Their first nonzero coordinate i (the
-  lead) is known from U's RREF basis, so they are counted in one Counter
-  per lead, keyed by the coordinates after i divided by coordinate i, read
-  a run and a coordinate at a time straight to their logs
-  (fqlinalg.log_column), one run per lead unless a largest weight is
-  given.
-- the point scan (_point_scan) meets U with every point of PG(r-1, q^n).
+Point weights w(P) = dim_{F_q}(U ∩ <P>_{F_{q^n}}) come from one exact
+engine, the vector walk (_walk_fibers), under a budget on the θ_{k-1}(q)
+F_q-points it visits (_walk_entry, which rankcodes also lists next to its
+own scans).  It visits one vector on each F_q-point of U and counts them by
+projective point; a point collecting θ_{w-1}(q) = (q^w - 1)/(q - 1) of them
+has weight w.  The vectors are packed over F_p at every p, one integer add
+apiece (XOR at p = 2, the Slots fold at odd p).  Their first nonzero
+coordinate i (the lead) is known from U's RREF basis, so they are counted in
+one Counter per lead, keyed by the coordinates after i divided by
+coordinate i, read a run and a coordinate at a time straight to their logs
+(fqlinalg.log_column), one run per lead unless a largest weight is given.
 
 ι, the h = 1 and h = r - 1 excess and point_weight_counts read only the
-histogram {w: number of points} (_weight_counts): from the walk, the fiber
-sizes of its keys, with the points it skips counted as weight 0.  Only
-linear_set and hyperplane_weight_iter need the points themselves
-(_point_weight_items), built from the keys behind their lead.  The excess
-Σ_P (w(P) - t)₊ may be capped (excess_total): the walk stops once its
-partial fibers bound it above the cap, and the point scan once its running
-sum passes it.  is_h_scattered and ι cap it at 0, so the walk stops after
-the first run whose partial fibers exceed θ_{t-1}(q), and the point scan
-at the first point of weight above t; the search caps it at the incumbent's
-score, checked once, after the vectors b_0 + span(b_1, ..., b_{k-1}).
-Hyperplane weights are point weights of the ordinary dual U^⊥', by
-whichever scan is chosen for it: the hyperplane H_w = ker(w·) is the dual
-of the point <w>, so dim(U ∩ H_w) = w_{U^⊥'}(<w>) + k - n.  At r = 2 the
+histogram {w: number of points} (_weight_counts): the fiber sizes of the
+walk's keys, with the points it skips counted as weight 0.  Only linear_set
+and hyperplane_weight_iter need the points themselves (_point_weights),
+built from the keys behind their lead.  The excess Σ_P (w(P) - t)₊ may be
+capped (excess_total): the walk stops once its partial fibers bound it
+above the cap.  is_h_scattered and ι cap it at 0, so the walk stops after
+the first run whose partial fibers exceed θ_{t-1}(q); the search caps it at
+the incumbent's score, checked once, after the vectors
+b_0 + span(b_1, ..., b_{k-1}).
+Hyperplane weights are point weights of the ordinary dual U^⊥': the
+hyperplane H_w = ker(w·) is the dual of the point <w>, so
+dim(U ∩ H_w) = w_{U^⊥'}(<w>) + k - n.  At r = 2 the
 hyperplane H_w is the point <(w_2, -w_1)>, so for k <= n the counts are
 U's own point weights.  Scatteredness
 at h = 1 reads the point weights of U, at h = r - 1 those of U^⊥'.  The
@@ -177,14 +170,11 @@ def normalize_point(F: Field, v) -> tuple[int, ...]:
     raise InvalidParams("the zero vector spans no point")
 
 
-def _point_sides(tower: FieldTower, r: int, dim: int):
-    """The two sides of the point weights of a dim-dimensional F_q-subspace
-    of F_{q^n}^r, as fqlinalg.cheapest entries valued True for the walk of
-    its θ_{dim-1}(q) F_q-points and False for the scan of the θ_{r-1}(q^n)
-    points of PG(r-1, q^n)."""
-    walk, scan = theta(dim - 1, tower.base.order), theta(r - 1, tower.mid.order)
-    return [(3 * walk // 2, walk, "subspace F_q-points", True),
-            (2 * tower.n * scan, scan, "projective points", False)]
+def _walk_entry(U: FqSubspace, value=None):
+    """The point walk of U as a fqlinalg.cheapest entry of the given value:
+    its θ_{k-1}(q) F_q-points, at 3/2 row additions apiece."""
+    walk = theta(U.k - 1, U.tower.base.order)
+    return 3 * walk // 2, walk, "subspace F_q-points", value
 
 
 def _walk_batches(U: FqSubspace, cut):
@@ -223,11 +213,12 @@ def _walk_batches(U: FqSubspace, cut):
             vectors, runs = [], []
 
 
-def _walk_fibers(U: FqSubspace, t=0, cap=None):
+def _walk_fibers(U: FqSubspace, budget: int, t=0, cap=None):
     """One Counter per lead i < r: {key: number of U's F_q-points on the
     point (0, ..., 0, 1, key)}, keys in first-visit order, where key is the
     coordinates after i divided by coordinate i: an int when one is left,
-    a tuple otherwise, () for the one point of lead r - 1.
+    a tuple otherwise, () for the one point of lead r - 1.  BudgetExceeded
+    when U's θ_{k-1}(q) F_q-points exceed budget.
 
     With cap given, None as soon as the partial fibers show that
     Σ_P (w(P) - t)₊ exceeds cap: a fiber holding c F_q-points has weight at
@@ -248,6 +239,7 @@ def _walk_fibers(U: FqSubspace, t=0, cap=None):
     normalized by exp3[log c_j - log c_lead], in C-level maps; fields
     without log tables read codes (fqlinalg.digit_rows) and go through
     normalize_point."""
+    cheapest([_walk_entry(U)], budget)
     tower = U.tower
     q, mid, r = tower.base.order, tower.mid, U.r
     tables = log_column(mid, r)
@@ -312,10 +304,10 @@ def _weight_of(U: FqSubspace, sizes) -> dict[int, int]:
     return weight_of
 
 
-def _point_weights(U: FqSubspace) -> dict[tuple[int, ...], int]:
+def _point_weights(U: FqSubspace, budget: int) -> dict[tuple[int, ...], int]:
     """{normalized point: weight} over the points of L_U, in the order the
     walk first reaches them: each key of _walk_fibers behind its lead."""
-    fibers = _walk_fibers(U)
+    fibers = _walk_fibers(U, budget)
     weight_of = _weight_of(U, _fiber_sizes(fibers).keys())
     points: dict[tuple[int, ...], int] = {}
     for lead, counts in enumerate(fibers):
@@ -325,53 +317,26 @@ def _point_weights(U: FqSubspace) -> dict[tuple[int, ...], int]:
     return points
 
 
-def _weight_counts(U: FqSubspace, budget: int, t=0, cap=None, walk: bool | None = None):
+def _weight_counts(U: FqSubspace, budget: int, t=0, cap=None):
     """{w: number of points of PG(r-1, q^n) of weight w}, weight 0 included:
     the fiber sizes of the walk, whose skipped points are counted, not
-    visited (all have weight 0), or the point scan.  walk names the side;
-    None lets cheapest pick it from _point_sides.  With cap given, None as
-    soon as the walk's partial fibers (_walk_fibers) or the scan's running
-    sum show that Σ_P (w(P) - t)₊ exceeds cap, which at cap 0 is exactly
-    when it does."""
-    if walk is None:
-        walk = cheapest(_point_sides(U.tower, U.r, U.k), budget)
-    if walk:
-        fibers = _walk_fibers(U, t, cap)
-        if fibers is None:
-            return None
-        sizes = _fiber_sizes(fibers)
-        counts = dict(zip(map(_weight_of(U, sizes.keys()).__getitem__, sizes), sizes.values()))
-        rest = theta(U.r - 1, U.tower.mid.order) - sum(sizes.values())
-        if rest:
-            counts[0] = rest
-        return counts
-    counts = Counter()
-    for _, w in _point_scan(U, budget):
-        counts[w] += 1
-        if cap is not None and w > t and _excess(counts.items(), t) > cap:
-            return None
+    visited (all have weight 0).  With cap given, None as soon as the walk's
+    partial fibers (_walk_fibers) show that Σ_P (w(P) - t)₊ exceeds cap,
+    which at cap 0 is exactly when it does."""
+    fibers = _walk_fibers(U, budget, t, cap)
+    if fibers is None:
+        return None
+    sizes = _fiber_sizes(fibers)
+    counts = dict(zip(map(_weight_of(U, sizes.keys()).__getitem__, sizes), sizes.values()))
+    rest = theta(U.r - 1, U.tower.mid.order) - sum(sizes.values())
+    if rest:
+        counts[0] = rest
     return counts
 
 
 def _excess(counts, t):
     """Σ (w - t)·count over the pairs (w, count) with w > t."""
     return sum((w - t) * count for w, count in counts if w > t)
-
-
-def _point_scan(U: FqSubspace, budget: int):
-    """(point, weight) for every point P of PG(r-1, q^n), meeting U with
-    <P>_{F_{q^n}}; budget caps it at θ_{r-1}(q^n) projective points."""
-    points, lines = itertools.tee(projective_points(U.tower.mid, U.r, budget=budget))
-    return zip(points, _meet_dims(U, zip(lines)))
-
-
-def _point_weight_items(U: FqSubspace, budget: int):
-    """(point, weight) pairs covering every point of positive weight, from
-    the side cheapest picks: the walk, or the point scan, which also yields
-    the points of weight 0."""
-    if cheapest(_point_sides(U.tower, U.r, U.k), budget):
-        return _point_weights(U).items()
-    return _point_scan(U, budget)
 
 
 def iota(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDGET) -> int:
@@ -417,8 +382,8 @@ def excess_total(U: FqSubspace, h: int, *, cap: int | None = None,
                  budget: int = DEFAULT_SUBSPACE_BUDGET) -> int | None:
     """The sum of excess_iter(U, h), or None exactly when it exceeds cap,
     found as soon as a lower bound on it does: at h = 1 and r - 1 the
-    partial fibers of the walk or the running sum of the point scan
-    (_weight_counts), else the running sum of the subspace scan."""
+    partial fibers of the walk (_weight_counts), else the running sum of the
+    subspace scan."""
     if h in (1, U.r - 1):
         V, t = _weight_side(U, h)
         counts = _weight_counts(V, budget, t, cap)
@@ -441,9 +406,8 @@ def is_h_scattered(U: FqSubspace, h: int, *,
     Every h-dim W meets U in at least k - (r - h)·n, so a U with
     k - (r - h)·n > h is refused before any scan.  Otherwise the excess is
     capped at 0 (excess_total), so the scan exits on the first violation:
-    at h = 1 and r - 1 the point scan at the first point of weight above t
-    and the walk after the first run whose partial fibers show one (t of
-    _weight_side), else the subspace scan at the first W."""
+    at h = 1 and r - 1 the walk after the first run whose partial fibers
+    show one (t of _weight_side), else the subspace scan at the first W."""
     if not 1 <= h <= U.r - 1:
         raise InvalidParams(f"h must satisfy 1 <= h <= r-1, got h={h}, r={U.r}")
     return (U.k - (U.r - h) * U.tower.n <= h and U.spans_ambient()
@@ -476,10 +440,10 @@ def hyperplane_weight_iter(U: FqSubspace, *, budget: int = DEFAULT_SUBSPACE_BUDG
 
     H_w is the ordinary dual of <w>_{F_{q^n}}, so dim(U ∩ H_w) =
     w_{U^⊥'}(<w>) + k - n, from the point weights of U^⊥'
-    (_point_weight_items); budget caps their scan, not the θ_{r-1}(q^n)
-    pairs yielded.
+    (_point_weights); budget caps their walk, not the θ_{r-1}(q^n) pairs
+    yielded.
     """
-    dual_w = dict(_point_weight_items(ordinary_dual(U), budget))
+    dual_w = _point_weights(ordinary_dual(U), budget)
     shift = U.k - U.tower.n
     mid = U.tower.mid
     for w in projective_points(mid, U.r, budget=theta(U.r - 1, mid.order)):
@@ -627,7 +591,7 @@ def characterize_max_h_scattered(U: FqSubspace, h: int, *,
     via_hyperplanes and via_dual_points are not independent checks: as
     max_H dim(U ∩ H) = ι(U^⊥') + k - n, the hyperplane bound
     max_H dim(U ∩ H) <= k - n + h is ι(U^⊥') <= h, and both are read off one
-    walk (or point scan) of U^⊥'.  At h = r - 1 via_definition reads the
+    walk of U^⊥'.  At h = r - 1 via_definition reads the
     same point weights of U^⊥', so its agreement there is not independent
     either.
     """

@@ -10,8 +10,12 @@ powers I, M, M^2, ... of a matrix are one mat_mul each (mat_mul_powers);
 fqlinalg.matrix_powers builds them as stored rows.  The ordinary dual is
 the null space of U's flat rows times D = blockdiag(T), T the Gram matrix
 of the trace form (gram_dual); ordinary_dual reads it off U's RREF instead,
-as U^⊥·D⁻¹."""
+as U^⊥·D⁻¹.  The multiplication x -> αx of F_{q^n} is the matrix of a
+one-term linearized polynomial (mult_matrix); the converse
+constructions.mrd_to_subspace reads the right F_{q^n}-structure of a code
+off its idealiser generator's powers instead."""
 
+from ranklab.constructions import LinearizedPoly
 from ranklab.fqlinalg import Mat, SubspaceBasis, kernel, mat_mul, vec_mat
 
 
@@ -28,6 +32,11 @@ def digits_code(digits, q: int) -> int:
 def base_vec_to_mid(tower, v) -> int:
     """The mid code with coordinates v over (1, g, ..., g^{n-1})."""
     return digits_code(v, tower.q)
+
+
+def mult_matrix(tower, alpha: int) -> Mat:
+    """Matrix of x -> alpha*x on F_{q^n} w.r.t. the canonical basis (columns)."""
+    return LinearizedPoly(tower, "mid", (alpha,)).to_matrix()
 
 
 def mat_mul_powers(M, count: int) -> list:

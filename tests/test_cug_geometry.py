@@ -4,9 +4,8 @@ C_{U,G} carries U (RankCode.attach), and its rank distribution is read off
 the point weights of L_U (rank Γ_v = n - w(<v>)).  The oracle is the same
 code rebuilt from its basis alone, whose distribution comes from the
 codeword walk or the subspace count; it shares no code with the point-weight
-walk or the point scan.  The geometric engine is forced, with both scans
-patched to raise, on both sides of subspaces._weight_counts on every
-input.
+walk.  The geometric engine is forced, with both scans patched to raise, on
+every input.
 """
 
 import random
@@ -14,7 +13,7 @@ import random
 import pytest
 
 from ranklab import rankcodes, subspaces
-from ranklab.constructions import c_ug, mult_matrix, pseudoregulus_subspace
+from ranklab.constructions import c_ug, pseudoregulus_subspace
 from ranklab.errors import InternalInvariantError
 from ranklab.fields import make_tower
 from ranklab.fixtures import certified_new_witness
@@ -22,10 +21,12 @@ from ranklab.fqlinalg import Mat, SubspaceBasis, basis_codes, rref, vec_mat
 from ranklab.rankcodes import GabidulinExclusion, Side, gabidulin_family_exclusion, right_idealiser
 from ranklab.subspaces import FqSubspace, iota, ordinary_dual, random_subspace
 
+from oracles import mult_matrix
+
 PRIME_POWER = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
 # (q, r, n): every q with r = 2 and r = 3.  n >= 3 admits weights 2..n-1 and
-# is kept where the forced point scan's θ_{r-1}(q^n) points stay few; at
-# r = 3 and q >= 5 that leaves n = 2, where every valid U has iota <= 1.
+# is kept where the rankcodes scans of the oracle stay cheap; at r = 3 and
+# q >= 5 that leaves n = 2, where every valid U has iota <= 1.
 GRID = [(2, 2, 4), (3, 2, 4), (4, 2, 3), (5, 2, 3), (8, 2, 3), (9, 2, 3),
         (2, 3, 4), (3, 3, 3), (4, 3, 3), (5, 3, 2), (8, 3, 2), (9, 3, 2)]
 
@@ -88,11 +89,10 @@ def _grid_inputs():
 INPUTS = _grid_inputs()
 
 
-@pytest.mark.parametrize("walk", [True, False], ids=["walk", "point-scan"])
 @pytest.mark.parametrize("label,U", INPUTS, ids=[x[0] for x in INPUTS])
-def test_distribution_from_l_u_matches_the_scans(label, U, walk, scanned, force_geometric):
+def test_distribution_from_l_u_matches_the_scans(label, U, scanned, force_geometric):
     want = scanned(c_ug(U).code).rank_distribution()
-    force_geometric(walk)
+    force_geometric()
     cug = c_ug(U)
     C, n = cug.code, U.tower.n
     dist = C.rank_distribution()
@@ -106,23 +106,22 @@ def test_distribution_from_l_u_matches_the_scans(label, U, walk, scanned, force_
         assert cug.iota >= 2, label
 
 
-@pytest.mark.parametrize("walk", [None, True, False], ids=["natural", "walk", "point-scan"])
-def test_rank_distribution_prices_once_and_runs_one_side(walk, monkeypatch, force_side):
-    # c_ug's rank distribution lists the two sides of U's point weights
-    # once (subspaces._point_sides) and runs the side it picks, once: the
-    # point weights do not choose again
-    if walk is not None:
-        force_side(walk)
+@pytest.mark.parametrize("walk", [True, False], ids=["walk", "rankcodes-scan"])
+def test_rank_distribution_prices_the_walk_once_and_runs_one_engine(walk, monkeypatch,
+                                                                    force_walk):
+    # c_ug's rank distribution lists U's point walk once, valued, next to
+    # the rankcodes scans (the walk's own budget check prices it unvalued),
+    # and runs the engine it picks, once
+    force_walk(walk)
     priced, ran = [], []
-    sides, fibers, scan = subspaces._point_sides, subspaces._walk_fibers, subspaces._point_scan
-    monkeypatch.setattr(subspaces, "_point_sides", lambda *a: priced.append(a) or sides(*a))
+    entry, fibers = subspaces._walk_entry, subspaces._walk_fibers
+    monkeypatch.setattr(subspaces, "_walk_entry",
+                        lambda U, *value: priced.append(value) or entry(U, *value))
     monkeypatch.setattr(subspaces, "_walk_fibers",
-                        lambda U, *stop: ran.append("walk") or fibers(U, *stop))
-    monkeypatch.setattr(subspaces, "_point_scan",
-                        lambda U, budget: ran.append("scan") or scan(U, budget))
+                        lambda U, *stop: ran.append(U) or fibers(U, *stop))
     U = pseudoregulus_subspace(make_tower(2, 1, 4, 1), 2, 4, 1)
     assert c_ug(U).iota == 1
-    assert len(priced) == 1 and ran == ["scan" if walk is False else "walk"]
+    assert len([v for v in priced if v]) == 1 and ran == [U] * walk
 
 
 def test_a_lost_point_in_the_fringe_is_an_internal_error(monkeypatch):

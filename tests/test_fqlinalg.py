@@ -755,7 +755,7 @@ def test_minimal_polynomial_degree_divides_extension(t2_32):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_min_poly_of_mult_matrix_is_the_minimal_polynomial(q):
-    from ranklab.constructions import mult_matrix
+    from oracles import mult_matrix
 
     p, e = {2: (2, 1), 3: (3, 1), 4: (2, 2)}[q]
     for n in range(1, 5):

@@ -3,8 +3,9 @@ its stderr text and its "results" payload (artifact included) exactly.
 
 The cases cover the subspace verbs and the code verbs on the fixture corpus,
 a few pseudoregulus parameter sets at odd and even q, extra inputs under
-tests/golden/inputs (a q = 5 subspace, one whose point weights take the
-point-scan side, and one whose dual would take it), C_{U,G} and Gabidulin codes
+tests/golden/inputs (a q = 5 subspace, one whose point walk is long against
+its θ_{r-1}(q^n) points, and one whose dual's walk would be), C_{U,G} and
+Gabidulin codes
 whose ranks are read off the point weights of the subspace they carry (U,
 and U^⊥' for the q-system U), and budget exits.  To record them afresh (only when a change
 to the payloads is intended and explained):
@@ -40,11 +41,10 @@ SUBSPACE_FILES = [
     # q = 5, r = 2, n = 4, k = 3: at r = 2 and k <= n the hyperplanes are
     # points, so the Delsarte precondition walks U's θ_2(5) = 31 F_q-points
     "{inputs}/random_2_4_k3_q5.subspace.json",
-    # k = 7 in F_16^2: θ_6(2) = 127 > 4·θ_1(16) = 68, iota takes the point scan
+    # k = 7 in F_16^2: iota walks θ_6(2) = 127 F_q-points for the 17 points
     "{inputs}/random_2_4_k7_q2.subspace.json",
     # k = 3 in F_64^2: the Delsarte precondition walks U's θ_2(2) = 7
-    # F_q-points, where the dual's θ_8(2) = 511 would exceed the point
-    # scan's 6·θ_1(64) = 390
+    # F_q-points, not the dual's θ_8(2) = 511
     "{inputs}/random_2_6_k3_q2.subspace.json",
 ]
 # k = 4 in F_16^3 spans V and meets one hyperplane in dimension 3: a near miss
@@ -99,13 +99,13 @@ EXTRA = [
     ["hyperplane-spectrum", "--subspace", NEAR_MISS],
     # k - (r - h)·n = 9 - 6 > h: every 2-dim W meets U in dimension 3 or more
     ["scattered-check", "--subspace", SUBSPACE_FILES[4], "--h", "2"],
-    # budget exits: the walk side counts subspace vectors, the scan side points
+    # budget exits: the walk counts the F_q-points of U or of its dual
     ["hyperplane-spectrum", "--subspace", SUBSPACE_FILES[0], "--subspace-budget", "3"],
     ["scattered-check", "--subspace", SUBSPACE_FILES[6], "--h", "1",
      "--subspace-budget", "3"],
     ["dualize", "--subspace", SUBSPACE_FILES[5], "--delsarte", "--subspace-budget", "3"],
-    # h = r - 1: the hyperplanes are read off the dual's 255 F_q-points (the
-    # walk, cheaper than scanning its θ_2(16) = 273 points); neither fits 3
+    # h = r - 1: the hyperplanes are read off the walk of the dual's 255
+    # F_q-points, which does not fit 3
     ["scattered-check", "--subspace", NEAR_MISS, "--h", "2", "--subspace-budget", "3"],
     ["rank-dist", "--code", CODE_FILES[4], "--codeword-budget", "3"],
     # read off the hyperplane weights of the code's q-system U ⊂ F_64^3: the

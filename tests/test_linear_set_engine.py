@@ -1,18 +1,17 @@
 """The linear-set engine against brute-force oracles.
 
 ι, 1-scatteredness, (r-1)-scatteredness, hyperplane weights, the hyperplane
-spectrum and the h = 1 and h = r - 1 search scores each run the cheaper of
-two scans: a walk over the F_q-points of U (or of its ordinary dual) bucketed
-by projective point, or an elimination of every point (or hyperplane) of
-PG(r-1, q^n).  The oracles here intersect U with every line and hyperplane
-of V one at a time, by the dimension of a SubspaceBasis sum, which shares no
-code with either scan.  The walk is also held against the walk it replaced:
-every one of the q^k vectors of U, bucketed by normalize_point, where a
-point of weight w collects q^w - 1 of them, and against the walk on code
-tuples added by Field.add (oracle_tuple_walk), which fixes the order in
-which the points come out.  At h = r - 1 the scatteredness
-test and the excess list are held against the definition scan they
-replaced, which meets U with every h-dim F_{q^n}-subspace.
+spectrum and the h = 1 and h = r - 1 search scores each run one engine: a
+walk over the F_q-points of U (or of its ordinary dual) bucketed by
+projective point.  The oracles here intersect U with every line and
+hyperplane of V one at a time, by the dimension of a SubspaceBasis sum,
+which shares no code with the walk.  The walk is also held against the
+walk it replaced: every one of the q^k vectors of U, bucketed by
+normalize_point, where a point of weight w collects q^w - 1 of them, and
+against the walk on code tuples added by Field.add (oracle_tuple_walk),
+which fixes the order in which the points come out.  At h = r - 1 the
+scatteredness test and the excess list are held against the definition
+scan they replaced, which meets U with every h-dim F_{q^n}-subspace.
 """
 
 import itertools
@@ -26,15 +25,14 @@ from ranklab.constructions import pseudoregulus_subspace, random_scattered_searc
 from ranklab.fields import make_tower
 from ranklab.errors import BudgetExceeded, InternalInvariantError, NotMaxScattered
 from ranklab.fields import Field
-from ranklab.fqlinalg import (Mat, SubspaceBasis, basis_codes, cheapest, enumerate_subspaces,
+from ranklab.fqlinalg import (Mat, SubspaceBasis, basis_codes, enumerate_subspaces,
                               iter_span_rows, kernel, odometer, projective_points, rref,
                               theta, vec_mat)
 from ranklab.linsets import hyperplane_spectrum, linear_set
 from ranklab.subspaces import (
     FqSubspace,
-    _point_scan,
-    _point_sides,
     _point_weights,
+    _walk_entry,
     excess_iter,
     excess_total,
     hyperplane_weight_counts,
@@ -56,8 +54,6 @@ PRIME_POWER = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
 GRID = [(2, 2, 3), (2, 2, 4), (2, 3, 3), (3, 2, 2), (3, 2, 3), (3, 3, 2),
         (3, 3, 3), (4, 2, 2), (4, 3, 2), (5, 2, 2), (5, 3, 2), (8, 2, 2),
         (8, 3, 1), (9, 2, 2), (9, 3, 1)]
-# forcing the walk on an input visits fewer than q^k and q^{rn-k} F_q-points
-FORCED_WALK_LIMIT = 7000
 
 
 # -- brute-force oracles -------------------------------------------------------
@@ -161,11 +157,34 @@ def _seeded_image(U, rng):
         U.tower, U.r, [vec_mat(list(v), A) for v in U.basis_mid])
 
 
+def _heavy_subspace(tower, r, k, rng, w=None):
+    """A random k-dim U through v, g·v, ..., g^{w-1}·v for a random v, so the
+    point <v> has weight at least w, by default min(n, k - 1, 3); at w = n
+    U holds the F_{q^n}-line <v>."""
+    mid = tower.mid
+    g = mid.gen if tower.n > 1 else 1
+    while True:
+        v = [rng.randrange(mid.order) for _ in range(r)]
+        if any(v):
+            break
+    vecs = []
+    for _ in range(min(tower.n, k - 1, 3) if w is None else w):
+        vecs.append(tuple(v))
+        v = [mid.mul(g, c) for c in v]
+    while True:
+        rest = [tuple(rng.randrange(mid.order) for _ in range(r))
+                for _ in range(k - len(vecs))]
+        U = FqSubspace.from_mid_vectors(tower, r, vecs + rest)
+        if U.k == k:
+            return U
+
+
 def _grid_inputs():
     """(label, U, h or None): seeded pseudoregulus images, which are maximum
-    h-scattered, and seeded random subspaces of dimension 1, rn/2 and rn-1
-    (at q = 2 and 3 some of the last reach the point scan), plus the zero and
-    the full space on two cells."""
+    h-scattered, seeded random subspaces of dimension 1, rn/2 and rn-1 (a
+    hyperplane of V over F_q), the full space, and a U of dimension n + 1
+    through an F_{q^n}-line (a point of weight n), plus the zero space on
+    two cells."""
     rng = random.Random(20260808)
     out = []
     for q, r, n in GRID:
@@ -180,36 +199,17 @@ def _grid_inputs():
         for k in sorted({1, rn // 2, rn - 1}):
             out.append((f"random_q{q}_r{r}_n{n}_k{k}",
                         random_subspace(tower, r, k, rng), None))
+        out.append((f"full_q{q}_r{r}_n{n}", random_subspace(tower, r, rn, rng), None))
+        out.append((f"line_q{q}_r{r}_n{n}_k{n + 1}",
+                    _heavy_subspace(tower, r, n + 1, rng, n), None))
         if (q, r, n) in ((2, 2, 3), (3, 3, 2)):
             out.append((f"zero_q{q}_r{r}_n{n}", FqSubspace.zero(tower, r), None))
-            out.append((f"full_q{q}_r{r}_n{n}", random_subspace(tower, r, rn, rng), None))
     return out
 
 
 INPUTS = _grid_inputs()
 # the vector-walk oracle visits q^k vectors
 VECTOR_WALK_LIMIT = 5000
-
-
-def _heavy_subspace(tower, r, k, rng):
-    """A random k-dim U through v, g·v, ..., g^{w-1}·v for a random v, so the
-    point <v> has weight at least w = min(n, k - 1, 3)."""
-    mid = tower.mid
-    g = mid.gen if tower.n > 1 else 1
-    while True:
-        v = [rng.randrange(mid.order) for _ in range(r)]
-        if any(v):
-            break
-    vecs = []
-    for _ in range(min(tower.n, k - 1, 3)):
-        vecs.append(tuple(v))
-        v = [mid.mul(g, c) for c in v]
-    while True:
-        rest = [tuple(rng.randrange(mid.order) for _ in range(r))
-                for _ in range(k - len(vecs))]
-        U = FqSubspace.from_mid_vectors(tower, r, vecs + rest)
-        if U.k == k:
-            return U
 
 
 def _walk_inputs():
@@ -227,96 +227,84 @@ def _walk_inputs():
 WALK_INPUTS = _walk_inputs()
 
 
-def _sides(U):
-    """The natural choice, then each side forced where it stays affordable."""
-    q, rn = U.tower.q, U.r * U.tower.n
-    sides = [None, False]
-    if max(q**U.k, q**(rn - U.k)) <= FORCED_WALK_LIMIT:
-        sides.append(True)
-    return sides
-
-
-def _walks(tower, r, dim):
-    """True iff the walk is priced below the point scan for a dim-dimensional
-    subspace of F_{q^n}^r, the side taken when both fit the budget."""
-    return cheapest(_point_sides(tower, r, dim), 1 << 62)
-
-
 # -- tests ---------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("label,U,h", INPUTS, ids=[x[0] for x in INPUTS])
-def test_engine_matches_the_oracles_on_the_grid(label, U, h, force_side):
+def test_engine_matches_the_oracles_on_the_grid(label, U, h):
     pts = oracle_point_weights(U)
     hyp = oracle_hyperplane_weights(U)
     rn, k, n = U.r * U.tower.n, U.k, U.tower.n
     spans = k > 0 and max(hyp.values()) < k
     assert linear_set(U).points == pts
-    # the natural side first, as _sides lists it, then each forced side
-    for side in _sides(U):
-        if side is not None:
-            force_side(side)
-        assert iota(U) == max(pts.values(), default=0), side
-        assert is_h_scattered(U, 1) == (spans and all(w == 1 for w in pts.values())), side
-        assert max_hyperplane_weight(U) == max(hyp.values()), side
-        pairs = list(hyperplane_weight_iter(U))
-        assert len(pairs) == len(hyp) and dict(pairs) == hyp, side
-        assert hyperplane_weight_counts(U) == dict(Counter(hyp.values())), side
-        score = (0 if U.spans_ambient() else rn) + sum(excess_iter(U, 1))
-        assert score == ((0 if spans else rn)
-                         + sum(w - 1 for w in pts.values() if w > 1)), side
-        if h is not None:
-            want = Counter(wt - (k - n) for wt in hyp.values())
-            assert hyperplane_spectrum(U, h) == dict(sorted(want.items())), side
+    assert point_weight_counts(U) == _counts_of(pts, U)
+    assert iota(U) == max(pts.values(), default=0)
+    assert is_h_scattered(U, 1) == (spans and all(w == 1 for w in pts.values()))
+    assert max_hyperplane_weight(U) == max(hyp.values())
+    pairs = list(hyperplane_weight_iter(U))
+    assert len(pairs) == len(hyp) and dict(pairs) == hyp
+    assert hyperplane_weight_counts(U) == dict(Counter(hyp.values()))
+    score = (0 if U.spans_ambient() else rn) + sum(excess_iter(U, 1))
+    assert score == (0 if spans else rn) + sum(w - 1 for w in pts.values() if w > 1)
+    if h is not None:
+        want = Counter(wt - (k - n) for wt in hyp.values())
+        assert hyperplane_spectrum(U, h) == dict(sorted(want.items()))
 
 
-def test_grid_reaches_both_sides_of_each_choice():
-    point_side = {_walks(U.tower, U.r, U.k) for _, U, _ in INPUTS}
-    dual_side = {_walks(U.tower, U.r, U.r * U.tower.n - U.k) for _, U, _ in INPUTS}
-    assert point_side == dual_side == {True, False}
+def test_grid_has_hyperplanes_full_spaces_and_lines_at_every_q():
+    # k = rn - 1 and k = rn, where the point walk is longest against the
+    # θ_{r-1}(q^n) points, and a U of dimension n + 1 < rn through a point
+    # of weight n > 1
+    def qs(pick):
+        return {U.tower.q for label, U, _ in INPUTS if pick(label, U, U.r * U.tower.n)}
+
+    assert (qs(lambda label, U, rn: U.k == rn - 1) == qs(lambda label, U, rn: U.k == rn)
+            == set(PRIME_POWER))
+    assert qs(lambda label, U, rn: label.startswith("line_") and U.k == U.tower.n + 1 < rn
+              and iota(U) == U.tower.n > 1) == set(PRIME_POWER)
 
 
-def test_budget_names_the_chosen_scans_unit():
-    # the point scan visits θ_1(8) = 9 points at n·9 = 27 row additions
+def test_budget_names_the_walks_unit():
     tower = _tower(2, 3)
     U4 = random_subspace(tower, 2, 4, random.Random(1))
-    assert _walks(tower, 2, 4)  # θ_3(2) = 15 F_q-points
-    assert iota(U4, budget=15) == iota(U4)
-    with pytest.raises(BudgetExceeded, match="15 subspace F_q-points exceeds budget 8"):
-        iota(U4, budget=8)
-    # only the scan fits: it runs, although the walk is cheaper
-    assert iota(U4, budget=14) == iota(U4)
+    assert iota(U4, budget=15) == iota(U4)      # θ_3(2) = 15 F_q-points
+    with pytest.raises(BudgetExceeded, match="15 subspace F_q-points exceeds budget 14"):
+        iota(U4, budget=14)
     V = random_subspace(tower, 2, 6, random.Random(1))
-    assert not _walks(tower, 2, 6)  # θ_5(2) = 63 F_q-points
-    with pytest.raises(BudgetExceeded, match="9 projective points"):
-        iota(V, budget=8)
+    assert iota(V, budget=63) == 3
+    with pytest.raises(BudgetExceeded, match="63 subspace F_q-points exceeds budget 62"):
+        iota(V, budget=62)
     U = random_subspace(tower, 2, 5, random.Random(1))
-    assert _walks(tower, 2, 1)  # the dual's θ_0(2) = 1 F_q-point
+    # the dual's θ_0(2) = 1 F_q-point
     assert max_hyperplane_weight(U, budget=1) == 5 - 3 + 1
     with pytest.raises(BudgetExceeded, match="1 subspace F_q-points"):
         max_hyperplane_weight(U, budget=0)
 
 
-def test_linear_set_scans_the_points_when_the_walk_is_out_of_budget():
-    # U = V in F_2048^2: θ_21(2) = 4,194,303 F_q-points exceed the default
-    # budget, the θ_1(2048) = 2049 points of the scan fit it
+def test_linear_set_walks_the_full_space_within_its_budget():
+    # U = V in F_32^2: θ_9(2) = 1023 F_q-points for the 33 points of
+    # weight 5; at V in F_2048^2 the θ_21(2) = 4,194,303 F_q-points exceed
+    # the default budget, which names them
+    tower = make_tower(2, 1, 5, 1)
+    V = FqSubspace.from_flat(tower, 2, [[int(i == j) for j in range(10)] for i in range(10)])
+    L = linear_set(V, budget=1023)
+    assert L.size == 33 and set(L.points.values()) == {5} and L.points == oracle_point_weights(V)
+    with pytest.raises(BudgetExceeded, match="1023 subspace F_q-points exceeds budget 1022"):
+        linear_set(V, budget=1022)
     tower = make_tower(2, 1, 11, 1)
     V = FqSubspace.from_flat(tower, 2, [[int(i == j) for j in range(22)] for i in range(22)])
-    sides = _point_sides(tower, 2, 22)
-    assert [items for _, items, _, _ in sides] == [4194303, 2049]
-    assert cheapest(sides, 1 << 20) is False
-    L = linear_set(V)
-    assert L.size == 2049 and set(L.points.values()) == {11}
-    assert iota(V) == 11
+    for run in (linear_set, iota):
+        with pytest.raises(BudgetExceeded,
+                           match="4194303 subspace F_q-points exceeds budget 1048576"):
+            run(V)
 
 
 @pytest.mark.parametrize("q", sorted(PRIME_POWER))
-def test_the_price_list_counts_the_items_the_engine_visits(q, monkeypatch, force_side):
-    # the item count of each side in subspaces._point_sides (which rankcodes
-    # lists too) is the F_q-points the walk visits, or the points the scan
-    # meets
+def test_the_price_list_counts_the_items_the_engine_visits(q, monkeypatch):
+    # the item count of subspaces._walk_entry (which rankcodes lists too)
+    # is the F_q-points the walk visits
     tower, rng = _tower(q, 2), random.Random(q)
-    batches, scan = subspaces._walk_batches, subspaces._point_scan
+    batches = subspaces._walk_batches
     seen = []
 
     def walked(U, *cut):
@@ -324,43 +312,25 @@ def test_the_price_list_counts_the_items_the_engine_visits(q, monkeypatch, force
             seen.append(len(vectors))
             yield vectors, runs
 
-    def scanned_points(U, budget):
-        for item in scan(U, budget):
-            seen.append(1)
-            yield item
-
     monkeypatch.setattr(subspaces, "_walk_batches", walked)
-    monkeypatch.setattr(subspaces, "_point_scan", scanned_points)
     for r, k in ((2, 3), (3, 2), (3, 5)):
         U = random_subspace(tower, r, k, rng)
-        for side in (True, False):
-            force_side(side)
-            seen.clear()
-            counts = subspaces.point_weight_counts(U)
-            items = {walk: items for _, items, _, walk in _point_sides(tower, r, k)}
-            assert items[side] == sum(seen), (r, k, side)
-            assert sum(counts.values()) == theta(r - 1, tower.mid.order)
-            assert sum(seen) == (theta(k - 1, q) if side else theta(r - 1, q**2))
+        seen.clear()
+        counts = subspaces.point_weight_counts(U)
+        assert _walk_entry(U)[1] == sum(seen) == theta(k - 1, q), (r, k)
+        assert sum(counts.values()) == theta(r - 1, tower.mid.order)
 
 
-def test_walk_is_chosen_for_k5_in_f625_squared(force_side):
-    # q = 5, n = 4: the walk visits θ_4(5) = 781 F_q-points of U against the
-    # point scan's 4·θ_1(625) = 2504 row additions.  A budget that fits the
-    # walk's 781 F_q-points, or only the scan's θ_1(625) = 626 points, answers
+def test_walk_answers_k5_in_f625_squared_within_its_budget():
+    # q = 5, n = 4: the walk visits θ_4(5) = 781 F_q-points of U
     tower = _tower(5, 4)
-    assert _walks(tower, 2, 5)
     rng = random.Random(625)
-    cases = []
     for _ in range(3):
         U = random_subspace(tower, 2, 5, rng)
         want = max(oracle_point_weights(U).values())
-        assert iota(U) == iota(U, budget=1000) == iota(U, budget=700) == want
-        cases.append((U, want))
-    with pytest.raises(BudgetExceeded, match="781 subspace F_q-points exceeds budget 625"):
-        iota(U, budget=625)
-    force_side(False)
-    for U, want in cases:
-        assert iota(U) == want
+        assert iota(U) == iota(U, budget=781) == want
+    with pytest.raises(BudgetExceeded, match="781 subspace F_q-points exceeds budget 780"):
+        iota(U, budget=780)
 
 
 # long trajectories at r = 2: runs that spend all 30 evaluations, or find a
@@ -394,8 +364,7 @@ def test_search_follows_the_oracle_scored_trajectory(q, r, n, k, h, seed, fires,
 
 
 @pytest.mark.parametrize("label,U", WALK_INPUTS, ids=[x[0] for x in WALK_INPUTS])
-def test_point_walk_matches_the_vector_walk(label, U, force_side):
-    force_side(True)
+def test_point_walk_matches_the_vector_walk(label, U):
     points = linear_set(U).points
     assert points == oracle_vector_walk(U)
     assert list(points.items()) == list(oracle_tuple_walk(U).items())
@@ -441,15 +410,14 @@ ODD_P_WALK_INPUTS = _odd_p_walk_inputs()
 
 
 @pytest.mark.parametrize("label,U", ODD_P_WALK_INPUTS, ids=[x[0] for x in ODD_P_WALK_INPUTS])
-def test_packed_walk_matches_both_oracles_at_odd_p(label, U):
-    got = _point_weights(U)
+def test_packed_walk_matches_the_oracles_at_odd_p(label, U):
+    got = _point_weights(U, 1 << 20)
     assert list(got.items()) == list(oracle_tuple_walk(U).items())
-    assert got == oracle_vector_walk(U)
-    assert got == {pt: w for pt, w in _point_scan(U, 1 << 20) if w}
+    assert got == oracle_vector_walk(U) == oracle_point_weights(U)
 
 
 def test_odd_p_walk_grid_has_heavy_points_and_zero_leads():
-    weights = {label: _point_weights(U) for label, U in ODD_P_WALK_INPUTS}
+    weights = {label: _point_weights(U, 1 << 20) for label, U in ODD_P_WALK_INPUTS}
     assert all(max(weights[label].values()) >= 2 for label in weights
                if label.startswith("heavy"))
     for label, w in weights.items():
@@ -468,7 +436,7 @@ def test_packed_walk_adds_no_field_elements(q, monkeypatch):
         raise AssertionError("Field.add in the walk")
 
     monkeypatch.setattr(Field, "add", refuse)
-    assert _point_weights(U) == want
+    assert _point_weights(U, 1 << 20) == want
 
 
 def test_vector_walk_grid_has_heavy_points_at_every_q():
@@ -478,8 +446,7 @@ def test_vector_walk_grid_has_heavy_points_at_every_q():
 
 
 @pytest.mark.parametrize("p,n", [(2, 21), (3, 13)])
-def test_point_walk_without_log_tables(p, n, monkeypatch, force_side):
-    force_side(True)
+def test_point_walk_without_log_tables(p, n, monkeypatch):
     tower = make_tower(p, 1, n, 1)
     assert tower.mid._exp is None      # above fields.LOG_TABLE_LIMIT
     U = _heavy_subspace(tower, 2, 3, random.Random(p))
@@ -491,7 +458,7 @@ def test_point_walk_without_log_tables(p, n, monkeypatch, force_side):
     # the count path, on U and on an r = 3 subspace with zero leads
     for V in (U, _lead_zero_subspace(tower, 3, 3, random.Random(n))):
         want = oracle_vector_walk(V)
-        assert _read_off_the_counts(V, monkeypatch, force_side) == (
+        assert _read_off_the_counts(V, monkeypatch) == (
             max(want.values()), sorted(w - 1 for w in want.values() if w > 1),
             _counts_of(want, V))
 
@@ -500,10 +467,10 @@ def test_point_walk_checks_its_fiber_sizes(monkeypatch):
     U = _heavy_subspace(_tower(3, 2), 2, 3, random.Random(1))
     monkeypatch.setattr(subspaces, "theta", lambda s, Q: Q ** (s + 1) - 1)
     with pytest.raises(InternalInvariantError, match="fiber size"):
-        _point_weights(U)
+        _point_weights(U, 1 << 20)
 
 
-# -- the count path against the dict path, the scan and the vector walk ---------
+# -- the count path against the dict path and the oracles ------------------------
 
 
 def _counts_of(points, U):
@@ -516,31 +483,24 @@ def _counts_of(points, U):
     return dict(counts)
 
 
-def _read_off_the_counts(U, monkeypatch, force_side):
-    """(ι, sorted h = 1 excess, point_weight_counts) on the walk, forced
-    from then on, with the point dict and the point scan patched to raise:
-    the count path."""
+def _read_off_the_counts(U, monkeypatch):
+    """(ι, sorted h = 1 excess, point_weight_counts) with the point dict
+    patched to raise: the count path."""
     def refuse(*args):
         raise AssertionError("the count path built points")
 
-    force_side(True)
     with monkeypatch.context() as m:
         m.setattr(subspaces, "_point_weights", refuse)
-        m.setattr(subspaces, "_point_scan", refuse)
         return iota(U), sorted(excess_iter(U, 1)), point_weight_counts(U)
 
 
 @pytest.mark.parametrize("label,U", WALK_INPUTS, ids=[x[0] for x in WALK_INPUTS])
-def test_count_path_matches_the_dict_path_the_scan_and_the_vector_walk(label, U, monkeypatch,
-                                                                        force_side):
+def test_count_path_matches_the_dict_path_and_the_oracles(label, U, monkeypatch):
     want = oracle_vector_walk(U)
-    assert _point_weights(U) == want
-    assert {pt: w for pt, w in _point_scan(U, 1 << 20) if w} == want
+    assert _point_weights(U, 1 << 20) == oracle_point_weights(U) == want
     expected = (max(want.values(), default=0), sorted(w - 1 for w in want.values() if w > 1),
                 _counts_of(want, U))
-    assert _read_off_the_counts(U, monkeypatch, force_side) == expected, label
-    force_side(False)
-    assert (iota(U), sorted(excess_iter(U, 1)), point_weight_counts(U)) == expected, label
+    assert _read_off_the_counts(U, monkeypatch) == expected, label
 
 
 def _record_walked_blocks(monkeypatch):
@@ -618,17 +578,14 @@ CAP_INPUTS = _cap_inputs()
 
 
 @pytest.mark.parametrize("label,U,h", CAP_INPUTS, ids=[x[0] for x in CAP_INPUTS])
-def test_capped_excess_is_the_sum_or_none_above_the_cap(label, U, h, force_side):
-    # every cap from -1 to the sum + 1, on the natural side and each forced
-    # side: the sum itself, or None exactly when the sum exceeds the cap
+def test_capped_excess_is_the_sum_or_none_above_the_cap(label, U, h):
+    # every cap from -1 to the sum + 1: the sum itself, or None exactly when
+    # the sum exceeds the cap
     total = sum(excess_iter(U, h))
-    for side in _sides(U):
-        if side is not None:
-            force_side(side)
-        assert excess_total(U, h) == sum(excess_iter(U, h)) == total, (label, side)
-        for cap in range(-1, total + 2):
-            want = None if total > cap else total
-            assert excess_total(U, h, cap=cap) == want, (label, side, cap)
+    assert excess_total(U, h) == total, label
+    for cap in range(-1, total + 2):
+        want = None if total > cap else total
+        assert excess_total(U, h, cap=cap) == want, (label, cap)
 
 
 def test_capped_excess_grid_has_excess_at_every_h():
@@ -651,7 +608,7 @@ def _visible_excess(U):
 
 @pytest.mark.parametrize("q,n,k", [(2, 4, 6), (3, 3, 4), (4, 3, 4), (5, 3, 4), (8, 3, 4),
                                    (9, 3, 4)])
-def test_capped_walk_stops_after_the_first_basis_vector(q, n, k, monkeypatch, force_side):
+def test_capped_walk_stops_after_the_first_basis_vector(q, n, k, monkeypatch):
     # heavy subspaces of F_{q^n}^2 whose excess shows after the q^{k-1}
     # vectors b_0 + span(b_1, ..., b_{k-1}): capped below it, the walk
     # builds and reads no vector past them; capped at it, all θ_{k-1}(q)
@@ -664,7 +621,6 @@ def test_capped_walk_stops_after_the_first_basis_vector(q, n, k, monkeypatch, fo
             yield vectors, runs
 
     monkeypatch.setattr(subspaces, "_walk_batches", counted)
-    force_side(True)
     stopped = 0
     for _ in range(8):
         U = _heavy_subspace(tower, 2, k, rng)
@@ -686,7 +642,7 @@ def test_capped_walk_stops_after_the_first_basis_vector(q, n, k, monkeypatch, fo
 
 @pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2), (8, 2),
                                  (9, 2)])
-def test_r2_hyperplane_weights_are_the_point_weights(q, n, monkeypatch, force_side):
+def test_r2_hyperplane_weights_are_the_point_weights(q, n, monkeypatch):
     # at r = 2 and k <= n the hyperplane weight counts are U's own point
     # weight counts, built without U^⊥', against the dual path and the
     # oracle; the spectrum, the largest weight and the Delsarte
@@ -699,12 +655,10 @@ def test_r2_hyperplane_weights_are_the_point_weights(q, n, monkeypatch, force_si
             want = dict(Counter(oracle_hyperplane_weights(U).values()))
             via_dual = {w + U.k - n: c for w, c in point_weight_counts(dual(U)).items()}
             assert via_dual == want, k
-            for side in (True, False):
-                force_side(side)
-                with monkeypatch.context() as m:
-                    m.setattr(subspaces, "ordinary_dual", None)
-                    assert hyperplane_weight_counts(U) == want, (k, side)
-                    assert max_hyperplane_weight(U) == max(want), (k, side)
+            with monkeypatch.context() as m:
+                m.setattr(subspaces, "ordinary_dual", None)
+                assert hyperplane_weight_counts(U) == want, k
+                assert max_hyperplane_weight(U) == max(want), k
 
 
 # -- the F_{q^n}-meet against the flat intersection -----------------------------
@@ -856,24 +810,21 @@ def test_dual_grid_reaches_every_verdict():
         assert verdicts[r, True, False] and verdicts[r, False, False] and verdicts[r, False, True]
 
 
-def test_hyperplane_budget_of_the_definition_scan_still_suffices():
-    """The definition scan counted θ_{r-1}(q^n) hyperplanes, as many as the
-    point scan of U^⊥' counts points, so that budget still runs one engine;
-    below both engines' counts the chosen one refuses in its own unit."""
+def test_hyperplane_route_runs_within_the_budget_of_its_walk():
+    """At h = r - 1 the one engine is the walk of U^⊥''s θ_{rn-k-1}(q)
+    F_q-points: a budget of that many runs it, one fewer is refused in its
+    unit, whatever the θ_{r-1}(q^n) hyperplanes the definition scan
+    counted."""
     for label, U in DUAL_INPUTS:
-        h, Q, rn = U.r - 1, U.tower.mid.order, U.r * U.tower.n
-        cap = theta(U.r - 1, Q)
-        if cap > DUAL_EXTRAS_LIMIT:
-            continue
-        want = sorted(excess_iter(U, h))
-        assert sorted(excess_iter(U, h, budget=cap)) == want, label
-        assert is_h_scattered(U, h, budget=cap) == is_h_scattered(U, h), label
+        h, rn = U.r - 1, U.r * U.tower.n
         walk = theta(rn - U.k - 1, U.tower.q)
-        if walk:
-            unit = "subspace F_q-points" if _walks(U.tower, U.r, rn - U.k) else (
-                "projective points")
-            with pytest.raises(BudgetExceeded, match=unit):
-                list(excess_iter(U, h, budget=min(cap, walk) - 1))
+        if not walk or walk > 1 << 14:
+            continue
+        assert sorted(excess_iter(U, h, budget=walk)) == sorted(excess_iter(U, h)), label
+        assert is_h_scattered(U, h, budget=walk) == is_h_scattered(U, h), label
+        with pytest.raises(BudgetExceeded,
+                           match=f"{walk} subspace F_q-points exceeds budget {walk - 1}"):
+            list(excess_iter(U, h, budget=walk - 1))
 
 
 def test_middle_h_keeps_the_definition_scan(monkeypatch):

@@ -1119,7 +1119,6 @@ def _engine_spies(monkeypatch):
                          ids=[f"q{q}_N{N}_k{k}_s{s}_eta{eta}" for q, N, k, s, eta in QSYSTEM_CELLS])
 def test_qsystem_engine_matches_the_scans(q, N, k, s, eta, scanned, force_geometric):
     from ranklab.constructions import twisted_gabidulin
-    from ranklab.fqlinalg import theta
     from ranklab.subspaces import ordinary_dual
 
     tower = make_tower(*PRIME_POWER[q], N, 1)
@@ -1129,25 +1128,19 @@ def test_qsystem_engine_matches_the_scans(q, N, k, s, eta, scanned, force_geomet
     # the code carries U^⊥' for its N-dimensional q-system U ⊂ F_{q^N}^k
     S = C.subspace
     assert (S.k, S.r) == ((k - 1) * N, k) and ordinary_dual(S).k == N
-    # the geometric engine forced, on each side of U^⊥'s point weights (the
-    # point scan where it is small)
-    for walk in (True, False)[:1 + (theta(k - 1, q**N) <= QSYSTEM_ITEMS)]:
-        force_geometric(walk)
-        assert twisted_gabidulin(tower, N, k, s, eta, 0).code.rank_distribution() == want
+    # the geometric engine forced: the walk of U^⊥'s point weights
+    force_geometric()
+    assert twisted_gabidulin(tower, N, k, s, eta, 0).code.rank_distribution() == want
 
 
-def test_qsystem_grid_covers_every_q_twists_and_both_sides():
-    from ranklab.fqlinalg import theta
-
+def test_qsystem_grid_covers_every_q_and_the_twists():
     assert {q for q, *_ in QSYSTEM_CELLS} == set(PRIME_POWER)
     # twisted at odd and at even q, and s > 1
     assert {q for q, N, k, s, eta in QSYSTEM_CELLS if eta} == {3, 4, 5, 8, 9}
     assert any(s > 1 and eta for q, N, k, s, eta in QSYSTEM_CELLS)
-    # k > N/2, k = 1 (U^⊥' = 0) and the point scan of U^⊥'
+    # k > N/2 and k = 1 (U^⊥' = 0)
     assert any(2 * k > N >= 4 for q, N, k, s, eta in QSYSTEM_CELLS)
     assert any(k == 1 for q, N, k, s, eta in QSYSTEM_CELLS)
-    assert any(k >= 2 and theta(k - 1, q**N) <= QSYSTEM_ITEMS
-               for q, N, k, s, eta in QSYSTEM_CELLS)
     assert len(QSYSTEM_CELLS) >= 100
 
 
@@ -1157,12 +1150,11 @@ def test_qsystem_grid_covers_every_q_twists_and_both_sides():
     ("gabidulin", (2, 5, 4), "tree"), ("gabidulin", (3, 4, 3), "tree"),
     ("gabidulin", (4, 4, 3), "tree"), ("cug", (2, 6, 2, 9), "tree")])
 def test_pricing_picks_the_engine_from_the_input(kind, params, engine, monkeypatch, scanned,
-                                                 force_side):
+                                                 force_walk):
     # the lowest price in row additions (fqlinalg.cheapest): the point
     # weights win at k <= N/2 here, the tree at k > N/2.  A C_{U,G} with
     # (q, n, r, k) = (2, 6, 2, 9) takes the tree (K = 12 per subspace of
-    # F_2^3, 192) over the point scan (2n per point of PG(1, 64), 780) and
-    # the walk (3/2 per F_q-point of U, 766)
+    # F_2^3, 192) over the walk (3/2 per F_q-point of U, 766)
     from ranklab.fqlinalg import qbinom
     from ranklab.subspaces import random_subspace
 
@@ -1189,9 +1181,9 @@ def test_pricing_picks_the_engine_from_the_input(kind, params, engine, monkeypat
     mp = min(C.m, C.n)
     spaces = sum(qbinom(mp, d, q) for d in range(mp + 1))
     scan = "walk" if C.size <= spaces else "tree"
-    for walk, forced in ((True, "qsystem"), (None, scan)):
+    for walk, forced in ((True, "qsystem"), (False, scan)):
         ran.clear()
-        force_side(walk)
+        force_walk(walk)
         assert build().rank_distribution() == want
         assert ran == [forced]
 
@@ -1224,8 +1216,8 @@ def test_codes_without_a_qsystem_take_the_scans(monkeypatch, adjoint):
         assert C.rank_distribution() == mrd_weight_distribution(*params), label
 
 
-def test_qsystem_budget_exits_at_its_item_count(monkeypatch, force_side):
-    from ranklab import rankcodes, subspaces
+def test_qsystem_budget_exits_at_its_item_count(monkeypatch):
+    from ranklab import rankcodes
     from ranklab.errors import BudgetExceeded
 
     t16 = make_tower(2, 1, 4, 1)
@@ -1237,18 +1229,7 @@ def test_qsystem_budget_exits_at_its_item_count(monkeypatch, force_side):
     assert (exc.value.needed, exc.value.allowed, exc.value.what) == (
         15, 14, "subspace F_q-points")
     assert gabidulin(t16, 4, 2, 1).rank_distribution(budget=15) == want
-    # the point scan of U^⊥' counts θ_1(16) = 17 points; at 15 and 16 only
-    # the walk fits, so the walk runs
-    force_side(False)
-    with pytest.raises(BudgetExceeded, match="17 projective points exceeds budget 14"):
-        gabidulin(t16, 4, 2, 1).rank_distribution(budget=14)
-    scans = []
-    point_scan = subspaces._point_scan
-    monkeypatch.setattr(subspaces, "_point_scan",
-                        lambda U, budget: scans.append(budget) or point_scan(U, budget))
-    for budget in (16, 17):
-        assert gabidulin(t16, 4, 2, 1).rank_distribution(budget=budget) == want
-    assert scans == [17] and ran == ["qsystem"] * 3
+    assert ran == ["qsystem"]
     monkeypatch.undo()
     # (2,6,3): 4095 F_q-points do not fit 4094, the tree's 2825 subspaces do
     ran = _engine_spies(monkeypatch)

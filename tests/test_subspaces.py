@@ -330,7 +330,7 @@ def test_stored_row_codec_and_dual_match_the_replaced_formulas(q, r):
 
 
 @pytest.mark.parametrize("p, e, n, r, k", [(2, 1, 4, 2, 5), (3, 1, 3, 2, 4), (2, 2, 3, 3, 5)])
-def test_mid_basis_is_read_back_on_demand(p, e, n, r, k, monkeypatch, force_side):
+def test_mid_basis_is_read_back_on_demand(p, e, n, r, k, monkeypatch):
     """Only the flat basis is stored: building U, its ordinary dual and a
     walk of its points read no row back (fqlinalg.digit_rows); the first
     read of basis_mid reads each of the k stored rows once, in order, and
@@ -351,7 +351,6 @@ def test_mid_basis_is_read_back_on_demand(p, e, n, r, k, monkeypatch, force_side
                 yield from read((row,))
         return each
     monkeypatch.setattr(subspaces, "digit_rows", counted)
-    force_side(True)
     U = FqSubspace.from_flat(tower, r, rows)
     ordinary_dual(U)
     subspaces.point_weight_counts(U)
